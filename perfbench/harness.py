@@ -201,8 +201,8 @@ def calibration_sample() -> float:
     The benchmark runs on shared 2-core hosts whose speed drifts by
     tens of percent within minutes.  The single-threaded workloads
     interleave these samples with their ops, and :class:`HostClock`
-    scales their host times to the reference speed, so the drift
-    cancels while a change in the program still shows in full.
+    scales their host times to the reference speed, so most of the
+    drift cancels while a change in the program still shows in full.
     """
     import numpy as np
     start = time.perf_counter()
@@ -216,12 +216,6 @@ def calibration_sample() -> float:
         np.searchsorted(keys, probe)
         np.unique(probe)
     return (time.perf_counter() - start) * 1000.0
-
-
-def calibration_task(_shared: Any, _payload: Any) -> float:
-    """:func:`calibration_sample` as a ``QueryExecutor.map_tasks`` task:
-    timed inside the worker, so no dispatch cost is included."""
-    return calibration_sample()
 
 
 class HostClock:
@@ -242,11 +236,7 @@ class HostClock:
 
     def sample(self, count: int = 1) -> None:
         for _ in range(count):
-            self.add([calibration_sample()])
-
-    def add(self, samples_ms: Iterable[float]) -> None:
-        """Record samples measured elsewhere (in worker processes)."""
-        for ms in samples_ms:
+            ms = calibration_sample()
             self._at.append(time.perf_counter())
             self._ms.append(ms)
 

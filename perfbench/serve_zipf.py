@@ -8,9 +8,16 @@ workers and the shared-memory data plane, config
 ``GSIConfig.gsi_opt()``.  The load generator is a closed loop: 2
 connections with 4 outstanding requests each, pipelined.  Requests
 follow a Zipf skew over 48 query shapes of 3-6 vertices drawn from the
-vetted pool (rank 1 is the cheapest stratum); 25% are renumbered
-isomorphic copies and 4 tenants share them.  Generous quotas keep the
-admission path active without refusing anything.
+vetted pool (ranks dealt by a fixed seeded permutation, independent of
+cost); 25% are renumbered isomorphic copies and 4 tenants share them.
+Generous quotas keep the admission path active without refusing
+anything.
+
+``sim_ms`` and ``sim_tx`` are not read from the batches the server ran:
+in-flight dedup decides which requests execute, and that depends on
+timing.  They are the mean simulated cost per request of the seeded
+sequence, each request charged at its shape's serial replay, so they
+move only when the cost model does.
 
 The generator speaks NDJSON over its own ``asyncio.open_connection``
 with a large line limit instead of ``repro.serve.client.GSIClient``:
@@ -43,13 +50,7 @@ CONNECTIONS = 2
 OUTSTANDING_PER_CONNECTION = 4
 SHARDS = 2
 WORKERS = 2
-SETUPS = 3
-#: calibration samples run across the worker pool before, after and
-#: twice inside the untraced closed loop (which pauses for them); two
-#: workers on two cores see the capacity of both, which the closed loop
-#: depends on
-SERVE_CALIBRATION = 128
-CALIBRATION_PAUSES = 2
+SETUPS = 5
 #: the shape catalogue is the same for every seed; the seed drives the
 #: request sequence (Zipf draws, renumbered copies, tenants)
 CATALOGUE_SEED = 7
@@ -58,6 +59,8 @@ QUOTA_RATE = 100_000.0
 QUOTA_BURST = 100_000.0
 #: client-side line limit: far above any response this workload sends
 CLIENT_LINE_LIMIT = 1 << 26
+#: requests of the seeded sequence that sim_ms and sim_tx average over
+SIM_REQUESTS = 4096
 
 
 class _Catalogue:
@@ -71,8 +74,11 @@ class _Catalogue:
         rng = np.random.default_rng(CATALOGUE_SEED)
         eligible = [e for e in pool
                     if e["k"] in SIZES and e["matches"] <= MAX_MATCHES]
-        self.shapes = harness.stratified_pick(eligible, SHAPES, rng,
-                                               fixed_top=HEAVY_SHAPES)
+        picks = harness.stratified_pick(eligible, SHAPES, rng,
+                                        fixed_top=HEAVY_SHAPES)
+        # Zipf ranks follow a seeded permutation of the catalogue, so a
+        # shape's popularity says nothing about its cost
+        self.shapes = [picks[int(i)] for i in rng.permutation(SHAPES)]
         #: (shape, variant) -> (query, perm, wire dict); variant 0 is
         #: the shape as drawn, the others renumbered copies
         self.variants: Dict[Tuple[int, int], Tuple[Any, Any, Dict]] = {}
@@ -93,11 +99,13 @@ class _Catalogue:
         ranks = np.arange(1, SHAPES + 1, dtype=np.float64)
         probs = ranks ** -ZIPF_EXPONENT
         self.probs = probs / probs.sum()
-        self._rng = np.random.default_rng(seed)
+        self._seed = seed
 
     def requests(self):
-        """Endless seeded stream of (shape, variant, tenant)."""
-        rng = self._rng
+        """Endless seeded stream of (shape, variant, tenant); every call
+        starts the same stream afresh."""
+        import numpy as np
+        rng = np.random.default_rng(self._seed)
         while True:
             shapes = rng.choice(SHAPES, size=1024, p=self.probs)
             renumbered = rng.random(1024) < RENUMBERED_SHARE
@@ -132,11 +140,7 @@ class _RecordingEngine:
             start = time.perf_counter()
             report = self._inner.run_batch(queries, *args, **kwargs)
             end = time.perf_counter()
-        record: Dict[str, Any] = {
-            "queries": len(queries),
-            "sim_ms": report.total_simulated_ms,
-            "tx": report.total_gld + report.total_gst,
-        }
+        record: Dict[str, Any] = {"queries": len(queries)}
         if self.detailed:
             record.update(
                 start=start, end=end, serve_span=span.parent_id,
@@ -261,13 +265,8 @@ async def _drive(port: int, catalogue: _Catalogue, requests, seconds,
     return records, time.perf_counter() - start
 
 
-def _pool_calibration(engine, clock: harness.HostClock) -> None:
-    clock.add(engine.executor.map_tasks(harness.calibration_task,
-                                        [None] * SERVE_CALIBRATION))
-
-
 async def _serve(engine: _RecordingEngine, catalogue: _Catalogue,
-                 clock: harness.HostClock, seconds: float, trace: bool):
+                 seconds: float, trace: bool):
     """Run the untraced phase (and, when tracing, a traced one)."""
     from repro.obs.metrics import get_registry
     from repro.obs.trace import Tracer, set_tracer
@@ -278,18 +277,10 @@ async def _serve(engine: _RecordingEngine, catalogue: _Catalogue,
     requests = catalogue.requests()
     phases: Dict[str, Any] = {}
     try:
-        plain_s = seconds / 2 if trace else seconds
-        records, wall = [], 0.0
-        for _ in range(CALIBRATION_PAUSES + 1):
-            _pool_calibration(engine, clock)
-            part, part_s = await _drive(
-                server.bound_port, catalogue, requests,
-                plain_s / (CALIBRATION_PAUSES + 1), None)
-            records.extend(part)
-            wall += part_s
-        _pool_calibration(engine, clock)
-        phases["plain"] = {"records": records, "wall_s": wall,
-                           "batches": len(engine.batches)}
+        records, wall = await _drive(
+            server.bound_port, catalogue, requests,
+            seconds / 2 if trace else seconds, None)
+        phases["plain"] = {"records": records, "wall_s": wall}
         if trace:
             tracer = Tracer()
             engine.detailed = True
@@ -321,18 +312,40 @@ async def _serve(engine: _RecordingEngine, catalogue: _Catalogue,
     return phases
 
 
-def _check_responses(records, catalogue: _Catalogue, graph,
+def _replay(catalogue: _Catalogue, graph) -> List[Dict[str, Any]]:
+    """Serial in-process replay of every shape on one engine: its
+    match-set digest and simulated cost."""
+    from repro.core.config import GSIConfig
+    from repro.core.engine import GSIEngine
+    engine = GSIEngine(graph, GSIConfig.gsi_opt())
+    replayed = []
+    for s in range(len(catalogue.shapes)):
+        result = engine.match(catalogue.variants[(s, 0)][0])
+        replayed.append({
+            "digest": harness.match_digest(result.matches),
+            "sim_ms": float(result.elapsed_ms),
+            "tx": float(result.counters.gld + result.counters.gst)})
+    return replayed
+
+
+def _sim_per_request(catalogue: _Catalogue,
+                     replayed: List[Dict[str, Any]]) -> Dict[str, float]:
+    """Mean simulated cost of the seeded request sequence's first
+    ``SIM_REQUESTS`` requests, each charged at its shape's serial
+    replay.  Unlike the batches the server ran, which in-flight dedup
+    thins out depending on timing, this is fixed by the seed."""
+    shapes = [s for s, _, _ in
+              itertools.islice(catalogue.requests(), SIM_REQUESTS)]
+    return {key: harness.mean([replayed[s][key] for s in shapes])
+            for key in ("sim_ms", "tx")}
+
+
+def _check_responses(records, catalogue: _Catalogue,
+                     replayed: List[Dict[str, Any]],
                      out: harness.Outcome) -> int:
     """Every response must equal a serial in-process replay of its
     shape, translated onto the submitted numbering."""
     import numpy as np
-
-    from repro.core.config import GSIConfig
-    from repro.core.engine import GSIEngine
-    replay = GSIEngine(graph, GSIConfig.gsi_opt())
-    expected = {s: harness.match_digest(replay.match(
-                    catalogue.variants[(s, 0)][0]).matches)
-                for s in range(len(catalogue.shapes))}
     ok = 0
     for rec in records:
         out.attempted += 1
@@ -345,7 +358,7 @@ def _check_responses(records, catalogue: _Catalogue, graph,
         matches = msg.get("matches", [])
         if matches:
             matches = np.asarray(matches, dtype=np.int64)[:, perm]
-        if harness.match_digest(matches) != expected[rec["shape"]]:
+        if harness.match_digest(matches) != replayed[rec["shape"]]["digest"]:
             out.op_failed(f"request {msg.get('id')}: match set differs "
                           f"from the serial replay")
             continue
@@ -454,10 +467,10 @@ def run(seed: int, seconds: float, trace: bool) -> harness.Outcome:
                 clock.timed(_setup)
         finally:
             set_tracer(None)
+        setups.append(setup_s)
         published = harness.counter_total(
             get_registry().snapshot(),
             "gsi_shm_published_bytes_total") - bytes_before
-        setups.append(setup_s)
         if tracer is not None:
             setup_spans = tracer.finished()
         if not last:
@@ -465,9 +478,7 @@ def run(seed: int, seconds: float, trace: bool) -> harness.Outcome:
     try:
         catalogue = _Catalogue(harness.load_pool(graph), seed)
         engine = _RecordingEngine(inner, catalogue)
-        pool_clock = harness.HostClock()
-        phases = asyncio.run(_serve(engine, catalogue, pool_clock,
-                                    seconds, trace))
+        phases = asyncio.run(_serve(engine, catalogue, seconds, trace))
     finally:
         _teardown(executor, sharded)
     leaked = harness.shm_segments() - segments_before
@@ -476,14 +487,12 @@ def run(seed: int, seconds: float, trace: bool) -> harness.Outcome:
                     f"the run: {sorted(leaked)[:3]}")
 
     plain = phases["plain"]
-    plain_ok = _check_responses(plain["records"], catalogue, graph, out)
-    factor = pool_clock.factor()
-    lat = [(r["received"] - r["sent"]) * 1000.0 * factor
-           for r in plain["records"]]
-    plain_ops = plain_ok / (plain["wall_s"] * factor)
+    replayed = _replay(catalogue, graph)
+    plain_ok = _check_responses(plain["records"], catalogue, replayed, out)
+    lat = [(r["received"] - r["sent"]) * 1000.0 for r in plain["records"]]
+    plain_ops = plain_ok / plain["wall_s"]
     if not trace:
-        executed = engine.batches[:plain["batches"]]
-        queries = sum(b["queries"] for b in executed)
+        sim = _sim_per_request(catalogue, replayed)
         out.metrics = {
             "setup_s": harness.pct(setups, 50),
             "ops_per_s": plain_ops,
@@ -492,13 +501,13 @@ def run(seed: int, seconds: float, trace: bool) -> harness.Outcome:
             "read_latency_p50_ms": harness.pct(lat, 50),
             "read_latency_p95_ms": harness.pct(lat, 95),
             "peak_rss_mb": phases["peak_rss_mb"],
-            "sim_ms": sum(b["sim_ms"] for b in executed) / queries,
-            "sim_tx": sum(b["tx"] for b in executed) / queries,
+            "sim_ms": sim["sim_ms"],
+            "sim_tx": sim["tx"],
         }
     else:
         traced = phases["traced"]
-        traced_ok = _check_responses(traced["records"], catalogue, graph,
-                                     out)
+        traced_ok = _check_responses(traced["records"], catalogue,
+                                     replayed, out)
         _check_trace(traced["spans"], out)
         metrics = _layer_metrics(traced, catalogue, graph.num_vertices)
         setup_metrics = layers.span_metrics(setup_spans)
@@ -507,10 +516,10 @@ def run(seed: int, seconds: float, trace: bool) -> harness.Outcome:
         metrics["latency_samples"] = float(len(traced["records"]))
         metrics["error_share"] = out.failed / max(1, out.attempted)
         metrics["obs.trace_overhead"] = (
-            traced_ok / (traced["wall_s"] * factor) / plain_ops)
+            traced_ok / traced["wall_s"] / plain_ops)
         out.metrics = metrics
     out.info = {"latency_samples": len(lat), "shards": SHARDS,
-                "host_speed": factor,
+                "host_speed": clock.factor(),
                 "executor": f"process x{WORKERS}, shm plane",
                 "connections": CONNECTIONS,
                 "outstanding": CONNECTIONS * OUTSTANDING_PER_CONNECTION,

@@ -55,21 +55,21 @@ def _inputs(pool, seed: int):
             [harness.query_from_entry(e) for e in reads])
 
 
-def _setup(graph, registered):
-    """Index build (signature table + PCSR) and registrations."""
+def _setup(registered):
+    """Graph build, index build (signature table + PCSR) and
+    registrations."""
     from repro.dynamic import StreamEngine
-    engine = StreamEngine(graph)
+    engine = StreamEngine(harness.build_graph())
     return engine, [engine.register(q) for q in registered]
 
 
-def _pass(graph, registered, reads, stream, out: harness.Outcome,
+def _pass(registered, reads, stream, out: harness.Outcome,
           clock: harness.HostClock, check: bool, traced: bool,
           acc: Dict[str, Any]):
     """One replay of the stream; returns setup seconds and sim totals."""
     from repro.core.engine import GSIEngine
     from repro.obs.trace import Tracer, set_tracer
-    setup_s, (engine, ids) = clock.timed(
-        lambda: _setup(graph, registered))
+    setup_s, (engine, ids) = clock.timed(lambda: _setup(registered))
     meter_before = engine.index.meter.snapshot()
     cache_before = engine.plan_cache.stats_snapshot()
     read_snaps = []
@@ -129,8 +129,8 @@ def _pass(graph, registered, reads, stream, out: harness.Outcome,
                           f"differs from a fresh match on the final "
                           f"snapshot")
     if traced:
-        acc["cache"] = engine.plan_cache.stats_snapshot().diff(
-            cache_before)
+        acc["cache"].append(
+            engine.plan_cache.stats_snapshot().diff(cache_before))
     totals = harness.sim_totals(
         [engine.index.meter.snapshot().diff(meter_before)] + read_snaps)
     totals["read_sim_ms"] = read_sim_ms
@@ -184,7 +184,7 @@ def _arm() -> Dict[str, Any]:
     return {"ok": 0, "updates": harness.OpTimes(),
             "reads": harness.OpTimes(),
             "spans": [], "reports": [], "tally": layers.CandidateTally(),
-            "cache": None}
+            "cache": []}
 
 
 def run(seed: int, seconds: float, trace: bool) -> harness.Outcome:
@@ -205,14 +205,13 @@ def run(seed: int, seconds: float, trace: bool) -> harness.Outcome:
     while (len(passes) < harness.min_passes(trace, 2)
            or time.perf_counter() - start < seconds):
         role = harness.pass_role(trace, len(passes))
-        setup_s, totals = _pass(graph, registered, reads, stream, out,
-                                clock, check=not passes,
+        setup_s, totals = _pass(registered, reads, stream, out, clock,
+                                check=not passes,
                                 traced=role == "traced", acc=arms[role])
         setups.append(setup_s)
         passes.append(totals)
     while len(setups) < SETUPS:
-        setup_s, (engine, _) = clock.timed(
-            lambda: _setup(graph, registered))
+        setup_s, (engine, _) = clock.timed(lambda: _setup(registered))
         engine.close()
         setups.append(setup_s)
     out.check_sim_exact(passes)
@@ -239,7 +238,8 @@ def run(seed: int, seconds: float, trace: bool) -> harness.Outcome:
         metrics = layers.span_metrics(traced_arm["spans"])
         metrics.update(_stream_metrics(traced_arm["reports"]))
         metrics.update(traced_arm["tally"].metrics(graph.num_vertices))
-        metrics.update(layers.cache_metrics(traced_arm["cache"]))
+        metrics.update(layers.cache_metrics(
+            harness.merge_cache(traced_arm["cache"])))
         metrics.update(harness.sim_layer_metrics(first))
         metrics["latency_samples"] = float(len(traced_arm["updates"]))
         metrics["error_share"] = out.failed / max(1, out.attempted)
