@@ -292,11 +292,17 @@ class OpTimes:
         return sum(clock.scale(s, t) for runs in self._ops.values()
                    for t, s in runs)
 
+    #: passes an op's latency is the fastest of; fixed, because the
+    #: fastest of three runs reads lower than the fastest of two, and
+    #: whether a third pass fits the time budget depends on host speed
+    LATENCY_PASSES = 2
+
     def latencies_ms(self, clock: HostClock) -> List[float]:
-        """One reference-speed latency per op: the fastest of the passes
-        that ran it, since interference from a shared host only ever
-        adds time."""
-        return [min(clock.scale(s, t) * 1000.0 for t, s in runs)
+        """One reference-speed latency per op: the fastest of its first
+        ``LATENCY_PASSES`` passes, since interference from a shared host
+        only ever adds time."""
+        return [min(clock.scale(s, t) * 1000.0
+                    for t, s in runs[:self.LATENCY_PASSES])
                 for runs in self._ops.values()]
 
 
@@ -309,6 +315,52 @@ def _vm_hwm_kb(pid: int) -> int:
         if line.startswith("VmHWM:"):
             return int(line.split()[1])
     return 0
+
+
+def child_pids() -> List[int]:
+    """Pids of this process's live children."""
+    pids: List[int] = []
+    for task in Path(f"/proc/{os.getpid()}/task").iterdir():
+        try:
+            pids.extend(int(p) for p in
+                        (task / "children").read_text().split())
+        except OSError:
+            continue
+    return pids
+
+
+def stop_child_processes(grace_s: float = 10.0) -> None:
+    """Stop every process the run started and wait until each has ended.
+
+    Pool workers are joined when their executor shuts down.  What stays
+    is multiprocessing's resource tracker, which the first shared-memory
+    segment starts and which by design outlives its parent; it ends
+    once the last copy of its pipe closes.  Any other child still alive
+    (a worker a failed run left behind, which also holds that pipe) is
+    terminated first, then killed if it outlasts ``grace_s``.
+    """
+    import signal
+    from multiprocessing import resource_tracker
+    tracker = resource_tracker._resource_tracker
+    stray = [pid for pid in child_pids()
+             if pid != getattr(tracker, "_pid", None)]
+    for pid in stray:
+        try:
+            os.kill(pid, signal.SIGTERM)
+        except ProcessLookupError:
+            pass
+    deadline = time.monotonic() + grace_s
+    for pid in stray:
+        try:
+            while os.waitpid(pid, os.WNOHANG)[0] == 0:
+                if time.monotonic() > deadline:
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+                    break
+                time.sleep(0.01)
+        except ChildProcessError:
+            pass
+    tracker._stop()
 
 
 def peak_rss_mb(child_pids: Iterable[int] = ()) -> float:

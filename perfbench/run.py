@@ -67,6 +67,8 @@ def main(argv=None) -> int:
     except Exception:  # noqa: BLE001 - report, then fail the run
         traceback.print_exc()
         return 1
+    finally:
+        harness.stop_child_processes()
 
     if args.trace:
         metrics = layers.complete(outcome.metrics)

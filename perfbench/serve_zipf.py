@@ -29,9 +29,7 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-import os
 import time
-from pathlib import Path
 from typing import Any, Dict, List, Tuple
 
 import harness
@@ -151,17 +149,6 @@ class _RecordingEngine:
                 cache=report.cache, shard=report.shard)
         self.batches.append(record)
         return report
-
-
-def _child_pids() -> List[int]:
-    pids: List[int] = []
-    for task in Path(f"/proc/{os.getpid()}/task").iterdir():
-        try:
-            pids.extend(int(p) for p in
-                        (task / "children").read_text().split())
-        except OSError:
-            continue
-    return pids
 
 
 def _warm_query(graph):
@@ -306,7 +293,7 @@ async def _serve(engine: _RecordingEngine, catalogue: _Catalogue,
                 - shipped_before,
                 "max_batch": server.max_batch,
             }
-        phases["peak_rss_mb"] = harness.peak_rss_mb(_child_pids())
+        phases["peak_rss_mb"] = harness.peak_rss_mb(harness.child_pids())
     finally:
         await server.stop()
     return phases
