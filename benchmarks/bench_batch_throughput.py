@@ -4,23 +4,24 @@ Not a paper table — this measures the repo's scaling subsystem.  The
 "sequential" arm serves each query the way the seed examples did: a
 fresh :class:`GSIEngine` per request, paying signature-table and storage
 construction every time.  The "batched" arm serves the same queries from
-one :class:`BatchEngine` (artifacts built once, worker pool, plan
-cache).  Simulated per-query measurements are identical in both arms by
-construction; the win is host wall-clock.
+one :class:`BatchEngine` (artifacts built once, plan cache).  Simulated
+per-query measurements are identical in both arms by construction; the
+win is host wall-clock.
 
 **Executor comparison** (``python benchmarks/bench_batch_throughput.py
 --executor process`` or ``--executor compare``, also the
 ``executor_comparison``-fixture pytest cases): the same batch runs under
-the serial, thread-pool, and process-pool executors.  Match sets,
-simulated measurements, and cache statistics must be byte-identical —
-executors change wall-clock only.  On a multi-core host the process
-pool is where Python-heavy joins finally overlap; the table reports
-each executor's wall-clock and speedup over serial.
+the serial and process-pool executors.  Match sets, simulated
+measurements, and cache statistics must be byte-identical — executors
+change wall-clock only.  On a multi-core host the process pool is where
+Python-heavy joins finally overlap; the table reports each executor's
+wall-clock and speedup over serial.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import statistics
 import time
 
@@ -31,7 +32,12 @@ from repro.core.config import GSIConfig
 from repro.core.engine import GSIEngine
 from repro.graph.generators import random_walk_query, scale_free_graph
 from repro.obs.trace import Tracer, set_tracer
-from repro.service import EXECUTOR_KINDS, BatchEngine, make_executor
+from repro.service import (
+    EXECUTOR_KINDS,
+    BatchEngine,
+    EngineBuildSpec,
+    make_executor,
+)
 
 from bench_common import record_report, write_bench_json
 
@@ -61,8 +67,7 @@ def run_executor_comparison(num_queries: int = EXEC_QUERIES,
                             vertices: int = EXEC_VERTICES,
                             workers: int = EXEC_WORKERS,
                             executors=EXECUTOR_KINDS,
-                            seed: int = 9,
-                            data_plane: str = "shm"):
+                            seed: int = 9):
     """Serve one identical batch under each executor; compare wall-clock.
 
     Each arm gets a fresh :class:`BatchEngine` (so plan/shape caches
@@ -82,10 +87,9 @@ def run_executor_comparison(num_queries: int = EXEC_QUERIES,
     outcomes = {}
     rows = []
     for kind in executors:
-        executor = make_executor(kind, workers, data_plane=data_plane)
+        executor = make_executor(kind, workers)
         try:
-            service = BatchEngine(graph, config, max_workers=workers,
-                                  executor=executor)
+            service = BatchEngine(graph, config, executor=executor)
             service.run_batch(warmup)  # untimed: pool + worker bootstrap
             t0 = time.perf_counter()
             report = service.run_batch(queries)
@@ -122,33 +126,31 @@ def run_executor_comparison(num_queries: int = EXEC_QUERIES,
 def measure_shipped_bytes(vertices: int = EXEC_VERTICES,
                           num_queries: int = 8,
                           workers: int = 2, seed: int = 9):
-    """Per-batch serialized context bytes under both process data planes.
+    """Per-batch serialized context bytes against pickling the graph.
 
-    Runs the same warm batch through a process executor once per plane
-    and reads ``executor.last_shipment``: the pickle plane re-ships the
-    full graph + config every batch, while the shm plane ships a compact
-    segment-name handle whose size is independent of ``|G|``.  Returns a
-    JSON-ready dict with both measurements and their ratio.
+    Runs a warm batch through a process executor and reads
+    ``executor.last_shipment``: the executor ships a compact
+    shared-memory handle whose size is independent of ``|G|``.  The
+    denominator is what shipping the engine by pickle would cost — the
+    pickled :class:`EngineBuildSpec` carrying the full graph + config.
+    Returns a JSON-ready dict with both sizes and their ratio.
     """
     graph = scale_free_graph(vertices, 4, 6, 6, seed=seed)
     config = GSIConfig.gsi_opt()
     queries = [random_walk_query(graph, 4, seed=s)
                for s in range(num_queries)]
-    shipped = {}
-    for plane in ("pickle", "shm"):
-        executor = make_executor("process", workers, data_plane=plane)
-        try:
-            service = BatchEngine(graph, config, max_workers=workers,
-                                  executor=executor)
-            service.run_batch(queries)  # cold: pool spawn + first publish
-            service.run_batch(queries)  # warm: steady-state shipment
-            shipped[plane] = dict(executor.last_shipment)
-        finally:
-            executor.shutdown()
-    ratio = (shipped["shm"]["context_bytes"]
-             / max(1, shipped["pickle"]["context_bytes"]))
+    executor = make_executor("process", workers)
+    try:
+        service = BatchEngine(graph, config, executor=executor)
+        service.run_batch(queries)  # cold: pool spawn + first publish
+        service.run_batch(queries)  # warm: steady-state shipment
+        shipment = dict(executor.last_shipment)
+    finally:
+        executor.shutdown()
+    pickled = len(pickle.dumps(EngineBuildSpec(graph, config)))
     return {"vertices": vertices, "edges": graph.num_edges,
-            "planes": shipped, "shm_over_pickle": ratio}
+            "shipment": shipment, "pickled_spec_bytes": pickled,
+            "shm_over_pickle": shipment["context_bytes"] / pickled}
 
 
 def run_trace_overhead(num_queries: int = QUICK_QUERIES,
@@ -217,8 +219,8 @@ def throughput():
     warm = [warm_engine.match(q) for q in distinct]
     warm_ms = (time.perf_counter() - t0) * 1000.0
 
-    # --- batched: shared artifacts + worker pool + plan cache ---
-    service = BatchEngine(graph, config, max_workers=4)
+    # --- batched: shared artifacts + plan cache ---
+    service = BatchEngine(graph, config)
     t0 = time.perf_counter()
     report = service.run_batch(distinct)
     batched_ms = (time.perf_counter() - t0) * 1000.0
@@ -227,7 +229,7 @@ def throughput():
     #     service, exercising the plan cache within one batch ---
     shapes = [random_walk_query(graph, 4 + (s % 3), seed=100 + s)
               for s in range(NUM_SHAPES_REPEATED)]
-    repeated_service = BatchEngine(graph, config, max_workers=4)
+    repeated_service = BatchEngine(graph, config)
     repeated_report = repeated_service.run_batch(shapes * REPEAT_FACTOR)
 
     rows = [
@@ -236,7 +238,7 @@ def throughput():
         ["sequential (warm shared engine)", f"{warm_ms:.0f}",
          f"{NUM_DISTINCT / (warm_ms / 1000):.1f}",
          f"{sequential_ms / warm_ms:.1f}x"],
-        ["batch service (4 workers)", f"{batched_ms:.0f}",
+        ["batch service (serial)", f"{batched_ms:.0f}",
          f"{NUM_DISTINCT / (batched_ms / 1000):.1f}",
          f"{sequential_ms / batched_ms:.1f}x"],
     ]
@@ -283,7 +285,7 @@ def test_distinct_batch_reports_percentiles(throughput):
 
 
 # ----------------------------------------------------------------------
-# Executor comparison: serial vs thread pool vs process pool
+# Executor comparison: serial vs process pool
 # ----------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -295,46 +297,44 @@ def executor_comparison():
 
 def test_executors_byte_identical_results(executor_comparison):
     serial = executor_comparison["serial"]
-    for kind in ("thread", "process"):
-        out = executor_comparison[kind]
-        assert out["match_sets"] == serial["match_sets"], (
-            f"{kind} executor changed the match sets")
-        assert out["total_tx"] == serial["total_tx"], (
-            f"{kind} executor changed simulated transaction totals")
-        assert [r.elapsed_ms for r in out["report"].results] == \
-            [r.elapsed_ms for r in serial["report"].results]
+    out = executor_comparison["process"]
+    assert out["match_sets"] == serial["match_sets"], (
+        "process executor changed the match sets")
+    assert out["total_tx"] == serial["total_tx"], (
+        "process executor changed simulated transaction totals")
+    assert [r.elapsed_ms for r in out["report"].results] == \
+        [r.elapsed_ms for r in serial["report"].results]
 
 
 def test_executors_identical_cache_stats(executor_comparison):
     # Preparation is serial in the parent under every executor, so
     # plan-cache and shape-memo accounting is deterministic.
     serial = executor_comparison["serial"]["report"].cache
-    for kind in ("thread", "process"):
-        assert executor_comparison[kind]["report"].cache == serial
+    assert executor_comparison["process"]["report"].cache == serial
 
 
 def test_process_pool_speedup_on_multicore(executor_comparison):
     """The acceptance measurement: on a multi-core host, process-pool
-    joins must beat thread-pool joins (the GIL caps thread overlap).
-    Skipped on boxes without enough usable cores, and on quick-mode
-    (shrunken) workloads where fixed pickling/dispatch overhead rivals
-    the join work — wall-clock assertions on tiny workloads on shared
-    CI runners are noise, not signal.  The correctness assertions above
+    joins must beat serial joins.  Skipped on boxes without enough
+    usable cores, and on quick-mode (shrunken) workloads where fixed
+    pickling/dispatch overhead rivals the join work — wall-clock
+    assertions on tiny workloads on shared CI runners are noise, not
+    signal.  The correctness assertions above
     always run; ``--min-speedup`` in script mode makes the hard check
     explicit for dedicated perf runs."""
     if _usable_cores() < 4:
         pytest.skip(f"needs >= 4 usable cores for a meaningful "
-                    f"process-vs-thread comparison "
+                    f"process-vs-serial comparison "
                     f"(have {_usable_cores()})")
     if EXEC_QUERIES < 24 or EXEC_VERTICES < 400:
         pytest.skip(f"quick-mode workload ({EXEC_QUERIES} queries, "
                     f"|V|={EXEC_VERTICES}) is too small for a stable "
                     f"wall-clock comparison")
-    thread_ms = executor_comparison["thread"]["wall_ms"]
+    serial_ms = executor_comparison["serial"]["wall_ms"]
     process_ms = executor_comparison["process"]["wall_ms"]
-    assert process_ms * 1.2 <= thread_ms, (
-        f"process pool ({process_ms:.0f} ms) should beat the thread "
-        f"pool ({thread_ms:.0f} ms) by >= 1.2x at {EXEC_WORKERS} "
+    assert process_ms * 1.2 <= serial_ms, (
+        f"process pool ({process_ms:.0f} ms) should beat serial "
+        f"({serial_ms:.0f} ms) by >= 1.2x at {EXEC_WORKERS} "
         f"workers on {_usable_cores()} cores")
 
 
@@ -350,8 +350,7 @@ if __name__ == "__main__":
     parser.add_argument("--executor", default="compare",
                         choices=list(EXECUTOR_KINDS) + ["compare"],
                         help="run one executor (smoke), or 'compare' "
-                             "(default) for the serial/thread/process "
-                             "table")
+                             "(default) for the serial/process table")
     parser.add_argument("--queries", type=int, default=None)
     parser.add_argument("--vertices", type=int, default=None)
     parser.add_argument("--workers", type=int, default=None)
@@ -360,21 +359,17 @@ if __name__ == "__main__":
                              f"({QUICK_QUERIES} queries, "
                              f"|V|={QUICK_VERTICES}, "
                              f"{QUICK_WORKERS} workers)")
-    parser.add_argument("--data-plane", default="shm",
-                        choices=["shm", "pickle"],
-                        help="process-executor data plane (shared "
-                             "memory handles vs legacy full pickling)")
     parser.add_argument("--json", default=None, metavar="PATH",
                         help="write BENCH_batch_throughput.json here "
                              "(a directory, or an exact .json path)")
     parser.add_argument("--min-speedup", type=float, default=None,
                         help="with 'compare': exit nonzero unless "
-                             "process beats thread by this factor")
+                             "process beats serial by this factor")
     parser.add_argument("--assert-shm-ratio", type=float, default=None,
                         metavar="R",
                         help="measure warm per-batch shipped bytes "
-                             "under both planes and exit nonzero "
-                             "unless shm < R x pickle")
+                             "and exit nonzero unless they are < R x "
+                             "the pickled graph + config")
     parser.add_argument("--assert-trace-overhead", type=float,
                         default=None, const=1.05, nargs="?",
                         metavar="R",
@@ -398,8 +393,7 @@ if __name__ == "__main__":
              else tuple(dict.fromkeys(("serial", cli_args.executor))))
     outcomes, report_table = run_executor_comparison(
         num_queries=num_queries, vertices=num_vertices,
-        workers=num_workers, executors=kinds,
-        data_plane=cli_args.data_plane)
+        workers=num_workers, executors=kinds)
     print(report_table)
     serial = outcomes["serial"]
     for kind, out in outcomes.items():
@@ -416,7 +410,6 @@ if __name__ == "__main__":
                    "vertices": num_vertices,
                    "workers": num_workers,
                    "quick": cli_args.quick,
-                   "data_plane": cli_args.data_plane,
                    "usable_cores": _usable_cores()},
         "executors": {
             kind: {"wall_ms": out["wall_ms"],
@@ -445,19 +438,18 @@ if __name__ == "__main__":
                                         workers=num_workers)
         payload["shipped_bytes"] = shipped
         print(f"warm per-batch context: "
-              f"shm {shipped['planes']['shm']['context_bytes']} B vs "
-              f"pickle {shipped['planes']['pickle']['context_bytes']} B "
+              f"shm {shipped['shipment']['context_bytes']} B vs "
+              f"pickled spec {shipped['pickled_spec_bytes']} B "
               f"(ratio {shipped['shm_over_pickle']:.4f}, required "
               f"< {cli_args.assert_shm_ratio:.4f})")
         if shipped["shm_over_pickle"] >= cli_args.assert_shm_ratio:
             print("FAIL: shm plane shipped too many bytes per batch")
             failed = True
-    if cli_args.min_speedup is not None and "process" in outcomes \
-            and "thread" in outcomes:
-        ratio = (outcomes["thread"]["wall_ms"]
+    if cli_args.min_speedup is not None and "process" in outcomes:
+        ratio = (outcomes["serial"]["wall_ms"]
                  / outcomes["process"]["wall_ms"])
-        payload["process_vs_thread_speedup"] = ratio
-        print(f"process-vs-thread speedup: {ratio:.2f}x "
+        payload["process_vs_serial_speedup"] = ratio
+        print(f"process-vs-serial speedup: {ratio:.2f}x "
               f"(required {cli_args.min_speedup:.2f}x)")
         if ratio < cli_args.min_speedup:
             failed = True

@@ -33,7 +33,6 @@ import pytest
 from repro.bench.reporting import render_table
 from repro.core.config import GSIConfig
 from repro.core.engine import GSIEngine
-from repro.core.kernels import HAVE_NUMBA
 from repro.graph.generators import scale_free_graph
 from repro.graph.labeled_graph import LabeledGraph
 
@@ -42,10 +41,7 @@ from bench_common import record_report, write_bench_json
 GRAPH_VERTICES = int(os.environ.get("GSI_BENCH_JOIN_VERTICES", "150"))
 EDGES_PER_VERTEX = int(os.environ.get("GSI_BENCH_JOIN_EPV", "8"))
 
-#: the numba lane is benchmarked when the JIT is importable; otherwise
-#: it silently falls back to the NumPy path, which would double-count
-LANES: Tuple[str, ...] = (("rows", "vector", "numba") if HAVE_NUMBA
-                          else ("rows", "vector"))
+LANES: Tuple[str, ...] = ("rows", "vector")
 
 
 def _dense_workload(num_vertices: int = GRAPH_VERTICES,

@@ -305,7 +305,7 @@ if __name__ == "__main__":
     parser.add_argument("--concurrency", type=int, default=16)
     parser.add_argument("--rate-qps", type=float, default=400.0)
     parser.add_argument("--executor", default="serial",
-                        choices=["serial", "thread", "process"])
+                        choices=["serial", "process"])
     parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--seed", type=int, default=9)
     parser.add_argument("--json", default=None, metavar="PATH",

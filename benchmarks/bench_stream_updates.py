@@ -24,10 +24,10 @@ change set, not with ``|E|``.
 
 **Executor mode** (``python benchmarks/bench_stream_updates.py
 --executor process``) replays one stream once per executor kind —
-serial, thread pool, process pool — over many registered continuous
-queries, proving every executor emits identical per-batch deltas and
-final match sets while the pools overlap the per-query extension work
-on the shared batch seed.
+serial and process pool — over many registered continuous queries,
+proving both executors emit identical per-batch deltas and final match
+sets while the pool overlaps the per-query extension work on the
+shared batch seed.
 """
 
 from __future__ import annotations
@@ -371,13 +371,13 @@ def commit_heavy_comparison():
 
 
 # ----------------------------------------------------------------------
-# Executor mode: per-query delta matching on serial/thread/process pools
+# Executor mode: per-query delta matching, serial vs process pool
 # ----------------------------------------------------------------------
 
-def run_stream_executors(executors=("serial", "thread", "process"),
+def run_stream_executors(executors=("serial", "process"),
                          num_batches: int = 4, batch_size: int = 16,
                          vertices: int = 600, num_queries: int = 6,
-                         workers: int = 4, data_plane: str = "shm"):
+                         workers: int = 4):
     """Replay one stream once per executor; assert identical deltas.
 
     Returns ``(outcomes, table)``; outcomes map executor name to wall
@@ -394,7 +394,7 @@ def run_stream_executors(executors=("serial", "thread", "process"),
     outcomes = {}
     rows = []
     for kind in executors:
-        executor = make_executor(kind, workers, data_plane=data_plane)
+        executor = make_executor(kind, workers)
         engine = None
         try:
             engine = StreamEngine(graph, executor=executor)
@@ -430,8 +430,8 @@ def run_stream_executors(executors=("serial", "thread", "process"),
         ["executor", "wall ms", "created", "destroyed", "final live"],
         rows,
         note="per-batch deltas and final match sets must be identical "
-             "across executors; pools overlap the per-query extension "
-             "work on the shared batch seed")
+             "across executors; the pool overlaps the per-query "
+             "extension work on the shared batch seed")
     return outcomes, table
 
 
@@ -445,12 +445,11 @@ def stream_executor_comparison():
 
 def test_stream_executors_agree(stream_executor_comparison):
     serial = stream_executor_comparison["serial"]
-    for kind in ("thread", "process"):
-        out = stream_executor_comparison[kind]
-        assert out["deltas"] == serial["deltas"], (
-            f"{kind} executor changed per-batch deltas")
-        assert out["final"] == serial["final"], (
-            f"{kind} executor changed the final match sets")
+    out = stream_executor_comparison["process"]
+    assert out["deltas"] == serial["deltas"], (
+        "process executor changed per-batch deltas")
+    assert out["final"] == serial["final"], (
+        "process executor changed the final match sets")
 
 
 def test_commit_heavy_patch_beats_rebuild_5x(commit_heavy_comparison):
@@ -486,8 +485,7 @@ if __name__ == "__main__":
                         help="run the per-edge vs bulk (GPMA-style) "
                              "PCSR maintenance comparison")
     parser.add_argument("--executor", default=None,
-                        choices=["serial", "thread", "process",
-                                 "compare"],
+                        choices=["serial", "process", "compare"],
                         help="replay one stream per executor and "
                              "differentially compare the deltas")
     parser.add_argument("--edges", type=int, default=COMMIT_EDGES)
@@ -496,15 +494,12 @@ if __name__ == "__main__":
     parser.add_argument("--vertices", type=int, default=600)
     parser.add_argument("--queries", type=int, default=6)
     parser.add_argument("--workers", type=int, default=4)
-    parser.add_argument("--data-plane", default="shm",
-                        choices=["shm", "pickle"],
-                        help="process-executor data plane")
     parser.add_argument("--json", default=None, metavar="PATH",
                         help="write BENCH_stream_updates.json here "
                              "(a directory, or an exact .json path)")
     cli_args = parser.parse_args()
     if cli_args.executor is not None:
-        kinds = (("serial", "thread", "process")
+        kinds = (("serial", "process")
                  if cli_args.executor == "compare"
                  else tuple(dict.fromkeys(("serial",
                                            cli_args.executor))))
@@ -512,8 +507,7 @@ if __name__ == "__main__":
             executors=kinds, num_batches=cli_args.batches,
             batch_size=cli_args.batch_size,
             vertices=cli_args.vertices,
-            num_queries=cli_args.queries, workers=cli_args.workers,
-            data_plane=cli_args.data_plane)
+            num_queries=cli_args.queries, workers=cli_args.workers)
         print(report_table)
         serial_arm = exec_outcomes["serial"]
         for kind, out in exec_outcomes.items():
@@ -530,8 +524,7 @@ if __name__ == "__main__":
                            "batch_size": cli_args.batch_size,
                            "vertices": cli_args.vertices,
                            "queries": cli_args.queries,
-                           "workers": cli_args.workers,
-                           "data_plane": cli_args.data_plane},
+                           "workers": cli_args.workers},
                 "executors": {
                     kind: {"wall_ms": out["wall_ms"],
                            "created": sum(d[0] for d in out["deltas"]),

@@ -1,7 +1,7 @@
 """Batch service: serve many subgraph queries from one shared engine.
 
 The engine's offline artifacts (signature table, PCSR storage) are built
-once; a worker pool executes a whole batch of queries through the
+once; the service executes a whole batch of queries through the
 ``prepare``/``execute`` path, and a plan cache lets repeated or
 isomorphic query shapes skip join-order planning.
 
@@ -29,7 +29,7 @@ def main() -> None:
     sequential_ms = (time.perf_counter() - t0) * 1000.0
 
     # --- Batch service: artifacts amortized, plans cached. ---
-    service = BatchEngine(graph, config, max_workers=4)
+    service = BatchEngine(graph, config)
     t0 = time.perf_counter()
     report = service.run_batch(batch)
     batched_ms = (time.perf_counter() - t0) * 1000.0

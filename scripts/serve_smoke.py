@@ -90,7 +90,7 @@ def main() -> int:
         [sys.executable, "-m", "repro.cli", "serve",
          "--dataset", DATASET, "--port", str(port),
          "--executor", "process", "--workers", "2",
-         "--data-plane", "shm", "--max-batch", "8",
+         "--max-batch", "8",
          "--max-delay-ms", "2"],
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
     try:

@@ -145,7 +145,6 @@ def run_workload(factory: EngineFactory, workload: Workload,
 def run_workload_batched(workload: Workload,
                          config: Optional[GSIConfig] = None,
                          engine_label: str = "gsi-batch",
-                         max_workers: int = 4,
                          cache_capacity: int = 256,
                          budget_ms: Optional[float] = DEFAULT_THRESHOLD_MS,
                          max_rows: Optional[int] = DEFAULT_MAX_ROWS,
@@ -155,9 +154,8 @@ def run_workload_batched(workload: Workload,
     """Run a workload through the batch service.
 
     ``executor`` (a :class:`~repro.service.executors.QueryExecutor`)
-    selects how the joining phase runs; ``None`` keeps the default
-    thread pool of ``max_workers`` threads.  The caller owns the
-    executor's lifecycle.
+    selects how the joining phase runs; ``None`` runs it serially.
+    The caller owns the executor's lifecycle.
 
     ``sharded`` (a :class:`~repro.shard.engine.ShardedEngine`) serves
     the workload scatter-gather over its shards instead of from one
@@ -172,16 +170,13 @@ def run_workload_batched(workload: Workload,
     from repro.service.batch import BatchEngine
 
     if sharded is not None:
-        engine = BatchEngine(sharded=sharded,
-                             max_workers=max_workers,
-                             executor=executor)
+        engine = BatchEngine(sharded=sharded, executor=executor)
     else:
         base = config if config is not None else GSIConfig()
         cfg = replace(base, budget_ms=budget_ms,
                       max_intermediate_rows=max_rows)
         engine = BatchEngine(workload.graph, cfg,
                              cache_capacity=cache_capacity,
-                             max_workers=max_workers,
                              executor=executor)
     report = engine.run_batch(workload.queries)
     summary = summarize_results(report.results, engine_label,

@@ -247,13 +247,10 @@ def cmd_batch(args: argparse.Namespace) -> int:
                                 cache_capacity=args.cache_capacity)
 
     with _tracing(args), \
-            make_executor(args.executor, args.workers,
-                          chunking=args.chunking,
-                          data_plane=args.data_plane) as executor:
+            make_executor(args.executor, args.workers) as executor:
         summary, report = run_workload_batched(
             wl, config=_engine_config(args),
             engine_label=f"{args.engine}-batch",
-            max_workers=args.workers,
             cache_capacity=args.cache_capacity,
             executor=executor,
             sharded=sharded)
@@ -348,8 +345,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     graph = datasets.load(args.dataset)
 
     async def _run() -> None:
-        with make_executor(args.executor, args.workers,
-                           data_plane=args.data_plane) as executor:
+        with make_executor(args.executor, args.workers) as executor:
             engine = BatchEngine(graph, _engine_config(args),
                                  cache_capacity=args.cache_capacity,
                                  executor=executor)
@@ -400,8 +396,7 @@ def cmd_stream(args: argparse.Namespace) -> int:
     total_commit_tx = 0
     health = {}
     with _tracing(args), \
-            make_executor(args.executor, args.workers,
-                          data_plane=args.data_plane) as executor:
+            make_executor(args.executor, args.workers) as executor:
         engine = StreamEngine(graph, _engine_config(args),
                               compact_dead_ratio=args.compact_dead_ratio,
                               executor=executor)
@@ -513,10 +508,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_join_kernel_arg(p: argparse.ArgumentParser) -> None:
         p.add_argument("--join-kernel", default=None,
-                       choices=["rows", "vector", "numba"],
+                       choices=["rows", "vector"],
                        help="host-side join lane (default: config/"
-                            "GSI_JOIN_KERNEL); all lanes give identical "
+                            "GSI_JOIN_KERNEL); both lanes give identical "
                             "matches and simulated transactions")
+
+    def add_executor_args(p: argparse.ArgumentParser, what: str) -> None:
+        p.add_argument("--executor", default="serial",
+                       choices=["serial", "process"],
+                       help=f"how {what} runs: in-process loop, or a "
+                            f"process pool over shared memory (true "
+                            f"multi-core)")
+        p.add_argument("--workers", type=int, default=4,
+                       help="process-pool size")
 
     def add_trace_arg(p: argparse.ArgumentParser) -> None:
         p.add_argument("--trace-out", default=None, metavar="PATH",
@@ -541,11 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_workload_args(b)
     b.add_argument("--engine", default="gsi-opt",
                    choices=sorted(GSI_CONFIGS))
-    b.add_argument("--workers", type=int, default=4)
-    b.add_argument("--executor", default="thread",
-                   choices=["serial", "thread", "process"],
-                   help="how the joining phase runs: in-process loop, "
-                        "thread pool, or process pool (true multi-core)")
+    add_executor_args(b, "the joining phase")
     b.add_argument("--cache-capacity", type=int, default=256)
     add_join_kernel_arg(b)
     b.add_argument("--repeat", type=int, default=1,
@@ -559,16 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["hash", "label"],
                    help="vertex ownership: block-hash or edge-label-"
                         "balancing assignment")
-    b.add_argument("--chunking", default="static",
-                   choices=["static", "cost"],
-                   help="process-executor batch chunking: equal-count "
-                        "slices or candidate-size-balanced bins")
-    b.add_argument("--data-plane", default="shm",
-                   choices=["shm", "pickle"],
-                   help="how the process executor ships the data graph "
-                        "to workers: shared-memory handles (O(handle) "
-                        "bytes per batch) or full pickles (legacy "
-                        "baseline)")
     add_trace_arg(b)
 
     si = sub.add_parser("shard-info",
@@ -591,16 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["gsi", "gsi-opt"])
     st.add_argument("--batches", type=int, default=5)
     st.add_argument("--batch-size", type=int, default=16)
-    st.add_argument("--workers", type=int, default=4)
-    st.add_argument("--executor", default="serial",
-                    choices=["serial", "thread", "process"],
-                    help="how per-query delta matching runs across the "
-                         "registered continuous queries")
-    st.add_argument("--data-plane", default="shm",
-                    choices=["shm", "pickle"],
-                    help="how the process executor ships the snapshot "
-                         "to workers: shared-memory handles or full "
-                         "pickles (legacy baseline)")
+    add_executor_args(st, "per-query delta matching")
     st.add_argument("--delete-fraction", type=float, default=0.3)
     st.add_argument("--compact-dead-ratio", type=float, default=0.25,
                     help="compact a PCSR partition's ci region in place "
@@ -633,15 +614,9 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--quota-burst", type=float, default=None,
                     help="per-tenant token-bucket capacity (defaults "
                          "to max(1, quota-rate))")
-    sv.add_argument("--workers", type=int, default=4)
-    sv.add_argument("--executor", default="thread",
-                    choices=["serial", "thread", "process"],
-                    help="how each micro-batch's joining phase runs")
+    add_executor_args(sv, "each micro-batch's joining phase")
     sv.add_argument("--cache-capacity", type=int, default=256)
     add_join_kernel_arg(sv)
-    sv.add_argument("--data-plane", default="shm",
-                    choices=["shm", "pickle"],
-                    help="process-executor data plane")
     add_trace_arg(sv)
 
     ob = sub.add_parser("obs",

@@ -60,9 +60,7 @@ class GSIConfig:
 
     # --- host execution lane (does not change metered costs) ---
     # "rows" iterates the intermediate table row by row; "vector" runs
-    # each edge pass as bulk NumPy ops over the whole table; "numba"
-    # additionally JIT-compiles the inner membership probes when numba
-    # is installed (silently equivalent to "vector" otherwise).  All
+    # each edge pass as bulk NumPy ops over the whole table.  Both
     # lanes produce byte-identical match sets and meter totals.  The
     # default can be steered fleet-wide via ``GSI_JOIN_KERNEL``.
     join_kernel: str = field(default_factory=lambda: os.environ.get(
@@ -83,9 +81,9 @@ class GSIConfig:
         if self.use_load_balance and not (self.w1 > self.w2 > self.w3 > 32):
             raise ConfigError(
                 f"need W1 > W2 > W3 > 32, got {self.w1}/{self.w2}/{self.w3}")
-        if self.join_kernel not in ("rows", "vector", "numba"):
+        if self.join_kernel not in ("rows", "vector"):
             raise ConfigError(
-                f"join_kernel must be 'rows', 'vector' or 'numba', "
+                f"join_kernel must be 'rows' or 'vector', "
                 f"got {self.join_kernel!r}")
 
     # ------------------------------------------------------------------

@@ -19,9 +19,6 @@ table at once:
   transaction totals, kernel cycle lists (hence simulated latency and
   budget-abort points) and match sets stay **byte-identical** to the
   per-row lane.  The differential tests assert this.
-
-The optional ``"numba"`` lane JIT-compiles the membership probes when
-numba is installed and silently degrades to the NumPy lane otherwise.
 """
 
 from __future__ import annotations
@@ -48,14 +45,6 @@ from repro.obs.trace import get_tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
     from repro.core.join import JoinContext, Row
-
-try:  # optional JIT lane; the container may not ship numba
-    import numba  # type: ignore
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - absence is the common case
-    numba = None
-    HAVE_NUMBA = False
 
 
 # ----------------------------------------------------------------------
@@ -95,38 +84,15 @@ def _shared_hit_mask(vcol: Array) -> Array:
     return hit
 
 
-if HAVE_NUMBA:  # pragma: no cover - only with numba installed
-
-    @numba.njit(cache=True)
-    def _membership_jit(values: Array, seg_of: Array,
-                        seg_starts: Array, seg_lens: Array,
-                        concat: Array) -> Array:
-        out = np.zeros(values.shape[0], dtype=np.bool_)
-        for i in range(values.shape[0]):
-            start = seg_starts[seg_of[i]]
-            n = seg_lens[seg_of[i]]
-            lo, hi, v = 0, n, values[i]
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if concat[start + mid] < v:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            out[i] = lo < n and concat[start + lo] == v
-        return out
-
-
 def _segment_membership(values: Array, seg_of: Array,
                         seg_starts: Array, seg_lens: Array,
-                        concat: Array, use_numba: bool) -> Array:
+                        concat: Array) -> Array:
     """``values[i] ∈ segment[seg_of[i]]`` for sorted-unique segments.
 
     Equivalent to per-row ``np.intersect1d(buf, nbrs,
     assume_unique=True)`` membership; the buffers stay sorted-unique, so
     filtering by this mask reproduces the intersection exactly.
     """
-    if use_numba and HAVE_NUMBA:  # pragma: no cover - numba optional
-        return _membership_jit(values, seg_of, seg_starts, seg_lens, concat)
     out = np.zeros(len(values), dtype=bool)
     if len(values) == 0:
         return out
@@ -211,7 +177,6 @@ def _edge_pass_vector(ctx: "JoinContext", rows_np: Array,
     friendly = engine.friendly
     write_cache = engine.write_cache
     dr = ctx.config.use_duplicate_removal
-    use_numba = ctx.config.join_kernel == "numba"
     probe_factor = cand.probe_gld(1, friendly)
 
     flat = np.empty(0, dtype=np.int64)
@@ -279,7 +244,7 @@ def _edge_pass_vector(ctx: "JoinContext", rows_np: Array,
             row_of = np.repeat(np.arange(num_rows, dtype=np.int64),
                                counts_in)
             member = _segment_membership(flat, inv[row_of], starts_u,
-                                         len_u, concat, use_numba)
+                                         len_u, concat)
             counts = np.bincount(row_of, weights=member,
                                  minlength=num_rows).astype(np.int64)
             flat = flat[member]
@@ -405,9 +370,7 @@ def run_join_phase_vector(ctx: "JoinContext", plan: JoinPlan,
                           candidates: Dict[int, Array]
                           ) -> List["Row"]:
     """Vectorized twin of ``run_join_phase``; same rows, same meters."""
-    lane = "numba" if (ctx.config.join_kernel == "numba"
-                       and HAVE_NUMBA) else "vector"
-    with get_tracer().span("kernel.join_phase", lane=lane,
+    with get_tracer().span("kernel.join_phase", lane="vector",
                            steps=len(plan.steps)) as span:
         start_cands = candidates[plan.start_vertex]
         tx = contiguous_read(len(start_cands))

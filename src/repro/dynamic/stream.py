@@ -33,17 +33,15 @@ module-level functions over a picklable :class:`_DeltaContext` so a
 process pool can run queries on real cores; results merge back in
 registration order, so every executor produces identical reports.
 
-Under a process executor on the default shm data plane the
-batch-constant context (committed snapshot + signature table) lives in
-named shared-memory segments (:mod:`repro.storage.shm`): each commit
-publishes the new snapshot as a *patch* over the previous publication —
-only the chunks containing touched vertices allocate new segments, the
-rest are shared by refcount — and what pickles into each worker chunk
-is a :class:`~repro.storage.shm.GraphSnapshotHandle` of O(handle)
-bytes, independent of ``|G|``.  Workers attach read-only by name and
-memoize per epoch.  (On the legacy pickle plane, or for executors
-without a ``data_plane``, the full context still rides in the pickle —
-the benchmark's ``--executor compare`` mode measures the difference.)
+Under a process executor the batch-constant context (committed
+snapshot + signature table) lives in named shared-memory segments
+(:mod:`repro.storage.shm`): each commit publishes the new snapshot as a
+*patch* over the previous publication — only the chunks containing
+touched vertices allocate new segments, the rest are shared by
+refcount — and what pickles into each worker chunk is a
+:class:`~repro.storage.shm.GraphSnapshotHandle` of O(handle) bytes,
+independent of ``|G|``.  Workers attach read-only by name and memoize
+per epoch.  The serial executor reads the context in place.
 """
 
 from __future__ import annotations
@@ -73,7 +71,11 @@ from repro.obs.trace import (
     get_tracer,
     shipped_spans,
 )
-from repro.service.executors import QueryExecutor, SerialExecutor
+from repro.service.executors import (
+    ProcessExecutor,
+    QueryExecutor,
+    SerialExecutor,
+)
 from repro.service.plan_cache import PlanCache
 from repro.storage.shm import (
     DEFAULT_CHUNK,
@@ -180,13 +182,13 @@ class _DeltaContext:
     created/destroyed computation.  Everything here is read-only for
     the duration of the batch.
 
-    When ``handle`` is set (shm data plane), pickling drops the
+    When ``handle`` is set (a process executor), pickling drops the
     data-graph-sized members — the committed snapshot and the signature
     table — and a worker re-derives them by attaching the published
     shared-memory segments, so the pickled context is O(handle) bytes.
-    The in-process object always keeps the direct references: serial
-    and thread executors (and the serial fallback after a pool failure)
-    never attach.
+    The in-process object always keeps the direct references: the
+    serial executor (and the serial fallback after a pool failure)
+    never attaches.
     """
 
     snapshot: LabeledGraph
@@ -438,9 +440,9 @@ class StreamEngine:
         # abstraction as the batch service (serial by default).
         self.executor = executor if executor is not None \
             else SerialExecutor()
-        # shm data plane: the current snapshot publication (handle +
+        # The current shared-memory snapshot publication (handle +
         # lease).  Published lazily on the first batch that fans out to
-        # a shm-plane process executor, patched per commit thereafter.
+        # a process executor, patched per commit thereafter.
         self._plane: Optional[
             Tuple[GraphSnapshotHandle, BlockLease]] = None
         #: rows per published chunk — the patch-sharing granularity
@@ -641,13 +643,8 @@ class StreamEngine:
         return report
 
     # ------------------------------------------------------------------
-    # The shm data plane
+    # The shared-memory snapshot publication
     # ------------------------------------------------------------------
-
-    def _uses_shm_plane(self) -> bool:
-        """Whether the configured executor ships contexts by handle."""
-        return (getattr(self.executor, "name", None) == "process"
-                and getattr(self.executor, "data_plane", None) == "shm")
 
     def _publish_snapshot(self, commit: CommitResult
                           ) -> Optional[GraphSnapshotHandle]:
@@ -660,9 +657,9 @@ class StreamEngine:
         lease is released only *after* the new publication holds its
         references, which is what keeps the shared chunks alive.
         Returns ``None`` (and publishes nothing) unless the executor
-        fans out over the shm plane.
+        is a process pool.
         """
-        if not self._uses_shm_plane():
+        if not isinstance(self.executor, ProcessExecutor):
             return None
         epoch = self.batches_applied + 1
         table = self.index.signature_table.table

@@ -32,13 +32,10 @@ OBS_LABEL_SHARD = "shard"
 """Shard ordinal for scatter-gather attribution."""
 
 OBS_LABEL_EXECUTOR = "executor"
-"""Executor kind (``serial`` / ``thread`` / ``process``)."""
+"""Executor kind (``serial`` / ``process``)."""
 
 OBS_LABEL_LANE = "lane"
-"""Join-kernel lane (``per_row`` / ``vector`` / ``numba``)."""
-
-OBS_LABEL_PLANE = "plane"
-"""Process-executor data plane (``pickle`` / ``shm``)."""
+"""Join-kernel lane (``per_row`` / ``vector``)."""
 
 OBS_LABEL_TENANT = "tenant"
 """Serving tenant a request-plane counter is attributed to."""
@@ -57,7 +54,6 @@ OBS_LABEL_KEYS = frozenset({
     OBS_LABEL_SHARD,
     OBS_LABEL_EXECUTOR,
     OBS_LABEL_LANE,
-    OBS_LABEL_PLANE,
     OBS_LABEL_TENANT,
     OBS_LABEL_PHASE,
     OBS_LABEL_KIND,

@@ -3,8 +3,8 @@
 One :class:`Tracer` collects :class:`Span` records for a single trace
 tree.  Spans are context managers timed with ``time.perf_counter`` and
 carry structured attributes (query fingerprint, shard id, executor
-kind, kernel lane).  Nesting is tracked per thread, so serial and
-thread-pool executors parent spans automatically; process workers get
+kind, kernel lane).  Nesting is tracked per thread, so the serial
+executor parents spans automatically on any thread; process workers get
 a :class:`TraceContext` — the ``(trace_id, span_id)`` pair that pickles
 with ``PreparedQuery`` chunks, ``_DeltaContext`` and ``_ShardContext``
 — record spans locally under :func:`shipped_spans`, and ship the
@@ -130,9 +130,10 @@ class _SpanStack(threading.local):
 class Tracer:
     """Collects the spans of one trace tree.
 
-    Thread-safe: serial and thread-pool executors record into the same
-    tracer concurrently; nesting is tracked per thread and the
-    finished-span list is lock-guarded.
+    Thread-safe: several threads (the server's batch-runner thread and
+    its event loop, say) record into the same tracer concurrently;
+    nesting is tracked per thread and the finished-span list is
+    lock-guarded.
     """
 
     #: gsilint GSI003: worker threads end spans while the coordinator
@@ -278,7 +279,7 @@ def shipped_spans(ctx: Optional[TraceContext]
     of the block and fills the yielded list with the finished span
     dicts afterwards — the worker returns that list with its results.
     When ``ctx`` is None (tracing disabled) or a recording tracer is
-    already active (serial / thread executors in the coordinator),
+    already active (the serial executor in the coordinator),
     spans land in the active tracer directly and the list stays empty.
     """
     out: List[Dict[str, Any]] = []

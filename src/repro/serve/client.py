@@ -29,6 +29,10 @@ from repro.serve.protocol import (
     make_request,
 )
 
+#: longest response frame the client reads (asyncio's default is
+#: 64 KiB, which a query with a few thousand matches already exceeds)
+RESPONSE_LINE_LIMIT = 1 << 26
+
 
 class GSIClient:
     """One pipelined NDJSON connection to a :class:`GSIServer`."""
@@ -49,7 +53,7 @@ class GSIClient:
         if self._writer is not None:
             raise RuntimeError("client already connected")
         self._reader, self._writer = await asyncio.open_connection(
-            self.host, self.port)
+            self.host, self.port, limit=RESPONSE_LINE_LIMIT)
         self._reader_task = asyncio.create_task(self._read_loop(),
                                                 name="gsi-client-reader")
         return self
@@ -87,11 +91,25 @@ class GSIClient:
 
     async def _read_loop(self) -> None:
         assert self._reader is not None
+        oversized = False
         try:
             while True:
-                line = await self._reader.readline()
-                if not line:
-                    break
+                try:
+                    line = await self._reader.readuntil(b"\n")
+                except asyncio.LimitOverrunError as exc:
+                    # Skip an over-limit frame piece by piece up to its
+                    # newline; the stream then stays aligned.
+                    await self._reader.readexactly(exc.consumed)
+                    oversized = True
+                    continue
+                if oversized:
+                    # ``line`` is the skipped frame's tail.  Its id is
+                    # unknown, so no pending request can be told apart.
+                    oversized = False
+                    self._fail_waiters(ProtocolError(
+                        f"response frame exceeds the "
+                        f"{RESPONSE_LINE_LIMIT}-byte line limit"))
+                    continue
                 try:
                     msg = decode_message(line)
                 except ProtocolError:

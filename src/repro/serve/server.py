@@ -8,10 +8,10 @@ shaped like a modern inference server:
   batches of at most ``max_batch`` requests; the first request in a
   forming batch waits at most ``max_delay_ms`` before the batch is
   dispatched regardless of fill.  Batches execute on a worker thread
-  through ``BatchEngine.run_batch`` (and therefore through the whole
-  existing executor layer — serial / thread / process pool, shm data
-  plane included) while the event loop keeps accepting traffic, so the
-  next batch fills while the current one runs (continuous batching).
+  through ``BatchEngine.run_batch`` (and therefore through the
+  executor layer — serial, or a process pool over the shm data plane)
+  while the event loop keeps accepting traffic, so the next batch
+  fills while the current one runs (continuous batching).
 * **In-flight dedup.** Every query is fingerprinted with the plan
   cache's canonical (isomorphism-invariant) fingerprint.  A request
   whose fingerprint matches a query already queued *or executing* joins
@@ -491,9 +491,7 @@ class GSIServer:
                 "max_pending": self.max_pending,
                 "quota_rate": self.quota_rate,
                 "quota_burst": self.quota_burst,
-                "executor": getattr(self.engine.executor, "name",
-                                    None) if self.engine.executor
-                else "per-batch",
+                "executor": self.engine.executor.name,
                 "sharded": self.engine.sharded is not None,
             },
             "metrics": self.metrics.to_dict(),

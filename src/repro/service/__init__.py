@@ -13,7 +13,6 @@ from repro.service.executors import (
     ProcessExecutor,
     QueryExecutor,
     SerialExecutor,
-    ThreadExecutor,
     make_executor,
 )
 from repro.service.fingerprint import QueryFingerprint, query_fingerprint
@@ -38,7 +37,6 @@ __all__ = [
     "QueryExecutor",
     "QueryFingerprint",
     "SerialExecutor",
-    "ThreadExecutor",
     "json_sanitize",
     "make_executor",
     "query_fingerprint",

@@ -9,8 +9,8 @@ process (filtering + planning through the shared plan cache and
 candidate-shape memo — deterministic cache accounting regardless of
 parallelism), then the prepared queries are *executed* (the joining
 phase, the heavy part) through a pluggable
-:class:`~repro.service.executors.QueryExecutor` — serial, thread pool,
-or process pool — and merged back in submission order.  Per-query
+:class:`~repro.service.executors.QueryExecutor` — serial or process
+pool — and merged back in submission order.  Per-query
 :class:`~repro.core.result.MatchResult` objects are aggregated into a
 :class:`BatchReport` carrying latency percentiles, plan-cache
 statistics, and memory-transaction totals.
@@ -37,7 +37,6 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Tuple,
     Union,
 )
 
@@ -55,7 +54,6 @@ from repro.service.executors import (
     PreparedTask,
     QueryExecutor,
     SerialExecutor,
-    ThreadExecutor,
 )
 from repro.service.plan_cache import CacheStats, PlanCache
 
@@ -66,8 +64,6 @@ if TYPE_CHECKING:  # service does not depend on the shard package at
         ShardedPrepared,
         ShardReport,
     )
-
-DEFAULT_MAX_WORKERS = 4
 
 
 def json_sanitize(value: Any) -> Any:
@@ -270,20 +266,17 @@ class BatchEngine:
     cache_capacity:
         Plan-cache size; plans for the ``cache_capacity`` most recently
         used query shapes are kept.
-    max_workers:
-        Default worker count when no explicit executor is given (a
-        thread pool is built per batch).  The engine's offline
-        artifacts are read-only during matching and each query runs on
-        its own simulated device, so queries are embarrassingly
-        parallel.
     engine:
         An existing :class:`GSIEngine` to serve from (its graph/config
         take precedence).
     executor:
-        A :class:`~repro.service.executors.QueryExecutor` running the
-        joining phase — serial, thread pool, or process pool.  The
-        caller owns its lifecycle (``shutdown()``); ``None`` falls back
-        to a per-batch thread pool of ``max_workers`` threads.  A
+        The :class:`~repro.service.executors.QueryExecutor` running the
+        joining phase of every batch that does not pass its own —
+        serial (the default) or a process pool.  The engine's offline
+        artifacts are read-only during matching and each query runs on
+        its own simulated device, so queries are embarrassingly
+        parallel.  The caller owns the executor's lifecycle
+        (``shutdown()``).  A
         :class:`~repro.service.executors.ProcessExecutor` requires the
         engine's artifacts to be derivable from ``(graph, config)`` —
         see the pickling contract in :mod:`repro.service.executors`.
@@ -301,11 +294,12 @@ class BatchEngine:
     def __init__(self, graph: Optional[LabeledGraph] = None,
                  config: Optional[GSIConfig] = None,
                  cache_capacity: int = 256,
-                 max_workers: int = DEFAULT_MAX_WORKERS,
                  engine: Optional[GSIEngine] = None,
                  executor: Optional[QueryExecutor] = None,
                  sharded: Optional["ShardedEngine"] = None) -> None:
         self.sharded = sharded
+        self.executor = executor if executor is not None \
+            else SerialExecutor()
         if sharded is not None:
             if engine is not None:
                 raise ValueError(
@@ -315,8 +309,6 @@ class BatchEngine:
             self.graph = sharded.graph
             self.config = sharded.config
             self.plan_cache = sharded.plan_cache
-            self.max_workers = max(1, max_workers)
-            self.executor = executor
             self._handle = None
             return
         if engine is None:
@@ -328,8 +320,6 @@ class BatchEngine:
         self.graph = engine.graph
         self.config = engine.config
         self.plan_cache = PlanCache(capacity=cache_capacity)
-        self.max_workers = max(1, max_workers)
-        self.executor = executor
         self._handle = EngineHandle.for_engine(engine)
 
     # ------------------------------------------------------------------
@@ -356,65 +346,32 @@ class BatchEngine:
 
     # ------------------------------------------------------------------
 
-    def _resolve_executor(self, max_workers: Optional[int],
-                          executor: Optional[QueryExecutor]
-                          ) -> Tuple[QueryExecutor, bool]:
-        """The executor for one batch, plus whether this call owns it
-        (caller-supplied executors are never shut down here).
-
-        Precedence: an explicit per-call ``executor`` wins, then an
-        explicit per-call ``max_workers`` (which keeps its historical
-        meaning by building a per-batch thread pool even when the
-        service holds a fixed executor), then the constructor executor,
-        then a thread pool of the constructor's ``max_workers``.
-        """
-        if executor is not None:
-            return executor, False
-        if max_workers is None and self.executor is not None:
-            return self.executor, False
-        workers = max(1, max_workers if max_workers is not None
-                      else self.max_workers)
-        if workers == 1:
-            return SerialExecutor(), True
-        return ThreadExecutor(max_workers=workers), True
-
     def run_batch(self, queries: Sequence[LabeledGraph],
-                  max_workers: Optional[int] = None,
                   executor: Optional[QueryExecutor] = None) -> BatchReport:
         """Serve one batch; results keep submission order.
 
         Phase 1 prepares every query serially in this process (plan
         cache and candidate-shape memo accounting is therefore
         deterministic — identical under every executor); phase 2 runs
-        the joining phase through ``executor`` (argument, then an
-        explicit ``max_workers`` as a per-batch thread pool, then the
-        constructor's executor, then a thread pool of the constructor's
-        ``max_workers``).
+        the joining phase on ``executor``, else on the service's own.
         """
-        chosen, owned = self._resolve_executor(max_workers, executor)
+        chosen = executor if executor is not None else self.executor
         if self.sharded is not None:
-            try:
-                with get_tracer().span("batch.run",
-                                       queries=len(queries),
-                                       executor=chosen.name,
-                                       sharded=True):
-                    report = self._run_sharded(queries, chosen)
-            finally:
-                if owned:
-                    chosen.shutdown()
+            with get_tracer().span("batch.run", queries=len(queries),
+                                   executor=chosen.name, sharded=True):
+                report = self._run_sharded(queries, chosen)
             self._record_batch_metrics(report)
             return report
         with get_tracer().span("batch.run", queries=len(queries),
                                executor=chosen.name) as batch_span:
-            report = self._run_batch_inner(queries, chosen, owned)
+            report = self._run_batch_inner(queries, chosen)
             batch_span.set_attribute("matches", report.total_matches)
             batch_span.set_attribute("errors", report.errors)
         self._record_batch_metrics(report)
         return report
 
     def _run_batch_inner(self, queries: Sequence[LabeledGraph],
-                         chosen: QueryExecutor,
-                         owned: bool) -> BatchReport:
+                         chosen: QueryExecutor) -> BatchReport:
         stats_before = self.plan_cache.stats_snapshot()
         start = time.perf_counter()
 
@@ -438,19 +395,14 @@ class BatchEngine:
             prepared_by_index[index] = prepared
             pending.append((index, prepared))
 
-        try:
-            if pending:
-                for done in chosen.execute_prepared(
-                        self._handle, pending, error_label=self.name):
-                    items[done.index] = BatchItem(
-                        index=done.index, result=done.result,
-                        plan_cached=prepared_by_index[
-                            done.index].plan_cached,
-                        host_ms=prepare_ms[done.index] + done.execute_ms,
-                        error=done.error)
-        finally:
-            if owned:  # deterministic teardown of per-batch pools
-                chosen.shutdown()
+        if pending:
+            for done in chosen.execute_prepared(
+                    self._handle, pending, error_label=self.name):
+                items[done.index] = BatchItem(
+                    index=done.index, result=done.result,
+                    plan_cached=prepared_by_index[done.index].plan_cached,
+                    host_ms=prepare_ms[done.index] + done.execute_ms,
+                    error=done.error)
 
         wall_ms = (time.perf_counter() - start) * 1000.0
         cache_delta = self.plan_cache.stats_snapshot().diff(stats_before)

@@ -4,20 +4,17 @@ The batch service and the stream engine both fan work out over
 embarrassingly parallel per-query units — joining a prepared query, or
 delta-matching one continuous query against a shared batch seed.  This
 module abstracts *how* that fan-out happens behind one
-:class:`QueryExecutor` protocol with three implementations:
+:class:`QueryExecutor` protocol with two implementations:
 
 * :class:`SerialExecutor` — an in-process loop.  The reference
-  executor: zero concurrency, zero overhead, bit-for-bit deterministic.
-* :class:`ThreadExecutor` — a :class:`~concurrent.futures.
-  ThreadPoolExecutor`.  Overlaps I/O and the numpy kernels that release
-  the GIL; Python-heavy join loops barely overlap.
+  executor and the default everywhere: zero concurrency, zero
+  overhead, bit-for-bit deterministic.
 * :class:`ProcessExecutor` — a :class:`~concurrent.futures.
-  ProcessPoolExecutor`.  True multi-core parallelism for the
-  Python/numpy-heavy joining phase, at the cost of pickling work units
-  across process boundaries.
+  ProcessPoolExecutor` over the shared-memory data plane.  True
+  multi-core parallelism for the Python/numpy-heavy joining phase.
 
-All three produce *identical results in submission order*: executors
-change wall-clock only, never match sets, simulated measurements, or
+Both produce *identical results in submission order*: executors change
+wall-clock only, never match sets, simulated measurements, or
 transaction totals (each query runs on its own simulated device whose
 accounting is deterministic).
 
@@ -32,11 +29,10 @@ candidate arrays, the :class:`~repro.core.plan.JoinPlan` (tuples), and
 the simulated :class:`~repro.gpusim.device.Device` mid-flight (plain
 counters — no locks, no handles).
 
-The data-graph-sized artifacts never ride in those pickles.  Under the
-default ``"shm"`` data plane the executor publishes the served engine's
-CSR arrays, signature-table rows, and PCSR layers into named
-:mod:`multiprocessing.shared_memory` segments
-(:mod:`repro.storage.shm`) and ships only a compact
+The data-graph-sized artifacts never ride in those pickles.  The
+executor publishes the served engine's CSR arrays, signature-table
+rows, and PCSR layers into named :mod:`multiprocessing.shared_memory`
+segments (:mod:`repro.storage.shm`) and ships only a compact
 :class:`~repro.storage.shm.EngineArtifactsHandle` — segment names +
 dtypes + shapes + an epoch — inside the :class:`EngineBuildSpec` the
 pool initializer receives.  Workers attach the segments read-only by
@@ -46,23 +42,30 @@ segments: they are re-published when the engine spec changes and
 unlinked on :meth:`ProcessExecutor.shutdown` (with an ``atexit``
 backstop), including after broken-pool recovery.  Engines whose store
 is a hand-injected subclass fall back to a worker-side deterministic
-store rebuild from the attached graph + config.
+store rebuild from the attached graph + config.  Either way a
+worker-side engine executes a prepared query bit-for-bit like the
+parent's engine would.
 
-The legacy ``"pickle"`` plane (``data_plane="pickle"``) ships the full
-graph inside the spec instead — workers rebuild every artifact locally.
-It remains as the differential baseline for the shm plane and for
-platforms without POSIX shared memory.  Either way a worker-side engine
-executes a prepared query bit-for-bit like the parent's engine would.
+A batch splits statically: :meth:`~QueryExecutor.execute_prepared`
+into ``2 x workers`` equal-count chunks, :meth:`~QueryExecutor.
+map_tasks` into one chunk per worker (its ``shared`` context pickles
+once per chunk).
 
 When to use which
 -----------------
 
-Process pools win when per-query work is Python-bound and large
-relative to the pickle cost of its inputs/outputs (multi-step joins on
-non-trivial candidate sets, multi-core hosts).  Thread pools win when
-per-query work is dominated by GIL-releasing numpy kernels, or when the
-host has a single core and process bootstrap would be pure overhead.
-Serial is for debugging and as the determinism oracle.
+Serial is the default for every service and the determinism oracle.
+The process pool is for multi-core hosts whose per-query joins are
+heavy relative to shipping a prepared query and its result.  Three
+other options lost to these two on a 2-core host and were removed:
+
+* a thread pool ran a 24-query batch at 0.88-0.94x of serial under
+  both join lanes, and stream deltas at 0.91x;
+* packing chunks by candidate mass (LPT) was 16-22% slower than
+  static equal-count chunks on a 48-query process batch;
+* pickling the whole graph to workers instead of publishing it was
+  within 2% of shared memory on warm batches and 2.2x slower on the
+  first batch at ``|V| = 4000``.
 """
 
 from __future__ import annotations
@@ -75,7 +78,7 @@ import pickle
 import threading
 import time
 from abc import ABC, abstractmethod
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -97,13 +100,7 @@ from repro.storage.shm import (
 DEFAULT_EXECUTOR_WORKERS = 4
 
 #: the names accepted by :func:`make_executor` (and the CLI flag)
-EXECUTOR_KINDS = ("serial", "thread", "process")
-
-#: how :class:`ProcessExecutor` splits a batch into pickled chunks
-CHUNKING_KINDS = ("static", "cost")
-
-#: how the data-graph-sized context reaches process workers
-DATA_PLANES = ("shm", "pickle")
+EXECUTOR_KINDS = ("serial", "process")
 
 #: environment override for the process pool start method (fork/spawn)
 START_METHOD_ENV = "GSI_EXECUTOR_START_METHOD"
@@ -114,17 +111,19 @@ _PLANE_EPOCHS = itertools.count(1)
 
 @dataclass(frozen=True)
 class EngineBuildSpec:
-    """Everything needed to reconstruct a serving engine in a worker.
+    """Everything needed to reconstruct a serving engine.
 
-    Two forms, one per data plane:
+    Two forms:
 
-    * ``artifacts`` set (shm plane) — a compact
+    * ``artifacts`` set — a compact
       :class:`~repro.storage.shm.EngineArtifactsHandle`; the worker
       attaches the published shared-memory segments read-only by name.
       ``graph`` is ``None`` so the spec pickles in O(handle) bytes.
-    * ``graph`` set (pickle plane) — the worker rebuilds the offline
-      artifacts (signature table + storage structure) from the graph
-      and config locally.
+      This is the form :class:`ProcessExecutor` ships.
+    * ``graph`` set — the recipe the artifacts are derived from:
+      :meth:`build` rebuilds the offline artifacts (signature table +
+      storage structure) from the graph and config.  An
+      :class:`EngineHandle` keys its publication on this form.
 
     Both builds are deterministic, so a worker-built engine executes a
     prepared query bit-for-bit like the parent's engine would.
@@ -138,9 +137,9 @@ class EngineBuildSpec:
         if self.artifacts is not None:
             return attach_engine(self.artifacts, self.config)
         if self.graph is None:
-            # A shm-plane spec whose handle was stripped (or a spec
-            # built with neither form) must fail here, not as an
-            # AttributeError deep inside signature encoding.
+            # A spec whose handle was stripped (or one built with
+            # neither form) must fail here, not as an AttributeError
+            # deep inside signature encoding.
             raise ConfigError(
                 "EngineBuildSpec carries neither artifacts nor a graph; "
                 "a worker cannot rebuild the engine")
@@ -151,8 +150,9 @@ class EngineBuildSpec:
 class EngineHandle:
     """A live engine plus the spec to rebuild it elsewhere.
 
-    In-process executors execute on ``engine`` directly; the process
-    executor ships ``spec`` to its workers instead.
+    The serial executor executes on ``engine`` directly; the process
+    executor publishes ``engine`` once per distinct ``spec`` and ships
+    the resulting handle to its workers instead.
     """
 
     engine: GSIEngine
@@ -202,7 +202,7 @@ def _execute_one(engine: GSIEngine, index: int, prepared: PreparedQuery,
 
 
 class QueryExecutor(ABC):
-    """How per-query work units run: serially, on threads, or processes.
+    """How per-query work units run: serially or on worker processes.
 
     Two entry points cover both services:
 
@@ -266,105 +266,6 @@ class SerialExecutor(QueryExecutor):
         return [fn(shared, payload) for payload in payloads]
 
 
-class ThreadExecutor(QueryExecutor):
-    """Worker threads; best when the work releases the GIL (numpy).
-
-    The thread pool is created lazily and kept across calls (a stream
-    applies thousands of batches; spawning threads per batch is pure
-    overhead) and released by :meth:`shutdown`.
-    """
-
-    name = "thread"
-
-    def __init__(self, max_workers: int = DEFAULT_EXECUTOR_WORKERS) -> None:
-        self.workers = max(1, max_workers)
-        self._pool: Optional[ThreadPoolExecutor] = None
-        # Guards lazy creation/teardown when one executor is shared by
-        # concurrent callers (e.g. a service serving parallel requests).
-        self._pool_lock = threading.Lock()
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(max_workers=self.workers)
-            return self._pool
-
-    def shutdown(self) -> None:
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    def execute_prepared(self, handle: EngineHandle,
-                         tasks: Sequence[PreparedTask],
-                         error_label: str = "GSI"
-                         ) -> List[ExecutedQuery]:
-        if self.workers == 1 or len(tasks) <= 1:
-            return SerialExecutor().execute_prepared(handle, tasks,
-                                                     error_label)
-        with get_tracer().span("executor.execute_prepared",
-                               executor=self.name, tasks=len(tasks)):
-            return list(self._ensure_pool().map(
-                lambda task: _execute_one(handle.engine, task[0],
-                                          task[1], error_label),
-                tasks))
-
-    def map_tasks(self, fn: Callable[[Any, Any], Any],
-                  payloads: Sequence[Any],
-                  shared: Any = None) -> List[Any]:
-        if self.workers == 1 or len(payloads) <= 1:
-            return SerialExecutor().map_tasks(fn, payloads, shared)
-        return list(self._ensure_pool().map(lambda p: fn(shared, p),
-                                            payloads))
-
-
-# ----------------------------------------------------------------------
-# Chunking policies: how a batch splits into pickled work units
-# ----------------------------------------------------------------------
-
-
-def estimated_task_cost(prepared: PreparedQuery) -> int:
-    """Join-work proxy for one prepared query: total candidate mass.
-
-    The joining phase starts from a candidate set and repeatedly
-    intersects against others, so the summed ``|C(u)|`` is a cheap
-    monotone estimate of how heavy a query is relative to its batch
-    mates.  Queries with no plan (filtering proved them unmatchable, or
-    the budget ran out) cost ~nothing and are scored 1.
-    """
-    sizes = getattr(prepared, "candidate_sizes", None)
-    if not sizes or getattr(prepared, "plan", None) is None:
-        return 1
-    return max(1, int(sum(sizes.values())))
-
-
-def balanced_chunks(items: List[Any], num_chunks: int,
-                    costs: Sequence[int]) -> List[List[Any]]:
-    """Greedy LPT bin packing of ``items`` into ``<= num_chunks`` bins.
-
-    Items are placed heaviest-first onto the currently lightest bin
-    (first lightest on ties, original order on equal cost), so a skewed
-    batch — one huge query plus many small ones — no longer rides in a
-    single static slice that one worker drains alone.  Deterministic;
-    empty bins are dropped, bins keep submission order internally and
-    are ordered by their first item so downstream index-sorted merges
-    see the same contract as static chunking.
-    """
-    if len(costs) != len(items):
-        raise ValueError("need one cost per item")
-    num_chunks = max(1, min(num_chunks, len(items)))
-    order = sorted(range(len(items)), key=lambda i: (-costs[i], i))
-    bins: List[List[int]] = [[] for _ in range(num_chunks)]
-    loads = [0] * num_chunks
-    for i in order:
-        b = loads.index(min(loads))
-        bins[b].append(i)
-        loads[b] += costs[i]
-    chunks = [sorted(b) for b in bins if b]
-    chunks.sort(key=lambda chunk: chunk[0])
-    return [[items[i] for i in chunk] for chunk in chunks]
-
-
 # ----------------------------------------------------------------------
 # Process pool: per-worker engine bootstrap + chunked work shipping
 # ----------------------------------------------------------------------
@@ -376,9 +277,9 @@ _WORKER_ENGINE: Optional[GSIEngine] = None
 def _process_worker_init(spec: Optional[EngineBuildSpec]) -> None:
     """Pool initializer: bootstrap this worker's engine exactly once.
 
-    The spec is pickled once per worker (not per query); the worker
-    rebuilds the signature table and storage structure locally, so no
-    data-graph-sized artifact ever crosses the process boundary again.
+    The spec is pickled once per worker (not per query) and carries
+    only shared-memory handles; the worker attaches the published
+    artifacts, so no data-graph-sized artifact crosses the pipe.
 
     Fork-mode workers inherit the coordinator's process globals —
     including a recording tracer, whose spans would silently die with
@@ -437,31 +338,14 @@ class ProcessExecutor(QueryExecutor):
     """Worker processes with a one-time per-worker engine bootstrap.
 
     The pool is created lazily and kept alive across calls, so repeated
-    batches amortize both process spawn and engine reconstruction.  A
-    call with a *different* :class:`EngineBuildSpec` tears the pool down
-    and rebuilds it for the new engine.
+    batches amortize both process spawn and engine attach.  A call for
+    a *different* engine publishes it into shared memory, tears the
+    pool down and rebuilds it for the new engine.
 
     Parameters
     ----------
     max_workers:
         Worker process count.
-    chunk_size:
-        Work units per pickled chunk; default spreads each call over
-        ``2 x max_workers`` chunks for load balance.
-    chunking:
-        ``"static"`` slices the batch into equal-count chunks
-        (``ceil(n / 2*max_workers)``); ``"cost"`` packs prepared
-        queries into the same number of chunks by
-        :func:`estimated_task_cost` (greedy LPT), so one heavy query in
-        a skewed batch does not pin a whole static slice to a single
-        worker.  Results are identical either way — chunking moves
-        work, never answers.  Generic :meth:`map_tasks` payloads carry
-        no cost estimate and always chunk statically.
-    data_plane:
-        ``"shm"`` (default) publishes engine artifacts into shared
-        memory and ships handles (see the module docstring's shipping
-        contract); ``"pickle"`` ships the full graph inside the spec —
-        the legacy plane, kept as the differential baseline.
     start_method:
         Multiprocessing start method for the pool (``"fork"``,
         ``"spawn"``, ``"forkserver"``); ``None`` defers to the
@@ -469,7 +353,7 @@ class ProcessExecutor(QueryExecutor):
         platform default.
 
     After each call :attr:`last_shipment` holds what actually crossed
-    the pipe — ``{"plane", "call", "context_bytes", "chunks"}`` where
+    the pipe — ``{"call", "context_bytes", "chunks"}`` where
     ``context_bytes`` is the pickled size of the batch-constant context
     (the engine spec for :meth:`execute_prepared`, ``shared`` for
     :meth:`map_tasks`).  Benchmarks persist it to show the per-batch
@@ -479,29 +363,15 @@ class ProcessExecutor(QueryExecutor):
     name = "process"
 
     def __init__(self, max_workers: int = DEFAULT_EXECUTOR_WORKERS,
-                 chunk_size: Optional[int] = None,
-                 chunking: str = "static",
-                 data_plane: str = "shm",
                  start_method: Optional[str] = None) -> None:
-        if chunking not in CHUNKING_KINDS:
-            raise ValueError(
-                f"unknown chunking {chunking!r}; expected one of "
-                f"{CHUNKING_KINDS}")
-        if data_plane not in DATA_PLANES:
-            raise ValueError(
-                f"unknown data plane {data_plane!r}; expected one of "
-                f"{DATA_PLANES}")
         self.workers = max(1, max_workers)
-        self.chunk_size = chunk_size
-        self.chunking = chunking
-        self.data_plane = data_plane
         self.start_method = (start_method
                              or os.environ.get(START_METHOD_ENV) or None)
         self.last_shipment: Optional[Dict[str, Any]] = None
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_spec: Optional[EngineBuildSpec] = None
-        # shm plane: the current publication — (source spec, handle
-        # spec) plus the lease keeping its segments alive.
+        # The current publication — (source spec, handle spec) plus the
+        # lease keeping its segments alive.
         self._plane_memo: Optional[
             Tuple[EngineBuildSpec, EngineBuildSpec]] = None
         self._plane_lease: Optional[BlockLease] = None
@@ -539,20 +409,17 @@ class ProcessExecutor(QueryExecutor):
             return self._pool
 
     def _shared_spec(self, handle: EngineHandle) -> EngineBuildSpec:
-        """The spec to ship for ``handle``'s engine under the configured
-        data plane.
+        """The handle spec to ship for ``handle``'s engine.
 
-        On the shm plane the engine's artifacts are published into
-        shared segments once per engine: the publication is memoized on
-        the source spec, so repeated batches against the same engine
-        reuse both the segments and (via spec equality in
-        :meth:`_ensure_pool`) the worker pool.  A different engine
-        re-publishes under a fresh epoch and releases the old lease —
-        existing worker mappings stay valid on Linux, but new attaches
-        of the retired handles fail loudly.
+        The engine's artifacts are published into shared segments once
+        per engine: the publication is memoized on the source spec, so
+        repeated batches against the same engine reuse both the
+        segments and (via spec equality in :meth:`_ensure_pool`) the
+        worker pool.  A different engine re-publishes under a fresh
+        epoch and releases the old lease — existing worker mappings
+        stay valid on Linux, but new attaches of the retired handles
+        fail loudly.
         """
-        if self.data_plane != "shm":
-            return handle.spec
         with self._pool_lock:
             if (self._plane_memo is not None
                     and self._plane_memo[0] == handle.spec):
@@ -568,18 +435,11 @@ class ProcessExecutor(QueryExecutor):
             old_lease.release()
         return shared
 
-    def _chunks(self, items: List[Any],
-                max_parts: Optional[int] = None) -> List[List[Any]]:
-        parts = max_parts if max_parts is not None else self.workers * 2
-        size = self.chunk_size or max(1, math.ceil(len(items) / parts))
+    @staticmethod
+    def _chunks(items: List[Any], parts: int) -> List[List[Any]]:
+        """Equal-count slices of ``items``, at most ``parts`` of them."""
+        size = max(1, math.ceil(len(items) / parts))
         return [items[i:i + size] for i in range(0, len(items), size)]
-
-    def _prepared_chunks(self, tasks: List[PreparedTask]) -> List[List[Any]]:
-        """Chunk prepared-query tasks by the configured policy."""
-        if self.chunking != "cost" or self.chunk_size is not None:
-            return self._chunks(tasks)
-        costs = [estimated_task_cost(prepared) for _, prepared in tasks]
-        return balanced_chunks(tasks, self.workers * 2, costs)
 
     def shutdown(self) -> None:
         """Tear down the pool and unlink any shared segments this
@@ -645,9 +505,8 @@ class ProcessExecutor(QueryExecutor):
 
         tracer = get_tracer()
         with tracer.span("executor.execute_prepared",
-                         executor=self.name, plane=self.data_plane,
-                         tasks=len(tasks)) as span:
-            chunks = self._prepared_chunks(tasks)
+                         executor=self.name, tasks=len(tasks)) as span:
+            chunks = self._chunks(tasks, self.workers * 2)
             span.set_attribute("chunks", len(chunks))
             results = self._run_chunked(
                 spec_factory,
@@ -655,7 +514,7 @@ class ProcessExecutor(QueryExecutor):
                     _process_execute_chunk, error_label, chunk),
                 chunks)
         self.last_shipment = {
-            "plane": self.data_plane, "call": "execute_prepared",
+            "call": "execute_prepared",
             "context_bytes": len(pickle.dumps(shipped_spec[-1])),
             "chunks": len(chunks),
         }
@@ -664,7 +523,7 @@ class ProcessExecutor(QueryExecutor):
             "pickled batch-constant context bytes shipped to "
             "process workers").inc(
                 self.last_shipment["context_bytes"],
-                plane=self.data_plane, kind="execute_prepared")
+                kind="execute_prepared")
         executed: List[ExecutedQuery] = []
         for chunk_executed, snapshot in results:
             absorb_snapshot(snapshot)
@@ -673,9 +532,6 @@ class ProcessExecutor(QueryExecutor):
             if item.spans:
                 tracer.absorb(item.spans)
                 item.spans = []
-        # Chunks preserve submission order already; the explicit sort
-        # pins the merge contract independent of chunking policy.
-        executed.sort(key=lambda e: e.index)
         return executed
 
     def map_tasks(self, fn: Callable[[Any, Any], Any],
@@ -686,14 +542,11 @@ class ProcessExecutor(QueryExecutor):
             return []
         # One chunk per worker, not 2x: ``shared`` (for stream batches
         # the delta context, for shards the shard context) is pickled
-        # per chunk, so fewer chunks halve the shipping cost — which is
-        # O(handle) when the caller routes the snapshot through the shm
-        # plane, and O(|G|) on the legacy pickle plane.
+        # per chunk, so fewer chunks halve the shipping cost.
         with get_tracer().span("executor.map_tasks",
                                executor=self.name,
-                               plane=self.data_plane,
                                tasks=len(payloads)) as span:
-            chunks = self._chunks(payloads, max_parts=self.workers)
+            chunks = self._chunks(payloads, self.workers)
             span.set_attribute("chunks", len(chunks))
             results = self._run_chunked(
                 lambda: None,
@@ -701,7 +554,7 @@ class ProcessExecutor(QueryExecutor):
                     _process_map_chunk, fn, shared, chunk),
                 chunks)
         self.last_shipment = {
-            "plane": self.data_plane, "call": "map_tasks",
+            "call": "map_tasks",
             "context_bytes": len(pickle.dumps(shared)),
             "chunks": len(chunks),
         }
@@ -710,22 +563,21 @@ class ProcessExecutor(QueryExecutor):
             "pickled batch-constant context bytes shipped to "
             "process workers").inc(
                 self.last_shipment["context_bytes"],
-                plane=self.data_plane, kind="map_tasks")
+                kind="map_tasks")
         return [item for res in results for item in res]
 
 
 def make_executor(kind: str,
-                  max_workers: int = DEFAULT_EXECUTOR_WORKERS,
-                  chunking: str = "static",
-                  data_plane: str = "shm") -> QueryExecutor:
+                  max_workers: int = DEFAULT_EXECUTOR_WORKERS
+                  ) -> QueryExecutor:
     """Build an executor by name (the CLI's ``--executor`` values).
 
-    Arguments are validated eagerly: a non-positive ``max_workers``,
-    an unknown ``kind``, ``chunking`` policy, or ``data_plane`` raise
-    :class:`ValueError` here, instead of surfacing later as an opaque
-    pool failure mid-batch.  (The executor classes themselves keep
-    their historical clamp-to-1 behavior for direct construction.)
-    ``chunking`` and ``data_plane`` only affect the process executor.
+    Arguments are validated eagerly: an unknown ``kind`` or a
+    non-positive ``max_workers`` raise :class:`ValueError` here,
+    instead of surfacing later as an opaque pool failure mid-batch.
+    (:class:`ProcessExecutor` itself keeps its historical clamp-to-1
+    behavior for direct construction.)  ``max_workers`` only sizes the
+    process pool.
     """
     if kind not in EXECUTOR_KINDS:
         raise ValueError(
@@ -734,17 +586,6 @@ def make_executor(kind: str,
     if max_workers <= 0:
         raise ValueError(
             f"max_workers must be >= 1, got {max_workers}")
-    if chunking not in CHUNKING_KINDS:
-        raise ValueError(
-            f"unknown chunking {chunking!r}; expected one of "
-            f"{CHUNKING_KINDS}")
-    if data_plane not in DATA_PLANES:
-        raise ValueError(
-            f"unknown data plane {data_plane!r}; expected one of "
-            f"{DATA_PLANES}")
     if kind == "serial":
         return SerialExecutor()
-    if kind == "thread":
-        return ThreadExecutor(max_workers=max_workers)
-    return ProcessExecutor(max_workers=max_workers, chunking=chunking,
-                           data_plane=data_plane)
+    return ProcessExecutor(max_workers=max_workers)

@@ -15,14 +15,13 @@ scatter-gather:
    cost accounting could differ, never matches).
 2. **Scatter** — the per-shard prepared queries fan out through the
    existing :class:`~repro.service.executors.QueryExecutor` layer
-   (serial / thread / process).  Process pools bootstrap the per-shard
-   engines once per worker from
-   :class:`~repro.service.executors.EngineBuildSpec` objects — on the
-   default shm data plane those carry shared-memory handles the worker
-   attaches read-only (:mod:`repro.storage.shm`), so the per-batch
-   context pickles in O(handle) bytes — and cache them per
-   ``(epoch, shard)``; in-process executors execute on the live
-   engines directly.
+   (serial or process).  Process pools bootstrap the per-shard engines
+   once per worker from
+   :class:`~repro.service.executors.EngineBuildSpec` objects carrying
+   shared-memory handles the worker attaches read-only
+   (:mod:`repro.storage.shm`), so the per-batch context pickles in
+   O(handle) bytes — and cache them per ``(epoch, shard)``; the serial
+   executor executes on the live engines directly.
 3. **Gather** — shard-local matches are translated back to global
    vertex ids and deduplicated by **anchor ownership**: a shard only
    reports a match whose anchor image it owns.  By the halo containment
@@ -66,6 +65,7 @@ from repro.obs.trace import (
 from repro.service.executors import (
     EngineBuildSpec,
     ExecutedQuery,
+    ProcessExecutor,
     QueryExecutor,
     SerialExecutor,
     _execute_one,
@@ -153,7 +153,7 @@ _WORKER_SHARD_ENGINES: Dict[Tuple[int, int], GSIEngine] = {}
 class _ShardContext:
     """Batch-constant fan-out context.
 
-    In-process executors use the ``engines`` list directly.  Pickling
+    The serial executor uses the ``engines`` list directly.  Pickling
     (the process executor) drops it and ships the per-shard
     :class:`EngineBuildSpec` tuple instead; a worker builds an engine
     only for the shards its chunks actually touch — lazily, cached per
@@ -161,16 +161,15 @@ class _ShardContext:
     :class:`ShardedEngine` re-bootstrap nothing and no worker holds
     engines for shards it never executes.
 
-    On the default shm data plane the specs carry
-    :class:`~repro.storage.shm.EngineArtifactsHandle` objects instead
-    of graphs (see :meth:`ShardedEngine._shm_context`), so the context
+    The specs carry :class:`~repro.storage.shm.EngineArtifactsHandle`
+    objects (see :meth:`ShardedEngine._shm_context`), so the context
     pickles in O(handle) bytes per chunk per batch regardless of the
     replicated graph size; workers attach the published segments
-    read-only by name.  :meth:`ShardedEngine.rebuild` bumps the epoch
-    and retires the old publication, so a worker holding stale handles
-    re-attaches (or fails loudly with
-    :class:`~repro.storage.shm.StaleHandleError`) instead of silently
-    reading superseded arrays.
+    read-only by name.  The in-process context carries no specs.
+    :meth:`ShardedEngine.rebuild` bumps the epoch and retires the old
+    publication, so a worker holding stale handles re-attaches (or
+    fails loudly with :class:`~repro.storage.shm.StaleHandleError`)
+    instead of silently reading superseded arrays.
     """
 
     def __init__(self, epoch: int, specs: Tuple[EngineBuildSpec, ...],
@@ -356,7 +355,9 @@ class ShardedEngine:
     executor:
         Default :class:`~repro.service.executors.QueryExecutor` for the
         scatter phase; ``None`` runs shards serially.  The caller owns
-        its lifecycle.
+        its lifecycle.  A
+        :class:`~repro.service.executors.ProcessExecutor` receives the
+        shards through shared memory.
     """
 
     name = "GSI-shard"
@@ -374,13 +375,11 @@ class ShardedEngine:
         # _ShardPlanView — a shared memo would clear on every switch).
         self._plan_views = [_ShardPlanView(self.plan_cache)
                             for _ in self.engines]
-        self.executor = executor
-        self._ctx = _ShardContext(
-            epoch=next(_EPOCHS),
-            specs=tuple(EngineBuildSpec(shard.graph, self.config)
-                        for shard in sharded.shards),
-            engines=self.engines)
-        # shm data plane: the current per-shard publication (handle
+        self.executor = executor if executor is not None \
+            else SerialExecutor()
+        self._ctx = _ShardContext(epoch=next(_EPOCHS), specs=(),
+                                  engines=self.engines)
+        # The current per-shard shared-memory publication (handle
         # specs + one lease per shard), built lazily per epoch.
         self._plane: Optional[
             Tuple[_ShardContext, List[BlockLease]]] = None
@@ -395,7 +394,7 @@ class ShardedEngine:
         return self.sharded.graph
 
     # ------------------------------------------------------------------
-    # The shm data plane + engine lifecycle
+    # The shared-memory publication + engine lifecycle
     # ------------------------------------------------------------------
 
     def _shm_context(self) -> _ShardContext:
@@ -436,15 +435,12 @@ class ShardedEngine:
                         for shard in self.sharded.shards]
         self._plan_views = [_ShardPlanView(self.plan_cache)
                             for _ in self.engines]
-        self._ctx = _ShardContext(
-            epoch=next(_EPOCHS),
-            specs=tuple(EngineBuildSpec(shard.graph, self.config)
-                        for shard in self.sharded.shards),
-            engines=self.engines)
+        self._ctx = _ShardContext(epoch=next(_EPOCHS), specs=(),
+                                  engines=self.engines)
 
     def close(self) -> None:
         """Release the shard publication (idempotent).  The engine
-        stays usable; the next shm-plane batch republishes."""
+        stays usable; the next process-executor batch republishes."""
         plane, self._plane = self._plane, None
         if plane is not None:
             for lease in plane[1]:
@@ -560,14 +556,6 @@ class ShardedEngine:
 
     # ------------------------------------------------------------------
 
-    def _resolve_executor(self, executor: Optional[QueryExecutor]
-                          ) -> Tuple[QueryExecutor, bool]:
-        if executor is not None:
-            return executor, False
-        if self.executor is not None:
-            return self.executor, False
-        return SerialExecutor(), True
-
     def run_batch(self, queries: Sequence[LabeledGraph],
                   executor: Optional[QueryExecutor] = None) -> ShardReport:
         """Serve one batch of queries; results keep submission order.
@@ -581,12 +569,12 @@ class ShardedEngine:
         a shard reports a per-item error; the rest of the batch is
         unaffected.
         """
-        chosen, owned = self._resolve_executor(executor)
+        chosen = executor if executor is not None else self.executor
         with get_tracer().span("shard.run_batch",
                                queries=len(queries),
                                shards=self.num_shards,
                                executor=chosen.name) as span:
-            report = self._run_batch_inner(queries, chosen, owned, span)
+            report = self._run_batch_inner(queries, chosen, span)
             span.set_attribute("matches", report.total_matches)
         self._record_shard_metrics(report)
         return report
@@ -602,7 +590,7 @@ class ShardedEngine:
                 transactions.inc(float(total), shard=str(shard_id))
 
     def _run_batch_inner(self, queries: Sequence[LabeledGraph],
-                         chosen: QueryExecutor, owned: bool,
+                         chosen: QueryExecutor,
                          span: Span) -> ShardReport:
         tracer = get_tracer()
         stats_before = self.plan_cache.stats_snapshot()
@@ -629,21 +617,16 @@ class ShardedEngine:
                     payloads.append((index * num_shards + s, s,
                                      sp.per_shard[s]))
 
-        # Process executors on the shm plane get the handle-based
-        # context (published lazily, reused across batches until a
-        # rebuild); everything else fans out over the live engines.
-        uses_shm = (getattr(chosen, "name", None) == "process"
-                    and getattr(chosen, "data_plane", None) == "shm")
-        ctx = self._shm_context() if uses_shm else self._ctx
+        # Process executors get the handle-based context (published
+        # lazily, reused across batches until a rebuild); the serial
+        # executor fans out over the live engines.
+        ctx = (self._shm_context() if isinstance(chosen, ProcessExecutor)
+               else self._ctx)
         ctx.trace = span.context() if span.trace_id else None
-        try:
-            with tracer.span("shard.scatter", tasks=len(payloads)):
-                outcomes = (chosen.map_tasks(_execute_shard_task,
-                                             payloads, shared=ctx)
-                            if payloads else [])
-        finally:
-            if owned:
-                chosen.shutdown()
+        with tracer.span("shard.scatter", tasks=len(payloads)):
+            outcomes = (chosen.map_tasks(_execute_shard_task, payloads,
+                                         shared=ctx)
+                        if payloads else [])
         if len(outcomes) != len(payloads):
             raise RuntimeError(
                 f"executor {chosen.name!r} returned {len(outcomes)} "

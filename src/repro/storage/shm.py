@@ -161,11 +161,11 @@ def _create_block(arr: Array) -> BlockHandle:
     registry = get_registry()
     registry.counter(
         "gsi_shm_segments_total",
-        "Shared-memory segments published.").inc(1.0, plane="shm")
+        "Shared-memory segments published.").inc(1.0)
     registry.counter(
         "gsi_shm_published_bytes_total",
         "Bytes copied into fresh shared-memory segments.").inc(
-            float(arr.nbytes), plane="shm")
+            float(arr.nbytes))
     return BlockHandle(name=name, dtype=str(arr.dtype),
                        shape=tuple(int(s) for s in arr.shape))
 

@@ -9,7 +9,7 @@ from repro.bench.workloads import Workload
 from repro.core.config import GSIConfig
 from repro.core.engine import GSIEngine
 from repro.graph.generators import random_walk_query, scale_free_graph
-from repro.service import BatchEngine, SerialExecutor, ThreadExecutor
+from repro.service import BatchEngine, SerialExecutor, make_executor
 
 
 @pytest.fixture(scope="module")
@@ -36,16 +36,17 @@ class TestEquivalence:
 
     def test_worker_count_does_not_change_results(self, service_graph,
                                                   service_queries):
-        single = BatchEngine(service_graph, max_workers=1)
-        multi = BatchEngine(service_graph, max_workers=8)
-        r1 = single.run_batch(service_queries)
-        r8 = multi.run_batch(service_queries)
-        for a, b in zip(r1.results, r8.results):
+        r1 = BatchEngine(service_graph).run_batch(service_queries)
+        with make_executor("process", 2) as executor:
+            r2 = BatchEngine(service_graph,
+                             executor=executor).run_batch(service_queries)
+        for a, b in zip(r1.results, r2.results):
             assert a.match_set() == b.match_set()
             assert a.elapsed_ms == b.elapsed_ms
+            assert a.counters == b.counters
 
     def test_order_preserved(self, service_graph, service_queries):
-        service = BatchEngine(service_graph, max_workers=4)
+        service = BatchEngine(service_graph)
         report = service.run_batch(service_queries)
         assert [item.index for item in report.items] == \
             list(range(len(service_queries)))
@@ -149,28 +150,36 @@ class TestErrorIsolation:
 class TestExecutorSelection:
     def test_explicit_executor_overrides_workers(self, service_graph,
                                                  service_queries):
-        serial = BatchEngine(service_graph, max_workers=8,
-                             executor=SerialExecutor())
-        report = serial.run_batch(service_queries)
-        assert report.executor == "serial"
+        """A per-call executor overrides the service's worker pool for
+        that batch only."""
+        with make_executor("process", 2) as pool:
+            service = BatchEngine(service_graph, executor=pool)
+            report = service.run_batch(service_queries,
+                                       executor=SerialExecutor())
+            assert report.executor == "serial"
+            assert service.run_batch(service_queries).executor == \
+                "process"
 
     def test_run_batch_executor_argument(self, service_graph,
                                          service_queries):
         service = BatchEngine(service_graph)
-        report = service.run_batch(service_queries,
-                                   executor=ThreadExecutor(2))
-        assert report.executor == "thread"
+        with make_executor("process", 2) as executor:
+            report = service.run_batch(service_queries,
+                                       executor=executor)
+        assert report.executor == "process"
         base = service.run_batch(service_queries)
-        assert base.executor == "thread"  # default: thread pool
+        assert base.executor == "serial"  # the service's own
         for a, b in zip(report.results, base.results):
             assert a.match_set() == b.match_set()
             assert a.elapsed_ms == b.elapsed_ms
 
     def test_single_worker_runs_serial(self, service_graph,
                                        service_queries):
-        report = BatchEngine(service_graph, max_workers=1).run_batch(
-            service_queries)
-        assert report.executor == "serial"
+        """A service given no executor runs on the one in-process
+        worker of the serial executor."""
+        service = BatchEngine(service_graph)
+        assert service.executor.workers == 1
+        assert service.run_batch(service_queries).executor == "serial"
 
 
 class TestConstruction:
@@ -196,7 +205,7 @@ class TestRunnerIntegration:
     def test_run_workload_batched(self, service_graph):
         wl = Workload.for_graph("toy", service_graph, num_queries=4,
                                 query_vertices=4, seed=3)
-        summary, report = run_workload_batched(wl, max_workers=2)
+        summary, report = run_workload_batched(wl)
         assert summary.queries == 4
         assert summary.dataset == "toy"
         assert report.num_queries == 4

@@ -101,11 +101,13 @@ class TestShardedCommands:
         assert "shard layout" in out
         assert "replication" in out
 
-    def test_batch_chunking_flag(self, capsys):
-        rc = main(["batch", "--dataset", "enron", "--queries", "2",
-                   "--query-vertices", "4", "--executor", "serial",
-                   "--chunking", "cost"])
-        assert rc == 0
+    def test_batch_chunking_flag(self):
+        # Chunking is always static: the flag that chose cost-based
+        # chunks is gone.
+        with pytest.raises(SystemExit):
+            main(["batch", "--dataset", "enron", "--queries", "2",
+                  "--query-vertices", "4", "--executor", "process",
+                  "--chunking", "cost"])
 
     @pytest.mark.parametrize("argv", [
         ["batch", "--dataset", "enron", "--shards", "0"],
@@ -126,5 +128,13 @@ class TestShardedCommands:
             build_parser().parse_args(["batch", "--partitioner", "meti"])
 
     def test_bad_chunking_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["batch", "--chunking", "rand"])
+        # Chunking is always static and the data plane always shared
+        # memory: the flags that chose otherwise, and the thread
+        # executor, are gone.
+        for argv in (["batch", "--chunking", "static"],
+                     ["batch", "--data-plane", "shm"],
+                     ["stream", "--data-plane", "shm"],
+                     ["serve", "--data-plane", "shm"],
+                     ["batch", "--executor", "thread"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)

@@ -66,9 +66,9 @@ class TestSeededSweep:
 
 
 class TestExecutorDeterminism:
-    """The same batch under serial/thread/process executors yields
-    identical match sets, transaction totals, and cache stats — and all
-    of them equal the brute-force oracle."""
+    """The same batch under the serial and process executors yields
+    identical match sets, transaction totals, and cache stats — and
+    both equal the brute-force oracle."""
 
     def test_identical_across_executors(self):
         from repro.service import make_executor
@@ -80,7 +80,7 @@ class TestExecutorDeterminism:
         expected = [brute_force_matches(q, graph) for q in queries]
 
         reference = None
-        for kind in ("serial", "thread", "process"):
+        for kind in ("serial", "process"):
             with make_executor(kind, 2) as executor:
                 report = BatchEngine(
                     graph, executor=executor).run_batch(queries)

@@ -1,10 +1,10 @@
 """Tests for the pluggable executor layer (repro.service.executors).
 
-The contract under test: executors change wall-clock only.  Serial,
-thread-pool, and process-pool execution of the same batch must produce
-identical match sets, simulated measurements, transaction totals, and
-cache statistics, in submission order — and the process pool must
-bootstrap its per-worker engine once per worker, not once per query.
+The contract under test: executors change wall-clock only.  Serial and
+process-pool execution of the same batch must produce identical match
+sets, simulated measurements, transaction totals, and cache
+statistics, in submission order — and the process pool must bootstrap
+its per-worker engine once per worker, not once per query.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from repro.service.executors import (
     EngineHandle,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     _process_engine_probe,
 )
 
@@ -69,6 +68,19 @@ class TestFactory:
         with pytest.raises(ValueError):
             make_executor("gpu")
 
+    def test_rejects_unknown_kind(self):
+        # "thread" named a removed thread-pool executor.
+        for kind in ("gpu", "thread"):
+            with pytest.raises(ValueError,
+                               match="unknown executor kind"):
+                make_executor(kind)
+
+    @pytest.mark.parametrize("workers", [0, -1, -100])
+    def test_rejects_non_positive_workers(self, workers):
+        for kind in EXECUTOR_KINDS:
+            with pytest.raises(ValueError, match="max_workers"):
+                make_executor(kind, max_workers=workers)
+
     def test_context_manager_shuts_down(self, exec_graph, exec_queries):
         with make_executor("process", 2) as executor:
             report = BatchEngine(exec_graph,
@@ -107,23 +119,9 @@ class TestMapTasks:
     def test_empty_payloads(self, process_executor):
         assert process_executor.map_tasks(_payload, []) == []
 
-    def test_thread_pool_persists_across_calls(self):
-        executor = ThreadExecutor(max_workers=2)
-        executor.map_tasks(_payload, list(range(4)))
-        pool = executor._pool
-        assert pool is not None
-        executor.map_tasks(_payload, list(range(4)))
-        assert executor._pool is pool, "thread pool must be reused"
-        executor.shutdown()
-        assert executor._pool is None
-        # Usable again after shutdown: the pool is recreated lazily.
-        assert executor.map_tasks(_payload, list(range(3)), shared=1) \
-            == [(1, y * y) for y in range(3)]
-        executor.shutdown()
-
 
 class TestExecutorEquivalence:
-    """One batch, three executors, identical outcomes."""
+    """One batch, both executors, identical outcomes."""
 
     def _run(self, graph, queries, executor):
         service = BatchEngine(graph, GSIConfig(), executor=executor)
@@ -135,8 +133,7 @@ class TestExecutorEquivalence:
     def test_all_executors_identical(self, exec_graph, exec_queries,
                                      process_executor):
         reference = None
-        for executor in (SerialExecutor(), ThreadExecutor(4),
-                         process_executor):
+        for executor in (SerialExecutor(), process_executor):
             first, second = self._run(exec_graph, exec_queries, executor)
             key = (
                 [item.result.match_set() for item in first.items],

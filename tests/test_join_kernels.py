@@ -1,9 +1,9 @@
 """Differential tests for the vectorized join lane (repro.core.kernels).
 
 The contract is byte-identity: for every config preset, every executor
-and every workload, ``join_kernel="vector"`` (and ``"numba"`` where
-available) must reproduce the per-row lane's match sets, meter totals,
-simulated latency and cache accounting exactly.
+and every workload, ``join_kernel="vector"`` must reproduce the per-row
+lane's match sets, meter totals, simulated latency and cache accounting
+exactly.
 """
 
 import sys
@@ -14,11 +14,7 @@ import pytest
 from repro.core.config import GSIConfig
 from repro.core.dup_removal import sharing_assignment
 from repro.core.engine import GSIEngine
-from repro.core.kernels import (
-    HAVE_NUMBA,
-    _segment_membership,
-    _shared_hit_mask,
-)
+from repro.core.kernels import _segment_membership, _shared_hit_mask
 from repro.errors import ConfigError
 from repro.gpusim.constants import WARPS_PER_BLOCK
 from repro.graph.generators import random_walk_query, scale_free_graph
@@ -40,7 +36,7 @@ PRESETS = {
     "gsi_opt": GSIConfig.gsi_opt,
 }
 
-LANES = ["vector"] + (["numba"] if HAVE_NUMBA else [])
+LANES = ["vector"]
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +63,7 @@ def _identical(a, b):
 
 class TestConfigKnob:
     def test_default_is_rows(self):
-        assert GSIConfig().join_kernel in ("rows", "vector", "numba")
+        assert GSIConfig().join_kernel in ("rows", "vector")
 
     def test_env_default(self, monkeypatch):
         monkeypatch.setenv("GSI_JOIN_KERNEL", "vector")
@@ -76,8 +72,10 @@ class TestConfigKnob:
         assert GSIConfig().join_kernel == "rows"
 
     def test_invalid_rejected(self):
-        with pytest.raises(ConfigError):
-            GSIConfig(join_kernel="cuda")
+        # "numba" named a removed JIT lane.
+        for lane in ("cuda", "numba"):
+            with pytest.raises(ConfigError):
+                GSIConfig(join_kernel=lane)
 
     def test_presets_accept_override(self):
         cfg = replace(GSIConfig.gsi_opt(), join_kernel="vector")
@@ -109,8 +107,7 @@ class TestHelpers:
         values = np.concatenate(bufs)
         seg_of = np.repeat(seg_of_row,
                            [len(b) for b in bufs]).astype(np.int64)
-        got = _segment_membership(values, seg_of, starts, lens, concat,
-                                  use_numba=False)
+        got = _segment_membership(values, seg_of, starts, lens, concat)
         pos = 0
         for b, s in zip(bufs, seg_of_row):
             expect = np.intersect1d(b, segments[s], assume_unique=True)
@@ -189,7 +186,7 @@ class TestFuzzSliceUnderVector:
 
 
 class TestBatchServiceDifferential:
-    @pytest.mark.parametrize("kind", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("kind", ["serial", "process"])
     def test_executors_byte_identical(self, graph, queries, kind):
         # Repeat a query so plan-cache hits are part of the comparison.
         workload = queries[:4] + queries[:2]
@@ -207,24 +204,3 @@ class TestBatchServiceDifferential:
             assert ia.result.elapsed_ms == ib.result.elapsed_ms
             assert ia.plan_cached == ib.plan_cached
 
-
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed")
-class TestNumbaLane:
-    def test_numba_matches_vector(self, graph, queries):
-        cfg = GSIConfig.gsi_opt()
-        for q in queries[:3]:
-            _identical(
-                GSIEngine(graph, replace(cfg, join_kernel="vector")).match(q),
-                GSIEngine(graph, replace(cfg, join_kernel="numba")).match(q))
-
-
-class TestNumbaFallback:
-    def test_numba_config_runs_without_numba(self, graph, queries):
-        # "numba" must fall back to the NumPy vector lane cleanly when
-        # the JIT is unavailable — identical results either way.
-        cfg = GSIConfig.gsi_opt()
-        _identical(
-            GSIEngine(graph, replace(cfg, join_kernel="rows")).match(
-                queries[0]),
-            GSIEngine(graph, replace(cfg, join_kernel="numba")).match(
-                queries[0]))

@@ -165,7 +165,7 @@ class TestStatsSurfaces:
 
     def test_batch_report_carries_storage_stats(self):
         graph = self.graph()
-        engine = BatchEngine(graph, max_workers=1)
+        engine = BatchEngine(graph)
         query = GraphBuilder()
         q = query.add_vertices([0, 1])
         query.add_edge(q[0], q[1], 0)

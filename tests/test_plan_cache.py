@@ -281,8 +281,7 @@ class TestConcurrency:
     def test_run_batch_tiny_capacity_still_correct(self, small_graph):
         queries = [random_walk_query(small_graph, k, seed=2)
                    for k in (3, 4, 5, 6)] * 4
-        service = BatchEngine(small_graph, cache_capacity=2,
-                              max_workers=8)
+        service = BatchEngine(small_graph, cache_capacity=2)
         report = service.run_batch(queries)
         assert report.errors == 0
         for query, result in zip(queries, report.results):

@@ -495,6 +495,53 @@ class TestTcp:
         assert by_id[2]["status"] == "error"
         assert by_id[3]["status"] == "ok" and by_id[3]["pong"]
 
+    @pytest.fixture(scope="class")
+    def large_response_case(self):
+        """A path query whose response is ~269 KB of JSON, four times
+        asyncio's 64 KiB default stream limit."""
+        big_graph = scale_free_graph(300, 3, 1, 1, seed=3)
+        path = LabeledGraph([0, 0, 0], [(0, 1, 0), (1, 2, 0)])
+        expected = GSIEngine(big_graph, GSIConfig.gsi_opt()) \
+            .match(path).match_set()
+        assert len(expected) == 18786
+        return big_graph, path, expected
+
+    def test_large_response_round_trips(self, large_response_case):
+        big_graph, path, expected = large_response_case
+
+        async def scenario():
+            async with GSIServer(make_engine(big_graph),
+                                 port=0) as server:
+                async with GSIClient("127.0.0.1",
+                                     server.bound_port) as client:
+                    return await client.query(path)
+
+        response = run(scenario())
+        assert response["status"] == "ok"
+        assert response["num_matches"] == len(expected)
+        assert {tuple(m) for m in response["matches"]} == expected
+
+    def test_over_limit_frame_fails_pending_requests(
+            self, large_response_case, monkeypatch):
+        """A frame beyond the client's line limit fails every pending
+        request with a ProtocolError (not a misleading "server closed
+        the connection"), and the connection stays usable."""
+        from repro.serve import client as client_module
+        monkeypatch.setattr(client_module, "RESPONSE_LINE_LIMIT", 4096)
+        big_graph, path, _ = large_response_case
+
+        async def scenario():
+            async with GSIServer(make_engine(big_graph),
+                                 port=0) as server:
+                async with GSIClient("127.0.0.1",
+                                     server.bound_port) as client:
+                    with pytest.raises(ProtocolError,
+                                       match="line limit"):
+                        await client.query(path)
+                    return await client.ping()
+
+        assert run(scenario())
+
 
 # ----------------------------------------------------------------------
 # CLI flags
@@ -523,8 +570,7 @@ class TestServeCli:
         assert args.dataset == "gowalla"
         assert args.max_batch == 16
         assert args.max_delay_ms == 2.0
-        assert args.executor == "thread"
-        assert args.data_plane == "shm"
+        assert args.executor == "serial"
 
     def test_bad_executor_rejected(self):
         from repro.cli import build_parser

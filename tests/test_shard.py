@@ -290,19 +290,22 @@ class TestShardedMatching:
         assert "halo" in report.items[0].error
 
     def test_executors_identical(self, data_graph, queries):
-        """All three executors — including the process pool's pickled
-        _ShardContext + lazy per-(epoch, shard) worker bootstrap — must
-        produce identical matches and transaction totals."""
+        """The process pool — its pickled _ShardContext and lazy
+        per-(epoch, shard) worker bootstrap — must produce the serial
+        executor's matches, meter snapshots, simulated times and
+        transaction totals."""
         sg = ShardedGraph(data_graph, 4, halo_hops=3)
         reference = None
-        for kind in ("serial", "thread", "process"):
+        for kind in ("serial", "process"):
             with make_executor(kind, 2) as executor:
                 engine = ShardedEngine(sg)
                 report = engine.run_batch(queries, executor=executor)
                 # Second batch reuses worker-side cached shard engines.
                 again = engine.run_batch(queries, executor=executor)
                 got = ([sorted(i.result.matches) for i in report.items],
-                       report.shard_transactions)
+                       report.shard_transactions,
+                       [i.result.counters for i in report.items],
+                       [i.result.elapsed_ms for i in report.items])
                 assert got[0] == [sorted(i.result.matches)
                                   for i in again.items]
                 if reference is None:
@@ -413,10 +416,10 @@ class TestBatchEngineShardedBackend:
     def test_identical_results_and_shard_report(self, data_graph,
                                                 queries):
         plain = BatchEngine(data_graph)
-        plain_report = plain.run_batch(queries, max_workers=1)
+        plain_report = plain.run_batch(queries)
         sharded = ShardedEngine(ShardedGraph(data_graph, 4, halo_hops=3))
         service = BatchEngine(sharded=sharded)
-        report = service.run_batch(queries, max_workers=1)
+        report = service.run_batch(queries)
         assert report.shard is not None
         assert report.executor == "serial"
         assert report.storage["num_shards"] == 4

@@ -201,8 +201,8 @@ class TestQueryIdLifecycle:
 
 
 class TestExecutorParity:
-    """Per-query delta matching through thread/process pools must
-    reproduce the serial reports exactly, batch by batch."""
+    """Per-query delta matching through a process pool must reproduce
+    the serial reports exactly, batch by batch."""
 
     def run_with(self, executor):
         graph = scale_free_graph(40, 3, 3, 3, seed=6)
@@ -213,21 +213,22 @@ class TestExecutorParity:
         trace = []
         for delta in random_update_stream(graph, 3, 10, seed=4):
             report = engine.apply_batch(delta)
-            trace.append(sorted(
+            trace.append((sorted(
                 (qid, frozenset(d.created), frozenset(d.destroyed))
-                for qid, d in report.query_deltas.items()))
+                for qid, d in report.query_deltas.items()),
+                report.maintenance, report.commit_transactions))
         final = [frozenset(engine.matches(qid)) for qid in qids]
+        engine.close()
         return trace, final, engine
 
-    def test_thread_and_process_match_serial(self):
+    def test_process_matches_serial(self):
         from repro.service import make_executor
 
         ref_trace, ref_final, _ = self.run_with(None)
-        for kind in ("thread", "process"):
-            with make_executor(kind, 2) as executor:
-                trace, final, _ = self.run_with(executor)
-            assert trace == ref_trace, f"{kind} deltas diverge"
-            assert final == ref_final, f"{kind} final sets diverge"
+        with make_executor("process", 2) as executor:
+            trace, final, _ = self.run_with(executor)
+        assert trace == ref_trace, "process deltas or meters diverge"
+        assert final == ref_final, "process final sets diverge"
 
     def test_failing_executor_falls_back_to_serial(self):
         """The graph/index commit precedes delta matching; a pool dying
@@ -254,18 +255,19 @@ class TestExecutorParity:
                 brute_force_matches(q, engine.graph)
 
     def test_parallel_stream_equals_oracle(self):
-        from repro.service import ThreadExecutor
+        from repro.service import make_executor
 
         graph = scale_free_graph(40, 3, 3, 3, seed=9)
-        engine = StreamEngine(graph, executor=ThreadExecutor(4))
-        queries = [random_walk_query(graph, 3, seed=s)
-                   for s in range(3)]
-        qids = [engine.register(q) for q in queries]
-        for delta in random_update_stream(graph, 3, 8, seed=2):
-            engine.apply_batch(delta)
-            for qid, q in zip(qids, queries):
-                assert engine.matches(qid) == \
-                    brute_force_matches(q, engine.graph)
+        with make_executor("process", 2) as executor, \
+                StreamEngine(graph, executor=executor) as engine:
+            queries = [random_walk_query(graph, 3, seed=s)
+                       for s in range(3)]
+            qids = [engine.register(q) for q in queries]
+            for delta in random_update_stream(graph, 3, 8, seed=2):
+                engine.apply_batch(delta)
+                for qid, q in zip(qids, queries):
+                    assert engine.matches(qid) == \
+                        brute_force_matches(q, engine.graph)
 
 
 class TestPlanInvalidation:
