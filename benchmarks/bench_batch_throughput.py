@@ -32,12 +32,7 @@ from repro.core.config import GSIConfig
 from repro.core.engine import GSIEngine
 from repro.graph.generators import random_walk_query, scale_free_graph
 from repro.obs.trace import Tracer, set_tracer
-from repro.service import (
-    EXECUTOR_KINDS,
-    BatchEngine,
-    EngineBuildSpec,
-    make_executor,
-)
+from repro.service import EXECUTOR_KINDS, BatchEngine, make_executor
 
 from bench_common import record_report, write_bench_json
 
@@ -72,10 +67,11 @@ def run_executor_comparison(num_queries: int = EXEC_QUERIES,
 
     Each arm gets a fresh :class:`BatchEngine` (so plan/shape caches
     start cold and account identically) and a small untimed warm-up
-    batch first, so the process arm's one-time pool spawn + per-worker
-    engine bootstrap is amortized the way a long-lived service would
-    amortize it.  Returns ``(outcomes, table)``; outcomes map executor
-    name to wall ms, the report, and the per-query match sets.
+    batch first, so the process arm's one-time pool spawn, engine
+    publication and worker attach are amortized the way a long-lived
+    service would amortize them.  Returns ``(outcomes, table)``;
+    outcomes map executor name to wall ms, the report, and the
+    per-query match sets.
     """
     graph = scale_free_graph(vertices, 4, 6, 6, seed=seed)
     config = GSIConfig.gsi_opt()
@@ -87,15 +83,12 @@ def run_executor_comparison(num_queries: int = EXEC_QUERIES,
     outcomes = {}
     rows = []
     for kind in executors:
-        executor = make_executor(kind, workers)
-        try:
-            service = BatchEngine(graph, config, executor=executor)
-            service.run_batch(warmup)  # untimed: pool + worker bootstrap
+        with make_executor(kind, workers) as executor, \
+                BatchEngine(graph, config, executor=executor) as service:
+            service.run_batch(warmup)  # untimed: pool + publish + attach
             t0 = time.perf_counter()
             report = service.run_batch(queries)
             wall_ms = (time.perf_counter() - t0) * 1000.0
-        finally:
-            executor.shutdown()
         outcomes[kind] = {
             "wall_ms": wall_ms,
             "report": report,
@@ -129,27 +122,24 @@ def measure_shipped_bytes(vertices: int = EXEC_VERTICES,
     """Per-batch serialized context bytes against pickling the graph.
 
     Runs a warm batch through a process executor and reads
-    ``executor.last_shipment``: the executor ships a compact
+    ``executor.last_shipment``: the batch ships a compact
     shared-memory handle whose size is independent of ``|G|``.  The
     denominator is what shipping the engine by pickle would cost — the
-    pickled :class:`EngineBuildSpec` carrying the full graph + config.
-    Returns a JSON-ready dict with both sizes and their ratio.
+    pickled ``(graph, config)`` pair.  Returns a JSON-ready dict with
+    both sizes and their ratio.
     """
     graph = scale_free_graph(vertices, 4, 6, 6, seed=seed)
     config = GSIConfig.gsi_opt()
     queries = [random_walk_query(graph, 4, seed=s)
                for s in range(num_queries)]
-    executor = make_executor("process", workers)
-    try:
-        service = BatchEngine(graph, config, executor=executor)
+    with make_executor("process", workers) as executor, \
+            BatchEngine(graph, config, executor=executor) as service:
         service.run_batch(queries)  # cold: pool spawn + first publish
         service.run_batch(queries)  # warm: steady-state shipment
         shipment = dict(executor.last_shipment)
-    finally:
-        executor.shutdown()
-    pickled = len(pickle.dumps(EngineBuildSpec(graph, config)))
+    pickled = len(pickle.dumps((graph, config)))
     return {"vertices": vertices, "edges": graph.num_edges,
-            "shipment": shipment, "pickled_spec_bytes": pickled,
+            "shipment": shipment, "pickled_graph_bytes": pickled,
             "shm_over_pickle": shipment["context_bytes"] / pickled}
 
 
@@ -439,7 +429,8 @@ if __name__ == "__main__":
         payload["shipped_bytes"] = shipped
         print(f"warm per-batch context: "
               f"shm {shipped['shipment']['context_bytes']} B vs "
-              f"pickled spec {shipped['pickled_spec_bytes']} B "
+              f"pickled graph + config "
+              f"{shipped['pickled_graph_bytes']} B "
               f"(ratio {shipped['shm_over_pickle']:.4f}, required "
               f"< {cli_args.assert_shm_ratio:.4f})")
         if shipped["shm_over_pickle"] >= cli_args.assert_shm_ratio:

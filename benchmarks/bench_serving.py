@@ -131,9 +131,9 @@ def run_serving_arm(graph: LabeledGraph,
     """Serve ``requests`` through a fresh server; return measurements."""
 
     async def _run() -> Dict:
-        with make_executor(executor_kind, workers) as executor:
-            engine = BatchEngine(graph, GSIConfig.gsi_opt(),
-                                 executor=executor)
+        with make_executor(executor_kind, workers) as executor, \
+                BatchEngine(graph, GSIConfig.gsi_opt(),
+                            executor=executor) as engine:
             async with GSIServer(engine, max_batch=max_batch,
                                  max_delay_ms=max_delay_ms) as server:
                 outcomes, wall_ms = await _drive(

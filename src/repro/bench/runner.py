@@ -155,7 +155,9 @@ def run_workload_batched(workload: Workload,
 
     ``executor`` (a :class:`~repro.service.executors.QueryExecutor`)
     selects how the joining phase runs; ``None`` runs it serially.
-    The caller owns the executor's lifecycle.
+    The caller owns the executor's lifecycle; the batch service made
+    here is closed before returning, unlinking any engine segments it
+    published.
 
     ``sharded`` (a :class:`~repro.shard.engine.ShardedEngine`) serves
     the workload scatter-gather over its shards instead of from one
@@ -178,7 +180,8 @@ def run_workload_batched(workload: Workload,
         engine = BatchEngine(workload.graph, cfg,
                              cache_capacity=cache_capacity,
                              executor=executor)
-    report = engine.run_batch(workload.queries)
+    with engine:
+        report = engine.run_batch(workload.queries)
     summary = summarize_results(report.results, engine_label,
                                 workload.name)
     return summary, report

@@ -345,10 +345,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
     graph = datasets.load(args.dataset)
 
     async def _run() -> None:
-        with make_executor(args.executor, args.workers) as executor:
-            engine = BatchEngine(graph, _engine_config(args),
-                                 cache_capacity=args.cache_capacity,
-                                 executor=executor)
+        with make_executor(args.executor, args.workers) as executor, \
+                BatchEngine(graph, _engine_config(args),
+                            cache_capacity=args.cache_capacity,
+                            executor=executor) as engine:
             server = GSIServer(
                 engine, max_batch=args.max_batch,
                 max_delay_ms=args.max_delay_ms,

@@ -7,7 +7,7 @@ Four pieces, one subsystem:
   spawn-mode process workers re-parent into one coherent tree.
 * :mod:`repro.obs.metrics` — counters, gauges and fixed-bucket
   histograms under the ``OBS_LABEL_KEYS`` label registry, with
-  snapshots that merge across workers and shards.
+  JSON-ready snapshots.
 * :mod:`repro.obs.stats` — the shared percentile/reservoir helpers
   the batch and serving reports both use.
 * :mod:`repro.obs.export` — NDJSON span logs, chrome://tracing JSON,
@@ -34,9 +34,7 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    absorb_snapshot,
     get_registry,
-    merge_metric_snapshots,
     scoped_registry,
     set_registry,
 )
@@ -62,10 +60,9 @@ __all__ = [
     "chrome_trace", "prometheus_text", "read_spans_ndjson",
     "validate_span_tree", "write_chrome_trace", "write_spans_ndjson",
     "LATENCY_BUCKETS_MS", "OBS_LABEL_KEYS", "SIZE_BUCKETS", "Counter",
-    "Gauge", "Histogram", "MetricsRegistry", "absorb_snapshot",
-    "get_registry", "merge_metric_snapshots", "scoped_registry",
-    "set_registry", "DEFAULT_RESERVOIR", "Reservoir", "percentile",
-    "percentile_summary", "NullTracer", "Span", "TraceContext",
-    "Tracer", "current_trace_context", "get_tracer", "set_tracer",
-    "shipped_spans", "tracing_active",
+    "Gauge", "Histogram", "MetricsRegistry", "get_registry",
+    "scoped_registry", "set_registry", "DEFAULT_RESERVOIR", "Reservoir",
+    "percentile", "percentile_summary", "NullTracer", "Span",
+    "TraceContext", "Tracer", "current_trace_context", "get_tracer",
+    "set_tracer", "shipped_spans", "tracing_active",
 ]

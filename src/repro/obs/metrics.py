@@ -7,12 +7,8 @@ One :class:`MetricsRegistry` per process, reached via
 dashboards never fragment on ad-hoc label spellings.
 
 Snapshots (:meth:`MetricsRegistry.snapshot`) are plain JSON-ready
-dicts and merge across workers and shards with
-:func:`merge_metric_snapshots`, mirroring
-:func:`repro.gpusim.meter.merge_shard_snapshots`: counters and
-histogram buckets add, gauges keep their maximum.  Process workers
-record into a scoped registry (:func:`scoped_registry`) and ship its
-snapshot back with their results.
+dicts.  :func:`scoped_registry` records a block into a fresh registry,
+isolated from the process-wide one.
 """
 
 from __future__ import annotations
@@ -199,22 +195,6 @@ class Histogram:
             series = self._series.get(key)
             return int(series["count"]) if series is not None else 0
 
-    def _absorb(self, entry: Dict[str, Any]) -> None:
-        """Fold one shipped series entry (same buckets) into this."""
-        if len(entry["counts"]) != len(self.buckets) + 1:
-            raise ValueError(
-                f"histogram {self.name}: shipped entry has "
-                f"{len(entry['counts'])} buckets, expected "
-                f"{len(self.buckets) + 1}")
-        key = _label_key(entry["labels"])
-        with self._lock:
-            series = self._series_unlocked(key)
-            series["counts"] = [
-                a + b for a, b in zip(series["counts"],
-                                      entry["counts"])]
-            series["sum"] += entry["sum"]
-            series["count"] += entry["count"]
-
     def _snapshot(self) -> Dict[str, Any]:
         with self._lock:
             values = [{"labels": dict(key),
@@ -277,62 +257,6 @@ class MetricsRegistry:
             self._metrics.clear()
 
 
-def merge_metric_snapshots(snapshots: Sequence[Dict[str, Any]]
-                           ) -> Dict[str, Any]:
-    """Fold per-worker/per-shard snapshots into one.
-
-    Counters and histogram bucket counts/sums add; gauges keep the
-    maximum observed level (a fill gauge merged across workers reads
-    as the high-water mark).  The same-name metric must have the same
-    type and buckets everywhere.
-    """
-    merged: Dict[str, Any] = {}
-    for snap in snapshots:
-        for name, metric in snap.items():
-            into = merged.get(name)
-            if into is None:
-                merged[name] = {
-                    "type": metric["type"], "help": metric["help"],
-                    **({"buckets": list(metric["buckets"])}
-                       if metric["type"] == "histogram" else {}),
-                    "values": [
-                        {k: (list(v) if isinstance(v, list) else
-                             (dict(v) if isinstance(v, dict) else v))
-                         for k, v in entry.items()}
-                        for entry in metric["values"]],
-                }
-                continue
-            if into["type"] != metric["type"]:
-                raise ValueError(
-                    f"metric {name!r} merges {into['type']} with "
-                    f"{metric['type']}")
-            by_labels = {_label_key(e["labels"]): e
-                         for e in into["values"]}
-            for entry in metric["values"]:
-                key = _label_key(entry["labels"])
-                have = by_labels.get(key)
-                if have is None:
-                    fresh = {
-                        k: (list(v) if isinstance(v, list) else
-                            (dict(v) if isinstance(v, dict) else v))
-                        for k, v in entry.items()}
-                    by_labels[key] = fresh
-                    into["values"].append(fresh)
-                elif metric["type"] == "counter":
-                    have["value"] += entry["value"]
-                elif metric["type"] == "gauge":
-                    have["value"] = max(have["value"], entry["value"])
-                else:
-                    have["counts"] = [
-                        a + b for a, b in
-                        zip(have["counts"], entry["counts"])]
-                    have["sum"] += entry["sum"]
-                    have["count"] += entry["count"]
-            into["values"].sort(
-                key=lambda e: _label_key(e["labels"]))
-    return merged
-
-
 _DEFAULT_REGISTRY = MetricsRegistry()
 _ACTIVE_REGISTRY: MetricsRegistry = _DEFAULT_REGISTRY
 
@@ -355,39 +279,11 @@ def set_registry(registry: Optional[MetricsRegistry]
 
 @contextmanager
 def scoped_registry() -> Iterator[MetricsRegistry]:
-    """Record into a fresh registry for the duration of the block.
-
-    Process workers wrap each shipped chunk in this so their snapshot
-    contains exactly the chunk's deltas; the coordinator merges the
-    shipped snapshot into its own registry via
-    :func:`absorb_snapshot`.
-    """
+    """Record into a fresh registry for the duration of the block,
+    so its snapshot contains exactly the block's deltas."""
     fresh = MetricsRegistry()
     previous = set_registry(fresh)
     try:
         yield fresh
     finally:
         set_registry(previous)
-
-
-def absorb_snapshot(snapshot: Dict[str, Any],
-                    registry: Optional[MetricsRegistry] = None) -> None:
-    """Fold one shipped snapshot into ``registry`` (default: global).
-
-    Counters and histograms replay additively; gauges apply as levels.
-    """
-    into = registry if registry is not None else get_registry()
-    for name, metric in snapshot.items():
-        if metric["type"] == "counter":
-            counter = into.counter(name, metric["help"])
-            for entry in metric["values"]:
-                counter.inc(entry["value"], **entry["labels"])
-        elif metric["type"] == "gauge":
-            gauge = into.gauge(name, metric["help"])
-            for entry in metric["values"]:
-                gauge.set(entry["value"], **entry["labels"])
-        else:
-            hist = into.histogram(name, metric["help"],
-                                  metric["buckets"])
-            for entry in metric["values"]:
-                hist._absorb(entry)

@@ -8,8 +8,6 @@ from repro.service.batch import (
 )
 from repro.service.executors import (
     EXECUTOR_KINDS,
-    EngineBuildSpec,
-    EngineHandle,
     ProcessExecutor,
     QueryExecutor,
     SerialExecutor,
@@ -30,8 +28,6 @@ __all__ = [
     "CacheStats",
     "CandidateShapeCache",
     "EXECUTOR_KINDS",
-    "EngineBuildSpec",
-    "EngineHandle",
     "PlanCache",
     "ProcessExecutor",
     "QueryExecutor",

@@ -8,9 +8,11 @@ in two phases: every query is *prepared* serially in the calling
 process (filtering + planning through the shared plan cache and
 candidate-shape memo — deterministic cache accounting regardless of
 parallelism), then the prepared queries are *executed* (the joining
-phase, the heavy part) through a pluggable
+phase, the heavy part) as tasks of a pluggable
 :class:`~repro.service.executors.QueryExecutor` — serial or process
-pool — and merged back in submission order.  Per-query
+pool — and merged back in submission order.  Under a process pool the
+engine reaches the workers as shared-memory handles, published on the
+first such batch and unlinked by :meth:`BatchEngine.close`.  Per-query
 :class:`~repro.core.result.MatchResult` objects are aggregated into a
 :class:`BatchReport` carrying latency percentiles, plan-cache
 statistics, and memory-transaction totals.
@@ -37,6 +39,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Tuple,
     Union,
 )
 
@@ -48,12 +51,14 @@ from repro.core.result import MatchResult
 from repro.graph.labeled_graph import LabeledGraph
 from repro.obs.metrics import SIZE_BUCKETS, get_registry
 from repro.obs.stats import percentile
-from repro.obs.trace import get_tracer
+from repro.obs.trace import get_tracer, shipped_spans
 from repro.service.executors import (
-    EngineHandle,
-    PreparedTask,
+    EngineContext,
+    EngineFanout,
+    ExecutedQuery,
     QueryExecutor,
     SerialExecutor,
+    _execute_one,
 )
 from repro.service.plan_cache import CacheStats, PlanCache
 
@@ -88,6 +93,27 @@ def json_sanitize(value: Any) -> Any:
     if isinstance(value, np.bool_):
         return bool(value)
     return value
+
+
+#: fan-out payload: (submission index, prepared query)
+_BatchTask = Tuple[int, PreparedQuery]
+
+
+def _execute_batch_task(ctx: EngineContext,
+                        task: _BatchTask) -> ExecutedQuery:
+    """Module-level task function (picklable by reference): join one
+    prepared query on the context's engine.
+
+    In a process worker the spans recorded here ship back in
+    :attr:`~repro.service.executors.ExecutedQuery.spans`; the
+    coordinator absorbs them when it merges the batch.
+    """
+    index, prepared = task
+    with shipped_spans(prepared.trace) as spans:
+        item = _execute_one(ctx.engine(0), index, prepared,
+                            BatchEngine.name)
+    item.spans = spans
+    return item
 
 
 @dataclass
@@ -276,10 +302,11 @@ class BatchEngine:
         artifacts are read-only during matching and each query runs on
         its own simulated device, so queries are embarrassingly
         parallel.  The caller owns the executor's lifecycle
-        (``shutdown()``).  A
-        :class:`~repro.service.executors.ProcessExecutor` requires the
-        engine's artifacts to be derivable from ``(graph, config)`` —
-        see the pickling contract in :mod:`repro.service.executors`.
+        (``shutdown()``).  Under a
+        :class:`~repro.service.executors.ProcessExecutor` workers
+        attach the engine's published artifacts; a store that is not
+        plain PCSR is rebuilt worker-side from ``(graph, config)`` —
+        see the shipping contract in :mod:`repro.service.executors`.
     sharded:
         A :class:`~repro.shard.engine.ShardedEngine` backend.  When
         supplied, batches are served scatter-gather over its shards
@@ -287,6 +314,10 @@ class BatchEngine:
         ownership/halo argument); ``graph``/``config``/``engine`` are
         taken from it, the plan cache is its shared cache, and
         :attr:`BatchReport.shard` carries the per-shard breakdown.
+        Its shared-memory publication stays with the backend's owner.
+
+    :meth:`close` (or leaving a ``with`` block) unlinks the
+    shared-memory segments a process batch published for the engine.
     """
 
     name = "GSI-batch"
@@ -300,6 +331,8 @@ class BatchEngine:
         self.sharded = sharded
         self.executor = executor if executor is not None \
             else SerialExecutor()
+        # The sharded backend fans out through its own EngineFanout.
+        self._fanout: Optional[EngineFanout] = None
         if sharded is not None:
             if engine is not None:
                 raise ValueError(
@@ -309,7 +342,6 @@ class BatchEngine:
             self.graph = sharded.graph
             self.config = sharded.config
             self.plan_cache = sharded.plan_cache
-            self._handle = None
             return
         if engine is None:
             if graph is None:
@@ -320,7 +352,20 @@ class BatchEngine:
         self.graph = engine.graph
         self.config = engine.config
         self.plan_cache = PlanCache(capacity=cache_capacity)
-        self._handle = EngineHandle.for_engine(engine)
+        self._fanout = EngineFanout([engine], engine.config)
+
+    def close(self) -> None:
+        """Unlink the engine publication this service made
+        (idempotent).  The service stays usable; the next process
+        batch republishes."""
+        if self._fanout is not None:
+            self._fanout.close()
+
+    def __enter__(self) -> "BatchEngine":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
 
@@ -376,7 +421,7 @@ class BatchEngine:
         start = time.perf_counter()
 
         items: List[Optional[BatchItem]] = [None] * len(queries)
-        pending: List[PreparedTask] = []
+        pending: List[_BatchTask] = []
         prepared_by_index: Dict[int, PreparedQuery] = {}
         prepare_ms: Dict[int, float] = {}
         for index, query in enumerate(queries):
@@ -396,8 +441,13 @@ class BatchEngine:
             pending.append((index, prepared))
 
         if pending:
-            for done in chosen.execute_prepared(
-                    self._handle, pending, error_label=self.name):
+            assert self._fanout is not None  # the unsharded path
+            outcomes = chosen.map_tasks(
+                _execute_batch_task, pending,
+                shared=self._fanout.context(chosen))
+            tracer = get_tracer()
+            for done in outcomes:
+                tracer.absorb(done.spans)
                 items[done.index] = BatchItem(
                     index=done.index, result=done.result,
                     plan_cached=prepared_by_index[done.index].plan_cached,
@@ -410,7 +460,7 @@ class BatchEngine:
         if missing:
             raise RuntimeError(
                 f"executor {chosen.name!r} dropped queries {missing}; "
-                f"execute_prepared must return every submitted task")
+                f"map_tasks must return every submitted task")
         return BatchReport(items=items, wall_clock_ms=wall_ms,
                            cache=cache_delta,
                            storage=self.engine.store.stats(),

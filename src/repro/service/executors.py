@@ -1,17 +1,19 @@
 """Pluggable parallel execution for the query services.
 
-The batch service and the stream engine both fan work out over
-embarrassingly parallel per-query units — joining a prepared query, or
-delta-matching one continuous query against a shared batch seed.  This
-module abstracts *how* that fan-out happens behind one
-:class:`QueryExecutor` protocol with two implementations:
+The batch service, the sharded coordinator and the stream engine all
+fan work out over embarrassingly parallel per-query units — joining a
+prepared query on an engine or a shard, or delta-matching one
+continuous query against a shared batch seed.  This module abstracts
+*how* that fan-out happens behind one :class:`QueryExecutor` protocol
+with a single entry point, :meth:`QueryExecutor.map_tasks`, and two
+implementations:
 
 * :class:`SerialExecutor` — an in-process loop.  The reference
   executor and the default everywhere: zero concurrency, zero
   overhead, bit-for-bit deterministic.
 * :class:`ProcessExecutor` — a :class:`~concurrent.futures.
-  ProcessPoolExecutor` over the shared-memory data plane.  True
-  multi-core parallelism for the Python/numpy-heavy joining phase.
+  ProcessPoolExecutor`.  True multi-core parallelism for the
+  Python/numpy-heavy joining phase.
 
 Both produce *identical results in submission order*: executors change
 wall-clock only, never match sets, simulated measurements, or
@@ -21,35 +23,35 @@ accounting is deterministic).
 Shipping contract (ProcessExecutor)
 -----------------------------------
 
-:meth:`QueryExecutor.execute_prepared` ships
-:class:`~repro.core.engine.PreparedQuery` objects to the workers, so
-everything a prepared query carries must pickle: the query
-:class:`~repro.graph.labeled_graph.LabeledGraph` (numpy arrays), the
-candidate arrays, the :class:`~repro.core.plan.JoinPlan` (tuples), and
-the simulated :class:`~repro.gpusim.device.Device` mid-flight (plain
-counters — no locks, no handles).
+:meth:`~QueryExecutor.map_tasks` splits the payloads statically into
+one equal-count chunk per worker and pickles, per chunk, the task
+function (by reference, so it must be module-level), the chunk's
+payloads and the batch-constant ``shared`` context.  The executor
+knows nothing about engines or shared memory.  Payloads must pickle:
+a :class:`~repro.core.engine.PreparedQuery` carries the query graph
+and candidate arrays (numpy), the :class:`~repro.core.plan.JoinPlan`
+(tuples) and the simulated :class:`~repro.gpusim.device.Device`
+mid-flight (plain counters — no locks, no handles).
 
-The data-graph-sized artifacts never ride in those pickles.  The
-executor publishes the served engine's CSR arrays, signature-table
-rows, and PCSR layers into named :mod:`multiprocessing.shared_memory`
-segments (:mod:`repro.storage.shm`) and ships only a compact
-:class:`~repro.storage.shm.EngineArtifactsHandle` — segment names +
-dtypes + shapes + an epoch — inside the :class:`EngineBuildSpec` the
-pool initializer receives.  Workers attach the segments read-only by
-name and memoize the attach per publication, so what crosses the pipe
-is O(handle) bytes regardless of ``|G|``.  The executor owns the
-segments: they are re-published when the engine spec changes and
-unlinked on :meth:`ProcessExecutor.shutdown` (with an ``atexit``
-backstop), including after broken-pool recovery.  Engines whose store
-is a hand-injected subclass fall back to a worker-side deterministic
-store rebuild from the attached graph + config.  Either way a
-worker-side engine executes a prepared query bit-for-bit like the
-parent's engine would.
-
-A batch splits statically: :meth:`~QueryExecutor.execute_prepared`
-into ``2 x workers`` equal-count chunks, :meth:`~QueryExecutor.
-map_tasks` into one chunk per worker (its ``shared`` context pickles
-once per chunk).
+Engines reach tasks one way: through an :class:`EngineContext` handed
+out by the :class:`EngineFanout` of the service that owns them — one
+engine for the batch service, one per shard for the sharded
+coordinator.  In process the context holds the live engines.  For a
+process pool the fan-out first publishes every engine's artifacts —
+CSR arrays, signature-table rows, PCSR layers — into named
+:mod:`multiprocessing.shared_memory` segments
+(:mod:`repro.storage.shm`), and the context pickles as the config plus
+one compact :class:`~repro.storage.shm.EngineArtifactsHandle` per
+engine (segment names + dtypes + shapes + an epoch): O(handle) bytes
+regardless of ``|G|``.  A worker attaches an engine the first time one
+of its tasks needs it and caches it per ``(epoch, engine)``.  The
+owning service publishes on its first process batch and unlinks the
+segments on ``close()`` (with an ``atexit`` backstop); a rebuild moves
+to a fresh epoch, and attaching a retired handle raises
+:class:`~repro.storage.shm.StaleHandleError`.  Engines whose store is
+not a plain PCSR store rebuild it worker-side from the attached graph
++ config.  Either way a worker-side engine executes a prepared query
+bit-for-bit like the parent's engine would.
 
 When to use which
 -----------------
@@ -86,10 +88,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.core.config import GSIConfig
 from repro.core.engine import GSIEngine, PreparedQuery
 from repro.core.result import MatchResult
-from repro.errors import ConfigError
-from repro.graph.labeled_graph import LabeledGraph
-from repro.obs.metrics import absorb_snapshot, get_registry, scoped_registry
-from repro.obs.trace import get_tracer, set_tracer, shipped_spans
+from repro.obs.metrics import get_registry
+from repro.obs.trace import get_tracer, set_tracer
 from repro.storage.shm import (
     BlockLease,
     EngineArtifactsHandle,
@@ -105,73 +105,14 @@ EXECUTOR_KINDS = ("serial", "process")
 #: environment override for the process pool start method (fork/spawn)
 START_METHOD_ENV = "GSI_EXECUTOR_START_METHOD"
 
-#: monotonic epochs for engine publications (bumped per re-publish)
-_PLANE_EPOCHS = itertools.count(1)
-
-
-@dataclass(frozen=True)
-class EngineBuildSpec:
-    """Everything needed to reconstruct a serving engine.
-
-    Two forms:
-
-    * ``artifacts`` set — a compact
-      :class:`~repro.storage.shm.EngineArtifactsHandle`; the worker
-      attaches the published shared-memory segments read-only by name.
-      ``graph`` is ``None`` so the spec pickles in O(handle) bytes.
-      This is the form :class:`ProcessExecutor` ships.
-    * ``graph`` set — the recipe the artifacts are derived from:
-      :meth:`build` rebuilds the offline artifacts (signature table +
-      storage structure) from the graph and config.  An
-      :class:`EngineHandle` keys its publication on this form.
-
-    Both builds are deterministic, so a worker-built engine executes a
-    prepared query bit-for-bit like the parent's engine would.
-    """
-
-    graph: Optional[LabeledGraph]
-    config: GSIConfig
-    artifacts: Optional[EngineArtifactsHandle] = None
-
-    def build(self) -> GSIEngine:
-        if self.artifacts is not None:
-            return attach_engine(self.artifacts, self.config)
-        if self.graph is None:
-            # A spec whose handle was stripped (or one built with
-            # neither form) must fail here, not as an AttributeError
-            # deep inside signature encoding.
-            raise ConfigError(
-                "EngineBuildSpec carries neither artifacts nor a graph; "
-                "a worker cannot rebuild the engine")
-        return GSIEngine(self.graph, self.config)
-
-
-@dataclass
-class EngineHandle:
-    """A live engine plus the spec to rebuild it elsewhere.
-
-    The serial executor executes on ``engine`` directly; the process
-    executor publishes ``engine`` once per distinct ``spec`` and ships
-    the resulting handle to its workers instead.
-    """
-
-    engine: GSIEngine
-    spec: EngineBuildSpec
-
-    @classmethod
-    def for_engine(cls, engine: GSIEngine) -> "EngineHandle":
-        return cls(engine=engine,
-                   spec=EngineBuildSpec(engine.graph, engine.config))
-
 
 @dataclass
 class ExecutedQuery:
     """Outcome of executing one prepared query (joins a ``BatchItem``).
 
     ``spans`` carries trace spans recorded inside a process worker
-    back across the pickle boundary; the process executor absorbs
-    them into the coordinator's tracer before returning, so the field
-    is empty again by the time callers see it.
+    back across the pickle boundary; the service that fanned the query
+    out absorbs them into the coordinator's tracer.
     """
 
     index: int
@@ -181,14 +122,11 @@ class ExecutedQuery:
     spans: List[Dict[str, Any]] = field(default_factory=list)
 
 
-#: (submission index, prepared query) pairs fed to an executor
-PreparedTask = Tuple[int, PreparedQuery]
-
-
 def _execute_one(engine: GSIEngine, index: int, prepared: PreparedQuery,
                  error_label: str) -> ExecutedQuery:
     """Execute one prepared query, converting failures to per-item
-    errors (shared by every executor so error semantics are uniform)."""
+    errors (shared by every task function so error semantics are
+    uniform)."""
     start = time.perf_counter()
     try:
         result = engine.execute(prepared)
@@ -202,27 +140,10 @@ def _execute_one(engine: GSIEngine, index: int, prepared: PreparedQuery,
 
 
 class QueryExecutor(ABC):
-    """How per-query work units run: serially or on worker processes.
-
-    Two entry points cover both services:
-
-    * :meth:`execute_prepared` — the batch path: run the joining phase
-      of already-prepared queries, returning outcomes in submission
-      order.
-    * :meth:`map_tasks` — the generic path (stream delta matching):
-      apply a module-level function to payloads, sharing one
-      batch-constant context object, results in payload order.
-    """
+    """How per-query work units run: serially or on worker processes."""
 
     name: str = "abstract"
     workers: int = 1
-
-    @abstractmethod
-    def execute_prepared(self, handle: EngineHandle,
-                         tasks: Sequence[PreparedTask],
-                         error_label: str = "GSI"
-                         ) -> List[ExecutedQuery]:
-        """Run the joining phase of ``tasks``; submission order kept."""
 
     @abstractmethod
     def map_tasks(self, fn: Callable[[Any, Any], Any],
@@ -250,36 +171,127 @@ class SerialExecutor(QueryExecutor):
 
     name = "serial"
 
-    def execute_prepared(self, handle: EngineHandle,
-                         tasks: Sequence[PreparedTask],
-                         error_label: str = "GSI"
-                         ) -> List[ExecutedQuery]:
-        with get_tracer().span("executor.execute_prepared",
-                               executor=self.name, tasks=len(tasks)):
-            return [_execute_one(handle.engine, index, prepared,
-                                 error_label)
-                    for index, prepared in tasks]
-
     def map_tasks(self, fn: Callable[[Any, Any], Any],
                   payloads: Sequence[Any],
                   shared: Any = None) -> List[Any]:
-        return [fn(shared, payload) for payload in payloads]
+        with get_tracer().span("executor.map_tasks", executor=self.name,
+                               tasks=len(payloads)):
+            return [fn(shared, payload) for payload in payloads]
 
 
 # ----------------------------------------------------------------------
-# Process pool: per-worker engine bootstrap + chunked work shipping
+# Engine fan-out: the one way an engine reaches a task function
 # ----------------------------------------------------------------------
 
-#: per-worker-process serving engine, built once by the pool initializer
-_WORKER_ENGINE: Optional[GSIEngine] = None
+#: monotonic fan-out epochs (one per engine set; a rebuild takes a new one)
+_EPOCHS = itertools.count(1)
+
+#: per-worker-process engine cache, keyed (epoch, engine ordinal)
+_WORKER_ENGINES: Dict[Tuple[int, int], GSIEngine] = {}
 
 
-def _process_worker_init(spec: Optional[EngineBuildSpec]) -> None:
-    """Pool initializer: bootstrap this worker's engine exactly once.
+class EngineContext:
+    """Batch-constant fan-out context: the engines tasks run on.
 
-    The spec is pickled once per worker (not per query) and carries
-    only shared-memory handles; the worker attaches the published
-    artifacts, so no data-graph-sized artifact crosses the pipe.
+    A task function asks for :meth:`engine` by ordinal (``0`` for the
+    batch service, the shard id for shards).  In process the context
+    holds the live engines.  Pickling drops them and ships the config
+    plus one :class:`~repro.storage.shm.EngineArtifactsHandle` per
+    engine; a worker attaches an engine only when one of its tasks
+    needs it and caches it per ``(epoch, ordinal)``, so repeated
+    batches attach nothing and no worker holds engines it never
+    executes.
+    """
+
+    def __init__(self, epoch: int, config: GSIConfig,
+                 engines: Optional[Sequence[GSIEngine]],
+                 handles: Tuple[EngineArtifactsHandle, ...] = ()
+                 ) -> None:
+        self.epoch = epoch
+        self.config = config
+        self.engines = engines
+        self.handles = handles
+
+    def __getstate__(self) -> Dict[str, Any]:
+        return {"epoch": self.epoch, "config": self.config,
+                "handles": self.handles}
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self.engines = None
+
+    def engine(self, ordinal: int) -> GSIEngine:
+        if self.engines is not None:
+            return self.engines[ordinal]
+        key = (self.epoch, ordinal)
+        engine = _WORKER_ENGINES.get(key)
+        if engine is None:
+            # One engine set per worker at a time keeps memory bounded:
+            # a new epoch evicts every older epoch's engines.
+            for stale in [k for k in _WORKER_ENGINES if k[0] != self.epoch]:
+                del _WORKER_ENGINES[stale]
+            engine = attach_engine(self.handles[ordinal], self.config)
+            _WORKER_ENGINES[key] = engine
+        return engine
+
+
+class EngineFanout:
+    """A service's engines and their shared-memory publication.
+
+    :meth:`context` hands a :class:`ProcessExecutor` the handle-based
+    context — publishing every engine on the first process batch and
+    reusing that publication afterwards — and any other executor the
+    live engines.  The fan-out serves one engine set under one epoch
+    for its whole life: a service that rebuilds its engines closes
+    this fan-out and makes a new one, so a worker holding stale
+    handles fails loudly instead of serving superseded arrays.
+    """
+
+    #: gsilint GSI003: concurrent first batches race to publish
+    _GUARDED_BY_LOCK = ("_shared", "_leases")
+
+    def __init__(self, engines: Sequence[GSIEngine],
+                 config: GSIConfig) -> None:
+        self.engines = list(engines)
+        self.config = config
+        self.epoch = next(_EPOCHS)
+        self._local = EngineContext(self.epoch, config, self.engines)
+        self._lock = threading.Lock()
+        self._shared: Optional[EngineContext] = None
+        self._leases: List[BlockLease] = []
+
+    def context(self, executor: QueryExecutor) -> EngineContext:
+        if not isinstance(executor, ProcessExecutor):
+            return self._local
+        with self._lock:
+            if self._shared is None:
+                handles = []
+                for engine in self.engines:
+                    handle, lease = publish_engine(engine,
+                                                   epoch=self.epoch)
+                    handles.append(handle)
+                    self._leases.append(lease)
+                self._shared = EngineContext(self.epoch, self.config,
+                                             None, tuple(handles))
+            return self._shared
+
+    def close(self) -> None:
+        """Unlink the publication (idempotent).  The engines stay
+        usable; the next process batch republishes."""
+        with self._lock:
+            leases, self._leases = self._leases, []
+            self._shared = None
+        for lease in leases:
+            lease.release()
+
+
+# ----------------------------------------------------------------------
+# Process pool: chunked work shipping
+# ----------------------------------------------------------------------
+
+
+def _process_worker_init() -> None:
+    """Pool initializer.
 
     Fork-mode workers inherit the coordinator's process globals —
     including a recording tracer, whose spans would silently die with
@@ -288,64 +300,32 @@ def _process_worker_init(spec: Optional[EngineBuildSpec]) -> None:
     and re-parent in the coordinator, identically under fork and spawn.
     """
     set_tracer(None)
-    global _WORKER_ENGINE
-    _WORKER_ENGINE = spec.build() if spec is not None else None
-
-
-def _process_execute_chunk(error_label: str,
-                           tasks: List[PreparedTask]
-                           ) -> Tuple[List[ExecutedQuery],
-                                      Dict[str, Any]]:
-    """Worker-side joining phase over one pickled chunk.
-
-    Trace spans recorded during each execution ship back on the
-    :class:`ExecutedQuery` (re-parented under the coordinator's tree
-    via the ``TraceContext`` that pickled in with the prepared query);
-    the chunk's metric deltas ship as one mergeable snapshot.
-    """
-    engine = _WORKER_ENGINE
-    if engine is None:
-        raise RuntimeError(
-            "process worker has no engine; the pool was created without "
-            "an EngineBuildSpec")
-    executed: List[ExecutedQuery] = []
-    with scoped_registry() as registry:
-        for index, prepared in tasks:
-            with shipped_spans(prepared.trace) as spans:
-                item = _execute_one(engine, index, prepared,
-                                    error_label)
-            item.spans = spans
-            executed.append(item)
-    return executed, registry.snapshot()
 
 
 def _process_map_chunk(fn: Callable[[Any, Any], Any], shared: Any,
                        payloads: List[Any]) -> List[Any]:
-    """Worker-side generic map over one pickled chunk (``shared`` is
-    pickled once per chunk, not once per payload)."""
+    """Worker-side map over one pickled chunk (``shared`` is pickled
+    once per chunk, not once per payload)."""
     return [fn(shared, payload) for payload in payloads]
 
 
-def _process_engine_probe(_shared: Any, _payload: Any) -> Tuple[int, int]:
-    """(pid, id of the worker engine) — lets tests prove the per-worker
-    bootstrap happened once, not once per query."""
-    import os
-
-    return os.getpid(), 0 if _WORKER_ENGINE is None else id(_WORKER_ENGINE)
+def _check_workers(max_workers: int) -> int:
+    if max_workers <= 0:
+        raise ValueError(f"max_workers must be >= 1, got {max_workers}")
+    return max_workers
 
 
 class ProcessExecutor(QueryExecutor):
-    """Worker processes with a one-time per-worker engine bootstrap.
+    """A persistent pool of worker processes.
 
-    The pool is created lazily and kept alive across calls, so repeated
-    batches amortize both process spawn and engine attach.  A call for
-    a *different* engine publishes it into shared memory, tears the
-    pool down and rebuilds it for the new engine.
+    The pool is created lazily and kept alive across calls — whatever
+    services and engines they serve — so repeated batches amortize
+    process spawn.
 
     Parameters
     ----------
     max_workers:
-        Worker process count.
+        Worker process count (``>= 1``).
     start_method:
         Multiprocessing start method for the pool (``"fork"``,
         ``"spawn"``, ``"forkserver"``); ``None`` defers to the
@@ -354,185 +334,41 @@ class ProcessExecutor(QueryExecutor):
 
     After each call :attr:`last_shipment` holds what actually crossed
     the pipe — ``{"call", "context_bytes", "chunks"}`` where
-    ``context_bytes`` is the pickled size of the batch-constant context
-    (the engine spec for :meth:`execute_prepared`, ``shared`` for
-    :meth:`map_tasks`).  Benchmarks persist it to show the per-batch
-    context is O(handle), not O(|G|), once the pool is warm.
+    ``context_bytes`` is the pickled size of ``shared``.  Benchmarks
+    persist it to show the per-batch context is O(handle), not O(|G|).
     """
 
     name = "process"
 
     def __init__(self, max_workers: int = DEFAULT_EXECUTOR_WORKERS,
                  start_method: Optional[str] = None) -> None:
-        self.workers = max(1, max_workers)
+        self.workers = _check_workers(max_workers)
         self.start_method = (start_method
                              or os.environ.get(START_METHOD_ENV) or None)
         self.last_shipment: Optional[Dict[str, Any]] = None
         self._pool: Optional[ProcessPoolExecutor] = None
-        self._pool_spec: Optional[EngineBuildSpec] = None
-        # The current publication — (source spec, handle spec) plus the
-        # lease keeping its segments alive.
-        self._plane_memo: Optional[
-            Tuple[EngineBuildSpec, EngineBuildSpec]] = None
-        self._plane_lease: Optional[BlockLease] = None
-        # Guards lazy creation/teardown under concurrent callers.  Note
-        # that a spec *change* still tears down the old pool, so one
-        # ProcessExecutor should serve one engine at a time; concurrent
-        # same-spec callers are fine.
+        # Guards lazy pool creation/teardown under concurrent callers.
         self._pool_lock = threading.Lock()
 
-    # ------------------------------------------------------------------
-
-    def _ensure_pool(self, spec: Optional[EngineBuildSpec]
-                     ) -> ProcessPoolExecutor:
-        """The live pool, (re)created when the engine spec changes.
-
-        ``spec=None`` (generic :meth:`map_tasks` work) reuses whatever
-        pool exists — a worker engine sitting unused is harmless.
-        """
+    def _ensure_pool(self) -> ProcessPoolExecutor:
         with self._pool_lock:
-            if self._pool is not None and (
-                    spec is None or spec == self._pool_spec):
-                return self._pool
-            old, self._pool = self._pool, None
-            if old is not None:
-                old.shutdown(wait=True)
-            kwargs = {}
-            if self.start_method is not None:
-                kwargs["mp_context"] = multiprocessing.get_context(
-                    self.start_method)
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=_process_worker_init, initargs=(spec,),
-                **kwargs)
-            self._pool_spec = spec
+            if self._pool is None:
+                kwargs = {}
+                if self.start_method is not None:
+                    kwargs["mp_context"] = multiprocessing.get_context(
+                        self.start_method)
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self.workers,
+                    initializer=_process_worker_init, **kwargs)
             return self._pool
 
-    def _shared_spec(self, handle: EngineHandle) -> EngineBuildSpec:
-        """The handle spec to ship for ``handle``'s engine.
-
-        The engine's artifacts are published into shared segments once
-        per engine: the publication is memoized on the source spec, so
-        repeated batches against the same engine reuse both the
-        segments and (via spec equality in :meth:`_ensure_pool`) the
-        worker pool.  A different engine re-publishes under a fresh
-        epoch and releases the old lease — existing worker mappings
-        stay valid on Linux, but new attaches of the retired handles
-        fail loudly.
-        """
-        with self._pool_lock:
-            if (self._plane_memo is not None
-                    and self._plane_memo[0] == handle.spec):
-                return self._plane_memo[1]
-        artifacts, lease = publish_engine(handle.engine,
-                                          epoch=next(_PLANE_EPOCHS))
-        shared = EngineBuildSpec(graph=None, config=handle.spec.config,
-                                 artifacts=artifacts)
-        with self._pool_lock:
-            old_lease, self._plane_lease = self._plane_lease, lease
-            self._plane_memo = (handle.spec, shared)
-        if old_lease is not None:
-            old_lease.release()
-        return shared
-
-    @staticmethod
-    def _chunks(items: List[Any], parts: int) -> List[List[Any]]:
-        """Equal-count slices of ``items``, at most ``parts`` of them."""
-        size = max(1, math.ceil(len(items) / parts))
-        return [items[i:i + size] for i in range(0, len(items), size)]
-
     def shutdown(self) -> None:
-        """Tear down the pool and unlink any shared segments this
-        executor published (idempotent; executor stays usable — the
-        next call republishes and recreates the pool lazily)."""
+        """Stop the pool (idempotent; executor stays usable — the next
+        call recreates the pool lazily)."""
         with self._pool_lock:
             pool, self._pool = self._pool, None
-            self._pool_spec = None
-            lease, self._plane_lease = self._plane_lease, None
-            self._plane_memo = None
-        if lease is not None:
-            lease.release()
         if pool is not None:
             pool.shutdown(wait=True)
-
-    # ------------------------------------------------------------------
-
-    def _run_chunked(self,
-                     spec_factory: Callable[
-                         [], Optional[EngineBuildSpec]],
-                     submit: Callable[[ProcessPoolExecutor, List[Any]],
-                                      Any],
-                     chunks: List[List[Any]]) -> List[List[Any]]:
-        """Submit chunks and gather results in submission order.
-
-        A dead worker (OOM-killed, segfault) breaks the whole pool; the
-        broken pool is discarded and the call retried once on a fresh
-        one, so a long-lived service recovers from transient worker
-        death instead of failing every subsequent batch.  ``spec_factory``
-        is re-evaluated per attempt: the recovery :meth:`shutdown` also
-        unlinked this executor's shared segments, so the retry must
-        re-publish under fresh names rather than ship stale handles.
-        """
-        for attempt in (0, 1):
-            try:
-                # submit() also raises BrokenProcessPool when a worker
-                # died while the pool was idle; keep it inside the
-                # retry scope so an idle-broken pool is replaced too.
-                pool = self._ensure_pool(spec_factory())
-                futures = [submit(pool, chunk) for chunk in chunks]
-                return [future.result() for future in futures]
-            except BrokenProcessPool:
-                # Never hand a dead pool (or retired segments) to the
-                # next call.
-                self.shutdown()
-                if attempt == 1:
-                    raise
-        raise AssertionError("unreachable")
-
-    def execute_prepared(self, handle: EngineHandle,
-                         tasks: Sequence[PreparedTask],
-                         error_label: str = "GSI"
-                         ) -> List[ExecutedQuery]:
-        tasks = list(tasks)
-        if not tasks:
-            return []
-        shipped_spec: List[EngineBuildSpec] = []
-
-        def spec_factory() -> EngineBuildSpec:
-            spec = self._shared_spec(handle)
-            shipped_spec.append(spec)
-            return spec
-
-        tracer = get_tracer()
-        with tracer.span("executor.execute_prepared",
-                         executor=self.name, tasks=len(tasks)) as span:
-            chunks = self._chunks(tasks, self.workers * 2)
-            span.set_attribute("chunks", len(chunks))
-            results = self._run_chunked(
-                spec_factory,
-                lambda pool, chunk: pool.submit(
-                    _process_execute_chunk, error_label, chunk),
-                chunks)
-        self.last_shipment = {
-            "call": "execute_prepared",
-            "context_bytes": len(pickle.dumps(shipped_spec[-1])),
-            "chunks": len(chunks),
-        }
-        get_registry().counter(
-            "gsi_shipped_bytes_total",
-            "pickled batch-constant context bytes shipped to "
-            "process workers").inc(
-                self.last_shipment["context_bytes"],
-                kind="execute_prepared")
-        executed: List[ExecutedQuery] = []
-        for chunk_executed, snapshot in results:
-            absorb_snapshot(snapshot)
-            executed.extend(chunk_executed)
-        for item in executed:
-            if item.spans:
-                tracer.absorb(item.spans)
-                item.spans = []
-        return executed
 
     def map_tasks(self, fn: Callable[[Any, Any], Any],
                   payloads: Sequence[Any],
@@ -540,19 +376,16 @@ class ProcessExecutor(QueryExecutor):
         payloads = list(payloads)
         if not payloads:
             return []
-        # One chunk per worker, not 2x: ``shared`` (for stream batches
-        # the delta context, for shards the shard context) is pickled
-        # per chunk, so fewer chunks halve the shipping cost.
         with get_tracer().span("executor.map_tasks",
                                executor=self.name,
                                tasks=len(payloads)) as span:
-            chunks = self._chunks(payloads, self.workers)
+            # One chunk per worker: ``shared`` is pickled per chunk, so
+            # more chunks would multiply the shipping cost.
+            size = math.ceil(len(payloads) / self.workers)
+            chunks = [payloads[i:i + size]
+                      for i in range(0, len(payloads), size)]
             span.set_attribute("chunks", len(chunks))
-            results = self._run_chunked(
-                lambda: None,
-                lambda pool, chunk: pool.submit(
-                    _process_map_chunk, fn, shared, chunk),
-                chunks)
+            results = self._run_chunks(fn, shared, chunks)
         self.last_shipment = {
             "call": "map_tasks",
             "context_bytes": len(pickle.dumps(shared)),
@@ -566,6 +399,33 @@ class ProcessExecutor(QueryExecutor):
                 kind="map_tasks")
         return [item for res in results for item in res]
 
+    def _run_chunks(self, fn: Callable[[Any, Any], Any], shared: Any,
+                    chunks: List[List[Any]]) -> List[List[Any]]:
+        """Submit chunks and gather results in submission order.
+
+        A dead worker (OOM-killed, segfault) breaks the whole pool; the
+        broken pool is discarded and the call retried once on a fresh
+        one, so a long-lived service recovers from transient worker
+        death instead of failing every subsequent batch.  Recovery
+        replaces only the pool: ``shared`` still names live segments,
+        which the owning service keeps until its ``close()``.
+        """
+        for attempt in (0, 1):
+            try:
+                # submit() also raises BrokenProcessPool when a worker
+                # died while the pool was idle; keep it inside the
+                # retry scope so an idle-broken pool is replaced too.
+                pool = self._ensure_pool()
+                futures = [pool.submit(_process_map_chunk, fn, shared,
+                                       chunk) for chunk in chunks]
+                return [future.result() for future in futures]
+            except BrokenProcessPool:
+                # Never hand a dead pool to the next call.
+                self.shutdown()
+                if attempt == 1:
+                    raise
+        raise AssertionError("unreachable")
+
 
 def make_executor(kind: str,
                   max_workers: int = DEFAULT_EXECUTOR_WORKERS
@@ -575,17 +435,13 @@ def make_executor(kind: str,
     Arguments are validated eagerly: an unknown ``kind`` or a
     non-positive ``max_workers`` raise :class:`ValueError` here,
     instead of surfacing later as an opaque pool failure mid-batch.
-    (:class:`ProcessExecutor` itself keeps its historical clamp-to-1
-    behavior for direct construction.)  ``max_workers`` only sizes the
-    process pool.
+    ``max_workers`` only sizes the process pool.
     """
     if kind not in EXECUTOR_KINDS:
         raise ValueError(
             f"unknown executor kind {kind!r}; expected one of "
             f"{EXECUTOR_KINDS}")
-    if max_workers <= 0:
-        raise ValueError(
-            f"max_workers must be >= 1, got {max_workers}")
+    _check_workers(max_workers)
     if kind == "serial":
         return SerialExecutor()
     return ProcessExecutor(max_workers=max_workers)

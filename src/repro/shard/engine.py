@@ -13,15 +13,15 @@ scatter-gather:
    shared plan cache and every other shard replays it through the
    canonical fingerprint (any join order is correct on any shard; only
    cost accounting could differ, never matches).
-2. **Scatter** — the per-shard prepared queries fan out through the
+2. **Scatter** — every (query, shard) pair becomes one task of the
    existing :class:`~repro.service.executors.QueryExecutor` layer
-   (serial or process).  Process pools bootstrap the per-shard engines
-   once per worker from
-   :class:`~repro.service.executors.EngineBuildSpec` objects carrying
-   shared-memory handles the worker attaches read-only
+   (serial or process), run against the shard engines of an
+   :class:`~repro.service.executors.EngineFanout`.  The serial
+   executor executes on the live engines directly; a process pool
+   receives one shared-memory handle per shard
    (:mod:`repro.storage.shm`), so the per-batch context pickles in
-   O(handle) bytes — and cache them per ``(epoch, shard)``; the serial
-   executor executes on the live engines directly.
+   O(handle) bytes, and its workers attach shard engines lazily and
+   cache them per ``(epoch, shard)``.
 3. **Gather** — shard-local matches are translated back to global
    vertex ids and deduplicated by **anchor ownership**: a shard only
    reports a match whose anchor image it owns.  By the halo containment
@@ -43,7 +43,6 @@ measures).
 
 from __future__ import annotations
 
-import itertools
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -56,16 +55,11 @@ from repro.errors import GraphError
 from repro.gpusim.meter import merge_shard_snapshots
 from repro.graph.labeled_graph import LabeledGraph
 from repro.obs.metrics import get_registry
-from repro.obs.trace import (
-    Span,
-    TraceContext,
-    get_tracer,
-    shipped_spans,
-)
+from repro.obs.trace import get_tracer, shipped_spans
 from repro.service.executors import (
-    EngineBuildSpec,
+    EngineContext,
+    EngineFanout,
     ExecutedQuery,
-    ProcessExecutor,
     QueryExecutor,
     SerialExecutor,
     _execute_one,
@@ -76,7 +70,6 @@ from repro.service.plan_cache import (
     PlanCache,
 )
 from repro.shard.sharded_graph import ShardedGraph, ShardingInfo
-from repro.storage.shm import BlockLease, publish_engine
 
 
 def query_center(query: LabeledGraph) -> Tuple[int, int]:
@@ -141,80 +134,16 @@ class _ShardPlanView:
 
 
 # ----------------------------------------------------------------------
-# Executor fan-out plumbing (mirrors the stream engine's _DeltaContext)
+# The scatter task (mirrors the stream engine's _query_delta)
 # ----------------------------------------------------------------------
-
-_EPOCHS = itertools.count(1)
-
-#: per-worker-process cache of shard engines, keyed (epoch, shard id)
-_WORKER_SHARD_ENGINES: Dict[Tuple[int, int], GSIEngine] = {}
-
-
-class _ShardContext:
-    """Batch-constant fan-out context.
-
-    The serial executor uses the ``engines`` list directly.  Pickling
-    (the process executor) drops it and ships the per-shard
-    :class:`EngineBuildSpec` tuple instead; a worker builds an engine
-    only for the shards its chunks actually touch — lazily, cached per
-    ``(epoch, shard)`` — so repeated batches against the same
-    :class:`ShardedEngine` re-bootstrap nothing and no worker holds
-    engines for shards it never executes.
-
-    The specs carry :class:`~repro.storage.shm.EngineArtifactsHandle`
-    objects (see :meth:`ShardedEngine._shm_context`), so the context
-    pickles in O(handle) bytes per chunk per batch regardless of the
-    replicated graph size; workers attach the published segments
-    read-only by name.  The in-process context carries no specs.
-    :meth:`ShardedEngine.rebuild` bumps the epoch and retires the old
-    publication, so a worker holding stale handles re-attaches (or
-    fails loudly with :class:`~repro.storage.shm.StaleHandleError`)
-    instead of silently reading superseded arrays.
-    """
-
-    def __init__(self, epoch: int, specs: Tuple[EngineBuildSpec, ...],
-                 engines: Optional[List[GSIEngine]]) -> None:
-        self.epoch = epoch
-        self.specs = specs
-        self.engines = engines
-        # Coordinator trace context, refreshed per run_batch; it rides
-        # the pickle so worker-side spans re-parent into the batch tree.
-        self.trace: Optional[TraceContext] = None
-
-    def __getstate__(self) -> dict:
-        return {"epoch": self.epoch, "specs": self.specs,
-                "trace": self.trace}
-
-    def __setstate__(self, state: dict) -> None:
-        self.epoch = state["epoch"]
-        self.specs = state["specs"]
-        self.engines = None
-        self.trace = state.get("trace")
-
-
-def _context_engine(ctx: _ShardContext, shard_id: int) -> GSIEngine:
-    if ctx.engines is not None:
-        return ctx.engines[shard_id]
-    key = (ctx.epoch, shard_id)
-    engine = _WORKER_SHARD_ENGINES.get(key)
-    if engine is None:
-        # One sharded engine per worker at a time keeps memory bounded:
-        # a new epoch evicts every older epoch's engines.
-        stale = [k for k in _WORKER_SHARD_ENGINES if k[0] != ctx.epoch]
-        for k in stale:
-            del _WORKER_SHARD_ENGINES[k]
-        engine = ctx.specs[shard_id].build()
-        _WORKER_SHARD_ENGINES[key] = engine
-    return engine
-
 
 #: fan-out payload: (task index, shard id, prepared query)
 _ShardTask = Tuple[int, int, PreparedQuery]
 
 
-def _execute_shard_task(ctx: _ShardContext,
+def _execute_shard_task(ctx: EngineContext,
                         payload: _ShardTask) -> ExecutedQuery:
-    """Module-level worker function (picklable by reference).
+    """Module-level task function (picklable by reference).
 
     In a process worker the spans recorded here (the ``shard.execute``
     wrapper plus the engine's own ``gsi.execute`` tree) ship back in
@@ -222,11 +151,11 @@ def _execute_shard_task(ctx: _ShardContext,
     coordinator absorbs and empties them during the gather phase.
     """
     index, shard_id, prepared = payload
-    with shipped_spans(ctx.trace) as spans:
+    with shipped_spans(prepared.trace) as spans:
         with get_tracer().span("shard.execute", parent=prepared.trace,
                                shard=shard_id):
-            item = _execute_one(_context_engine(ctx, shard_id), index,
-                                prepared, "GSI-shard")
+            item = _execute_one(ctx.engine(shard_id), index, prepared,
+                                "GSI-shard")
     item.spans = spans
     return item
 
@@ -352,20 +281,18 @@ class ShardedEngine:
     cache_capacity:
         Shared plan-cache size (one cache across all shards — the
         canonical fingerprint makes one planning pass serve them all).
-    executor:
-        Default :class:`~repro.service.executors.QueryExecutor` for the
-        scatter phase; ``None`` runs shards serially.  The caller owns
-        its lifecycle.  A
-        :class:`~repro.service.executors.ProcessExecutor` receives the
-        shards through shared memory.
+
+    :meth:`run_batch` scatters over the executor it is given (serial
+    by default).  A :class:`~repro.service.executors.ProcessExecutor`
+    receives the shards through shared memory, published on the first
+    such batch and unlinked by :meth:`close`.
     """
 
     name = "GSI-shard"
 
     def __init__(self, sharded: ShardedGraph,
                  config: Optional[GSIConfig] = None,
-                 cache_capacity: int = 256,
-                 executor: Optional[QueryExecutor] = None) -> None:
+                 cache_capacity: int = 256) -> None:
         self.sharded = sharded
         self.config = config if config is not None else GSIConfig()
         self.engines = [GSIEngine(shard.graph, self.config)
@@ -375,14 +302,7 @@ class ShardedEngine:
         # _ShardPlanView — a shared memo would clear on every switch).
         self._plan_views = [_ShardPlanView(self.plan_cache)
                             for _ in self.engines]
-        self.executor = executor if executor is not None \
-            else SerialExecutor()
-        self._ctx = _ShardContext(epoch=next(_EPOCHS), specs=(),
-                                  engines=self.engines)
-        # The current per-shard shared-memory publication (handle
-        # specs + one lease per shard), built lazily per epoch.
-        self._plane: Optional[
-            Tuple[_ShardContext, List[BlockLease]]] = None
+        self._fanout = EngineFanout(self.engines, self.config)
 
     @property
     def num_shards(self) -> int:
@@ -396,30 +316,6 @@ class ShardedEngine:
     # ------------------------------------------------------------------
     # The shared-memory publication + engine lifecycle
     # ------------------------------------------------------------------
-
-    def _shm_context(self) -> _ShardContext:
-        """The fan-out context with every shard's artifacts published
-        into shared memory, built once per epoch and reused until
-        :meth:`rebuild` or :meth:`close` retires it."""
-        if (self._plane is not None
-                and self._plane[0].epoch == self._ctx.epoch):
-            return self._plane[0]
-        old = self._plane
-        specs: List[EngineBuildSpec] = []
-        leases: List[BlockLease] = []
-        for engine in self.engines:
-            artifacts, lease = publish_engine(engine,
-                                              epoch=self._ctx.epoch)
-            specs.append(EngineBuildSpec(
-                graph=None, config=self.config, artifacts=artifacts))
-            leases.append(lease)
-        ctx = _ShardContext(epoch=self._ctx.epoch, specs=tuple(specs),
-                            engines=self.engines)
-        self._plane = (ctx, leases)
-        if old is not None:
-            for lease in old[1]:
-                lease.release()
-        return ctx
 
     def rebuild(self) -> None:
         """Rebuild every shard engine under a fresh fan-out epoch.
@@ -435,16 +331,12 @@ class ShardedEngine:
                         for shard in self.sharded.shards]
         self._plan_views = [_ShardPlanView(self.plan_cache)
                             for _ in self.engines]
-        self._ctx = _ShardContext(epoch=next(_EPOCHS), specs=(),
-                                  engines=self.engines)
+        self._fanout = EngineFanout(self.engines, self.config)
 
     def close(self) -> None:
         """Release the shard publication (idempotent).  The engine
         stays usable; the next process-executor batch republishes."""
-        plane, self._plane = self._plane, None
-        if plane is not None:
-            for lease in plane[1]:
-                lease.release()
+        self._fanout.close()
 
     def __enter__(self) -> "ShardedEngine":
         return self
@@ -569,12 +461,12 @@ class ShardedEngine:
         a shard reports a per-item error; the rest of the batch is
         unaffected.
         """
-        chosen = executor if executor is not None else self.executor
+        chosen = executor if executor is not None else SerialExecutor()
         with get_tracer().span("shard.run_batch",
                                queries=len(queries),
                                shards=self.num_shards,
                                executor=chosen.name) as span:
-            report = self._run_batch_inner(queries, chosen, span)
+            report = self._run_batch_inner(queries, chosen)
             span.set_attribute("matches", report.total_matches)
         self._record_shard_metrics(report)
         return report
@@ -590,8 +482,7 @@ class ShardedEngine:
                 transactions.inc(float(total), shard=str(shard_id))
 
     def _run_batch_inner(self, queries: Sequence[LabeledGraph],
-                         chosen: QueryExecutor,
-                         span: Span) -> ShardReport:
+                         chosen: QueryExecutor) -> ShardReport:
         tracer = get_tracer()
         stats_before = self.plan_cache.stats_snapshot()
         start = time.perf_counter()
@@ -620,9 +511,7 @@ class ShardedEngine:
         # Process executors get the handle-based context (published
         # lazily, reused across batches until a rebuild); the serial
         # executor fans out over the live engines.
-        ctx = (self._shm_context() if isinstance(chosen, ProcessExecutor)
-               else self._ctx)
-        ctx.trace = span.context() if span.trace_id else None
+        ctx = self._fanout.context(chosen)
         with tracer.span("shard.scatter", tasks=len(payloads)):
             outcomes = (chosen.map_tasks(_execute_shard_task, payloads,
                                          shared=ctx)

@@ -2,11 +2,13 @@
 
 The process executor's historical defect: every batch re-pickled the
 data-graph-sized payload — CSR arrays, signature-table rows, PCSR ci
-words — to each worker chunk (`_DeltaContext` for streams, the per-shard
-``EngineBuildSpec`` tuple for shards), so on large graphs the *shipping*
-was the cost even though workers cached built engines.  This module
-moves the big arrays into named :mod:`multiprocessing.shared_memory`
-segments owned by the parent; what crosses the pipe is a compact
+words — to each worker chunk (``_DeltaContext`` for streams, the
+engine context for batches and shards), so on large graphs the
+*shipping* was the cost even though workers cached built engines.
+This module moves the big arrays into named
+:mod:`multiprocessing.shared_memory` segments owned by the parent
+(:class:`~repro.service.executors.EngineFanout` and the stream engine
+hold the leases); what crosses the pipe is a compact
 picklable *handle* — segment names + dtypes + shapes + an epoch — and
 workers attach read-only by name, memoizing the attach per publication.
 Steady-state batches therefore ship O(handle) bytes instead of O(|G|).

@@ -37,9 +37,9 @@ class TestEquivalence:
     def test_worker_count_does_not_change_results(self, service_graph,
                                                   service_queries):
         r1 = BatchEngine(service_graph).run_batch(service_queries)
-        with make_executor("process", 2) as executor:
-            r2 = BatchEngine(service_graph,
-                             executor=executor).run_batch(service_queries)
+        with make_executor("process", 2) as executor, \
+                BatchEngine(service_graph, executor=executor) as service:
+            r2 = service.run_batch(service_queries)
         for a, b in zip(r1.results, r2.results):
             assert a.match_set() == b.match_set()
             assert a.elapsed_ms == b.elapsed_ms
@@ -152,8 +152,8 @@ class TestExecutorSelection:
                                                  service_queries):
         """A per-call executor overrides the service's worker pool for
         that batch only."""
-        with make_executor("process", 2) as pool:
-            service = BatchEngine(service_graph, executor=pool)
+        with make_executor("process", 2) as pool, \
+                BatchEngine(service_graph, executor=pool) as service:
             report = service.run_batch(service_queries,
                                        executor=SerialExecutor())
             assert report.executor == "serial"
@@ -166,6 +166,7 @@ class TestExecutorSelection:
         with make_executor("process", 2) as executor:
             report = service.run_batch(service_queries,
                                        executor=executor)
+        service.close()
         assert report.executor == "process"
         base = service.run_batch(service_queries)
         assert base.executor == "serial"  # the service's own

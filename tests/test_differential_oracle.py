@@ -81,9 +81,9 @@ class TestExecutorDeterminism:
 
         reference = None
         for kind in ("serial", "process"):
-            with make_executor(kind, 2) as executor:
-                report = BatchEngine(
-                    graph, executor=executor).run_batch(queries)
+            with make_executor(kind, 2) as executor, \
+                    BatchEngine(graph, executor=executor) as service:
+                report = service.run_batch(queries)
             for want, result in zip(expected, report.results):
                 assert result.match_set() == want, (
                     f"{kind} executor disagrees with the oracle")

@@ -3,8 +3,9 @@
 The contract under test: executors change wall-clock only.  Serial and
 process-pool execution of the same batch must produce identical match
 sets, simulated measurements, transaction totals, and cache
-statistics, in submission order — and the process pool must bootstrap
-its per-worker engine once per worker, not once per query.
+statistics, in submission order — and a process worker must attach an
+engine once per publication, not once per query, while one pool serves
+every engine it is handed.
 """
 
 from __future__ import annotations
@@ -13,17 +14,15 @@ import pytest
 
 from repro.core.config import GSIConfig
 from repro.core.engine import GSIEngine
-from repro.errors import ConfigError
 from repro.graph.generators import random_walk_query, scale_free_graph
 from repro.graph.labeled_graph import LabeledGraph
 from repro.service import BatchEngine, make_executor
+from repro.service.batch import _execute_batch_task
 from repro.service.executors import (
     EXECUTOR_KINDS,
-    EngineBuildSpec,
-    EngineHandle,
+    EngineFanout,
     ProcessExecutor,
     SerialExecutor,
-    _process_engine_probe,
 )
 
 from oracle import brute_force_matches
@@ -57,6 +56,16 @@ def _kill_worker(_shared, _payload):  # simulates an OOM-killed worker
     os._exit(1)
 
 
+def _worker_engines(_shared, _payload):
+    """(pid, {cache key: engine id}) of a worker's shared engine cache."""
+    import os
+
+    from repro.service import executors
+
+    return os.getpid(), {key: id(engine) for key, engine
+                         in executors._WORKER_ENGINES.items()}
+
+
 class TestFactory:
     def test_make_executor_kinds(self):
         for kind in EXECUTOR_KINDS:
@@ -80,32 +89,17 @@ class TestFactory:
         for kind in EXECUTOR_KINDS:
             with pytest.raises(ValueError, match="max_workers"):
                 make_executor(kind, max_workers=workers)
+        # Direct construction raises the same error, never clamps.
+        with pytest.raises(ValueError, match="max_workers"):
+            ProcessExecutor(max_workers=workers)
 
     def test_context_manager_shuts_down(self, exec_graph, exec_queries):
-        with make_executor("process", 2) as executor:
-            report = BatchEngine(exec_graph,
-                                 executor=executor).run_batch(
-                exec_queries[:2])
+        with make_executor("process", 2) as executor, \
+                BatchEngine(exec_graph, executor=executor) as service:
+            report = service.run_batch(exec_queries[:2])
             assert report.num_queries == 2
             assert executor._pool is not None
         assert executor._pool is None
-
-
-class TestBuildSpecValidation:
-    def test_spec_with_neither_form_fails_loudly(self):
-        """Regression: a spec carrying neither artifacts nor a graph
-        used to reach GSIEngine(None, ...) and die with an opaque
-        AttributeError deep inside signature encoding; strict typing
-        flagged the Optional deref.  It must fail with a clear error
-        at the build boundary instead."""
-        spec = EngineBuildSpec(graph=None, config=GSIConfig())
-        with pytest.raises(ConfigError,
-                           match="neither artifacts nor a graph"):
-            spec.build()
-
-    def test_graph_spec_still_builds(self, exec_graph):
-        engine = EngineBuildSpec(exec_graph, GSIConfig()).build()
-        assert isinstance(engine, GSIEngine)
 
 
 class TestMapTasks:
@@ -124,10 +118,10 @@ class TestExecutorEquivalence:
     """One batch, both executors, identical outcomes."""
 
     def _run(self, graph, queries, executor):
-        service = BatchEngine(graph, GSIConfig(), executor=executor)
-        # Two batches: the second exercises plan + shape cache hits.
-        first = service.run_batch(queries)
-        second = service.run_batch(queries)
+        with BatchEngine(graph, GSIConfig(), executor=executor) as service:
+            # Two batches: the second exercises plan + shape cache hits.
+            first = service.run_batch(queries)
+            second = service.run_batch(queries)
         return first, second
 
     def test_all_executors_identical(self, exec_graph, exec_queries,
@@ -151,8 +145,8 @@ class TestExecutorEquivalence:
 
     def test_process_results_equal_oracle(self, exec_graph, exec_queries,
                                           process_executor):
-        report = BatchEngine(
-            exec_graph, executor=process_executor).run_batch(exec_queries)
+        with BatchEngine(exec_graph, executor=process_executor) as service:
+            report = service.run_batch(exec_queries)
         for query, result in zip(exec_queries, report.results):
             assert result.match_set() == \
                 brute_force_matches(query, exec_graph)
@@ -161,27 +155,36 @@ class TestExecutorEquivalence:
 class TestProcessBootstrap:
     def test_engine_built_once_per_worker(self, exec_graph, exec_queries,
                                           process_executor):
-        service = BatchEngine(exec_graph, executor=process_executor)
-        service.run_batch(exec_queries)  # pool initialized with a spec
-        probes = process_executor.map_tasks(_process_engine_probe,
-                                            list(range(16)))
-        engines_by_pid = {}
-        for pid, engine_id in probes:
-            assert engine_id != 0, "worker engine was never bootstrapped"
-            engines_by_pid.setdefault(pid, set()).add(engine_id)
-        for pid, ids in engines_by_pid.items():
+        """Workers attach the engine into the shared worker cache on
+        first use and reuse it for every later task and batch."""
+        with BatchEngine(exec_graph, executor=process_executor) as service:
+            service.run_batch(exec_queries)
+            first = process_executor.map_tasks(_worker_engines,
+                                               list(range(16)))
+            service.run_batch(exec_queries)
+            second = process_executor.map_tasks(_worker_engines,
+                                                list(range(16)))
+            key = (service._fanout.epoch, 0)
+        seen = {}
+        for pid, engines in first + second:
+            if key in engines:
+                # Attaching a new epoch evicted every older one.
+                assert set(engines) == {key}, engines
+                seen.setdefault(pid, set()).add(engines[key])
+        assert seen, "no worker ever attached the engine"
+        for pid, ids in seen.items():
             assert len(ids) == 1, (
-                f"worker {pid} rebuilt its engine per task: {ids}")
+                f"worker {pid} rebuilt its engine across batches: {ids}")
 
     def test_pool_survives_repeated_batches(self, exec_graph,
                                             exec_queries):
-        with ProcessExecutor(max_workers=2) as executor:
-            service = BatchEngine(exec_graph, executor=executor)
+        with ProcessExecutor(max_workers=2) as executor, \
+                BatchEngine(exec_graph, executor=executor) as service:
             service.run_batch(exec_queries[:2])
             pool = executor._pool
             service.run_batch(exec_queries[2:4])
             assert executor._pool is pool, (
-                "same engine spec must reuse the worker pool")
+                "same engine must reuse the worker pool")
 
     def test_broken_pool_recovers_on_next_call(self):
         """A dead worker must not permanently break the executor: the
@@ -195,19 +198,25 @@ class TestProcessBootstrap:
             assert executor.map_tasks(_payload, [1, 2], shared=3) == \
                 [(3, 1), (3, 4)]
 
-    def test_pool_rebuilt_for_new_engine(self, exec_graph):
+    def test_one_pool_serves_two_engines(self, exec_graph):
+        """One executor serves two batch services alternately on one
+        pool: engines travel with each batch, not with the pool."""
         other_graph = scale_free_graph(60, 3, 3, 3, seed=23)
-        query = random_walk_query(other_graph, 3, seed=1)
-        with ProcessExecutor(max_workers=1) as executor:
-            BatchEngine(exec_graph, executor=executor).run_batch(
-                [random_walk_query(exec_graph, 3, seed=1)])
+        cases = [(graph, random_walk_query(graph, 3, seed=1))
+                 for graph in (exec_graph, other_graph)]
+        with ProcessExecutor(max_workers=1) as executor, \
+                BatchEngine(exec_graph, executor=executor) as first, \
+                BatchEngine(other_graph, executor=executor) as second:
+            first.run_batch([cases[0][1]])
             pool = executor._pool
-            report = BatchEngine(other_graph,
-                                 executor=executor).run_batch([query])
-            assert executor._pool is not pool, (
-                "a different engine spec must rebuild the pool")
-            assert report.results[0].match_set() == \
-                brute_force_matches(query, other_graph)
+            for _ in range(2):
+                for service, (graph, query) in zip((first, second),
+                                                   cases):
+                    report = service.run_batch([query])
+                    assert executor._pool is pool, (
+                        "a different engine must not respawn the pool")
+                    assert report.results[0].match_set() == \
+                        brute_force_matches(query, graph)
 
 
 class TestErrorIsolation:
@@ -216,8 +225,8 @@ class TestErrorIsolation:
                                              process_executor):
         empty = LabeledGraph([], [])  # GraphError in prepare
         batch = [exec_queries[0], empty, exec_queries[1]]
-        report = BatchEngine(
-            exec_graph, executor=process_executor).run_batch(batch)
+        with BatchEngine(exec_graph, executor=process_executor) as service:
+            report = service.run_batch(batch)
         assert report.errors == 1
         assert "GraphError" in report.items[1].error
         assert report.items[0].error is None
@@ -233,15 +242,18 @@ class TestErrorIsolation:
         engine = GSIEngine(exec_graph)
         executor = (process_executor if kind == "process"
                     else make_executor(kind, 2))
-        handle = EngineHandle.for_engine(engine)
+        fanout = EngineFanout([engine], engine.config)
         good = engine.prepare(exec_queries[0])
         poison = engine.prepare(exec_queries[1])
         poison.candidates = {}  # plan survives, join must blow up
-        executed = executor.execute_prepared(
-            handle, [(0, good), (1, poison)], error_label="test")
+        try:
+            executed = executor.map_tasks(
+                _execute_batch_task, [(0, good), (1, poison)],
+                shared=fanout.context(executor))
+        finally:
+            fanout.close()
         assert executed[0].error is None
         assert executed[0].result.num_matches > 0
         assert executed[1].error is not None
         assert executed[1].result.num_matches == 0
-        if kind != "process":
-            executor.shutdown()
+        assert executed[1].result.engine == BatchEngine.name

@@ -193,8 +193,8 @@ class TestBatchServiceDifferential:
         reports = {}
         for lane in ("rows", "vector"):
             cfg = replace(GSIConfig.gsi_opt(), join_kernel=lane)
-            with make_executor(kind, 2) as executor:
-                engine = BatchEngine(graph, cfg, executor=executor)
+            with make_executor(kind, 2) as executor, \
+                    BatchEngine(graph, cfg, executor=executor) as engine:
                 reports[lane] = engine.run_batch(workload)
         a, b = reports["rows"], reports["vector"]
         assert a.cache == b.cache

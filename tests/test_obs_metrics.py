@@ -2,8 +2,8 @@
 
 The tracer itself (and its cross-process propagation) is covered by
 ``test_obs_trace.py``; here we pin the metrics/label discipline, the
-snapshot-merge algebra process workers rely on, the shared percentile
-helpers, and the NDJSON / chrome / Prometheus export formats.
+scoped-registry isolation, the shared percentile helpers, and the
+NDJSON / chrome / Prometheus export formats.
 """
 
 import json
@@ -24,9 +24,7 @@ from repro.obs.metrics import (
     LATENCY_BUCKETS_MS,
     SIZE_BUCKETS,
     MetricsRegistry,
-    absorb_snapshot,
     get_registry,
-    merge_metric_snapshots,
     scoped_registry,
 )
 from repro.obs.stats import (
@@ -83,33 +81,17 @@ def test_histogram_buckets_are_non_cumulative_in_snapshot():
     assert entry["sum"] == pytest.approx(56.5 - 1.0)
 
 
-def test_merge_snapshots_adds_counters_and_histograms():
-    a, b = MetricsRegistry(), MetricsRegistry()
-    for reg, val in ((a, 1.0), (b, 2.0)):
-        reg.counter("c_total", "c").inc(val, kind="x")
-        reg.gauge("g", "g").set(val)
-        reg.histogram("h_ms", "h", buckets=(1.0,)).observe(val)
-    merged = merge_metric_snapshots([a.snapshot(), b.snapshot()])
-    c_entry = merged["c_total"]["values"][0]
-    assert c_entry["value"] == 3.0
-    assert merged["g"]["values"][0]["value"] == 2.0  # gauges take max
-    h_entry = merged["h_ms"]["values"][0]
-    assert h_entry["count"] == 2
-    assert h_entry["sum"] == pytest.approx(3.0)
-
-
-def test_scoped_registry_isolates_and_absorbs():
+def test_scoped_registry_isolates():
     host = get_registry()
     before = host.snapshot().get("scoped_total")
     with scoped_registry() as fresh:
         get_registry().counter("scoped_total", "s").inc(4.0, kind="w")
-        shipped = fresh.snapshot()
+        scoped = fresh.snapshot()
     # Nothing leaked into the host registry while scoped.
     assert host.snapshot().get("scoped_total") == before
-    absorb_snapshot(shipped, registry=host)
-    entry = host.snapshot()["scoped_total"]["values"]
-    assert any(e["labels"] == {"kind": "w"} and e["value"] >= 4.0
-               for e in entry)
+    assert scoped["scoped_total"]["values"] == [
+        {"labels": {"kind": "w"}, "value": 4.0}]
+    assert get_registry() is host
 
 
 def test_default_bucket_ladders_are_sorted():

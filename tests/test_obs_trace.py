@@ -235,31 +235,27 @@ class TestCrossProcessPropagation:
     def test_unsharded_process_batch_is_one_tree(self, start_method,
                                                  trace_graph,
                                                  trace_queries):
-        executor = ProcessExecutor(max_workers=2,
-                                   start_method=start_method)
-        try:
-            engine = BatchEngine(trace_graph, GSIConfig.gsi_opt(),
-                                 executor=executor)
+        with ProcessExecutor(max_workers=2,
+                             start_method=start_method) as executor, \
+                BatchEngine(trace_graph, GSIConfig.gsi_opt(),
+                            executor=executor) as engine:
             spans = _run_traced(
                 lambda: engine.run_batch(trace_queries))
-        finally:
-            executor.shutdown()
         tree = validate_span_tree(spans)
         assert tree["connected"], tree
+        assert len(tree["roots"]) == 1
         names = {s["name"] for s in spans}
         assert {"test.root", "batch.run",
-                "executor.execute_prepared", "gsi.execute"} <= names
+                "executor.map_tasks", "gsi.execute"} <= names
         assert len({s["pid"] for s in spans}) >= 2
 
     def test_disabled_tracing_ships_no_spans(self, trace_graph,
                                              trace_queries):
-        executor = ProcessExecutor(max_workers=2, start_method="fork")
-        try:
-            engine = BatchEngine(trace_graph, GSIConfig.gsi_opt(),
-                                 executor=executor)
+        with ProcessExecutor(max_workers=2,
+                             start_method="fork") as executor, \
+                BatchEngine(trace_graph, GSIConfig.gsi_opt(),
+                            executor=executor) as engine:
             report = engine.run_batch(trace_queries)
-        finally:
-            executor.shutdown()
         assert report.errors == 0
         assert get_tracer().finished() == []
         assert not tracing_active()

@@ -290,15 +290,15 @@ class TestShardedMatching:
         assert "halo" in report.items[0].error
 
     def test_executors_identical(self, data_graph, queries):
-        """The process pool — its pickled _ShardContext and lazy
-        per-(epoch, shard) worker bootstrap — must produce the serial
+        """The process pool — its pickled engine context and lazy
+        per-(epoch, shard) worker attach — must produce the serial
         executor's matches, meter snapshots, simulated times and
         transaction totals."""
         sg = ShardedGraph(data_graph, 4, halo_hops=3)
         reference = None
         for kind in ("serial", "process"):
-            with make_executor(kind, 2) as executor:
-                engine = ShardedEngine(sg)
+            with make_executor(kind, 2) as executor, \
+                    ShardedEngine(sg) as engine:
                 report = engine.run_batch(queries, executor=executor)
                 # Second batch reuses worker-side cached shard engines.
                 again = engine.run_batch(queries, executor=executor)

@@ -22,11 +22,7 @@ from repro.core.engine import GSIEngine
 from repro.dynamic import DynamicGraph, GraphDelta, StreamEngine
 from repro.graph.generators import random_walk_query, scale_free_graph
 from repro.service import BatchEngine, make_executor
-from repro.service.executors import (
-    START_METHOD_ENV,
-    EngineBuildSpec,
-    ProcessExecutor,
-)
+from repro.service.executors import START_METHOD_ENV, ProcessExecutor
 from repro.shard import ShardedEngine, ShardedGraph
 from repro.storage import shm
 from repro.storage.shm import StaleHandleError
@@ -138,8 +134,8 @@ class TestEngineRoundTrip:
             lease.release()
 
     def test_handle_size_independent_of_graph(self, segment_baseline):
-        """The acceptance measurement at unit scale: the pickled spec
-        that crosses the pipe must not grow with |G|."""
+        """The acceptance measurement at unit scale: the pickled handle
+        and config that cross the pipe must not grow with |G|."""
         config = GSIConfig.gsi_opt()
         sizes = {}
         for n in (100, 400):
@@ -147,11 +143,8 @@ class TestEngineRoundTrip:
                                config)
             handle, lease = shm.publish_engine(engine, epoch=n)
             try:
-                spec = EngineBuildSpec(graph=None, config=config,
-                                       artifacts=handle)
-                sizes[n] = len(pickle.dumps(spec))
-                legacy = len(pickle.dumps(
-                    EngineBuildSpec(graph=engine.graph, config=config)))
+                sizes[n] = len(pickle.dumps((handle, config)))
+                legacy = len(pickle.dumps((engine.graph, config)))
                 assert sizes[n] < legacy / 4
             finally:
                 lease.release()
@@ -177,20 +170,19 @@ class TestExecutorAttachPaths:
         queries = [random_walk_query(graph, 4, seed=s)
                    for s in range(4)]
         serial = BatchEngine(graph, config).run_batch(queries)
-        executor = ProcessExecutor(max_workers=2,
-                                   start_method=start_method)
-        try:
-            service = BatchEngine(graph, config, executor=executor)
+        with ProcessExecutor(max_workers=2,
+                             start_method=start_method) as executor, \
+                BatchEngine(graph, config, executor=executor) as service:
             report = service.run_batch(queries)
-        finally:
-            executor.shutdown()
         assert [r.match_set() for r in report.results] == \
             [r.match_set() for r in serial.results]
         assert [r.elapsed_ms for r in report.results] == \
             [r.elapsed_ms for r in serial.results]
+        assert [r.counters for r in report.results] == \
+            [r.counters for r in serial.results]
         # Handles crossed the pipe, not the graph.
-        full_spec = len(pickle.dumps(EngineBuildSpec(graph, config)))
-        assert executor.last_shipment["context_bytes"] < full_spec / 4
+        full = len(pickle.dumps((graph, config)))
+        assert executor.last_shipment["context_bytes"] < full / 4
 
     def test_start_method_env_var(self, monkeypatch):
         monkeypatch.setenv(START_METHOD_ENV, "spawn")
@@ -199,38 +191,69 @@ class TestExecutorAttachPaths:
         assert ProcessExecutor(max_workers=1).start_method is None
 
     def test_shutdown_unlinks_segments(self, segment_baseline):
+        """The service that published the engine unlinks it on close;
+        stopping the pool leaves the publication alone."""
         graph = scale_free_graph(60, 3, 4, 3, seed=18)
         config = GSIConfig.gsi_opt()
         queries = [random_walk_query(graph, 3, seed=s)
                    for s in range(2)]
-        executor = ProcessExecutor(max_workers=2)
-        service = BatchEngine(graph, config, executor=executor)
-        service.run_batch(queries)
-        published = set(shm.owned_segment_names()) - segment_baseline
-        assert published, "shm plane published no segments"
-        executor.shutdown()
+        with ProcessExecutor(max_workers=2) as executor:
+            service = BatchEngine(graph, config, executor=executor)
+            service.run_batch(queries)
+            published = set(shm.owned_segment_names()) - segment_baseline
+            assert published, "shm plane published no segments"
+            executor.shutdown()
+            assert set(shm.owned_segment_names()) - segment_baseline \
+                == published
+            service.close()
         assert not (set(shm.owned_segment_names()) - segment_baseline)
 
     def test_worker_crash_unlinks_segments(self, segment_baseline):
         """A worker dying mid-batch (OOM-killer style) must not leak
-        segments: recovery republishes under fresh names and shutdown
-        unlinks everything."""
+        segments: recovery replaces only the pool, the next batch
+        reuses the live publication, and close unlinks everything."""
         graph = scale_free_graph(60, 3, 4, 3, seed=19)
         config = GSIConfig.gsi_opt()
         queries = [random_walk_query(graph, 3, seed=s)
                    for s in range(2)]
-        executor = ProcessExecutor(max_workers=2)
-        try:
-            service = BatchEngine(graph, config, executor=executor)
+        with ProcessExecutor(max_workers=2) as executor, \
+                BatchEngine(graph, config, executor=executor) as service:
             first = service.run_batch(queries)
+            published = set(shm.owned_segment_names()) - segment_baseline
             with pytest.raises(Exception):
                 executor.map_tasks(_kill_worker, [0])
-            # Next batch recovers: fresh pool, fresh publication.
+            # Next batch recovers on a fresh pool, same publication.
             again = service.run_batch(queries)
             assert [r.match_set() for r in again.results] == \
                 [r.match_set() for r in first.results]
-        finally:
-            executor.shutdown()
+            assert set(shm.owned_segment_names()) - segment_baseline \
+                == published
+        assert not (set(shm.owned_segment_names()) - segment_baseline)
+
+    def test_close_unlinks_and_republishes(self, segment_baseline):
+        """BatchEngine.close unlinks its segments, is idempotent, and
+        the next process batch publishes afresh."""
+        graph = scale_free_graph(60, 3, 4, 3, seed=20)
+        config = GSIConfig.gsi_opt()
+        queries = [random_walk_query(graph, 3, seed=s)
+                   for s in range(2)]
+        serial = BatchEngine(graph, config).run_batch(queries)
+        with ProcessExecutor(max_workers=2) as executor:
+            service = BatchEngine(graph, config, executor=executor)
+            service.run_batch(queries)
+            published = set(shm.owned_segment_names()) - segment_baseline
+            assert published
+            service.close()
+            assert not (set(shm.owned_segment_names())
+                        - segment_baseline)
+            service.close()  # idempotent
+            again = service.run_batch(queries)
+            republished = (set(shm.owned_segment_names())
+                           - segment_baseline)
+            assert republished and not (republished & published)
+            assert [r.match_set() for r in again.results] == \
+                [r.match_set() for r in serial.results]
+            service.close()
         assert not (set(shm.owned_segment_names()) - segment_baseline)
 
 
@@ -249,14 +272,13 @@ class TestShardEpochs:
                     for item in reference.items]
 
         executor = make_executor("process", 2)
-        engine = ShardedEngine(sharded, executor=executor)
+        engine = ShardedEngine(sharded)
         try:
-            report = engine.run_batch(queries)
+            report = engine.run_batch(queries, executor=executor)
             assert [item.result.match_set()
                     for item in report.items] == ref_sets
-            assert engine._plane is not None
-            stale_spec = engine._plane[0].specs[0]
-            old_epoch = engine._plane[0].epoch
+            ctx = engine._fanout.context(executor)
+            stale_handle, old_epoch = ctx.handles[0], ctx.epoch
 
             engine.rebuild()
             # The old publication is unlinked: a worker still holding
@@ -264,12 +286,12 @@ class TestShardEpochs:
             # instead of silently serving retired arrays.
             shm._ATTACH_CACHE.clear()
             with pytest.raises(StaleHandleError):
-                stale_spec.build()
+                shm.attach_engine(stale_handle, ctx.config)
 
-            after = engine.run_batch(queries)
+            after = engine.run_batch(queries, executor=executor)
             assert [item.result.match_set()
                     for item in after.items] == ref_sets
-            assert engine._plane[0].epoch > old_epoch
+            assert engine._fanout.context(executor).epoch > old_epoch
         finally:
             engine.close()
             executor.shutdown()
