@@ -4,8 +4,9 @@ Boots a real ``python -m repro.cli serve`` subprocess with the process
 executor on the shm data plane, drives ~50 mixed-tenant queries through
 the NDJSON TCP front door with :class:`repro.serve.GSIClient`, checks
 the responses against a direct in-process engine, asks for a ``stats``
-snapshot, then SIGTERMs the server and asserts a clean exit — and that
-no ``gsi*`` shared-memory segments leaked into ``/dev/shm``.
+snapshot (which must carry the engine's PCSR storage health, read when
+the RPC is served), then SIGTERMs the server and asserts a clean exit —
+and that no ``gsi*`` shared-memory segments leaked into ``/dev/shm``.
 
 Run: ``PYTHONPATH=src python scripts/serve_smoke.py``
 """
@@ -104,6 +105,8 @@ def main() -> int:
         assert metrics["requests"]["deduped"] > 0, \
             "repeated shapes should dedup in flight"
         assert len(metrics["tenants"]) == NUM_TENANTS
+        assert metrics["storage"]["kind"] == "pcsr", \
+            f"stats carry no PCSR storage health: {metrics['storage']}"
         print(f"served {completed} queries across "
               f"{len(metrics['tenants'])} tenants "
               f"(deduped={metrics['requests']['deduped']}, "

@@ -130,16 +130,10 @@ class DynamicPCSRStorage(PCSRStorage):
     kind = "dynamic-pcsr"
 
     def __init__(self, graph: LabeledGraph, gpn: int = 16,
-                 rebuild_occupancy: float = DEFAULT_REBUILD_OCCUPANCY,
                  compact_dead_ratio: float = DEFAULT_COMPACT_DEAD_RATIO,
-                 meter: Optional[MemoryMeter] = None,
-                 compact_max_groups: Optional[int] = None) -> None:
+                 meter: Optional[MemoryMeter] = None) -> None:
         super().__init__(graph, gpn=gpn)
-        self.rebuild_occupancy = rebuild_occupancy
         self.compact_dead_ratio = compact_dead_ratio
-        #: bound on region moves per compaction call (None = full sweep);
-        #: bounds worst-case pause at the cost of deferred reclamation
-        self.compact_max_groups = compact_max_groups
         self.meter = meter if meter is not None else MemoryMeter()
         self.rebuilds = 0
         self.incremental_ops = 0
@@ -181,8 +175,7 @@ class DynamicPCSRStorage(PCSRStorage):
             return
         if (part.dead_words() >= MIN_COMPACT_DEAD_WORDS
                 and part.dead_ratio() > self.compact_dead_ratio):
-            self.words_reclaimed += part.compact(
-                self.meter, max_groups=self.compact_max_groups)
+            self.words_reclaimed += part.compact(self.meter)
             self.compactions += 1
 
     def insert_edge(self, u: int, v: int, label: int) -> None:
@@ -202,7 +195,7 @@ class DynamicPCSRStorage(PCSRStorage):
             return
         new_keys = sum(1 for x in (u, v) if part._find_key(x)[1] < 0)
         if new_keys and ((part.key_count() + new_keys) / part.num_groups
-                         > self.rebuild_occupancy):
+                         > DEFAULT_REBUILD_OCCUPANCY):
             adjacency = self._current_adjacency(label)
             for a, b in ((u, v), (v, u)):
                 arr = adjacency.get(a, EMPTY)
@@ -280,11 +273,11 @@ class DynamicPCSRStorage(PCSRStorage):
             # the exact chain walks when that bound crosses the policy.
             new_keys = len(ins)
             if new_keys and ((part.key_count() + new_keys)
-                             / part.num_groups > self.rebuild_occupancy):
+                             / part.num_groups > DEFAULT_REBUILD_OCCUPANCY):
                 new_keys = sum(1 for v in ins
                                if part._find_key(v)[1] < 0)
             if new_keys and ((part.key_count() + new_keys)
-                             / part.num_groups > self.rebuild_occupancy):
+                             / part.num_groups > DEFAULT_REBUILD_OCCUPANCY):
                 self._rebuild_partition(
                     lab, self._merged_adjacency(lab, ins, rem))
             elif part.apply_bulk(ins, rem, self.meter):
@@ -336,39 +329,24 @@ class DynamicIndex:
     def __init__(self, graph: LabeledGraph, signature_bits: int = 512,
                  label_bits: int = 32, column_first: bool = True,
                  gpn: int = 16,
-                 rebuild_occupancy: float = DEFAULT_REBUILD_OCCUPANCY,
-                 compact_dead_ratio: float = DEFAULT_COMPACT_DEAD_RATIO,
-                 bulk_updates: bool = True,
-                 compact_max_groups: Optional[int] = None
+                 compact_dead_ratio: float = DEFAULT_COMPACT_DEAD_RATIO
                  ) -> None:
         self.meter = MemoryMeter()
-        #: route commits through PCSRPartition.apply_bulk (one merge per
-        #: group region) instead of per-edge maintenance calls
-        self.bulk_updates = bulk_updates
         self.signature_table = SignatureTable.build(
             graph, signature_bits, label_bits, column_first=column_first)
         self.signatures = DynamicSignatureTable(
             self.signature_table, signature_bits, label_bits,
             meter=self.meter)
         self.storage = DynamicPCSRStorage(
-            graph, gpn=gpn, rebuild_occupancy=rebuild_occupancy,
-            compact_dead_ratio=compact_dead_ratio,
-            meter=self.meter, compact_max_groups=compact_max_groups)
+            graph, gpn=gpn, compact_dead_ratio=compact_dead_ratio,
+            meter=self.meter)
 
     def apply_commit(self, commit: CommitResult) -> None:
-        """Maintain every artifact for one committed batch.
-
-        Deletions apply before insertions so freed ci slack is
-        reusable within the same batch.
-        """
-        if self.bulk_updates:
-            self.storage.apply_batch(commit.inserted_edges,
-                                     commit.deleted_edges)
-        else:
-            for u, v, lab in commit.deleted_edges:
-                self.storage.delete_edge(u, v, lab)
-            for u, v, lab in commit.inserted_edges:
-                self.storage.insert_edge(u, v, lab)
+        """Maintain every artifact for one committed batch: PCSR
+        through the bulk per-partition merge, then the touched
+        signature rows."""
+        self.storage.apply_batch(commit.inserted_edges,
+                                 commit.deleted_edges)
         self.signatures.apply(commit.snapshot, commit.touched_vertices)
 
     @property

@@ -401,12 +401,8 @@ class StreamEngine:
     def __init__(self, graph: LabeledGraph,
                  config: Optional[GSIConfig] = None,
                  cache_capacity: int = 256,
-                 rebuild_occupancy: float = 1.5,
                  compact_dead_ratio: float = DEFAULT_COMPACT_DEAD_RATIO,
-                 executor: Optional[QueryExecutor] = None,
-                 bulk_updates: bool = True,
-                 compact_max_groups: Optional[int] = None
-                 ) -> None:
+                 executor: Optional[QueryExecutor] = None) -> None:
         self.config = config if config is not None else GSIConfig()
         if not self.config.use_pcsr:
             raise GraphError(
@@ -418,10 +414,7 @@ class StreamEngine:
             label_bits=self.config.label_bits,
             column_first=self.config.column_first_signatures,
             gpn=self.config.gpn,
-            rebuild_occupancy=rebuild_occupancy,
-            compact_dead_ratio=compact_dead_ratio,
-            bulk_updates=bulk_updates,
-            compact_max_groups=compact_max_groups)
+            compact_dead_ratio=compact_dead_ratio)
         # Commits meter into the same stream so one snapshot covers the
         # whole update path; the labels keep the costs attributable.
         self.dynamic = DynamicGraph(graph, meter=self.index.meter)

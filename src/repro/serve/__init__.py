@@ -6,7 +6,7 @@ and :mod:`repro.serve.protocol` for the NDJSON wire format.
 """
 
 from repro.serve.client import GSIClient
-from repro.serve.metrics import ServerMetrics, latency_percentiles
+from repro.serve.metrics import ServerMetrics
 from repro.serve.protocol import (
     ProtocolError,
     decode_message,
@@ -37,7 +37,6 @@ __all__ = [
     "TokenBucket",
     "decode_message",
     "encode_message",
-    "latency_percentiles",
     "make_request",
     "query_from_wire",
     "query_to_wire",

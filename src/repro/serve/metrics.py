@@ -4,15 +4,17 @@ One :class:`ServerMetrics` instance aggregates everything an operator
 asks a long-lived server: per-tenant end-to-end latency percentiles
 (p50/p95/p99 over a bounded reservoir), live queue depth, the
 micro-batch size histogram, dedup / load-shed / quota counters, and the
-cumulative :class:`~repro.service.plan_cache.CacheStats`, storage
-health, and simulated-transaction totals carried by each batch's
-:class:`~repro.service.batch.BatchReport`.
+cumulative :class:`~repro.service.plan_cache.CacheStats` and
+simulated-transaction totals carried by each batch's
+:class:`~repro.service.batch.BatchReport`.  Storage health is not a
+batch aggregate: the server reads it from the engine when the ``stats``
+RPC is served.
 
 Thread safety: the server's asyncio loop records admissions and
 completions while the batch runner thread records batch reports, so
 every mutation takes the internal lock.  :meth:`to_dict` snapshots
-under the same lock and returns only JSON-serializable types (it is the
-payload of the ``stats`` RPC verbatim).
+under the same lock and returns only JSON-serializable types (the
+``metrics`` part of the ``stats`` RPC payload).
 """
 
 from __future__ import annotations
@@ -28,15 +30,6 @@ from repro.obs.metrics import (
 from repro.obs.stats import DEFAULT_RESERVOIR, Reservoir, percentile_summary
 from repro.service.batch import BatchReport, json_sanitize
 from repro.service.plan_cache import CacheStats
-
-
-def latency_percentiles(samples: List[float]) -> Dict[str, float]:
-    """``{"p50": ..., "p95": ..., "p99": ...}`` over ``samples`` (ms).
-
-    Thin alias over :func:`repro.obs.stats.percentile_summary`, kept
-    for the serving subsystem's historical public name.
-    """
-    return percentile_summary(samples)
 
 
 class _TenantSeries:
@@ -82,7 +75,7 @@ class ServerMetrics:
         "_tenants", "received", "admitted", "completed", "errors",
         "deduped", "shed", "quota_rejected", "batches",
         "executed_queries", "batch_size_histogram", "cache",
-        "total_gld", "total_gst", "total_simulated_ms", "last_storage",
+        "total_gld", "total_gst", "total_simulated_ms",
         "queue_depth", "max_queue_depth",
     )
 
@@ -108,7 +101,6 @@ class ServerMetrics:
         self.total_gld = 0
         self.total_gst = 0
         self.total_simulated_ms = 0.0
-        self.last_storage: dict = {}
         # live gauge, set by the server as its queue moves
         self.queue_depth = 0
         self.max_queue_depth = 0
@@ -191,7 +183,6 @@ class ServerMetrics:
             self.total_gld += report.total_gld
             self.total_gst += report.total_gst
             self.total_simulated_ms += report.total_simulated_ms
-            self.last_storage = report.storage
         get_registry().histogram(
             "gsi_serve_batch_fill",
             "Dispatched micro-batch sizes (distinct queries).",
@@ -199,14 +190,9 @@ class ServerMetrics:
 
     # ------------------------------------------------------------------
 
-    def dedup_rate(self) -> float:
-        """Deduped requests over all admitted requests."""
-        with self._lock:
-            total = self.admitted
-            return self.deduped / total if total else 0.0
-
     def to_dict(self) -> dict:
-        """One JSON-serializable snapshot (the ``stats`` RPC payload)."""
+        """One JSON-serializable snapshot (the ``stats`` RPC's
+        ``metrics``, which the server completes with storage health)."""
         with self._lock:
             mean_batch = (self.executed_queries / self.batches
                           if self.batches else 0.0)
@@ -235,7 +221,7 @@ class ServerMetrics:
                         str(k): v for k, v in
                         sorted(self.batch_size_histogram.items())},
                 },
-                "latency_ms": latency_percentiles(all_latencies),
+                "latency_ms": percentile_summary(all_latencies),
                 "tenants": {name: series.to_dict()
                             for name, series in
                             sorted(self._tenants.items())},
@@ -246,8 +232,7 @@ class ServerMetrics:
                     "total": self.total_gld + self.total_gst,
                 },
                 "total_simulated_ms": self.total_simulated_ms,
-                "storage": self.last_storage,
             })
 
 
-__all__ = ["ServerMetrics", "latency_percentiles", "DEFAULT_RESERVOIR"]
+__all__ = ["ServerMetrics", "DEFAULT_RESERVOIR"]

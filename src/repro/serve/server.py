@@ -35,8 +35,9 @@ shaped like a modern inference server:
 * **SLO metrics.** A :class:`~repro.serve.metrics.ServerMetrics`
   aggregates per-tenant p50/p95/p99 end-to-end latency, queue depth,
   the batch-size histogram, dedup/shed/quota counters and each batch's
-  :class:`~repro.service.batch.BatchReport` (plan-cache, storage, and
-  simulated-transaction stats), served by the ``stats`` RPC.
+  :class:`~repro.service.batch.BatchReport` (plan-cache and
+  simulated-transaction stats), served by the ``stats`` RPC together
+  with storage health read from the engine when the RPC is served.
 
 Two front doors share one implementation: :meth:`GSIServer.submit` is
 the in-process async interface (benchmarks, tests, embedding), and
@@ -64,7 +65,7 @@ from repro.serve.protocol import (
     encode_message,
     query_from_wire,
 )
-from repro.service.batch import BatchEngine
+from repro.service.batch import BatchEngine, json_sanitize
 from repro.service.fingerprint import QueryFingerprint
 
 DEFAULT_MAX_BATCH = 16
@@ -483,7 +484,11 @@ class GSIServer:
     # ------------------------------------------------------------------
 
     def stats(self) -> dict:
-        """The ``stats`` RPC payload: config + metrics snapshot."""
+        """The ``stats`` RPC payload: config + metrics snapshot, with
+        the engine's storage health read now
+        (:meth:`~repro.service.batch.BatchEngine.storage_stats`)."""
+        metrics = self.metrics.to_dict()
+        metrics["storage"] = json_sanitize(self.engine.storage_stats())
         return {
             "server": {
                 "max_batch": self.max_batch,
@@ -494,7 +499,7 @@ class GSIServer:
                 "executor": self.engine.executor.name,
                 "sharded": self.engine.sharded is not None,
             },
-            "metrics": self.metrics.to_dict(),
+            "metrics": metrics,
         }
 
     async def _handle_connection(self, reader: asyncio.StreamReader,
@@ -552,8 +557,11 @@ class GSIServer:
                                "pong": True})
                 return
             if op == "stats":
+                # The storage read walks the whole store; keep it off
+                # the event loop like a batch.
+                stats = await asyncio.to_thread(self.stats)
                 await respond({"id": request_id, "status": "ok",
-                               "stats": self.stats()})
+                               "stats": stats})
                 return
             if op == "metrics":
                 text = prometheus_text(get_registry().snapshot())

@@ -74,11 +74,11 @@ if TYPE_CHECKING:  # service does not depend on the shard package at
 def json_sanitize(value: Any) -> Any:
     """Recursively coerce a stats structure into plain JSON types.
 
-    Storage and shard stats dicts mix numpy scalars and integer keys
-    (e.g. PCSR ``per_label``) into otherwise plain dicts; ``json.dumps``
-    rejects the former and silently stringifies the latter only at the
-    top level.  Every ``to_dict`` report path funnels through here so
-    serialized reports are valid JSON end to end.
+    Storage stats dicts mix numpy scalars and integer keys (e.g. PCSR
+    ``per_label``) into otherwise plain dicts; ``json.dumps`` rejects
+    the former and silently stringifies the latter only at the top
+    level.  The serving ``stats`` payload funnels through here so it is
+    valid JSON end to end.
     """
     if isinstance(value, dict):
         return {str(k): json_sanitize(v) for k, v in value.items()}
@@ -134,13 +134,10 @@ class BatchReport:
     items: List[BatchItem] = field(default_factory=list)
     wall_clock_ms: float = 0.0
     cache: CacheStats = field(default_factory=CacheStats)
-    #: storage-structure health at batch end (``NeighborStore.stats()``;
-    #: PCSR stores report occupancy / dead words / compactions)
-    storage: Dict[str, Any] = field(default_factory=dict)
     #: name of the executor that ran the joining phase
     executor: str = ""
     #: scatter-gather details when a sharded backend served the batch
-    #: (per-shard transactions / storage / replication); ``None`` on
+    #: (per-shard transactions / replication); ``None`` on
     #: the single-engine path
     shard: Optional["ShardReport"] = None
 
@@ -220,51 +217,6 @@ class BatchReport:
     @property
     def p99_ms(self) -> float:
         return self.latency_percentile(99)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """The report as one JSON-serializable dict.
-
-        This is the shape the serving metrics layer aggregates and the
-        bench ``--json`` outputs persist: service-level latency
-        percentiles, plan-cache counters, simulated transaction totals,
-        storage health, and (when present) the per-shard summary.
-        """
-        shard = None
-        if self.shard is not None:
-            info = self.shard.info
-            shard = {
-                "max_shard_transactions":
-                    int(self.shard.max_shard_transactions),
-                "total_transactions": int(self.shard.total_transactions),
-            }
-            if info is not None:
-                shard.update({
-                    "num_shards": int(info.num_shards),
-                    "partitioner": info.partitioner,
-                    "halo_hops": int(info.halo_hops),
-                    "vertex_replication":
-                        float(info.vertex_replication),
-                })
-        return json_sanitize({
-            "num_queries": self.num_queries,
-            "wall_clock_ms": float(self.wall_clock_ms),
-            "throughput_qps": float(self.throughput_qps),
-            "total_matches": self.total_matches,
-            "timeouts": self.timeouts,
-            "errors": self.errors,
-            "plan_cache_hits": self.plan_cache_hits,
-            "p50_ms": self.p50_ms,
-            "p90_ms": self.p90_ms,
-            "p99_ms": self.p99_ms,
-            "total_simulated_ms": self.total_simulated_ms,
-            "total_gld": self.total_gld,
-            "total_gst": self.total_gst,
-            "total_kernel_launches": self.total_kernel_launches,
-            "cache": self.cache.to_dict(),
-            "storage": self.storage,
-            "executor": self.executor,
-            "shard": shard,
-        })
 
     def summary_line(self) -> str:
         """One-line human summary (CLI and benchmark output)."""
@@ -389,6 +341,20 @@ class BatchEngine:
             return self.sharded.match(query)
         return self.execute(self.prepare(query))
 
+    def storage_stats(self) -> Dict[str, Any]:
+        """Storage-structure health, read now: the engine's
+        ``NeighborStore.stats()``, or ``{"num_shards", "per_shard"}``
+        over a sharded backend's shard stores.
+
+        A served store is built once and only read by batches, so its
+        health is read when asked (the ``stats`` RPC), never per batch.
+        """
+        if self.sharded is not None:
+            return {"num_shards": self.sharded.num_shards,
+                    "per_shard": [engine.store.stats()
+                                  for engine in self.sharded.engines]}
+        return self.engine.store.stats()
+
     # ------------------------------------------------------------------
 
     def run_batch(self, queries: Sequence[LabeledGraph],
@@ -462,9 +428,7 @@ class BatchEngine:
                 f"executor {chosen.name!r} dropped queries {missing}; "
                 f"map_tasks must return every submitted task")
         return BatchReport(items=items, wall_clock_ms=wall_ms,
-                           cache=cache_delta,
-                           storage=self.engine.store.stats(),
-                           executor=chosen.name)
+                           cache=cache_delta, executor=chosen.name)
 
     @staticmethod
     def _record_batch_metrics(report: BatchReport) -> None:
@@ -505,7 +469,5 @@ class BatchEngine:
             items=items,
             wall_clock_ms=shard_report.wall_clock_ms,
             cache=shard_report.cache,
-            storage={"num_shards": self.sharded.num_shards,
-                     "per_shard": shard_report.storage},
             executor=shard_report.executor,
             shard=shard_report)

@@ -27,10 +27,9 @@ scatter-gather:
    reports a match whose anchor image it owns.  By the halo containment
    argument (see :mod:`repro.shard.sharded_graph`), this partition of
    the match set is exact — identical to a single engine over the whole
-   graph.  Per-shard transaction / cache / storage statistics merge
-   into a :class:`ShardReport`; merged per-query counters keep
-   per-shard attribution via
-   :func:`~repro.gpusim.meter.merge_shard_snapshots`.
+   graph.  Per-shard transaction and cache statistics merge into a
+   :class:`ShardReport`; merged per-query counters keep per-shard
+   attribution via :func:`~repro.gpusim.meter.merge_shard_snapshots`.
 
 Simulated semantics: each (query, shard) pair runs on its own simulated
 device, so a merged query's ``elapsed_ms`` is the scatter-gather
@@ -204,8 +203,6 @@ class ShardReport:
     executor: str = ""
     #: per-shard simulated transaction totals over the whole batch
     shard_transactions: List[int] = field(default_factory=list)
-    #: per-shard ``NeighborStore.stats()`` at batch end
-    storage: List[dict] = field(default_factory=list)
     #: sharding layout / replication statistics
     info: Optional[ShardingInfo] = None
 
@@ -550,5 +547,4 @@ class ShardedEngine:
             cache=self.plan_cache.stats_snapshot().diff(stats_before),
             executor=chosen.name,
             shard_transactions=shard_tx,
-            storage=[engine.store.stats() for engine in self.engines],
             info=self.sharded.info())

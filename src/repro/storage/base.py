@@ -53,9 +53,9 @@ class NeighborStore(ABC):
         """Total 4-byte words the structure occupies (Table II space)."""
 
     def stats(self) -> Dict[str, Any]:
-        """Health/size counters for monitoring surfaces (batch and
-        stream reports).  PCSR-backed stores override this with richer
-        occupancy / dead-space detail."""
+        """Health/size counters for monitoring surfaces (stream
+        reports, the serve ``stats`` RPC).  PCSR-backed stores override
+        this with richer occupancy / dead-space detail."""
         return {"kind": self.kind, "space_words": self.space_words()}
 
     def streamed_elements(self, v: int, label: int) -> int:

@@ -725,41 +725,28 @@ class PCSRPartition:
         """Fraction of the ci layer that is orphaned dead space."""
         return self._dead_words / self._ci_len if self._ci_len else 0.0
 
-    def compact(self, meter: Optional[MemoryMeter] = None,
-                max_groups: Optional[int] = None) -> int:
+    def compact(self, meter: Optional[MemoryMeter] = None) -> int:
         """Slide live ci regions left over the dead space.
 
         Regions are processed in layout order, so each destination is at
         or before its source and the move is safe in place; per-region
         slack is dropped (the next append re-creates it by relocation).
-        After a full sweep ``dead_words() == 0`` and the ci layer is
-        exactly the live neighbor lists.
-
-        ``max_groups`` bounds the pause: at most that many region
-        *moves* are performed per call (already-packed prefix regions
-        are skipped for free), and the sweep stops early once the budget
-        is spent.  A bounded call leaves the structure fully valid —
-        a packed prefix followed by untouched regions — and returns 0;
-        repeated calls make progress until one completes the sweep and
-        reclaims the tail.  Metered like every other maintenance op
+        Afterwards ``dead_words() == 0`` and the ci layer is exactly the
+        live neighbor lists.  Metered like every other maintenance op
         (label ``pcsr_compact``).  Returns the number of words
-        reclaimed (0 unless the sweep completed).
+        reclaimed.
         """
         old_len = self._ci_len
         order = np.argsort(self._region_start, kind="stable")
         pos = 0
         moved = 0
         groups_rewritten = 0
-        complete = True
         for gid in order:
             gid = int(gid)
             start = int(self._region_start[gid])
             end = int(self.groups[gid, self.gpn - 1, 1])
             used = end - start
             if pos != start:
-                if max_groups is not None and groups_rewritten >= max_groups:
-                    complete = False
-                    break
                 if used:
                     self._ci_buf[pos:pos + used] = \
                         self._ci_buf[start:end].copy()
@@ -777,8 +764,6 @@ class PCSRPartition:
         if meter is not None:
             meter.add_gld(contiguous_read(moved), label=LABEL_PCSR_COMPACT)
             meter.add_gst(contiguous_read(moved) + groups_rewritten)
-        if not complete:
-            return 0
         self._ci_len = pos
         self._dead_words = 0
         return old_len - pos
@@ -936,7 +921,8 @@ class PCSRStorage(NeighborStore):
 
     def stats(self) -> Dict[str, object]:
         """Aggregated PCSR health across partitions, plus per-label
-        detail — the monitoring surface batch/stream reports expose."""
+        detail — the monitoring surface stream reports and the serve
+        ``stats`` RPC expose.  Walks each overflow chain once."""
         per_label = {lab: part.stats()
                      for lab, part in sorted(self._parts.items())}
         total_ci = sum(int(s["ci_words"]) for s in per_label.values())
@@ -951,6 +937,8 @@ class PCSRStorage(NeighborStore):
             "max_occupancy": max(
                 (float(s["occupancy"]) for s in per_label.values()),
                 default=0.0),
-            "max_chain_length": self.max_chain_length(),
+            "max_chain_length": max(
+                (int(s["max_chain_length"]) for s in per_label.values()),
+                default=0),
             "per_label": per_label,
         }

@@ -164,7 +164,7 @@ class TestDynamicPCSRStorage:
         b.add_vertices([0] * 40)
         b.add_edge(0, 1, 0)
         g = b.build()
-        store = DynamicPCSRStorage(g, rebuild_occupancy=1.5)
+        store = DynamicPCSRStorage(g)
         # The label-0 partition starts with 2 keys / 2 groups; adding
         # keys beyond 1.5 per group must rebuild rather than chain
         # forever.

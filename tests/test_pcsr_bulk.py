@@ -1,5 +1,5 @@
-"""Bulk PCSR updates (GPMA-style), partial compaction, and the
-sorted-unique neighbor contract under churn."""
+"""Bulk PCSR updates (GPMA-style) and the sorted-unique neighbor
+contract under churn."""
 
 import numpy as np
 import pytest
@@ -155,60 +155,6 @@ class TestApplyBulkAtomicity:
         assert part.validate() == []
 
 
-class TestPartialCompaction:
-    def _churned_partition(self):
-        rng = np.random.default_rng(3)
-        part = build_partition(random_edges(rng, 30, 80))[0]
-        # Force relocations (hence dead words) via repeated appends.
-        for v in range(0, 30, 3):
-            if len(part.neighbors(v)):
-                part.append_neighbors(
-                    v, np.asarray(rng.integers(30, 60, size=6),
-                                  dtype=np.int64))
-        assert part.dead_words() > 0
-        return part
-
-    def test_bounded_sweep_reclaims_only_on_completion(self):
-        part = self._churned_partition()
-        want = {v: a.tolist() for v, a in part.items()}
-        dead = part.dead_words()
-        reclaimed = 0
-        calls = 0
-        while True:
-            calls += 1
-            assert calls < 10_000
-            got = part.compact(max_groups=1)
-            # structure and content stay valid after EVERY bounded call
-            assert part.validate() == []
-            assert {v: a.tolist() for v, a in part.items()} == want
-            if got:
-                reclaimed = got
-                break
-            assert part.dead_words() == dead  # deferred, not dropped
-        assert calls > 1  # the bound actually split the sweep
-        assert reclaimed >= dead
-        assert part.dead_words() == 0
-
-    def test_bounded_matches_full_compaction(self):
-        bounded = self._churned_partition()
-        full = self._churned_partition()
-        total = full.compact()
-        while True:
-            got = bounded.compact(max_groups=2)
-            if got:
-                break
-        assert got == total
-        assert ({v: a.tolist() for v, a in bounded.items()}
-                == {v: a.tolist() for v, a in full.items()})
-
-    def test_meter_charged_for_partial_passes(self):
-        part = self._churned_partition()
-        meter = MemoryMeter()
-        assert part.compact(meter, max_groups=1) == 0
-        snap = meter.snapshot()
-        assert snap.gld + snap.gst > 0
-
-
 class _DuplicateStore:
     """A stand-in store that surfaces duplicated, unsorted neighbors —
     what a buggy or mid-churn structure could briefly produce."""
@@ -249,7 +195,7 @@ class TestSortedUniqueContract:
                 {0: np.asarray(rng.integers(80, 120, size=3),
                                dtype=np.int64)},
                 {})
-            part.compact(max_groups=1 + round_)
+            part.compact()
             for v, arr in part.items():
                 lst = arr.tolist()
                 assert lst == sorted(set(lst)), (

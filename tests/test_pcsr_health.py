@@ -3,7 +3,8 @@
 Covers the monitoring surface (``PCSRPartition.stats`` /
 ``PCSRStorage.stats`` / ``DynamicPCSRStorage.stats``), in-place
 compaction correctness, the automatic trigger in the dynamic store, and
-the stats' exposure through batch and stream reports.
+the stats' exposure: read on demand from a batch service, carried by
+every stream report.
 """
 
 from __future__ import annotations
@@ -14,11 +15,14 @@ import pytest
 from repro.dynamic import DynamicPCSRStorage, GraphDelta, StreamEngine
 from repro.dynamic.index import MIN_COMPACT_DEAD_WORDS
 from repro.gpusim.meter import MemoryMeter
-from repro.graph.generators import scale_free_graph
+from repro.graph.generators import random_walk_query, scale_free_graph
 from repro.graph.labeled_graph import GraphBuilder
 from repro.graph.partition import EdgeLabelPartition
 from repro.service.batch import BatchEngine
+from repro.shard import ShardedEngine, ShardedGraph
 from repro.storage.pcsr import PCSRPartition, PCSRStorage
+
+from oracle import brute_force_matches
 
 
 def tiny_partition():
@@ -157,23 +161,57 @@ class TestStatsSurfaces:
 
     def test_static_pcsr_storage_stats(self):
         graph = self.graph()
-        s = PCSRStorage(graph).stats()
+        store = PCSRStorage(graph)
+        s = store.stats()
         assert s["kind"] == "pcsr"
         assert s["partitions"] == 2
         assert s["total_dead_words"] == 0
         assert set(s["per_label"]) == {0, 1}
+        assert s["max_chain_length"] == store.max_chain_length()
 
-    def test_batch_report_carries_storage_stats(self):
-        graph = self.graph()
-        engine = BatchEngine(graph)
-        query = GraphBuilder()
-        q = query.add_vertices([0, 1])
-        query.add_edge(q[0], q[1], 0)
-        report = engine.run_batch([query.build()])
-        assert report.storage  # populated for every storage kind
-        assert "kind" in report.storage
-        if report.storage["kind"].endswith("pcsr"):
-            assert "total_dead_words" in report.storage
+    def test_stats_walks_each_chain_once(self, monkeypatch):
+        store = PCSRStorage(self.graph())
+        walked = []
+        walk = PCSRPartition.max_chain_length
+
+        def counted(part):
+            walked.append(part.label)
+            return walk(part)
+
+        monkeypatch.setattr(PCSRPartition, "max_chain_length", counted)
+        store.stats()
+        assert sorted(walked) == [0, 1]
+
+    def test_batch_engine_storage_stats(self):
+        s = BatchEngine(self.graph()).storage_stats()
+        assert "kind" in s  # populated for every storage kind
+        if s["kind"].endswith("pcsr"):
+            assert "total_dead_words" in s
+
+    @pytest.mark.parametrize("backend",
+                             ["batch", "batch-sharded", "sharded"])
+    def test_run_batch_reads_no_store_stats(self, monkeypatch, backend):
+        graph = scale_free_graph(60, 3, 4, 4, seed=7)
+        queries = [random_walk_query(graph, k, seed=s)
+                   for s, k in enumerate([3, 4, 5])]
+        if backend == "batch":
+            service = BatchEngine(graph)
+            engines = [service.engine]
+        else:
+            service = ShardedEngine(ShardedGraph(graph, 2, halo_hops=3))
+            engines = service.engines
+            if backend == "batch-sharded":
+                service = BatchEngine(sharded=service)
+
+        def refuse():
+            raise AssertionError("run_batch read store stats")
+
+        for engine in engines:
+            monkeypatch.setattr(engine.store, "stats", refuse)
+        report = service.run_batch(queries)
+        assert report.errors == 0
+        assert [r.match_set() for r in report.results] == \
+            [brute_force_matches(q, graph) for q in queries]
 
     def test_stream_report_carries_pcsr_health(self):
         graph = self.graph()

@@ -406,14 +406,18 @@ class TestMetrics:
         async def scenario():
             async with GSIServer(engine, max_batch=4,
                                  max_delay_ms=5.0) as server:
+                before = server.stats()
                 await asyncio.gather(
                     *[server.submit(q, tenant=f"t{i % 2}")
                       for i, q in enumerate(queries)])
-                return server.stats()
+                return before, server.stats()
 
-        stats = run(scenario())
+        before, stats = run(scenario())
+        # storage health is read when asked, not carried by a batch
+        assert before["metrics"]["storage"]["kind"] == "pcsr"
         payload = json.loads(json.dumps(stats))  # must not raise
         metrics = payload["metrics"]
+        assert metrics["storage"]["kind"] == "pcsr"
         assert metrics["requests"]["completed"] == len(queries)
         assert set(metrics["tenants"]) == {"t0", "t1"}
         for series in metrics["tenants"].values():
@@ -462,6 +466,7 @@ class TestTcp:
             assert {tuple(m) for m in response["matches"]} == expected
         assert sum(r["deduped"] for r in responses) == 2
         assert stats["metrics"]["requests"]["completed"] == 3
+        assert stats["metrics"]["storage"]["kind"] == "pcsr"
 
     def test_malformed_frames_answered_not_fatal(self, graph, queries):
         engine = make_engine(graph)

@@ -370,7 +370,6 @@ class TestShardedMatching:
         report = engine.run_batch(queries)
         assert report.num_queries == len(queries)
         assert len(report.shard_transactions) == 4
-        assert len(report.storage) == 4
         assert report.info.num_shards == 4
         assert report.total_transactions == sum(
             report.shard_transactions)
@@ -422,7 +421,9 @@ class TestBatchEngineShardedBackend:
         report = service.run_batch(queries)
         assert report.shard is not None
         assert report.executor == "serial"
-        assert report.storage["num_shards"] == 4
+        storage = service.storage_stats()
+        assert storage["num_shards"] == 4
+        assert len(storage["per_shard"]) == 4
         for mine, theirs in zip(report.items, plain_report.items):
             assert mine.result.match_set() == theirs.result.match_set()
         # Single-query convenience path routes through the coordinator.
