@@ -22,12 +22,9 @@ isolates the snapshot-commit path itself: an O(changes) CSR splice
 on a ~100k-edge graph, proving commit transactions scale with the
 change set, not with ``|E|``.
 
-**Executor mode** (``python benchmarks/bench_stream_updates.py
---executor process``) replays one stream once per executor kind —
-serial and process pool — over many registered continuous queries,
-proving both executors emit identical per-batch deltas and final match
-sets while the pool overlaps the per-query extension work on the
-shared batch seed.
+**Bulk mode** (``python benchmarks/bench_stream_updates.py --bulk``)
+compares per-edge against bulk (GPMA-style) PCSR maintenance over
+identical committed deltas.
 """
 
 from __future__ import annotations
@@ -370,88 +367,6 @@ def commit_heavy_comparison():
     return outcomes
 
 
-# ----------------------------------------------------------------------
-# Executor mode: per-query delta matching, serial vs process pool
-# ----------------------------------------------------------------------
-
-def run_stream_executors(executors=("serial", "process"),
-                         num_batches: int = 4, batch_size: int = 16,
-                         vertices: int = 600, num_queries: int = 6,
-                         workers: int = 4):
-    """Replay one stream once per executor; assert identical deltas.
-
-    Returns ``(outcomes, table)``; outcomes map executor name to wall
-    ms plus the per-batch created/destroyed totals, the per-batch
-    shipped context bytes (process executor only), and final match
-    sets that must agree across executors.
-    """
-    from repro.service import make_executor
-
-    graph = scale_free_graph(vertices, 4, 5, 6, seed=11)
-    queries = [random_walk_query(graph, 3 + (s % 2), seed=s)
-               for s in range(num_queries)]
-
-    outcomes = {}
-    rows = []
-    for kind in executors:
-        executor = make_executor(kind, workers)
-        engine = None
-        try:
-            engine = StreamEngine(graph, executor=executor)
-            qids = [engine.register(q) for q in queries]
-            stream = random_update_stream(graph, num_batches,
-                                          batch_size, seed=5)
-            deltas = []
-            shipped = []
-            t0 = time.perf_counter()
-            for delta in stream:
-                report = engine.apply_batch(delta)
-                deltas.append((report.total_created,
-                               report.total_destroyed))
-                shipment = getattr(executor, "last_shipment", None)
-                shipped.append(None if shipment is None
-                               else shipment["context_bytes"])
-            wall_ms = (time.perf_counter() - t0) * 1000.0
-            final = [frozenset(engine.matches(qid)) for qid in qids]
-        finally:
-            if engine is not None:
-                engine.close()
-            executor.shutdown()
-        outcomes[kind] = {"wall_ms": wall_ms, "deltas": deltas,
-                          "final": final, "shipped_bytes": shipped}
-        rows.append([kind, f"{wall_ms:.0f}",
-                     sum(d[0] for d in deltas),
-                     sum(d[1] for d in deltas),
-                     sum(len(f) for f in final)])
-    table = render_table(
-        f"stream executors ({num_queries} continuous queries, "
-        f"{num_batches} batches x {batch_size} updates, "
-        f"|V|={vertices}, {workers} workers)",
-        ["executor", "wall ms", "created", "destroyed", "final live"],
-        rows,
-        note="per-batch deltas and final match sets must be identical "
-             "across executors; the pool overlaps the per-query "
-             "extension work on the shared batch seed")
-    return outcomes, table
-
-
-@pytest.fixture(scope="module")
-def stream_executor_comparison():
-    outcomes, table = run_stream_executors(
-        num_batches=3, batch_size=10, vertices=300, num_queries=4)
-    record_report("stream_executors", table)
-    return outcomes
-
-
-def test_stream_executors_agree(stream_executor_comparison):
-    serial = stream_executor_comparison["serial"]
-    out = stream_executor_comparison["process"]
-    assert out["deltas"] == serial["deltas"], (
-        "process executor changed per-batch deltas")
-    assert out["final"] == serial["final"], (
-        "process executor changed the final match sets")
-
-
 def test_commit_heavy_patch_beats_rebuild_5x(commit_heavy_comparison):
     # Acceptance: >= 5x fewer commit transactions than the rebuild path
     # for batches of <= 16 updates on a ~100k-edge graph.
@@ -484,61 +399,14 @@ if __name__ == "__main__":
     parser.add_argument("--bulk", action="store_true",
                         help="run the per-edge vs bulk (GPMA-style) "
                              "PCSR maintenance comparison")
-    parser.add_argument("--executor", default=None,
-                        choices=["serial", "process", "compare"],
-                        help="replay one stream per executor and "
-                             "differentially compare the deltas")
     parser.add_argument("--edges", type=int, default=COMMIT_EDGES)
     parser.add_argument("--batches", type=int, default=COMMIT_BATCHES)
-    parser.add_argument("--batch-size", type=int, default=16)
     parser.add_argument("--vertices", type=int, default=600)
-    parser.add_argument("--queries", type=int, default=6)
-    parser.add_argument("--workers", type=int, default=4)
     parser.add_argument("--json", default=None, metavar="PATH",
-                        help="write BENCH_stream_updates.json here "
+                        help="write the mode's BENCH_*.json here "
                              "(a directory, or an exact .json path)")
     cli_args = parser.parse_args()
-    if cli_args.executor is not None:
-        kinds = (("serial", "process")
-                 if cli_args.executor == "compare"
-                 else tuple(dict.fromkeys(("serial",
-                                           cli_args.executor))))
-        exec_outcomes, report_table = run_stream_executors(
-            executors=kinds, num_batches=cli_args.batches,
-            batch_size=cli_args.batch_size,
-            vertices=cli_args.vertices,
-            num_queries=cli_args.queries, workers=cli_args.workers)
-        print(report_table)
-        serial_arm = exec_outcomes["serial"]
-        for kind, out in exec_outcomes.items():
-            assert out["deltas"] == serial_arm["deltas"], (
-                f"{kind} executor changed per-batch deltas")
-            assert out["final"] == serial_arm["final"], (
-                f"{kind} executor changed the final match sets")
-        print("OK: per-batch deltas and final match sets identical "
-              f"across executors: {', '.join(exec_outcomes)}")
-        if cli_args.json is not None:
-            payload = {
-                "bench": "stream_updates",
-                "params": {"batches": cli_args.batches,
-                           "batch_size": cli_args.batch_size,
-                           "vertices": cli_args.vertices,
-                           "queries": cli_args.queries,
-                           "workers": cli_args.workers},
-                "executors": {
-                    kind: {"wall_ms": out["wall_ms"],
-                           "created": sum(d[0] for d in out["deltas"]),
-                           "destroyed": sum(d[1]
-                                            for d in out["deltas"]),
-                           "shipped_bytes_per_batch":
-                               out["shipped_bytes"]}
-                    for kind, out in exec_outcomes.items()
-                },
-            }
-            written = write_bench_json("stream_updates", payload,
-                                       cli_args.json)
-            print(f"wrote {written}")
-    elif cli_args.bulk:
+    if cli_args.bulk:
         bulk_outcomes, report_table = run_bulk_updates(
             num_batches=cli_args.batches,
             vertices=cli_args.vertices)
@@ -580,6 +448,6 @@ if __name__ == "__main__":
                 cli_args.json)
             print(f"wrote {written}")
     else:
-        parser.error("pass --bulk, --commit-heavy or --executor KIND "
-                     "(the stream comparison runs under pytest: python "
-                     "-m pytest benchmarks/bench_stream_updates.py)")
+        parser.error("pass --bulk or --commit-heavy (the stream "
+                     "comparison runs under pytest: python -m pytest "
+                     "benchmarks/bench_stream_updates.py)")

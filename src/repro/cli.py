@@ -386,20 +386,15 @@ def cmd_stream(args: argparse.Namespace) -> int:
         random_update_stream,
     )
     from repro.graph.generators import query_workload
-    from repro.service.executors import make_executor
 
-    if _reject_non_positive("--workers", args.workers):
-        return 2
     graph = datasets.load(args.dataset)
     rows = []
     total_tx = 0
     total_commit_tx = 0
     health = {}
-    with _tracing(args), \
-            make_executor(args.executor, args.workers) as executor:
+    with _tracing(args):
         engine = StreamEngine(graph, _engine_config(args),
-                              compact_dead_ratio=args.compact_dead_ratio,
-                              executor=executor)
+                              compact_dead_ratio=args.compact_dead_ratio)
         queries = query_workload(graph, args.queries,
                                  args.query_vertices, seed=args.seed)
         qids = [engine.register(q) for q in queries]
@@ -425,14 +420,12 @@ def cmd_stream(args: argparse.Namespace) -> int:
                          report.rebuilds, report.compactions,
                          report.plans_invalidated,
                          f"{report.wall_ms:.1f}"])
-    engine.close()  # unlink any published snapshot segments
     rebuild_tx = full_rebuild_transactions(
         engine.graph, signature_bits=engine.config.signature_bits,
         gpn=engine.config.gpn)
     print(render_table(
         f"stream: {args.queries} continuous queries on {args.dataset} "
-        f"({args.batches} batches x {args.batch_size} updates, "
-        f"{args.executor} executor)",
+        f"({args.batches} batches x {args.batch_size} updates)",
         ["batch", "edges", "+V", "matches", "live", "commit tx",
          "maint tx", "rebuilds", "compact", "plans inv", "ms"],
         rows,
@@ -581,7 +574,6 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["gsi", "gsi-opt"])
     st.add_argument("--batches", type=int, default=5)
     st.add_argument("--batch-size", type=int, default=16)
-    add_executor_args(st, "per-query delta matching")
     st.add_argument("--delete-fraction", type=float, default=0.3)
     st.add_argument("--compact-dead-ratio", type=float, default=0.25,
                     help="compact a PCSR partition's ci region in place "

@@ -24,30 +24,15 @@ suite checks the composition of these deltas against the brute-force
 oracle on every committed snapshot.
 
 Per-query delta matching is pure host-side work over batch-constant
-inputs (the committed snapshot, the shared :class:`_BatchSeed`, the
-maintained signature table), so registered queries are embarrassingly
-parallel: the engine fans them out through a pluggable
-:class:`~repro.service.executors.QueryExecutor` — the same executor
-abstraction the batch service uses.  Delta matching is implemented as
-module-level functions over a picklable :class:`_DeltaContext` so a
-process pool can run queries on real cores; results merge back in
-registration order, so every executor produces identical reports.
-
-Under a process executor the batch-constant context (committed
-snapshot + signature table) lives in named shared-memory segments
-(:mod:`repro.storage.shm`): each commit publishes the new snapshot as a
-*patch* over the previous publication — only the chunks containing
-touched vertices allocate new segments, the rest are shared by
-refcount — and what pickles into each worker chunk is a
-:class:`~repro.storage.shm.GraphSnapshotHandle` of O(handle) bytes,
-independent of ``|G|``.  Workers attach read-only by name and memoize
-per epoch.  The serial executor reads the context in place.
+inputs (the committed snapshot, the maintained signature table and the
+seeding context, gathered once per batch in a :class:`_BatchSeed`), and
+it runs in process: one loop over the registered queries, in
+registration order.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -65,26 +50,8 @@ from repro.gpusim.constants import LABEL_DELTA_SEED
 from repro.gpusim.meter import MeterSnapshot
 from repro.graph.labeled_graph import LabeledGraph
 from repro.obs.metrics import get_registry
-from repro.obs.trace import (
-    Span,
-    TraceContext,
-    get_tracer,
-    shipped_spans,
-)
-from repro.service.executors import (
-    ProcessExecutor,
-    QueryExecutor,
-    SerialExecutor,
-)
+from repro.obs.trace import get_tracer
 from repro.service.plan_cache import PlanCache
-from repro.storage.shm import (
-    DEFAULT_CHUNK,
-    BlockLease,
-    GraphSnapshotHandle,
-    attach_snapshot,
-    publish_snapshot,
-    publish_snapshot_patch,
-)
 
 Match = Tuple[int, ...]
 
@@ -122,8 +89,8 @@ class StreamBatchReport:
     labels_shifted: Tuple[int, ...] = ()
     #: PCSR health after this batch (``DynamicPCSRStorage.stats()``)
     pcsr: Dict[str, object] = field(default_factory=dict)
-    #: True when the configured executor failed and delta matching was
-    #: re-run in-process (results stay exact; wall-clock degrades)
+    #: always False: delta matching runs in process, with no executor
+    #: to fail over from (kept for callers that still read it)
     executor_fallback: bool = False
     wall_ms: float = 0.0
 
@@ -147,9 +114,7 @@ class StreamBatchReport:
                 f"rebuilds={self.rebuilds} "
                 f"compactions={self.compactions} | "
                 f"plans invalidated={self.plans_invalidated} | "
-                + ("EXECUTOR FELL BACK TO SERIAL | "
-                   if self.executor_fallback else "")
-                + f"{self.wall_ms:.1f} ms")
+                f"{self.wall_ms:.1f} ms")
 
 
 @dataclass
@@ -162,99 +127,46 @@ class _Registered:
 
 @dataclass
 class _BatchSeed:
-    """Per-batch candidate-seeding context, computed once per batch and
-    shared by every registered query (instead of each query re-deriving
-    it): the inserted edges grouped by edge label, the dead-pair set,
-    and the signature rows of the touched (inserted-edge endpoint)
-    vertices — the rows every query's seed check reads."""
+    """Batch-constant inputs of per-query delta matching, computed once
+    per batch and shared by every registered query (instead of each
+    query re-deriving them): the committed snapshot and its signature
+    table, the new vertices, the inserted edges grouped by edge label,
+    the dead-pair set, and the signature rows of the touched
+    (inserted-edge endpoint) vertices — the rows every query's seed
+    check reads.  Read-only for the duration of the batch."""
 
+    snapshot: LabeledGraph
+    table: np.ndarray
+    signature_bits: int
+    label_bits: int
+    new_vertices: Tuple[int, ...]
     inserted_by_label: Dict[int, List[Tuple[int, int]]]
     dead_pairs: Set[Tuple[int, int]]
     seed_rows: Dict[int, np.ndarray]
 
 
-@dataclass
-class _DeltaContext:
-    """Batch-constant inputs of per-query delta matching.
-
-    One instance per update batch, shared (pickled once per worker
-    chunk under a process executor) by every registered query's
-    created/destroyed computation.  Everything here is read-only for
-    the duration of the batch.
-
-    When ``handle`` is set (a process executor), pickling drops the
-    data-graph-sized members — the committed snapshot and the signature
-    table — and a worker re-derives them by attaching the published
-    shared-memory segments, so the pickled context is O(handle) bytes.
-    The in-process object always keeps the direct references: the
-    serial executor (and the serial fallback after a pool failure)
-    never attaches.
-    """
-
-    snapshot: LabeledGraph
-    new_vertices: Tuple[int, ...]
-    seed: _BatchSeed
-    table: np.ndarray
-    signature_bits: int
-    label_bits: int
-    handle: Optional[GraphSnapshotHandle] = None
-    #: coordinator trace context; rides the pickle into process workers
-    #: so per-query delta spans re-parent under ``stream.apply_batch``
-    trace: Optional[TraceContext] = None
-
-    def __getstate__(self) -> Dict[str, object]:
-        state = dict(self.__dict__)
-        if state.get("handle") is not None:
-            state["snapshot"] = None
-            state["table"] = None
-        return state
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
-        if self.handle is not None:
-            self.snapshot, self.table = attach_snapshot(self.handle)
-
-
-#: payload per registered query: (query id, query graph, live matches)
-_DeltaTask = Tuple[int, LabeledGraph, Set[Match]]
-
-
-#: one query's delta outcome: (query id, created, destroyed, host ms,
-#: spans recorded while computing it — empty unless the computation ran
-#: in a process worker with the coordinator tracing)
-_DeltaOutcome = Tuple[int, Set[Match], Set[Match], float,
-                      List[Dict[str, object]]]
-
-
-def _query_delta(ctx: _DeltaContext, task: _DeltaTask) -> _DeltaOutcome:
-    """One registered query's (created, destroyed) delta for one batch.
-
-    Module-level and side-effect free so every executor — including a
-    process pool — runs the identical code path; the caller applies the
-    returned sets to the live match set.  In a process worker the span
-    recorded here ships back in the outcome tuple (via
-    :func:`~repro.obs.trace.shipped_spans`) and the coordinator absorbs
-    it; in-process executors record it directly.
-    """
-    query_id, query, live = task
+def _query_delta(seed: _BatchSeed, query_id: int, query: LabeledGraph,
+                 live: Set[Match]) -> QueryDelta:
+    """One registered query's (created, destroyed) delta for one batch;
+    the caller applies it to the live match set."""
     t0 = time.perf_counter()
-    with shipped_spans(ctx.trace) as spans:
-        with get_tracer().span("stream.query_delta", parent=ctx.trace,
-                               query_id=query_id) as span:
-            created = _delta_created(ctx, query)
-            destroyed = _delta_destroyed(ctx, query, live)
-            span.set_attribute("created", len(created))
-            span.set_attribute("destroyed", len(destroyed))
-    return (query_id, created, destroyed,
-            (time.perf_counter() - t0) * 1000.0, spans)
+    with get_tracer().span("stream.query_delta",
+                           query_id=query_id) as span:
+        created = _delta_created(seed, query)
+        destroyed = _delta_destroyed(seed, query, live)
+        span.set_attribute("created", len(created))
+        span.set_attribute("destroyed", len(destroyed))
+    return QueryDelta(query_id=query_id, created=created,
+                      destroyed=destroyed,
+                      host_ms=(time.perf_counter() - t0) * 1000.0)
 
 
-def _delta_destroyed(ctx: _DeltaContext, query: LabeledGraph,
+def _delta_destroyed(seed: _BatchSeed, query: LabeledGraph,
                      live: Set[Match]) -> Set[Match]:
     """Live matches that embed a net-deleted edge (exactly the ones
     this batch killed: vertex labels are immutable, so nothing else
     can invalidate an existing match)."""
-    dead_pairs = ctx.seed.dead_pairs
+    dead_pairs = seed.dead_pairs
     if not dead_pairs or not live:
         return set()
     qedges = list(query.edges())
@@ -269,7 +181,7 @@ def _delta_destroyed(ctx: _DeltaContext, query: LabeledGraph,
     return destroyed
 
 
-def _delta_created(ctx: _DeltaContext, query: LabeledGraph) -> Set[Match]:
+def _delta_created(seed: _BatchSeed, query: LabeledGraph) -> Set[Match]:
     """Matches that exist on the new snapshot but not the old one.
 
     Every such match embeds a net-inserted edge (or, for
@@ -279,20 +191,19 @@ def _delta_created(ctx: _DeltaContext, query: LabeledGraph) -> Set[Match]:
     incrementally maintained signature table; the seed endpoints'
     rows come pre-loaded from the shared :class:`_BatchSeed`.
     """
-    graph = ctx.snapshot
-    seed = ctx.seed
+    graph = seed.snapshot
     nq = query.num_vertices
     if query.num_edges == 0:
         # Connected queries with no edges are single vertices.
         lab = query.vertex_label(0)
-        return {(v,) for v in ctx.new_vertices
+        return {(v,) for v in seed.new_vertices
                 if graph.vertex_label(v) == lab}
     if not seed.inserted_by_label:
         return set()
 
-    bits = ctx.signature_bits
-    lbits = ctx.label_bits
-    table = ctx.table
+    bits = seed.signature_bits
+    lbits = seed.label_bits
+    table = seed.table
     seed_rows = seed.seed_rows
     qsigs = [encode_vertex(query, u, bits, lbits) for u in range(nq)]
 
@@ -401,8 +312,8 @@ class StreamEngine:
     def __init__(self, graph: LabeledGraph,
                  config: Optional[GSIConfig] = None,
                  cache_capacity: int = 256,
-                 compact_dead_ratio: float = DEFAULT_COMPACT_DEAD_RATIO,
-                 executor: Optional[QueryExecutor] = None) -> None:
+                 compact_dead_ratio: float = DEFAULT_COMPACT_DEAD_RATIO
+                 ) -> None:
         self.config = config if config is not None else GSIConfig()
         if not self.config.use_pcsr:
             raise GraphError(
@@ -429,18 +340,6 @@ class StreamEngine:
         # only ever raise, never silently read another query's matches.
         self._next_query_id = 0
         self.batches_applied = 0
-        # Per-query delta matching fans out through the same executor
-        # abstraction as the batch service (serial by default).
-        self.executor = executor if executor is not None \
-            else SerialExecutor()
-        # The current shared-memory snapshot publication (handle +
-        # lease).  Published lazily on the first batch that fans out to
-        # a process executor, patched per commit thereafter.
-        self._plane: Optional[
-            Tuple[GraphSnapshotHandle, BlockLease]] = None
-        #: rows per published chunk — the patch-sharing granularity
-        #: (tests shrink it to exercise chunk reuse on small graphs)
-        self.plane_chunk = DEFAULT_CHUNK
 
     # ------------------------------------------------------------------
     # Query management
@@ -508,7 +407,7 @@ class StreamEngine:
         """Apply one update batch end to end (see module docstring)."""
         with get_tracer().span("stream.apply_batch",
                                batch_index=self.batches_applied) as span:
-            report = self._apply_batch_inner(delta, span)
+            report = self._apply_batch_inner(delta)
             span.set_attribute("created", report.total_created)
             span.set_attribute("destroyed", report.total_destroyed)
         self._record_stream_metrics(report)
@@ -533,8 +432,7 @@ class StreamEngine:
         if report.num_deleted:
             edges.inc(float(report.num_deleted), kind="delete")
 
-    def _apply_batch_inner(self, delta: GraphDelta,
-                           span: Span) -> StreamBatchReport:
+    def _apply_batch_inner(self, delta: GraphDelta) -> StreamBatchReport:
         t0 = time.perf_counter()
         old_snapshot = self.dynamic.base
         self.dynamic.apply(delta)
@@ -578,118 +476,26 @@ class StreamEngine:
             labels_shifted=shifted,
             pcsr=self.index.storage.stats())
         seed = self._build_batch_seed(commit)
-        ctx = _DeltaContext(
-            snapshot=commit.snapshot,
-            new_vertices=tuple(commit.new_vertices),
-            seed=seed,
-            table=self.index.signature_table.table,
-            signature_bits=self.config.signature_bits,
-            label_bits=self.config.label_bits,
-            handle=self._publish_snapshot(commit),
-            trace=span.context() if span.trace_id else None)
-        # Snapshot the registration list: per-query work is handed to
-        # the executor as pure tasks, and merged back by query id in
-        # registration order regardless of completion order.
-        regs = list(self._registered.items())
-        tasks: List[_DeltaTask] = [
-            (qid, reg.query, reg.matches) for qid, reg in regs]
-        try:
-            outcomes = self.executor.map_tasks(_query_delta, tasks,
-                                               shared=ctx)
-        except Exception as exc:  # noqa: BLE001 - the graph/index are
-            # already committed above; live match sets must not be left
-            # behind because a pool died (e.g. BrokenProcessPool after
-            # worker OOM).  Delta matching is side-effect free, so
-            # re-running it in-process keeps the batch exact; a genuine
-            # bug in _query_delta re-raises identically from the serial
-            # run.  The degradation is surfaced, not swallowed: via the
-            # warning and ``StreamBatchReport.executor_fallback``.
-            warnings.warn(
-                f"executor {self.executor.name!r} failed "
-                f"({type(exc).__name__}: {exc}); delta matching for "
-                f"batch {self.batches_applied} re-ran serially",
-                RuntimeWarning, stacklevel=2)
-            report.executor_fallback = True
-            outcomes = SerialExecutor().map_tasks(_query_delta, tasks,
-                                                  shared=ctx)
-        # Validate the whole merge before mutating any live set, so a
-        # misbehaving executor can never leave queries half-updated.
-        if [out[0] for out in outcomes] != [qid for qid, _ in regs]:
-            raise RuntimeError(
-                f"executor {self.executor.name!r} returned results "
-                f"out of order or incomplete "
-                f"({len(outcomes)} results for {len(regs)} queries); "
-                f"no deltas were applied")
-        tracer = get_tracer()
-        for (qid, reg), (_, created, destroyed, host_ms,
-                         spans) in zip(regs, outcomes):
-            if spans:
-                tracer.absorb(spans)
-            reg.matches -= destroyed
-            reg.matches |= created
-            report.query_deltas[qid] = QueryDelta(
-                query_id=qid, created=created, destroyed=destroyed,
-                num_matches=len(reg.matches),
-                host_ms=host_ms)
+        for qid, reg in self._registered.items():
+            outcome = _query_delta(seed, qid, reg.query, reg.matches)
+            reg.matches -= outcome.destroyed
+            reg.matches |= outcome.created
+            outcome.num_matches = len(reg.matches)
+            report.query_deltas[qid] = outcome
         report.wall_ms = (time.perf_counter() - t0) * 1000.0
         self.batches_applied += 1
         return report
 
-    # ------------------------------------------------------------------
-    # The shared-memory snapshot publication
-    # ------------------------------------------------------------------
-
-    def _publish_snapshot(self, commit: CommitResult
-                          ) -> Optional[GraphSnapshotHandle]:
-        """Publish this commit's snapshot + signature rows into shared
-        memory, patching the previous publication.
-
-        Only chunks containing a touched vertex allocate new segments;
-        the rest are re-leased from the previous epoch, so steady-state
-        commits cost O(changes) fresh shared memory.  The previous
-        lease is released only *after* the new publication holds its
-        references, which is what keeps the shared chunks alive.
-        Returns ``None`` (and publishes nothing) unless the executor
-        is a process pool.
-        """
-        if not isinstance(self.executor, ProcessExecutor):
-            return None
-        epoch = self.batches_applied + 1
-        table = self.index.signature_table.table
-        prev = self._plane
-        if prev is not None and prev[0].graph.chunk == self.plane_chunk:
-            handle, lease = publish_snapshot_patch(
-                prev[0], commit.snapshot, table,
-                commit.touched_vertices, epoch=epoch,
-                chunk=self.plane_chunk)
-        else:
-            handle, lease = publish_snapshot(
-                commit.snapshot, table, epoch=epoch,
-                chunk=self.plane_chunk)
-        self._plane = (handle, lease)
-        if prev is not None:
-            prev[1].release()
-        return handle
-
     def close(self) -> None:
-        """Release the snapshot publication (idempotent).  The engine
-        stays usable; the next batch republishes in full."""
-        plane, self._plane = self._plane, None
-        if plane is not None:
-            plane[1].release()
-
-    def __enter__(self) -> "StreamEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        """No-op, kept for existing callers: the engine holds no worker
+        pool and no shared memory, so there is nothing to release."""
 
     # ------------------------------------------------------------------
     # Delta matching
     # ------------------------------------------------------------------
 
     def _build_batch_seed(self, commit: CommitResult) -> _BatchSeed:
-        """Derive the shared candidate-seeding context for one batch.
+        """Gather the shared delta-matching inputs for one batch.
 
         Runs once per batch, not once per registered query: the
         label-grouped inserted edges, the dead-pair set and the touched
@@ -711,6 +517,10 @@ class StreamEngine:
             per_row = self.index.signatures.row_transactions()
             self.index.meter.add_gld(per_row * len(endpoints),
                                      label=LABEL_DELTA_SEED)
-        return _BatchSeed(inserted_by_label=by_label,
+        return _BatchSeed(snapshot=commit.snapshot, table=table,
+                          signature_bits=self.config.signature_bits,
+                          label_bits=self.config.label_bits,
+                          new_vertices=tuple(commit.new_vertices),
+                          inserted_by_label=by_label,
                           dead_pairs=dead_pairs, seed_rows=seed_rows)
 

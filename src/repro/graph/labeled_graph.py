@@ -232,20 +232,6 @@ class LabeledGraph:
             return 0
         return int(np.max(self._offsets[1:] - self._offsets[:-1]))
 
-    def csr_arrays(self) -> Tuple[Array, Array, Array,
-                                  Array]:
-        """``(vertex_labels, degrees, neighbors, incident_labels)``.
-
-        The shift-invariant CSR view the shared-memory data plane
-        publishes: degrees ship instead of offsets because a patched
-        snapshot shifts every offset after the first touched row while
-        untouched rows' degrees (and incidence content) are unchanged —
-        which is what lets untouched blocks be shared between snapshots.
-        Offsets are recovered as the prefix sum of the degrees.
-        """
-        return (self._vlabels, self._offsets[1:] - self._offsets[:-1],
-                self._nbr, self._elab)
-
     # ------------------------------------------------------------------
     # Convenience
     # ------------------------------------------------------------------

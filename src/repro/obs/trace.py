@@ -6,10 +6,10 @@ carry structured attributes (query fingerprint, shard id, executor
 kind, kernel lane).  Nesting is tracked per thread, so the serial
 executor parents spans automatically on any thread; process workers get
 a :class:`TraceContext` — the ``(trace_id, span_id)`` pair that pickles
-with each ``PreparedQuery`` task and with ``_DeltaContext`` — record
-spans locally under :func:`shipped_spans`, and ship the finished span
-dicts back with their results, where the coordinator re-parents them
-into one coherent tree via :meth:`Tracer.absorb`.
+with each ``PreparedQuery`` task — record spans locally under
+:func:`shipped_spans`, and ship the finished span dicts back with their
+results, where the coordinator re-parents them into one coherent tree
+via :meth:`Tracer.absorb`.
 
 The module-global tracer defaults to :class:`NullTracer`, whose
 ``span()`` returns a shared inert span: the disabled path is one

@@ -133,7 +133,7 @@ class _ShardPlanView:
 
 
 # ----------------------------------------------------------------------
-# The scatter task (mirrors the stream engine's _query_delta)
+# The scatter task
 # ----------------------------------------------------------------------
 
 #: fan-out payload: (task index, shard id, prepared query)

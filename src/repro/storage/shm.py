@@ -1,53 +1,43 @@
 """Zero-copy shared-memory data plane for process executors.
 
-The process executor's historical defect: every batch re-pickled the
-data-graph-sized payload — CSR arrays, signature-table rows, PCSR ci
-words — to each worker chunk (``_DeltaContext`` for streams, the
-engine context for batches and shards), so on large graphs the
-*shipping* was the cost even though workers cached built engines.
-This module moves the big arrays into named
-:mod:`multiprocessing.shared_memory` segments owned by the parent
-(:class:`~repro.service.executors.EngineFanout` and the stream engine
-hold the leases); what crosses the pipe is a compact
-picklable *handle* — segment names + dtypes + shapes + an epoch — and
-workers attach read-only by name, memoizing the attach per publication.
+Without it, a process executor re-pickles the data-graph-sized payload
+— CSR arrays, signature-table rows, PCSR ci words — to every worker
+chunk, so on large graphs the *shipping* is the cost even though
+workers cache built engines.  This module moves the big arrays into
+named :mod:`multiprocessing.shared_memory` segments owned by the
+parent (:class:`~repro.service.executors.EngineFanout` holds the
+leases); what crosses the pipe is a compact picklable *handle* —
+segment names + dtypes + shapes + an epoch — and workers attach
+read-only by name, memoizing the attach per publication.
 Steady-state batches therefore ship O(handle) bytes instead of O(|G|).
 
 Layers
 ------
 
 * **Blocks** — :class:`BlockHandle` names one shared segment holding one
-  contiguous ndarray.  The parent owns every block it creates in a
-  refcounted registry; :class:`BlockLease` objects hold references and
-  unlink segments when the last reference drops (with an ``atexit``
-  backstop, so a crashed run never leaks ``/dev/shm`` entries).
-* **Publications** — :class:`ArrayPublication` is one logical array
-  split into vertex-range chunks (:data:`DEFAULT_CHUNK` rows each).
-  Chunking is what makes *patch* publications O(changes): a new
-  snapshot re-publishes only the chunks containing touched vertices and
-  re-leases the untouched chunks by name (refcount bump, no copy).
-* **Handles** — :class:`GraphHandle` (CSR arrays, shipped as
-  shift-invariant *degrees*; attach rebuilds offsets by prefix sum),
+  whole ndarray.  The parent owns every block it creates in a
+  registry; a :class:`BlockLease` unlinks its blocks on release (with
+  an ``atexit`` backstop, so a crashed run never leaks ``/dev/shm``
+  entries).
+* **Handles** — :class:`GraphHandle` (the CSR arrays),
   :class:`SignatureHandle` (table rows + layout flag),
   :class:`PCSRStoreHandle` (per-partition group arrays + live ci
-  prefix), and the two composites the executors ship:
-  :class:`EngineArtifactsHandle` (batch/shard path) and
-  :class:`GraphSnapshotHandle` (stream path).
+  prefix), and the composite the executors ship,
+  :class:`EngineArtifactsHandle`.
 
 Attach semantics
 ----------------
 
-Workers attach with :func:`attach_graph` / :func:`attach_snapshot` /
-:func:`attach_engine`.  Single-chunk publications attach as true
-zero-copy read-only views over the segment; multi-chunk publications
-concatenate into worker-private memory once and are memoized (LRU per
-handle), so repeated batches over the same publication attach nothing.
-Attached objects keep their ``SharedMemory`` mappings alive via a
-``_shm_refs`` attribute; on Linux an owner-side unlink leaves existing
-mappings valid, so a worker mid-batch is never yanked — only *new*
-attaches of a retired publication fail, raising :class:`StaleHandleError`
-(chained from the underlying ``FileNotFoundError``) instead of silently
-reading stale arrays.
+Workers attach with :func:`attach_graph` / :func:`attach_engine`.
+Every array attaches as a zero-copy read-only view over its segment,
+memoized per handle (LRU), so repeated batches over the same
+publication attach nothing.  Attached objects keep their
+``SharedMemory`` mappings alive via a ``_shm_refs`` attribute; on Linux
+an owner-side unlink leaves existing mappings valid, so a worker
+mid-batch is never yanked — only *new* attaches of a retired
+publication fail, raising :class:`StaleHandleError` (chained from the
+underlying ``FileNotFoundError``) instead of silently reading stale
+arrays.
 
 Attach-side processes must not let the ``resource_tracker`` adopt
 segments they merely attached (a worker killed by ``os._exit`` would
@@ -60,11 +50,10 @@ Reconstruction contracts
 
 Attached objects are rebuilt without ever shipping Python containers:
 
-* ``LabeledGraph`` — offsets are the prefix sum of the shipped degrees
-  (offsets themselves shift under patches; degrees of untouched rows do
-  not), and ``_edge_map`` / ``_edge_label_freq`` are re-derived
-  vectorized from the CSR arrays.  Insertion order of the rebuilt edge
-  map differs from the parent's, which is immaterial worker-side: joins
+* ``LabeledGraph`` — the CSR arrays (offsets included) attach as they
+  are, and ``_edge_map`` / ``_edge_label_freq`` are re-derived
+  vectorized from them.  Insertion order of the rebuilt edge map
+  differs from the parent's, which is immaterial worker-side: joins
   read arrays, and ``has_edge`` / ``edge_label`` are order-insensitive.
 * ``PCSRPartition`` — ships ``groups``, the live ci prefix and the
   region arrays; ``_keys_per_group`` is derived from the group layer
@@ -75,7 +64,7 @@ Attached objects are rebuilt without ever shipping Python containers:
   reads never mutate.
 
 Differential testing asserts process-executor results byte-identical to
-the in-process serial arm across the batch, stream, and sharded paths.
+the in-process serial arm across the batch and sharded paths.
 """
 
 from __future__ import annotations
@@ -97,7 +86,6 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -105,7 +93,6 @@ import numpy as np
 
 from repro.arraytypes import Array
 from repro.core.signature_table import SignatureTable
-from repro.errors import StorageError
 from repro.graph.labeled_graph import LabeledGraph
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
@@ -115,9 +102,6 @@ if TYPE_CHECKING:  # runtime import stays inside attach_engine (the
     # core package imports storage; a top-level import would cycle)
     from repro.core.config import GSIConfig
     from repro.core.engine import GSIEngine
-
-#: rows per publication chunk; the patch-sharing granularity
-DEFAULT_CHUNK = 4096
 
 
 class StaleHandleError(RuntimeError):
@@ -132,17 +116,16 @@ class StaleHandleError(RuntimeError):
 
 
 # ----------------------------------------------------------------------
-# Owner-side block registry (refcounted; unlink at zero; atexit backstop)
+# Owner-side block registry (unlink on release; atexit backstop)
 # ----------------------------------------------------------------------
 
 _LOCK = threading.Lock()
 _OWNED: Dict[str, shared_memory.SharedMemory] = {}
-_REFS: Dict[str, int] = {}
 
 
 @dataclass(frozen=True)
 class BlockHandle:
-    """One shared segment holding one contiguous ndarray."""
+    """One shared segment holding one whole ndarray."""
 
     name: str
     dtype: str
@@ -159,7 +142,6 @@ def _create_block(arr: Array) -> BlockHandle:
         Array(arr.shape, dtype=arr.dtype, buffer=seg.buf)[...] = arr
     with _LOCK:
         _OWNED[name] = seg
-        _REFS[name] = 1
     registry = get_registry()
     registry.counter(
         "gsi_shm_segments_total",
@@ -172,27 +154,10 @@ def _create_block(arr: Array) -> BlockHandle:
                        shape=tuple(int(s) for s in arr.shape))
 
 
-def _retain(names: Iterable[str]) -> None:
-    with _LOCK:
-        for name in names:
-            if name not in _REFS:
-                raise StorageError(
-                    f"cannot retain unowned shared block {name!r}")
-            _REFS[name] += 1
-
-
 def _release(names: Iterable[str]) -> None:
-    dead: List[shared_memory.SharedMemory] = []
     with _LOCK:
-        for name in names:
-            refs = _REFS.get(name)
-            if refs is None:
-                continue  # already force-released (atexit raced)
-            if refs > 1:
-                _REFS[name] = refs - 1
-            else:
-                del _REFS[name]
-                dead.append(_OWNED.pop(name))
+        # A name already gone was force-released (atexit raced).
+        dead = [_OWNED.pop(name) for name in names if name in _OWNED]
     for seg in dead:
         try:
             seg.unlink()
@@ -213,7 +178,6 @@ def _cleanup_owned_segments() -> None:  # pragma: no cover - process exit
     with _LOCK:
         dead = list(_OWNED.values())
         _OWNED.clear()
-        _REFS.clear()
     for seg in dead:
         try:
             seg.unlink()
@@ -223,13 +187,10 @@ def _cleanup_owned_segments() -> None:  # pragma: no cover - process exit
 
 
 class BlockLease:
-    """Owner-side reference on a set of shared blocks.
+    """Owner-side hold on the shared blocks of one publication.
 
     Publications hand one of these back; :meth:`release` (idempotent)
-    drops the references, unlinking any block whose refcount reaches
-    zero.  Blocks shared between a patched publication and its
-    predecessor carry one reference per lease, so releasing the old
-    snapshot's lease never unlinks chunks the new snapshot still uses.
+    unlinks every block the lease names.
     """
 
     def __init__(self, names: Sequence[str]) -> None:
@@ -287,37 +248,12 @@ def _attach_block(block: BlockHandle
     except FileNotFoundError as exc:
         raise StaleHandleError(
             f"shared block {block.name!r} is gone — its publication was "
-            f"retired (owner shut down, rebuilt, or committed a new "
-            f"epoch); re-publish and ship a fresh handle") from exc
+            f"retired (owner closed or rebuilt); re-publish and ship a "
+            f"fresh handle") from exc
     arr = Array(block.shape, dtype=np.dtype(block.dtype),
                      buffer=seg.buf)
     arr.flags.writeable = False
     return arr, seg
-
-
-@dataclass(frozen=True)
-class ArrayPublication:
-    """One logical array as an ordered tuple of chunk blocks."""
-
-    blocks: Tuple[BlockHandle, ...]
-
-    @property
-    def names(self) -> Tuple[str, ...]:
-        return tuple(b.name for b in self.blocks)
-
-
-def _attach_publication(pub: ArrayPublication
-                        ) -> Tuple[Array,
-                                   List[shared_memory.SharedMemory]]:
-    """Attach a publication: a zero-copy view for single-chunk, one
-    worker-private concatenation for multi-chunk."""
-    pairs = [_attach_block(block) for block in pub.blocks]
-    segs = [seg for _, seg in pairs]
-    if len(pairs) == 1:
-        return pairs[0][0], segs
-    arr = np.concatenate([a for a, _ in pairs])
-    arr.flags.writeable = False
-    return arr, segs
 
 
 # ----------------------------------------------------------------------
@@ -327,37 +263,29 @@ def _attach_publication(pub: ArrayPublication
 
 @dataclass(frozen=True)
 class GraphHandle:
-    """A :class:`LabeledGraph` as shared CSR blocks.
+    """A :class:`LabeledGraph` as its four shared CSR blocks."""
 
-    Degrees ship instead of offsets: offsets shift cumulatively under
-    patches while untouched rows' degrees (and row contents) do not, so
-    degree chunks are reusable across snapshots.  ``nbr`` / ``elab``
-    chunks are row-aligned to the same vertex ranges.
-    """
-
-    num_vertices: int
-    chunk: int
-    vlabels: ArrayPublication
-    degrees: ArrayPublication
-    nbr: ArrayPublication
-    elab: ArrayPublication
+    vlabels: BlockHandle
+    offsets: BlockHandle
+    nbr: BlockHandle
+    elab: BlockHandle
 
     @property
     def names(self) -> Tuple[str, ...]:
-        return (self.vlabels.names + self.degrees.names
-                + self.nbr.names + self.elab.names)
+        return (self.vlabels.name, self.offsets.name, self.nbr.name,
+                self.elab.name)
 
 
 @dataclass(frozen=True)
 class SignatureHandle:
-    """A :class:`SignatureTable` as row-chunked shared blocks."""
+    """A :class:`SignatureTable` as one shared block of rows."""
 
-    table: ArrayPublication
+    table: BlockHandle
     column_first: bool
 
     @property
     def names(self) -> Tuple[str, ...]:
-        return self.table.names
+        return (self.table.name,)
 
 
 @dataclass(frozen=True)
@@ -369,15 +297,15 @@ class PCSRPartitionHandle:
     num_groups: int
     ci_len: int
     dead_words: int
-    groups: ArrayPublication
-    ci: ArrayPublication
-    region_start: ArrayPublication
-    region_cap: ArrayPublication
+    groups: BlockHandle
+    ci: BlockHandle
+    region_start: BlockHandle
+    region_cap: BlockHandle
 
     @property
     def names(self) -> Tuple[str, ...]:
-        return (self.groups.names + self.ci.names
-                + self.region_start.names + self.region_cap.names)
+        return (self.groups.name, self.ci.name, self.region_start.name,
+                self.region_cap.name)
 
 
 @dataclass(frozen=True)
@@ -412,173 +340,35 @@ class EngineArtifactsHandle:
         return names
 
 
-@dataclass(frozen=True)
-class GraphSnapshotHandle:
-    """The stream's per-batch context payload: committed snapshot +
-    maintained signature rows, as shared blocks keyed by commit epoch."""
-
-    epoch: int
-    graph: GraphHandle
-    table: ArrayPublication
-
-    @property
-    def names(self) -> Tuple[str, ...]:
-        return self.graph.names + self.table.names
+def _publish_graph_blocks(graph: LabeledGraph) -> GraphHandle:
+    return GraphHandle(vlabels=_create_block(graph._vlabels),
+                       offsets=_create_block(graph._offsets),
+                       nbr=_create_block(graph._nbr),
+                       elab=_create_block(graph._elab))
 
 
-def _vertex_ranges(n: int, chunk: int) -> List[Tuple[int, int]]:
-    if n <= 0:
-        return [(0, 0)]
-    return [(a, min(a + chunk, n)) for a in range(0, n, chunk)]
-
-
-def _touched_chunks(touched: Iterable[int], chunk: int) -> Set[int]:
-    return {v // chunk for v in touched}
-
-
-def _publish_graph_blocks(graph: LabeledGraph, chunk: int
-                          ) -> Tuple[GraphHandle, List[str]]:
-    vlabels, degrees, nbr, elab = graph.csr_arrays()
-    n = graph.num_vertices
-    offsets = graph._offsets
-    ranges = _vertex_ranges(n, chunk)
-    vl = [_create_block(vlabels[a:b]) for a, b in ranges]
-    dg = [_create_block(degrees[a:b]) for a, b in ranges]
-    nb = [_create_block(nbr[offsets[a]:offsets[b]]) for a, b in ranges]
-    el = [_create_block(elab[offsets[a]:offsets[b]]) for a, b in ranges]
-    handle = GraphHandle(
-        num_vertices=n, chunk=chunk,
-        vlabels=ArrayPublication(tuple(vl)),
-        degrees=ArrayPublication(tuple(dg)),
-        nbr=ArrayPublication(tuple(nb)),
-        elab=ArrayPublication(tuple(el)))
-    return handle, list(handle.names)
-
-
-def _patch_chunks(prev: ArrayPublication, slices: List[Array],
-                  stale: Set[int], names: List[str]
-                  ) -> ArrayPublication:
-    """Re-publish only stale chunks; re-lease the rest by name."""
-    blocks: List[BlockHandle] = []
-    for k, sl in enumerate(slices):
-        old = prev.blocks[k] if k < len(prev.blocks) else None
-        if (old is not None and k not in stale
-                and old.shape == tuple(int(s) for s in sl.shape)):
-            _retain([old.name])
-            blocks.append(old)
-        else:
-            blocks.append(_create_block(sl))
-    names.extend(b.name for b in blocks)
-    return ArrayPublication(tuple(blocks))
-
-
-def _publish_graph_patch_blocks(prev: GraphHandle, graph: LabeledGraph,
-                                touched: Iterable[int], chunk: int
-                                ) -> Tuple[GraphHandle, List[str]]:
-    if chunk != prev.chunk:  # chunk policy changed: no reuse possible
-        return _publish_graph_blocks(graph, chunk)
-    vlabels, degrees, nbr, elab = graph.csr_arrays()
-    n = graph.num_vertices
-    offsets = graph._offsets
-    ranges = _vertex_ranges(n, chunk)
-    stale = _touched_chunks(touched, chunk)
-    names: List[str] = []
-    vl = _patch_chunks(prev.vlabels,
-                       [vlabels[a:b] for a, b in ranges], stale, names)
-    dg = _patch_chunks(prev.degrees,
-                       [degrees[a:b] for a, b in ranges], stale, names)
-    nb = _patch_chunks(prev.nbr,
-                       [nbr[offsets[a]:offsets[b]] for a, b in ranges],
-                       stale, names)
-    el = _patch_chunks(prev.elab,
-                       [elab[offsets[a]:offsets[b]] for a, b in ranges],
-                       stale, names)
-    handle = GraphHandle(num_vertices=n, chunk=chunk, vlabels=vl,
-                         degrees=dg, nbr=nb, elab=el)
-    return handle, names
-
-
-def publish_graph(graph: LabeledGraph, *, chunk: int = DEFAULT_CHUNK
+def publish_graph(graph: LabeledGraph
                   ) -> Tuple[GraphHandle, BlockLease]:
     """Place a graph's CSR arrays into shared blocks."""
-    handle, names = _publish_graph_blocks(graph, chunk)
-    return handle, BlockLease(names)
+    handle = _publish_graph_blocks(graph)
+    return handle, BlockLease(handle.names)
 
 
-def publish_graph_patch(prev: GraphHandle, graph: LabeledGraph,
-                        touched: Iterable[int], *,
-                        chunk: int = DEFAULT_CHUNK
-                        ) -> Tuple[GraphHandle, BlockLease]:
-    """Publish a patched snapshot, sharing untouched chunks with
-    ``prev`` (O(changes) new shared memory, not O(|G|)).
-
-    ``touched`` must cover every vertex whose label, degree, or
-    incidence row differs from ``prev``'s graph — for a
-    :meth:`~repro.graph.labeled_graph.LabeledGraph.apply_changes`
-    commit that is exactly
-    :attr:`~repro.dynamic.graph.CommitResult.touched_vertices`.
-    """
-    handle, names = _publish_graph_patch_blocks(prev, graph, touched,
-                                                chunk)
-    return handle, BlockLease(names)
-
-
-def _publish_table_blocks(table: Array, chunk: int,
-                          prev: Optional[ArrayPublication] = None,
-                          touched: Optional[Iterable[int]] = None
-                          ) -> Tuple[ArrayPublication, List[str]]:
-    n = int(table.shape[0])
-    ranges = _vertex_ranges(n, chunk)
-    slices = [table[a:b] for a, b in ranges]
-    names: List[str] = []
-    if prev is None:
-        pub = ArrayPublication(tuple(_create_block(sl) for sl in slices))
-        names.extend(pub.names)
-    else:
-        stale = _touched_chunks(touched or (), chunk)
-        pub = _patch_chunks(prev, slices, stale, names)
-    return pub, names
-
-
-def publish_signature(table: SignatureTable, *,
-                      chunk: int = DEFAULT_CHUNK
-                      ) -> Tuple[SignatureHandle, BlockLease]:
-    """Place a signature table's rows into shared blocks."""
-    pub, names = _publish_table_blocks(table.table, chunk)
-    return (SignatureHandle(table=pub, column_first=table.column_first),
-            BlockLease(names))
-
-
-def _publish_pcsr_blocks(store: PCSRStorage
-                         ) -> Tuple[PCSRStoreHandle, List[str]]:
-    parts: List[PCSRPartitionHandle] = []
-    names: List[str] = []
-    for label in sorted(store._parts):
-        part = store._parts[label]
-        handle = PCSRPartitionHandle(
+def _publish_pcsr_blocks(store: PCSRStorage) -> PCSRStoreHandle:
+    parts = tuple(
+        PCSRPartitionHandle(
             label=int(label), gpn=part.gpn,
             num_groups=part.num_groups, ci_len=part._ci_len,
             dead_words=part._dead_words,
-            groups=ArrayPublication((_create_block(part.groups),)),
-            ci=ArrayPublication((_create_block(part.ci),)),
-            region_start=ArrayPublication(
-                (_create_block(part._region_start),)),
-            region_cap=ArrayPublication(
-                (_create_block(part._region_cap),)))
-        parts.append(handle)
-        names.extend(handle.names)
-    return PCSRStoreHandle(gpn=store.gpn, parts=tuple(parts)), names
+            groups=_create_block(part.groups),
+            ci=_create_block(part.ci),
+            region_start=_create_block(part._region_start),
+            region_cap=_create_block(part._region_cap))
+        for label, part in sorted(store._parts.items()))
+    return PCSRStoreHandle(gpn=store.gpn, parts=parts)
 
 
-def publish_pcsr(store: PCSRStorage
-                 ) -> Tuple[PCSRStoreHandle, BlockLease]:
-    """Place a PCSR store's group and ci arrays into shared blocks."""
-    handle, names = _publish_pcsr_blocks(store)
-    return handle, BlockLease(names)
-
-
-def publish_engine(engine: GSIEngine, *, epoch: int,
-                   chunk: int = DEFAULT_CHUNK
+def publish_engine(engine: GSIEngine, *, epoch: int
                    ) -> Tuple[EngineArtifactsHandle, BlockLease]:
     """Publish a live :class:`GSIEngine`'s artifacts under one lease.
 
@@ -587,57 +377,15 @@ def publish_engine(engine: GSIEngine, *, epoch: int,
     the attached graph + config.
     """
     with get_tracer().span("shm.publish_engine", epoch=epoch) as span:
-        graph_h, names = _publish_graph_blocks(engine.graph, chunk)
-        sig_pub, sig_names = _publish_table_blocks(
-            engine.signature_table.table, chunk)
-        names.extend(sig_names)
-        store_h: Optional[PCSRStoreHandle] = None
-        if type(engine.store) is PCSRStorage:
-            store_h, store_names = _publish_pcsr_blocks(engine.store)
-            names.extend(store_names)
         handle = EngineArtifactsHandle(
-            epoch=epoch, graph=graph_h,
+            epoch=epoch, graph=_publish_graph_blocks(engine.graph),
             signature=SignatureHandle(
-                table=sig_pub,
+                table=_create_block(engine.signature_table.table),
                 column_first=engine.signature_table.column_first),
-            store=store_h)
-        span.set_attribute("segments", len(names))
-    return handle, BlockLease(names)
-
-
-def publish_snapshot(graph: LabeledGraph, table: Array, *,
-                     epoch: int, chunk: int = DEFAULT_CHUNK
-                     ) -> Tuple[GraphSnapshotHandle, BlockLease]:
-    """Publish a stream snapshot (graph + signature rows) in full."""
-    with get_tracer().span("shm.publish_snapshot",
-                           epoch=epoch) as span:
-        graph_h, names = _publish_graph_blocks(graph, chunk)
-        pub, table_names = _publish_table_blocks(table, chunk)
-        names.extend(table_names)
-        span.set_attribute("segments", len(names))
-    return (GraphSnapshotHandle(epoch=epoch, graph=graph_h, table=pub),
-            BlockLease(names))
-
-
-def publish_snapshot_patch(prev: GraphSnapshotHandle,
-                           graph: LabeledGraph, table: Array,
-                           touched: Iterable[int], *, epoch: int,
-                           chunk: int = DEFAULT_CHUNK
-                           ) -> Tuple[GraphSnapshotHandle, BlockLease]:
-    """Publish a committed snapshot, reusing every chunk untouched by
-    the batch (graph rows and signature rows alike change only at
-    touched vertices — vertex labels are immutable)."""
-    touched = set(touched)
-    with get_tracer().span("shm.publish_snapshot_patch", epoch=epoch,
-                           touched=len(touched)) as span:
-        graph_h, names = _publish_graph_patch_blocks(prev.graph, graph,
-                                                     touched, chunk)
-        pub, table_names = _publish_table_blocks(
-            table, chunk, prev=prev.table, touched=touched)
-        names.extend(table_names)
-        span.set_attribute("segments", len(names))
-    return (GraphSnapshotHandle(epoch=epoch, graph=graph_h, table=pub),
-            BlockLease(names))
+            store=(_publish_pcsr_blocks(engine.store)
+                   if type(engine.store) is PCSRStorage else None))
+        span.set_attribute("segments", len(handle.names))
+    return handle, BlockLease(handle.names)
 
 
 # ----------------------------------------------------------------------
@@ -664,19 +412,9 @@ def _memo_attach(key: Hashable, build: Callable[[], Any]) -> Any:
 
 
 def _build_graph(handle: GraphHandle) -> LabeledGraph:
-    segs: List[shared_memory.SharedMemory] = []
-    vlabels, s = _attach_publication(handle.vlabels)
-    segs.extend(s)
-    degrees, s = _attach_publication(handle.degrees)
-    segs.extend(s)
-    nbr, s = _attach_publication(handle.nbr)
-    segs.extend(s)
-    elab, s = _attach_publication(handle.elab)
-    segs.extend(s)
-    n = handle.num_vertices
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degrees, out=offsets[1:])
-
+    arrays, segs = zip(*(_attach_block(block) for block in (
+        handle.vlabels, handle.offsets, handle.nbr, handle.elab)))
+    vlabels, offsets, nbr, elab = arrays
     graph = object.__new__(LabeledGraph)
     graph._vlabels = vlabels
     graph._offsets = offsets
@@ -684,14 +422,15 @@ def _build_graph(handle: GraphHandle) -> LabeledGraph:
     graph._elab = elab
     # Vectorized metadata rebuild from the CSR arrays: each undirected
     # edge appears once with src < dst.
-    src = np.repeat(np.arange(n, dtype=np.int64), offsets[1:] - offsets[:-1])
+    src = np.repeat(np.arange(len(vlabels), dtype=np.int64),
+                    np.diff(offsets))
     mask = src < nbr
     lo, hi, lab = src[mask], nbr[mask], elab[mask]
     graph._edge_map = dict(zip(zip(lo.tolist(), hi.tolist()),
                                lab.tolist()))
     labels, counts = np.unique(lab, return_counts=True)
     graph._edge_label_freq = dict(zip(labels.tolist(), counts.tolist()))
-    graph._shm_refs = segs  # keep the mappings alive with the graph
+    graph._shm_refs = list(segs)  # keep the mappings alive with the graph
     return graph
 
 
@@ -701,9 +440,9 @@ def attach_graph(handle: GraphHandle) -> LabeledGraph:
 
 
 def _build_signature(handle: SignatureHandle) -> SignatureTable:
-    table, segs = _attach_publication(handle.table)
+    table, seg = _attach_block(handle.table)
     sig = SignatureTable(table, column_first=handle.column_first)
-    sig._shm_refs = segs
+    sig._shm_refs = [seg]
     return sig
 
 
@@ -719,14 +458,14 @@ def _build_partition(handle: PCSRPartitionHandle,
     part.gpn = handle.gpn
     part.label = handle.label
     part.num_groups = handle.num_groups
-    part.groups, s = _attach_publication(handle.groups)
-    segs.extend(s)
-    part._ci_buf, s = _attach_publication(handle.ci)
-    segs.extend(s)
-    part._region_start, s = _attach_publication(handle.region_start)
-    segs.extend(s)
-    part._region_cap, s = _attach_publication(handle.region_cap)
-    segs.extend(s)
+    part.groups, seg = _attach_block(handle.groups)
+    segs.append(seg)
+    part._ci_buf, seg = _attach_block(handle.ci)
+    segs.append(seg)
+    part._region_start, seg = _attach_block(handle.region_start)
+    segs.append(seg)
+    part._region_cap, seg = _attach_block(handle.region_cap)
+    segs.append(seg)
     part._ci_len = handle.ci_len
     part._dead_words = handle.dead_words
     # Key slots fill contiguously from slot 0 (a validate() invariant),
@@ -753,18 +492,6 @@ def _build_pcsr(handle: PCSRStoreHandle) -> PCSRStorage:
 def attach_pcsr(handle: PCSRStoreHandle) -> PCSRStorage:
     """Reconstruct a read-only :class:`PCSRStorage`."""
     return _memo_attach(handle, lambda: _build_pcsr(handle))
-
-
-def attach_snapshot(handle: GraphSnapshotHandle
-                    ) -> Tuple[LabeledGraph, Array]:
-    """Attach a stream snapshot: ``(graph, signature-table rows)``."""
-    def build() -> Tuple[LabeledGraph, Array, Any]:
-        graph = attach_graph(handle.graph)
-        table, segs = _attach_publication(handle.table)
-        return graph, table, segs
-
-    graph, table, _segs = _memo_attach(handle, build)
-    return graph, table
 
 
 def attach_engine(handle: EngineArtifactsHandle,

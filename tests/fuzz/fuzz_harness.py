@@ -263,15 +263,8 @@ def run_fuzz(seed: int, profile: str = "uniform", *,
              num_vertices: int = 28, num_batches: int = 6,
              batch_size: int = 10, query_sizes: Tuple[int, ...] = (2, 3, 4),
              compact_dead_ratio: float = 0.25,
-             check_signatures: bool = True,
-             executor=None) -> FuzzReport:
-    """One end-to-end differential fuzz run; raises on any divergence.
-
-    ``executor`` (a :class:`repro.service.executors.QueryExecutor`, not
-    shut down here) routes the per-query delta matching through that
-    executor — used to fuzz the process pool's shm data plane against
-    the same oracle that vets the serial path.
-    """
+             check_signatures: bool = True) -> FuzzReport:
+    """One end-to-end differential fuzz run; raises on any divergence."""
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}")
     rng = np.random.default_rng(seed * 7919 + PROFILES.index(profile))
@@ -280,8 +273,7 @@ def run_fuzz(seed: int, profile: str = "uniform", *,
     vlabel_pool = sorted(set(shadow.vlabels)) or [0]
     elabel_pool = graph.distinct_edge_labels() or [0]
 
-    engine = StreamEngine(graph, compact_dead_ratio=compact_dead_ratio,
-                          executor=executor)
+    engine = StreamEngine(graph, compact_dead_ratio=compact_dead_ratio)
     queries = [random_walk_query(graph, k, seed=seed + i)
                for i, k in enumerate(query_sizes)]
     qids = [engine.register(q) for q in queries]
@@ -321,5 +313,4 @@ def run_fuzz(seed: int, profile: str = "uniform", *,
         report.compactions += batch.compactions
         report.rebuilds += batch.rebuilds
         report.checks += 1
-    engine.close()
     return report

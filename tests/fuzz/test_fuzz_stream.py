@@ -76,27 +76,6 @@ def test_fuzz_property(seed, profile):
              batch_size=6, query_sizes=(2, 3))
 
 
-@pytest.mark.parametrize("profile", ("churn", "adversarial"))
-def test_fuzz_process_executor_shm_plane(profile):
-    """A fuzz slice through the process pool's shm data plane: workers
-    attach each committed snapshot from shared segments, and every
-    per-batch delta still matches the brute-force oracle."""
-    from repro.service import make_executor
-    from repro.storage import shm
-
-    before = set(shm.owned_segment_names())
-    executor = make_executor("process", 2)
-    try:
-        report = run_fuzz(1, profile, num_vertices=20, num_batches=4,
-                          batch_size=8, query_sizes=(2, 3),
-                          executor=executor)
-        assert report.batches == 4
-    finally:
-        executor.shutdown()
-    assert not (set(shm.owned_segment_names()) - before), \
-        "fuzz run leaked shared-memory segments"
-
-
 def test_delete_everything_then_refill():
     # Degenerate endpoints: drain the graph to zero edges, then grow it
     # back — snapshots, PCSR and match sets must track through both.

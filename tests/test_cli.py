@@ -116,7 +116,6 @@ class TestShardedCommands:
         ["batch", "--dataset", "enron", "--workers", "-1"],
         ["batch", "--dataset", "enron", "--cache-capacity", "0"],
         ["shard-info", "--dataset", "enron", "--shards", "0"],
-        ["stream", "--dataset", "enron", "--workers", "0"],
     ])
     def test_non_positive_arguments_rejected(self, argv, capsys):
         assert main(argv) == 2
@@ -130,11 +129,14 @@ class TestShardedCommands:
     def test_bad_chunking_rejected(self):
         # Chunking is always static and the data plane always shared
         # memory: the flags that chose otherwise, and the thread
-        # executor, are gone.
+        # executor, are gone.  The stream runs delta matching in
+        # process, so it takes no executor flags at all.
         for argv in (["batch", "--chunking", "static"],
                      ["batch", "--data-plane", "shm"],
                      ["stream", "--data-plane", "shm"],
                      ["serve", "--data-plane", "shm"],
-                     ["batch", "--executor", "thread"]):
+                     ["batch", "--executor", "thread"],
+                     ["stream", "--executor", "process"],
+                     ["stream", "--workers", "2"]):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(argv)

@@ -2,10 +2,12 @@
 
 Two layers: unit tests of span/tracer semantics (thread-local nesting,
 explicit parents, the null fast path, ``shipped_spans``), and the
-load-bearing integration claim — a traced batch over the
+load-bearing integration claims — a traced batch over the
 process-pool executor, sharded and unsharded, under both fork and
 spawn start methods, yields ONE connected span tree whose worker
-spans carry worker pids and re-parent under the coordinator's spans.
+spans carry worker pids and re-parent under the coordinator's spans;
+a traced stream batch nests each query's delta span directly under
+the batch span, with no executor hop between them.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import multiprocessing
 import pytest
 
 from repro.core.config import GSIConfig
+from repro.dynamic import StreamEngine, random_update_stream
 from repro.graph.generators import random_walk_query, scale_free_graph
 from repro.obs.export import validate_span_tree
 from repro.obs.trace import (
@@ -259,3 +262,31 @@ class TestCrossProcessPropagation:
         assert report.errors == 0
         assert get_tracer().finished() == []
         assert not tracing_active()
+
+
+class TestStreamTrace:
+    def test_query_deltas_nest_under_apply_batch(self):
+        """Delta matching runs in process: every registered query gets
+        one ``stream.query_delta`` span whose parent is its batch's
+        ``stream.apply_batch`` span, and no ``executor.*`` span sits
+        anywhere in the tree."""
+        graph = scale_free_graph(40, 3, 3, 3, seed=6)
+        engine = StreamEngine(graph)
+        qids = [engine.register(random_walk_query(graph, k, seed=s))
+                for s, k in enumerate((2, 3, 4))]
+        deltas = list(random_update_stream(graph, 2, 8, seed=4))
+        spans = _run_traced(
+            lambda: [engine.apply_batch(delta) for delta in deltas])
+        tree = validate_span_tree(spans)
+        assert tree["connected"], tree
+        assert not [s["name"] for s in spans
+                    if s["name"].startswith("executor.")]
+        batches = [s for s in spans if s["name"] == "stream.apply_batch"]
+        assert len(batches) == len(deltas)
+        query_deltas = [s for s in spans
+                        if s["name"] == "stream.query_delta"]
+        assert len(query_deltas) == len(deltas) * len(qids)
+        for batch in batches:
+            under = [s["attrs"]["query_id"] for s in query_deltas
+                     if s["parent_id"] == batch["span_id"]]
+            assert sorted(under) == qids

@@ -19,7 +19,6 @@ import pytest
 
 from repro.core.config import GSIConfig
 from repro.core.engine import GSIEngine
-from repro.dynamic import DynamicGraph, GraphDelta, StreamEngine
 from repro.graph.generators import random_walk_query, scale_free_graph
 from repro.service import BatchEngine, make_executor
 from repro.service.executors import START_METHOD_ENV, ProcessExecutor
@@ -48,7 +47,7 @@ def _kill_worker(_shared, _payload):  # simulates an OOM-killed worker
 class TestGraphRoundTrip:
     def test_attach_reproduces_csr(self, segment_baseline):
         graph = scale_free_graph(80, 3, 4, 3, seed=2)
-        handle, lease = shm.publish_graph(graph, chunk=16)
+        handle, lease = shm.publish_graph(graph)
         try:
             attached = shm.attach_graph(handle)
             assert np.array_equal(attached._vlabels, graph._vlabels)
@@ -85,34 +84,6 @@ class TestGraphRoundTrip:
         lease.release()  # second release is a no-op, not a crash
 
 
-class TestPatchPublication:
-    def test_patch_shares_untouched_chunks(self, segment_baseline):
-        graph = scale_free_graph(64, 3, 4, 3, seed=6)
-        h1, l1 = shm.publish_graph(graph, chunk=16)
-        try:
-            dyn = DynamicGraph(graph)
-            delta = GraphDelta.for_graph(graph)
-            delta.add_edge(0, graph.num_vertices - 1, 1)
-            dyn.apply(delta)
-            commit = dyn.commit()
-            h2, l2 = shm.publish_graph_patch(
-                h1, commit.snapshot, commit.touched_vertices, chunk=16)
-            try:
-                shared = set(h1.names) & set(h2.names)
-                assert shared, "patch publication reused no chunks"
-                # The shared chunks survive the previous lease.
-                l1.release()
-                attached = shm.attach_graph(h2)
-                assert np.array_equal(attached._nbr,
-                                      commit.snapshot._nbr)
-                assert np.array_equal(attached._offsets,
-                                      commit.snapshot._offsets)
-            finally:
-                l2.release()
-        finally:
-            l1.release()
-
-
 class TestEngineRoundTrip:
     def test_attached_engine_matches_identically(self, segment_baseline):
         graph = scale_free_graph(100, 3, 4, 3, seed=7)
@@ -132,6 +103,33 @@ class TestEngineRoundTrip:
                         == ref.counters.transactions)
         finally:
             lease.release()
+
+    def test_attach_is_zero_copy_above_old_chunk_size(self,
+                                                      segment_baseline):
+        """Each array is one segment attached as a read-only view, also
+        past the 4096 rows at which the plane used to split arrays into
+        chunks and concatenate them into private copies."""
+        graph = scale_free_graph(4500, 2, 4, 3, seed=9)
+        config = GSIConfig.gsi_opt()
+        engine = GSIEngine(graph, config)
+        handle, lease = shm.publish_engine(engine, epoch=1)
+        try:
+            attached = shm.attach_engine(handle, config)
+            pairs = [(attached.graph._nbr, graph._nbr),
+                     (attached.graph._elab, graph._elab),
+                     (attached.graph._vlabels, graph._vlabels),
+                     (attached.signature_table.table,
+                      engine.signature_table.table)]
+            for mine, ref in pairs:
+                assert np.array_equal(mine, ref)
+                assert not mine.flags.writeable
+                assert not mine.flags.owndata
+        finally:
+            lease.release()
+        assert not set(handle.names) & set(shm.owned_segment_names())
+        shm._ATTACH_CACHE.clear()  # drop the memoized attachment
+        with pytest.raises(StaleHandleError):
+            shm.attach_engine(handle, config)
 
     def test_handle_size_independent_of_graph(self, segment_baseline):
         """The acceptance measurement at unit scale: the pickled handle
@@ -294,92 +292,4 @@ class TestShardEpochs:
             assert engine._fanout.context(executor).epoch > old_epoch
         finally:
             engine.close()
-            executor.shutdown()
-
-
-# ----------------------------------------------------------------------
-# Stream plane: patched snapshots, byte-identical deltas, O(handle) ship
-# ----------------------------------------------------------------------
-
-def _drive_stream(graph, queries, executor, plane_chunk=None):
-    engine = StreamEngine(graph, executor=executor)
-    if plane_chunk is not None:
-        engine.plane_chunk = plane_chunk
-    try:
-        qids = [engine.register(q) for q in queries]
-        deltas = []
-        shipped = []
-        n0 = graph.num_vertices
-        live = {(u, v) for u, v, _ in graph.edges()}
-        for step in range(3):
-            delta = GraphDelta.for_graph(engine.graph)
-            added = 0  # two fresh edges per batch, scanned deterministically
-            for u in range(n0):
-                for v in range(u + 1, n0):
-                    if (u, v) not in live:
-                        delta.add_edge(u, v, 1)
-                        live.add((u, v))
-                        added += 1
-                        break
-                if added == step + 1:
-                    break
-            if step == 1:
-                u, v = min(live)
-                delta.remove_edge(u, v)
-                live.discard((u, v))
-            if step == 2:
-                vid = delta.add_vertex(0)
-                delta.add_edge(0, vid, 1)
-            report = engine.apply_batch(delta)
-            deltas.append((report.total_created,
-                           report.total_destroyed))
-            shipment = getattr(executor, "last_shipment", None) \
-                if executor is not None else None
-            shipped.append(None if shipment is None
-                           else shipment["context_bytes"])
-        final = [frozenset(engine.matches(qid)) for qid in qids]
-        return deltas, final, shipped
-    finally:
-        engine.close()
-
-
-class TestStreamPlane:
-    def test_planes_byte_identical_and_handle_sized(self,
-                                                    segment_baseline):
-        """Deltas read in place (serial) and through shared memory
-        (process pool) are byte-identical; the pool ships handles."""
-        graph = scale_free_graph(150, 3, 4, 3, seed=23)
-        queries = [random_walk_query(graph, 3, seed=s)
-                   for s in range(3)]
-        serial = _drive_stream(graph, queries, None)
-
-        executor = make_executor("process", 2)
-        try:
-            # A tiny chunk forces multi-chunk publications and patch
-            # reuse on every batch.
-            over_shm = _drive_stream(graph, queries, executor,
-                                     plane_chunk=16)
-        finally:
-            executor.shutdown()
-
-        assert over_shm[0] == serial[0] and over_shm[1] == serial[1]
-        # Steady-state shipped context: handles, not the graph.
-        full_graph = len(pickle.dumps(graph))
-        assert all(s < full_graph / 3 for s in over_shm[2]), (
-            over_shm[2], full_graph)
-
-    def test_close_releases_snapshots(self, segment_baseline):
-        graph = scale_free_graph(60, 3, 4, 3, seed=24)
-        executor = make_executor("process", 2)
-        try:
-            engine = StreamEngine(graph, executor=executor)
-            engine.register(random_walk_query(graph, 3, seed=0))
-            delta = GraphDelta.for_graph(graph)
-            delta.add_edge(0, graph.num_vertices - 1, 1)
-            engine.apply_batch(delta)
-            assert engine._plane is not None
-            engine.close()
-            assert engine._plane is None
-            engine.close()  # idempotent
-        finally:
             executor.shutdown()

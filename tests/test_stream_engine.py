@@ -200,76 +200,6 @@ class TestQueryIdLifecycle:
             engine.matches(99)
 
 
-class TestExecutorParity:
-    """Per-query delta matching through a process pool must reproduce
-    the serial reports exactly, batch by batch."""
-
-    def run_with(self, executor):
-        graph = scale_free_graph(40, 3, 3, 3, seed=6)
-        engine = StreamEngine(graph, executor=executor)
-        queries = [random_walk_query(graph, k, seed=s)
-                   for s, k in enumerate((3, 4, 4))]
-        qids = [engine.register(q) for q in queries]
-        trace = []
-        for delta in random_update_stream(graph, 3, 10, seed=4):
-            report = engine.apply_batch(delta)
-            trace.append((sorted(
-                (qid, frozenset(d.created), frozenset(d.destroyed))
-                for qid, d in report.query_deltas.items()),
-                report.maintenance, report.commit_transactions))
-        final = [frozenset(engine.matches(qid)) for qid in qids]
-        engine.close()
-        return trace, final, engine
-
-    def test_process_matches_serial(self):
-        from repro.service import make_executor
-
-        ref_trace, ref_final, _ = self.run_with(None)
-        with make_executor("process", 2) as executor:
-            trace, final, _ = self.run_with(executor)
-        assert trace == ref_trace, "process deltas or meters diverge"
-        assert final == ref_final, "process final sets diverge"
-
-    def test_failing_executor_falls_back_to_serial(self):
-        """The graph/index commit precedes delta matching; a pool dying
-        mid-batch (e.g. worker OOM) must not desync the live match
-        sets — the engine re-runs the deltas in-process instead."""
-        from repro.service.executors import SerialExecutor
-
-        class DyingExecutor(SerialExecutor):
-            name = "dying"
-
-            def map_tasks(self, fn, payloads, shared=None):
-                raise RuntimeError("simulated pool death")
-
-        graph = scale_free_graph(40, 3, 3, 3, seed=6)
-        engine = StreamEngine(graph, executor=DyingExecutor())
-        q = random_walk_query(graph, 3, seed=1)
-        qid = engine.register(q)
-        for delta in random_update_stream(graph, 2, 8, seed=3):
-            with pytest.warns(RuntimeWarning, match="dying"):
-                report = engine.apply_batch(delta)
-            assert report.executor_fallback
-            assert "SERIAL" in report.summary_line()
-            assert engine.matches(qid) == \
-                brute_force_matches(q, engine.graph)
-
-    def test_parallel_stream_equals_oracle(self):
-        from repro.service import make_executor
-
-        graph = scale_free_graph(40, 3, 3, 3, seed=9)
-        with make_executor("process", 2) as executor, \
-                StreamEngine(graph, executor=executor) as engine:
-            queries = [random_walk_query(graph, 3, seed=s)
-                       for s in range(3)]
-            qids = [engine.register(q) for q in queries]
-            for delta in random_update_stream(graph, 3, 8, seed=2):
-                engine.apply_batch(delta)
-                for qid, q in zip(qids, queries):
-                    assert engine.matches(qid) == \
-                        brute_force_matches(q, engine.graph)
-
-
 class TestPlanInvalidation:
     def test_shifted_labels_invalidate_cached_plans(self):
         graph = scale_free_graph(40, 3, 3, 3, seed=5)
