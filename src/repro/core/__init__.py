@@ -14,6 +14,7 @@ from repro.core.set_ops import CandidateSet, RowCost, SetOpEngine
 from repro.core.signature import (
     candidate_mask,
     encode_all,
+    encode_rows,
     encode_vertex,
     is_candidate,
 )
@@ -35,6 +36,7 @@ __all__ = [
     "SetOpEngine",
     "candidate_mask",
     "encode_all",
+    "encode_rows",
     "encode_vertex",
     "is_candidate",
     "SignatureTable",

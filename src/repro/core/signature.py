@@ -14,11 +14,18 @@ equal and ``S(v) & S(u) == S(u)`` — i.e. wherever ``u`` has one pair, ``v``
 has at least one; wherever ``u`` has several, ``v`` has several.  This is a
 *necessary* condition, proved sound in tests (a true match is never
 pruned).
+
+Two encoders compute the same rows.  :func:`encode_vertex` is the scalar
+definition, one vertex at a time; queries are encoded through it.
+:func:`encode_rows` encodes many data vertices in one vectorized pass
+over their CSR incidence segments (pair hash, per-group count, state
+OR); every signature-table build and every maintained-row refresh goes
+through it, and tests hold it byte-equal to :func:`encode_vertex`.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Sequence, Union
 
 import numpy as np
 
@@ -77,14 +84,57 @@ def encode_vertex(graph: LabeledGraph, v: int, signature_bits: int,
     return words
 
 
+def encode_rows(graph: LabeledGraph, vertices: Union[Sequence[int], Array],
+                signature_bits: int, label_bits: int = 32) -> Array:
+    """``S(v)`` for every ``v`` in ``vertices``, one row each, in order.
+
+    Equal to stacking :func:`encode_vertex` rows, computed in one pass:
+    gather the vertices' incidence segments, hash every (edge label,
+    neighbor label) pair in uint64 (the same 32-bit arithmetic as
+    :func:`_group_of`), count pairs per (row, group), and OR each
+    group's ``01``/``11`` state into its word.
+    """
+    verts = np.asarray(vertices, dtype=np.int64)
+    rows = np.zeros((len(verts), num_words(signature_bits)),
+                    dtype=np.uint32)
+    vlabels = graph.vertex_labels
+    rows[:, 0] = (vlabels[verts] & 0xFFFFFFFF).astype(np.uint32)
+    groups = num_groups(signature_bits, label_bits)
+    offsets, nbr, elab = graph.incidence()
+    starts = offsets[verts]
+    degrees = offsets[verts + 1] - starts
+    total = int(degrees.sum())
+    if groups == 0 or total == 0:
+        return rows
+
+    # Position of every incidence entry of every row, row-major.
+    row_of = np.repeat(np.arange(len(verts), dtype=np.int64), degrees)
+    skip = np.repeat(starts - (np.cumsum(degrees) - degrees), degrees)
+    pos = np.arange(total, dtype=np.int64) + skip
+    key = ((elab[pos] * _PAIR_MIX + vlabels[nbr[pos]])
+           & 0xFFFFFFFF).astype(np.uint64)
+    group = (((key * np.uint64(_HASH_MULT)) & np.uint64(0xFFFFFFFF))
+             % np.uint64(groups)).astype(np.int64)
+
+    # Sorted unique (row, group) cells; distinct groups of one word own
+    # disjoint bits, so the word is the OR of its cells' states.
+    cells, counts = np.unique(row_of * groups + group, return_counts=True)
+    cell_row, cell_group = np.divmod(cells, groups)
+    bit = 2 * cell_group
+    state = np.where(counts == 1, 0b01, 0b11).astype(np.uint32)
+    bits = state << (bit % _WORD_BITS).astype(np.uint32)
+    flat = cell_row * rows.shape[1] + 1 + bit // _WORD_BITS
+    first = np.flatnonzero(np.diff(flat, prepend=-1))
+    rows.reshape(-1)[flat[first]] = np.bitwise_or.reduceat(bits, first)
+    return rows
+
+
 def encode_all(graph: LabeledGraph, signature_bits: int,
                label_bits: int = 32) -> Array:
     """Signature table: one row per data vertex (computed offline)."""
-    table = np.zeros((graph.num_vertices, num_words(signature_bits)),
-                     dtype=np.uint32)
-    for v in range(graph.num_vertices):
-        table[v] = encode_vertex(graph, v, signature_bits, label_bits)
-    return table
+    return encode_rows(
+        graph, np.arange(graph.num_vertices, dtype=np.int64),
+        signature_bits, label_bits)
 
 
 def is_candidate(sig_v: Array, sig_u: Array) -> bool:

@@ -6,7 +6,10 @@ immutable; this module keeps both *live* under streaming updates:
 * :class:`DynamicSignatureTable` re-encodes only the rows of vertices
   whose adjacency changed (a signature depends solely on the vertex's
   own label and its incident ``(edge label, neighbor label)`` pairs) and
-  appends rows for new vertices.
+  appends rows for new vertices.  A batch's touched rows are encoded in
+  one :func:`~repro.core.signature.encode_rows` pass; the simulated
+  cost is still charged per row (one adjacency stream and one row
+  write each).
 * :class:`DynamicPCSRStorage` routes edge updates into in-place
   :class:`~repro.storage.pcsr.PCSRPartition` maintenance and rebuilds a
   partition only when its occupancy passes the policy threshold or the
@@ -26,7 +29,7 @@ from typing import Dict, Iterable, Optional
 
 import numpy as np
 
-from repro.core.signature import encode_vertex, num_words
+from repro.core.signature import encode_rows, num_words
 from repro.core.signature_table import SignatureTable
 from repro.dynamic.graph import CommitResult
 from repro.gpusim.constants import LABEL_PCSR_REBUILD, LABEL_SIG_MAINTAIN
@@ -101,19 +104,19 @@ class DynamicSignatureTable:
                 self._buf = buf
             inner.table = self._buf[:n]
             inner.num_vertices = n
-        rows = 0
-        per_row = self._row_write_transactions()
-        for v in sorted(set(touched_vertices)):
-            inner.table[v] = encode_vertex(
-                graph, v, self.signature_bits, self.label_bits)
-            rows += 1
+        verts = sorted(set(touched_vertices))
+        rows = len(verts)
+        if rows:
+            inner.table[verts] = encode_rows(
+                graph, verts, self.signature_bits, self.label_bits)
             if self.meter is not None:
-                # Re-encoding streams the vertex's adjacency and writes
-                # one table row.
+                # Re-encoding streams each vertex's adjacency and
+                # writes one table row.
                 self.meter.add_gld(
-                    max(1, contiguous_read(graph.degree(v))),
+                    sum(max(1, contiguous_read(graph.degree(v)))
+                        for v in verts),
                     label=LABEL_SIG_MAINTAIN)
-                self.meter.add_gst(per_row)
+                self.meter.add_gst(rows * self._row_write_transactions())
         self.rows_updated += rows
         return rows
 

@@ -18,23 +18,33 @@ Delta-matching is exact, not heuristic: a match created by the batch
 must embed at least one net-inserted edge (vertex labels never change),
 so seeding partial embeddings on inserted edges and extending them over
 the new snapshot enumerates exactly the new matches; a match destroyed
-by the batch must use at least one net-deleted edge, so filtering the
-live match set finds exactly the dead ones.  The differential test
-suite checks the composition of these deltas against the brute-force
-oracle on every committed snapshot.
+by the batch must use at least one net-deleted edge, so the live
+matches holding some query edge's image on a deleted pair are exactly
+the dead ones.  Each registered query indexes its live set by data
+vertex, so finding them visits, per deleted pair, only the matches
+touching one of its endpoints (the smaller bucket) — the cost follows
+the batch, not the size of the live set.  The differential test suite
+checks the composition of these deltas against the brute-force oracle
+on every committed snapshot.
 
 Per-query delta matching is pure host-side work over batch-constant
 inputs (the committed snapshot, the maintained signature table and the
 seeding context, gathered once per batch in a :class:`_BatchSeed`), and
 it runs in process: one loop over the registered queries, in
-registration order.
+registration order.  A query's signatures are encoded once, when it is
+registered.
+
+Registration seeds the live set with one full match; a seeding match
+that exhausts ``GSIConfig.budget_ms`` or ``max_intermediate_rows``
+raises :class:`~repro.errors.BudgetExceeded` and registers nothing,
+because every later delta would build on its empty, wrong base.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -45,7 +55,7 @@ from repro.core.signature import encode_vertex, is_candidate
 from repro.dynamic.delta import GraphDelta
 from repro.dynamic.graph import CommitResult, DynamicGraph
 from repro.dynamic.index import DEFAULT_COMPACT_DEAD_RATIO, DynamicIndex
-from repro.errors import GraphError
+from repro.errors import BudgetExceeded, GraphError
 from repro.gpusim.constants import LABEL_DELTA_SEED
 from repro.gpusim.meter import MeterSnapshot
 from repro.graph.labeled_graph import LabeledGraph
@@ -121,8 +131,29 @@ class StreamBatchReport:
 class _Registered:
     query_id: int
     query: LabeledGraph
-    matches: Set[Match]
+    #: ``S(u)`` per query vertex, encoded once at registration
+    signatures: Tuple[np.ndarray, ...]
     initial: MatchResult
+    matches: Set[Match] = field(default_factory=set)
+    #: live matches by data vertex, kept in step with ``matches``; a
+    #: vertex with no live match has no bucket
+    by_vertex: Dict[int, Set[Match]] = field(default_factory=dict)
+
+    def apply(self, created: Iterable[Match],
+              destroyed: Iterable[Match]) -> None:
+        """Remove ``destroyed`` from the live set, then add ``created``,
+        keeping the vertex index in step."""
+        for m in destroyed:
+            self.matches.discard(m)
+            for v in m:
+                bucket = self.by_vertex[v]
+                bucket.discard(m)
+                if not bucket:
+                    del self.by_vertex[v]
+        for m in created:
+            self.matches.add(m)
+            for v in m:
+                self.by_vertex.setdefault(v, set()).add(m)
 
 
 @dataclass
@@ -137,51 +168,53 @@ class _BatchSeed:
 
     snapshot: LabeledGraph
     table: np.ndarray
-    signature_bits: int
-    label_bits: int
     new_vertices: Tuple[int, ...]
     inserted_by_label: Dict[int, List[Tuple[int, int]]]
     dead_pairs: Set[Tuple[int, int]]
     seed_rows: Dict[int, np.ndarray]
 
 
-def _query_delta(seed: _BatchSeed, query_id: int, query: LabeledGraph,
-                 live: Set[Match]) -> QueryDelta:
+def _query_delta(seed: _BatchSeed, reg: _Registered) -> QueryDelta:
     """One registered query's (created, destroyed) delta for one batch;
     the caller applies it to the live match set."""
     t0 = time.perf_counter()
     with get_tracer().span("stream.query_delta",
-                           query_id=query_id) as span:
-        created = _delta_created(seed, query)
-        destroyed = _delta_destroyed(seed, query, live)
+                           query_id=reg.query_id) as span:
+        created = _delta_created(seed, reg.query, reg.signatures)
+        destroyed = _delta_destroyed(seed, reg.query, reg.by_vertex)
         span.set_attribute("created", len(created))
         span.set_attribute("destroyed", len(destroyed))
-    return QueryDelta(query_id=query_id, created=created,
+    return QueryDelta(query_id=reg.query_id, created=created,
                       destroyed=destroyed,
                       host_ms=(time.perf_counter() - t0) * 1000.0)
 
 
 def _delta_destroyed(seed: _BatchSeed, query: LabeledGraph,
-                     live: Set[Match]) -> Set[Match]:
+                     by_vertex: Dict[int, Set[Match]]) -> Set[Match]:
     """Live matches that embed a net-deleted edge (exactly the ones
     this batch killed: vertex labels are immutable, so nothing else
-    can invalidate an existing match)."""
-    dead_pairs = seed.dead_pairs
-    if not dead_pairs or not live:
-        return set()
-    qedges = list(query.edges())
-    destroyed = set()
-    for m in live:
-        for a, b, _ in qedges:
-            ga, gb = m[a], m[b]
-            key = (ga, gb) if ga < gb else (gb, ga)
-            if key in dead_pairs:
+    can invalidate an existing match).
+
+    A match dies on the dead pair ``(a, b)`` only when some query edge
+    maps onto ``{a, b}``, so only matches holding both endpoints are
+    candidates: the smaller of the two vertex buckets is scanned.
+    """
+    destroyed: Set[Match] = set()
+    for a, b in seed.dead_pairs:
+        at_a = by_vertex.get(a)
+        at_b = by_vertex.get(b)
+        if not at_a or not at_b:
+            continue
+        for m in (at_a if len(at_a) <= len(at_b) else at_b):
+            if m in destroyed or a not in m or b not in m:
+                continue
+            if query.has_edge(m.index(a), m.index(b)):
                 destroyed.add(m)
-                break
     return destroyed
 
 
-def _delta_created(seed: _BatchSeed, query: LabeledGraph) -> Set[Match]:
+def _delta_created(seed: _BatchSeed, query: LabeledGraph,
+                   qsigs: Tuple[np.ndarray, ...]) -> Set[Match]:
     """Matches that exist on the new snapshot but not the old one.
 
     Every such match embeds a net-inserted edge (or, for
@@ -189,10 +222,10 @@ def _delta_created(seed: _BatchSeed, query: LabeledGraph) -> Set[Match]:
     seeded on the inserted edges and extended over the new snapshot
     enumerate them exactly.  Candidate pruning goes through the
     incrementally maintained signature table; the seed endpoints'
-    rows come pre-loaded from the shared :class:`_BatchSeed`.
+    rows come pre-loaded from the shared :class:`_BatchSeed`, and the
+    query's signatures ``qsigs`` from its registration.
     """
     graph = seed.snapshot
-    nq = query.num_vertices
     if query.num_edges == 0:
         # Connected queries with no edges are single vertices.
         lab = query.vertex_label(0)
@@ -201,11 +234,8 @@ def _delta_created(seed: _BatchSeed, query: LabeledGraph) -> Set[Match]:
     if not seed.inserted_by_label:
         return set()
 
-    bits = seed.signature_bits
-    lbits = seed.label_bits
     table = seed.table
     seed_rows = seed.seed_rows
-    qsigs = [encode_vertex(query, u, bits, lbits) for u in range(nq)]
 
     def candidate(u: int, v: int) -> bool:
         if query.vertex_label(u) != graph.vertex_label(v):
@@ -357,13 +387,29 @@ class StreamEngine:
 
     def register(self, query: LabeledGraph) -> int:
         """Register a continuous query; runs it once in full to seed the
-        live match set.  Returns the query id used in batch reports."""
+        live match set.  Returns the query id used in batch reports.
+
+        Raises :class:`~repro.errors.BudgetExceeded`, allocating no id
+        and registering nothing, when the seeding match exhausts the
+        configured budget: its empty result is not the live set.
+        """
         result = self.match(query)
+        if result.timed_out:
+            raise BudgetExceeded(
+                "seeding match of a continuous query exceeded the "
+                "configured budget (budget_ms / max_intermediate_rows); "
+                "nothing was registered")
+        bits = self.config.signature_bits
+        lbits = self.config.label_bits
         qid = self._next_query_id
         self._next_query_id += 1
-        self._registered[qid] = _Registered(
+        reg = _Registered(
             query_id=qid, query=query,
-            matches=set(result.matches), initial=result)
+            signatures=tuple(encode_vertex(query, u, bits, lbits)
+                             for u in range(query.num_vertices)),
+            initial=result)
+        reg.apply(result.matches, ())
+        self._registered[qid] = reg
         return qid
 
     def _registered_or_raise(self, query_id: int) -> _Registered:
@@ -477,9 +523,8 @@ class StreamEngine:
             pcsr=self.index.storage.stats())
         seed = self._build_batch_seed(commit)
         for qid, reg in self._registered.items():
-            outcome = _query_delta(seed, qid, reg.query, reg.matches)
-            reg.matches -= outcome.destroyed
-            reg.matches |= outcome.created
+            outcome = _query_delta(seed, reg)
+            reg.apply(outcome.created, outcome.destroyed)
             outcome.num_matches = len(reg.matches)
             report.query_deltas[qid] = outcome
         report.wall_ms = (time.perf_counter() - t0) * 1000.0
@@ -518,8 +563,6 @@ class StreamEngine:
             self.index.meter.add_gld(per_row * len(endpoints),
                                      label=LABEL_DELTA_SEED)
         return _BatchSeed(snapshot=commit.snapshot, table=table,
-                          signature_bits=self.config.signature_bits,
-                          label_bits=self.config.label_bits,
                           new_vertices=tuple(commit.new_vertices),
                           inserted_by_label=by_label,
                           dead_pairs=dead_pairs, seed_rows=seed_rows)

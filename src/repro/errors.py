@@ -32,5 +32,7 @@ class BudgetExceeded(ReproError):
 
     Engines raise this internally and convert it into a ``timed_out``
     result; it escapes only if the caller invokes low-level pieces
-    directly with a budget attached.
+    directly with a budget attached, or when
+    ``StreamEngine.register``'s seeding match times out (an empty
+    timed-out result must not become a continuous query's live set).
     """

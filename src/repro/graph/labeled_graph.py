@@ -193,6 +193,13 @@ class LabeledGraph:
         """Edge labels aligned with :meth:`neighbors`."""
         return self._elab[self._offsets[v]:self._offsets[v + 1]]
 
+    def incidence(self) -> Tuple[Array, Array, Array]:
+        """The read-only CSR incidence layout ``(offsets, neighbors,
+        edge_labels)``: vertex ``v``'s segment is
+        ``[offsets[v], offsets[v + 1])`` of the other two (bulk readers
+        walk many segments at once instead of slicing per vertex)."""
+        return self._offsets, self._nbr, self._elab
+
     def neighbors_by_label(self, v: int, label: int) -> Array:
         """``N(v, l)``: neighbors of ``v`` over ``label`` edges, sorted.
 

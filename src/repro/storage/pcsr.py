@@ -783,15 +783,19 @@ class PCSRPartition:
         }
 
     def max_chain_length(self) -> int:
-        """Longest overflow chain (expected <= 1 + 5log|V|/loglog|V|)."""
+        """Longest overflow chain (expected <= 1 + 5log|V|/loglog|V|).
+
+        Walks every group's chain at once: each step follows the GID
+        column for the chains still alive, so the step count is the
+        longest chain, not the sum of all of them.
+        """
+        next_gid = self.groups[:, self.gpn - 1, 0]
+        alive = next_gid[next_gid != _NO_OVERFLOW]
         longest = 1
-        for gid in range(self.num_groups):
-            length = 1
-            cur = int(self.groups[gid, self.gpn - 1, 0])
-            while cur != _NO_OVERFLOW:
-                length += 1
-                cur = int(self.groups[cur, self.gpn - 1, 0])
-            longest = max(longest, length)
+        while alive.size:
+            longest += 1
+            alive = next_gid[alive]
+            alive = alive[alive != _NO_OVERFLOW]
         return longest
 
     def validate(self) -> List[str]:
@@ -922,7 +926,8 @@ class PCSRStorage(NeighborStore):
     def stats(self) -> Dict[str, object]:
         """Aggregated PCSR health across partitions, plus per-label
         detail — the monitoring surface stream reports and the serve
-        ``stats`` RPC expose.  Walks each overflow chain once."""
+        ``stats`` RPC expose.  One vectorized chain walk per
+        partition."""
         per_label = {lab: part.stats()
                      for lab, part in sorted(self._parts.items())}
         total_ci = sum(int(s["ci_words"]) for s in per_label.values())

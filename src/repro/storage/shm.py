@@ -341,10 +341,11 @@ class EngineArtifactsHandle:
 
 
 def _publish_graph_blocks(graph: LabeledGraph) -> GraphHandle:
-    return GraphHandle(vlabels=_create_block(graph._vlabels),
-                       offsets=_create_block(graph._offsets),
-                       nbr=_create_block(graph._nbr),
-                       elab=_create_block(graph._elab))
+    offsets, nbr, elab = graph.incidence()
+    return GraphHandle(vlabels=_create_block(graph.vertex_labels),
+                       offsets=_create_block(offsets),
+                       nbr=_create_block(nbr),
+                       elab=_create_block(elab))
 
 
 def publish_graph(graph: LabeledGraph

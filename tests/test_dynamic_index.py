@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.signature import encode_all
+from repro.core.signature import encode_all, encode_vertex
+from repro.core.signature_table import SignatureTable
 from repro.dynamic import (
     DynamicGraph,
     DynamicIndex,
@@ -13,7 +14,10 @@ from repro.dynamic import (
     full_rebuild_transactions,
     random_update_stream,
 )
+from repro.dynamic.index import DynamicSignatureTable
 from repro.errors import StorageError
+from repro.gpusim.meter import MemoryMeter
+from repro.gpusim.transactions import contiguous_read
 from repro.graph.generators import scale_free_graph
 from repro.graph.labeled_graph import GraphBuilder, LabeledGraph
 from repro.graph.partition import EdgeLabelPartition, partition_by_edge_label
@@ -223,3 +227,46 @@ class TestDynamicIndex:
         large = scale_free_graph(500, 3, 3, 3, seed=1)
         assert full_rebuild_transactions(large) \
             > 5 * full_rebuild_transactions(small)
+
+
+class TestSignatureMaintenanceCost:
+    """One bulk re-encode charges exactly what the per-row loop did:
+    per touched row, one adjacency stream (at least one transaction)
+    and one row write."""
+
+    @pytest.mark.parametrize("column_first", [True, False])
+    @pytest.mark.parametrize("bits", [64, 256, 512])
+    def test_charges_equal_per_row_sums(self, column_first, bits):
+        base = scale_free_graph(60, 3, 3, 3, seed=4)
+        dyn = DynamicGraph(base)
+        table = SignatureTable.build(base, bits, column_first=column_first)
+        meter = MemoryMeter()
+        sigs = DynamicSignatureTable(table, bits, meter=meter)
+        for delta in random_update_stream(base, 3, 12, seed=5,
+                                          new_vertex_fraction=0.2):
+            dyn.apply(delta)
+            commit = dyn.commit()
+            touched = list(commit.touched_vertices) + \
+                list(commit.touched_vertices)[:3]  # repeats count once
+            rows = sorted(set(touched))
+            before = meter.snapshot()
+            assert sigs.apply(commit.snapshot, touched) == len(rows)
+            spent = meter.snapshot().diff(before)
+            want_gld = sum(
+                max(1, contiguous_read(commit.snapshot.degree(v)))
+                for v in rows)
+            assert spent.gld == want_gld
+            assert spent.labeled_gld.get("sig_maintain", 0) == want_gld
+            assert spent.gst == len(rows) * sigs.row_transactions()
+            for v in rows:
+                assert np.array_equal(
+                    table.table[v],
+                    encode_vertex(commit.snapshot, v, bits))
+
+    def test_no_touched_rows_charge_nothing(self):
+        base = scale_free_graph(30, 3, 3, 3, seed=1)
+        meter = MemoryMeter()
+        sigs = DynamicSignatureTable(SignatureTable.build(base, 256), 256,
+                                     meter=meter)
+        assert sigs.apply(base, []) == 0
+        assert meter.snapshot() == MemoryMeter().snapshot()

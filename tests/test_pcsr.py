@@ -1,5 +1,6 @@
 """Tests for PCSR (Definition 4, Algorithm 1, Claim 1)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -79,6 +80,57 @@ class TestLookup:
         assert list(p.neighbors(0)) == []
 
 
+def scalar_chain_length(p):
+    """Longest overflow chain by walking every group's chain one GID at
+    a time (the reference for the vectorized walk)."""
+    longest = 1
+    for gid in range(p.num_groups):
+        length, cur = 1, int(p.groups[gid, p.gpn - 1, 0])
+        while cur != -1:
+            length += 1
+            cur = int(p.groups[cur, p.gpn - 1, 0])
+        longest = max(longest, length)
+    return longest
+
+
+class TestMaxChainLength:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_equals_scalar_walk_on_build_time_chains(self, seed):
+        # GPN=2: one key per group, so every home-group collision
+        # chains at build time.
+        graph = scale_free_graph(300, 3, 3, 3, seed=seed)
+        store = PCSRStorage(graph, gpn=2)
+        lengths = []
+        for lab in graph.distinct_edge_labels():
+            part = store.partition(lab)
+            lengths.append(part.max_chain_length())
+            assert lengths[-1] == scalar_chain_length(part)
+        assert max(lengths) >= 3
+        assert store.max_chain_length() == max(lengths)
+
+    def test_star_chain(self):
+        edges = [(0, v, 0) for v in range(1, 20)]
+        p = build_partition(edges, gpn=2)[0]
+        assert p.max_chain_length() == scalar_chain_length(p) == 2
+
+    def test_equals_scalar_walk_as_insert_key_extends_a_chain(self):
+        g = scale_free_graph(60, 3, 1, 1, seed=3)
+        p = PCSRPartition(partition_by_edge_label(g)[0], gpn=3)
+        assert p._empty_pool
+        home = default_hash(1000, p.num_groups)
+        same_home = [v for v in range(1000, 20000)
+                     if default_hash(v, p.num_groups) == home][:8]
+        lengths = [p.max_chain_length()]
+        for v in same_home:
+            assert p.insert_key(v, np.array([0], dtype=np.int64))
+            lengths.append(p.max_chain_length())
+            assert lengths[-1] == scalar_chain_length(p)
+        assert p.validate() == []
+        # Each full chain grows through an empty group: 1 -> 5.
+        assert lengths[0] == 1 and lengths[-1] == 5
+        assert lengths == sorted(lengths)
+
+
 class TestOverflow:
     def test_small_gpn_forces_chains(self):
         # With GPN=2 each group holds one key; collisions must chain.
@@ -88,7 +140,7 @@ class TestOverflow:
         for v in range(41):
             expect = sorted(int(x) for x in g.neighbors_by_label(v, 0))
             assert sorted(int(x) for x in p.neighbors(v)) == expect
-        assert p.max_chain_length() >= 1
+        assert p.max_chain_length() == scalar_chain_length(p) >= 1
 
     @pytest.mark.parametrize("gpn", [2, 3, 4, 8, 16])
     def test_all_gpn_values_correct(self, gpn):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.core.signature import (
     candidate_mask,
     encode_all,
+    encode_rows,
     encode_vertex,
     is_candidate,
     num_groups,
@@ -62,6 +63,76 @@ class TestGroupStates:
         # Two distinct keys: 2 bits if no hash collision, 2 if collided
         # into "11"; either way exactly two bits.
         assert bits.sum() == 2
+
+
+def stacked_rows(graph, vertices, bits):
+    """The scalar definition, one :func:`encode_vertex` row at a time."""
+    words = num_words(bits)
+    rows = [encode_vertex(graph, int(v), bits) for v in vertices]
+    return (np.stack(rows) if rows
+            else np.zeros((0, words), dtype=np.uint32))
+
+
+class TestEncodeRows:
+    """The one-pass bulk encoder equals the scalar definition byte for
+    byte."""
+
+    WIDTHS = [32, 64, 128, 256, 512, 1024]
+
+    @pytest.mark.parametrize("bits", WIDTHS)
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_equals_stacked_encode_vertex(self, bits, seed):
+        g = scale_free_graph(150, 3, 2 + seed, 1 + 2 * seed, seed=seed)
+        everyone = range(g.num_vertices)
+        want = stacked_rows(g, everyone, bits)
+        got = encode_rows(g, list(everyone), bits)
+        assert got.dtype == np.uint32
+        assert got.tobytes() == want.tobytes()
+        assert encode_all(g, bits).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bits", WIDTHS)
+    def test_subset_in_caller_order(self, bits):
+        g = scale_free_graph(80, 3, 3, 3, seed=9)
+        picked = [41, 3, 3, 79, 0, 17]
+        assert (encode_rows(g, picked, bits).tobytes()
+                == stacked_rows(g, picked, bits).tobytes())
+
+    @pytest.mark.parametrize("bits", WIDTHS)
+    def test_isolated_and_repeated_pairs(self, bits):
+        # Vertex 0 carries two identical (3, label 7) pairs (state 11)
+        # plus a distinct one; vertices 4 and 5 are isolated.
+        g = LabeledGraph([0, 7, 7, 8, 2, 2**40 + 5],
+                         [(0, 1, 3), (0, 2, 3), (0, 3, 4)])
+        want = stacked_rows(g, range(6), bits)
+        got = encode_rows(g, list(range(6)), bits)
+        assert got.tobytes() == want.tobytes()
+        assert not got[4:, 1:].any()
+        if bits > 32:
+            tail = np.unpackbits(got[0, 1:].view(np.uint8))
+            # an 11 plus an 01; a single 11 if the two groups collide
+            assert tail.sum() in (2, 3)
+
+    @pytest.mark.parametrize("bits", WIDTHS)
+    def test_large_labels_hash_like_python_ints(self, bits):
+        # edge label * _PAIR_MIX overflows int64; the low 32 bits the
+        # hash keeps must still equal the Python-int computation.
+        g = LabeledGraph([3, 2**40 + 5, -7, 9],
+                         [(0, 1, 2**50), (0, 2, 2**62 + 1), (2, 3, 1)])
+        want = stacked_rows(g, range(4), bits)
+        assert encode_rows(g, list(range(4)), bits).tobytes() == \
+            want.tobytes()
+
+    @pytest.mark.parametrize("bits", WIDTHS)
+    def test_empty_vertex_list(self, bits):
+        g = scale_free_graph(20, 2, 2, 2, seed=1)
+        got = encode_rows(g, [], bits)
+        assert got.shape == (0, num_words(bits))
+        assert got.dtype == np.uint32
+
+    def test_no_pair_groups_at_32_bits(self):
+        g = LabeledGraph([4, 5], [(0, 1, 1)])
+        assert num_groups(32) == 0
+        assert encode_rows(g, [0, 1], 32).tolist() == [[4], [5]]
 
 
 class TestCandidateRule:

@@ -12,7 +12,7 @@ import pytest
 from repro.core.config import GSIConfig
 from repro.core.engine import GSIEngine
 from repro.dynamic import GraphDelta, StreamEngine, random_update_stream
-from repro.errors import GraphError
+from repro.errors import BudgetExceeded, GraphError
 from repro.graph.generators import random_walk_query, scale_free_graph
 from repro.graph.labeled_graph import GraphBuilder, LabeledGraph
 from repro.storage.factory import build_storage, storage_kinds
@@ -198,6 +198,93 @@ class TestQueryIdLifecycle:
         _, engine = self.make_engine()
         with pytest.raises(KeyError):
             engine.matches(99)
+
+
+class TestRegisterBudget:
+    """Regression: a seeding match that exhausts the configured budget
+    returns ``timed_out`` with no matches; registering that as the live
+    set would make every later delta build on a wrong base."""
+
+    @pytest.mark.parametrize("config,query_seed", [
+        (GSIConfig(budget_ms=0.05), 0),
+        (GSIConfig(max_intermediate_rows=1000), 2),
+    ])
+    def test_budget_aborted_register_raises_and_registers_nothing(
+            self, config, query_seed):
+        graph = scale_free_graph(400, 4, 3, 2, seed=1)
+        query = random_walk_query(graph, 4, seed=query_seed)
+        assert len(GSIEngine(graph).match(query).matches) > 1000
+        engine = StreamEngine(graph, config)
+        assert engine.match(query).timed_out
+        with pytest.raises(BudgetExceeded):
+            engine.register(query)
+        assert engine.num_registered == 0
+        # No id was allocated: the next registration gets the first one.
+        missing = LabeledGraph([99], [])  # no candidates, no budget spent
+        assert engine.register(missing) == 0
+        report = engine.apply_batch(
+            random_update_stream(graph, 1, 8, seed=3)[0])
+        assert list(report.query_deltas) == [0]
+
+
+def rebuilt_index(matches):
+    index = {}
+    for m in matches:
+        for v in m:
+            index.setdefault(v, set()).add(m)
+    return index
+
+
+class TestLiveSetIndex:
+    """Each registered query indexes its live matches by data vertex;
+    destroyed matches are found through that index."""
+
+    def test_index_equals_rebuild_after_churn_and_unregister(self):
+        graph = scale_free_graph(50, 3, 2, 2, seed=4)
+        engine = StreamEngine(graph)
+        queries = [random_walk_query(graph, k, seed=s)
+                   for k, s in ((2, 1), (3, 2), (3, 3), (4, 4))]
+        qids = [engine.register(q) for q in queries]
+        stream = random_update_stream(graph, 8, 14, seed=6,
+                                      delete_fraction=0.5)
+        destroyed = 0
+        for i, delta in enumerate(stream):
+            if i == 4:
+                engine.unregister(qids[1])
+            report = engine.apply_batch(delta)
+            destroyed += report.total_destroyed
+        assert destroyed > 0
+        assert sorted(engine._registered) == [qids[0]] + qids[2:]
+        for qid, q in zip(qids, queries):
+            if qid == qids[1]:
+                continue
+            reg = engine._registered[qid]
+            assert reg.matches == brute_force_matches(q, engine.graph)
+            assert reg.by_vertex == rebuilt_index(reg.matches)
+            assert all(reg.by_vertex.values())  # no empty buckets
+
+    def test_match_on_both_endpoints_survives_non_query_edge_delete(self):
+        # Path a-b-c embedded on a data triangle: deleting the image of
+        # the non-edge a-c leaves every path embedding intact, though
+        # each holds both endpoints of the deleted pair.
+        b = GraphBuilder()
+        b.add_vertices([0, 0, 0])
+        b.add_edge(0, 1, 0)
+        b.add_edge(1, 2, 0)
+        b.add_edge(0, 2, 0)
+        engine = StreamEngine(b.build())
+        path = LabeledGraph([0, 0, 0], [(0, 1, 0), (1, 2, 0)])
+        qid = engine.register(path)
+        assert len(engine.matches(qid)) == 6
+        report = engine.apply_batch(
+            GraphDelta.for_graph(3).remove_edge(0, 2))
+        destroyed = report.query_deltas[qid].destroyed
+        # Only embeddings using 0-2 as a path edge die; (0, 1, 2) and
+        # (2, 1, 0) map the query's non-edge a-c onto it and survive.
+        assert destroyed == {(1, 0, 2), (2, 0, 1), (0, 2, 1), (1, 2, 0)}
+        assert engine.matches(qid) == {(0, 1, 2), (2, 1, 0)}
+        assert engine.matches(qid) == brute_force_matches(path,
+                                                          engine.graph)
 
 
 class TestPlanInvalidation:
