@@ -36,11 +36,10 @@ from repro.gpusim.constants import (
     CYCLES_PER_GST,
     CYCLES_PER_OP,
     CYCLES_PER_SHARED,
-    ELEMENTS_PER_TRANSACTION,
     LABEL_JOIN,
     WARPS_PER_BLOCK,
 )
-from repro.gpusim.transactions import contiguous_read
+from repro.gpusim.transactions import contiguous_read, contiguous_reads
 from repro.obs.trace import get_tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
@@ -48,18 +47,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
 
 
 # ----------------------------------------------------------------------
-# Vectorized cost primitives (elementwise twins of gpusim.transactions)
+# Vectorized cost primitives
 # ----------------------------------------------------------------------
-
-
-def _cr_vec(n: Array) -> Array:
-    """Elementwise ``contiguous_read``: ceil(n / 32) transactions."""
-    return (n + ELEMENTS_PER_TRANSACTION - 1) // ELEMENTS_PER_TRANSACTION
 
 
 def _write_cost_vec(n: Array, write_cache: bool) -> Array:
     """Elementwise ``SetOpEngine._write_cost``."""
-    return _cr_vec(n) if write_cache else n
+    return contiguous_reads(n) if write_cache else n
 
 
 # ----------------------------------------------------------------------
@@ -229,7 +223,7 @@ def _edge_pass_vector(ctx: "JoinContext", rows_np: Array,
             if friendly:
                 gst = np.zeros(num_rows, dtype=np.int64)
             else:
-                mid = _cr_vec(len_keep)
+                mid = contiguous_reads(len_keep)
                 gst = mid.copy()
                 gld = gld + mid
                 launches += num_rows
@@ -250,7 +244,7 @@ def _edge_pass_vector(ctx: "JoinContext", rows_np: Array,
             flat = flat[member]
 
             units = counts_in + streamed_r
-            gld = gld + _cr_vec(counts_in)
+            gld = gld + contiguous_reads(counts_in)
             if not friendly:
                 launches += num_rows
             ops = counts_in + streamed_r
@@ -301,7 +295,7 @@ def _link_vector(ctx: "JoinContext", rows_np: Array, flat: Array,
     width = rows_np.shape[1]
     use_cache = ctx.config.use_write_cache and ctx.config.use_gpu_set_ops
     nz = counts > 0
-    gld = np.where(nz, contiguous_read(width) + _cr_vec(counts), 0)
+    gld = np.where(nz, contiguous_read(width) + contiguous_reads(counts), 0)
     written = (width + 1) * counts
     gst = np.where(nz, _write_cost_vec(written, use_cache), 0)
     ctx.device.meter.add_gld(int(gld.sum()), label=LABEL_JOIN)
@@ -321,7 +315,7 @@ def _two_step_vector(ctx: "JoinContext", rows_np: Array,
     ctx.device.exclusive_prefix_sum(counts, name=f"{step_name}_offsets")
     width = rows_np.shape[1]
     written = (width + 1) * counts[counts > 0]
-    ctx.device.meter.add_gst(int(_cr_vec(written).sum()))
+    ctx.device.meter.add_gst(int(contiguous_reads(written).sum()))
     return _materialize(rows_np, flat, counts)
 
 

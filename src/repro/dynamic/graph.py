@@ -228,6 +228,15 @@ class DynamicGraph:
             else:
                 raise GraphError(f"unknown delta operation {kind!r}")
 
+    def discard_pending(self) -> None:
+        """Drop every pending operation: the overlay is empty again and
+        reads see the base snapshot."""
+        self._extra_labels = []
+        self._added = {}
+        self._removed = set()
+        self._adj_add = {}
+        self._adj_rem = {}
+
     def _incident_labels(self, v: int) -> List[int]:
         labels: Set[int] = set()
         if v < self._base.num_vertices:
@@ -273,11 +282,7 @@ class DynamicGraph:
             self.meter.add_gst(gst)
 
         self._base = snapshot
-        self._extra_labels = []
-        self._added = {}
-        self._removed = set()
-        self._adj_add = {}
-        self._adj_rem = {}
+        self.discard_pending()
         return CommitResult(snapshot=snapshot, inserted_edges=inserted,
                             deleted_edges=deleted,
                             new_vertices=new_vertices,

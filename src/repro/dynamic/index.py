@@ -35,7 +35,7 @@ from repro.dynamic.graph import CommitResult
 from repro.gpusim.constants import LABEL_PCSR_REBUILD, LABEL_SIG_MAINTAIN
 from repro.gpusim.meter import MemoryMeter
 from repro.gpusim.transactions import contiguous_read
-from repro.graph.labeled_graph import LabeledGraph
+from repro.graph.labeled_graph import Edge, LabeledGraph
 from repro.graph.partition import EdgeLabelPartition
 from repro.storage.base import EMPTY
 from repro.storage.pcsr import PCSRPartition, PCSRStorage
@@ -121,6 +121,13 @@ class DynamicSignatureTable:
         return rows
 
 
+def _directed(edges: Iterable[Edge]) -> np.ndarray:
+    """``(u, v, label)`` edges as ``(key, neighbor, label)`` rows, both
+    orientations of each edge."""
+    arr = np.array(list(edges), dtype=np.int64).reshape(-1, 3)
+    return np.concatenate((arr, arr[:, [1, 0, 2]]))
+
+
 class DynamicPCSRStorage(PCSRStorage):
     """PCSR over every edge-label partition, maintained in place.
 
@@ -145,13 +152,10 @@ class DynamicPCSRStorage(PCSRStorage):
 
     # --- Update path ----------------------------------------------------
 
-    def _rebuild_partition(self, label: int,
-                           adjacency: Dict[int, np.ndarray]) -> None:
+    def _rebuild_partition(self, partition: EdgeLabelPartition) -> None:
         """Full Algorithm-1 rebuild of one partition, metered."""
-        adjacency = {v: a for v, a in adjacency.items() if len(a)}
-        part = PCSRPartition(EdgeLabelPartition(label, adjacency),
-                             gpn=self.gpn)
-        self._parts[label] = part
+        part = PCSRPartition(partition, gpn=self.gpn)
+        self._parts[partition.label] = part
         self.rebuilds += 1
         # Price the rebuild: stream the old structure out and the new
         # structure (group layer + ci) back in.
@@ -203,7 +207,7 @@ class DynamicPCSRStorage(PCSRStorage):
             for a, b in ((u, v), (v, u)):
                 arr = adjacency.get(a, EMPTY)
                 adjacency[a] = np.sort(np.append(arr, b))
-            self._rebuild_partition(label, adjacency)
+            self._rebuild_partition(EdgeLabelPartition(label, adjacency))
             return
         for a, b in ((u, v), (v, u)):
             if part._find_key(a)[1] >= 0:
@@ -218,7 +222,8 @@ class DynamicPCSRStorage(PCSRStorage):
                 adjacency = self._current_adjacency(label)
                 arr = adjacency.get(a, EMPTY)
                 adjacency[a] = np.sort(np.append(arr, b))
-                self._rebuild_partition(label, adjacency)
+                self._rebuild_partition(
+                    EdgeLabelPartition(label, adjacency))
                 part = self._parts[label]
         self._maybe_compact(label)
 
@@ -232,78 +237,54 @@ class DynamicPCSRStorage(PCSRStorage):
         self.incremental_ops += 2
         self._maybe_compact(label)
 
-    @staticmethod
-    def _delta_by_label(inserted_edges, deleted_edges):
-        """Group undirected edge lists into per-label, per-key deltas."""
-        adds: Dict[int, Dict[int, list]] = {}
-        dels: Dict[int, Dict[int, list]] = {}
-        for bucket, edges in ((dels, deleted_edges),
-                              (adds, inserted_edges)):
-            for u, v, lab in edges:
-                per_key = bucket.setdefault(lab, {})
-                per_key.setdefault(u, []).append(v)
-                per_key.setdefault(v, []).append(u)
-        return adds, dels
-
-    def apply_batch(self, inserted_edges, deleted_edges) -> None:
+    def apply_batch(self, graph: LabeledGraph, inserted_edges,
+                    deleted_edges) -> None:
         """Apply one committed batch with bulk per-partition merges.
 
-        The per-edge path walks a group chain and shifts a region for
-        *every* edge; this groups the batch by label and key and calls
-        :meth:`PCSRPartition.apply_bulk` — one chain walk per touched
-        key, one merge + rewrite per affected group region.  Policy
-        (occupancy rebuilds, Claim-1 fallback, compaction) is identical
-        to the per-edge path.
+        ``graph`` is the committed snapshot: this store with the batch
+        applied.  The per-edge path walks a group chain and shifts a
+        region for *every* edge; this splits the batch's directed
+        ``(key, neighbor)`` entries by label and calls
+        :meth:`PCSRPartition.apply_bulk` — one chain walk over all
+        touched keys, one merge + rewrite of the affected group
+        regions.  A partition that is new, or that the occupancy or
+        Claim-1 policy rebuilds, is built from ``graph``'s incidence of
+        its label.  Policy (occupancy rebuilds, Claim-1 fallback,
+        compaction) is identical to the per-edge path.
         """
-        adds, dels = self._delta_by_label(inserted_edges, deleted_edges)
-        for lab in sorted(set(adds) | set(dels)):
-            ins = {v: np.asarray(lst, dtype=np.int64)
-                   for v, lst in adds.get(lab, {}).items()}
-            rem = {v: np.asarray(lst, dtype=np.int64)
-                   for v, lst in dels.get(lab, {}).items()}
+        ins, dels = _directed(inserted_edges), _directed(deleted_edges)
+        for lab in np.union1d(ins[:, 2], dels[:, 2]).tolist():
+            add = ins[ins[:, 2] == lab, :2]
+            rem = dels[dels[:, 2] == lab, :2]
             part = self._parts.get(lab)
             if part is None:
-                if rem:
+                if len(rem):
                     raise KeyError(f"no partition for edge label {lab}")
-                adjacency = {v: np.unique(arr) for v, arr in ins.items()}
                 self._parts[lab] = PCSRPartition(
-                    EdgeLabelPartition(lab, adjacency), gpn=self.gpn)
+                    EdgeLabelPartition.of_label(graph, lab), gpn=self.gpn)
                 self.meter.add_gst(
                     contiguous_read(self._parts[lab].groups.size)
                     + contiguous_read(len(self._parts[lab].ci)))
                 continue
             # Cheap upper bound first (every insert key new); only pay
-            # the exact chain walks when that bound crosses the policy.
-            new_keys = len(ins)
+            # the exact chain walk when that bound crosses the policy.
+            add_keys = np.unique(add[:, 0])
+            new_keys = len(add_keys)
             if new_keys and ((part.key_count() + new_keys)
                              / part.num_groups > DEFAULT_REBUILD_OCCUPANCY):
-                new_keys = sum(1 for v in ins
-                               if part._find_key(v)[1] < 0)
+                new_keys = int((part._locate(add_keys)[1] < 0).sum())
             if new_keys and ((part.key_count() + new_keys)
                              / part.num_groups > DEFAULT_REBUILD_OCCUPANCY):
                 self._rebuild_partition(
-                    lab, self._merged_adjacency(lab, ins, rem))
-            elif part.apply_bulk(ins, rem, self.meter):
-                self.incremental_ops += (sum(map(len, ins.values()))
-                                         + sum(map(len, rem.values())))
+                    EdgeLabelPartition.of_label(graph, lab))
+            elif part.apply_bulk(add, rem, self.meter):
+                self.incremental_ops += len(add) + len(rem)
             else:
                 # Claim-1 starvation; apply_bulk left the partition
-                # untouched, so the delta still applies cleanly here.
+                # untouched, and the snapshot holds the whole delta.
                 self._rebuild_partition(
-                    lab, self._merged_adjacency(lab, ins, rem))
+                    EdgeLabelPartition.of_label(graph, lab))
             self._maybe_compact(lab)
-
-    def _merged_adjacency(self, label: int, ins: Dict[int, np.ndarray],
-                          rem: Dict[int, np.ndarray]
-                          ) -> Dict[int, np.ndarray]:
-        """Current adjacency of one partition with a delta applied."""
-        adjacency = self._current_adjacency(label)
-        for v, arr in rem.items():
-            cur = adjacency.get(v, EMPTY)
-            adjacency[v] = cur[~np.isin(cur, arr)]
-        for v, arr in ins.items():
-            adjacency[v] = np.union1d(adjacency.get(v, EMPTY), arr)
-        return adjacency
 
     def stats(self) -> Dict[str, object]:
         """PCSR health plus maintenance counters (compactions fired,
@@ -348,7 +329,7 @@ class DynamicIndex:
         """Maintain every artifact for one committed batch: PCSR
         through the bulk per-partition merge, then the touched
         signature rows."""
-        self.storage.apply_batch(commit.inserted_edges,
+        self.storage.apply_batch(commit.snapshot, commit.inserted_edges,
                                  commit.deleted_edges)
         self.signatures.apply(commit.snapshot, commit.touched_vertices)
 

@@ -332,6 +332,9 @@ def _extend(seed: Dict[int, int], query: LabeledGraph,
             used.discard(v)
 
     rec(0)
+    # ``rec`` reaches itself through its closure: unbind it so the
+    # snapshot it captured is freed now, not at the next cyclic GC.
+    del rec
 
 
 class StreamEngine:
@@ -481,7 +484,13 @@ class StreamEngine:
     def _apply_batch_inner(self, delta: GraphDelta) -> StreamBatchReport:
         t0 = time.perf_counter()
         old_snapshot = self.dynamic.base
-        self.dynamic.apply(delta)
+        try:
+            self.dynamic.apply(delta)
+        except Exception:
+            # A rejected batch changes nothing: drop the ops applied
+            # before the one that raised.
+            self.dynamic.discard_pending()
+            raise
         commit = self.dynamic.commit()
 
         meter_before = self.index.meter.snapshot()

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
+from repro.arraytypes import Array
+
 from repro.gpusim.constants import (
     ELEMENT_BYTES,
     ELEMENTS_PER_TRANSACTION,
@@ -33,6 +35,13 @@ def contiguous_read(num_elements: int, aligned: bool = True) -> int:
     if not aligned:
         return base + 1
     return base
+
+
+def contiguous_reads(num_elements: Array) -> Array:
+    """Elementwise aligned :func:`contiguous_read` of non-negative
+    word counts."""
+    return ((num_elements + ELEMENTS_PER_TRANSACTION - 1)
+            // ELEMENTS_PER_TRANSACTION)
 
 
 def scattered_read(num_accesses: int) -> int:

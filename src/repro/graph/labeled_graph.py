@@ -26,7 +26,6 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -36,6 +35,18 @@ from repro.arraytypes import Array
 from repro.errors import GraphError
 
 Edge = Tuple[int, int, int]  # (u, v, edge_label) with u < v
+
+
+def concat_ranges(starts: Array, lengths: Array) -> Array:
+    """Indices of the half-open ranges ``[starts[i], starts[i] +
+    lengths[i])``, concatenated in order: the gather that reads many
+    CSR segments at once."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    total = int(lengths.sum())
+    if not total:
+        return np.empty(0, dtype=np.int64)
+    skip = np.cumsum(lengths) - lengths - starts
+    return np.arange(total, dtype=np.int64) - np.repeat(skip, lengths)
 
 
 @dataclass(frozen=True)
@@ -270,6 +281,21 @@ class LabeledGraph:
     # Incremental construction (the O(changes) commit path)
     # ------------------------------------------------------------------
 
+    @classmethod
+    def _from_csr(cls, vlabels: Array, offsets: Array, nbr: Array,
+                  elab: Array, edge_map: Dict[Tuple[int, int], int],
+                  edge_label_freq: Dict[int, int]) -> "LabeledGraph":
+        """A graph from an already valid CSR layout and its metadata,
+        skipping validation (the splice and shared-memory attach)."""
+        graph = object.__new__(cls)
+        graph._vlabels = vlabels
+        graph._offsets = offsets
+        graph._nbr = nbr
+        graph._elab = elab
+        graph._edge_map = edge_map
+        graph._edge_label_freq = edge_label_freq
+        return graph
+
     def apply_changes(self, inserted: Iterable[Edge],
                       deleted: Iterable[Edge],
                       new_vertex_labels: Sequence[int] = (),
@@ -279,10 +305,14 @@ class LabeledGraph:
         ``inserted`` and ``deleted`` are ``(u, v, label)`` triples net
         against this graph (a relabel appears in both).  Only the rows
         of touched vertices are re-derived — filtered, merged and
-        re-sorted by ``(edge_label, neighbor)`` — and spliced into
-        copies of the CSR arrays; every untouched row is block-copied
-        unchanged.  Work and the returned :class:`CSRPatchStats` scale
-        with the change set, which is what makes
+        re-sorted by ``(edge_label, neighbor)`` — in whole-batch array
+        passes: one gather of the touched rows, one pair-code filter of
+        the deleted entries and one stable-sort merge of the inserted
+        ones;
+        the untouched rows move into the new arrays with one masked
+        copy.  The simulated work and the returned
+        :class:`CSRPatchStats` scale with the change set, which is what
+        makes
         :meth:`repro.dynamic.graph.DynamicGraph.commit` O(changes)
         instead of O(|E|).
 
@@ -328,17 +358,16 @@ class LabeledGraph:
         if not del_pairs and not ins_pairs and not len(extra):
             return self, CSRPatchStats()
 
-        # --- Per-vertex change lists (O(changes)). --------------------
-        rem_at: Dict[int, Set[int]] = {}
-        add_at: Dict[int, List[Tuple[int, int]]] = {}
-        for (lo, hi), _lab in del_pairs.items():
-            rem_at.setdefault(lo, set()).add(hi)
-            rem_at.setdefault(hi, set()).add(lo)
-        for (lo, hi), lab in ins_pairs.items():
-            add_at.setdefault(lo, []).append((lab, hi))
-            add_at.setdefault(hi, []).append((lab, lo))
-        touched = sorted(set(rem_at) | set(add_at)
-                         | set(range(n_old, n)))
+        # --- Both orientations of every changed edge (O(changes)). ----
+        dpair = np.array(list(del_pairs), dtype=np.int64).reshape(-1, 2)
+        ipair = np.array(list(ins_pairs), dtype=np.int64).reshape(-1, 2)
+        ilab = np.array(list(ins_pairs.values()), dtype=np.int64)
+        del_src = np.concatenate((dpair[:, 0], dpair[:, 1]))
+        del_dst = np.concatenate((dpair[:, 1], dpair[:, 0]))
+        ins_src = np.concatenate((ipair[:, 0], ipair[:, 1]))
+        ins_dst = np.concatenate((ipair[:, 1], ipair[:, 0]))
+        touched = np.union1d(np.concatenate((del_src, ins_src)),
+                             np.arange(n_old, n, dtype=np.int64))
 
         # --- Metadata: labels, edge map, label frequencies. -----------
         vlabels = (np.concatenate([self._vlabels, extra]) if len(extra)
@@ -355,75 +384,58 @@ class LabeledGraph:
             freq[lab] = freq.get(lab, 0) + 1
 
         # --- Offsets: adjust touched degrees, re-prefix-sum. ----------
-        deg = np.empty(n, dtype=np.int64)
-        np.subtract(self._offsets[1:], self._offsets[:-1],
-                    out=deg[:n_old])
-        deg[n_old:] = 0
-        for v in touched:
-            deg[v] += (len(add_at.get(v, ()))
-                       - len(rem_at.get(v, ())))
+        deg = np.zeros(n, dtype=np.int64)
+        deg[:n_old] = np.diff(self._offsets)
+        deg += (np.bincount(ins_src, minlength=n)
+                - np.bincount(del_src, minlength=n))
         offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(deg, out=offsets[1:])
 
-        # --- Splice rows: bulk-copy untouched runs, rebuild touched. --
+        # --- Touched rows: gather, drop deleted pairs, merge inserts. -
+        old_rows = touched[touched < n_old]
+        starts = self._offsets[old_rows]
+        lens = self._offsets[old_rows + 1] - starts
+        at = concat_ranges(starts, lens)
+        owner = np.repeat(old_rows, lens)
+        seg_n = self._nbr[at]
+        seg_l = self._elab[at]
+        if len(del_src):
+            # (row, neighbor) pair codes identify entries uniquely.
+            dead = np.sort(del_src * n + del_dst)
+            code = owner * n + seg_n
+            hit = np.searchsorted(dead, code)
+            keep = dead[np.minimum(hit, len(dead) - 1)] != code
+            owner, seg_n, seg_l = owner[keep], seg_n[keep], seg_l[keep]
+        if len(ins_src):
+            owner = np.concatenate((owner, ins_src))
+            seg_n = np.concatenate((seg_n, ins_dst))
+            seg_l = np.concatenate((seg_l, ilab, ilab))
+            # Order by (row, label, neighbor): two stable passes over
+            # (label rank, neighbor) codes, then rows.
+            _, lab_rank = np.unique(seg_l, return_inverse=True)
+            order = np.argsort(lab_rank * n + seg_n, kind="stable")
+            order = order[np.argsort(owner[order], kind="stable")]
+            seg_n, seg_l = seg_n[order], seg_l[order]
+
+        # --- Splice: one masked copy of the untouched rows. -----------
         total = int(offsets[n])
         nbr = np.empty(total, dtype=np.int64)
         elab = np.empty(total, dtype=np.int64)
-        words_read = 0
-        words_written = 0
-        prev = 0  # next untouched vertex to copy from
-        for v in touched:
-            if prev < v and prev < n_old:
-                stop = min(v, n_old)
-                o_lo, o_hi = int(self._offsets[prev]), \
-                    int(self._offsets[stop])
-                d_lo = int(offsets[prev])
-                nbr[d_lo:d_lo + (o_hi - o_lo)] = self._nbr[o_lo:o_hi]
-                elab[d_lo:d_lo + (o_hi - o_lo)] = self._elab[o_lo:o_hi]
-            if v < n_old:
-                o_lo, o_hi = int(self._offsets[v]), \
-                    int(self._offsets[v + 1])
-                seg_n = self._nbr[o_lo:o_hi]
-                seg_l = self._elab[o_lo:o_hi]
-                words_read += o_hi - o_lo
-            else:
-                seg_n = seg_l = nbr[:0]
-            rem = rem_at.get(v)
-            if rem:
-                keep = ~np.isin(seg_n,
-                                np.fromiter(rem, dtype=np.int64,
-                                            count=len(rem)))
-                seg_n, seg_l = seg_n[keep], seg_l[keep]
-            adds = add_at.get(v)
-            if adds:
-                add_l = np.array([a[0] for a in adds], dtype=np.int64)
-                add_n = np.array([a[1] for a in adds], dtype=np.int64)
-                seg_n = np.concatenate([seg_n, add_n])
-                seg_l = np.concatenate([seg_l, add_l])
-                order = np.lexsort((seg_n, seg_l))
-                seg_n, seg_l = seg_n[order], seg_l[order]
-            d_lo = int(offsets[v])
-            nbr[d_lo:d_lo + len(seg_n)] = seg_n
-            elab[d_lo:d_lo + len(seg_l)] = seg_l
-            words_written += len(seg_n)
-            prev = v + 1
-        if prev < n_old:
-            o_lo, o_hi = int(self._offsets[prev]), \
-                int(self._offsets[n_old])
-            d_lo = int(offsets[prev])
-            nbr[d_lo:d_lo + (o_hi - o_lo)] = self._nbr[o_lo:o_hi]
-            elab[d_lo:d_lo + (o_hi - o_lo)] = self._elab[o_lo:o_hi]
+        src = np.ones(len(self._nbr), dtype=bool)
+        src[at] = False
+        spliced = concat_ranges(offsets[touched], deg[touched])
+        dest = np.ones(total, dtype=bool)
+        dest[spliced] = False
+        nbr[dest] = self._nbr[src]
+        elab[dest] = self._elab[src]
+        nbr[spliced] = seg_n
+        elab[spliced] = seg_l
 
-        patched = object.__new__(LabeledGraph)
-        patched._vlabels = vlabels
-        patched._edge_map = edge_map
-        patched._offsets = offsets
-        patched._nbr = nbr
-        patched._elab = elab
-        patched._edge_label_freq = freq
+        patched = LabeledGraph._from_csr(vlabels, offsets, nbr, elab,
+                                         edge_map, freq)
         stats = CSRPatchStats(rows_spliced=len(touched),
-                              words_read=words_read,
-                              words_written=words_written)
+                              words_read=int(lens.sum()),
+                              words_written=len(seg_n))
         return patched, stats
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

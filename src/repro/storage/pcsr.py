@@ -20,7 +20,11 @@ each group owns a contiguous *region* of ``ci`` with slack at the tail.
 :meth:`PCSRPartition.insert_key`, :meth:`PCSRPartition.append_neighbors`
 and :meth:`PCSRPartition.remove_neighbor` implement this; every operation
 keeps :meth:`PCSRPartition.validate` clean and meters its simulated
-memory transactions so incremental-vs-rebuild cost is measurable.  When
+memory transactions so incremental-vs-rebuild cost is measurable.
+:meth:`PCSRPartition.apply_bulk` applies a whole batch the same way in
+array passes (one chain walk over every touched key, one merge and one
+rewrite of the affected groups), and the Algorithm-1 build is array
+passes too, with a loop only over overflowing groups.  When
 the partition outgrows its hash (occupancy) or the empty-group pool runs
 dry (Claim 1 can no longer be honored), callers are expected to rebuild —
 see :class:`repro.dynamic.index.DynamicPCSRStorage` for the policy.
@@ -36,8 +40,8 @@ from repro.arraytypes import Array
 from repro.errors import StorageError
 from repro.gpusim.constants import LABEL_PCSR_COMPACT, LABEL_PCSR_MAINTAIN
 from repro.gpusim.meter import MemoryMeter
-from repro.gpusim.transactions import contiguous_read
-from repro.graph.labeled_graph import LabeledGraph
+from repro.gpusim.transactions import contiguous_read, contiguous_reads
+from repro.graph.labeled_graph import LabeledGraph, concat_ranges
 from repro.graph.partition import EdgeLabelPartition, partition_by_edge_label
 from repro.storage.base import EMPTY, NeighborStore
 
@@ -51,6 +55,56 @@ _HASH_MULT = 2654435761
 def default_hash(v: int, num_groups: int) -> int:
     """The one-to-one hash mapping vertex ids to group ids."""
     return ((v * _HASH_MULT) & 0xFFFFFFFF) % num_groups
+
+
+def hash_groups(keys: Array, num_groups: int) -> Array:
+    """:func:`default_hash` of every key at once (unsigned arithmetic
+    keeps the low 32 bits of the product exact)."""
+    product = keys.astype(np.uint64) * np.uint64(_HASH_MULT)
+    return ((product & np.uint64(0xFFFFFFFF))
+            % np.uint64(num_groups)).astype(np.int64)
+
+
+def _merge_entries(entry: Array, touched: Array, keys: Array,
+                   held: Array, begin: Array, length: Array, ci: Array,
+                   inserts: Array, deletes: Array) -> Tuple[Array, Array]:
+    """``(current \\ deletes) ∪ inserts`` for every key of a block of
+    groups at once, as one sorted merge over ``e * M + w`` pair codes:
+    ``e`` is a key's position in the block's flattened ``(group,
+    slot)`` grid (``entry[i]`` for ``touched[i]``), and the ``held``
+    positions' current lists are ``ci[begin:begin + length]``.  Returns
+    the new lists back to back in grid order and each position's new
+    length.  Read-only: raises :class:`StorageError` on a delete of an
+    absent neighbor (naming the smallest such key, then neighbor)."""
+    cur = ci[concat_ranges(begin, length)]
+    M = 1 + max((int(a.max()) for a in (cur, inserts[:, 1], deletes[:, 1])
+                 if len(a)), default=0)
+    if keys.size > (2 ** 62) // M:
+        raise StorageError("vertex ids too large for pair codes")
+    # Lists are sorted-unique and laid out in grid order, so the
+    # current codes are already globally sorted.
+    merged = np.repeat(np.flatnonzero(held), length) * M + cur
+    if len(deletes):
+        rem = np.sort(entry[np.searchsorted(touched, deletes[:, 0])] * M
+                      + deletes[:, 1])
+        pos = np.searchsorted(merged, rem)
+        present = (merged[np.minimum(pos, len(merged) - 1)] == rem
+                   if len(merged) else np.zeros(len(rem), dtype=bool))
+        if not present.all():
+            gone = rem[~present]
+            owners = keys.ravel()[gone // M]
+            first = int(np.lexsort((gone % M, owners))[0])
+            raise StorageError(f"{int(gone[first] % M)} is not a neighbor "
+                               f"of {int(owners[first])}")
+        keep = np.ones(len(merged), dtype=bool)
+        keep[pos] = False
+        merged = merged[keep]
+    if len(inserts):
+        merged = np.union1d(
+            merged, entry[np.searchsorted(touched, inserts[:, 0])] * M
+            + inserts[:, 1])
+    return (merged % M,
+            np.bincount(merged // M, minlength=keys.size).reshape(keys.shape))
 
 
 class PCSRPartition:
@@ -71,63 +125,69 @@ class PCSRPartition:
             raise StorageError(f"GPN must be in [2, 16], got {gpn}")
         self.gpn = gpn
         self.label = partition.label
-        items = partition.items()
-        self.num_groups = max(1, len(items))
-        self.groups = np.full((self.num_groups, gpn, 2), _EMPTY_SLOT,
-                              dtype=np.int64)
-        self.groups[:, gpn - 1, 0] = _NO_OVERFLOW
-
-        # --- Algorithm 1, lines 3-4: hash every key to a home group. ---
-        keyed: List[List[int]] = [[] for _ in range(self.num_groups)]
-        for v, _ in items:
-            keyed[default_hash(v, self.num_groups)].append(v)
-
+        keys = partition.vertices
+        lengths = np.diff(partition.offsets)
+        num_keys = len(keys)
+        self.num_groups = max(1, num_keys)
         capacity = gpn - 1
-        # --- Lines 5-8: resolve overflow through empty groups. ---
-        placed: List[List[int]] = [ks[:capacity] for ks in keyed]
-        overflow: List[Tuple[int, List[int]]] = [
-            (gid, ks[capacity:]) for gid, ks in enumerate(keyed)
-            if len(ks) > capacity
-        ]
-        empty_pool = [gid for gid, ks in enumerate(keyed) if not ks]
-        chain_next: Dict[int, int] = {}
-        for origin, spill in overflow:
+
+        # --- Algorithm 1, lines 3-4: hash every key to a home group;
+        # a group's keys take its slots in key order. ---
+        home = hash_groups(keys, self.num_groups)
+        by_home = np.argsort(home, kind="stable")
+        counts = np.bincount(home, minlength=self.num_groups)
+        first = np.cumsum(counts) - counts
+        gid = home.copy()
+        slot = np.empty(num_keys, dtype=np.int64)
+        slot[by_home] = (np.arange(num_keys, dtype=np.int64)
+                         - first[home[by_home]])
+        keys_per_group = np.minimum(counts, capacity)
+
+        # --- Lines 5-8: resolve overflow through empty groups, taking
+        # the highest-numbered empty group first. ---
+        empty = np.flatnonzero(counts == 0)
+        free = len(empty)
+        chain_next = np.full(self.num_groups, _NO_OVERFLOW, dtype=np.int64)
+        for origin in np.flatnonzero(counts > capacity).tolist():
+            spill = by_home[first[origin] + capacity:
+                            first[origin] + counts[origin]]
             current = origin
-            while spill:
-                if not empty_pool:
+            for at in range(0, len(spill), capacity):
+                if not free:
                     raise StorageError(
                         "ran out of empty groups resolving overflow; "
                         "Claim 1 violated (this is a bug)")
-                target = empty_pool.pop()
+                free -= 1
+                target = int(empty[free])
                 chain_next[current] = target
-                placed[target] = spill[:capacity]
-                spill = spill[capacity:]
+                chunk = spill[at:at + capacity]
+                gid[chunk] = target
+                slot[chunk] = np.arange(len(chunk), dtype=np.int64)
+                keys_per_group[target] = len(chunk)
                 current = target
 
-        # --- Lines 9-13: lay out ci and record offsets. ---
-        adjacency = {v: nbrs for v, nbrs in items}
-        chunks: List[Array] = []
-        pos = 0
-        self._region_start = np.zeros(self.num_groups, dtype=np.int64)
-        self._region_cap = np.zeros(self.num_groups, dtype=np.int64)
-        for gid in range(self.num_groups):
-            self._region_start[gid] = pos
-            for j, v in enumerate(placed[gid]):
-                nbrs = adjacency[v]
-                self.groups[gid, j, 0] = v
-                self.groups[gid, j, 1] = pos
-                chunks.append(nbrs)
-                pos += len(nbrs)
-            self.groups[gid, gpn - 1, 1] = pos  # END flag
-            self.groups[gid, gpn - 1, 0] = chain_next.get(gid, _NO_OVERFLOW)
-            self._region_cap[gid] = pos - self._region_start[gid]
-        self._ci_buf = (np.concatenate(chunks) if chunks
-                        else np.empty(0, dtype=np.int64))
-        self._ci_len = int(pos)
-        self._keys_per_group = [len(p) for p in placed]
+        # --- Lines 9-13: lay out ci in (group, slot) order and record
+        # offsets. ---
+        layout = np.argsort(gid * capacity + slot)
+        laid_lengths = lengths[layout]
+        ci_offsets = np.cumsum(laid_lengths) - laid_lengths
+        self._region_cap = np.bincount(
+            gid, weights=lengths, minlength=self.num_groups).astype(np.int64)
+        self._region_start = np.cumsum(self._region_cap) - self._region_cap
+        self.groups = np.full((self.num_groups, gpn, 2), _EMPTY_SLOT,
+                              dtype=np.int64)
+        self.groups[gid[layout], slot[layout], 0] = keys[layout]
+        self.groups[gid[layout], slot[layout], 1] = ci_offsets
+        self.groups[:, gpn - 1, 0] = chain_next
+        self.groups[:, gpn - 1, 1] = self._region_start + self._region_cap
+        self._ci_buf = partition.nbrs[concat_ranges(
+            partition.offsets[:-1][layout], laid_lengths)]
+        self._ci_len = len(self._ci_buf)
+        self._keys_per_group = keys_per_group
+        self._num_keys = num_keys
         #: groups with no keys and no chain membership — the reservoir
         #: Claim 1 draws from, both at build time and incrementally.
-        self._empty_pool = set(empty_pool)
+        self._empty_pool = set(empty[:free].tolist())
         #: ci words orphaned by region relocations (space overhead of
         #: in-place maintenance; a rebuild reclaims them).
         self._dead_words = 0
@@ -302,6 +362,7 @@ class PCSRPartition:
         self.groups[target, slot, 1] = end
         self.groups[target, self.gpn - 1, 1] = end + len(nbrs)
         self._keys_per_group[target] += 1
+        self._num_keys += 1
         # A group with a key is no longer a Claim-1 reservoir candidate.
         self._empty_pool.discard(target)
         if meter is not None:
@@ -378,153 +439,84 @@ class PCSRPartition:
                           label=LABEL_PCSR_MAINTAIN)
             meter.add_gst(1 + contiguous_read(group_end - 1 - begin - pos))
 
-    def _merge_delta(self, v: int, current: Array,
-                     adds: Optional[Array],
-                     removes: Optional[Array]) -> Array:
-        """``(current \\ removes) ∪ adds`` as a new sorted-unique array;
-        raises (before any structural mutation) if a remove target is
-        absent, matching :meth:`remove_neighbor`.
+    def _locate(self, keys: Array) -> Tuple[int, Array, Array]:
+        """Walk every key's chain at once: ``(reads, gid, slot)`` with
+        ``gid == slot == -1`` for keys not stored.  ``reads`` is the
+        groups read summed over keys, as :meth:`_find_key` counts them;
+        the step count is the longest chain walked."""
+        capacity = self.gpn - 1
+        gid = np.full(len(keys), -1, dtype=np.int64)
+        slot = np.full(len(keys), -1, dtype=np.int64)
+        alive = np.arange(len(keys), dtype=np.int64)
+        cur = hash_groups(keys, self.num_groups)
+        reads = 0
+        while len(alive):
+            reads += len(alive)
+            hit = self.groups[cur, :capacity, 0] == keys[alive, None]
+            found = hit.any(axis=1)
+            gid[alive[found]] = cur[found]
+            slot[alive[found]] = hit[found].argmax(axis=1)
+            nxt = self.groups[cur, self.gpn - 1, 0]
+            more = ~found & (nxt != _NO_OVERFLOW)
+            alive, cur = alive[more], nxt[more]
+        return reads, gid, slot
 
-        Deltas are typically one or two edges per key, so this leans on
-        binary search (``current`` is sorted-unique) instead of the
-        much heavier ``isin``/``union1d`` set machinery.
-        """
-        merged = current
-        if removes is not None and len(removes):
-            rem = np.asarray(removes, dtype=np.int64)
-            if len(rem) > 1:
-                rem = np.unique(rem)
-            if not len(merged):
-                raise StorageError(
-                    f"{int(rem[0])} is not a neighbor of {v}")
-            pos = np.searchsorted(merged, rem)
-            present = merged[np.minimum(pos, len(merged) - 1)] == rem
-            if not present.all():
-                missing = int(rem[int(np.argmin(present))])
-                raise StorageError(f"{missing} is not a neighbor of {v}")
-            merged = np.delete(merged, pos)
-        if adds is not None and len(adds):
-            add = np.asarray(adds, dtype=np.int64)
-            if len(add) > 1:
-                add = np.unique(add)
-            pos = np.searchsorted(merged, add)
-            if len(merged):
-                fresh = (pos >= len(merged)) \
-                    | (merged[np.minimum(pos, len(merged) - 1)] != add)
-            else:
-                fresh = np.ones(len(add), dtype=bool)
-            if fresh.any():
-                merged = np.insert(merged, pos[fresh], add[fresh])
-        if merged is current:
-            merged = current.copy()
-        return merged
+    def _extents(self, gid: Array, slot: Array) -> Tuple[Array, Array]:
+        """ci extents ``[begin, end)`` of the keys at ``(gid, slot)``."""
+        last = self.gpn - 1
+        after = np.minimum(slot + 1, last)
+        has_next = ((slot + 1 < last)
+                    & (self.groups[gid, after, 0] != _EMPTY_SLOT))
+        end = np.where(has_next, self.groups[gid, after, 1],
+                       self.groups[gid, last, 1])
+        return self.groups[gid, slot, 1], end
 
-    def _bulk_merge(self, touched: List[int],
-                    located: Dict[int, Tuple[int, int]],
-                    inserts: Dict[int, Array],
-                    deletes: Dict[int, Array]
-                    ) -> Dict[int, Array]:
-        """Merged neighbor lists for every touched key, computed as one
-        global sorted merge over ``i * M + w`` pair codes.  Read-only:
-        raises :class:`StorageError` on a delete of an absent neighbor
-        without having mutated anything."""
-        cur_arrays: List[Array] = []
-        cur_owner: List[int] = []
-        rem_arrays: List[Array] = []
-        rem_owner: List[int] = []
-        add_arrays: List[Array] = []
-        add_owner: List[int] = []
-        top = 0
-        for i, v in enumerate(touched):
-            if v in located:
-                gid, j = located[v]
-                begin, end = self._slot_extent(gid, j)
-                seg = self._ci_buf[begin:end]
-                if len(seg):
-                    cur_arrays.append(seg)
-                    cur_owner.append(i)
-                    top = max(top, int(seg[-1]))
-            for bucket, arrays, owners in ((deletes, rem_arrays,
-                                            rem_owner),
-                                           (inserts, add_arrays,
-                                            add_owner)):
-                arr = bucket.get(v)
-                if arr is not None and len(arr):
-                    arr = np.asarray(arr, dtype=np.int64)
-                    arrays.append(arr)
-                    owners.append(i)
-                    top = max(top, int(arr.max()))
-        M = top + 1
-        if len(touched) > (2 ** 62) // max(M, 1):
-            # Pair codes would overflow int64; take the per-key path.
-            out: Dict[int, Array] = {}
-            for v in touched:
-                if v in located:
-                    gid, j = located[v]
-                    begin, end = self._slot_extent(gid, j)
-                    current = self._ci_buf[begin:end]
-                else:
-                    current = EMPTY
-                out[v] = self._merge_delta(v, current, inserts.get(v),
-                                           deletes.get(v))
-            return out
+    def _place_new_keys(self, new_keys: List[int]
+                        ) -> Optional[Tuple[List[int], Dict[int, int]]]:
+        """Dry-run placement of new keys along their home chains, in
+        key order, extending a full chain through an empty group.
+        Returns each key's target group and the planned chain links,
+        or ``None`` when Claim 1 starves (nothing is mutated)."""
+        capacity = self.gpn - 1
+        pending: Dict[int, int] = {}
+        planned_next: Dict[int, int] = {}
+        pool = set(self._empty_pool) if new_keys else set()
+        targets: List[int] = []
+        for v in new_keys:
+            cur = default_hash(v, self.num_groups)
+            target = -1
+            while True:
+                free = (capacity - int(self._keys_per_group[cur])
+                        - pending.get(cur, 0))
+                if free > 0:
+                    target = cur
+                    break
+                nxt = planned_next.get(
+                    cur, int(self.groups[cur, self.gpn - 1, 0]))
+                if nxt == _NO_OVERFLOW:
+                    break
+                cur = nxt
+            if target < 0:
+                if not pool:
+                    return None
+                target = pool.pop()
+                planned_next[cur] = target
+            pending[target] = pending.get(target, 0) + 1
+            targets.append(target)
+            pool.discard(target)
+        return targets, planned_next
 
-        def codes(arrays: List[Array], owners: List[int],
-                  presorted: bool) -> Array:
-            if not arrays:
-                return EMPTY
-            code = (np.repeat(np.asarray(owners, dtype=np.int64),
-                              [len(a) for a in arrays]) * M
-                    + np.concatenate(arrays))
-            return code if presorted else np.sort(code)
-
-        cur_code = codes(cur_arrays, cur_owner, presorted=True)
-        rem_code = codes(rem_arrays, rem_owner, presorted=False)
-        add_code = codes(add_arrays, add_owner, presorted=False)
-
-        if len(rem_code):
-            pos = (np.searchsorted(cur_code, rem_code)
-                   if len(cur_code) else None)
-            present = (cur_code[np.minimum(pos, len(cur_code) - 1)]
-                       == rem_code if pos is not None
-                       else np.zeros(len(rem_code), dtype=bool))
-            if not present.all():
-                bad = int(rem_code[int(np.argmin(present))])
-                raise StorageError(f"{bad % M} is not a neighbor of "
-                                   f"{touched[bad // M]}")
-            keep = np.ones(len(cur_code), dtype=bool)
-            keep[pos] = False
-            kept = cur_code[keep]
-        else:
-            kept = cur_code
-        if len(add_code):
-            add_code = np.unique(add_code)
-            if len(kept):
-                pos = np.searchsorted(kept, add_code)
-                fresh = (kept[np.minimum(pos, len(kept) - 1)]
-                         != add_code)
-            else:
-                pos = np.zeros(len(add_code), dtype=np.int64)
-                fresh = np.ones(len(add_code), dtype=bool)
-            merged_code = np.insert(kept, pos[fresh], add_code[fresh])
-        else:
-            merged_code = kept
-        counts = np.bincount(merged_code // M, minlength=len(touched))
-        vals = merged_code % M
-        bounds = np.concatenate(([0], np.cumsum(counts)))
-        return {v: vals[bounds[i]:bounds[i + 1]]
-                for i, v in enumerate(touched)}
-
-    def apply_bulk(self, inserts: Dict[int, Array],
-                   deletes: Dict[int, Array],
+    def apply_bulk(self, inserts: Array, deletes: Array,
                    meter: Optional[MemoryMeter] = None) -> bool:
         """Apply a whole batch delta in one pass (GPMA-style bulk update).
 
-        ``inserts`` / ``deletes`` map keys to neighbor arrays to merge in
-        or strip out.  Instead of one chain walk plus one region
-        shift/relocation per edge, this walks each touched key's chain
-        once, then performs a single sorted merge + rewrite per affected
-        group region — the bulk analogue of segment-wise GPMA updates.
+        ``inserts`` / ``deletes`` are ``(m, 2)`` arrays of directed
+        ``(key, neighbor)`` entries to merge in or strip out.  Instead
+        of one chain walk plus one region shift/relocation per edge,
+        this walks every touched key's chain at once, merges the lists
+        of every affected group in one sorted pass, and rewrites those
+        groups' regions with one scatter — the bulk analogue of
+        segment-wise GPMA updates.
 
         Returns ``False`` (with the partition **unmodified**) when new
         keys cannot be placed without violating Claim 1; the caller
@@ -532,184 +524,142 @@ class PCSRPartition:
         :class:`StorageError` (also before mutating) when a delete
         targets a missing key or neighbor.
         """
-        touched = sorted(set(inserts) | set(deletes))
-        if not touched:
+        inserts = np.asarray(inserts, dtype=np.int64).reshape(-1, 2)
+        deletes = np.asarray(deletes, dtype=np.int64).reshape(-1, 2)
+        touched = np.union1d(inserts[:, 0], deletes[:, 0])
+        if not len(touched):
             return True
-        gpn = self.gpn
-        capacity = gpn - 1
+        cap = self.gpn - 1
 
-        # Phase 1: one chain walk per touched key.
-        reads = 0
-        located: Dict[int, Tuple[int, int]] = {}
-        new_keys: List[int] = []
-        for v in touched:
-            r, gid, j = self._find_key(v)
-            reads += r
-            if gid >= 0:
-                located[v] = (gid, j)
-            elif v in deletes:
-                raise StorageError(f"key {v} not present in partition")
-            else:
-                new_keys.append(v)
+        # Phase 1: one chain walk for all touched keys.
+        reads, gid, slot = self._locate(touched)
+        fresh = np.flatnonzero(gid < 0)
+        if len(fresh):
+            missing = np.intersect1d(touched[fresh], deletes[:, 0])
+            if len(missing):
+                raise StorageError(
+                    f"key {int(missing[0])} not present in partition")
         if meter is not None:
             meter.add_gld(reads, label=LABEL_PCSR_MAINTAIN)
 
-        # Phase 2 (dry run): place new keys along their home chains,
-        # extending through empty groups when full — without mutating,
-        # so Claim-1 starvation leaves the structure untouched.
-        pending: Dict[int, int] = {}
-        planned_next: Dict[int, int] = {}
-        pool = set(self._empty_pool) if new_keys else set()
-        placements: List[Tuple[int, int]] = []  # (v, target gid)
-        for v in new_keys:
-            cur = default_hash(v, self.num_groups)
-            target = -1
-            while True:
-                free = (capacity - self._keys_per_group[cur]
-                        - pending.get(cur, 0))
-                if free > 0:
-                    target = cur
-                    break
-                nxt = planned_next.get(
-                    cur, int(self.groups[cur, gpn - 1, 0]))
-                if nxt == _NO_OVERFLOW:
-                    break
-                cur = nxt
-            if target < 0:
-                if not pool:
-                    return False  # nothing mutated yet; caller rebuilds
-                target = pool.pop()
-                planned_next[cur] = target
-            pending[target] = pending.get(target, 0) + 1
-            placements.append((v, target))
-            pool.discard(target)
+        # Phase 2 (dry run): place the new keys, so Claim-1 starvation
+        # leaves the structure untouched.
+        placed = self._place_new_keys(touched[fresh].tolist())
+        if placed is None:
+            return False  # nothing mutated yet; caller rebuilds
+        targets, planned_next = placed
+        gid[fresh] = targets
 
-        # Phase 3 (still read-only): one global sorted merge across all
-        # touched keys, raising on bad deletes before any write happens.
-        # (key-index, neighbor) pairs are encoded as ``i * M + w``; the
-        # per-key ci segments are sorted-unique and visited in index
-        # order, so the current stream is already globally sorted and
-        # every per-key set-op collapses into a handful of whole-batch
-        # array ops — the GPMA bulk merge proper.
-        merged = self._bulk_merge(touched, located, inserts, deletes)
+        # Phase 3 (still read-only): the affected groups as one block of
+        # (group, slot) matrices — new keys take the free slots after
+        # the existing ones, in key order — and every list of the block
+        # merged at once, raising on bad deletes before any write.
+        affected, row = np.unique(gid, return_inverse=True)
+        block = self.groups[affected]
+        keys, offsets, end = block[:, :cap, 0], block[:, :cap, 1], \
+            block[:, cap, 1]
+        held = keys != _EMPTY_SLOT
+        last = np.concatenate(
+            (~held[:, 1:], np.ones((len(affected), 1), dtype=bool)), axis=1)
+        after = np.concatenate((offsets[:, 1:], end[:, None]), axis=1)
+        length = np.where(last, end[:, None], after)[held] - offsets[held]
+        if len(fresh):
+            by_row = np.argsort(row[fresh], kind="stable")
+            rank = np.empty(len(fresh), dtype=np.int64)
+            rank[by_row] = (np.arange(len(fresh), dtype=np.int64)
+                            - np.searchsorted(row[fresh][by_row],
+                                              row[fresh][by_row]))
+            slot[fresh] = self._keys_per_group[gid[fresh]] + rank
+            keys[row[fresh], slot[fresh]] = touched[fresh]
+        entry = row * cap + slot
+        content, new_len = _merge_entries(
+            entry, touched, keys, held, offsets[held], length,
+            self._ci_buf, inserts, deletes)
 
-        # Phase 4: commit — chain extensions, then one rewrite per
+        # Phase 4: commit — chain extensions, then one rewrite of every
         # affected group region.
-        gst = 0
-        for last, target in planned_next.items():
-            self.groups[last, gpn - 1, 0] = target
-            self._grow_ci(0)
+        for tail, target in planned_next.items():
+            self.groups[tail, cap, 0] = target
             self._region_start[target] = self._ci_len
             self._region_cap[target] = 0
-            self.groups[target, gpn - 1, 1] = self._ci_len
             self._empty_pool.discard(target)
-            gst += 1  # rewrite of the chained-from group
-        new_by_gid: Dict[int, List[int]] = {}
-        for v, target in placements:
+        for target in targets:
             self._empty_pool.discard(target)
-            new_by_gid.setdefault(target, []).append(v)
-
-        affected = sorted({gid for gid, _ in located.values()}
-                          | set(new_by_gid))
-        moved_read = 0
-        for gid in affected:
-            # Fast path: one touched key, no new keys, region slack
-            # suffices — shift the tail in place instead of rewriting
-            # the whole region (the common sparse-batch shape).  The
-            # metered cost is the same either way: the bulk model
-            # charges a region merge per affected group.
-            new_here = new_by_gid.get(gid, ())
-            nkeys = int(self._keys_per_group[gid])
-            touched_slots = [j for j in range(nkeys)
-                             if int(self.groups[gid, j, 0]) in merged]
-            if not new_here and len(touched_slots) == 1:
-                j = touched_slots[0]
-                arr = merged[int(self.groups[gid, j, 0])]
-                begin, end = self._slot_extent(gid, j)
-                delta = len(arr) - (end - begin)
-                old_used = (int(self.groups[gid, gpn - 1, 1])
-                            - int(self._region_start[gid]))
-                if delta > 0 and self._region_slack(gid) < delta:
-                    # Metered below with the same region-merge formula
-                    # as the general path, so the accounting does not
-                    # depend on which branch ran.
-                    self._relocate_group(gid, max(delta, len(arr)),
-                                         None)
-                    begin, end = self._slot_extent(gid, j)
-                group_end = int(self.groups[gid, gpn - 1, 1])
-                if delta:
-                    tail = self._ci_buf[end:group_end].copy()
-                    self._ci_buf[end + delta:group_end + delta] = tail
-                    for k in range(j + 1, gpn - 1):
-                        if self.groups[gid, k, 0] == _EMPTY_SLOT:
-                            break
-                        self.groups[gid, k, 1] += delta
-                    self.groups[gid, gpn - 1, 1] = group_end + delta
-                if len(arr):
-                    self._ci_buf[begin:begin + len(arr)] = arr
-                moved_read += contiguous_read(old_used)
-                gst += contiguous_read(old_used + delta) + 1
-                continue
-            keys: List[int] = []
-            arrays: List[Array] = []
-            for j in range(self._keys_per_group[gid]):
-                v = int(self.groups[gid, j, 0])
-                keys.append(v)
-                if v in merged:
-                    arrays.append(merged[v])
-                else:
-                    begin, end = self._slot_extent(gid, j)
-                    arrays.append(self._ci_buf[begin:end])
-            for v in new_by_gid.get(gid, ()):
-                keys.append(v)
-                arrays.append(merged[v])
-            old_start = int(self._region_start[gid])
-            old_used = int(self.groups[gid, gpn - 1, 1]) - old_start
-            lens = np.array([len(a) for a in arrays], dtype=np.int64)
-            total = int(lens.sum())
-            # Concatenate into a fresh buffer first: the sources may be
-            # views into the very region being rewritten.
-            region = (np.concatenate(arrays) if total
-                      else np.empty(0, dtype=np.int64))
-            if total <= self._region_cap[gid]:
-                pos = old_start
-            else:
-                new_cap = total + max(total, 4)
-                self._grow_ci(new_cap)
-                pos = self._ci_len
-                self._dead_words += int(self._region_cap[gid])
-                self._region_start[gid] = pos
-                self._region_cap[gid] = new_cap
-                self._ci_len = pos + new_cap
-            self._ci_buf[pos:pos + total] = region
-            n = len(keys)
-            if n:
-                self.groups[gid, :n, 0] = keys
-                self.groups[gid, :n, 1] = pos + np.concatenate(
-                    ([0], np.cumsum(lens[:-1])))
-            self.groups[gid, gpn - 1, 1] = pos + total
-            self._keys_per_group[gid] = n
-            moved_read += contiguous_read(old_used)
-            gst += contiguous_read(total) + 1
+        np.add.at(self._keys_per_group, gid[fresh], 1)
+        self._num_keys += len(fresh)
+        changed = np.zeros(keys.size, dtype=bool)
+        changed[entry] = True
+        moved_read, written = self._rewrite_regions(
+            affected, keys, held, end, changed.reshape(keys.shape),
+            content, new_len)
         if meter is not None:
             meter.add_gld(moved_read, label=LABEL_PCSR_MAINTAIN)
-            meter.add_gst(gst)
+            meter.add_gst(len(planned_next) + written)
         return True
+
+    def _rewrite_regions(self, affected: Array, keys: Array, held: Array,
+                         end: Array, changed: Array, content: Array,
+                         new_len: Array) -> Tuple[int, int]:
+        """Write the ``affected`` groups' merged ``content`` (lists back
+        to back in ``(group, slot)`` order, ``new_len`` each) and their
+        ``keys``, packed from each region's start; a region that
+        outgrows its capacity moves to the ci tail, groups in
+        ascending order.  ``held``/``end`` describe the groups before
+        the update and ``changed`` marks the touched slots.
+
+        The capacity of a moved region follows the two update shapes:
+        one existing key changed and no key added keeps
+        :meth:`_relocate_group`'s rule (``used + max(extra, used, 4)``
+        with ``extra`` the larger of the growth and the key's new
+        length); anything else gets ``total + max(total, 4)``.  Returns
+        the metered ``(words read, words written)`` transactions: one
+        region merge per affected group."""
+        total = new_len.sum(axis=1)
+        start = self._region_start[affected]
+        region_cap = self._region_cap[affected]
+        # A group without keys is empty or a fresh chain link: nothing
+        # of its region is in use.
+        used = np.where(held.any(axis=1), end - start, 0)
+        single = (((changed & held).sum(axis=1) == 1)
+                  & ~(changed & ~held).any(axis=1))
+        key_len = np.where(changed, new_len, 0).sum(axis=1)
+        moves = total > region_cap
+        new_cap = np.where(
+            single,
+            used + np.maximum(np.maximum(total - used, key_len),
+                              np.maximum(used, 4)),
+            total + np.maximum(total, 4))[moves]
+        pos = start.copy()
+        pos[moves] = self._ci_len + np.cumsum(new_cap) - new_cap
+        grown = int(new_cap.sum())
+        self._grow_ci(grown)
+        self._dead_words += int(region_cap[moves].sum())
+        self._region_start[affected[moves]] = pos[moves]
+        self._region_cap[affected[moves]] = new_cap
+        self._ci_len += grown
+        self._ci_buf[concat_ranges(pos, total)] = content
+        packed = pos[:, None] + np.cumsum(new_len, axis=1) - new_len
+        self.groups[affected, :self.gpn - 1, 0] = keys
+        self.groups[affected, :self.gpn - 1, 1] = np.where(
+            keys != _EMPTY_SLOT, packed, _EMPTY_SLOT)
+        self.groups[affected, self.gpn - 1, 1] = pos + total
+        return (int(contiguous_reads(used).sum()),
+                int((contiguous_reads(total) + 1).sum()))
 
     def items(self) -> Iterator[Tuple[int, Array]]:
         """Iterate ``(key, neighbor array)`` straight off the structure
-        (rebuilds and tests read the partition back through this)."""
-        for gid in range(self.num_groups):
-            for j in range(self.gpn - 1):
-                v = int(self.groups[gid, j, 0])
-                if v == _EMPTY_SLOT:
-                    break
-                begin, end = self._slot_extent(gid, j)
-                yield v, self._ci_buf[begin:end].copy()
+        in group and slot order (rebuilds and tests read the partition
+        back through this)."""
+        gids, slots = np.nonzero(self.groups[:, :self.gpn - 1, 0]
+                                 != _EMPTY_SLOT)
+        begin, end = self._extents(gids, slots)
+        for v, b, e in zip(self.groups[gids, slots, 0].tolist(),
+                           begin.tolist(), end.tolist()):
+            yield v, self._ci_buf[b:e].copy()
 
     def key_count(self) -> int:
         """Number of stored keys (vertices with a slot)."""
-        return int(sum(self._keys_per_group))
+        return self._num_keys
 
     def occupancy(self) -> float:
         """Keys per group — 1.0 is the one-to-one design point of
@@ -874,7 +824,7 @@ class PCSRPartition:
     def load_factor(self) -> float:
         """Fraction of key slots occupied."""
         total_slots = self.num_groups * (self.gpn - 1)
-        return sum(self._keys_per_group) / total_slots if total_slots else 0.0
+        return self._num_keys / total_slots if total_slots else 0.0
 
     def space_words(self) -> int:
         """Words occupied: 2 per slot in the group layer, plus ci."""

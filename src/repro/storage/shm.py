@@ -416,21 +416,17 @@ def _build_graph(handle: GraphHandle) -> LabeledGraph:
     arrays, segs = zip(*(_attach_block(block) for block in (
         handle.vlabels, handle.offsets, handle.nbr, handle.elab)))
     vlabels, offsets, nbr, elab = arrays
-    graph = object.__new__(LabeledGraph)
-    graph._vlabels = vlabels
-    graph._offsets = offsets
-    graph._nbr = nbr
-    graph._elab = elab
     # Vectorized metadata rebuild from the CSR arrays: each undirected
     # edge appears once with src < dst.
     src = np.repeat(np.arange(len(vlabels), dtype=np.int64),
                     np.diff(offsets))
     mask = src < nbr
     lo, hi, lab = src[mask], nbr[mask], elab[mask]
-    graph._edge_map = dict(zip(zip(lo.tolist(), hi.tolist()),
-                               lab.tolist()))
     labels, counts = np.unique(lab, return_counts=True)
-    graph._edge_label_freq = dict(zip(labels.tolist(), counts.tolist()))
+    graph = LabeledGraph._from_csr(
+        vlabels, offsets, nbr, elab,
+        dict(zip(zip(lo.tolist(), hi.tolist()), lab.tolist())),
+        dict(zip(labels.tolist(), counts.tolist())))
     graph._shm_refs = list(segs)  # keep the mappings alive with the graph
     return graph
 
@@ -474,9 +470,9 @@ def _build_partition(handle: PCSRPartitionHandle,
     # extension targets receive a key immediately and keys are never
     # evicted, so both containers are derivable from the group layer.
     kpg = (part.groups[:, :handle.gpn - 1, 0] != _EMPTY_SLOT).sum(axis=1)
-    part._keys_per_group = [int(k) for k in kpg]
-    part._empty_pool = {gid for gid, k in enumerate(part._keys_per_group)
-                        if k == 0}
+    part._keys_per_group = kpg.astype(np.int64)
+    part._num_keys = int(kpg.sum())
+    part._empty_pool = set(np.flatnonzero(kpg == 0).tolist())
     return part
 
 

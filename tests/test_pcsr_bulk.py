@@ -32,14 +32,16 @@ def random_edges(rng, num_vertices, num_edges):
     return sorted(seen)
 
 
-def as_dicts(pairs):
-    """(u, v) pairs -> symmetric {key: np.ndarray} delta."""
-    out = {}
-    for u, v in pairs:
-        out.setdefault(u, []).append(v)
-        out.setdefault(v, []).append(u)
-    return {k: np.asarray(sorted(vs), dtype=np.int64)
-            for k, vs in out.items()}
+def entries(delta):
+    """{key: neighbors} -> (m, 2) directed (key, neighbor) entries."""
+    return np.array([(k, w) for k, ws in delta.items() for w in ws],
+                    dtype=np.int64).reshape(-1, 2)
+
+
+def as_entries(pairs):
+    """(u, v) pairs -> both orientations as directed entries."""
+    return np.array([e for u, v in pairs for e in ((u, v), (v, u))],
+                    dtype=np.int64).reshape(-1, 2)
 
 
 class TestApplyBulkDifferential:
@@ -67,8 +69,8 @@ class TestApplyBulkDifferential:
             existing |= set(adds)
 
             meter = MemoryMeter()
-            assert part_bulk.apply_bulk(as_dicts(adds),
-                                        as_dicts(removes), meter)
+            assert part_bulk.apply_bulk(as_entries(adds),
+                                        as_entries(removes), meter)
             edge_meter = MemoryMeter()
             for u, v in removes:
                 part_edge.remove_neighbor(u, v, edge_meter)
@@ -99,24 +101,23 @@ class TestApplyBulkDifferential:
         part = build_partition([(0, 1, 0), (0, 2, 0)])[0]
         meter = MemoryMeter()
         assert part.apply_bulk(
-            {0: np.array([3, 4, 5]), 3: np.array([0]),
-             4: np.array([0]), 5: np.array([0])}, {}, meter)
+            entries({0: [3, 4, 5], 3: [0], 4: [0], 5: [0]}),
+            entries({}), meter)
         assert part.validate() == []
         assert list(part.neighbors(0)) == [1, 2, 3, 4, 5]
         assert list(part.neighbors(4)) == [0]
 
     def test_new_key_insertion(self):
         part = build_partition([(0, 1, 0)])[0]
-        assert part.apply_bulk({7: np.array([0]), 0: np.array([7])},
-                               {})
+        assert part.apply_bulk(entries({7: [0], 0: [7]}), entries({}))
         assert list(part.neighbors(7)) == [0]
         assert list(part.neighbors(0)) == [1, 7]
         assert part.validate() == []
 
     def test_mixed_insert_delete_same_key(self):
         part = build_partition([(0, 1, 0), (0, 2, 0)])[0]
-        assert part.apply_bulk({0: np.array([5]), 5: np.array([0])},
-                               {0: np.array([1]), 1: np.array([0])})
+        assert part.apply_bulk(entries({0: [5], 5: [0]}),
+                               entries({0: [1], 1: [0]}))
         assert list(part.neighbors(0)) == [2, 5]
         assert part.validate() == []
 
@@ -126,7 +127,7 @@ class TestApplyBulkAtomicity:
         part = build_partition([(0, 1, 0)])[0]
         before = {v: a.tolist() for v, a in part.items()}
         with pytest.raises(StorageError):
-            part.apply_bulk({}, {9: np.array([0])})
+            part.apply_bulk(entries({}), entries({9: [0]}))
         assert {v: a.tolist() for v, a in part.items()} == before
 
     def test_bad_delete_neighbor_raises_before_mutation(self):
@@ -134,7 +135,7 @@ class TestApplyBulkAtomicity:
         before = {v: a.tolist() for v, a in part.items()}
         with pytest.raises(StorageError, match="not a neighbor"):
             # the valid half of the delta must not land either
-            part.apply_bulk({}, {0: np.array([1]), 2: np.array([9])})
+            part.apply_bulk(entries({}), entries({0: [1], 2: [9]}))
         assert {v: a.tolist() for v, a in part.items()} == before
         assert part.validate() == []
 
@@ -150,7 +151,7 @@ class TestApplyBulkAtomicity:
         before = {v: a.tolist() for v, a in part.items()}
         new_key = 9999
         assert part._find_key(new_key)[1] < 0
-        assert not part.apply_bulk({new_key: np.array([0])}, {})
+        assert not part.apply_bulk(entries({new_key: [0]}), entries({}))
         assert {v: a.tolist() for v, a in part.items()} == before
         assert part.validate() == []
 
@@ -192,9 +193,8 @@ class TestSortedUniqueContract:
                         v, np.asarray(rng.integers(0, 80, size=4),
                                       dtype=np.int64))
             part.apply_bulk(
-                {0: np.asarray(rng.integers(80, 120, size=3),
-                               dtype=np.int64)},
-                {})
+                entries({0: rng.integers(80, 120, size=3).tolist()}),
+                entries({}))
             part.compact()
             for v, arr in part.items():
                 lst = arr.tolist()

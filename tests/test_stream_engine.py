@@ -392,3 +392,34 @@ class TestIncrementalCommit:
         report = engine.apply_batch(GraphDelta.for_graph(graph))
         assert report.commit_transactions == 0
         assert engine.graph is before  # snapshot reused, not rebuilt
+
+
+class TestRejectedBatch:
+    def test_rejected_batch_leaves_no_trace(self):
+        graph = scale_free_graph(40, 3, 3, 3, seed=8)
+        engine = StreamEngine(graph)
+        query = random_walk_query(graph, 3, seed=1)
+        qid = engine.register(query)
+        before = engine.graph
+        live = engine.matches(qid)
+        u, v = next((a, b) for a in range(40) for b in range(a + 1, 40)
+                    if not graph.has_edge(a, b))
+        x, y = next((a, b) for a in range(40) for b in range(a + 1, 40)
+                    if not graph.has_edge(a, b) and (a, b) != (u, v))
+        # A valid insert followed by the delete of a missing edge: the
+        # whole batch is rejected, including the insert before it.
+        bad = GraphDelta.for_graph(graph).add_edge(u, v, 0).remove_edge(x, y)
+        with pytest.raises(GraphError):
+            engine.apply_batch(bad)
+        assert engine.graph is before
+        assert engine.matches(qid) == live
+        assert engine.batches_applied == 0
+        assert engine.dynamic.pending_ops == 0
+        assert not engine.dynamic.has_edge(u, v)
+
+        report = engine.apply_batch(GraphDelta.for_graph(graph))
+        assert (report.num_inserted, report.num_deleted,
+                report.num_new_vertices) == (0, 0, 0)
+        assert report.total_created == report.total_destroyed == 0
+        assert engine.graph is before
+        assert engine.matches(qid) == brute_force_matches(query, before)
