@@ -1,24 +1,27 @@
 """Per-row vs vectorized join lanes on a dense-candidate workload.
 
 Not a paper table — this measures the host-side execution strategy of
-the *same* simulated GPU algorithm.  Both lanes walk identical join
-plans and charge identical memory transactions to the meter; they
-differ only in how the host computes each edge pass:
+the *same* simulated GPU algorithm.  Both lanes run one step function
+(:func:`repro.core.join.execute_join_step`) over an ``(n, w)`` int64
+intermediate table, with the same prealloc, link and two-step array
+code, and charge identical memory transactions to the meter.  They
+differ only in the edge pass:
 
-* **rows**: the original lane — one Python-level set-op per
-  intermediate row (:func:`repro.core.join.run_join_phase`).
-* **vector**: the bulk lane — one NumPy pass per edge over the whole
-  intermediate table (:func:`repro.core.kernels.run_join_phase_vector`),
-  grouping rows by bound vertex and deriving per-row costs from length
-  arrays.
+* **rows**: one Python-level set-op per intermediate row
+  (``repro.core.join._edge_pass``).
+* **vector**: one NumPy pass per edge over the whole intermediate table
+  (``repro.core.kernels._edge_pass_vector``), grouping rows by bound
+  vertex and deriving per-row costs from length arrays.
 
 The workload is built to stress the regime the vector lane exists for:
 a small dense graph with few labels (so candidate sets are fat) and
 cyclic queries (so late steps carry multiple linking edges and large
 intermediate tables that the closing edges then prune).  Every query is
-differentially checked — match sets byte-identical, meter totals and
+differentially checked — match sets byte-identical, the whole
+``MeterSnapshot`` (per-label GLD and kernel launches included) and
 simulated latency identical — so the wall-clock column is a pure
-host-efficiency comparison, never a correctness trade.
+host-efficiency comparison of the two edge passes, never a correctness
+trade.
 """
 
 from __future__ import annotations
@@ -86,34 +89,36 @@ def run_join_kernels(num_vertices: int = GRAPH_VERTICES,
     """Run the workload once per lane; differentially compare.
 
     Returns ``(outcomes, table)``.  ``outcomes`` maps lane name to
-    per-query wall-clock, match counts and simulated-transaction
-    totals; the rows/vector entries must agree on everything except
-    wall-clock.
+    per-query wall-clock, match sets, meter snapshots,
+    simulated-transaction totals and simulated latency; the rows/vector
+    entries must agree on everything except wall-clock.
     """
     graph, queries, names = _dense_workload(num_vertices, quick=quick)
     outcomes: Dict[str, Dict[str, list]] = {}
     for lane in LANES:
         cfg = replace(GSIConfig.gsi_opt(), join_kernel=lane)
         engine = GSIEngine(graph, cfg)
-        wall_ms, matches, tx, sim_ms = [], [], [], []
+        wall_ms, matches, tx, sim_ms, counters = [], [], [], [], []
         for query in queries:
             t0 = time.perf_counter()
             result = engine.match(query)
             wall_ms.append((time.perf_counter() - t0) * 1000.0)
             matches.append(frozenset(result.matches))
             c = result.counters
+            counters.append(c)
             tx.append(c.gld + c.gst + c.shared)
             sim_ms.append(result.elapsed_ms)
         outcomes[lane] = {"wall_ms": wall_ms, "matches": matches,
-                          "tx": tx, "sim_ms": sim_ms}
+                          "counters": counters, "tx": tx,
+                          "sim_ms": sim_ms}
 
     rows_arm = outcomes["rows"]
     for lane in LANES[1:]:
         arm = outcomes[lane]
         assert arm["matches"] == rows_arm["matches"], (
             f"{lane} lane changed a match set")
-        assert arm["tx"] == rows_arm["tx"], (
-            f"{lane} lane changed the simulated transaction totals")
+        assert arm["counters"] == rows_arm["counters"], (
+            f"{lane} lane changed a meter snapshot")
         assert arm["sim_ms"] == rows_arm["sim_ms"], (
             f"{lane} lane changed the simulated latency")
 
@@ -143,9 +148,10 @@ def run_join_kernels(num_vertices: int = GRAPH_VERTICES,
         ["query", "matches", "rows ms", "vector ms", "wall win",
          "sim tx", "identical"],
         table_rows,
-        note="wall ms is host time; 'sim tx' (gld+gst+shared) and the "
-             "match sets are asserted byte-identical across lanes — "
-             "the lanes differ only in host execution strategy")
+        note="wall ms is host time; the match sets and whole meter "
+             "snapshots ('sim tx' = gld+gst+shared) are asserted "
+             "byte-identical across lanes — the lanes differ only in "
+             "the host edge pass")
     return outcomes, table
 
 
@@ -160,7 +166,7 @@ def test_lanes_byte_identical(join_kernel_comparison):
     rows_arm = join_kernel_comparison["rows"]
     vec_arm = join_kernel_comparison["vector"]
     assert vec_arm["matches"] == rows_arm["matches"]
-    assert vec_arm["tx"] == rows_arm["tx"]
+    assert vec_arm["counters"] == rows_arm["counters"]
     assert vec_arm["sim_ms"] == rows_arm["sim_ms"]
 
 
@@ -194,7 +200,7 @@ if __name__ == "__main__":
     assert vec_total < rows_total, (
         f"vector lane lost on wall-clock: {vec_total:.0f}ms vs "
         f"{rows_total:.0f}ms")
-    print(f"OK: match sets and simulated transactions identical; "
+    print(f"OK: match sets and meter snapshots identical; "
           f"vector lane {rows_total / vec_total:.1f}x faster on host "
           f"wall-clock")
     if cli_args.json is not None:

@@ -231,43 +231,33 @@ class GSIEngine:
 
     def _execute_inner(self, prepared: PreparedQuery) -> MatchResult:
         device = prepared.device
-        result = MatchResult(engine=self.name)
-        if prepared.timed_out:
-            result.timed_out = True
-            result.elapsed_ms = device.elapsed_ms
-            result.counters = device.meter.snapshot()
-            return result
-        result.candidate_sizes = dict(prepared.candidate_sizes)
-        if prepared.plan is None:
-            # Some candidate set is empty: filtering already proved the
-            # query unmatchable.
-            result.elapsed_ms = device.elapsed_ms
-            result.phases = PhaseBreakdown(filter_ms=prepared.filter_ms)
-            result.counters = device.meter.snapshot()
-            return result
         plan = prepared.plan
-        result.join_order = plan.order
-        try:
+        result = MatchResult(engine=self.name, timed_out=prepared.timed_out)
+        # A filtering abort returns before ``filter_ms`` is recorded; all
+        # of its elapsed time is filtering.
+        filter_ms = (device.elapsed_ms if prepared.timed_out
+                     else prepared.filter_ms)
+        if not prepared.timed_out:
+            result.candidate_sizes = dict(prepared.candidate_sizes)
+        # Without a timeout, ``plan is None`` means some candidate set is
+        # empty: filtering already proved the query unmatchable.
+        if plan is not None:
+            result.join_order = plan.order
             ctx = JoinContext(
                 graph=self.graph, store=self.store, device=device,
                 config=self.config,
                 set_engine=SetOpEngine(
                     friendly=self.config.use_gpu_set_ops,
                     write_cache=self.config.use_write_cache))
-            rows = run_join_phase(ctx, plan, prepared.candidates)
-
-            # Reorder row positions (join order) into query-vertex order.
-            perm = np.argsort(np.asarray(plan.order))
-            result.matches = [tuple(int(row[j]) for j in perm)
-                              for row in rows]
-            result.elapsed_ms = device.elapsed_ms
-            result.phases = PhaseBreakdown(
-                filter_ms=prepared.filter_ms,
-                join_ms=device.elapsed_ms - prepared.filter_ms)
-        except BudgetExceeded:
-            result.matches = []
-            result.timed_out = True
-            result.elapsed_ms = device.elapsed_ms
+            try:
+                rows = run_join_phase(ctx, plan, prepared.candidates)
+                # Join order -> query-vertex order: one column permutation.
+                result.rows = rows[:, np.argsort(np.asarray(plan.order))]
+            except BudgetExceeded:
+                result.timed_out = True
+        result.elapsed_ms = device.elapsed_ms
+        result.phases = PhaseBreakdown(
+            filter_ms=filter_ms, join_ms=device.elapsed_ms - filter_ms)
         result.counters = device.meter.snapshot()
         return result
 

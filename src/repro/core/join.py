@@ -14,6 +14,14 @@ Without Prealloc-Combine the *two-step output scheme* is simulated
 instead: the whole per-edge join work runs twice (count pass + write
 pass), exactly the doubling GSI eliminates.
 
+On the host, ``M`` is one ``(n, w)`` int64 array at every step, and each
+step writes ``M'`` once from the prefix sum of its buffer lengths.  The
+two host lanes (``GSIConfig.join_kernel``) differ only in the edge pass:
+``rows`` runs :class:`~repro.core.set_ops.SetOpEngine` once per row
+(:func:`_edge_pass`), ``vector`` runs each edge over the whole table
+(:func:`repro.core.kernels._edge_pass_vector`).  Prealloc, link and the
+two-step write are the shared array code of :mod:`repro.core.kernels`.
+
 Duplicate removal (Alg. 5) and the 4-layer load balance (Section VI) hook
 in here as well: the former shares staged neighbor lists between warps of
 one block, the latter reshapes kernel task lists before scheduling.
@@ -22,24 +30,28 @@ one block, the latter reshapes kernel task lists before scheduling.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.arraytypes import Array
 from repro.core.config import GSIConfig
 from repro.core.dup_removal import sharing_assignment
+from repro.core.kernels import (
+    _edge_pass_vector,
+    _link_vector,
+    _prealloc_vector,
+    _two_step_vector,
+)
 from repro.core.plan import JoinPlan, JoinStep, select_first_edge
 from repro.core.set_ops import CandidateSet, RowCost, SetOpEngine
 from repro.errors import BudgetExceeded
 from repro.gpusim.constants import CYCLES_PER_GLD, LABEL_JOIN, WARPS_PER_BLOCK
 from repro.gpusim.device import Device
-from repro.gpusim.transactions import batched_write, contiguous_read
+from repro.gpusim.transactions import contiguous_read
 from repro.graph.labeled_graph import LabeledGraph
 from repro.obs.trace import get_tracer
 from repro.storage.base import NeighborStore
-
-Row = Tuple[int, ...]
 
 #: Placeholder for rows whose buffer the first edge pass has not filled
 #: yet; never read (edge 0 always assigns before any refine consumes it).
@@ -107,19 +119,17 @@ def _run_edge_kernel(ctx: JoinContext, costs: List[RowCost],
 
 def _edge_pass(ctx: JoinContext, rows_np: Array, col_of: Dict[int, int],
                edges: List[Tuple[int, int]], cand: CandidateSet,
-               bufs: Optional[List[Array]], count_only: bool,
-               step_name: str) -> List[Array]:
-    """Run all linking-edge kernels over the intermediate table.
+               count_only: bool, step_name: str) -> Tuple[Array, Array]:
+    """Run all linking-edge kernels over the intermediate table, one
+    :class:`SetOpEngine` call per row (the ``rows`` lane).
 
-    ``bufs`` non-None means results were computed by a previous (count)
-    pass; the functional work is reused but costs are charged again —
-    that is precisely the two-step scheme's doubled work.
+    Returns ``(flat, counts)`` like ``_edge_pass_vector``: the per-row
+    buffers concatenated in row order plus their lengths.
     """
     num_rows = rows_np.shape[0]
     engine = ctx.set_engine
     dr = ctx.config.use_duplicate_removal
-    out: List[Array] = (
-        [_UNFILLED_BUF] * num_rows if bufs is None else list(bufs))
+    out: List[Array] = [_UNFILLED_BUF] * num_rows
 
     for edge_idx, (u_prime, label) in enumerate(edges):
         col = col_of[u_prime]
@@ -150,102 +160,34 @@ def _edge_pass(ctx: JoinContext, rows_np: Array, col_of: Dict[int, int],
                 out[i] = buf
                 costs.append(cost)
         _run_edge_kernel(ctx, costs, name=f"{step_name}_e{edge_idx}")
-    return out
+    counts = np.fromiter(map(len, out), dtype=np.int64, count=num_rows)
+    return np.concatenate(out), counts
 
 
-def _prealloc_gba(ctx: JoinContext, rows_np: Array,
-                  col0: int, label0: int, step_name: str) -> Array:
-    """Algorithm 4: per-row capacity bounds and the GBA offset array.
-
-    The per-row ``|N(v', l0)|`` reads are fused into the scan kernel —
-    one launch covers both the upper-bound lookup and the prefix sum.
-    """
-    num_rows = rows_np.shape[0]
-    caps = np.empty(num_rows, dtype=np.int64)
-    tasks: List[float] = []
-    for i in range(num_rows):
-        v = int(rows_np[i, col0])
-        nbrs, locate, _, _ = ctx.neighbors(v, label0)
-        caps[i] = len(nbrs)
-        ctx.device.meter.add_gld(locate, label=LABEL_JOIN)
-        tasks.append(locate * CYCLES_PER_GLD)
-    return ctx.device.exclusive_prefix_sum(
-        caps, name=f"{step_name}_prealloc_scan", fused_tasks=tasks)
-
-
-def _link_kernel(ctx: JoinContext, rows: List[Row], rows_np: Array,
-                 bufs: List[Array], step_name: str) -> List[Row]:
-    """Alg. 3 lines 14-21: prefix-sum the buffer counts, then copy each
-    ``m_i (+) z`` into the new table ``M'``."""
-    counts = [len(b) for b in bufs]
-    ctx.device.exclusive_prefix_sum(counts, name=f"{step_name}_offsets")
-
-    width = rows_np.shape[1]
-    new_rows: List[Row] = []
-    cycles: List[float] = []
-    units: List[float] = []
-    use_cache = ctx.config.use_write_cache and ctx.config.use_gpu_set_ops
-    for i, buf in enumerate(bufs):
-        cnt = len(buf)
-        cost = RowCost(units=float(cnt))
-        if cnt:
-            cost.gld += contiguous_read(width)       # read m_i (shared stage)
-            cost.gld += contiguous_read(cnt)         # read buf_i from GBA
-            written = (width + 1) * cnt
-            cost.gst += (batched_write(written) if use_cache else written)
-            base = rows[i]
-            for z in buf:
-                new_rows.append(base + (int(z),))
-        ctx.device.meter.add_gld(cost.gld, label=LABEL_JOIN)
-        ctx.device.meter.add_gst(cost.gst)
-        cycles.append(cost.cycles())
-        units.append(cost.units)
-    ctx.device.run_kernel(cycles, name=f"{step_name}_link",
-                          lb=ctx.config.load_balance_config(),
-                          task_units=units)
-    return new_rows
-
-
-def _two_step_materialize(ctx: JoinContext, rows: List[Row],
-                          rows_np: Array, bufs: List[Array],
-                          step_name: str) -> List[Row]:
-    """Second half of the two-step scheme: writes of M' happen inside the
-    repeated join pass; only the result assembly is shared here."""
-    counts = [len(b) for b in bufs]
-    ctx.device.exclusive_prefix_sum(counts, name=f"{step_name}_offsets")
-    width = rows_np.shape[1]
-    new_rows: List[Row] = []
-    gst = 0
-    for i, buf in enumerate(bufs):
-        cnt = len(buf)
-        if cnt:
-            gst += batched_write((width + 1) * cnt)
-            base = rows[i]
-            for z in buf:
-                new_rows.append(base + (int(z),))
-    ctx.device.meter.add_gst(gst)
-    return new_rows
-
-
-def execute_join_step(ctx: JoinContext, rows: List[Row],
+def execute_join_step(ctx: JoinContext, rows: Array,
                       columns: List[int], step: JoinStep,
-                      cand: CandidateSet) -> List[Row]:
+                      cand: CandidateSet) -> Array:
     """One iteration of Algorithm 2's loop (i.e. one Alg. 3 invocation).
 
-    ``columns[j]`` names the query vertex of row position ``j``; the new
-    vertex's matches are appended as the last position.
+    ``rows`` is the ``(n, w)`` intermediate table and ``columns[j]``
+    names the query vertex of its column ``j``; the new vertex's matches
+    are appended as the last column of the returned ``(n', w + 1)``
+    table.  The lane (``GSIConfig.join_kernel``) picks only the edge
+    pass; prealloc, link and the two-step write are array code shared
+    by both lanes.
     """
-    if not rows or len(cand) == 0:
-        return []
+    if rows.shape[0] == 0 or len(cand) == 0:
+        return np.empty((0, rows.shape[1] + 1), dtype=np.int64)
     if ctx.config.max_intermediate_rows is not None and \
-            len(rows) > ctx.config.max_intermediate_rows:
+            rows.shape[0] > ctx.config.max_intermediate_rows:
         raise BudgetExceeded(
             "intermediate table exceeded "
             f"{ctx.config.max_intermediate_rows} rows")
 
-    rows_np = np.asarray(rows, dtype=np.int64)
     col_of = {qv: j for j, qv in enumerate(columns)}
     step_name = f"join_u{step.vertex}"
+    edge_pass = (_edge_pass_vector if ctx.config.join_kernel == "vector"
+                 else _edge_pass)
 
     # Order linking edges so the rarest-label edge comes first (Alg. 4
     # line 1); this is also the edge whose neighbor lists bound the GBA.
@@ -259,34 +201,33 @@ def execute_join_step(ctx: JoinContext, rows: List[Row],
         ctx.device.memset_cycles(bitset_words)
 
     if ctx.config.use_prealloc_combine:
-        _prealloc_gba(ctx, rows_np, col_of[first[0]], first[1], step_name)
-        bufs = _edge_pass(ctx, rows_np, col_of, edges, cand,
-                          bufs=None, count_only=False, step_name=step_name)
-        return _link_kernel(ctx, rows, rows_np, bufs, step_name)
+        _prealloc_vector(ctx, rows, col_of[first[0]], first[1], step_name)
+        flat, counts = edge_pass(ctx, rows, col_of, edges, cand,
+                                 count_only=False, step_name=step_name)
+        return _link_vector(ctx, rows, flat, counts, step_name)
 
     # Two-step output scheme: identical join work performed twice.
-    bufs = _edge_pass(ctx, rows_np, col_of, edges, cand,
-                      bufs=None, count_only=True,
-                      step_name=step_name + "_count")
-    bufs = _edge_pass(ctx, rows_np, col_of, edges, cand,
-                      bufs=bufs, count_only=False,
-                      step_name=step_name + "_write")
-    return _two_step_materialize(ctx, rows, rows_np, bufs, step_name)
+    edge_pass(ctx, rows, col_of, edges, cand, count_only=True,
+              step_name=step_name + "_count")
+    flat, counts = edge_pass(ctx, rows, col_of, edges, cand,
+                             count_only=False,
+                             step_name=step_name + "_write")
+    return _two_step_vector(ctx, rows, flat, counts, step_name)
 
 
 def run_join_phase(ctx: JoinContext, plan: JoinPlan,
-                   candidates: Dict[int, Array]) -> List[Row]:
-    """Execute the full join loop; returns rows aligned with
-    ``plan.order`` (caller reorders to query-vertex order)."""
-    if ctx.config.join_kernel != "rows":
-        # Vectorized lane: byte-identical results and meter totals,
-        # bulk NumPy host execution (repro.core.kernels).
-        from repro.core.kernels import run_join_phase_vector
-        return run_join_phase_vector(ctx, plan, candidates)
-    with get_tracer().span("kernel.join_phase", lane="rows",
+                   candidates: Dict[int, Array]) -> Array:
+    """Execute the full join loop.
+
+    Returns the ``(n, k)`` match table with columns in ``plan.order``
+    (the caller permutes them into query-vertex order).  A step that
+    empties the table leaves every later step an empty table, which
+    returns at once without charging anything.
+    """
+    with get_tracer().span("kernel.join_phase",
+                           lane=ctx.config.join_kernel,
                            steps=len(plan.steps)) as span:
-        start = plan.start_vertex
-        start_cands = candidates[start]
+        start_cands = candidates[plan.start_vertex]
         # Materializing M = C(u_start): one coalesced copy.
         tx = contiguous_read(len(start_cands))
         ctx.device.meter.add_gld(tx, label=LABEL_JOIN)
@@ -294,14 +235,12 @@ def run_join_phase(ctx: JoinContext, plan: JoinPlan,
         ctx.device.run_kernel([float(tx * CYCLES_PER_GLD)],
                               name="init_m")
 
-        rows: List[Row] = [(int(c),) for c in start_cands]
-        columns = [start]
+        rows = np.asarray(start_cands, dtype=np.int64).reshape(-1, 1)
+        columns = [plan.start_vertex]
         for step in plan.steps:
             cand = CandidateSet(np.asarray(candidates[step.vertex],
                                            dtype=np.int64))
             rows = execute_join_step(ctx, rows, columns, step, cand)
             columns.append(step.vertex)
-            if not rows:
-                break
-        span.set_attribute("rows", len(rows))
+        span.set_attribute("rows", int(rows.shape[0]))
     return rows

@@ -1,24 +1,34 @@
-"""Vectorized join lane: whole edge passes as bulk NumPy ops.
+"""Array join kernels: the vector edge pass and the shared table writes.
 
-:mod:`repro.core.join` executes one Python iteration per
-intermediate-table row.  That is faithful to the warp-per-row mental
-model but dominates host wall-clock once tables grow.  This module is a
-drop-in replacement for the join phase (selected via
-``GSIConfig.join_kernel``) that executes each edge pass over the *whole*
-table at once:
+The intermediate table is one ``(n, w)`` int64 array on both host lanes
+(``GSIConfig.join_kernel``), and :func:`repro.core.join.execute_join_step`
+drives every step.  This module holds
 
-* rows are grouped by their bound vertex (``np.unique``), so each
-  distinct ``(v, label)`` neighbor list is fetched and concatenated
-  exactly once — duplicate-removal sharing falls out of the grouping;
-* ``(N(v, l) \\ m_i) ∩ C(u)`` and the refine intersections run as
-  vectorized sorted-set operations over the flattened buffers, built on
-  the same primitives (`CandidateSet.contains_mask`, sorted
-  ``searchsorted`` probes) the per-row lane uses;
-* per-row :class:`~repro.core.set_ops.RowCost` fields are derived from
-  length arrays with the exact formulas of ``SetOpEngine``, so metered
-  transaction totals, kernel cycle lists (hence simulated latency and
-  budget-abort points) and match sets stay **byte-identical** to the
-  per-row lane.  The differential tests assert this.
+* the ``vector`` lane's edge pass, :func:`_edge_pass_vector`, which runs
+  each linking edge over the *whole* table instead of one Python
+  iteration per row (the ``rows`` lane, ``repro.core.join._edge_pass``):
+
+  - rows are grouped by their bound vertex (``np.unique``), so each
+    distinct ``(v, label)`` neighbor list is fetched and concatenated
+    exactly once — duplicate-removal sharing falls out of the grouping;
+  - ``(N(v, l) \\ m_i) ∩ C(u)`` and the refine intersections run as
+    vectorized sorted-set operations over the flattened buffers, built
+    on the same primitives (`CandidateSet.contains_mask`, sorted
+    ``searchsorted`` probes) the per-row lane uses;
+  - per-row :class:`~repro.core.set_ops.RowCost` fields are derived from
+    length arrays with the exact formulas of ``SetOpEngine``, so metered
+    transaction totals, kernel cycle lists (hence simulated latency and
+    budget-abort points) and match sets are **byte-identical** to the
+    per-row pass;
+
+* the array code both lanes share around the edge pass: Algorithm 4's
+  capacity bounds and GBA scan (:func:`_prealloc_vector`), the link
+  kernel that writes ``M'`` once from the prefix sum of the buffer
+  lengths (:func:`_link_vector`) and the two-step scheme's write
+  (:func:`_two_step_vector`).
+
+``tests/test_join_golden.py`` pins both lanes to costs recorded from the
+per-row join.
 """
 
 from __future__ import annotations
@@ -28,9 +38,7 @@ from typing import TYPE_CHECKING, Dict, List, Tuple
 import numpy as np
 
 from repro.arraytypes import Array
-from repro.core.plan import JoinPlan, JoinStep, select_first_edge
 from repro.core.set_ops import CandidateSet
-from repro.errors import BudgetExceeded
 from repro.gpusim.constants import (
     CYCLES_PER_GLD,
     CYCLES_PER_GST,
@@ -40,10 +48,9 @@ from repro.gpusim.constants import (
     WARPS_PER_BLOCK,
 )
 from repro.gpusim.transactions import contiguous_read, contiguous_reads
-from repro.obs.trace import get_tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
-    from repro.core.join import JoinContext, Row
+    from repro.core.join import JoinContext
 
 
 # ----------------------------------------------------------------------
@@ -112,9 +119,14 @@ def _segment_membership(values: Array, seg_of: Array,
 
 def _distinct_neighbors(
         ctx: "JoinContext", vcol: Array, label: int
-) -> Tuple[Array, Array, Array, Array, Array, Array, Array]:
+) -> Tuple[Array, List[Array], Array, Array, Array, Array]:
     """Fetch each distinct vertex's neighbor list once (shared memo with
-    the per-row lane) and return grouped arrays."""
+    the per-row lane).
+
+    Returns ``(inv, lists, locate_u, read_u, streamed_u, len_u)``:
+    ``inv`` maps each row to its distinct vertex, and the other five
+    are indexed by distinct vertex.
+    """
     uniq, inv = np.unique(vcol, return_inverse=True)
     num_uniq = len(uniq)
     locate_u = np.empty(num_uniq, dtype=np.int64)
@@ -129,11 +141,7 @@ def _distinct_neighbors(
         read_u[k] = read_tx
         streamed_u[k] = streamed
         len_u[k] = len(nbrs)
-    starts_u = np.zeros(num_uniq + 1, dtype=np.int64)
-    np.cumsum(len_u, out=starts_u[1:])
-    concat = (np.concatenate(lists) if lists
-              else np.empty(0, dtype=np.int64))
-    return inv, concat, starts_u, locate_u, read_u, streamed_u, len_u
+    return inv, lists, locate_u, read_u, streamed_u, len_u
 
 
 def _meter_and_launch(ctx: "JoinContext", gld: Array, gst: Array,
@@ -177,8 +185,11 @@ def _edge_pass_vector(ctx: "JoinContext", rows_np: Array,
     counts = np.zeros(num_rows, dtype=np.int64)
     for edge_idx, (u_prime, label) in enumerate(edges):
         vcol = rows_np[:, col_of[u_prime]]
-        (inv, concat, starts_u, locate_u, read_u, streamed_u,
-         len_u) = _distinct_neighbors(ctx, vcol, label)
+        inv, lists, locate_u, read_u, streamed_u, len_u = (
+            _distinct_neighbors(ctx, vcol, label))
+        starts_u = np.zeros(len(lists) + 1, dtype=np.int64)
+        np.cumsum(len_u, out=starts_u[1:])
+        concat = np.concatenate(lists)
         locate_r, read_r = locate_u[inv], read_u[inv]
         streamed_r = streamed_u[inv]
         shared_hit = (_shared_hit_mask(vcol) if dr
@@ -267,9 +278,9 @@ def _edge_pass_vector(ctx: "JoinContext", rows_np: Array,
 def _prealloc_vector(ctx: "JoinContext", rows_np: Array,
                      col0: int, label0: int, step_name: str) -> None:
     """Algorithm 4's capacity bounds + GBA scan, grouped by vertex."""
-    vcol = rows_np[:, col0]
-    inv, _, _, locate_u, _, _, len_u = _distinct_neighbors(
-        ctx, vcol, label0)
+    # Only list lengths and locate costs: no neighbor concatenation.
+    inv, _, locate_u, _, _, len_u = _distinct_neighbors(
+        ctx, rows_np[:, col0], label0)
     locate_r = locate_u[inv]
     caps = len_u[inv]
     ctx.device.meter.add_gld(int(locate_r.sum()), label=LABEL_JOIN)
@@ -317,71 +328,3 @@ def _two_step_vector(ctx: "JoinContext", rows_np: Array,
     written = (width + 1) * counts[counts > 0]
     ctx.device.meter.add_gst(int(contiguous_reads(written).sum()))
     return _materialize(rows_np, flat, counts)
-
-
-# ----------------------------------------------------------------------
-# Step / phase drivers (mirror execute_join_step / run_join_phase)
-# ----------------------------------------------------------------------
-
-
-def execute_join_step_vector(ctx: "JoinContext", rows_np: Array,
-                             columns: List[int], step: JoinStep,
-                             cand: CandidateSet) -> Array:
-    """One Alg. 3 invocation over an ndarray intermediate table."""
-    if rows_np.shape[0] == 0 or len(cand) == 0:
-        return np.empty((0, rows_np.shape[1] + 1), dtype=np.int64)
-    if ctx.config.max_intermediate_rows is not None and \
-            rows_np.shape[0] > ctx.config.max_intermediate_rows:
-        raise BudgetExceeded(
-            "intermediate table exceeded "
-            f"{ctx.config.max_intermediate_rows} rows")
-
-    col_of = {qv: j for j, qv in enumerate(columns)}
-    step_name = f"join_u{step.vertex}"
-    first = select_first_edge(step, ctx.graph)
-    edges = [first] + [e for e in step.linking_edges if e != first]
-
-    if ctx.config.use_gpu_set_ops:
-        bitset_words = (ctx.graph.num_vertices + 31) // 32
-        ctx.device.memset_cycles(bitset_words)
-
-    if ctx.config.use_prealloc_combine:
-        _prealloc_vector(ctx, rows_np, col_of[first[0]], first[1], step_name)
-        flat, counts = _edge_pass_vector(ctx, rows_np, col_of, edges, cand,
-                                         count_only=False,
-                                         step_name=step_name)
-        return _link_vector(ctx, rows_np, flat, counts, step_name)
-
-    _edge_pass_vector(ctx, rows_np, col_of, edges, cand, count_only=True,
-                      step_name=step_name + "_count")
-    flat, counts = _edge_pass_vector(ctx, rows_np, col_of, edges, cand,
-                                     count_only=False,
-                                     step_name=step_name + "_write")
-    return _two_step_vector(ctx, rows_np, flat, counts, step_name)
-
-
-def run_join_phase_vector(ctx: "JoinContext", plan: JoinPlan,
-                          candidates: Dict[int, Array]
-                          ) -> List["Row"]:
-    """Vectorized twin of ``run_join_phase``; same rows, same meters."""
-    with get_tracer().span("kernel.join_phase", lane="vector",
-                           steps=len(plan.steps)) as span:
-        start_cands = candidates[plan.start_vertex]
-        tx = contiguous_read(len(start_cands))
-        ctx.device.meter.add_gld(tx, label=LABEL_JOIN)
-        ctx.device.meter.add_gst(tx)
-        ctx.device.run_kernel([float(tx * CYCLES_PER_GLD)],
-                              name="init_m")
-
-        rows_np = np.asarray(start_cands, dtype=np.int64).reshape(-1, 1)
-        columns = [plan.start_vertex]
-        for step in plan.steps:
-            cand = CandidateSet(np.asarray(candidates[step.vertex],
-                                           dtype=np.int64))
-            rows_np = execute_join_step_vector(ctx, rows_np, columns,
-                                               step, cand)
-            columns.append(step.vertex)
-            if rows_np.shape[0] == 0:
-                break
-        span.set_attribute("rows", int(rows_np.shape[0]))
-    return [tuple(int(x) for x in row) for row in rows_np]

@@ -99,6 +99,51 @@ class TestBudget:
         assert r.timed_out
 
 
+class TestPhasesOnEveryBranch:
+    """``phases.total_ms == elapsed_ms`` however execution ends."""
+
+    @staticmethod
+    def _check(engine, q):
+        prepared = engine.prepare(q)
+        r = engine.execute(prepared)
+        assert r.phases.total_ms == pytest.approx(r.elapsed_ms, rel=1e-12)
+        assert r.elapsed_ms > 0
+        return prepared, r
+
+    def test_row_cap_abort_keeps_filter_ms(self, small_graph):
+        from dataclasses import replace
+        q = random_walk_query(small_graph, 5, seed=1)
+        engine = GSIEngine(small_graph,
+                           replace(GSIConfig(), max_intermediate_rows=5))
+        prepared, r = self._check(engine, q)
+        assert r.timed_out
+        assert r.phases.filter_ms == prepared.filter_ms > 0
+        assert r.phases.join_ms > 0
+
+    def test_budget_abort_in_join_keeps_filter_ms(self, small_graph):
+        q = random_walk_query(small_graph, 5, seed=1)
+        full = GSIEngine(small_graph).match(q)
+        budget = (full.phases.filter_ms + full.elapsed_ms) / 2
+        engine = GSIEngine(small_graph, GSIConfig(budget_ms=budget))
+        prepared, r = self._check(engine, q)
+        assert r.timed_out and not prepared.timed_out
+        assert r.phases.filter_ms == prepared.filter_ms > 0
+        assert r.phases.join_ms > 0
+
+    def test_filter_abort_is_all_filter_time(self, small_graph):
+        q = random_walk_query(small_graph, 5, seed=1)
+        engine = GSIEngine(small_graph, GSIConfig(budget_ms=0.0001))
+        prepared, r = self._check(engine, q)
+        assert r.timed_out and prepared.timed_out
+        assert r.phases.filter_ms == r.elapsed_ms
+        assert r.phases.join_ms == 0
+
+    def test_empty_candidates_is_all_filter_time(self, small_graph):
+        _, r = self._check(GSIEngine(small_graph), LabeledGraph([999], []))
+        assert not r.timed_out
+        assert r.phases.join_ms == 0
+
+
 class TestFilterOnly:
     def test_filter_only_result(self, small_graph):
         q = random_walk_query(small_graph, 4, seed=2)

@@ -33,23 +33,27 @@ class TestJoinStep:
     def test_empty_rows_early_exit(self, graph):
         ctx = make_ctx(graph)
         step = JoinStep(vertex=1, linking_edges=((0, 0),))
-        out = execute_join_step(ctx, [], [0], step,
+        out = execute_join_step(ctx, np.empty((0, 1), dtype=np.int64), [0],
+                                step,
                                 CandidateSet(np.array([1], dtype=np.int64)))
-        assert out == []
+        assert out.shape == (0, 2) and out.dtype == np.int64
+        assert ctx.device.meter.snapshot().transactions == 0
 
     def test_empty_candidates_early_exit(self, graph):
         ctx = make_ctx(graph)
         step = JoinStep(vertex=1, linking_edges=((0, 0),))
-        out = execute_join_step(ctx, [(0,)], [0], step,
+        out = execute_join_step(ctx, np.array([[0]], dtype=np.int64), [0],
+                                step,
                                 CandidateSet(np.empty(0, dtype=np.int64)))
-        assert out == []
+        assert out.shape == (0, 2) and out.dtype == np.int64
+        assert ctx.device.meter.snapshot().transactions == 0
 
     def test_row_cap_enforced(self, graph):
         from dataclasses import replace
         cfg = replace(GSIConfig(), max_intermediate_rows=2)
         ctx = make_ctx(graph, cfg)
         step = JoinStep(vertex=1, linking_edges=((0, 0),))
-        rows = [(v,) for v in range(5)]
+        rows = np.arange(5, dtype=np.int64).reshape(-1, 1)
         with pytest.raises(BudgetExceeded):
             execute_join_step(ctx, rows, [0], step,
                               CandidateSet(np.array([1], dtype=np.int64)))
@@ -71,6 +75,27 @@ class TestJoinStep:
         rows = run_join_phase(ctx, plan, candidates)
         for row in rows:
             assert len(set(row)) == len(row)
+
+    @pytest.mark.parametrize("lane", ["rows", "vector"])
+    def test_emptied_table_keeps_every_column(self, graph, lane):
+        """A step that empties the table still yields an ``(0, k)``
+        table, in join order, and later steps charge nothing."""
+        from dataclasses import replace
+        q = random_walk_query(graph, 4, seed=1)
+        ctx = make_ctx(graph, replace(GSIConfig(), join_kernel=lane))
+        plan = plan_join_order(q, graph, {u: 5 for u in range(4)})
+        candidates = {
+            u: np.array(
+                [v for v in range(graph.num_vertices)
+                 if graph.vertex_label(v) == q.vertex_label(u)],
+                dtype=np.int64)
+            for u in range(4)
+        }
+        candidates[plan.steps[0].vertex] = np.empty(0, dtype=np.int64)
+        rows = run_join_phase(ctx, plan, candidates)
+        assert rows.shape == (0, 4) and rows.dtype == np.int64
+        # only the initial copy of C(u_start) ran
+        assert [k.name for k in ctx.device.kernels] == ["init_m"]
 
     def test_rows_satisfy_all_linking_edges(self, graph):
         q = random_walk_query(graph, 4, seed=1)
