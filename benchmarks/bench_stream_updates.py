@@ -21,11 +21,6 @@ isolates the snapshot-commit path itself: an O(changes) CSR splice
 (:meth:`LabeledGraph.apply_changes`) versus the old full CSR rebuild,
 on a ~100k-edge graph, proving commit transactions scale with the
 change set, not with ``|E|``.
-
-**Bulk mode** (``python benchmarks/bench_stream_updates.py --bulk``)
-compares per-edge against bulk (GPMA-style) PCSR maintenance over
-identical committed deltas, in 10 rounds that alternate which arm runs
-first; at the largest batch size bulk must win at least 9 of them.
 """
 
 from __future__ import annotations
@@ -157,142 +152,6 @@ def test_both_arms_agree(stream_comparison):
 
 
 # ----------------------------------------------------------------------
-# Bulk mode: GPMA-style batched PCSR maintenance vs per-edge updates
-# ----------------------------------------------------------------------
-
-BULK_BATCH_SIZES = [32, 128, 512]
-
-#: alternating per-edge/bulk rounds per batch size, and how many of
-#: them bulk must win at the largest size (at least 9 of 10)
-BULK_ROUNDS = 10
-BULK_WINS_REQUIRED = 9
-
-
-def run_bulk_updates(batch_sizes=tuple(BULK_BATCH_SIZES),
-                     num_batches: int = 4, vertices: int = 1200,
-                     rounds: int = BULK_ROUNDS):
-    """Drive identical committed deltas through both PCSR update paths.
-
-    The per-edge arm walks a group chain and shifts one region per
-    edge (:meth:`DynamicPCSRStorage.insert_edge` / ``delete_edge``);
-    the bulk arm groups each batch by label and key and applies it with
-    :meth:`DynamicPCSRStorage.apply_batch` — one chain walk over the
-    touched keys and one merge of the affected groups (GPMA-style).
-    Each batch size runs ``rounds`` rounds of both arms, alternating
-    which arm goes first; a round is won by the faster arm.  Returns
-    ``(outcomes, table)``; final adjacency must be identical and the
-    bulk arm must never cost *more* simulated transactions.
-    """
-    from repro.dynamic.index import DynamicPCSRStorage
-
-    graph = scale_free_graph(vertices, 4, 5, 2, seed=13)
-    outcomes = {}
-    rows = []
-    for batch_size in batch_sizes:
-        dyn = DynamicGraph(graph)
-        commits = []
-        for delta in random_update_stream(graph,
-                                          num_batches=num_batches,
-                                          batch_size=batch_size,
-                                          seed=batch_size):
-            dyn.apply(delta)
-            commit = dyn.commit()
-            commits.append((commit.snapshot, list(commit.inserted_edges),
-                            list(commit.deleted_edges)))
-
-        arms = {arm: {"wall_ms": []} for arm in ("per-edge", "bulk")}
-        for round_ in range(rounds):
-            order = ("per-edge", "bulk") if round_ % 2 == 0 \
-                else ("bulk", "per-edge")
-            for arm in order:
-                store = DynamicPCSRStorage(graph)
-                t0 = time.perf_counter()
-                for snapshot, inserted, deleted in commits:
-                    if arm == "bulk":
-                        store.apply_batch(snapshot, inserted, deleted)
-                    else:
-                        for u, v, lab in deleted:
-                            store.delete_edge(u, v, lab)
-                        for u, v, lab in inserted:
-                            store.insert_edge(u, v, lab)
-                arms[arm]["wall_ms"].append(
-                    (time.perf_counter() - t0) * 1000.0)
-                # Deterministic: every round ends in the same state.
-                snap = store.meter.snapshot()
-                assert not store.validate(), store.validate()
-                arms[arm]["tx"] = snap.gld + snap.gst
-                arms[arm]["adjacency"] = {
-                    lab: {int(v): tuple(a.tolist())
-                          for v, a in part.items()}
-                    for lab, part in store._parts.items()}
-        assert arms["bulk"]["adjacency"] == \
-            arms["per-edge"]["adjacency"], (
-            f"batch={batch_size}: bulk and per-edge adjacency differ")
-        for arm in arms.values():
-            arm["median_ms"] = float(np.median(arm["wall_ms"]))
-        wins = sum(b < e for b, e in zip(arms["bulk"]["wall_ms"],
-                                         arms["per-edge"]["wall_ms"]))
-        outcomes[batch_size] = dict(arms, bulk_wins=wins, rounds=rounds)
-        edge_ms, bulk_ms = (arms["per-edge"]["median_ms"],
-                            arms["bulk"]["median_ms"])
-        rows.append([
-            batch_size, f"{edge_ms:.1f}", f"{bulk_ms:.1f}",
-            f"{edge_ms / bulk_ms:.2f}x",
-            f"{wins}/{rounds}",
-            arms["per-edge"]["tx"], arms["bulk"]["tx"],
-            f"{arms['per-edge']['tx'] / max(1, arms['bulk']['tx']):.2f}x",
-        ])
-    table = render_table(
-        f"per-edge vs bulk (GPMA-style) PCSR maintenance "
-        f"(|V|={vertices}, 2 edge labels, {num_batches} batches per "
-        f"stream, median of {rounds} alternating rounds)",
-        ["batch size", "per-edge ms", "bulk ms", "wall win",
-         "bulk wins", "per-edge tx", "bulk tx", "tx win"],
-        rows,
-        note="identical committed deltas, identical final adjacency; "
-             "bulk amortizes chain walks and region merges across the "
-             "batch, so its edge grows with batch size")
-    return outcomes, table
-
-
-def assert_bulk_wins(outcomes) -> int:
-    """The wall-clock gate: at the largest batch size bulk must win at
-    least :data:`BULK_WINS_REQUIRED` of :data:`BULK_ROUNDS` alternating
-    rounds.  Returns that batch size."""
-    largest = max(outcomes)
-    out = outcomes[largest]
-    assert out["rounds"] >= BULK_ROUNDS
-    assert out["bulk_wins"] >= BULK_WINS_REQUIRED, (
-        f"batch={largest}: bulk won {out['bulk_wins']} of "
-        f"{out['rounds']} alternating rounds against per-edge "
-        f"(needs {BULK_WINS_REQUIRED})")
-    return largest
-
-
-@pytest.fixture(scope="module")
-def bulk_update_comparison():
-    outcomes, table = run_bulk_updates(num_batches=3)
-    record_report("stream_bulk_updates", table)
-    return outcomes
-
-
-def test_bulk_never_costs_more_transactions(bulk_update_comparison):
-    for batch_size, arms in bulk_update_comparison.items():
-        assert arms["bulk"]["tx"] <= arms["per-edge"]["tx"], (
-            f"batch={batch_size}: bulk maintenance must not cost more "
-            f"simulated transactions ({arms['bulk']['tx']} vs "
-            f"{arms['per-edge']['tx']})")
-
-
-def test_bulk_beats_per_edge_wall_clock_on_large_batches(
-        bulk_update_comparison):
-    # Acceptance: at the largest batch size the amortized merge must
-    # win host wall-clock in at least 9 of 10 alternating rounds
-    # (small sparse batches may not amortize).
-    assert_bulk_wins(bulk_update_comparison)
-
-
-# ----------------------------------------------------------------------
 # Commit-heavy mode: the snapshot-commit path in isolation
 # ----------------------------------------------------------------------
 
@@ -417,48 +276,13 @@ if __name__ == "__main__":
     parser.add_argument("--commit-heavy", action="store_true",
                         help="run the commit-path comparison "
                              "(O(changes) splice vs full rebuild)")
-    parser.add_argument("--bulk", action="store_true",
-                        help="run the per-edge vs bulk (GPMA-style) "
-                             "PCSR maintenance comparison")
     parser.add_argument("--edges", type=int, default=COMMIT_EDGES)
     parser.add_argument("--batches", type=int, default=COMMIT_BATCHES)
-    parser.add_argument("--vertices", type=int, default=600)
     parser.add_argument("--json", default=None, metavar="PATH",
                         help="write the mode's BENCH_*.json here "
                              "(a directory, or an exact .json path)")
     cli_args = parser.parse_args()
-    if cli_args.bulk:
-        bulk_outcomes, report_table = run_bulk_updates(
-            num_batches=cli_args.batches,
-            vertices=cli_args.vertices)
-        print(report_table)
-        largest = assert_bulk_wins(bulk_outcomes)
-        for arms in bulk_outcomes.values():
-            assert arms["bulk"]["tx"] <= arms["per-edge"]["tx"]
-        print("OK: identical adjacency; bulk tx <= per-edge at every "
-              f"batch size; bulk won "
-              f"{bulk_outcomes[largest]['bulk_wins']}/"
-              f"{bulk_outcomes[largest]['rounds']} alternating rounds "
-              f"at batch={largest}")
-        if cli_args.json is not None:
-            payload = {
-                "bench": "stream_bulk_updates",
-                "params": {"batches": cli_args.batches,
-                           "vertices": cli_args.vertices},
-                "batch_sizes": {
-                    str(bs): {**{arm: {"wall_ms": arms[arm]["wall_ms"],
-                                       "median_ms": arms[arm]["median_ms"],
-                                       "tx": arms[arm]["tx"]}
-                                 for arm in ("per-edge", "bulk")},
-                              "bulk_wins": arms["bulk_wins"],
-                              "rounds": arms["rounds"]}
-                    for bs, arms in bulk_outcomes.items()
-                },
-            }
-            written = write_bench_json("stream_bulk_updates", payload,
-                                       cli_args.json)
-            print(f"wrote {written}")
-    elif cli_args.commit_heavy:
+    if cli_args.commit_heavy:
         _, report_table = run_commit_heavy(cli_args.edges,
                                            cli_args.batches)
         print(report_table)
@@ -472,6 +296,6 @@ if __name__ == "__main__":
                 cli_args.json)
             print(f"wrote {written}")
     else:
-        parser.error("pass --bulk or --commit-heavy (the stream "
-                     "comparison runs under pytest: python -m pytest "
+        parser.error("pass --commit-heavy (the stream comparison runs "
+                     "under pytest: python -m pytest "
                      "benchmarks/bench_stream_updates.py)")

@@ -10,8 +10,9 @@ config makes each toggle explicit so a benchmark is a config sweep:
 ``use_write_cache``       write cache ablation (Table VII)
 ``use_load_balance``      "+LB"  (4-layer scheme, Tables VIII-X)
 ``use_duplicate_removal`` "+DR"  (Alg. 5, Tables VIII and XI)
-``signature_bits``        N      (Table V tunes 64..512)
-``label_bits``            K      (fixed to 32 in the paper)
+``signature_bits``        N      (Table V tunes 64..512; the label
+                                 part K is the constant
+                                 ``signature.LABEL_BITS = 32``)
 ``gpn``                   group size of PCSR (16 -> 128 B groups)
 ``w1, w3``                load-balance thresholds (Tables IX-X)
 ``join_kernel``           host-side join lane: per-row or vectorized
@@ -35,7 +36,6 @@ class GSIConfig:
 
     # --- filtering phase (Section III-A) ---
     signature_bits: int = 512
-    label_bits: int = 32
     column_first_signatures: bool = True
 
     # --- storage structure (Section IV) ---
@@ -67,15 +67,11 @@ class GSIConfig:
         "GSI_JOIN_KERNEL", "rows"))
 
     def __post_init__(self) -> None:
-        n, k = self.signature_bits, self.label_bits
+        n = self.signature_bits
         if n % 32 != 0 or not 32 < n <= 512:
             raise ConfigError(
                 "signature_bits must be a multiple of 32 in (32, 512], "
                 f"got {n}")
-        if k != 32:
-            raise ConfigError("label_bits is fixed to 32 (Section VII-B)")
-        if (n - k) % 2 != 0:
-            raise ConfigError("signature_bits - label_bits must be even")
         if not 2 <= self.gpn <= 16:
             raise ConfigError(f"gpn must be in [2, 16], got {self.gpn}")
         if self.use_load_balance and not (self.w1 > self.w2 > self.w3 > 32):

@@ -115,7 +115,7 @@ class GSIEngine:
             self.signature_table = signature_table
         else:
             self.signature_table = SignatureTable.build(
-                graph, self.config.signature_bits, self.config.label_bits,
+                graph, self.config.signature_bits,
                 column_first=self.config.column_first_signatures)
         if store is not None:
             self.store = store
@@ -138,7 +138,7 @@ class GSIEngine:
         device = self._make_device()
         candidates = filter_candidates(
             query, self.signature_table, device,
-            self.config.signature_bits, self.config.label_bits)
+            self.config.signature_bits)
         result = MatchResult(engine=self.name)
         result.candidate_sizes = {u: len(c) for u, c in candidates.items()}
         result.elapsed_ms = device.elapsed_ms
@@ -182,7 +182,6 @@ class GSIEngine:
                     prepared.candidates = filter_candidates(
                         query, self.signature_table, prepared.device,
                         self.config.signature_bits,
-                        self.config.label_bits,
                         shape_cache=shape_cache)
             except BudgetExceeded:
                 prepared.timed_out = True
@@ -276,5 +275,4 @@ class GSIEngine:
         """Candidate sets only, without any cost accounting (testing aid)."""
         device = Device()
         return filter_candidates(query, self.signature_table, device,
-                                 self.config.signature_bits,
-                                 self.config.label_bits)
+                                 self.config.signature_bits)

@@ -27,7 +27,6 @@ if TYPE_CHECKING:  # avoid a runtime core <-> service import cycle
 
 def filter_candidates(query: LabeledGraph, table: SignatureTable,
                       device: Device, signature_bits: int,
-                      label_bits: int = 32,
                       shape_cache: Optional[CandidateShapeCache] = None
                       ) -> Dict[int, Array]:
     """Compute ``C(u)`` for every query vertex, metering the scan.
@@ -50,7 +49,7 @@ def filter_candidates(query: LabeledGraph, table: SignatureTable,
         # previously bound to a different table is dropped wholesale.
         shape_cache.bind(table)
     for u in range(query.num_vertices):
-        sig_u = encode_vertex(query, u, signature_bits, label_bits)
+        sig_u = encode_vertex(query, u, signature_bits)
         cached = None
         if shape_cache is not None:
             key = sig_u.tobytes()

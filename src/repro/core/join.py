@@ -67,7 +67,8 @@ class JoinContext:
     device: Device
     config: GSIConfig
     set_engine: SetOpEngine
-    neighbor_cache: Dict[Tuple[int, int], Tuple[Array, int]] = field(
+    neighbor_cache: Dict[Tuple[int, int],
+                         Tuple[Array, int, int, int]] = field(
         default_factory=dict)
 
     def neighbors(self, v: int, label: int

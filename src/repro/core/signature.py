@@ -2,8 +2,9 @@
 
 A signature ``S(v)`` is an N-bit vector in two parts:
 
-* the first ``K = 32`` bits store the vertex label *directly* (the paper's
-  Section VII-B refinement: exact label comparison instead of hashing);
+* the first ``K = 32`` bits (:data:`LABEL_BITS`) store the vertex label
+  *directly* (the paper's Section VII-B refinement: exact label
+  comparison instead of hashing);
 * the remaining ``N - K`` bits form ``(N - K) / 2`` two-bit groups.  Every
   adjacent ``(edge label, neighbor vertex label)`` pair of ``v`` is hashed
   to a group, whose state encodes how many pairs landed there:
@@ -36,15 +37,18 @@ _PAIR_MIX = 1_000_003
 _HASH_MULT = 2654435761
 _WORD_BITS = 32
 
+#: K, the bits holding the vertex label (fixed to 32 in Section VII-B)
+LABEL_BITS = 32
+
 
 def num_words(signature_bits: int) -> int:
     """32-bit words per signature."""
     return signature_bits // _WORD_BITS
 
 
-def num_groups(signature_bits: int, label_bits: int = 32) -> int:
+def num_groups(signature_bits: int) -> int:
     """Two-bit groups available for edge-neighbor pairs."""
-    return (signature_bits - label_bits) // 2
+    return (signature_bits - LABEL_BITS) // 2
 
 
 def _group_of(edge_label: int, neighbor_label: int, groups: int) -> int:
@@ -53,8 +57,7 @@ def _group_of(edge_label: int, neighbor_label: int, groups: int) -> int:
     return ((key * _HASH_MULT) & 0xFFFFFFFF) % groups
 
 
-def encode_vertex(graph: LabeledGraph, v: int, signature_bits: int,
-                  label_bits: int = 32) -> Array:
+def encode_vertex(graph: LabeledGraph, v: int, signature_bits: int) -> Array:
     """Compute ``S(v)`` as a uint32 word array of length ``N / 32``.
 
     Word 0 holds the vertex label; subsequent words hold the packed
@@ -63,7 +66,7 @@ def encode_vertex(graph: LabeledGraph, v: int, signature_bits: int,
     """
     words = np.zeros(num_words(signature_bits), dtype=np.uint32)
     words[0] = np.uint32(graph.vertex_label(v) & 0xFFFFFFFF)
-    groups = num_groups(signature_bits, label_bits)
+    groups = num_groups(signature_bits)
     if groups == 0:
         return words
 
@@ -85,7 +88,7 @@ def encode_vertex(graph: LabeledGraph, v: int, signature_bits: int,
 
 
 def encode_rows(graph: LabeledGraph, vertices: Union[Sequence[int], Array],
-                signature_bits: int, label_bits: int = 32) -> Array:
+                signature_bits: int) -> Array:
     """``S(v)`` for every ``v`` in ``vertices``, one row each, in order.
 
     Equal to stacking :func:`encode_vertex` rows, computed in one pass:
@@ -99,7 +102,7 @@ def encode_rows(graph: LabeledGraph, vertices: Union[Sequence[int], Array],
                     dtype=np.uint32)
     vlabels = graph.vertex_labels
     rows[:, 0] = (vlabels[verts] & 0xFFFFFFFF).astype(np.uint32)
-    groups = num_groups(signature_bits, label_bits)
+    groups = num_groups(signature_bits)
     offsets, nbr, elab = graph.incidence()
     starts = offsets[verts]
     degrees = offsets[verts + 1] - starts
@@ -129,12 +132,11 @@ def encode_rows(graph: LabeledGraph, vertices: Union[Sequence[int], Array],
     return rows
 
 
-def encode_all(graph: LabeledGraph, signature_bits: int,
-               label_bits: int = 32) -> Array:
+def encode_all(graph: LabeledGraph, signature_bits: int) -> Array:
     """Signature table: one row per data vertex (computed offline)."""
     return encode_rows(
         graph, np.arange(graph.num_vertices, dtype=np.int64),
-        signature_bits, label_bits)
+        signature_bits)
 
 
 def is_candidate(sig_v: Array, sig_u: Array) -> bool:

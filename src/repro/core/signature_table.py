@@ -63,12 +63,11 @@ class SignatureTable:
 
     @classmethod
     def build(cls, graph: LabeledGraph, signature_bits: int,
-              label_bits: int = 32, column_first: bool = True
-              ) -> "SignatureTable":
+              column_first: bool = True) -> "SignatureTable":
         """Encode all of ``graph`` (the paper does this offline)."""
         from repro.core.signature import encode_all
 
-        return cls(encode_all(graph, signature_bits, label_bits),
+        return cls(encode_all(graph, signature_bits),
                    column_first=column_first)
 
     # ------------------------------------------------------------------

@@ -10,10 +10,10 @@ immutable; this module keeps both *live* under streaming updates:
   one :func:`~repro.core.signature.encode_rows` pass; the simulated
   cost is still charged per row (one adjacency stream and one row
   write each).
-* :class:`DynamicPCSRStorage` routes edge updates into in-place
-  :class:`~repro.storage.pcsr.PCSRPartition` maintenance and rebuilds a
-  partition only when its occupancy passes the policy threshold or the
-  empty-group pool runs dry (Claim 1 starvation).
+* :class:`DynamicPCSRStorage` routes each committed batch into in-place
+  :meth:`~repro.storage.pcsr.PCSRPartition.apply_bulk` merges and
+  rebuilds a partition only when its occupancy passes the policy
+  threshold or the empty-group pool runs dry (Claim 1 starvation).
 
 Both record their simulated memory transactions into one shared
 :class:`~repro.gpusim.meter.MemoryMeter`, so "incremental maintenance
@@ -32,12 +32,12 @@ import numpy as np
 from repro.core.signature import encode_rows, num_words
 from repro.core.signature_table import SignatureTable
 from repro.dynamic.graph import CommitResult
+from repro.errors import StorageError
 from repro.gpusim.constants import LABEL_PCSR_REBUILD, LABEL_SIG_MAINTAIN
 from repro.gpusim.meter import MemoryMeter
 from repro.gpusim.transactions import contiguous_read
 from repro.graph.labeled_graph import Edge, LabeledGraph
 from repro.graph.partition import EdgeLabelPartition
-from repro.storage.base import EMPTY
 from repro.storage.pcsr import PCSRPartition, PCSRStorage
 
 #: rebuild a partition when keys-per-group exceeds this multiple of the
@@ -61,11 +61,9 @@ class DynamicSignatureTable:
     """
 
     def __init__(self, table: SignatureTable, signature_bits: int,
-                 label_bits: int = 32,
                  meter: Optional[MemoryMeter] = None) -> None:
         self.table = table
         self.signature_bits = signature_bits
-        self.label_bits = label_bits
         self.meter = meter
         self.rows_updated = 0
         # Geometric over-allocation: the wrapped table's `table` array
@@ -107,8 +105,7 @@ class DynamicSignatureTable:
         verts = sorted(set(touched_vertices))
         rows = len(verts)
         if rows:
-            inner.table[verts] = encode_rows(
-                graph, verts, self.signature_bits, self.label_bits)
+            inner.table[verts] = encode_rows(graph, verts, self.signature_bits)
             if self.meter is not None:
                 # Re-encoding streams each vertex's adjacency and
                 # writes one table row.
@@ -165,12 +162,6 @@ class DynamicPCSRStorage(PCSRStorage):
         meter.add_gst(contiguous_read(part.groups.size)
                       + contiguous_read(len(part.ci)))
 
-    def _current_adjacency(self, label: int) -> Dict[int, np.ndarray]:
-        part = self._parts.get(label)
-        if part is None:
-            return {}
-        return dict(part.items())
-
     def _maybe_compact(self, label: int) -> None:
         """Fire the dead-space-ratio compaction policy on one partition:
         when relocation-orphaned words exceed ``compact_dead_ratio`` of
@@ -185,72 +176,22 @@ class DynamicPCSRStorage(PCSRStorage):
             self.words_reclaimed += part.compact(self.meter)
             self.compactions += 1
 
-    def insert_edge(self, u: int, v: int, label: int) -> None:
-        """Add one undirected edge to the ``label`` partition in place,
-        falling back to a rebuild per the occupancy / Claim-1 policy."""
-        part = self._parts.get(label)
-        if part is None:
-            # First edge with this label: a fresh two-key partition.
-            adjacency = {
-                u: np.array([v], dtype=np.int64),
-                v: np.array([u], dtype=np.int64),
-            }
-            self._parts[label] = PCSRPartition(
-                EdgeLabelPartition(label, adjacency), gpn=self.gpn)
-            self.meter.add_gst(
-                contiguous_read(self._parts[label].groups.size) + 1)
-            return
-        new_keys = sum(1 for x in (u, v) if part._find_key(x)[1] < 0)
-        if new_keys and ((part.key_count() + new_keys) / part.num_groups
-                         > DEFAULT_REBUILD_OCCUPANCY):
-            adjacency = self._current_adjacency(label)
-            for a, b in ((u, v), (v, u)):
-                arr = adjacency.get(a, EMPTY)
-                adjacency[a] = np.sort(np.append(arr, b))
-            self._rebuild_partition(EdgeLabelPartition(label, adjacency))
-            return
-        for a, b in ((u, v), (v, u)):
-            if part._find_key(a)[1] >= 0:
-                part.append_neighbors(
-                    a, np.array([b], dtype=np.int64), self.meter)
-                self.incremental_ops += 1
-            elif part.insert_key(a, np.array([b], dtype=np.int64),
-                                 self.meter):
-                self.incremental_ops += 1
-            else:
-                # Claim-1 starvation: no empty group left to chain into.
-                adjacency = self._current_adjacency(label)
-                arr = adjacency.get(a, EMPTY)
-                adjacency[a] = np.sort(np.append(arr, b))
-                self._rebuild_partition(
-                    EdgeLabelPartition(label, adjacency))
-                part = self._parts[label]
-        self._maybe_compact(label)
-
-    def delete_edge(self, u: int, v: int, label: int) -> None:
-        """Remove one undirected edge from the ``label`` partition."""
-        part = self._parts.get(label)
-        if part is None:
-            raise KeyError(f"no partition for edge label {label}")
-        part.remove_neighbor(u, v, self.meter)
-        part.remove_neighbor(v, u, self.meter)
-        self.incremental_ops += 2
-        self._maybe_compact(label)
-
     def apply_batch(self, graph: LabeledGraph, inserted_edges,
                     deleted_edges) -> None:
         """Apply one committed batch with bulk per-partition merges.
 
         ``graph`` is the committed snapshot: this store with the batch
-        applied.  The per-edge path walks a group chain and shifts a
-        region for *every* edge; this splits the batch's directed
-        ``(key, neighbor)`` entries by label and calls
+        applied.  The batch's directed ``(key, neighbor)`` entries are
+        split by label, and each label's share goes through
         :meth:`PCSRPartition.apply_bulk` — one chain walk over all
         touched keys, one merge + rewrite of the affected group
-        regions.  A partition that is new, or that the occupancy or
-        Claim-1 policy rebuilds, is built from ``graph``'s incidence of
-        its label.  Policy (occupancy rebuilds, Claim-1 fallback,
-        compaction) is identical to the per-edge path.
+        regions.  A new label's partition is built from ``graph``'s
+        incidence of that label; an existing partition is rebuilt from
+        it instead when the batch's new keys would push its occupancy
+        past :data:`DEFAULT_REBUILD_OCCUPANCY`, or when ``apply_bulk``
+        reports Claim-1 starvation.  Afterwards the dead-space policy
+        may compact it.  A delete on a label that has no partition
+        raises :class:`StorageError`.
         """
         ins, dels = _directed(inserted_edges), _directed(deleted_edges)
         for lab in np.union1d(ins[:, 2], dels[:, 2]).tolist():
@@ -259,7 +200,7 @@ class DynamicPCSRStorage(PCSRStorage):
             part = self._parts.get(lab)
             if part is None:
                 if len(rem):
-                    raise KeyError(f"no partition for edge label {lab}")
+                    raise StorageError(f"no partition for edge label {lab}")
                 self._parts[lab] = PCSRPartition(
                     EdgeLabelPartition.of_label(graph, lab), gpn=self.gpn)
                 self.meter.add_gst(
@@ -311,16 +252,14 @@ class DynamicIndex:
     """All engine artifacts, kept live under committed update batches."""
 
     def __init__(self, graph: LabeledGraph, signature_bits: int = 512,
-                 label_bits: int = 32, column_first: bool = True,
-                 gpn: int = 16,
+                 column_first: bool = True, gpn: int = 16,
                  compact_dead_ratio: float = DEFAULT_COMPACT_DEAD_RATIO
                  ) -> None:
         self.meter = MemoryMeter()
         self.signature_table = SignatureTable.build(
-            graph, signature_bits, label_bits, column_first=column_first)
+            graph, signature_bits, column_first=column_first)
         self.signatures = DynamicSignatureTable(
-            self.signature_table, signature_bits, label_bits,
-            meter=self.meter)
+            self.signature_table, signature_bits, meter=self.meter)
         self.storage = DynamicPCSRStorage(
             graph, gpn=gpn, compact_dead_ratio=compact_dead_ratio,
             meter=self.meter)

@@ -355,7 +355,6 @@ class StreamEngine:
         self.index = DynamicIndex(
             graph,
             signature_bits=self.config.signature_bits,
-            label_bits=self.config.label_bits,
             column_first=self.config.column_first_signatures,
             gpn=self.config.gpn,
             compact_dead_ratio=compact_dead_ratio)
@@ -403,12 +402,11 @@ class StreamEngine:
                 "configured budget (budget_ms / max_intermediate_rows); "
                 "nothing was registered")
         bits = self.config.signature_bits
-        lbits = self.config.label_bits
         qid = self._next_query_id
         self._next_query_id += 1
         reg = _Registered(
             query_id=qid, query=query,
-            signatures=tuple(encode_vertex(query, u, bits, lbits)
+            signatures=tuple(encode_vertex(query, u, bits)
                              for u in range(query.num_vertices)),
             initial=result)
         reg.apply(result.matches, ())

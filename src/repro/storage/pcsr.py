@@ -17,17 +17,16 @@ PCSR dynamic-friendly: a new key goes into the first free slot of its
 home-group chain (or a chain extension through an empty group, the same
 mechanism Claim 1 relies on), and neighbor lists grow in place because
 each group owns a contiguous *region* of ``ci`` with slack at the tail.
-:meth:`PCSRPartition.insert_key`, :meth:`PCSRPartition.append_neighbors`
-and :meth:`PCSRPartition.remove_neighbor` implement this; every operation
-keeps :meth:`PCSRPartition.validate` clean and meters its simulated
-memory transactions so incremental-vs-rebuild cost is measurable.
-:meth:`PCSRPartition.apply_bulk` applies a whole batch the same way in
-array passes (one chain walk over every touched key, one merge and one
-rewrite of the affected groups), and the Algorithm-1 build is array
-passes too, with a loop only over overflowing groups.  When
-the partition outgrows its hash (occupancy) or the empty-group pool runs
-dry (Claim 1 can no longer be honored), callers are expected to rebuild —
-see :class:`repro.dynamic.index.DynamicPCSRStorage` for the policy.
+:meth:`PCSRPartition.apply_bulk` is the one update path: it applies a
+whole batch of ``(key, neighbor)`` inserts and deletes in array passes
+(one chain walk over every touched key, one merge and one rewrite of the
+affected groups), keeps :meth:`PCSRPartition.validate` clean and meters
+its simulated memory transactions so incremental-vs-rebuild cost is
+measurable.  The Algorithm-1 build is array passes too, with a loop only
+over overflowing groups.  When the partition outgrows its hash
+(occupancy) or the empty-group pool runs dry (Claim 1 can no longer be
+honored), callers are expected to rebuild — see
+:class:`repro.dynamic.index.DynamicPCSRStorage` for the policy.
 """
 
 from __future__ import annotations
@@ -245,29 +244,6 @@ class PCSRPartition:
     # Incremental maintenance (the dynamic-graph update path)
     # ------------------------------------------------------------------
 
-    def _find_key(self, v: int) -> Tuple[int, int, int]:
-        """Locate the slot holding ``v``: ``(reads, gid, slot)`` with
-        ``gid == -1`` when ``v`` is not stored."""
-        gid = default_hash(v, self.num_groups)
-        reads = 0
-        while gid != _NO_OVERFLOW:
-            reads += 1
-            group = self.groups[gid]
-            for j in range(self.gpn - 1):
-                if group[j, 0] == v:
-                    return reads, gid, j
-            gid = int(group[self.gpn - 1, 0])
-        return reads, -1, -1
-
-    def _slot_extent(self, gid: int, j: int) -> Tuple[int, int]:
-        """ci extent ``[begin, end)`` of the key at ``(gid, slot j)``."""
-        begin = int(self.groups[gid, j, 1])
-        if j + 1 < self.gpn - 1 and self.groups[gid, j + 1, 0] != _EMPTY_SLOT:
-            end = int(self.groups[gid, j + 1, 1])
-        else:
-            end = int(self.groups[gid, self.gpn - 1, 1])
-        return begin, end
-
     def _grow_ci(self, extra: int) -> None:
         """Ensure the ci buffer has room for ``extra`` more words."""
         need = self._ci_len + extra
@@ -278,172 +254,12 @@ class PCSRPartition:
         buf[:self._ci_len] = self._ci_buf[:self._ci_len]
         self._ci_buf = buf
 
-    def _relocate_group(self, gid: int, extra: int,
-                        meter: Optional[MemoryMeter]) -> None:
-        """Move ``gid``'s ci region to the tail of ci with ``extra``
-        words of fresh slack, orphaning the old region."""
-        start = int(self._region_start[gid])
-        end = int(self.groups[gid, self.gpn - 1, 1])
-        used = end - start
-        new_cap = used + max(extra, used, 4)
-        self._grow_ci(new_cap)
-        new_start = self._ci_len
-        if used:
-            self._ci_buf[new_start:new_start + used] = \
-                self._ci_buf[start:end]
-        delta = new_start - start
-        for j in range(self.gpn - 1):
-            if self.groups[gid, j, 0] == _EMPTY_SLOT:
-                break
-            self.groups[gid, j, 1] += delta
-        self.groups[gid, self.gpn - 1, 1] = new_start + used
-        self._dead_words += int(self._region_cap[gid])
-        self._region_start[gid] = new_start
-        self._region_cap[gid] = new_cap
-        self._ci_len = new_start + new_cap
-        if meter is not None:
-            moved = contiguous_read(used)
-            meter.add_gld(moved, label=LABEL_PCSR_MAINTAIN)
-            meter.add_gst(moved + 1)  # stream the region + group rewrite
-
-    def _region_slack(self, gid: int) -> int:
-        end = int(self.groups[gid, self.gpn - 1, 1])
-        return int(self._region_start[gid] + self._region_cap[gid] - end)
-
-    def insert_key(self, v: int, neighbors: Array,
-                   meter: Optional[MemoryMeter] = None) -> bool:
-        """Place a *new* key ``v`` with its sorted neighbor list.
-
-        Walks the home-group chain for a free key slot; when the whole
-        chain is full, extends it through an empty group exactly as
-        Algorithm 1 does (Claim 1's mechanism).  Returns ``False`` when
-        no empty group remains — the caller must rebuild the partition
-        (the hash is no longer one-to-one enough to honor Claim 1).
-        """
-        nbrs = np.sort(np.asarray(neighbors, dtype=np.int64))
-        gid = default_hash(v, self.num_groups)
-        reads = 0
-        target = -1
-        last = gid
-        while gid != _NO_OVERFLOW:
-            reads += 1
-            group = self.groups[gid]
-            for j in range(self.gpn - 1):
-                if group[j, 0] == v:
-                    raise StorageError(
-                        f"key {v} already present; use append_neighbors")
-            if target < 0 and self._keys_per_group[gid] < self.gpn - 1:
-                target = gid
-            last = gid
-            gid = int(group[self.gpn - 1, 0])
-        if meter is not None:
-            meter.add_gld(reads, label=LABEL_PCSR_MAINTAIN)
-        if target < 0:
-            # Chain full end to end: extend it through an empty group.
-            if not self._empty_pool:
-                return False
-            target = self._empty_pool.pop()
-            self.groups[last, self.gpn - 1, 0] = target
-            # Fresh region at the ci tail for the new chain link.
-            self._grow_ci(0)
-            self._region_start[target] = self._ci_len
-            self._region_cap[target] = 0
-            self.groups[target, self.gpn - 1, 1] = self._ci_len
-            if meter is not None:
-                meter.add_gst(1)  # rewrite the chained-from group
-
-        if self._region_slack(target) < len(nbrs):
-            self._relocate_group(target, len(nbrs), meter)
-        end = int(self.groups[target, self.gpn - 1, 1])
-        slot = self._keys_per_group[target]
-        if len(nbrs):
-            self._ci_buf[end:end + len(nbrs)] = nbrs
-        self.groups[target, slot, 0] = v
-        self.groups[target, slot, 1] = end
-        self.groups[target, self.gpn - 1, 1] = end + len(nbrs)
-        self._keys_per_group[target] += 1
-        self._num_keys += 1
-        # A group with a key is no longer a Claim-1 reservoir candidate.
-        self._empty_pool.discard(target)
-        if meter is not None:
-            meter.add_gst(1 + contiguous_read(len(nbrs)))
-        return True
-
-    def append_neighbors(self, v: int, new_neighbors: Array,
-                         meter: Optional[MemoryMeter] = None) -> None:
-        """Merge ``new_neighbors`` into existing key ``v``'s list.
-
-        Later slots in the group shift right inside the region (slack
-        permitting); otherwise the whole region relocates to the ci
-        tail.  The list stays sorted, so lookups still binary-search.
-        """
-        reads, gid, j = self._find_key(v)
-        if meter is not None:
-            meter.add_gld(reads, label=LABEL_PCSR_MAINTAIN)
-        if gid < 0:
-            raise StorageError(f"key {v} not present; use insert_key")
-        begin, end = self._slot_extent(gid, j)
-        current = self._ci_buf[begin:end]
-        merged = np.union1d(current, np.asarray(new_neighbors,
-                                                dtype=np.int64))
-        delta = len(merged) - (end - begin)
-        if delta and self._region_slack(gid) < delta:
-            self._relocate_group(gid, max(delta, len(merged)), meter)
-            begin, end = self._slot_extent(gid, j)
-        group_end = int(self.groups[gid, self.gpn - 1, 1])
-        if delta:
-            # Shift the later slots' lists right by delta.
-            tail = self._ci_buf[end:group_end].copy()
-            self._ci_buf[end + delta:group_end + delta] = tail
-            for k in range(j + 1, self.gpn - 1):
-                if self.groups[gid, k, 0] == _EMPTY_SLOT:
-                    break
-                self.groups[gid, k, 1] += delta
-            self.groups[gid, self.gpn - 1, 1] = group_end + delta
-        self._ci_buf[begin:begin + len(merged)] = merged
-        if meter is not None:
-            meter.add_gld(contiguous_read(end - begin),
-                          label=LABEL_PCSR_MAINTAIN)
-            meter.add_gst(1 + contiguous_read(len(merged))
-                          + contiguous_read(max(0, group_end - end)))
-
-    def remove_neighbor(self, v: int, w: int,
-                        meter: Optional[MemoryMeter] = None) -> None:
-        """Delete ``w`` from ``v``'s neighbor list in place.
-
-        Later lists in the group shift left one word; the freed word
-        becomes region slack.  A key whose list empties keeps its slot
-        with a zero-length extent (keys are never evicted in place — a
-        rebuild compacts them away).
-        """
-        reads, gid, j = self._find_key(v)
-        if meter is not None:
-            meter.add_gld(reads, label=LABEL_PCSR_MAINTAIN)
-        if gid < 0:
-            raise StorageError(f"key {v} not present in partition")
-        begin, end = self._slot_extent(gid, j)
-        seg = self._ci_buf[begin:end]
-        pos = int(np.searchsorted(seg, w))
-        if pos >= len(seg) or seg[pos] != w:
-            raise StorageError(f"{w} is not a neighbor of {v}")
-        group_end = int(self.groups[gid, self.gpn - 1, 1])
-        self._ci_buf[begin + pos:group_end - 1] = \
-            self._ci_buf[begin + pos + 1:group_end].copy()
-        for k in range(j + 1, self.gpn - 1):
-            if self.groups[gid, k, 0] == _EMPTY_SLOT:
-                break
-            self.groups[gid, k, 1] -= 1
-        self.groups[gid, self.gpn - 1, 1] = group_end - 1
-        if meter is not None:
-            meter.add_gld(contiguous_read(group_end - begin),
-                          label=LABEL_PCSR_MAINTAIN)
-            meter.add_gst(1 + contiguous_read(group_end - 1 - begin - pos))
-
     def _locate(self, keys: Array) -> Tuple[int, Array, Array]:
         """Walk every key's chain at once: ``(reads, gid, slot)`` with
         ``gid == slot == -1`` for keys not stored.  ``reads`` is the
-        groups read summed over keys, as :meth:`_find_key` counts them;
-        the step count is the longest chain walked."""
+        groups read summed over keys (a hit stops at the group holding
+        its key, a miss reads its whole chain, as :meth:`_probe`
+        counts); the step count is the longest chain walked."""
         capacity = self.gpn - 1
         gid = np.full(len(keys), -1, dtype=np.int64)
         slot = np.full(len(keys), -1, dtype=np.int64)
@@ -511,18 +327,19 @@ class PCSRPartition:
         """Apply a whole batch delta in one pass (GPMA-style bulk update).
 
         ``inserts`` / ``deletes`` are ``(m, 2)`` arrays of directed
-        ``(key, neighbor)`` entries to merge in or strip out.  Instead
-        of one chain walk plus one region shift/relocation per edge,
-        this walks every touched key's chain at once, merges the lists
+        ``(key, neighbor)`` entries to merge in or strip out.  This
+        walks every touched key's chain at once, places new keys in
+        the free slots of their home chains (extending a full chain
+        through an empty group, as Algorithm 1 does), merges the lists
         of every affected group in one sorted pass, and rewrites those
         groups' regions with one scatter — the bulk analogue of
-        segment-wise GPMA updates.
+        segment-wise GPMA updates.  A key whose list empties keeps its
+        slot with a zero-length extent; a rebuild drops it.
 
         Returns ``False`` (with the partition **unmodified**) when new
         keys cannot be placed without violating Claim 1; the caller
-        rebuilds, exactly as for :meth:`insert_key`.  Raises
-        :class:`StorageError` (also before mutating) when a delete
-        targets a missing key or neighbor.
+        rebuilds.  Raises :class:`StorageError` (also before mutating)
+        when a delete targets a missing key or neighbor.
         """
         inserts = np.asarray(inserts, dtype=np.int64).reshape(-1, 2)
         deletes = np.asarray(deletes, dtype=np.int64).reshape(-1, 2)
@@ -607,11 +424,12 @@ class PCSRPartition:
         ascending order.  ``held``/``end`` describe the groups before
         the update and ``changed`` marks the touched slots.
 
-        The capacity of a moved region follows the two update shapes:
-        one existing key changed and no key added keeps
-        :meth:`_relocate_group`'s rule (``used + max(extra, used, 4)``
-        with ``extra`` the larger of the growth and the key's new
-        length); anything else gets ``total + max(total, 4)``.  Returns
+        The capacity of a moved region follows the two update shapes.
+        When one existing key changed and no key was added, it is
+        ``used + max(total - used, key_len, used, 4)``: ``used`` is the
+        region's words in use before the update, ``total`` after it,
+        and ``key_len`` the changed key's new length.  Anything else
+        gets ``total + max(total, 4)``.  Returns
         the metered ``(words read, words written)`` transactions: one
         region merge per affected group."""
         total = new_len.sum(axis=1)

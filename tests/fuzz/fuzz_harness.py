@@ -250,11 +250,10 @@ def _check_pcsr(engine: StreamEngine, snapshot: LabeledGraph,
 def _check_signatures(engine: StreamEngine,
                       snapshot: LabeledGraph) -> None:
     bits = engine.config.signature_bits
-    lbits = engine.config.label_bits
     table = engine.index.signature_table.table
     assert len(table) == snapshot.num_vertices
     for v in range(snapshot.num_vertices):
-        fresh = encode_vertex(snapshot, v, bits, lbits)
+        fresh = encode_vertex(snapshot, v, bits)
         assert np.array_equal(table[v], fresh), (
             f"stale signature row for vertex {v}")
 

@@ -22,10 +22,6 @@ class TestValidation:
         with pytest.raises(ConfigError):
             GSIConfig(signature_bits=32)
 
-    def test_label_bits_fixed(self):
-        with pytest.raises(ConfigError):
-            GSIConfig(label_bits=64)
-
     def test_gpn_bounds(self):
         with pytest.raises(ConfigError):
             GSIConfig(gpn=1)

@@ -21,7 +21,7 @@ from repro.gpusim.transactions import contiguous_read
 from repro.graph.generators import scale_free_graph
 from repro.graph.labeled_graph import GraphBuilder, LabeledGraph
 from repro.graph.partition import EdgeLabelPartition, partition_by_edge_label
-from repro.storage.pcsr import PCSRPartition
+from repro.storage.pcsr import PCSRPartition, default_hash
 
 
 def star_partition(num_leaves, gpn=16):
@@ -30,38 +30,50 @@ def star_partition(num_leaves, gpn=16):
     return PCSRPartition(partition_by_edge_label(g)[0], gpn=gpn)
 
 
+def entries(pairs):
+    """Directed ``(key, neighbor)`` pairs as an ``apply_bulk`` array."""
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
+
+
+NONE = entries([])
+
+
+def both_ways(edges):
+    """Undirected ``(u, v)`` edges as entries in both orientations."""
+    return entries([e for u, v in edges for e in ((u, v), (v, u))])
+
+
+def commit_into(store, graph, inserted=(), deleted=()):
+    """Commit ``(u, v, label)`` changes to ``graph`` and apply them to
+    ``store``; returns the committed snapshot."""
+    snapshot, _ = graph.apply_changes(inserted, deleted)
+    store.apply_batch(snapshot, inserted, deleted)
+    return snapshot
+
+
 class TestPCSRIncrementalOps:
-    def test_insert_key_into_free_slot(self):
+    def test_new_key_takes_a_free_slot(self):
         p = star_partition(3)
-        assert p.insert_key(99, np.array([0]))
+        assert p.apply_bulk(entries([(99, 0)]), NONE)
         assert list(p.neighbors(99)) == [0]
+        assert p.key_count() == 5
         assert p.validate() == []
 
-    def test_insert_key_rejects_existing(self):
-        p = star_partition(3)
-        with pytest.raises(StorageError):
-            p.insert_key(0, np.array([5]))
-
-    def test_append_neighbors_keeps_sorted(self):
+    def test_merged_neighbors_stay_sorted(self):
         p = star_partition(4)
-        p.append_neighbors(0, np.array([99, 50]))
+        assert p.apply_bulk(entries([(0, 99), (0, 50)]), NONE)
         assert list(p.neighbors(0)) == [1, 2, 3, 4, 50, 99]
         assert p.validate() == []
 
-    def test_append_neighbors_rejects_missing_key(self):
-        p = star_partition(3)
-        with pytest.raises(StorageError):
-            p.append_neighbors(77, np.array([0]))
-
-    def test_remove_neighbor(self):
+    def test_delete_one_neighbor(self):
         p = star_partition(4)
-        p.remove_neighbor(0, 2)
+        assert p.apply_bulk(NONE, entries([(0, 2)]))
         assert list(p.neighbors(0)) == [1, 3, 4]
         assert p.validate() == []
 
     def test_remove_last_neighbor_leaves_empty_key(self):
         p = star_partition(2)
-        p.remove_neighbor(1, 0)
+        assert p.apply_bulk(NONE, entries([(1, 0)]))
         assert list(p.neighbors(1)) == []
         assert p.key_count() == 3  # key slot survives with empty extent
         assert p.validate() == []
@@ -69,7 +81,7 @@ class TestPCSRIncrementalOps:
     def test_remove_missing_neighbor_raises(self):
         p = star_partition(2)
         with pytest.raises(StorageError):
-            p.remove_neighbor(1, 99)
+            p.apply_bulk(NONE, entries([(1, 99)]))
 
     def test_items_round_trip(self):
         p = star_partition(5)
@@ -78,27 +90,32 @@ class TestPCSRIncrementalOps:
         assert list(items[0]) == [1, 2, 3, 4, 5]
 
     def test_chain_extension_through_empty_pool(self):
-        # GPN=2: one key per group; inserting extra keys that collide
-        # must chain through empty groups, exactly like Algorithm 1.
-        edges = [(0, v, 0) for v in range(1, 6)]
-        g = LabeledGraph([0] * 30, edges)
-        p = PCSRPartition(partition_by_edge_label(g)[0], gpn=2)
-        inserted = []
-        for v in range(10, 14):
-            if p.insert_key(v, np.array([0]), None):
-                inserted.append(v)
+        # GPN=3: two keys per group.  New keys sharing one home group
+        # fill it, then must chain through empty groups, exactly like
+        # Algorithm 1.
+        g = scale_free_graph(60, 3, 1, 1, seed=3)
+        p = PCSRPartition(partition_by_edge_label(g)[0], gpn=3)
+        pool = set(p._empty_pool)
+        home = default_hash(1000, p.num_groups)
+        same_home = [v for v in range(1000, 20000)
+                     if default_hash(v, p.num_groups) == home][:4]
+        assert p.apply_bulk(entries([(v, 0) for v in same_home]), NONE)
+        chain = [home]
+        while p.groups[chain[-1], p.gpn - 1, 0] != -1:
+            chain.append(int(p.groups[chain[-1], p.gpn - 1, 0]))
+        assert len(chain) > 1 and set(chain[1:]) <= pool
         assert p.validate() == []
-        for v in inserted:
+        for v in same_home:
             assert list(p.neighbors(v)) == [0]
 
-    def test_insert_key_starvation_returns_false(self):
+    def test_starvation_returns_false(self):
         # A single-group partition (one vertex pair) has no empty pool.
         g = LabeledGraph([0, 0], [(0, 1, 0)])
         p = PCSRPartition(partition_by_edge_label(g)[0], gpn=2)
         assert p._empty_pool == set()
         got_false = False
         for v in range(2, 10):
-            if not p.insert_key(v, np.array([0])):
+            if not p.apply_bulk(entries([(v, 0)]), NONE):
                 got_false = True
                 break
         assert got_false
@@ -108,60 +125,73 @@ class TestPCSRIncrementalOps:
         # A miss pays for every group actually probed: one read when
         # the home group ends the chain, more when it must walk one.
         p = star_partition(3)
-        present_reads, gid, _ = p._find_key(0)
-        assert gid >= 0
+        present_reads, gid, _ = p._locate(np.array([0]))
+        assert gid[0] >= 0
         assert p.probe_transactions(0) == present_reads
         # Missing vertex: cost equals the walked chain length, >= 1.
-        reads, g2, _ = p._find_key(123456)
-        assert g2 == -1
+        reads, g2, _ = p._locate(np.array([123456]))
+        assert g2[0] == -1
         assert p.probe_transactions(123456) == reads >= 1
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 80), st.integers(0, 80)),
-                min_size=1, max_size=60),
+@given(st.lists(st.lists(st.tuples(st.integers(0, 80), st.integers(0, 80)),
+                         max_size=24),
+                min_size=1, max_size=6),
        st.integers(2, 16))
-def test_property_incremental_inserts_keep_validate_clean(pairs, gpn):
-    """Acceptance: validate() reports nothing after arbitrary
-    incremental insert sequences (with rebuild fallback on starvation,
-    as the dynamic storage layer does)."""
-    seed = [(0, 1, 0)]
-    g = LabeledGraph([0] * 81, seed)
+def test_property_bulk_batches_keep_validate_clean(batches, gpn):
+    """Acceptance: after every batch of random inserts and deletes,
+    validate() reports nothing and the adjacency equals the edge set.
+    Each pair toggles its edge; on Claim-1 starvation the partition is
+    rebuilt from its items plus the batch, as the dynamic storage
+    layer rebuilds from the committed snapshot."""
+    g = LabeledGraph([0] * 81, [(0, 1, 0)])
     p = PCSRPartition(partition_by_edge_label(g)[0], gpn=gpn)
-    adj = {0: {1}, 1: {0}}
-    for a, b in pairs:
-        if a == b or b in adj.get(a, ()):
-            continue
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-        for x, y in ((a, b), (b, a)):
-            if p._find_key(x)[1] >= 0:
-                p.append_neighbors(x, np.array([y]))
-            elif not p.insert_key(x, np.array([y])):
-                items = {v: arr for v, arr in p.items()}
-                items[x] = np.array([y], dtype=np.int64)
-                p = PCSRPartition(
-                    EdgeLabelPartition(0, items), gpn=gpn)
-        assert p.validate() == [], (a, b)
-    for v, nbrs in adj.items():
-        assert sorted(int(x) for x in p.neighbors(v)) == sorted(nbrs)
+    edges = {(0, 1)}
+    for batch in batches:
+        adds, dels = set(), set()
+        for a, b in batch:
+            e = (min(a, b), max(a, b))
+            if a == b or e in adds or e in dels:
+                continue
+            (dels if e in edges else adds).add(e)
+        edges = (edges - dels) | adds
+        if not p.apply_bulk(both_ways(sorted(adds)),
+                            both_ways(sorted(dels))):
+            adj = {v: set(arr.tolist()) for v, arr in p.items()}
+            for u, v in dels:
+                adj[u].discard(v)
+                adj[v].discard(u)
+            for u, v in adds:
+                adj.setdefault(u, set()).add(v)
+                adj.setdefault(v, set()).add(u)
+            p = PCSRPartition(EdgeLabelPartition(0, {
+                v: np.array(sorted(ws), dtype=np.int64)
+                for v, ws in adj.items()}), gpn=gpn)
+        assert p.validate() == [], batch
+        want = {}
+        for u, v in edges:
+            want.setdefault(u, []).append(v)
+            want.setdefault(v, []).append(u)
+        got = {v: arr.tolist() for v, arr in p.items() if len(arr)}
+        assert got == {v: sorted(ws) for v, ws in want.items()}
 
 
 class TestDynamicPCSRStorage:
-    def test_insert_and_delete_edges(self):
+    def test_new_label_partition_then_delete(self):
         g = scale_free_graph(60, 3, 3, 3, seed=2)
         store = DynamicPCSRStorage(g)
-        store.insert_edge(0, 59, 99)  # brand new label
+        g = commit_into(store, g, inserted=[(0, 59, 99)])  # new label
         assert list(store.neighbors(0, 99)) == [59]
-        store.delete_edge(0, 59, 99)
+        commit_into(store, g, deleted=[(0, 59, 99)])
         assert list(store.neighbors(0, 99)) == []
         assert store.validate() == {}
 
     def test_delete_unknown_label_raises(self):
         g = scale_free_graph(20, 2, 2, 2, seed=1)
         store = DynamicPCSRStorage(g)
-        with pytest.raises(KeyError):
-            store.delete_edge(0, 1, 12345)
+        with pytest.raises(StorageError, match="no partition"):
+            store.apply_batch(g, [], [(0, 1, 12345)])
 
     def test_occupancy_policy_triggers_rebuild(self):
         b = GraphBuilder()
@@ -173,7 +203,7 @@ class TestDynamicPCSRStorage:
         # keys beyond 1.5 per group must rebuild rather than chain
         # forever.
         for v in range(2, 12):
-            store.insert_edge(0, v, 0)
+            g = commit_into(store, g, inserted=[(0, v, 0)])
         assert store.rebuilds >= 1
         part = store.partition(0)
         assert part.occupancy() <= 1.5
@@ -188,10 +218,8 @@ class TestDynamicPCSRStorage:
         for delta in random_update_stream(base, 4, 20, seed=4):
             dyn.apply(delta)
             commit = dyn.commit()
-            for u, v, lab in commit.deleted_edges:
-                store.delete_edge(u, v, lab)
-            for u, v, lab in commit.inserted_edges:
-                store.insert_edge(u, v, lab)
+            store.apply_batch(commit.snapshot, commit.inserted_edges,
+                              commit.deleted_edges)
         final = dyn.base
         assert store.validate() == {}
         for v in range(final.num_vertices):
@@ -209,7 +237,7 @@ class TestDynamicIndex:
             dyn.apply(delta)
             index.apply_commit(dyn.commit())
         final = dyn.base
-        expected = encode_all(final, 256, 32)
+        expected = encode_all(final, 256)
         assert np.array_equal(index.signature_table.table, expected)
         assert index.signature_table.num_vertices == final.num_vertices
 

@@ -68,8 +68,8 @@ class TestLookup:
         p = build_partition(edges, gpn=2)[0]
         assert p.max_chain_length() > 1
         for v in (500, 9999, 123456):
-            reads, gid, _ = p._find_key(v)
-            assert gid == -1
+            reads, gid, _ = p._locate(np.array([v]))
+            assert gid[0] == -1
             assert p.probe_transactions(v) == reads >= 1
 
     def test_non_consecutive_vertex_ids(self):
@@ -113,7 +113,7 @@ class TestMaxChainLength:
         p = build_partition(edges, gpn=2)[0]
         assert p.max_chain_length() == scalar_chain_length(p) == 2
 
-    def test_equals_scalar_walk_as_insert_key_extends_a_chain(self):
+    def test_equals_scalar_walk_as_new_keys_extend_a_chain(self):
         g = scale_free_graph(60, 3, 1, 1, seed=3)
         p = PCSRPartition(partition_by_edge_label(g)[0], gpn=3)
         assert p._empty_pool
@@ -122,7 +122,7 @@ class TestMaxChainLength:
                      if default_hash(v, p.num_groups) == home][:8]
         lengths = [p.max_chain_length()]
         for v in same_home:
-            assert p.insert_key(v, np.array([0], dtype=np.int64))
+            assert p.apply_bulk(np.array([[v, 0]]), np.empty((0, 2)))
             lengths.append(p.max_chain_length())
             assert lengths[-1] == scalar_chain_length(p)
         assert p.validate() == []
@@ -303,7 +303,7 @@ class TestValidateDetectsCorruption:
         # reach this group.
         for v in range(1000, 2000):
             home = default_hash(v, p.num_groups)
-            if home != gid and p._find_key(v)[1] < 0:
+            if home != gid and p._locate(np.array([v]))[1][0] < 0:
                 # ensure home's chain does not include gid
                 chain = set()
                 cur = home

@@ -47,10 +47,12 @@ def as_entries(pairs):
 class TestApplyBulkDifferential:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_per_edge_path(self, seed):
+        """Random insert/delete batches through ``apply_bulk`` leave the
+        same adjacency as applying them to the edge set one edge at a
+        time."""
         rng = np.random.default_rng(seed)
         base = random_edges(rng, 40, 120)
-        part_bulk = build_partition(base)[0]
-        part_edge = build_partition(base)[0]
+        part = build_partition(base)[0]
         existing = {(u, v) for u, v, _ in base}
 
         for _ in range(6):
@@ -69,33 +71,17 @@ class TestApplyBulkDifferential:
             existing |= set(adds)
 
             meter = MemoryMeter()
-            assert part_bulk.apply_bulk(as_entries(adds),
-                                        as_entries(removes), meter)
-            edge_meter = MemoryMeter()
-            for u, v in removes:
-                part_edge.remove_neighbor(u, v, edge_meter)
-                part_edge.remove_neighbor(v, u, edge_meter)
-            for u, v in adds:
-                for a, b in ((u, v), (v, u)):
-                    arr = np.array([b], dtype=np.int64)
-                    if part_edge._find_key(a)[1] >= 0:
-                        part_edge.append_neighbors(a, arr, edge_meter)
-                    else:
-                        assert part_edge.insert_key(a, arr, edge_meter)
-
-            assert part_bulk.validate() == []
-            assert part_edge.validate() == []
-            got = {v: a.tolist() for v, a in part_bulk.items()}
-            want = {v: a.tolist() for v, a in part_edge.items()}
-            # per-edge keeps emptied keys with [] extents; bulk merges
-            # to the same lists for every live key
-            want = {v: a for v, a in want.items() if a}
-            got = {v: a for v, a in got.items() if a}
-            assert got == want
-            bulk_snap = meter.snapshot()
-            edge_snap = edge_meter.snapshot()
-            assert (bulk_snap.gld + bulk_snap.gst
-                    <= edge_snap.gld + edge_snap.gst)
+            assert part.apply_bulk(as_entries(adds), as_entries(removes),
+                                   meter)
+            assert meter.labeled_gld("pcsr_maintain") > 0
+            assert part.validate() == []
+            want = {}
+            for u, v in existing:
+                want.setdefault(u, []).append(v)
+                want.setdefault(v, []).append(u)
+            # emptied keys keep their slot with a [] extent
+            got = {v: a.tolist() for v, a in part.items() if len(a)}
+            assert got == {v: sorted(ws) for v, ws in want.items()}
 
     def test_multiple_edges_same_key_one_merge(self):
         part = build_partition([(0, 1, 0), (0, 2, 0)])[0]
@@ -145,12 +131,11 @@ class TestApplyBulkAtomicity:
         part = build_partition([(0, 1, 0)], gpn=2)[0]
         while part._empty_pool:
             spare = max(part.items(), default=(1, None))[0] + 100
-            if not part.insert_key(spare,
-                                   np.array([0], dtype=np.int64)):
+            if not part.apply_bulk(entries({spare: [0]}), entries({})):
                 break
         before = {v: a.tolist() for v, a in part.items()}
         new_key = 9999
-        assert part._find_key(new_key)[1] < 0
+        assert part._locate(np.array([new_key]))[1][0] < 0
         assert not part.apply_bulk(entries({new_key: [0]}), entries({}))
         assert {v: a.tolist() for v, a in part.items()} == before
         assert part.validate() == []
@@ -189,9 +174,9 @@ class TestSortedUniqueContract:
         for round_ in range(4):
             for v in range(0, 25, 4):
                 if len(part.neighbors(v)):
-                    part.append_neighbors(
-                        v, np.asarray(rng.integers(0, 80, size=4),
-                                      dtype=np.int64))
+                    part.apply_bulk(
+                        entries({v: rng.integers(0, 80, size=4).tolist()}),
+                        entries({}))
             part.apply_bulk(
                 entries({0: rng.integers(80, 120, size=3).tolist()}),
                 entries({}))

@@ -25,6 +25,16 @@ from repro.storage.pcsr import PCSRPartition, PCSRStorage
 from oracle import brute_force_matches
 
 
+NONE = np.empty((0, 2), dtype=np.int64)
+
+
+def grow(part, key, neighbor):
+    """Merge one directed ``(key, neighbor)`` entry through the bulk
+    path."""
+    assert part.apply_bulk(np.array([[key, neighbor]], dtype=np.int64),
+                           NONE)
+
+
 def tiny_partition():
     adjacency = {
         0: np.array([1, 2], dtype=np.int64),
@@ -50,7 +60,7 @@ class TestPartitionStats:
         part = tiny_partition()
         # Regions are built with zero slack, so growing any list
         # relocates its group's region and orphans the old words.
-        part.append_neighbors(0, np.array([9], dtype=np.int64))
+        grow(part, 0, 9)
         assert part.dead_words() > 0
         assert part.dead_ratio() > 0.0
         assert part.stats()["dead_words"] == part.dead_words()
@@ -60,8 +70,8 @@ class TestCompaction:
     def make_dirty(self):
         part = tiny_partition()
         for w in (5, 6, 7, 8, 9):
-            part.append_neighbors(0, np.array([w], dtype=np.int64))
-            part.append_neighbors(1, np.array([w], dtype=np.int64))
+            grow(part, 0, w)
+            grow(part, 1, w)
         assert part.dead_words() > 0
         return part
 
@@ -102,37 +112,43 @@ class TestCompaction:
 
 class TestAutoCompaction:
     def churn(self, store, graph, rng, rounds=300):
+        """One-edge batches through ``apply_batch``; returns the last
+        committed snapshot."""
         live = {(u, v): lab for u, v, lab in graph.edges()}
         n = graph.num_vertices
         for _ in range(rounds):
+            inserted, deleted = [], []
             if live and rng.random() < 0.5:
                 (u, v), lab = sorted(live.items())[
                     int(rng.integers(len(live)))]
-                store.delete_edge(u, v, lab)
+                deleted.append((u, v, lab))
                 del live[(u, v)]
             else:
                 u, v = int(rng.integers(n)), int(rng.integers(n))
                 key = (min(u, v), max(u, v))
                 if u == v or key in live:
                     continue
-                store.insert_edge(key[0], key[1], 0)
+                inserted.append((key[0], key[1], 0))
                 live[key] = 0
-        return live
+            graph, _ = graph.apply_changes(inserted, deleted)
+            store.apply_batch(graph, inserted, deleted)
+        return graph
 
     def test_trigger_fires_and_bounds_dead_ratio(self):
         graph = scale_free_graph(60, 3, 2, 1, seed=3)
         store = DynamicPCSRStorage(graph, compact_dead_ratio=0.05)
         rng = np.random.default_rng(1)
-        live = self.churn(store, graph, rng)
+        final = self.churn(store, graph, rng)
         assert store.compactions > 0
         assert store.words_reclaimed > 0
         for part in store._parts.values():
             assert (part.dead_words() < MIN_COMPACT_DEAD_WORDS
                     or part.dead_ratio() <= store.compact_dead_ratio)
         # Content still exact after all that churn.
-        for (u, v), lab in live.items():
-            assert v in store.neighbors(u, lab)
-            assert u in store.neighbors(v, lab)
+        for v in range(final.num_vertices):
+            for lab in final.distinct_edge_labels():
+                assert store.neighbors(v, lab).tolist() == \
+                    final.neighbors_by_label(v, lab).tolist()
         assert store.validate() == {}
 
     def test_stats_carry_maintenance_counters(self):

@@ -26,8 +26,8 @@ class TestLayout:
         assert num_words(64) == 2
 
     def test_num_groups(self):
-        assert num_groups(512, 32) == 240
-        assert num_groups(64, 32) == 16
+        assert num_groups(512) == 240
+        assert num_groups(64) == 16
 
     def test_word0_is_raw_label(self):
         g = LabeledGraph([1234567], [])
