@@ -2,16 +2,17 @@
 
 Not a paper table — this measures the host-side execution strategy of
 the *same* simulated GPU algorithm.  Both lanes run one step function
-(:func:`repro.core.join.execute_join_step`) over an ``(n, w)`` int64
-intermediate table, with the same prealloc, link and two-step array
-code, and charge identical memory transactions to the meter.  They
-differ only in the edge pass:
+(:func:`repro.core.join.execute_join_step`) and one edge pass
+(:func:`repro.core.kernels._edge_pass`) over an ``(n, w)`` int64
+intermediate table: the same neighbor fetch, the same cost model, the
+same prealloc, link and two-step array code, and so identical memory
+transactions on the meter.  They differ only in the function that
+computes the per-row buffers:
 
-* **rows**: one Python-level set-op per intermediate row
-  (``repro.core.join._edge_pass``).
-* **vector**: one NumPy pass per edge over the whole intermediate table
-  (``repro.core.kernels._edge_pass_vector``), grouping rows by bound
-  vertex and deriving per-row costs from length arrays.
+* **rows**: one ``np.isin`` / ``np.intersect1d`` per intermediate row
+  (``repro.core.kernels._rows_buffers``).
+* **vector**: one gather and membership pass per edge over the whole
+  intermediate table (``repro.core.kernels._vector_buffers``).
 
 The workload is built to stress the regime the vector lane exists for:
 a small dense graph with few labels (so candidate sets are fat) and
@@ -20,8 +21,8 @@ intermediate tables that the closing edges then prune).  Every query is
 differentially checked — match sets byte-identical, the whole
 ``MeterSnapshot`` (per-label GLD and kernel launches included) and
 simulated latency identical — so the wall-clock column is a pure
-host-efficiency comparison of the two edge passes, never a correctness
-trade.
+host-efficiency comparison of the two buffer functions, never a
+correctness trade.
 """
 
 from __future__ import annotations
@@ -151,7 +152,7 @@ def run_join_kernels(num_vertices: int = GRAPH_VERTICES,
         note="wall ms is host time; the match sets and whole meter "
              "snapshots ('sim tx' = gld+gst+shared) are asserted "
              "byte-identical across lanes — the lanes differ only in "
-             "the host edge pass")
+             "the host buffer function")
     return outcomes, table
 
 

@@ -10,7 +10,7 @@ from repro.core.plan import (
     select_first_edge,
 )
 from repro.core.result import MatchResult, PhaseBreakdown
-from repro.core.set_ops import CandidateSet, RowCost, SetOpEngine
+from repro.core.set_ops import CandidateSet
 from repro.core.signature import (
     candidate_mask,
     encode_all,
@@ -32,8 +32,6 @@ __all__ = [
     "MatchResult",
     "PhaseBreakdown",
     "CandidateSet",
-    "RowCost",
-    "SetOpEngine",
     "candidate_mask",
     "encode_all",
     "encode_rows",

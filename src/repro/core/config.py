@@ -16,6 +16,7 @@ config makes each toggle explicit so a benchmark is a config sweep:
 ``gpn``                   group size of PCSR (16 -> 128 B groups)
 ``w1, w3``                load-balance thresholds (Tables IX-X)
 ``join_kernel``           host-side join lane: per-row or vectorized
+                          buffers (one cost model for both)
 ========================  =======================================
 """
 
@@ -59,10 +60,11 @@ class GSIConfig:
     max_intermediate_rows: Optional[int] = None
 
     # --- host execution lane (does not change metered costs) ---
-    # "rows" iterates the intermediate table row by row; "vector" runs
-    # each edge pass as bulk NumPy ops over the whole table.  Both
-    # lanes produce byte-identical match sets and meter totals.  The
-    # default can be steered fleet-wide via ``GSI_JOIN_KERNEL``.
+    # Picks only how the join computes each row's buffers: "rows" runs
+    # one set operation per row; "vector" runs each edge as bulk NumPy
+    # ops over the whole table.  The fetch and cost path are shared, so
+    # both lanes produce byte-identical match sets and meter totals.
+    # The default can be steered fleet-wide via ``GSI_JOIN_KERNEL``.
     join_kernel: str = field(default_factory=lambda: os.environ.get(
         "GSI_JOIN_KERNEL", "rows"))
 

@@ -5,7 +5,9 @@ same column (Figure 9: every row starts with ``v0``), so all their warps
 would extract the same ``N(v, l)``.  Within one block, warps write their
 vertex to shared memory, find the *first* warp holding the same vertex,
 and share that warp's staged input buffer instead of re-reading global
-memory.
+memory.  The join finds the same hits for a whole table at once
+(``repro.core.kernels._shared_hit_mask``); :func:`sharing_assignment`
+is the per-block reference its tests compare against.
 """
 
 from __future__ import annotations

@@ -33,7 +33,6 @@ from repro.core.filtering import filter_candidates
 from repro.core.join import JoinContext, run_join_phase
 from repro.core.plan import JoinPlan, plan_join_order
 from repro.core.result import MatchResult, PhaseBreakdown
-from repro.core.set_ops import SetOpEngine
 from repro.core.signature_table import SignatureTable
 from repro.errors import BudgetExceeded, GraphError
 from repro.gpusim.constants import CLOCK_GHZ
@@ -244,10 +243,7 @@ class GSIEngine:
             result.join_order = plan.order
             ctx = JoinContext(
                 graph=self.graph, store=self.store, device=device,
-                config=self.config,
-                set_engine=SetOpEngine(
-                    friendly=self.config.use_gpu_set_ops,
-                    write_cache=self.config.use_write_cache))
+                config=self.config)
             try:
                 rows = run_join_phase(ctx, plan, prepared.candidates)
                 # Join order -> query-vertex order: one column permutation.

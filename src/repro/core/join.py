@@ -15,12 +15,11 @@ instead: the whole per-edge join work runs twice (count pass + write
 pass), exactly the doubling GSI eliminates.
 
 On the host, ``M`` is one ``(n, w)`` int64 array at every step, and each
-step writes ``M'`` once from the prefix sum of its buffer lengths.  The
-two host lanes (``GSIConfig.join_kernel``) differ only in the edge pass:
-``rows`` runs :class:`~repro.core.set_ops.SetOpEngine` once per row
-(:func:`_edge_pass`), ``vector`` runs each edge over the whole table
-(:func:`repro.core.kernels._edge_pass_vector`).  Prealloc, link and the
-two-step write are the shared array code of :mod:`repro.core.kernels`.
+step writes ``M'`` once from the prefix sum of its buffer lengths.  Every
+step runs the one edge pass and cost model of :mod:`repro.core.kernels`;
+the two host lanes (``GSIConfig.join_kernel``) differ only in the
+function that computes the per-row buffers: ``rows`` runs one set
+operation per row, ``vector`` one pass per edge over the whole table.
 
 Duplicate removal (Alg. 5) and the 4-layer load balance (Section VI) hook
 in here as well: the former shares staged neighbor lists between warps of
@@ -36,27 +35,22 @@ import numpy as np
 
 from repro.arraytypes import Array
 from repro.core.config import GSIConfig
-from repro.core.dup_removal import sharing_assignment
 from repro.core.kernels import (
-    _edge_pass_vector,
-    _link_vector,
-    _prealloc_vector,
-    _two_step_vector,
+    _distinct_neighbors,
+    _edge_pass,
+    _link,
+    _prealloc,
+    _two_step,
 )
 from repro.core.plan import JoinPlan, JoinStep, select_first_edge
-from repro.core.set_ops import CandidateSet, RowCost, SetOpEngine
+from repro.core.set_ops import CandidateSet
 from repro.errors import BudgetExceeded
-from repro.gpusim.constants import CYCLES_PER_GLD, LABEL_JOIN, WARPS_PER_BLOCK
+from repro.gpusim.constants import CYCLES_PER_GLD, LABEL_JOIN
 from repro.gpusim.device import Device
 from repro.gpusim.transactions import contiguous_read
 from repro.graph.labeled_graph import LabeledGraph
 from repro.obs.trace import get_tracer
 from repro.storage.base import NeighborStore
-
-#: Placeholder for rows whose buffer the first edge pass has not filled
-#: yet; never read (edge 0 always assigns before any refine consumes it).
-_UNFILLED_BUF = np.empty(0, dtype=np.int64)
-
 
 @dataclass
 class JoinContext:
@@ -66,7 +60,6 @@ class JoinContext:
     store: NeighborStore
     device: Device
     config: GSIConfig
-    set_engine: SetOpEngine
     neighbor_cache: Dict[Tuple[int, int],
                          Tuple[Array, int, int, int]] = field(
         default_factory=dict)
@@ -85,7 +78,7 @@ class JoinContext:
         if hit is None:
             # np.unique = sort + dedup: downstream set ops assume the
             # sorted-unique contract (``intersect1d(assume_unique=True)``
-            # in refine_edge), so enforce it here rather than trusting
+            # in the refine buffers), so enforce it here rather than trusting
             # every store to never surface a duplicate after churn.
             arr = np.unique(self.store.neighbors(v, label))
             locate = self.store.locate_transactions(v, label)
@@ -96,75 +89,6 @@ class JoinContext:
         return hit
 
 
-def _run_edge_kernel(ctx: JoinContext, costs: List[RowCost],
-                     name: str) -> None:
-    """Meter and schedule one per-edge kernel from its row costs."""
-    device = ctx.device
-    total_launches = 0
-    cycles: List[float] = []
-    units: List[float] = []
-    for c in costs:
-        device.meter.add_gld(c.gld, label=LABEL_JOIN)
-        device.meter.add_gst(c.gst)
-        device.meter.add_shared(c.shared)
-        device.meter.add_ops(c.ops)
-        total_launches += c.launches
-        cycles.append(c.cycles())
-        units.append(c.units)
-    if total_launches:
-        device.launch_overhead(total_launches)
-    device.run_kernel(cycles, name=name,
-                      lb=ctx.config.load_balance_config(),
-                      task_units=units)
-
-
-def _edge_pass(ctx: JoinContext, rows_np: Array, col_of: Dict[int, int],
-               edges: List[Tuple[int, int]], cand: CandidateSet,
-               count_only: bool, step_name: str) -> Tuple[Array, Array]:
-    """Run all linking-edge kernels over the intermediate table, one
-    :class:`SetOpEngine` call per row (the ``rows`` lane).
-
-    Returns ``(flat, counts)`` like ``_edge_pass_vector``: the per-row
-    buffers concatenated in row order plus their lengths.
-    """
-    num_rows = rows_np.shape[0]
-    engine = ctx.set_engine
-    dr = ctx.config.use_duplicate_removal
-    out: List[Array] = [_UNFILLED_BUF] * num_rows
-
-    for edge_idx, (u_prime, label) in enumerate(edges):
-        col = col_of[u_prime]
-        costs: List[RowCost] = []
-        for block_start in range(0, num_rows, WARPS_PER_BLOCK):
-            block_end = min(block_start + WARPS_PER_BLOCK, num_rows)
-            block_vertices = [int(rows_np[i, col])
-                              for i in range(block_start, block_end)]
-            addr = (sharing_assignment(block_vertices) if dr else None)
-            for offset, i in enumerate(range(block_start, block_end)):
-                v = block_vertices[offset]
-                nbrs, locate, read_tx, streamed = ctx.neighbors(v, label)
-                shared_hit = addr is not None and addr[offset] != offset
-                if edge_idx == 0:
-                    buf, cost = engine.first_edge(
-                        rows_np[i], nbrs, locate, cand,
-                        read_tx=read_tx, streamed=streamed,
-                        nbrs_from_shared=shared_hit)
-                else:
-                    buf, cost = engine.refine_edge(
-                        out[i], nbrs, locate,
-                        read_tx=read_tx, streamed=streamed,
-                        nbrs_from_shared=shared_hit)
-                if dr:
-                    cost.ops += 4  # Alg. 5 synchronization overhead
-                if count_only:
-                    cost = engine.count_only_discount(cost)
-                out[i] = buf
-                costs.append(cost)
-        _run_edge_kernel(ctx, costs, name=f"{step_name}_e{edge_idx}")
-    counts = np.fromiter(map(len, out), dtype=np.int64, count=num_rows)
-    return np.concatenate(out), counts
-
-
 def execute_join_step(ctx: JoinContext, rows: Array,
                       columns: List[int], step: JoinStep,
                       cand: CandidateSet) -> Array:
@@ -173,8 +97,9 @@ def execute_join_step(ctx: JoinContext, rows: Array,
     ``rows`` is the ``(n, w)`` intermediate table and ``columns[j]``
     names the query vertex of its column ``j``; the new vertex's matches
     are appended as the last column of the returned ``(n', w + 1)``
-    table.  The lane (``GSIConfig.join_kernel``) picks only the edge
-    pass; prealloc, link and the two-step write are array code shared
+    table.  The lane (``GSIConfig.join_kernel``) picks only the buffer
+    function of :func:`~repro.core.kernels._edge_pass`; the neighbor
+    fetch, the costs, prealloc, link and the two-step write are shared
     by both lanes.
     """
     if rows.shape[0] == 0 or len(cand) == 0:
@@ -187,13 +112,14 @@ def execute_join_step(ctx: JoinContext, rows: Array,
 
     col_of = {qv: j for j, qv in enumerate(columns)}
     step_name = f"join_u{step.vertex}"
-    edge_pass = (_edge_pass_vector if ctx.config.join_kernel == "vector"
-                 else _edge_pass)
 
     # Order linking edges so the rarest-label edge comes first (Alg. 4
-    # line 1); this is also the edge whose neighbor lists bound the GBA.
+    # line 1); this is also the edge whose neighbor lists bound the GBA,
+    # so one fetch serves the prealloc and every pass's edge 0.
     first = select_first_edge(step, ctx.graph)
     edges = [first] + [e for e in step.linking_edges if e != first]
+    first_nbrs = _distinct_neighbors(ctx, rows[:, col_of[first[0]]],
+                                     first[1])
 
     if ctx.config.use_gpu_set_ops:
         # C(u) is materialized as a bitset for O(1)-transaction probes
@@ -202,18 +128,19 @@ def execute_join_step(ctx: JoinContext, rows: Array,
         ctx.device.memset_cycles(bitset_words)
 
     if ctx.config.use_prealloc_combine:
-        _prealloc_vector(ctx, rows, col_of[first[0]], first[1], step_name)
-        flat, counts = edge_pass(ctx, rows, col_of, edges, cand,
-                                 count_only=False, step_name=step_name)
-        return _link_vector(ctx, rows, flat, counts, step_name)
+        _prealloc(ctx, first_nbrs, step_name)
+        flat, counts = _edge_pass(ctx, rows, col_of, edges, first_nbrs,
+                                  cand, count_only=False,
+                                  step_name=step_name)
+        return _link(ctx, rows, flat, counts, step_name)
 
     # Two-step output scheme: identical join work performed twice.
-    edge_pass(ctx, rows, col_of, edges, cand, count_only=True,
-              step_name=step_name + "_count")
-    flat, counts = edge_pass(ctx, rows, col_of, edges, cand,
-                             count_only=False,
-                             step_name=step_name + "_write")
-    return _two_step_vector(ctx, rows, flat, counts, step_name)
+    _edge_pass(ctx, rows, col_of, edges, first_nbrs, cand,
+               count_only=True, step_name=step_name + "_count")
+    flat, counts = _edge_pass(ctx, rows, col_of, edges, first_nbrs, cand,
+                              count_only=False,
+                              step_name=step_name + "_write")
+    return _two_step(ctx, rows, flat, counts, step_name)
 
 
 def run_join_phase(ctx: JoinContext, plan: JoinPlan,

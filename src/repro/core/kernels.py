@@ -1,31 +1,30 @@
-"""Array join kernels: the vector edge pass and the shared table writes.
+"""Join kernels: one edge pass and one cost model for both host lanes.
 
-The intermediate table is one ``(n, w)`` int64 array on both host lanes
-(``GSIConfig.join_kernel``), and :func:`repro.core.join.execute_join_step`
-drives every step.  This module holds
+The intermediate table is one ``(n, w)`` int64 array, and
+:func:`repro.core.join.execute_join_step` drives every step.  This module
+holds
 
-* the ``vector`` lane's edge pass, :func:`_edge_pass_vector`, which runs
-  each linking edge over the *whole* table instead of one Python
-  iteration per row (the ``rows`` lane, ``repro.core.join._edge_pass``):
+* the edge pass, :func:`_edge_pass`: for each linking edge it fetches
+  every distinct bound vertex's ``N(v, l)`` once
+  (:func:`_distinct_neighbors`), computes the per-row buffers, and
+  charges every row from the buffers' length arrays with
+  :func:`_edge_costs`, the one statement of Section V's cost model;
 
-  - rows are grouped by their bound vertex (``np.unique``), so each
-    distinct ``(v, label)`` neighbor list is fetched and concatenated
-    exactly once — duplicate-removal sharing falls out of the grouping;
-  - ``(N(v, l) \\ m_i) ∩ C(u)`` and the refine intersections run as
-    vectorized sorted-set operations over the flattened buffers, built
-    on the same primitives (`CandidateSet.contains_mask`, sorted
-    ``searchsorted`` probes) the per-row lane uses;
-  - per-row :class:`~repro.core.set_ops.RowCost` fields are derived from
-    length arrays with the exact formulas of ``SetOpEngine``, so metered
-    transaction totals, kernel cycle lists (hence simulated latency and
-    budget-abort points) and match sets are **byte-identical** to the
-    per-row pass;
+* the two buffer functions between which ``GSIConfig.join_kernel``
+  chooses.  Both return the same ``(flat, counts, len_keep)`` and differ
+  only in host speed:
 
-* the array code both lanes share around the edge pass: Algorithm 4's
-  capacity bounds and GBA scan (:func:`_prealloc_vector`), the link
-  kernel that writes ``M'`` once from the prefix sum of the buffer
-  lengths (:func:`_link_vector`) and the two-step scheme's write
-  (:func:`_two_step_vector`).
+  - ``rows`` (:func:`_rows_buffers`): one ``np.isin`` /
+    ``np.intersect1d`` per row, the direct transcription of
+    Algorithm 3 lines 10-13;
+  - ``vector`` (:func:`_vector_buffers`): ``(N(v, l) \\ m_i) ∩ C(u)``
+    as one gather over the per-vertex concatenation, and the refines as
+    one sorted membership pass over the whole table;
+
+* the array code around the edge pass: Algorithm 4's capacity bounds and
+  GBA scan (:func:`_prealloc`), the link kernel that writes ``M'`` once
+  from the prefix sum of the buffer lengths (:func:`_link`) and the
+  two-step scheme's write (:func:`_two_step`).
 
 ``tests/test_join_golden.py`` pins both lanes to costs recorded from the
 per-row join.
@@ -33,11 +32,12 @@ per-row join.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
 from repro.arraytypes import Array
+from repro.core.config import GSIConfig
 from repro.core.set_ops import CandidateSet
 from repro.gpusim.constants import (
     CYCLES_PER_GLD,
@@ -53,14 +53,31 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
     from repro.core.join import JoinContext
 
 
-# ----------------------------------------------------------------------
-# Vectorized cost primitives
-# ----------------------------------------------------------------------
+class DistinctNeighbors(NamedTuple):
+    """One linking edge's ``N(v, l)``, fetched once per distinct bound
+    vertex: ``inv`` maps each table row to its vertex, and the other
+    fields are indexed by vertex (``locate``/``read``/``streamed`` are
+    the storage structure's charges for the list)."""
+
+    inv: Array
+    lists: List[Array]
+    locate: Array
+    read: Array
+    streamed: Array
+    lens: Array
 
 
-def _write_cost_vec(n: Array, write_cache: bool) -> Array:
-    """Elementwise ``SetOpEngine._write_cost``."""
-    return contiguous_reads(n) if write_cache else n
+class EdgeCost(NamedTuple):
+    """One edge kernel's counted events, one entry per table row;
+    ``units`` drive the load-balance thresholds, ``launches`` counts the
+    naive mode's per-operation kernels over all rows."""
+
+    gld: Array
+    gst: Array
+    shared: Array
+    ops: Array
+    units: Array
+    launches: int
 
 
 # ----------------------------------------------------------------------
@@ -112,161 +129,209 @@ def _segment_membership(values: Array, seg_of: Array,
     return out
 
 
-# ----------------------------------------------------------------------
-# Edge pass
-# ----------------------------------------------------------------------
-
-
-def _distinct_neighbors(
-        ctx: "JoinContext", vcol: Array, label: int
-) -> Tuple[Array, List[Array], Array, Array, Array, Array]:
-    """Fetch each distinct vertex's neighbor list once (shared memo with
-    the per-row lane).
-
-    Returns ``(inv, lists, locate_u, read_u, streamed_u, len_u)``:
-    ``inv`` maps each row to its distinct vertex, and the other five
-    are indexed by distinct vertex.
-    """
+def _distinct_neighbors(ctx: "JoinContext", vcol: Array,
+                        label: int) -> DistinctNeighbors:
+    """Fetch each distinct vertex of ``vcol``'s ``N(v, label)`` once,
+    through the context's memo."""
     uniq, inv = np.unique(vcol, return_inverse=True)
     num_uniq = len(uniq)
-    locate_u = np.empty(num_uniq, dtype=np.int64)
-    read_u = np.empty(num_uniq, dtype=np.int64)
-    streamed_u = np.empty(num_uniq, dtype=np.int64)
-    len_u = np.empty(num_uniq, dtype=np.int64)
+    locate = np.empty(num_uniq, dtype=np.int64)
+    read = np.empty(num_uniq, dtype=np.int64)
+    streamed = np.empty(num_uniq, dtype=np.int64)
+    lens = np.empty(num_uniq, dtype=np.int64)
     lists: List[Array] = []
     for k in range(num_uniq):
-        nbrs, locate, read_tx, streamed = ctx.neighbors(int(uniq[k]), label)
+        nbrs, locate_tx, read_tx, elems = ctx.neighbors(int(uniq[k]), label)
         lists.append(nbrs)
-        locate_u[k] = locate
-        read_u[k] = read_tx
-        streamed_u[k] = streamed
-        len_u[k] = len(nbrs)
-    return inv, lists, locate_u, read_u, streamed_u, len_u
+        locate[k] = locate_tx
+        read[k] = read_tx
+        streamed[k] = elems
+        lens[k] = len(nbrs)
+    return DistinctNeighbors(inv, lists, locate, read, streamed, lens)
 
 
-def _meter_and_launch(ctx: "JoinContext", gld: Array, gst: Array,
-                      shared: Array, ops: Array,
-                      launches: int, units: Array, name: str) -> None:
-    """Bulk twin of ``_run_edge_kernel``: meter totals are plain sums, and
-    the per-row cycle list is passed in the same row order, so scheduling
-    (and any ``BudgetExceeded`` point) is identical."""
+# ----------------------------------------------------------------------
+# Per-row buffers: the only difference between the lanes
+# ----------------------------------------------------------------------
+
+
+def _rows_buffers(table: Array, nbrs: DistinctNeighbors,
+                  cand: CandidateSet, flat: Array, counts: Array,
+                  first: bool) -> Tuple[Array, Array, Array]:
+    """One set operation per row (the ``rows`` lane).
+
+    On the first edge ``buf_i = (N(v, l0) \\ m_i) ∩ C(u)``; on a refine
+    ``buf_i = buf_i ∩ N(v, l)``, where ``flat``/``counts`` hold the
+    incoming buffers concatenated in row order and their lengths.
+    Returns the new ``(flat, counts, len_keep)``: ``len_keep`` is each
+    row's count after the subtraction, before the ``C(u)`` probe; a
+    refine probes nothing, so there it equals ``counts``.
+    """
+    lists, inv = nbrs.lists, nbrs.inv.tolist()
+    if first:
+        keeps = [lists[k][~np.isin(lists[k], table[i])]
+                 for i, k in enumerate(inv)]
+        out = [keep[cand.contains_mask(keep)] for keep in keeps]
+    else:
+        bufs = np.split(flat, np.cumsum(counts)[:-1])
+        keeps = out = [np.intersect1d(buf, lists[k], assume_unique=True)
+                       for buf, k in zip(bufs, inv)]
+    return (np.concatenate(out),
+            np.array([len(buf) for buf in out], dtype=np.int64),
+            np.array([len(keep) for keep in keeps], dtype=np.int64))
+
+
+def _vector_buffers(table: Array, nbrs: DistinctNeighbors,
+                    cand: CandidateSet, flat: Array, counts: Array,
+                    first: bool) -> Tuple[Array, Array, Array]:
+    """:func:`_rows_buffers` over the whole table at once (the
+    ``vector`` lane): the distinct lists are concatenated once, and each
+    row's share is gathered from the concatenation."""
+    num_rows, width = table.shape
+    starts = np.zeros(len(nbrs.lists) + 1, dtype=np.int64)
+    np.cumsum(nbrs.lens, out=starts[1:])
+    concat = np.concatenate(nbrs.lists)
+    row_ids = np.arange(num_rows, dtype=np.int64)
+    if first:
+        nlen = nbrs.lens[nbrs.inv]
+        row_of = np.repeat(row_ids, nlen)
+        head = np.zeros(num_rows + 1, dtype=np.int64)
+        np.cumsum(nlen, out=head[1:])
+        gather = (np.arange(len(row_of), dtype=np.int64)
+                  - head[:-1][row_of] + starts[nbrs.inv][row_of])
+        vals = concat[gather]
+        in_row = np.zeros(len(vals), dtype=bool)
+        for j in range(width):
+            in_row |= vals == table[row_of, j]
+        keep_mask = ~in_row
+        buf_mask = keep_mask & cand.contains_mask(concat)[gather]
+        len_keep = np.bincount(row_of, weights=keep_mask,
+                               minlength=num_rows).astype(np.int64)
+        new_counts = np.bincount(row_of, weights=buf_mask,
+                                 minlength=num_rows).astype(np.int64)
+        return vals[buf_mask], new_counts, len_keep
+    row_of = np.repeat(row_ids, counts)
+    member = _segment_membership(flat, nbrs.inv[row_of], starts,
+                                 nbrs.lens, concat)
+    new_counts = np.bincount(row_of, weights=member,
+                             minlength=num_rows).astype(np.int64)
+    return flat[member], new_counts, new_counts
+
+
+# ----------------------------------------------------------------------
+# The cost model (Section V)
+# ----------------------------------------------------------------------
+
+
+def _edge_costs(config: GSIConfig, cand: CandidateSet,
+                nbrs: DistinctNeighbors, width: int, first: bool,
+                counts_in: Array, len_keep: Array, counts: Array,
+                count_only: bool) -> EdgeCost:
+    """Every row's counted events for one edge kernel, from the buffer
+    function's length arrays (``counts_in`` are the incoming buffer
+    lengths, read back by a refine).
+
+    **GPU-friendly** (``use_gpu_set_ops``, "+SO"): the row is cached in
+    shared memory, neighbor lists are staged batch by batch (128 B per
+    transaction), ``C(u)`` membership is one bitset transaction per
+    element, and subtraction and candidate check are fused; with
+    ``use_write_cache`` a 128 B write cache batches result stores.
+
+    **Naive**: every set operation is its own kernel launch using a
+    traditional two-list intersection: the row is re-read per operation,
+    the subtraction's result is materialized to global memory between
+    kernels, ``C(u)`` membership is a binary search
+    (:meth:`CandidateSet.probe_gld`), and stores are unbatched.
+
+    A duplicate-removal hit (``use_duplicate_removal``, Alg. 5) reads
+    its list from the block's shared memory instead of global memory,
+    and every row pays Alg. 5's synchronization.  ``count_only`` strips
+    the stores (the two-step scheme's counting pass).
+    """
+    friendly = config.use_gpu_set_ops
+    write_cache = config.use_write_cache and friendly
+    num_rows = len(counts)
+    read = nbrs.read[nbrs.inv]
+    streamed = nbrs.streamed[nbrs.inv]
+    locread = nbrs.locate[nbrs.inv] + read
+    # ``inv`` numbers the bound vertices one-to-one, so its repeats
+    # within a block are the vertex column's.
+    hit = (_shared_hit_mask(nbrs.inv) if config.use_duplicate_removal
+           else np.zeros(num_rows, dtype=bool))
+    gld = np.where(hit, 0, locread)
+    shared = np.where(hit, locread, read if friendly else 0)
+    gst = contiguous_reads(counts) if write_cache else counts
+    if first:
+        units = streamed
+        ops = streamed + width + len_keep
+        gld = gld + len_keep * cand.probe_gld(1, friendly)
+        if friendly:
+            launches = 0
+            shared = shared + contiguous_read(width)  # row cached once
+            if write_cache:
+                shared = shared + (counts > 0)  # the cache's staging slot
+        else:
+            # Row re-read, then the subtraction's result stored and
+            # loaded again by the intersection kernel.
+            launches = 2 * num_rows
+            mid = contiguous_reads(len_keep)
+            gld = gld + contiguous_read(width) + mid
+            gst = gst + mid
+    else:
+        units = counts_in + streamed
+        ops = counts_in + streamed
+        gld = gld + contiguous_reads(counts_in)  # buffer read back
+        launches = 0 if friendly else num_rows
+    if config.use_duplicate_removal:
+        ops = ops + 4
+    if count_only:
+        gst = np.zeros(num_rows, dtype=np.int64)
+    return EdgeCost(gld, gst, shared, ops, units, launches)
+
+
+def _charge(ctx: "JoinContext", cost: EdgeCost, name: str) -> None:
+    """Meter one edge kernel and schedule its per-row tasks in row
+    order (which fixes the simulated latency and any
+    ``BudgetExceeded`` point)."""
     device = ctx.device
-    device.meter.add_gld(int(gld.sum()), label=LABEL_JOIN)
-    device.meter.add_gst(int(gst.sum()))
-    device.meter.add_shared(int(shared.sum()))
-    device.meter.add_ops(int(ops.sum()))
-    if launches:
-        device.launch_overhead(launches)
-    cycles = (gld * CYCLES_PER_GLD + gst * CYCLES_PER_GST
-              + shared * CYCLES_PER_SHARED + ops * CYCLES_PER_OP)
+    device.meter.add_gld(int(cost.gld.sum()), label=LABEL_JOIN)
+    device.meter.add_gst(int(cost.gst.sum()))
+    device.meter.add_shared(int(cost.shared.sum()))
+    device.meter.add_ops(int(cost.ops.sum()))
+    if cost.launches:
+        device.launch_overhead(cost.launches)
+    cycles = (cost.gld * CYCLES_PER_GLD + cost.gst * CYCLES_PER_GST
+              + cost.shared * CYCLES_PER_SHARED + cost.ops * CYCLES_PER_OP)
     device.run_kernel(cycles.tolist(), name=name,
                       lb=ctx.config.load_balance_config(),
-                      task_units=units.astype(np.float64).tolist())
+                      task_units=cost.units.astype(np.float64).tolist())
 
 
-def _edge_pass_vector(ctx: "JoinContext", rows_np: Array,
-                      col_of: Dict[int, int],
-                      edges: List[Tuple[int, int]], cand: CandidateSet,
-                      count_only: bool, step_name: str
-                      ) -> Tuple[Array, Array]:
-    """All linking-edge kernels over the whole table at once.
+def _edge_pass(ctx: "JoinContext", table: Array, col_of: Dict[int, int],
+               edges: List[Tuple[int, int]], first_nbrs: DistinctNeighbors,
+               cand: CandidateSet, count_only: bool, step_name: str
+               ) -> Tuple[Array, Array]:
+    """All linking-edge kernels of one step, one per edge.
 
-    Returns ``(flat, counts)``: the per-row buffers concatenated in row
-    order plus their lengths.
+    ``first_nbrs`` are edge 0's lists, which the caller has already
+    fetched.  Returns ``(flat, counts)``: the per-row buffers
+    concatenated in row order plus their lengths.
     """
-    num_rows, width = rows_np.shape
-    engine = ctx.set_engine
-    friendly = engine.friendly
-    write_cache = engine.write_cache
-    dr = ctx.config.use_duplicate_removal
-    probe_factor = cand.probe_gld(1, friendly)
-
+    buffers = (_vector_buffers if ctx.config.join_kernel == "vector"
+               else _rows_buffers)
+    width = table.shape[1]
     flat = np.empty(0, dtype=np.int64)
-    counts = np.zeros(num_rows, dtype=np.int64)
+    counts = np.zeros(table.shape[0], dtype=np.int64)
     for edge_idx, (u_prime, label) in enumerate(edges):
-        vcol = rows_np[:, col_of[u_prime]]
-        inv, lists, locate_u, read_u, streamed_u, len_u = (
-            _distinct_neighbors(ctx, vcol, label))
-        starts_u = np.zeros(len(lists) + 1, dtype=np.int64)
-        np.cumsum(len_u, out=starts_u[1:])
-        concat = np.concatenate(lists)
-        locate_r, read_r = locate_u[inv], read_u[inv]
-        streamed_r = streamed_u[inv]
-        shared_hit = (_shared_hit_mask(vcol) if dr
-                      else np.zeros(num_rows, dtype=bool))
-        locread = locate_r + read_r
-        gld = np.where(shared_hit, 0, locread)
-        shared = np.where(shared_hit, locread,
-                          read_r if friendly else 0)
-        launches = 0
-
-        if edge_idx == 0:
-            # buf_i = (N(v, l0) \ m_i) ∩ C(u), all rows at once: expand
-            # each row's neighbor list by gathering from the per-vertex
-            # concatenation, then mask per element.
-            nlen_r = len_u[inv]
-            total = int(nlen_r.sum())
-            row_of = np.repeat(np.arange(num_rows, dtype=np.int64), nlen_r)
-            head = np.zeros(num_rows + 1, dtype=np.int64)
-            np.cumsum(nlen_r, out=head[1:])
-            gather = (np.arange(total, dtype=np.int64) - head[:-1][row_of]
-                      + starts_u[inv][row_of])
-            vals = concat[gather]
-            in_row = np.zeros(total, dtype=bool)
-            for j in range(width):
-                in_row |= vals == rows_np[row_of, j]
-            keep_mask = ~in_row
-            buf_mask = keep_mask & cand.contains_mask(concat)[gather]
-            len_keep = np.bincount(row_of, weights=keep_mask,
-                                   minlength=num_rows).astype(np.int64)
-            counts = np.bincount(row_of, weights=buf_mask,
-                                 minlength=num_rows).astype(np.int64)
-            flat = vals[buf_mask]
-
-            units = streamed_r
-            row_read = contiguous_read(width)
-            if friendly:
-                shared = shared + row_read
-            else:
-                gld = gld + row_read
-                launches += num_rows
-            ops = streamed_r + width
-            if friendly:
-                gst = np.zeros(num_rows, dtype=np.int64)
-            else:
-                mid = contiguous_reads(len_keep)
-                gst = mid.copy()
-                gld = gld + mid
-                launches += num_rows
-            gld = gld + len_keep * probe_factor
-            ops = ops + len_keep
-            gst = gst + _write_cost_vec(counts, write_cache)
-            if write_cache:
-                shared = shared + (counts > 0)
-        else:
-            # buf_i = buf_i ∩ N(v, l): one membership probe per element.
-            counts_in = counts
-            row_of = np.repeat(np.arange(num_rows, dtype=np.int64),
-                               counts_in)
-            member = _segment_membership(flat, inv[row_of], starts_u,
-                                         len_u, concat)
-            counts = np.bincount(row_of, weights=member,
-                                 minlength=num_rows).astype(np.int64)
-            flat = flat[member]
-
-            units = counts_in + streamed_r
-            gld = gld + contiguous_reads(counts_in)
-            if not friendly:
-                launches += num_rows
-            ops = counts_in + streamed_r
-            gst = _write_cost_vec(counts, write_cache)
-
-        if dr:
-            ops = ops + 4  # Alg. 5 synchronization overhead
-        if count_only:
-            gst = np.zeros(num_rows, dtype=np.int64)
-        _meter_and_launch(ctx, gld, gst, shared, ops, launches, units,
-                          name=f"{step_name}_e{edge_idx}")
+        first = edge_idx == 0
+        nbrs = (first_nbrs if first else
+                _distinct_neighbors(ctx, table[:, col_of[u_prime]], label))
+        counts_in = counts
+        flat, counts, len_keep = buffers(table, nbrs, cand, flat, counts,
+                                         first)
+        _charge(ctx, _edge_costs(ctx.config, cand, nbrs, width, first,
+                                 counts_in, len_keep, counts, count_only),
+                name=f"{step_name}_e{edge_idx}")
     return flat, counts
 
 
@@ -275,56 +340,53 @@ def _edge_pass_vector(ctx: "JoinContext", rows_np: Array,
 # ----------------------------------------------------------------------
 
 
-def _prealloc_vector(ctx: "JoinContext", rows_np: Array,
-                     col0: int, label0: int, step_name: str) -> None:
-    """Algorithm 4's capacity bounds + GBA scan, grouped by vertex."""
-    # Only list lengths and locate costs: no neighbor concatenation.
-    inv, _, locate_u, _, _, len_u = _distinct_neighbors(
-        ctx, rows_np[:, col0], label0)
-    locate_r = locate_u[inv]
-    caps = len_u[inv]
-    ctx.device.meter.add_gld(int(locate_r.sum()), label=LABEL_JOIN)
-    tasks = (locate_r * CYCLES_PER_GLD).tolist()
+def _prealloc(ctx: "JoinContext", nbrs: DistinctNeighbors,
+              step_name: str) -> None:
+    """Algorithm 4's capacity bounds + GBA scan over the first edge's
+    list lengths."""
+    locate = nbrs.locate[nbrs.inv]
+    ctx.device.meter.add_gld(int(locate.sum()), label=LABEL_JOIN)
+    tasks = (locate * CYCLES_PER_GLD).tolist()
     ctx.device.exclusive_prefix_sum(
-        caps, name=f"{step_name}_prealloc_scan", fused_tasks=tasks)
+        nbrs.lens[nbrs.inv], name=f"{step_name}_prealloc_scan",
+        fused_tasks=tasks)
 
 
-def _materialize(rows_np: Array, flat: Array,
-                 counts: Array) -> Array:
+def _materialize(table: Array, flat: Array, counts: Array) -> Array:
     """``m_i (+) z`` for every surviving z, as one bulk repeat+stack."""
-    width = rows_np.shape[1]
+    width = table.shape[1]
     new_rows = np.empty((len(flat), width + 1), dtype=np.int64)
-    new_rows[:, :width] = np.repeat(rows_np, counts, axis=0)
+    new_rows[:, :width] = np.repeat(table, counts, axis=0)
     new_rows[:, width] = flat
     return new_rows
 
 
-def _link_vector(ctx: "JoinContext", rows_np: Array, flat: Array,
-                 counts: Array, step_name: str) -> Array:
+def _link(ctx: "JoinContext", table: Array, flat: Array,
+          counts: Array, step_name: str) -> Array:
     """Alg. 3 lines 14-21 over the whole table."""
     ctx.device.exclusive_prefix_sum(counts, name=f"{step_name}_offsets")
-    width = rows_np.shape[1]
+    width = table.shape[1]
     use_cache = ctx.config.use_write_cache and ctx.config.use_gpu_set_ops
     nz = counts > 0
     gld = np.where(nz, contiguous_read(width) + contiguous_reads(counts), 0)
     written = (width + 1) * counts
-    gst = np.where(nz, _write_cost_vec(written, use_cache), 0)
+    gst = np.where(nz, contiguous_reads(written) if use_cache else written,
+                   0)
     ctx.device.meter.add_gld(int(gld.sum()), label=LABEL_JOIN)
     ctx.device.meter.add_gst(int(gst.sum()))
     cycles = gld * CYCLES_PER_GLD + gst * CYCLES_PER_GST
     ctx.device.run_kernel(cycles.tolist(), name=f"{step_name}_link",
                           lb=ctx.config.load_balance_config(),
                           task_units=counts.astype(np.float64).tolist())
-    return _materialize(rows_np, flat, counts)
+    return _materialize(table, flat, counts)
 
 
-def _two_step_vector(ctx: "JoinContext", rows_np: Array,
-                     flat: Array, counts: Array,
-                     step_name: str) -> Array:
+def _two_step(ctx: "JoinContext", table: Array, flat: Array,
+              counts: Array, step_name: str) -> Array:
     """Two-step scheme's assembly: writes were charged in the repeated
     pass, only the offsets scan and batched stores land here."""
     ctx.device.exclusive_prefix_sum(counts, name=f"{step_name}_offsets")
-    width = rows_np.shape[1]
+    width = table.shape[1]
     written = (width + 1) * counts[counts > 0]
     ctx.device.meter.add_gst(int(contiguous_reads(written).sum()))
-    return _materialize(rows_np, flat, counts)
+    return _materialize(table, flat, counts)

@@ -1,69 +1,24 @@
-"""GPU-friendly set operations with counted costs (Section V).
+"""Candidate sets for the join's GPU-friendly set operations (Section V).
 
 Each join iteration performs, per intermediate-table row ``m_i``:
 
 * first linking edge: ``buf_i = (N(v', l0) \\ m_i) ∩ C(u)``
 * every other linking edge: ``buf_i = buf_i ∩ N(v', l)``
 
-Two cost modes mirror the paper's ablation:
-
-**GPU-friendly** (``+SO``): the row is cached in shared memory, neighbor
-lists are streamed batch-by-batch (128 B per transaction), membership in
-``C(u)`` is a single bitset transaction per element, and subtraction +
-candidate check are fused; a 128 B write cache batches result stores.
-
-**Naive**: every set operation is a separate kernel launch using a
-traditional two-list intersection: the row is re-read per operation, the
-intermediate result is materialized to global memory between kernels, and
-``C(u)`` membership is a binary search (~2 dependent transactions per
-element); stores are unbatched.
+:class:`CandidateSet` is ``C(u)`` for the membership tests in the first
+of these and prices them in both of the paper's modes: one bitset
+transaction per element when GPU-friendly, a binary search otherwise.
+The operations themselves and the rest of their cost model live in
+:mod:`repro.core.kernels` (``_edge_costs``), shared by both host lanes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
 
 import numpy as np
 
 from repro.arraytypes import Array
-from repro.gpusim.constants import (
-    CYCLES_PER_GLD,
-    CYCLES_PER_GST,
-    CYCLES_PER_OP,
-    CYCLES_PER_SHARED,
-)
-from repro.gpusim.transactions import (
-    batched_write,
-    contiguous_read,
-    unbatched_write,
-)
-
-
-@dataclass
-class RowCost:
-    """Counted events for one row's work within one kernel."""
-
-    gld: int = 0
-    gst: int = 0
-    shared: int = 0
-    ops: int = 0
-    launches: int = 0
-    units: float = 0.0  # workload elements, drives load-balance thresholds
-
-    def cycles(self) -> float:
-        """Convert to warp-task cycles for the kernel scheduler."""
-        return (self.gld * CYCLES_PER_GLD + self.gst * CYCLES_PER_GST
-                + self.shared * CYCLES_PER_SHARED + self.ops * CYCLES_PER_OP)
-
-    def merge(self, other: "RowCost") -> None:
-        """Accumulate another cost into this one."""
-        self.gld += other.gld
-        self.gst += other.gst
-        self.shared += other.shared
-        self.ops += other.ops
-        self.launches += other.launches
-        self.units += other.units
 
 
 @dataclass
@@ -104,122 +59,3 @@ class CandidateSet:
         if friendly:
             return num_elements
         return num_elements * min(2, self._log_size)
-
-
-class SetOpEngine:
-    """Executes the per-row set operations and counts their cost."""
-
-    def __init__(self, friendly: bool = True, write_cache: bool = True
-                 ) -> None:
-        self.friendly = friendly
-        self.write_cache = write_cache and friendly
-
-    # ------------------------------------------------------------------
-    # Cost helpers
-    # ------------------------------------------------------------------
-
-    def _write_cost(self, num_elements: int) -> int:
-        """GST for writing a result list (write cache batches to 128 B)."""
-        if self.write_cache:
-            return batched_write(num_elements)
-        return unbatched_write(num_elements)
-
-    def _list_read_cost(self, num_elements: int) -> int:
-        """GLD for streaming a neighbor list (batched in friendly mode)."""
-        return contiguous_read(num_elements)
-
-    # ------------------------------------------------------------------
-    # Operations (functional result + cost)
-    # ------------------------------------------------------------------
-
-    def first_edge(self, row: Array, nbrs: Array,
-                   locate_tx: int, cand: CandidateSet,
-                   read_tx: Optional[int] = None,
-                   streamed: Optional[int] = None,
-                   nbrs_from_shared: bool = False
-                   ) -> Tuple[Array, RowCost]:
-        """``buf = (nbrs \\ row) ∩ C(u)`` — Alg. 3 lines 10-11 fused.
-
-        ``read_tx`` / ``streamed`` come from the storage structure: plain
-        CSR streams the whole unfiltered neighborhood, per-label stores
-        only the answer.  ``nbrs_from_shared`` marks a duplicate-removal
-        hit: the list is already staged in shared memory by another warp
-        of the block, so its global reads are skipped.
-
-        Returns ``(buf, RowCost)``.
-        """
-        if read_tx is None:
-            read_tx = self._list_read_cost(len(nbrs))
-        if streamed is None:
-            streamed = len(nbrs)
-        cost = RowCost(units=float(streamed))
-        if nbrs_from_shared:
-            cost.shared += locate_tx + read_tx
-        else:
-            cost.gld += locate_tx + read_tx
-            if self.friendly:
-                cost.shared += read_tx  # staged batch-by-batch
-
-        if self.friendly:
-            cost.shared += contiguous_read(len(row))  # row cached once
-        else:
-            cost.gld += contiguous_read(len(row))  # row re-read per op
-            cost.launches += 1
-
-        keep = nbrs[~np.isin(nbrs, row, assume_unique=False)]
-        cost.ops += streamed + len(row)
-
-        if not self.friendly:
-            # Intermediate result materialized between the two kernels.
-            mid_tx = contiguous_read(len(keep))
-            cost.gst += mid_tx
-            cost.gld += mid_tx
-            cost.launches += 1
-
-        cost.gld += cand.probe_gld(len(keep), self.friendly)
-        cost.ops += len(keep)
-        buf = keep[cand.contains_mask(keep)]
-
-        cost.gst += self._write_cost(len(buf))
-        if self.write_cache and len(buf):
-            cost.shared += 1  # one shared-memory staging slot for the cache
-        return buf, cost
-
-    def refine_edge(self, buf: Array, nbrs: Array,
-                    locate_tx: int, read_tx: Optional[int] = None,
-                    streamed: Optional[int] = None,
-                    nbrs_from_shared: bool = False
-                    ) -> Tuple[Array, RowCost]:
-        """``buf = buf ∩ nbrs`` — Alg. 3 line 13.
-
-        Returns ``(new_buf, RowCost)``.
-        """
-        if read_tx is None:
-            read_tx = self._list_read_cost(len(nbrs))
-        if streamed is None:
-            streamed = len(nbrs)
-        cost = RowCost(units=float(len(buf) + streamed))
-        if nbrs_from_shared:
-            cost.shared += locate_tx + read_tx
-        else:
-            cost.gld += locate_tx + read_tx
-            if self.friendly:
-                cost.shared += read_tx
-
-        # The current buffer is read back from the GBA.
-        cost.gld += contiguous_read(len(buf))
-        if not self.friendly:
-            cost.launches += 1
-
-        result = np.intersect1d(buf, nbrs, assume_unique=True)
-        cost.ops += len(buf) + streamed
-
-        cost.gst += self._write_cost(len(result))
-        return result, cost
-
-    def count_only_discount(self, cost: RowCost) -> RowCost:
-        """Strip result stores from a cost (two-step scheme's first pass
-        counts matches without writing them)."""
-        return RowCost(gld=cost.gld, gst=0, shared=cost.shared,
-                       ops=cost.ops, launches=cost.launches,
-                       units=cost.units)

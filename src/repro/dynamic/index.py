@@ -190,17 +190,25 @@ class DynamicPCSRStorage(PCSRStorage):
         it instead when the batch's new keys would push its occupancy
         past :data:`DEFAULT_REBUILD_OCCUPANCY`, or when ``apply_bulk``
         reports Claim-1 starvation.  Afterwards the dead-space policy
-        may compact it.  A delete on a label that has no partition
-        raises :class:`StorageError`.
+        may compact it.
+
+        A delete on a label that has no partition raises
+        :class:`StorageError` before any label is written.  A delete of
+        a missing key or neighbor is still caught per label, by
+        ``apply_bulk``, after earlier labels are applied;
+        :class:`~repro.dynamic.stream.StreamEngine` never reaches it,
+        because :meth:`~repro.dynamic.graph.DynamicGraph.apply` validates
+        deletes first.
         """
         ins, dels = _directed(inserted_edges), _directed(deleted_edges)
+        for lab in np.unique(dels[:, 2]).tolist():
+            if lab not in self._parts:
+                raise StorageError(f"no partition for edge label {lab}")
         for lab in np.union1d(ins[:, 2], dels[:, 2]).tolist():
             add = ins[ins[:, 2] == lab, :2]
             rem = dels[dels[:, 2] == lab, :2]
             part = self._parts.get(lab)
             if part is None:
-                if len(rem):
-                    raise StorageError(f"no partition for edge label {lab}")
                 self._parts[lab] = PCSRPartition(
                     EdgeLabelPartition.of_label(graph, lab), gpn=self.gpn)
                 self.meter.add_gst(

@@ -193,6 +193,15 @@ class TestDynamicPCSRStorage:
         with pytest.raises(StorageError, match="no partition"):
             store.apply_batch(g, [], [(0, 1, 12345)])
 
+    def test_unknown_label_delete_rejected_before_any_write(self):
+        g = scale_free_graph(20, 2, 2, 2, seed=1)
+        store = DynamicPCSRStorage(g)
+        assert list(store.neighbors(0, 0)) == [2, 4]
+        with pytest.raises(StorageError, match="no partition"):
+            store.apply_batch(g, [], [(0, 2, 0), (0, 1, 12345)])
+        assert list(store.neighbors(0, 0)) == [2, 4]
+        assert store.incremental_ops == 0
+
     def test_occupancy_policy_triggers_rebuild(self):
         b = GraphBuilder()
         b.add_vertices([0] * 40)

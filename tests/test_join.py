@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.core import join, kernels
 from repro.core.config import GSIConfig
 from repro.core.join import JoinContext, execute_join_step, run_join_phase
 from repro.core.plan import JoinStep, plan_join_order
-from repro.core.set_ops import CandidateSet, SetOpEngine
+from repro.core.set_ops import CandidateSet
 from repro.errors import BudgetExceeded
 from repro.gpusim.device import Device
 from repro.graph.generators import random_walk_query, scale_free_graph
@@ -18,10 +19,8 @@ from oracle import brute_force_matches
 def make_ctx(graph, config=None):
     config = config or GSIConfig()
     store = build_storage(config.storage_kind, graph)
-    return JoinContext(
-        graph=graph, store=store, device=Device(), config=config,
-        set_engine=SetOpEngine(friendly=config.use_gpu_set_ops,
-                               write_cache=config.use_write_cache))
+    return JoinContext(graph=graph, store=store, device=Device(),
+                       config=config)
 
 
 @pytest.fixture(scope="module")
@@ -193,3 +192,25 @@ class TestNeighborCache:
         b = ctx.neighbors(0, 0)
         assert a[0] is b[0]
         assert len(ctx.neighbor_cache) == 1
+
+    @pytest.mark.parametrize("lane", ["rows", "vector"])
+    def test_prealloc_step_fetches_lists_once(self, graph, lane,
+                                              monkeypatch):
+        """Prealloc-Combine's capacity bounds and edge 0 read the same
+        column under the same label: one fetch serves both."""
+        calls = []
+
+        def counting(ctx, vcol, label):
+            calls.append(label)
+            return real(ctx, vcol, label)
+
+        real = kernels._distinct_neighbors
+        monkeypatch.setattr(kernels, "_distinct_neighbors", counting)
+        monkeypatch.setattr(join, "_distinct_neighbors", counting)
+        ctx = make_ctx(graph, GSIConfig(join_kernel=lane))
+        step = JoinStep(vertex=1, linking_edges=((0, 0),))
+        out = execute_join_step(
+            ctx, np.arange(10, dtype=np.int64).reshape(-1, 1), [0], step,
+            CandidateSet(np.arange(graph.num_vertices, dtype=np.int64)))
+        assert len(out) > 0
+        assert calls == [0]

@@ -1,23 +1,33 @@
-"""Differential tests for the vectorized join lane (repro.core.kernels).
+"""Differential tests for the two join lanes (repro.core.kernels).
 
 The contract is byte-identity: for every config preset, every executor
 and every workload, ``join_kernel="vector"`` must reproduce the per-row
 lane's match sets, meter totals, simulated latency and cache accounting
-exactly.  The lanes share the prealloc, link and two-step array code and
-differ only in the edge pass, so comparing one with the other no longer
-pins that shared code; ``test_join_golden.py`` pins both lanes to costs
-recorded from the per-row join.
+exactly.  The lanes share the neighbor fetch, the cost model, prealloc,
+link and the two-step write, and differ only in the function that
+computes the per-row buffers, which ``test_buffer_functions_agree`` pins
+directly; ``test_join_golden.py`` pins both lanes to costs recorded from
+the per-row join.
 """
 
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import GSIConfig
 from repro.core.dup_removal import sharing_assignment
 from repro.core.engine import GSIEngine
-from repro.core.kernels import _segment_membership, _shared_hit_mask
+from repro.core.kernels import (
+    _distinct_neighbors,
+    _rows_buffers,
+    _segment_membership,
+    _shared_hit_mask,
+    _vector_buffers,
+)
+from repro.core.set_ops import CandidateSet
 from repro.errors import ConfigError
 from repro.gpusim.constants import WARPS_PER_BLOCK
 from repro.graph.generators import random_walk_query, scale_free_graph
@@ -116,6 +126,55 @@ class TestHelpers:
             expect = np.intersect1d(b, segments[s], assume_unique=True)
             assert np.array_equal(b[got[pos:pos + len(b)]], expect)
             pos += len(b)
+
+
+class _AdjacencyContext:
+    """Stands in for a ``JoinContext``: ``adjacency[v]`` is ``N(v, l)``
+    under every label, with unit storage charges."""
+
+    def __init__(self, adjacency):
+        self.adjacency = adjacency
+
+    def neighbors(self, v, label):
+        nbrs = np.array(sorted(self.adjacency[v]), dtype=np.int64)
+        return nbrs, 1, 1, len(nbrs)
+
+
+_IDS = st.integers(0, 19)
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["edge0", "refine"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_buffer_functions_agree(first, data):
+    """The rows and vector buffer functions return identical
+    ``(flat, counts, len_keep)`` for any table, ``C(u)``, neighbor lists
+    and incoming (sorted-unique) buffers."""
+    num_rows = data.draw(st.integers(1, 24), label="rows")
+    width = data.draw(st.integers(1, 4), label="width")
+    table = np.array(
+        data.draw(st.lists(st.lists(_IDS, min_size=width, max_size=width),
+                           min_size=num_rows, max_size=num_rows),
+                  label="table"), dtype=np.int64)
+    adjacency = data.draw(st.lists(st.sets(_IDS, max_size=12),
+                                   min_size=20, max_size=20),
+                          label="adjacency")
+    col = data.draw(st.integers(0, width - 1), label="bound column")
+    nbrs = _distinct_neighbors(_AdjacencyContext(adjacency), table[:, col],
+                               0)
+    cand = CandidateSet(np.array(sorted(data.draw(st.sets(_IDS),
+                                                  label="C(u)")),
+                                 dtype=np.int64))
+    bufs = data.draw(st.lists(st.sets(_IDS, max_size=10),
+                              min_size=num_rows, max_size=num_rows),
+                     label="incoming buffers")
+    flat = np.array([v for b in bufs for v in sorted(b)], dtype=np.int64)
+    counts = np.array([len(b) for b in bufs], dtype=np.int64)
+    got_rows = _rows_buffers(table, nbrs, cand, flat, counts, first)
+    got_vec = _vector_buffers(table, nbrs, cand, flat, counts, first)
+    for a, b in zip(got_rows, got_vec):
+        assert a.dtype == b.dtype == np.int64
+        assert np.array_equal(a, b)
 
 
 class TestLaneDifferential:

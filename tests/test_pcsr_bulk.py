@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.config import GSIConfig
 from repro.core.join import JoinContext
-from repro.core.set_ops import SetOpEngine
 from repro.errors import StorageError
 from repro.gpusim.device import Device
 from repro.gpusim.meter import MemoryMeter
@@ -163,8 +162,7 @@ class TestSortedUniqueContract:
         cfg = GSIConfig()
         graph = LabeledGraph([0, 0], [(0, 1, 0)])
         ctx = JoinContext(graph=graph, store=_DuplicateStore(),
-                          device=Device(), config=cfg,
-                          set_engine=SetOpEngine())
+                          device=Device(), config=cfg)
         arr, _, _, _ = ctx.neighbors(0, 0)
         assert arr.tolist() == [1, 3, 5]
 

@@ -1,14 +1,64 @@
-"""Tests for the set-operation engine and its cost modes (Section V)."""
+"""Tests for the join's set operations and their cost modes (Section V).
+
+The operations are the per-row buffer function of the ``rows`` lane
+(``_rows_buffers``, which the ``vector`` lane must reproduce) and their
+costs the one cost function both lanes charge (``_edge_costs``).
+"""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.set_ops import CandidateSet, RowCost, SetOpEngine
+from repro.core.config import GSIConfig
+from repro.core.kernels import DistinctNeighbors, _edge_costs, _rows_buffers
+from repro.core.set_ops import CandidateSet
+from repro.gpusim.transactions import contiguous_read
+
+FRIENDLY = GSIConfig()
+NAIVE = GSIConfig(use_gpu_set_ops=False)
 
 
 def arr(*xs):
     return np.array(sorted(xs), dtype=np.int64)
+
+
+def bound_to(nbrs, num_rows=1, locate_tx=1, read_tx=None, streamed=None):
+    """``num_rows`` table rows all bound to one vertex whose list is
+    ``nbrs``; storage charges default to a streamed per-label list."""
+    if read_tx is None:
+        read_tx = contiguous_read(len(nbrs))
+    if streamed is None:
+        streamed = len(nbrs)
+    return DistinctNeighbors(
+        inv=np.zeros(num_rows, dtype=np.int64), lists=[nbrs],
+        locate=arr(locate_tx), read=arr(read_tx), streamed=arr(streamed),
+        lens=arr(len(nbrs)))
+
+
+def first_edge(config, row, nbrs, cand, num_rows=1, **charges):
+    """``buf = (nbrs \\ row) ∩ C(u)`` for ``num_rows`` copies of ``row``;
+    returns the first row's buffer and every row's costs."""
+    table = np.tile(row, (num_rows, 1))
+    lists = bound_to(nbrs, num_rows, **charges)
+    zeros = np.zeros(num_rows, dtype=np.int64)
+    flat, counts, len_keep = _rows_buffers(table, lists, cand, zeros[:0],
+                                           zeros, True)
+    cost = _edge_costs(config, cand, lists, table.shape[1], True, zeros,
+                       len_keep, counts, count_only=False)
+    return flat[:counts[0]], cost
+
+
+def refine_edge(config, buf, nbrs, count_only=False, **charges):
+    """``buf = buf ∩ nbrs`` for one row; returns ``(buffer, costs)``."""
+    table = np.zeros((1, 1), dtype=np.int64)
+    lists = bound_to(nbrs, **charges)
+    cand = CandidateSet(np.empty(0, dtype=np.int64))
+    counts_in = arr(len(buf))
+    flat, counts, len_keep = _rows_buffers(table, lists, cand, buf,
+                                           counts_in, False)
+    cost = _edge_costs(config, cand, lists, 1, False, counts_in, len_keep,
+                       counts, count_only)
+    return flat, cost
 
 
 class TestCandidateSet:
@@ -32,109 +82,90 @@ class TestCandidateSet:
         assert c.probe_gld(10, friendly=False) == 20    # binary search
 
 
-class TestRowCost:
-    def test_cycles_positive(self):
-        c = RowCost(gld=2, gst=1, shared=3, ops=10)
-        assert c.cycles() > 0
-
-    def test_merge(self):
-        a = RowCost(gld=1, gst=2, ops=3, launches=1, units=5.0)
-        b = RowCost(gld=10, shared=4, units=2.0)
-        a.merge(b)
-        assert a.gld == 11 and a.gst == 2 and a.shared == 4
-        assert a.ops == 3 and a.launches == 1 and a.units == 7.0
-
-
 class TestFirstEdgeOp:
     def test_functional_result(self):
-        eng = SetOpEngine()
         row = arr(1, 2)
         nbrs = arr(1, 3, 4, 5)
         cand = CandidateSet(arr(3, 5, 9))
-        buf, cost = eng.first_edge(row, nbrs, locate_tx=1, cand=cand)
+        buf, _ = first_edge(FRIENDLY, row, nbrs, cand)
         assert list(buf) == [3, 5]  # drop 1 (in row), drop 4 (not in C)
 
     def test_empty_neighbors(self):
-        eng = SetOpEngine()
-        buf, cost = eng.first_edge(arr(1), np.empty(0, dtype=np.int64),
-                                   1, CandidateSet(arr(1, 2)))
+        buf, _ = first_edge(FRIENDLY, arr(1), np.empty(0, dtype=np.int64),
+                            CandidateSet(arr(1, 2)))
         assert len(buf) == 0
 
     def test_friendly_mode_no_launches(self):
-        eng = SetOpEngine(friendly=True)
-        _, cost = eng.first_edge(arr(1), arr(2, 3), 1,
-                                 CandidateSet(arr(2, 3)))
+        _, cost = first_edge(FRIENDLY, arr(1), arr(2, 3),
+                             CandidateSet(arr(2, 3)))
         assert cost.launches == 0
 
     def test_naive_mode_launches_kernels(self):
-        eng = SetOpEngine(friendly=False)
-        _, cost = eng.first_edge(arr(1), arr(2, 3), 1,
-                                 CandidateSet(arr(2, 3)))
+        _, cost = first_edge(NAIVE, arr(1), arr(2, 3),
+                             CandidateSet(arr(2, 3)))
         assert cost.launches == 2  # subtraction + intersection kernels
 
     def test_naive_costs_more_gld(self):
-        friendly = SetOpEngine(friendly=True)
-        naive = SetOpEngine(friendly=False)
         row, nbrs = arr(1), arr(*range(10, 80))
         cand = CandidateSet(arr(*range(10, 80, 2)))
-        _, cf = friendly.first_edge(row, nbrs, 1, cand)
-        _, cn = naive.first_edge(row, nbrs, 1, cand)
-        assert cn.gld > cf.gld
+        _, cf = first_edge(FRIENDLY, row, nbrs, cand)
+        _, cn = first_edge(NAIVE, row, nbrs, cand)
+        assert cn.gld.sum() > cf.gld.sum()
 
     def test_write_cache_batches_stores(self):
-        cached = SetOpEngine(friendly=True, write_cache=True)
-        plain = SetOpEngine(friendly=True, write_cache=False)
+        plain = GSIConfig(use_write_cache=False)
         row, nbrs = arr(999), arr(*range(100))
         cand = CandidateSet(arr(*range(100)))
-        _, cc = cached.first_edge(row, nbrs, 1, cand)
-        _, cp = plain.first_edge(row, nbrs, 1, cand)
-        assert cc.gst < cp.gst
+        _, cc = first_edge(FRIENDLY, row, nbrs, cand)
+        _, cp = first_edge(plain, row, nbrs, cand)
+        assert cc.gst.sum() < cp.gst.sum()
         # 100 results: batched = ceil(100/32) = 4, unbatched = 100.
-        assert cc.gst <= 8 and cp.gst >= 100
+        assert cc.gst.sum() <= 8 and cp.gst.sum() >= 100
 
     def test_shared_hit_removes_global_reads(self):
-        eng = SetOpEngine(friendly=True)
+        # Two rows of one block bound to the same vertex: the second
+        # reads the list the first staged in shared memory.
+        dr = GSIConfig(use_duplicate_removal=True)
         row, nbrs = arr(1), arr(*range(10, 80))
         cand = CandidateSet(arr(*range(10, 80)))
-        _, miss = eng.first_edge(row, nbrs, 2, cand, nbrs_from_shared=False)
-        _, hit = eng.first_edge(row, nbrs, 2, cand, nbrs_from_shared=True)
-        assert hit.gld < miss.gld
-        assert hit.shared > miss.shared
+        _, cost = first_edge(dr, row, nbrs, cand, num_rows=2, locate_tx=2)
+        (miss_gld, hit_gld), (miss_sh, hit_sh) = cost.gld, cost.shared
+        assert hit_gld < miss_gld
+        assert hit_sh > miss_sh
 
     def test_storage_read_tx_honored(self):
-        eng = SetOpEngine(friendly=True)
         row, nbrs = arr(1), arr(2, 3)
         cand = CandidateSet(arr(2, 3))
-        _, cheap = eng.first_edge(row, nbrs, 1, cand, read_tx=1, streamed=2)
-        _, costly = eng.first_edge(row, nbrs, 1, cand, read_tx=9,
-                                   streamed=200)
-        assert costly.gld > cheap.gld
-        assert costly.units > cheap.units
+        _, cheap = first_edge(FRIENDLY, row, nbrs, cand, read_tx=1,
+                              streamed=2)
+        _, costly = first_edge(FRIENDLY, row, nbrs, cand, read_tx=9,
+                               streamed=200)
+        assert costly.gld.sum() > cheap.gld.sum()
+        assert costly.units.sum() > cheap.units.sum()
 
 
 class TestRefineOp:
     def test_functional_intersection(self):
-        eng = SetOpEngine()
-        out, _ = eng.refine_edge(arr(1, 3, 5), arr(3, 4, 5), 1)
+        out, _ = refine_edge(FRIENDLY, arr(1, 3, 5), arr(3, 4, 5))
         assert list(out) == [3, 5]
 
     def test_empty_buffer_short_circuit(self):
-        eng = SetOpEngine()
-        out, cost = eng.refine_edge(np.empty(0, dtype=np.int64),
-                                    arr(1, 2), 1)
+        out, _ = refine_edge(FRIENDLY, np.empty(0, dtype=np.int64),
+                             arr(1, 2))
         assert len(out) == 0
 
     def test_count_only_discount_strips_stores(self):
-        eng = SetOpEngine(friendly=True, write_cache=False)
-        _, cost = eng.refine_edge(arr(1, 2, 3), arr(1, 2, 3), 1)
-        stripped = eng.count_only_discount(cost)
-        assert stripped.gst == 0
-        assert stripped.gld == cost.gld
-        assert stripped.ops == cost.ops
+        cfg = GSIConfig(use_write_cache=False)
+        _, cost = refine_edge(cfg, arr(1, 2, 3), arr(1, 2, 3))
+        _, stripped = refine_edge(cfg, arr(1, 2, 3), arr(1, 2, 3),
+                                  count_only=True)
+        assert cost.gst.sum() > 0
+        assert stripped.gst.sum() == 0
+        assert np.array_equal(stripped.gld, cost.gld)
+        assert np.array_equal(stripped.ops, cost.ops)
 
     def test_naive_refine_launches(self):
-        eng = SetOpEngine(friendly=False)
-        _, cost = eng.refine_edge(arr(1), arr(1), 1)
+        _, cost = refine_edge(NAIVE, arr(1), arr(1))
         assert cost.launches == 1
 
 
@@ -145,12 +176,8 @@ class TestRefineOp:
     cand=st.sets(st.integers(0, 50), max_size=30),
 )
 def test_property_first_edge_semantics(row, nbrs, cand):
-    eng = SetOpEngine()
-    row_a = np.array(sorted(row), dtype=np.int64)
-    nbrs_a = np.array(sorted(nbrs), dtype=np.int64)
-    buf, _ = eng.first_edge(row_a, nbrs_a, 1,
-                            CandidateSet(np.array(sorted(cand),
-                                                  dtype=np.int64)))
+    buf, _ = first_edge(FRIENDLY, arr(*row), arr(*nbrs),
+                        CandidateSet(arr(*cand)))
     assert set(buf.tolist()) == (nbrs - row) & cand
 
 
@@ -160,7 +187,5 @@ def test_property_first_edge_semantics(row, nbrs, cand):
     nbrs=st.sets(st.integers(0, 50), max_size=30),
 )
 def test_property_refine_semantics(buf, nbrs):
-    eng = SetOpEngine()
-    out, _ = eng.refine_edge(np.array(sorted(buf), dtype=np.int64),
-                             np.array(sorted(nbrs), dtype=np.int64), 1)
+    out, _ = refine_edge(FRIENDLY, arr(*buf), arr(*nbrs))
     assert set(out.tolist()) == buf & nbrs
