@@ -86,9 +86,19 @@ class EdgeCost(NamedTuple):
 
 
 def _shared_hit_mask(vcol: Array) -> Array:
-    """Duplicate-removal hits: rows whose bound vertex already occurred
-    earlier within the same ``WARPS_PER_BLOCK`` block (Alg. 5's
-    first-occurrence stager keeps its own global read)."""
+    """Duplicate-removal hits (Algorithm 5, Section VI-B): rows whose
+    bound vertex already occurred earlier within the same
+    ``WARPS_PER_BLOCK`` block.
+
+    Rows of the intermediate table often repeat the same data vertex in
+    the same column (Figure 9: every row starts with ``v0``), so all
+    their warps would extract the same ``N(v, l)``.  Within one block,
+    warps write their vertex to shared memory, find the *first* warp
+    holding the same vertex (Alg. 5 lines 1-5), and share that warp's
+    staged input buffer instead of re-reading global memory; the
+    first-occurrence stager keeps its own global read.  This finds the
+    hits of a whole table at once.
+    """
     num_rows = len(vcol)
     idx = np.arange(num_rows, dtype=np.int64)
     block_id = idx // WARPS_PER_BLOCK

@@ -10,10 +10,12 @@ immutable; this module keeps both *live* under streaming updates:
   one :func:`~repro.core.signature.encode_rows` pass; the simulated
   cost is still charged per row (one adjacency stream and one row
   write each).
-* :class:`DynamicPCSRStorage` routes each committed batch into in-place
-  :meth:`~repro.storage.pcsr.PCSRPartition.apply_bulk` merges and
-  rebuilds a partition only when its occupancy passes the policy
-  threshold or the empty-group pool runs dry (Claim 1 starvation).
+* :class:`DynamicPCSRStorage` applies each committed batch to every
+  edge label at once, in one in-place pass over the stacked group layer
+  (:meth:`~repro.storage.pcsr.GroupStack.apply`), and rebuilds a
+  label's partition only when its occupancy passes the policy threshold
+  or its empty-group pool runs dry (Claim 1 starvation); a batch with a
+  bad delete raises before anything is written.
 
 Both record their simulated memory transactions into one shared
 :class:`~repro.gpusim.meter.MemoryMeter`, so "incremental maintenance
@@ -38,7 +40,7 @@ from repro.gpusim.meter import MemoryMeter
 from repro.gpusim.transactions import contiguous_read
 from repro.graph.labeled_graph import Edge, LabeledGraph
 from repro.graph.partition import EdgeLabelPartition
-from repro.storage.pcsr import PCSRPartition, PCSRStorage
+from repro.storage.pcsr import GroupStack, PCSRPartition, PCSRStorage
 
 #: rebuild a partition when keys-per-group exceeds this multiple of the
 #: one-to-one design point (1.0 keys per group at build time)
@@ -150,7 +152,8 @@ class DynamicPCSRStorage(PCSRStorage):
     # --- Update path ----------------------------------------------------
 
     def _rebuild_partition(self, partition: EdgeLabelPartition) -> None:
-        """Full Algorithm-1 rebuild of one partition, metered."""
+        """Full Algorithm-1 rebuild of one partition, metered (the
+        caller re-stacks the group layer)."""
         part = PCSRPartition(partition, gpn=self.gpn)
         self._parts[partition.label] = part
         self.rebuilds += 1
@@ -168,9 +171,7 @@ class DynamicPCSRStorage(PCSRStorage):
         the ci layer (and the floor), slide the live regions together in
         place — the explicit reclamation that bounds ci growth between
         occupancy rebuilds."""
-        part = self._parts.get(label)
-        if part is None:
-            return
+        part = self._parts[label]
         if (part.dead_words() >= MIN_COMPACT_DEAD_WORDS
                 and part.dead_ratio() > self.compact_dead_ratio):
             self.words_reclaimed += part.compact(self.meter)
@@ -178,61 +179,57 @@ class DynamicPCSRStorage(PCSRStorage):
 
     def apply_batch(self, graph: LabeledGraph, inserted_edges,
                     deleted_edges) -> None:
-        """Apply one committed batch with bulk per-partition merges.
+        """Apply one committed batch in one maintenance pass.
 
         ``graph`` is the committed snapshot: this store with the batch
-        applied.  The batch's directed ``(key, neighbor)`` entries are
-        split by label, and each label's share goes through
-        :meth:`PCSRPartition.apply_bulk` — one chain walk over all
-        touched keys, one merge + rewrite of the affected group
-        regions.  A new label's partition is built from ``graph``'s
-        incidence of that label; an existing partition is rebuilt from
-        it instead when the batch's new keys would push its occupancy
-        past :data:`DEFAULT_REBUILD_OCCUPANCY`, or when ``apply_bulk``
-        reports Claim-1 starvation.  Afterwards the dead-space policy
-        may compact it.
+        applied.  The batch's directed ``(key, neighbor, label)``
+        entries for every partitioned label go through one
+        :meth:`~repro.storage.pcsr.GroupStack.apply` — one chain walk
+        over all touched (label, key) pairs, one merge + rewrite of the
+        affected group regions.  A label whose new keys would push its
+        occupancy past :data:`DEFAULT_REBUILD_OCCUPANCY`, or whose new
+        keys starve Claim 1, is left to a rebuild from ``graph``'s
+        incidence of that label; a new label's partition is built from
+        it the same way, and both join the stacked group layer.
+        Afterwards the dead-space policy may compact each applied label.
 
-        A delete on a label that has no partition raises
-        :class:`StorageError` before any label is written.  A delete of
-        a missing key or neighbor is still caught per label, by
-        ``apply_bulk``, after earlier labels are applied;
+        All or nothing: a delete on a label that has no partition, or
+        of a missing key or neighbor on any label, raises
+        :class:`StorageError` before anything is written, built,
+        rebuilt or charged.
         :class:`~repro.dynamic.stream.StreamEngine` never reaches it,
-        because :meth:`~repro.dynamic.graph.DynamicGraph.apply` validates
-        deletes first.
+        because :meth:`~repro.dynamic.graph.DynamicGraph.apply`
+        validates deletes first.
         """
         ins, dels = _directed(inserted_edges), _directed(deleted_edges)
-        for lab in np.unique(dels[:, 2]).tolist():
-            if lab not in self._parts:
-                raise StorageError(f"no partition for edge label {lab}")
-        for lab in np.union1d(ins[:, 2], dels[:, 2]).tolist():
-            add = ins[ins[:, 2] == lab, :2]
-            rem = dels[dels[:, 2] == lab, :2]
-            part = self._parts.get(lab)
-            if part is None:
-                self._parts[lab] = PCSRPartition(
-                    EdgeLabelPartition.of_label(graph, lab), gpn=self.gpn)
-                self.meter.add_gst(
-                    contiguous_read(self._parts[lab].groups.size)
-                    + contiguous_read(len(self._parts[lab].ci)))
-                continue
-            # Cheap upper bound first (every insert key new); only pay
-            # the exact chain walk when that bound crosses the policy.
-            add_keys = np.unique(add[:, 0])
-            new_keys = len(add_keys)
-            if new_keys and ((part.key_count() + new_keys)
-                             / part.num_groups > DEFAULT_REBUILD_OCCUPANCY):
-                new_keys = int((part._locate(add_keys)[1] < 0).sum())
-            if new_keys and ((part.key_count() + new_keys)
-                             / part.num_groups > DEFAULT_REBUILD_OCCUPANCY):
-                self._rebuild_partition(
-                    EdgeLabelPartition.of_label(graph, lab))
-            elif part.apply_bulk(add, rem, self.meter):
-                self.incremental_ops += len(add) + len(rem)
-            else:
-                # Claim-1 starvation; apply_bulk left the partition
-                # untouched, and the snapshot holds the whole delta.
-                self._rebuild_partition(
-                    EdgeLabelPartition.of_label(graph, lab))
+        removed = set(dels[:, 2].tolist())
+        unknown = sorted(removed - self._parts.keys())
+        if unknown:
+            raise StorageError(f"no partition for edge label {unknown[0]}")
+        fresh = sorted(set(ins[:, 2].tolist()) - self._parts.keys())
+        if fresh:
+            ins = ins[~np.isin(ins[:, 2], fresh)]
+        rebuild = self._stack.apply(ins, dels, self.meter,
+                                    max_occupancy=DEFAULT_REBUILD_OCCUPANCY)
+        applied = (set(ins[:, 2].tolist()) | removed) - set(rebuild)
+        ops = len(ins) + len(dels)
+        if rebuild:
+            ops -= int(np.isin(ins[:, 2], rebuild).sum()
+                       + np.isin(dels[:, 2], rebuild).sum())
+        self.incremental_ops += ops
+        for lab in fresh:
+            part = PCSRPartition(EdgeLabelPartition.of_label(graph, lab),
+                                 gpn=self.gpn)
+            self._parts[lab] = part
+            self.meter.add_gst(contiguous_read(part.groups.size)
+                               + contiguous_read(len(part.ci)))
+        for lab in rebuild:
+            # Left untouched by the pass; the snapshot holds the whole
+            # delta.
+            self._rebuild_partition(EdgeLabelPartition.of_label(graph, lab))
+        if fresh or rebuild:
+            self._stack = GroupStack(self._parts.values(), self.gpn)
+        for lab in sorted(applied):
             self._maybe_compact(lab)
 
     def stats(self) -> Dict[str, object]:
@@ -274,7 +271,7 @@ class DynamicIndex:
 
     def apply_commit(self, commit: CommitResult) -> None:
         """Maintain every artifact for one committed batch: PCSR
-        through the bulk per-partition merge, then the touched
+        in one maintenance pass over every edge label, then the touched
         signature rows."""
         self.storage.apply_batch(commit.snapshot, commit.inserted_edges,
                                  commit.deleted_edges)

@@ -12,26 +12,48 @@ The number of groups equals the number of vertices in the partition (a
 one-to-one hash), and Claim 1 guarantees overflowing groups always find
 enough empty groups to chain into.
 
+**One group layer for every label.**  A :class:`GroupStack` holds every
+label's groups in one ``(total_groups, GPN, 2)`` array, with
+``region_start``, ``region_cap`` and keys per group stacked the same
+way; each label owns the rows from its group base on.  A
+:class:`PCSRPartition` is one label's view of its rows: GIDs stay
+label-local (the home group is ``base + hash mod num_groups``), and each
+label keeps its own ``ci`` buffer, Claim-1 empty pool and counters, so
+its layout is exactly the one Algorithm 1 builds for it alone.
+
 **Incremental maintenance.**  The hash-group layout is exactly what makes
 PCSR dynamic-friendly: a new key goes into the first free slot of its
 home-group chain (or a chain extension through an empty group, the same
 mechanism Claim 1 relies on), and neighbor lists grow in place because
 each group owns a contiguous *region* of ``ci`` with slack at the tail.
-:meth:`PCSRPartition.apply_bulk` is the one update path: it applies a
-whole batch of ``(key, neighbor)`` inserts and deletes in array passes
-(one chain walk over every touched key, one merge and one rewrite of the
-affected groups), keeps :meth:`PCSRPartition.validate` clean and meters
-its simulated memory transactions so incremental-vs-rebuild cost is
-measurable.  The Algorithm-1 build is array passes too, with a loop only
-over overflowing groups.  When the partition outgrows its hash
-(occupancy) or the empty-group pool runs dry (Claim 1 can no longer be
-honored), callers are expected to rebuild — see
+:meth:`GroupStack.apply` is the one update path: it applies a whole
+batch of ``(key, neighbor, label)`` inserts and deletes across every
+label in array passes (one chain walk over every touched (label, key)
+pair, one merge and one rewrite of the affected groups), keeps
+:meth:`PCSRPartition.validate` clean and meters its simulated memory
+transactions so incremental-vs-rebuild cost is measurable;
+:meth:`PCSRPartition.apply_bulk` is a one-label call into it.  The
+Algorithm-1 build is array passes too, with a loop only over
+overflowing groups.  When a label outgrows its hash (occupancy) or its
+empty-group pool runs dry (Claim 1 can no longer be honored), the pass
+leaves it untouched and the caller rebuilds it — see
 :class:`repro.dynamic.index.DynamicPCSRStorage` for the policy.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+import weakref
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -56,45 +78,47 @@ def default_hash(v: int, num_groups: int) -> int:
     return ((v * _HASH_MULT) & 0xFFFFFFFF) % num_groups
 
 
-def hash_groups(keys: Array, num_groups: int) -> Array:
-    """:func:`default_hash` of every key at once (unsigned arithmetic
-    keeps the low 32 bits of the product exact)."""
+def hash_groups(keys: Array, num_groups: Union[int, Array]) -> Array:
+    """:func:`default_hash` of every key at once, against one group
+    count or one per key (unsigned arithmetic keeps the low 32 bits of
+    the product exact)."""
     product = keys.astype(np.uint64) * np.uint64(_HASH_MULT)
     return ((product & np.uint64(0xFFFFFFFF))
-            % np.uint64(num_groups)).astype(np.int64)
+            % np.asarray(num_groups).astype(np.uint64)).astype(np.int64)
 
 
-def _merge_entries(entry: Array, touched: Array, keys: Array,
-                   held: Array, begin: Array, length: Array, ci: Array,
-                   inserts: Array, deletes: Array) -> Tuple[Array, Array]:
+def _merge_entries(entry: Array, touched: Array, span: int, held: Array,
+                   length: Array, cur: Array, inserts: Array,
+                   deletes: Array) -> Tuple[Array, Array]:
     """``(current \\ deletes) ∪ inserts`` for every key of a block of
     groups at once, as one sorted merge over ``e * M + w`` pair codes:
     ``e`` is a key's position in the block's flattened ``(group,
-    slot)`` grid (``entry[i]`` for ``touched[i]``), and the ``held``
-    positions' current lists are ``ci[begin:begin + length]``.  Returns
-    the new lists back to back in grid order and each position's new
-    length.  Read-only: raises :class:`StorageError` on a delete of an
-    absent neighbor (naming the smallest such key, then neighbor)."""
-    cur = ci[concat_ranges(begin, length)]
+    slot)`` grid (``entry[i]`` for the sorted pair code ``touched[i] =
+    label position * span + key``), and ``cur`` holds the ``held``
+    positions' current lists back to back, ``length`` each.
+    ``inserts`` / ``deletes`` are ``(pair code, neighbor)`` rows.
+    Returns the new lists back to back in grid order and each
+    position's new length.  Read-only: raises :class:`StorageError` on
+    a delete of an absent neighbor (naming the smallest such label,
+    key, then neighbor)."""
     M = 1 + max((int(a.max()) for a in (cur, inserts[:, 1], deletes[:, 1])
                  if len(a)), default=0)
-    if keys.size > (2 ** 62) // M:
+    if held.size > (2 ** 62) // M:
         raise StorageError("vertex ids too large for pair codes")
     # Lists are sorted-unique and laid out in grid order, so the
     # current codes are already globally sorted.
     merged = np.repeat(np.flatnonzero(held), length) * M + cur
     if len(deletes):
-        rem = np.sort(entry[np.searchsorted(touched, deletes[:, 0])] * M
-                      + deletes[:, 1])
+        rem = entry[np.searchsorted(touched, deletes[:, 0])] * M \
+            + deletes[:, 1]
         pos = np.searchsorted(merged, rem)
         present = (merged[np.minimum(pos, len(merged) - 1)] == rem
                    if len(merged) else np.zeros(len(rem), dtype=bool))
         if not present.all():
-            gone = rem[~present]
-            owners = keys.ravel()[gone // M]
-            first = int(np.lexsort((gone % M, owners))[0])
-            raise StorageError(f"{int(gone[first] % M)} is not a neighbor "
-                               f"of {int(owners[first])}")
+            code, nbr = deletes[~present, 0], deletes[~present, 1]
+            first = int(np.lexsort((nbr, code))[0])
+            raise StorageError(f"{int(nbr[first])} is not a neighbor "
+                               f"of {int(code[first] % span)}")
         keep = np.ones(len(merged), dtype=bool)
         keep[pos] = False
         merged = merged[keep]
@@ -103,7 +127,7 @@ def _merge_entries(entry: Array, touched: Array, keys: Array,
             merged, entry[np.searchsorted(touched, inserts[:, 0])] * M
             + inserts[:, 1])
     return (merged % M,
-            np.bincount(merged // M, minlength=keys.size).reshape(keys.shape))
+            np.bincount(merged // M, minlength=held.size).reshape(held.shape))
 
 
 class PCSRPartition:
@@ -112,14 +136,19 @@ class PCSRPartition:
     Attributes
     ----------
     groups:
-        int64 array of shape ``(num_groups, GPN, 2)``; slot ``[g, j]`` is
-        the pair ``(v, ov)`` for ``j < GPN-1`` (``v == -1`` marks unused)
-        and ``(GID, END)`` for ``j == GPN-1``.
+        int64 array of shape ``(num_groups, GPN, 2)``: this label's rows
+        of its :class:`GroupStack`.  Slot ``[g, j]`` is the pair ``(v,
+        ov)`` for ``j < GPN-1`` (``v == -1`` marks unused) and ``(GID,
+        END)`` for ``j == GPN-1``; GIDs are label-local.
     ci:
         Column-index layer holding all neighbor lists back to back.
     """
 
-    def __init__(self, partition: EdgeLabelPartition, gpn: int = 16) -> None:
+    def __init__(self, partition: EdgeLabelPartition, gpn: int = 16,
+                 groups: Optional[Array] = None) -> None:
+        """Algorithm 1 for one label, built into ``groups`` (its
+        ``(num_groups, GPN, 2)`` rows of a store's stacked layer) when
+        given, else into a new array."""
         if not 2 <= gpn <= 16:
             raise StorageError(f"GPN must be in [2, 16], got {gpn}")
         self.gpn = gpn
@@ -173,8 +202,10 @@ class PCSRPartition:
         self._region_cap = np.bincount(
             gid, weights=lengths, minlength=self.num_groups).astype(np.int64)
         self._region_start = np.cumsum(self._region_cap) - self._region_cap
-        self.groups = np.full((self.num_groups, gpn, 2), _EMPTY_SLOT,
-                              dtype=np.int64)
+        if groups is None:
+            groups = np.empty((self.num_groups, gpn, 2), dtype=np.int64)
+        groups[...] = _EMPTY_SLOT
+        self.groups = groups
         self.groups[gid[layout], slot[layout], 0] = keys[layout]
         self.groups[gid[layout], slot[layout], 1] = ci_offsets
         self.groups[:, gpn - 1, 0] = chain_next
@@ -190,6 +221,21 @@ class PCSRPartition:
         #: ci words orphaned by region relocations (space overhead of
         #: in-place maintenance; a rebuild reclaims them).
         self._dead_words = 0
+        # A label built on its own is a stack of one until a store
+        # stacks it with the others.
+        GroupStack([self], gpn)
+
+    def _bind(self, stack: GroupStack, pos: int) -> None:
+        """Point this label's group arrays at its rows of ``stack``
+        (``stack.parts[pos]`` is this partition)."""
+        self._stack = stack
+        self._pos = pos
+        self._base = int(stack.base[pos])
+        rows = slice(self._base, self._base + self.num_groups)
+        self.groups = stack.groups[rows]
+        self._region_start = stack.region_start[rows]
+        self._region_cap = stack.region_cap[rows]
+        self._keys_per_group = stack.keys_per_group[rows]
 
     @property
     def ci(self) -> Array:
@@ -240,42 +286,15 @@ class PCSRPartition:
         reads, _, _ = self._probe(v)
         return reads
 
-    # ------------------------------------------------------------------
-    # Incremental maintenance (the dynamic-graph update path)
-    # ------------------------------------------------------------------
-
-    def _grow_ci(self, extra: int) -> None:
-        """Ensure the ci buffer has room for ``extra`` more words."""
-        need = self._ci_len + extra
-        if need <= len(self._ci_buf):
-            return
-        new_cap = max(need, 2 * len(self._ci_buf), 16)
-        buf = np.full(new_cap, _EMPTY_SLOT, dtype=np.int64)
-        buf[:self._ci_len] = self._ci_buf[:self._ci_len]
-        self._ci_buf = buf
-
     def _locate(self, keys: Array) -> Tuple[int, Array, Array]:
         """Walk every key's chain at once: ``(reads, gid, slot)`` with
-        ``gid == slot == -1`` for keys not stored.  ``reads`` is the
-        groups read summed over keys (a hit stops at the group holding
-        its key, a miss reads its whole chain, as :meth:`_probe`
-        counts); the step count is the longest chain walked."""
-        capacity = self.gpn - 1
-        gid = np.full(len(keys), -1, dtype=np.int64)
-        slot = np.full(len(keys), -1, dtype=np.int64)
-        alive = np.arange(len(keys), dtype=np.int64)
-        cur = hash_groups(keys, self.num_groups)
-        reads = 0
-        while len(alive):
-            reads += len(alive)
-            hit = self.groups[cur, :capacity, 0] == keys[alive, None]
-            found = hit.any(axis=1)
-            gid[alive[found]] = cur[found]
-            slot[alive[found]] = hit[found].argmax(axis=1)
-            nxt = self.groups[cur, self.gpn - 1, 0]
-            more = ~found & (nxt != _NO_OVERFLOW)
-            alive, cur = alive[more], nxt[more]
-        return reads, gid, slot
+        label-local ``gid`` and ``gid == slot == -1`` for keys not
+        stored; ``reads`` sums :meth:`GroupStack.locate`'s per-key
+        reads."""
+        keys = np.asarray(keys, dtype=np.int64)
+        reads, gid, slot = self._stack.locate(
+            np.full(len(keys), self._pos, dtype=np.int64), keys)
+        return int(reads.sum()), np.where(gid < 0, -1, gid - self._base), slot
 
     def _extents(self, gid: Array, slot: Array) -> Tuple[Array, Array]:
         """ci extents ``[begin, end)`` of the keys at ``(gid, slot)``."""
@@ -287,16 +306,52 @@ class PCSRPartition:
                        self.groups[gid, last, 1])
         return self.groups[gid, slot, 1], end
 
+    # ------------------------------------------------------------------
+    # Incremental maintenance (the dynamic-graph update path)
+    # ------------------------------------------------------------------
+
+    def apply_bulk(self, inserts: Array, deletes: Array,
+                   meter: Optional[MemoryMeter] = None) -> bool:
+        """Apply this label's directed ``(key, neighbor)`` entries, an
+        ``(m, 2)`` array each: a one-label call into
+        :meth:`GroupStack.apply`.
+
+        Returns ``False`` (with the partition **unmodified**) when new
+        keys cannot be placed without violating Claim 1; the caller
+        rebuilds.  Raises :class:`StorageError` (also before mutating)
+        when a delete targets a missing key or neighbor.
+        """
+        def labeled(entries: Array) -> Array:
+            pairs = np.asarray(entries, dtype=np.int64).reshape(-1, 2)
+            return np.column_stack(
+                (pairs, np.full(len(pairs), self.label, dtype=np.int64)))
+
+        return not self._stack.apply(labeled(inserts), labeled(deletes),
+                                     meter)
+
+    def _grow_ci(self, extra: int) -> None:
+        """Ensure the ci buffer has room for ``extra`` more words."""
+        need = self._ci_len + extra
+        if need <= len(self._ci_buf):
+            return
+        new_cap = max(need, 2 * len(self._ci_buf), 16)
+        buf = np.full(new_cap, _EMPTY_SLOT, dtype=np.int64)
+        buf[:self._ci_len] = self._ci_buf[:self._ci_len]
+        self._ci_buf = buf
+
     def _place_new_keys(self, new_keys: List[int]
                         ) -> Optional[Tuple[List[int], Dict[int, int]]]:
         """Dry-run placement of new keys along their home chains, in
         key order, extending a full chain through an empty group.
         Returns each key's target group and the planned chain links,
-        or ``None`` when Claim 1 starves (nothing is mutated)."""
+        or ``None`` when Claim 1 starves (nothing is mutated).  Chain
+        extensions pop from a copy of the empty pool, taken when the
+        first one is needed: the pool is unchanged until then, so the
+        copy and its pop order are the same as one taken up front."""
         capacity = self.gpn - 1
         pending: Dict[int, int] = {}
         planned_next: Dict[int, int] = {}
-        pool = set(self._empty_pool) if new_keys else set()
+        pool: Optional[Set[int]] = None
         targets: List[int] = []
         for v in new_keys:
             cur = default_hash(v, self.num_groups)
@@ -313,156 +368,31 @@ class PCSRPartition:
                     break
                 cur = nxt
             if target < 0:
+                if pool is None:
+                    pool = set(self._empty_pool)
+                    pool.difference_update(targets)
                 if not pool:
                     return None
                 target = pool.pop()
                 planned_next[cur] = target
             pending[target] = pending.get(target, 0) + 1
             targets.append(target)
-            pool.discard(target)
+            if pool is not None:
+                pool.discard(target)
         return targets, planned_next
 
-    def apply_bulk(self, inserts: Array, deletes: Array,
-                   meter: Optional[MemoryMeter] = None) -> bool:
-        """Apply a whole batch delta in one pass (GPMA-style bulk update).
-
-        ``inserts`` / ``deletes`` are ``(m, 2)`` arrays of directed
-        ``(key, neighbor)`` entries to merge in or strip out.  This
-        walks every touched key's chain at once, places new keys in
-        the free slots of their home chains (extending a full chain
-        through an empty group, as Algorithm 1 does), merges the lists
-        of every affected group in one sorted pass, and rewrites those
-        groups' regions with one scatter — the bulk analogue of
-        segment-wise GPMA updates.  A key whose list empties keeps its
-        slot with a zero-length extent; a rebuild drops it.
-
-        Returns ``False`` (with the partition **unmodified**) when new
-        keys cannot be placed without violating Claim 1; the caller
-        rebuilds.  Raises :class:`StorageError` (also before mutating)
-        when a delete targets a missing key or neighbor.
-        """
-        inserts = np.asarray(inserts, dtype=np.int64).reshape(-1, 2)
-        deletes = np.asarray(deletes, dtype=np.int64).reshape(-1, 2)
-        touched = np.union1d(inserts[:, 0], deletes[:, 0])
-        if not len(touched):
-            return True
-        cap = self.gpn - 1
-
-        # Phase 1: one chain walk for all touched keys.
-        reads, gid, slot = self._locate(touched)
-        fresh = np.flatnonzero(gid < 0)
-        if len(fresh):
-            missing = np.intersect1d(touched[fresh], deletes[:, 0])
-            if len(missing):
-                raise StorageError(
-                    f"key {int(missing[0])} not present in partition")
-        if meter is not None:
-            meter.add_gld(reads, label=LABEL_PCSR_MAINTAIN)
-
-        # Phase 2 (dry run): place the new keys, so Claim-1 starvation
-        # leaves the structure untouched.
-        placed = self._place_new_keys(touched[fresh].tolist())
-        if placed is None:
-            return False  # nothing mutated yet; caller rebuilds
-        targets, planned_next = placed
-        gid[fresh] = targets
-
-        # Phase 3 (still read-only): the affected groups as one block of
-        # (group, slot) matrices — new keys take the free slots after
-        # the existing ones, in key order — and every list of the block
-        # merged at once, raising on bad deletes before any write.
-        affected, row = np.unique(gid, return_inverse=True)
-        block = self.groups[affected]
-        keys, offsets, end = block[:, :cap, 0], block[:, :cap, 1], \
-            block[:, cap, 1]
-        held = keys != _EMPTY_SLOT
-        last = np.concatenate(
-            (~held[:, 1:], np.ones((len(affected), 1), dtype=bool)), axis=1)
-        after = np.concatenate((offsets[:, 1:], end[:, None]), axis=1)
-        length = np.where(last, end[:, None], after)[held] - offsets[held]
-        if len(fresh):
-            by_row = np.argsort(row[fresh], kind="stable")
-            rank = np.empty(len(fresh), dtype=np.int64)
-            rank[by_row] = (np.arange(len(fresh), dtype=np.int64)
-                            - np.searchsorted(row[fresh][by_row],
-                                              row[fresh][by_row]))
-            slot[fresh] = self._keys_per_group[gid[fresh]] + rank
-            keys[row[fresh], slot[fresh]] = touched[fresh]
-        entry = row * cap + slot
-        content, new_len = _merge_entries(
-            entry, touched, keys, held, offsets[held], length,
-            self._ci_buf, inserts, deletes)
-
-        # Phase 4: commit — chain extensions, then one rewrite of every
-        # affected group region.
+    def _commit_placement(self, targets: List[int],
+                          planned_next: Dict[int, int]) -> None:
+        """Write a dry run's chain links and take its groups out of the
+        empty pool (keys per group are counted by the caller)."""
         for tail, target in planned_next.items():
-            self.groups[tail, cap, 0] = target
+            self.groups[tail, self.gpn - 1, 0] = target
             self._region_start[target] = self._ci_len
             self._region_cap[target] = 0
             self._empty_pool.discard(target)
         for target in targets:
             self._empty_pool.discard(target)
-        np.add.at(self._keys_per_group, gid[fresh], 1)
-        self._num_keys += len(fresh)
-        changed = np.zeros(keys.size, dtype=bool)
-        changed[entry] = True
-        moved_read, written = self._rewrite_regions(
-            affected, keys, held, end, changed.reshape(keys.shape),
-            content, new_len)
-        if meter is not None:
-            meter.add_gld(moved_read, label=LABEL_PCSR_MAINTAIN)
-            meter.add_gst(len(planned_next) + written)
-        return True
-
-    def _rewrite_regions(self, affected: Array, keys: Array, held: Array,
-                         end: Array, changed: Array, content: Array,
-                         new_len: Array) -> Tuple[int, int]:
-        """Write the ``affected`` groups' merged ``content`` (lists back
-        to back in ``(group, slot)`` order, ``new_len`` each) and their
-        ``keys``, packed from each region's start; a region that
-        outgrows its capacity moves to the ci tail, groups in
-        ascending order.  ``held``/``end`` describe the groups before
-        the update and ``changed`` marks the touched slots.
-
-        The capacity of a moved region follows the two update shapes.
-        When one existing key changed and no key was added, it is
-        ``used + max(total - used, key_len, used, 4)``: ``used`` is the
-        region's words in use before the update, ``total`` after it,
-        and ``key_len`` the changed key's new length.  Anything else
-        gets ``total + max(total, 4)``.  Returns
-        the metered ``(words read, words written)`` transactions: one
-        region merge per affected group."""
-        total = new_len.sum(axis=1)
-        start = self._region_start[affected]
-        region_cap = self._region_cap[affected]
-        # A group without keys is empty or a fresh chain link: nothing
-        # of its region is in use.
-        used = np.where(held.any(axis=1), end - start, 0)
-        single = (((changed & held).sum(axis=1) == 1)
-                  & ~(changed & ~held).any(axis=1))
-        key_len = np.where(changed, new_len, 0).sum(axis=1)
-        moves = total > region_cap
-        new_cap = np.where(
-            single,
-            used + np.maximum(np.maximum(total - used, key_len),
-                              np.maximum(used, 4)),
-            total + np.maximum(total, 4))[moves]
-        pos = start.copy()
-        pos[moves] = self._ci_len + np.cumsum(new_cap) - new_cap
-        grown = int(new_cap.sum())
-        self._grow_ci(grown)
-        self._dead_words += int(region_cap[moves].sum())
-        self._region_start[affected[moves]] = pos[moves]
-        self._region_cap[affected[moves]] = new_cap
-        self._ci_len += grown
-        self._ci_buf[concat_ranges(pos, total)] = content
-        packed = pos[:, None] + np.cumsum(new_len, axis=1) - new_len
-        self.groups[affected, :self.gpn - 1, 0] = keys
-        self.groups[affected, :self.gpn - 1, 1] = np.where(
-            keys != _EMPTY_SLOT, packed, _EMPTY_SLOT)
-        self.groups[affected, self.gpn - 1, 1] = pos + total
-        return (int(contiguous_reads(used).sum()),
-                int((contiguous_reads(total) + 1).sum()))
+        self._num_keys += len(targets)
 
     def items(self) -> Iterator[Tuple[int, Array]]:
         """Iterate ``(key, neighbor array)`` straight off the structure
@@ -496,48 +426,47 @@ class PCSRPartition:
     def compact(self, meter: Optional[MemoryMeter] = None) -> int:
         """Slide live ci regions left over the dead space.
 
-        Regions are processed in layout order, so each destination is at
-        or before its source and the move is safe in place; per-region
-        slack is dropped (the next append re-creates it by relocation).
+        Regions are packed in layout (``region_start``) order with one
+        gather and one scatter of the live words, and every group that
+        moved has its offsets shifted in one pass; per-region slack is
+        dropped (the next append re-creates it by relocation).
         Afterwards ``dead_words() == 0`` and the ci layer is exactly the
         live neighbor lists.  Metered like every other maintenance op
-        (label ``pcsr_compact``).  Returns the number of words
+        (label ``pcsr_compact``: the moved words read and written, plus
+        one store per rewritten group).  Returns the number of words
         reclaimed.
         """
         old_len = self._ci_len
-        order = np.argsort(self._region_start, kind="stable")
-        pos = 0
-        moved = 0
-        groups_rewritten = 0
-        for gid in order:
-            gid = int(gid)
-            start = int(self._region_start[gid])
-            end = int(self.groups[gid, self.gpn - 1, 1])
-            used = end - start
-            if pos != start:
-                if used:
-                    self._ci_buf[pos:pos + used] = \
-                        self._ci_buf[start:end].copy()
-                    moved += used
-                delta = pos - start
-                for j in range(self.gpn - 1):
-                    if self.groups[gid, j, 0] == _EMPTY_SLOT:
-                        break
-                    self.groups[gid, j, 1] += delta
-                self.groups[gid, self.gpn - 1, 1] = pos + used
-                groups_rewritten += 1
-            self._region_start[gid] = pos
-            self._region_cap[gid] = used
-            pos += used
+        cap = self.gpn - 1
+        start = self._region_start.copy()
+        used = self.groups[:, cap, 1] - start
+        order = np.argsort(start, kind="stable")
+        pos = np.empty_like(start)
+        pos[order] = np.cumsum(used[order]) - used[order]
+        live = self._ci_buf[concat_ranges(start[order], used[order])]
+        self._ci_buf[:len(live)] = live
+        moved = np.flatnonzero(pos != start)
+        shift = (pos - start)[moved]
+        held = np.logical_and.accumulate(
+            self.groups[moved, :cap, 0] != _EMPTY_SLOT, axis=1)
+        self.groups[moved, :cap, 1] += np.where(held, shift[:, None], 0)
+        self.groups[moved, cap, 1] = pos[moved] + used[moved]
+        self._region_start[:] = pos
+        self._region_cap[:] = used
+        moved_words = int(used[moved].sum())
         if meter is not None:
-            meter.add_gld(contiguous_read(moved), label=LABEL_PCSR_COMPACT)
-            meter.add_gst(contiguous_read(moved) + groups_rewritten)
-        self._ci_len = pos
+            meter.add_gld(contiguous_read(moved_words),
+                          label=LABEL_PCSR_COMPACT)
+            meter.add_gst(contiguous_read(moved_words) + len(moved))
+        self._ci_len = len(live)
         self._dead_words = 0
-        return old_len - pos
+        return old_len - len(live)
 
     def stats(self) -> Dict[str, float]:
         """Health counters for this partition (monitoring surface)."""
+        return self._stats(self.max_chain_length())
+
+    def _stats(self, chain_length: int) -> Dict[str, float]:
         return {
             "label": self.label,
             "num_groups": self.num_groups,
@@ -547,24 +476,12 @@ class PCSRPartition:
             "ci_words": self._ci_len,
             "dead_words": self._dead_words,
             "dead_ratio": self.dead_ratio(),
-            "max_chain_length": self.max_chain_length(),
+            "max_chain_length": chain_length,
         }
 
     def max_chain_length(self) -> int:
-        """Longest overflow chain (expected <= 1 + 5log|V|/loglog|V|).
-
-        Walks every group's chain at once: each step follows the GID
-        column for the chains still alive, so the step count is the
-        longest chain, not the sum of all of them.
-        """
-        next_gid = self.groups[:, self.gpn - 1, 0]
-        alive = next_gid[next_gid != _NO_OVERFLOW]
-        longest = 1
-        while alive.size:
-            longest += 1
-            alive = next_gid[alive]
-            alive = alive[alive != _NO_OVERFLOW]
-        return longest
+        """Longest overflow chain (expected <= 1 + 5log|V|/loglog|V|)."""
+        return int(self._stack.chain_lengths()[self._pos])
 
     def validate(self) -> List[str]:
         """Structural invariant check; returns human-readable violations.
@@ -649,16 +566,342 @@ class PCSRPartition:
         return self.groups.size + len(self.ci)
 
 
+def _stacked(arrays: Sequence[Array], row_shape: Tuple[int, ...]) -> Array:
+    """``arrays`` back to back (a single array is used as it is)."""
+    if len(arrays) == 1:
+        return arrays[0]
+    if not arrays:
+        return np.empty((0,) + row_shape, dtype=np.int64)
+    return np.concatenate(arrays)
+
+
+class GroupStack:
+    """Every label's PCSR group layer in one array, labels in order.
+
+    ``parts[i]`` owns rows ``[base[i], base[i] + sizes[i])`` of
+    ``groups`` (``(total_groups, GPN, 2)``, label-local GIDs) and of
+    the stacked per-group ``region_start``, ``region_cap`` and
+    ``keys_per_group``.  Building a stack binds every part's arrays to
+    views of its rows.  ``groups`` passes the group layer the parts
+    were built into and ``per_group`` the other three already stacked
+    (an attached publication); what is not passed is concatenated from
+    the parts' current arrays.  Each part holds its stack and the stack
+    holds its parts only weakly (a store owns its partitions), so a
+    replaced stack and its arrays are freed as soon as no part uses
+    them.
+    """
+
+    def __init__(self, parts: Iterable[PCSRPartition], gpn: int,
+                 groups: Optional[Array] = None,
+                 per_group: Optional[Tuple[Array, Array, Array]] = None
+                 ) -> None:
+        self.gpn = gpn
+        ordered = sorted(parts, key=lambda p: p.label)
+        self.parts: List[PCSRPartition] = [
+            weakref.proxy(p) for p in ordered]
+        self.labels = np.array([p.label for p in ordered], dtype=np.int64)
+        self.sizes = np.array([p.num_groups for p in ordered],
+                              dtype=np.int64)
+        self.base = np.cumsum(self.sizes) - self.sizes
+        self.groups = (groups if groups is not None else
+                       _stacked([p.groups for p in ordered], (gpn, 2)))
+        if per_group is None:
+            per_group = (
+                _stacked([p._region_start for p in ordered], ()),
+                _stacked([p._region_cap for p in ordered], ()),
+                _stacked([p._keys_per_group for p in ordered], ()))
+        self.region_start, self.region_cap, self.keys_per_group = per_group
+        for pos, part in enumerate(ordered):
+            part._bind(self, pos)
+
+    def locate(self, pos: Array, keys: Array) -> Tuple[Array, Array, Array]:
+        """Walk every ``(label position, key)`` pair's chain at once:
+        ``(reads, gid, slot)`` per pair, with stack-wide ``gid`` and
+        ``gid == slot == -1`` for keys not stored.  A hit reads the
+        groups up to the one holding its key, a miss its whole chain
+        (as :meth:`PCSRPartition._probe` counts); the step count is the
+        longest chain walked."""
+        capacity = self.gpn - 1
+        gid = np.full(len(keys), -1, dtype=np.int64)
+        slot = np.full(len(keys), -1, dtype=np.int64)
+        reads = np.zeros(len(keys), dtype=np.int64)
+        alive = np.arange(len(keys), dtype=np.int64)
+        base = self.base[pos]
+        cur = base + hash_groups(keys, self.sizes[pos])
+        while len(alive):
+            reads[alive] += 1
+            hit = self.groups[cur, :capacity, 0] == keys[alive, None]
+            found = hit.any(axis=1)
+            gid[alive[found]] = cur[found]
+            slot[alive[found]] = hit[found].argmax(axis=1)
+            nxt = self.groups[cur, capacity, 0]
+            more = ~found & (nxt != _NO_OVERFLOW)
+            alive = alive[more]
+            cur = base[alive] + nxt[more]
+        return reads, gid, slot
+
+    def chain_lengths(self) -> Array:
+        """Longest overflow chain of every label (expected <= 1 +
+        5log|V|/loglog|V|), all chains walked at once: each step follows
+        the GID column for the chains still alive, so the step count is
+        the longest chain, not the sum of all of them."""
+        nxt = self.groups[:, self.gpn - 1, 0]
+        longest = np.ones(len(self.parts), dtype=np.int64)
+        alive = np.flatnonzero(nxt != _NO_OVERFLOW)
+        owner = np.searchsorted(self.base, alive, side="right") - 1
+        alive = self.base[owner] + nxt[alive]
+        steps = 1
+        while alive.size:
+            steps += 1
+            longest[owner] = steps
+            more = nxt[alive] != _NO_OVERFLOW
+            owner = owner[more]
+            alive = self.base[owner] + nxt[alive[more]]
+        return longest
+
+    def apply(self, inserts: Array, deletes: Array,
+              meter: Optional[MemoryMeter] = None,
+              max_occupancy: Optional[float] = None) -> List[int]:
+        """Apply a whole batch delta across labels in one pass
+        (GPMA-style bulk update).
+
+        ``inserts`` / ``deletes`` are ``(m, 3)`` arrays of directed
+        ``(key, neighbor, label)`` entries to merge in or strip out,
+        every label stacked here.  One chain walk locates every touched
+        ``(label, key)`` pair; new keys take the free slots of their
+        home chains (extending a full chain through an empty group, as
+        Algorithm 1 does); the lists of every affected group of every
+        label merge in one sorted pass; and one scatter rewrites those
+        groups, each region from its own label's ``ci`` (a region that
+        outgrows its capacity moves to that ``ci``'s tail).  Only
+        new-key placement and each label's ``ci`` gather and scatter
+        loop over labels.  A key whose list empties keeps its slot with
+        a zero-length extent; a rebuild drops it.
+
+        Returns the labels left **unmodified** for the caller to
+        rebuild: those whose new keys would push their keys per group
+        past ``max_occupancy`` (their locate reads go uncharged) and
+        those whose new keys cannot be placed without violating
+        Claim 1.  A delete of a missing key or neighbor, on any label,
+        raises :class:`StorageError` before anything is written or
+        charged.
+        """
+        span = 1 + max(int(inserts[:, 0].max(initial=0)),
+                       int(deletes[:, 0].max(initial=0)))
+        ins = np.column_stack((
+            np.searchsorted(self.labels, inserts[:, 2]) * span
+            + inserts[:, 0], inserts[:, 1]))
+        dels = np.column_stack((
+            np.searchsorted(self.labels, deletes[:, 2]) * span
+            + deletes[:, 0], deletes[:, 1]))
+        touched = np.union1d(ins[:, 0], dels[:, 0])
+        if not len(touched):
+            return []
+        pos, key = np.divmod(touched, span)
+
+        # Phase 1: one chain walk for every touched (label, key) pair.
+        reads, gid, slot = self.locate(pos, key)
+        fresh = gid < 0
+        missing = fresh[np.searchsorted(touched, dels[:, 0])]
+        if missing.any():
+            raise StorageError(f"key {int(dels[missing, 0].min() % span)} "
+                               f"not present in partition")
+
+        # Phase 2 (dry run): the occupancy bound, then new-key placement
+        # per label, so a label sent to rebuild stays untouched.
+        new_keys = np.bincount(pos[fresh], minlength=len(self.parts))
+        over: Set[int] = set()
+        if max_occupancy is not None:
+            over = {p for p in np.flatnonzero(new_keys).tolist()
+                    if (self.parts[p].key_count() + int(new_keys[p]))
+                    / self.parts[p].num_groups > max_occupancy}
+        rebuild = set(over)
+        placed: Dict[int, Tuple[List[int], Dict[int, int]]] = {}
+        for p in np.flatnonzero(new_keys).tolist():
+            if p in over:
+                continue
+            at = np.flatnonzero(fresh & (pos == p))
+            plan = self.parts[p]._place_new_keys(key[at].tolist())
+            if plan is None:
+                rebuild.add(p)  # Claim-1 starvation
+            else:
+                placed[p] = plan
+                gid[at] = self.base[p] + np.array(plan[0], dtype=np.int64)
+        charged = ~self._label_mask(over)[pos]
+        skip = self._label_mask(rebuild)[pos]
+
+        # Phase 3 (still read-only): the deletes of labels left for
+        # rebuild, then every applied label's lists, merged as blocks
+        # of (group, slot) matrices; a bad delete raises before any
+        # write.
+        rem_skip = skip[np.searchsorted(touched, dels[:, 0])]
+        if rem_skip.any():
+            sel = skip & ~fresh
+            self._merged(touched[sel], gid[sel], slot[sel], fresh[sel],
+                         key[sel], span, ins[:0], dels[rem_skip])
+        keep = ~skip
+        block = None
+        if keep.any():
+            add = ~skip[np.searchsorted(touched, ins[:, 0])]
+            block = self._merged(touched[keep], gid[keep], slot[keep],
+                                 fresh[keep], key[keep], span, ins[add],
+                                 dels[~rem_skip])
+
+        # Phase 4: commit — chain extensions, then one rewrite of every
+        # affected group region.
+        moved_read = written = links = 0
+        for p, (targets, planned_next) in placed.items():
+            self.parts[p]._commit_placement(targets, planned_next)
+            links += len(planned_next)
+        if block is not None:
+            np.add.at(self.keys_per_group, gid[keep & fresh], 1)
+            moved_read, written = self._rewrite_regions(*block)
+        if meter is not None and charged.any():
+            meter.add_gld(int(reads[charged].sum()) + moved_read,
+                          label=LABEL_PCSR_MAINTAIN)
+            meter.add_gst(links + written)
+        return [int(self.labels[p]) for p in sorted(rebuild)]
+
+    def _label_mask(self, positions: Set[int]) -> Array:
+        """Mask over label positions, set at ``positions``."""
+        mask = np.zeros(len(self.parts), dtype=bool)
+        mask[list(positions)] = True
+        return mask
+
+    def _merged(self, touched: Array, gid: Array, slot: Array, fresh: Array,
+                key: Array, span: int, inserts: Array, deletes: Array
+                ) -> Tuple[Array, ...]:
+        """Read the groups ``gid`` as one block of ``(group, slot)``
+        matrices — new keys (``fresh``) take the free slots after the
+        existing ones, in key order — and merge every list of the block
+        at once (:func:`_merge_entries`, read-only).  Returns what
+        :meth:`_rewrite_regions` takes."""
+        cap = self.gpn - 1
+        affected, row = np.unique(gid, return_inverse=True)
+        block = self.groups[affected]
+        keys, offsets, end = block[:, :cap, 0], block[:, :cap, 1], \
+            block[:, cap, 1]
+        held = keys != _EMPTY_SLOT
+        last = np.concatenate(
+            (~held[:, 1:], np.ones((len(affected), 1), dtype=bool)), axis=1)
+        after = np.concatenate((offsets[:, 1:], end[:, None]), axis=1)
+        length = np.where(last, end[:, None], after)[held] - offsets[held]
+        if fresh.any():
+            new = np.flatnonzero(fresh)
+            by_row = np.argsort(row[new], kind="stable")
+            rank = np.empty(len(new), dtype=np.int64)
+            rank[by_row] = (np.arange(len(new), dtype=np.int64)
+                            - np.searchsorted(row[new][by_row],
+                                              row[new][by_row]))
+            slot[new] = self.keys_per_group[gid[new]] + rank
+            keys[row[new], slot[new]] = key[new]
+        # Rows are in stack order, so each label's rows are one run;
+        # its current lists come from its own ci buffer.
+        owner = np.searchsorted(self.base, affected, side="right") - 1
+        first_row = np.flatnonzero(np.diff(owner, prepend=-1))
+        labels = owner[first_row]
+        cuts = np.append(np.searchsorted(np.nonzero(held)[0], first_row),
+                         len(length))
+        at = concat_ranges(offsets[held], length)
+        word_cuts = np.append(0, np.cumsum(length))[cuts]
+        cur = np.concatenate([
+            self.parts[p]._ci_buf[at[word_cuts[i]:word_cuts[i + 1]]]
+            for i, p in enumerate(labels.tolist())])
+        entry = row * cap + slot
+        content, new_len = _merge_entries(entry, touched, span, held, length,
+                                          cur, inserts, deletes)
+        changed = np.zeros(keys.size, dtype=bool)
+        changed[entry] = True
+        return (affected, owner, labels, first_row, keys, held, end,
+                changed.reshape(keys.shape), content, new_len)
+
+    def _rewrite_regions(self, affected: Array, owner: Array, labels: Array,
+                         first_row: Array, keys: Array, held: Array,
+                         end: Array, changed: Array, content: Array,
+                         new_len: Array) -> Tuple[int, int]:
+        """Write the ``affected`` groups' merged ``content`` (lists back
+        to back in ``(group, slot)`` order, ``new_len`` each) and their
+        ``keys``, packed from each region's start; a region that
+        outgrows its capacity moves to its label's ci tail, groups in
+        ascending order.  ``owner`` is each row's label position
+        (``labels`` its distinct values, first at ``first_row``),
+        ``held``/``end`` describe the groups before the update and
+        ``changed`` marks the touched slots.
+
+        The capacity of a moved region follows the two update shapes.
+        When one existing key changed and no key was added, it is
+        ``used + max(total - used, key_len, used, 4)``: ``used`` is the
+        region's words in use before the update, ``total`` after it,
+        and ``key_len`` the changed key's new length.  Anything else
+        gets ``total + max(total, 4)``.  Returns
+        the metered ``(words read, words written)`` transactions: one
+        region merge per affected group."""
+        total = new_len.sum(axis=1)
+        start = self.region_start[affected]
+        region_cap = self.region_cap[affected]
+        # A group without keys is empty or a fresh chain link: nothing
+        # of its region is in use.
+        used = np.where(held.any(axis=1), end - start, 0)
+        single = (((changed & held).sum(axis=1) == 1)
+                  & ~(changed & ~held).any(axis=1))
+        key_len = np.where(changed, new_len, 0).sum(axis=1)
+        moves = total > region_cap
+        new_cap = np.where(
+            single,
+            used + np.maximum(np.maximum(total - used, key_len),
+                              np.maximum(used, 4)),
+            total + np.maximum(total, 4))[moves]
+        # Each label's moved regions line up at its own ci tail.
+        run = np.searchsorted(labels, owner[moves])
+        tails = np.array([self.parts[p]._ci_len for p in labels.tolist()],
+                         dtype=np.int64)
+        before = np.cumsum(new_cap) - new_cap
+        pos = start.copy()
+        pos[moves] = (tails[run] + before
+                      - before[np.searchsorted(run, run)])
+        grown = np.bincount(run, weights=new_cap, minlength=len(labels))
+        dead = np.bincount(run, weights=region_cap[moves],
+                           minlength=len(labels))
+        self.region_start[affected[moves]] = pos[moves]
+        self.region_cap[affected[moves]] = new_cap
+        at = concat_ranges(pos, total)
+        row_cuts = np.append(first_row, len(affected))
+        word_cuts = np.append(0, np.cumsum(total))[row_cuts]
+        for i, p in enumerate(labels.tolist()):
+            part = self.parts[p]
+            part._grow_ci(int(grown[i]))
+            part._ci_len += int(grown[i])
+            part._dead_words += int(dead[i])
+            words = slice(word_cuts[i], word_cuts[i + 1])
+            part._ci_buf[at[words]] = content[words]
+        packed = pos[:, None] + np.cumsum(new_len, axis=1) - new_len
+        self.groups[affected, :self.gpn - 1, 0] = keys
+        self.groups[affected, :self.gpn - 1, 1] = np.where(
+            keys != _EMPTY_SLOT, packed, _EMPTY_SLOT)
+        self.groups[affected, self.gpn - 1, 1] = pos + total
+        return (int(contiguous_reads(used).sum()),
+                int((contiguous_reads(total) + 1).sum()))
+
+
 class PCSRStorage(NeighborStore):
-    """All edge-label partitions stored as PCSR (the "+DS" technique)."""
+    """All edge-label partitions stored as PCSR (the "+DS" technique),
+    their group layers in one :class:`GroupStack`."""
 
     kind = "pcsr"
 
     def __init__(self, graph: LabeledGraph, gpn: int = 16) -> None:
         self.gpn = gpn
         self._parts: Dict[int, PCSRPartition] = {}
-        for lab, part in partition_by_edge_label(graph).items():
-            self._parts[lab] = PCSRPartition(part, gpn=gpn)
+        # Every label is built straight into its rows of one layer.
+        partitions = sorted(partition_by_edge_label(graph).items())
+        sizes = [max(1, len(part.vertices)) for _, part in partitions]
+        groups = np.empty((sum(sizes), gpn, 2), dtype=np.int64)
+        base = 0
+        for (lab, part), size in zip(partitions, sizes):
+            self._parts[lab] = PCSRPartition(
+                part, gpn=gpn, groups=groups[base:base + size])
+            base += size
+        self._stack = GroupStack(self._parts.values(), gpn, groups=groups)
 
     def partition(self, label: int) -> Optional[PCSRPartition]:
         """The PCSR of one edge label, if any edges carry it."""
@@ -687,17 +930,16 @@ class PCSRStorage(NeighborStore):
 
     def max_chain_length(self) -> int:
         """Longest overflow chain across all partitions."""
-        if not self._parts:
-            return 0
-        return max(p.max_chain_length() for p in self._parts.values())
+        return int(self._stack.chain_lengths().max(initial=0))
 
     def stats(self) -> Dict[str, object]:
         """Aggregated PCSR health across partitions, plus per-label
         detail — the monitoring surface stream reports and the serve
-        ``stats`` RPC expose.  One vectorized chain walk per
-        partition."""
-        per_label = {lab: part.stats()
-                     for lab, part in sorted(self._parts.items())}
+        ``stats`` RPC expose.  One vectorized chain walk over the
+        stacked group layer."""
+        lengths = self._stack.chain_lengths().tolist()
+        per_label = {part.label: part._stats(length)
+                     for part, length in zip(self._stack.parts, lengths)}
         total_ci = sum(int(s["ci_words"]) for s in per_label.values())
         total_dead = sum(int(s["dead_words"]) for s in per_label.values())
         return {

@@ -21,8 +21,9 @@ Layers
   entries).
 * **Handles** — :class:`GraphHandle` (the CSR arrays),
   :class:`SignatureHandle` (table rows + layout flag),
-  :class:`PCSRStoreHandle` (per-partition group arrays + live ci
-  prefix), and the composite the executors ship,
+  :class:`PCSRStoreHandle` (the stacked group layer of every edge
+  label, its region arrays and every label's live ci prefix, one block
+  each), and the composite the executors ship,
   :class:`EngineArtifactsHandle`.
 
 Attach semantics
@@ -55,13 +56,16 @@ Attached objects are rebuilt without ever shipping Python containers:
   vectorized from them.  Insertion order of the rebuilt edge map
   differs from the parent's, which is immaterial worker-side: joins
   read arrays, and ``has_edge`` / ``edge_label`` are order-insensitive.
-* ``PCSRPartition`` — ships ``groups``, the live ci prefix and the
-  region arrays; ``_keys_per_group`` is derived from the group layer
-  (key slots fill contiguously from slot 0 — a ``validate()``
-  invariant) and ``_empty_pool`` is exactly the zero-key groups (chain
-  extension targets receive a key immediately and keys are never
-  evicted).  Worker-side stores are read-only: probes and neighbor
-  reads never mutate.
+* ``PCSRStorage`` — ships its :class:`~repro.storage.pcsr.GroupStack`
+  (the stacked ``groups``, ``region_start`` and ``region_cap``) as one
+  block each and every label's live ci prefix back to back in a fourth,
+  whatever the number of edge labels; each partition is rebuilt as a
+  view of its rows and of its ci slice.  Keys per group are derived
+  from the group layer (key slots fill contiguously from slot 0 — a
+  ``validate()`` invariant) and each label's ``_empty_pool`` is exactly
+  its zero-key groups (chain extension targets receive a key
+  immediately and keys are never evicted).  Worker-side stores are
+  read-only: probes and neighbor reads never mutate.
 
 Differential testing asserts process-executor results byte-identical to
 the in-process serial arm across the batch and sharded paths.
@@ -83,7 +87,6 @@ from typing import (
     Dict,
     Hashable,
     Iterable,
-    List,
     Optional,
     Sequence,
     Tuple,
@@ -96,7 +99,13 @@ from repro.core.signature_table import SignatureTable
 from repro.graph.labeled_graph import LabeledGraph
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
-from repro.storage.pcsr import _EMPTY_SLOT, PCSRPartition, PCSRStorage
+from repro.storage.pcsr import (
+    _EMPTY_SLOT,
+    GroupStack,
+    PCSRPartition,
+    PCSRStorage,
+    _stacked,
+)
 
 if TYPE_CHECKING:  # runtime import stays inside attach_engine (the
     # core package imports storage; a top-level import would cycle)
@@ -289,35 +298,25 @@ class SignatureHandle:
 
 
 @dataclass(frozen=True)
-class PCSRPartitionHandle:
-    """One :class:`PCSRPartition` as shared blocks plus derivable ints."""
+class PCSRStoreHandle:
+    """A :class:`PCSRStorage` as one block per stacked array, every
+    label's live ci back to back in one more, and per-label ints (label
+    order)."""
 
-    label: int
     gpn: int
-    num_groups: int
-    ci_len: int
-    dead_words: int
+    labels: Tuple[int, ...]
+    num_groups: Tuple[int, ...]
+    ci_len: Tuple[int, ...]
+    dead_words: Tuple[int, ...]
     groups: BlockHandle
-    ci: BlockHandle
     region_start: BlockHandle
     region_cap: BlockHandle
+    ci: BlockHandle
 
     @property
     def names(self) -> Tuple[str, ...]:
-        return (self.groups.name, self.ci.name, self.region_start.name,
-                self.region_cap.name)
-
-
-@dataclass(frozen=True)
-class PCSRStoreHandle:
-    """A :class:`PCSRStorage` as per-partition handles."""
-
-    gpn: int
-    parts: Tuple[PCSRPartitionHandle, ...]
-
-    @property
-    def names(self) -> Tuple[str, ...]:
-        return tuple(n for p in self.parts for n in p.names)
+        return (self.groups.name, self.region_start.name,
+                self.region_cap.name, self.ci.name)
 
 
 @dataclass(frozen=True)
@@ -356,17 +355,17 @@ def publish_graph(graph: LabeledGraph
 
 
 def _publish_pcsr_blocks(store: PCSRStorage) -> PCSRStoreHandle:
-    parts = tuple(
-        PCSRPartitionHandle(
-            label=int(label), gpn=part.gpn,
-            num_groups=part.num_groups, ci_len=part._ci_len,
-            dead_words=part._dead_words,
-            groups=_create_block(part.groups),
-            ci=_create_block(part.ci),
-            region_start=_create_block(part._region_start),
-            region_cap=_create_block(part._region_cap))
-        for label, part in sorted(store._parts.items()))
-    return PCSRStoreHandle(gpn=store.gpn, parts=parts)
+    stack = store._stack
+    return PCSRStoreHandle(
+        gpn=store.gpn,
+        labels=tuple(int(p.label) for p in stack.parts),
+        num_groups=tuple(p.num_groups for p in stack.parts),
+        ci_len=tuple(p._ci_len for p in stack.parts),
+        dead_words=tuple(p._dead_words for p in stack.parts),
+        groups=_create_block(stack.groups),
+        region_start=_create_block(stack.region_start),
+        region_cap=_create_block(stack.region_cap),
+        ci=_create_block(_stacked([p.ci for p in stack.parts], ())))
 
 
 def publish_engine(engine: GSIEngine, *, epoch: int
@@ -448,41 +447,40 @@ def attach_signature(handle: SignatureHandle) -> SignatureTable:
     return _memo_attach(handle, lambda: _build_signature(handle))
 
 
-def _build_partition(handle: PCSRPartitionHandle,
-                     segs: List[shared_memory.SharedMemory]
-                     ) -> PCSRPartition:
-    part = object.__new__(PCSRPartition)
-    part.gpn = handle.gpn
-    part.label = handle.label
-    part.num_groups = handle.num_groups
-    part.groups, seg = _attach_block(handle.groups)
-    segs.append(seg)
-    part._ci_buf, seg = _attach_block(handle.ci)
-    segs.append(seg)
-    part._region_start, seg = _attach_block(handle.region_start)
-    segs.append(seg)
-    part._region_cap, seg = _attach_block(handle.region_cap)
-    segs.append(seg)
-    part._ci_len = handle.ci_len
-    part._dead_words = handle.dead_words
+def _build_pcsr(handle: PCSRStoreHandle) -> PCSRStorage:
+    arrays, segs = zip(*(_attach_block(block) for block in (
+        handle.groups, handle.region_start, handle.region_cap, handle.ci)))
+    groups, region_start, region_cap, ci = arrays
     # Key slots fill contiguously from slot 0 (a validate() invariant),
     # and a group is in the empty pool iff it holds no keys: chain
     # extension targets receive a key immediately and keys are never
     # evicted, so both containers are derivable from the group layer.
-    kpg = (part.groups[:, :handle.gpn - 1, 0] != _EMPTY_SLOT).sum(axis=1)
-    part._keys_per_group = kpg.astype(np.int64)
-    part._num_keys = int(kpg.sum())
-    part._empty_pool = set(np.flatnonzero(kpg == 0).tolist())
-    return part
-
-
-def _build_pcsr(handle: PCSRStoreHandle) -> PCSRStorage:
-    segs: List[shared_memory.SharedMemory] = []
+    kpg = (groups[:, :handle.gpn - 1, 0] != _EMPTY_SLOT).sum(
+        axis=1).astype(np.int64)
+    parts = []
+    base = word = 0
+    for label, num_groups, ci_len, dead_words in zip(
+            handle.labels, handle.num_groups, handle.ci_len,
+            handle.dead_words):
+        part = object.__new__(PCSRPartition)
+        part.gpn = handle.gpn
+        part.label = label
+        part.num_groups = num_groups
+        part._ci_buf = ci[word:word + ci_len]
+        part._ci_len = ci_len
+        part._dead_words = dead_words
+        own = kpg[base:base + num_groups]
+        part._num_keys = int(own.sum())
+        part._empty_pool = set(np.flatnonzero(own == 0).tolist())
+        parts.append(part)
+        base += num_groups
+        word += ci_len
     store = object.__new__(PCSRStorage)
     store.gpn = handle.gpn
-    store._parts = {p.label: _build_partition(p, segs)
-                    for p in handle.parts}
-    store._shm_refs = segs
+    store._stack = GroupStack(parts, handle.gpn, groups=groups,
+                              per_group=(region_start, region_cap, kpg))
+    store._parts = {p.label: p for p in parts}
+    store._shm_refs = list(segs)
     return store
 
 

@@ -1,4 +1,5 @@
-"""Reference implementations the whole suite checks engines against.
+"""Reference implementations the whole suite checks engines against,
+and the PCSR state digests that differential and golden tests compare.
 
 Kept in a plain module (not ``conftest.py``) so test files can import it
 explicitly — ``from oracle import brute_force_matches`` — without relying
@@ -8,7 +9,10 @@ on conftest module-name resolution, which used to collide with
 
 from __future__ import annotations
 
-from typing import List, Set, Tuple
+import hashlib
+from typing import Dict, List, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.graph.labeled_graph import GraphBuilder, LabeledGraph
 
@@ -82,3 +86,45 @@ def paper_query() -> LabeledGraph:
     b.add_edge(u0, u2, 1)
     b.add_edge(u1, u2, 0)
     return b.build()
+
+
+def sharing_assignment(block_vertices: Sequence[int]) -> List[int]:
+    """Algorithm 5 lines 1-5: ``addr[i]`` = first occurrence of ``v_i``.
+
+    ``block_vertices[i]`` is the vertex warp ``i`` of the block needs;
+    the returned ``addr[i]`` points at the warp whose staged buffer warp
+    ``i`` reads (itself, when it is the first occurrence).  The
+    reference for the join's whole-table duplicate-removal hits,
+    ``repro.core.kernels._shared_hit_mask``.
+    """
+    first_of: Dict[int, int] = {}
+    addr: List[int] = []
+    for i, v in enumerate(block_vertices):
+        if v not in first_of:
+            first_of[v] = i
+        addr.append(first_of[v])
+    return addr
+
+
+def partition_digest(part) -> str:
+    """Digest of one PCSR partition's whole live state: the group layer
+    (keys, offsets, GID and END columns), ``region_start`` /
+    ``region_cap``, keys per group, the empty-group pool (members and
+    iteration order, which fixes future chain extensions), the dead-word
+    count, the key count and every key's neighbor extent."""
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(part.groups, dtype=np.int64).tobytes())
+    for arr in (part._region_start, part._region_cap,
+                part._keys_per_group):
+        h.update(np.asarray(arr, dtype=np.int64).tobytes())
+    h.update(repr((list(part._empty_pool), part.dead_words(),
+                   part.key_count(), len(part.ci))).encode())
+    for v, nbrs in part.items():
+        h.update(repr((v, nbrs.tolist())).encode())
+    return h.hexdigest()[:16]
+
+
+def store_digest(store) -> Dict[str, str]:
+    """:func:`partition_digest` of every label of a PCSR store."""
+    return {str(lab): partition_digest(part)
+            for lab, part in sorted(store._parts.items())}

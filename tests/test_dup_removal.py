@@ -1,13 +1,13 @@
-"""Tests for Algorithm 5 (duplicate removal within a block)."""
+"""Algorithm 5's per-block sharing assignment
+(:func:`oracle.sharing_assignment`), the reference the join's
+whole-table duplicate-removal hits
+(``repro.core.kernels._shared_hit_mask``) are checked against in
+``tests/test_join_kernels.py``."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.dup_removal import (
-    distinct_loads,
-    removable_fraction,
-    sharing_assignment,
-)
+from oracle import sharing_assignment
 
 
 class TestSharingAssignment:
@@ -27,35 +27,6 @@ class TestSharingAssignment:
 
     def test_empty(self):
         assert sharing_assignment([]) == []
-
-
-class TestDistinctLoads:
-    def test_counts_unique(self):
-        assert distinct_loads([1, 1, 2, 3, 3, 3]) == 3
-
-    def test_empty(self):
-        assert distinct_loads([]) == 0
-
-
-class TestRemovableFraction:
-    def test_no_duplicates_zero(self):
-        assert removable_fraction(list(range(64)), block_size=32) == 0.0
-
-    def test_all_duplicates_max(self):
-        frac = removable_fraction([7] * 64, block_size=32)
-        # two blocks, one load each: 62 of 64 loads removed
-        assert abs(frac - 62 / 64) < 1e-9
-
-    def test_block_boundary_limits_sharing(self):
-        # Same vertex in different blocks cannot share (the paper's
-        # noted bottleneck: DR only works within one block).
-        col = [1] * 32 + [1] * 32
-        frac_small = removable_fraction(col, block_size=32)
-        frac_large = removable_fraction(col, block_size=64)
-        assert frac_large > frac_small
-
-    def test_empty(self):
-        assert removable_fraction([]) == 0.0
 
 
 @settings(max_examples=50, deadline=None)

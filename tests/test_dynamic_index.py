@@ -23,6 +23,8 @@ from repro.graph.labeled_graph import GraphBuilder, LabeledGraph
 from repro.graph.partition import EdgeLabelPartition, partition_by_edge_label
 from repro.storage.pcsr import PCSRPartition, default_hash
 
+from oracle import store_digest
+
 
 def star_partition(num_leaves, gpn=16):
     edges = [(0, v, 0) for v in range(1, num_leaves + 1)]
@@ -201,6 +203,36 @@ class TestDynamicPCSRStorage:
             store.apply_batch(g, [], [(0, 2, 0), (0, 1, 12345)])
         assert list(store.neighbors(0, 0)) == [2, 4]
         assert store.incremental_ops == 0
+
+    def test_bad_delete_on_a_later_label_rejected_before_any_write(self):
+        g = scale_free_graph(20, 2, 2, 2, seed=1)
+        store = DynamicPCSRStorage(g)
+        digests, meter = store_digest(store), store.meter.snapshot()
+        with pytest.raises(StorageError, match="1 is not a neighbor of 0"):
+            store.apply_batch(g, [], [(0, 2, 0), (0, 1, 1)])
+        assert list(store.neighbors(0, 0)) == [2, 4]
+        assert store.incremental_ops == 0
+        assert store_digest(store) == digests
+        assert store.meter.snapshot() == meter
+
+    def test_bad_delete_rejected_before_any_build_or_rebuild(self):
+        b = GraphBuilder()
+        b.add_vertices([0] * 40)
+        b.add_edge(0, 1, 0)
+        b.add_edge(2, 3, 1)
+        b.add_edge(3, 4, 1)
+        g = b.build()
+        store = DynamicPCSRStorage(g)
+        digests, meter = store_digest(store), store.meter.snapshot()
+        # Label 0 would rebuild (2 keys / 2 groups gaining 4 more), and
+        # label 7 would be built; the bad delete on label 1 stops both.
+        with pytest.raises(StorageError, match="4 is not a neighbor of 2"):
+            store.apply_batch(
+                g, [(0, v, 0) for v in range(4, 8)] + [(8, 9, 7)],
+                [(2, 4, 1)])
+        assert store.rebuilds == 0 and store.partition(7) is None
+        assert store_digest(store) == digests
+        assert store.meter.snapshot() == meter
 
     def test_occupancy_policy_triggers_rebuild(self):
         b = GraphBuilder()

@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import GSIConfig
-from repro.core.dup_removal import sharing_assignment
 from repro.core.engine import GSIEngine
 from repro.core.kernels import (
     _distinct_neighbors,
@@ -38,6 +37,8 @@ from repro.service.executors import make_executor
 sys.path.insert(0, "tests")
 from dataclasses import replace  # noqa: E402
 from fuzz.fuzz_harness import run_fuzz  # noqa: E402
+
+from oracle import sharing_assignment  # noqa: E402
 
 PRESETS = {
     "baseline": GSIConfig.baseline,

@@ -2,14 +2,17 @@
 
 The digests in ``pcsr_golden.json`` were recorded from the per-key
 implementation of the PCSR build and bulk update (before both became
-array passes).  Each digest covers a partition's whole live state — the
-group layer (keys, offsets, GID and END columns), every key's neighbor
-extent, ``region_start``/``region_cap``, keys per group, the empty-group
-pool (members and iteration order, which fixes future chain
-extensions), the dead-word count and the key count — and, for stream
-batches, the batch's maintenance ``MeterSnapshot`` and commit
-transactions.  Any change to where a key, a region or a charge lands
-fails here.
+array passes, and before the labels' group layers were stacked into
+one array).  Each digest (:func:`oracle.partition_digest`) covers a
+partition's whole live state — the group layer (keys, offsets, GID and
+END columns), every key's neighbor extent, ``region_start`` /
+``region_cap``, keys per group, the empty-group pool (members and
+iteration order, which fixes future chain extensions), the dead-word
+count and the key count — and, for stream batches, the batch's
+maintenance ``MeterSnapshot`` and commit transactions.  Any change to
+where a key, a region or a charge lands fails here.  Each stream must
+also hit its listed maintenance events, read from per-label store
+state around every batch (:func:`batch_events`).
 
 Re-record (only for a deliberate layout or cost-model change)::
 
@@ -24,15 +27,17 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Set
 
-import numpy as np
 import pytest
 
 from repro.core.config import GSIConfig
 from repro.dynamic import StreamEngine
 from repro.dynamic.delta import random_update_stream
+from repro.dynamic.index import DEFAULT_REBUILD_OCCUPANCY
 from repro.graph.generators import scale_free_graph
 from repro.graph.labeled_graph import LabeledGraph
-from repro.storage.pcsr import PCSRPartition, PCSRStorage, default_hash
+from repro.storage.pcsr import PCSRStorage, default_hash
+
+from oracle import store_digest
 
 GOLDEN = Path(__file__).with_name("pcsr_golden.json")
 
@@ -53,24 +58,6 @@ STREAMS = {
               dict(num_batches=40, batch_size=48, seed=16),
               {"relocation", "compaction", "occupancy_rebuild"}),
 }
-
-
-def partition_digest(part: PCSRPartition) -> str:
-    h = hashlib.sha256()
-    h.update(np.ascontiguousarray(part.groups, dtype=np.int64).tobytes())
-    for arr in (part._region_start, part._region_cap,
-                part._keys_per_group):
-        h.update(np.asarray(arr, dtype=np.int64).tobytes())
-    h.update(repr((list(part._empty_pool), part.dead_words(),
-                   part.key_count(), len(part.ci))).encode())
-    for v, nbrs in part.items():
-        h.update(repr((v, nbrs.tolist())).encode())
-    return h.hexdigest()[:16]
-
-
-def store_digest(store: PCSRStorage) -> Dict[str, str]:
-    return {str(lab): partition_digest(part)
-            for lab, part in sorted(store._parts.items())}
 
 
 def collision_graph() -> LabeledGraph:
@@ -104,40 +91,45 @@ def build_digests() -> Dict[str, Dict[str, str]]:
             for name, store in pinned_builds().items()}
 
 
-class _EventSpy:
-    """Records which maintenance events :meth:`PCSRPartition.apply_bulk`
-    hit, by wrapping it; a ``False`` return is Claim-1 starvation."""
+def _label_state(store: PCSRStorage) -> Dict[int, tuple]:
+    """Per label, what a batch's maintenance events are read from: the
+    partition object (a rebuild replaces it), its chain links, a copy of
+    its region capacities, its keys and its group count."""
+    state = {}
+    for lab, part in store._parts.items():
+        cap = part.gpn - 1
+        keys = part.groups[:, :cap, 0]
+        state[lab] = (part, int((part.groups[:, cap, 0] >= 0).sum()),
+                      part._region_cap.copy(), set(keys[keys >= 0].tolist()),
+                      part.num_groups)
+    return state
 
-    def __init__(self) -> None:
-        self.events: Set[str] = set()
-        self.starvations = 0
-        self._saved = PCSRPartition.apply_bulk
 
-    def __enter__(self) -> "_EventSpy":
-        apply_bulk = self._saved
-        spy = self
+def batch_events(before: Dict[int, tuple],
+                 after: Dict[int, tuple]) -> Set[str]:
+    """The events one batch hit, from per-label store state around it.
 
-        def links(part: PCSRPartition) -> int:
-            return int((part.groups[:, part.gpn - 1, 0] >= 0).sum())
-
-        def bulk(part, inserts, deletes, meter=None):
-            before = (links(part), part.dead_words())
-            ok = apply_bulk(part, inserts, deletes, meter)
-            if not ok:
-                spy.events.add("starvation")
-                spy.starvations += 1
-            else:
-                if links(part) > before[0]:
-                    spy.events.add("chain_extension")
-                if part.dead_words() > before[1]:
-                    spy.events.add("relocation")
-            return ok
-
-        PCSRPartition.apply_bulk = bulk
-        return self
-
-    def __exit__(self, *exc) -> None:
-        PCSRPartition.apply_bulk = self._saved
+    A label whose partition object changed was rebuilt: past the
+    occupancy bound if its keys before plus the keys it gained exceed
+    :data:`DEFAULT_REBUILD_OCCUPANCY` per group, else because Claim 1
+    starved.  Otherwise a new chain link is a chain extension, and a
+    region that held words and grew its capacity was relocated (a
+    compaction shrinks capacities to the words in use, never below a
+    relocated region's new size)."""
+    events: Set[str] = set()
+    for lab, (part, links, region_cap, keys, groups) in before.items():
+        now, now_links, now_cap, now_keys, _ = after[lab]
+        if now is not part:
+            gained = len(now_keys - keys)
+            events.add("occupancy_rebuild"
+                       if (len(keys) + gained) / groups
+                       > DEFAULT_REBUILD_OCCUPANCY else "starvation")
+            continue
+        if now_links > links:
+            events.add("chain_extension")
+        if ((region_cap > 0) & (now_cap > region_cap)).any():
+            events.add("relocation")
+    return events
 
 
 def stream_digests(name: str):
@@ -147,23 +139,22 @@ def stream_digests(name: str):
     stream = random_update_stream(graph, **stream_args)
     engine = StreamEngine(graph, GSIConfig(gpn=gpn, signature_bits=64))
     digests = []
-    with _EventSpy() as spy:
-        for delta in stream:
-            starved = spy.starvations
-            report = engine.apply_batch(delta)
-            m = report.maintenance
-            charges = (m.gld, m.gst, m.shared, m.ops, m.kernel_launches,
-                       sorted(m.labeled_gld.items()),
-                       report.commit_transactions, report.rebuilds,
-                       report.compactions)
-            h = hashlib.sha256(repr(charges).encode())
-            h.update(repr(store_digest(engine.index.storage)).encode())
-            digests.append(h.hexdigest()[:16])
-            if report.compactions:
-                spy.events.add("compaction")
-            if report.rebuilds > spy.starvations - starved:
-                spy.events.add("occupancy_rebuild")
-    return digests, spy.events
+    events: Set[str] = set()
+    for delta in stream:
+        before = _label_state(engine.index.storage)
+        report = engine.apply_batch(delta)
+        events |= batch_events(before, _label_state(engine.index.storage))
+        m = report.maintenance
+        charges = (m.gld, m.gst, m.shared, m.ops, m.kernel_launches,
+                   sorted(m.labeled_gld.items()),
+                   report.commit_transactions, report.rebuilds,
+                   report.compactions)
+        h = hashlib.sha256(repr(charges).encode())
+        h.update(repr(store_digest(engine.index.storage)).encode())
+        digests.append(h.hexdigest()[:16])
+        if report.compactions:
+            events.add("compaction")
+    return digests, events
 
 
 @pytest.fixture(scope="module")

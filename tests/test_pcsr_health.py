@@ -20,7 +20,7 @@ from repro.graph.labeled_graph import GraphBuilder
 from repro.graph.partition import EdgeLabelPartition
 from repro.service.batch import BatchEngine
 from repro.shard import ShardedEngine, ShardedGraph
-from repro.storage.pcsr import PCSRPartition, PCSRStorage
+from repro.storage.pcsr import GroupStack, PCSRPartition, PCSRStorage
 
 from oracle import brute_force_matches
 
@@ -188,15 +188,19 @@ class TestStatsSurfaces:
     def test_stats_walks_each_chain_once(self, monkeypatch):
         store = PCSRStorage(self.graph())
         walked = []
-        walk = PCSRPartition.max_chain_length
+        walk = GroupStack.chain_lengths
 
-        def counted(part):
-            walked.append(part.label)
-            return walk(part)
+        def counted(stack):
+            walked.append(stack.labels.tolist())
+            return walk(stack)
 
-        monkeypatch.setattr(PCSRPartition, "max_chain_length", counted)
-        store.stats()
-        assert sorted(walked) == [0, 1]
+        monkeypatch.setattr(GroupStack, "chain_lengths", counted)
+        s = store.stats()
+        # One walk over the stacked group layer covers both labels.
+        assert walked == [[0, 1]]
+        assert {lab: d["max_chain_length"]
+                for lab, d in s["per_label"].items()} == {
+            lab: store.partition(lab).max_chain_length() for lab in (0, 1)}
 
     def test_batch_engine_storage_stats(self):
         s = BatchEngine(self.graph()).storage_stats()
