@@ -15,7 +15,7 @@ import pytest
 from repro.bench.reporting import render_table
 from repro.storage.pcsr import PCSRStorage
 
-from bench_common import record_report
+from bench_common import probe_transactions, record_report
 
 GPN_VALUES = [2, 4, 8, 16]
 
@@ -32,8 +32,7 @@ def gpn_sweep(workloads):
     measurements = {}
     for gpn in GPN_VALUES:
         store = PCSRStorage(graph, gpn=gpn)
-        avg_tx = np.mean([store.lookup_transactions(v, l)
-                          for v, l in probes])
+        avg_tx = float(probe_transactions(store, probes).mean())
         chain = store.max_chain_length()
         space = store.space_words()
         measurements[gpn] = (avg_tx, chain, space)

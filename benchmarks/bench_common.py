@@ -17,7 +17,16 @@ import asyncio
 import json
 import os
 from pathlib import Path
-from typing import Any, Awaitable, Callable, List, Optional, Sequence
+from typing import (
+    Any,
+    Awaitable,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -30,6 +39,21 @@ _RESULTS_DIR = Path(__file__).parent / "results"
 #: default smaller so the whole suite runs in minutes — raise via env)
 NUM_QUERIES = int(os.environ.get("GSI_BENCH_QUERIES", "3"))
 QUERY_VERTICES = int(os.environ.get("GSI_BENCH_QUERY_VERTICES", "12"))
+
+
+def probe_transactions(store: Any,
+                       probes: Sequence[Tuple[int, int]]) -> np.ndarray:
+    """Locate + read transactions of every ``N(v, l)`` probe, in probe
+    order, from one ``store.gather`` per label."""
+    by_label: Dict[int, List[int]] = {}
+    for i, (_, label) in enumerate(probes):
+        by_label.setdefault(label, []).append(i)
+    out = np.zeros(len(probes), dtype=np.int64)
+    for label, at in by_label.items():
+        got = store.gather(np.array([probes[i][0] for i in at],
+                                    dtype=np.int64), label)
+        out[at] = got.locate + got.read
+    return out
 
 
 def record_report(name: str, text: str) -> None:

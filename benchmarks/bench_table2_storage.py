@@ -15,19 +15,17 @@ import pytest
 from repro.bench.reporting import render_table
 from repro.storage.factory import build_storage, storage_kinds
 
-from bench_common import record_report
+from bench_common import probe_transactions, record_report
 
 
 def measure_structure(kind, graph, rng):
     store = build_storage(kind, graph)
     labels = graph.distinct_edge_labels()
-    total_tx = 0
-    samples = 200
-    for _ in range(samples):
-        v = int(rng.integers(graph.num_vertices))
-        lab = labels[int(rng.integers(len(labels)))]
-        total_tx += store.lookup_transactions(v, lab)
-    return total_tx / samples, store.space_words()
+    probes = [(int(rng.integers(graph.num_vertices)),
+               labels[int(rng.integers(len(labels)))])
+              for _ in range(200)]
+    return (float(probe_transactions(store, probes).mean()),
+            store.space_words())
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +67,6 @@ def test_bench_lookup(benchmark, workloads, kind, table2):
               for _ in range(100)]
 
     def lookup_100():
-        return sum(store.lookup_transactions(v, l) for v, l in probes)
+        return int(probe_transactions(store, probes).sum())
 
     benchmark.pedantic(lookup_100, rounds=3, iterations=1)

@@ -13,6 +13,17 @@ from repro.graph.datasets import dbpedia_like
 from repro.storage import PCSRStorage, build_storage, storage_kinds
 
 
+def probe_transactions(store, probes):
+    """Locate + read transactions of each ``(v, l)`` probe: one
+    ``gather`` per label reads all of that label's lists at once."""
+    out = np.zeros(len(probes), dtype=np.int64)
+    for label in {l for _, l in probes}:
+        at = [i for i, (_, l) in enumerate(probes) if l == label]
+        got = store.gather(np.array([probes[i][0] for i in at]), label)
+        out[at] = got.locate + got.read
+    return out
+
+
 def main() -> None:
     graph = dbpedia_like()
     print(f"graph: |V|={graph.num_vertices} |E|={graph.num_edges} "
@@ -32,9 +43,8 @@ def main() -> None:
           f"{'space (words)':>14}")
     for kind in storage_kinds():
         store = build_storage(kind, graph)
-        avg_tx = np.mean([store.lookup_transactions(v, l)
-                          for v, l in probes])
-        hub_tx = store.lookup_transactions(hub, hub_label)
+        avg_tx = probe_transactions(store, probes).mean()
+        hub_tx = probe_transactions(store, [(hub, hub_label)])[0]
         print(f"{kind:<12} {avg_tx:8.2f} {hub_tx:8d} "
               f"{store.space_words():14d}")
 

@@ -33,7 +33,8 @@ from repro.gpusim.constants import (
 )
 from repro.gpusim.device import Device
 from repro.gpusim.transactions import batched_write
-from repro.graph.labeled_graph import LabeledGraph
+from repro.graph.labeled_graph import LabeledGraph, concat_ranges
+from repro.storage.base import Gathered
 
 Row = Tuple[int, ...]
 
@@ -111,31 +112,35 @@ class EdgeJoinEngine:
             covered.update((nxt[0], nxt[1]))
         return ordered
 
+    def _gather_rows(self, vcol: np.ndarray, label: int, extra_ops: int
+                     ) -> Tuple[Gathered, np.ndarray, List[float], int]:
+        """One store gather for the distinct vertices of ``vcol`` (one
+        per kernel row).  Returns the gather, each row's vertex index
+        into it, and the rows' cycles and total GLD: every row locates
+        and reads its list, probes the other side's candidates once per
+        neighbor and spends one op per streamed element plus
+        ``extra_ops``."""
+        uniq, inv = np.unique(vcol, return_inverse=True)
+        got = self.store.gather(uniq, label)
+        tx = (got.locate + got.read
+              + got.lens * self.profile.candidate_probe_gld)[inv]
+        ops = got.streamed[inv] + extra_ops
+        cycles = (tx * CYCLES_PER_GLD + ops * CYCLES_PER_OP).tolist()
+        return got, inv, cycles, int(tx.sum())
+
     def _collect_candidate_edges(self, u1: int, u2: int, label: int,
                                  candidates: Dict[int, np.ndarray],
                                  device: Device) -> List[Tuple[int, int]]:
         """Candidate edge table for one query edge (two-step write)."""
-        c1 = candidates[u1]
-        c2_sorted = np.sort(np.asarray(candidates[u2], dtype=np.int64))
-        pairs: List[Tuple[int, int]] = []
-        cycles: List[float] = []
-        gld = 0
-        for v1 in c1:
-            v1 = int(v1)
-            nbrs = self.graph.neighbors_by_label(v1, label)
-            tx = (self.store.locate_transactions(v1, label)
-                  + self.store.read_transactions(v1, label))
-            tx += len(nbrs) * self.profile.candidate_probe_gld
-            gld += tx
-            cycles.append(tx * CYCLES_PER_GLD
-                          + self.store.streamed_elements(v1, label)
-                          * CYCLES_PER_OP)
-            if len(nbrs):
-                idx = np.searchsorted(c2_sorted, nbrs)
-                idx = np.minimum(idx, len(c2_sorted) - 1)
-                hits = nbrs[c2_sorted[idx] == nbrs] if len(c2_sorted) else []
-                for v2 in hits:
-                    pairs.append((v1, int(v2)))
+        c1 = np.asarray(candidates[u1], dtype=np.int64)
+        got, inv, cycles, gld = self._gather_rows(c1, label, 0)
+        # Candidate edges come out row by row, each row's neighbors in
+        # list order.
+        lens = got.lens[inv]
+        nbrs = got.concat[concat_ranges(got.starts[inv], lens)]
+        hit = np.isin(nbrs, candidates[u2])
+        pairs = list(zip(np.repeat(c1, lens)[hit].tolist(),
+                         nbrs[hit].tolist()))
         # Two-step: count pass + write pass, identical read work.
         device.meter.add_gld(2 * gld, label=LABEL_JOIN)
         device.run_kernel(cycles, name=f"cand_edges_{u1}_{u2}_count")
@@ -153,33 +158,19 @@ class EdgeJoinEngine:
         """Extend M with a new query vertex through one query edge,
         running the per-row work twice (two-step scheme)."""
         col = columns.index(u_from)
-        cand_sorted = np.sort(np.asarray(candidates[u_new], dtype=np.int64))
         width = len(columns)
         prof = self.profile
 
+        got, inv, cycles, gld_total = self._gather_rows(
+            np.array([row[col] for row in rows], dtype=np.int64), label,
+            prof.extra_pass_ops_per_row)
+        in_cand = np.isin(got.concat, candidates[u_new])
+        hits = [got.concat[s:s + n][in_cand[s:s + n]].tolist()
+                for s, n in zip(got.starts.tolist(), got.lens.tolist())]
+        per_row_results = [[x for x in hits[k] if x not in row]
+                           for row, k in zip(rows, inv.tolist())]
         new_rows: List[Row] = []
-        cycles: List[float] = []
-        gld_total = 0
         gst_total = 0
-        per_row_results: List[List[int]] = []
-        for row in rows:
-            v = int(row[col])
-            nbrs = self.graph.neighbors_by_label(v, label)
-            tx = (self.store.locate_transactions(v, label)
-                  + self.store.read_transactions(v, label)
-                  + len(nbrs) * prof.candidate_probe_gld)
-            gld_total += tx
-            op_count = (self.store.streamed_elements(v, label)
-                        + prof.extra_pass_ops_per_row)
-            cycles.append(tx * CYCLES_PER_GLD + op_count * CYCLES_PER_OP)
-            found: List[int] = []
-            if len(nbrs) and len(cand_sorted):
-                idx = np.searchsorted(cand_sorted, nbrs)
-                idx = np.minimum(idx, len(cand_sorted) - 1)
-                hits = nbrs[cand_sorted[idx] == nbrs]
-                row_set = set(row)
-                found = [int(x) for x in hits if int(x) not in row_set]
-            per_row_results.append(found)
         # Pass 1: count.
         device.meter.add_gld(gld_total, label=LABEL_JOIN)
         device.run_kernel(cycles, name=f"join_{u_from}_{u_new}_count")

@@ -28,8 +28,8 @@ one block, the latter reshapes kernel task lists before scheduling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import Dict, List
 
 import numpy as np
 
@@ -52,6 +52,7 @@ from repro.graph.labeled_graph import LabeledGraph
 from repro.obs.trace import get_tracer
 from repro.storage.base import NeighborStore
 
+
 @dataclass
 class JoinContext:
     """Everything one join step needs; created once per query."""
@@ -60,33 +61,6 @@ class JoinContext:
     store: NeighborStore
     device: Device
     config: GSIConfig
-    neighbor_cache: Dict[Tuple[int, int],
-                         Tuple[Array, int, int, int]] = field(
-        default_factory=dict)
-
-    def neighbors(self, v: int, label: int
-                  ) -> Tuple[Array, int, int, int]:
-        """Memoized ``(N(v, l), locate_tx, read_tx, streamed)``.
-
-        The memo avoids re-running Python-side probes; counted costs are
-        still charged per use (unless duplicate removal applies).
-        ``read_tx`` and ``streamed`` reflect the storage structure: plain
-        CSR streams the entire unfiltered neighborhood.
-        """
-        key = (v, label)
-        hit = self.neighbor_cache.get(key)
-        if hit is None:
-            # np.unique = sort + dedup: downstream set ops assume the
-            # sorted-unique contract (``intersect1d(assume_unique=True)``
-            # in the refine buffers), so enforce it here rather than trusting
-            # every store to never surface a duplicate after churn.
-            arr = np.unique(self.store.neighbors(v, label))
-            locate = self.store.locate_transactions(v, label)
-            read_tx = self.store.read_transactions(v, label)
-            streamed = self.store.streamed_elements(v, label)
-            hit = (arr, locate, read_tx, streamed)
-            self.neighbor_cache[key] = hit
-        return hit
 
 
 def execute_join_step(ctx: JoinContext, rows: Array,
@@ -114,12 +88,13 @@ def execute_join_step(ctx: JoinContext, rows: Array,
     step_name = f"join_u{step.vertex}"
 
     # Order linking edges so the rarest-label edge comes first (Alg. 4
-    # line 1); this is also the edge whose neighbor lists bound the GBA,
-    # so one fetch serves the prealloc and every pass's edge 0.
+    # line 1); this is also the edge whose neighbor lists bound the GBA.
+    # Each edge's lists are fetched once and serve the prealloc and
+    # both passes of the two-step scheme (fetches charge nothing).
     first = select_first_edge(step, ctx.graph)
-    edges = [first] + [e for e in step.linking_edges if e != first]
-    first_nbrs = _distinct_neighbors(ctx, rows[:, col_of[first[0]]],
-                                     first[1])
+    order = [first] + [e for e in step.linking_edges if e != first]
+    edges = [_distinct_neighbors(ctx, rows[:, col_of[u]], label)
+             for u, label in order]
 
     if ctx.config.use_gpu_set_ops:
         # C(u) is materialized as a bitset for O(1)-transaction probes
@@ -128,17 +103,15 @@ def execute_join_step(ctx: JoinContext, rows: Array,
         ctx.device.memset_cycles(bitset_words)
 
     if ctx.config.use_prealloc_combine:
-        _prealloc(ctx, first_nbrs, step_name)
-        flat, counts = _edge_pass(ctx, rows, col_of, edges, first_nbrs,
-                                  cand, count_only=False,
+        _prealloc(ctx, edges[0], step_name)
+        flat, counts = _edge_pass(ctx, rows, edges, cand, count_only=False,
                                   step_name=step_name)
         return _link(ctx, rows, flat, counts, step_name)
 
     # Two-step output scheme: identical join work performed twice.
-    _edge_pass(ctx, rows, col_of, edges, first_nbrs, cand,
-               count_only=True, step_name=step_name + "_count")
-    flat, counts = _edge_pass(ctx, rows, col_of, edges, first_nbrs, cand,
-                              count_only=False,
+    _edge_pass(ctx, rows, edges, cand, count_only=True,
+               step_name=step_name + "_count")
+    flat, counts = _edge_pass(ctx, rows, edges, cand, count_only=False,
                               step_name=step_name + "_write")
     return _two_step(ctx, rows, flat, counts, step_name)
 

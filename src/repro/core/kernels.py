@@ -4,11 +4,17 @@ The intermediate table is one ``(n, w)`` int64 array, and
 :func:`repro.core.join.execute_join_step` drives every step.  This module
 holds
 
-* the edge pass, :func:`_edge_pass`: for each linking edge it fetches
-  every distinct bound vertex's ``N(v, l)`` once
-  (:func:`_distinct_neighbors`), computes the per-row buffers, and
-  charges every row from the buffers' length arrays with
-  :func:`_edge_costs`, the one statement of Section V's cost model;
+* the neighbor fetch, :func:`_distinct_neighbors`: one
+  :meth:`~repro.storage.base.NeighborStore.gather` call returns every
+  distinct bound vertex's ``N(v, l)`` back to back, with the store's
+  charges per vertex.  Lists are sorted-unique by the store's
+  invariant, and nothing is memoized: the step driver fetches each
+  linking edge once per step;
+
+* the edge pass, :func:`_edge_pass`: for each linking edge it computes
+  the per-row buffers and charges every row from the buffers' length
+  arrays with :func:`_edge_costs`, the one statement of Section V's
+  cost model;
 
 * the two buffer functions between which ``GSIConfig.join_kernel``
   chooses.  Both return the same ``(flat, counts, len_keep)`` and differ
@@ -18,7 +24,7 @@ holds
     ``np.intersect1d`` per row, the direct transcription of
     Algorithm 3 lines 10-13;
   - ``vector`` (:func:`_vector_buffers`): ``(N(v, l) \\ m_i) ∩ C(u)``
-    as one gather over the per-vertex concatenation, and the refines as
+    as one gather over the store's concatenation, and the refines as
     one sorted membership pass over the whole table;
 
 * the array code around the edge pass: Algorithm 4's capacity bounds and
@@ -32,7 +38,7 @@ per-row join.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, NamedTuple, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -54,17 +60,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
 
 
 class DistinctNeighbors(NamedTuple):
-    """One linking edge's ``N(v, l)``, fetched once per distinct bound
+    """One linking edge's ``N(v, l)``, gathered once per distinct bound
     vertex: ``inv`` maps each table row to its vertex, and the other
-    fields are indexed by vertex (``locate``/``read``/``streamed`` are
-    the storage structure's charges for the list)."""
+    fields are the store's :class:`~repro.storage.base.Gathered` lists
+    and charges, indexed by vertex."""
 
     inv: Array
-    lists: List[Array]
+    concat: Array
+    starts: Array
+    lens: Array
     locate: Array
     read: Array
     streamed: Array
-    lens: Array
 
 
 class EdgeCost(NamedTuple):
@@ -141,23 +148,10 @@ def _segment_membership(values: Array, seg_of: Array,
 
 def _distinct_neighbors(ctx: "JoinContext", vcol: Array,
                         label: int) -> DistinctNeighbors:
-    """Fetch each distinct vertex of ``vcol``'s ``N(v, label)`` once,
-    through the context's memo."""
+    """One store gather of ``N(v, label)`` for each distinct vertex of
+    ``vcol``."""
     uniq, inv = np.unique(vcol, return_inverse=True)
-    num_uniq = len(uniq)
-    locate = np.empty(num_uniq, dtype=np.int64)
-    read = np.empty(num_uniq, dtype=np.int64)
-    streamed = np.empty(num_uniq, dtype=np.int64)
-    lens = np.empty(num_uniq, dtype=np.int64)
-    lists: List[Array] = []
-    for k in range(num_uniq):
-        nbrs, locate_tx, read_tx, elems = ctx.neighbors(int(uniq[k]), label)
-        lists.append(nbrs)
-        locate[k] = locate_tx
-        read[k] = read_tx
-        streamed[k] = elems
-        lens[k] = len(nbrs)
-    return DistinctNeighbors(inv, lists, locate, read, streamed, lens)
+    return DistinctNeighbors(inv, *ctx.store.gather(uniq, label))
 
 
 # ----------------------------------------------------------------------
@@ -177,7 +171,9 @@ def _rows_buffers(table: Array, nbrs: DistinctNeighbors,
     row's count after the subtraction, before the ``C(u)`` probe; a
     refine probes nothing, so there it equals ``counts``.
     """
-    lists, inv = nbrs.lists, nbrs.inv.tolist()
+    concat, inv = nbrs.concat, nbrs.inv.tolist()
+    lists = [concat[s:s + n]
+             for s, n in zip(nbrs.starts.tolist(), nbrs.lens.tolist())]
     if first:
         keeps = [lists[k][~np.isin(lists[k], table[i])]
                  for i, k in enumerate(inv)]
@@ -195,12 +191,10 @@ def _vector_buffers(table: Array, nbrs: DistinctNeighbors,
                     cand: CandidateSet, flat: Array, counts: Array,
                     first: bool) -> Tuple[Array, Array, Array]:
     """:func:`_rows_buffers` over the whole table at once (the
-    ``vector`` lane): the distinct lists are concatenated once, and each
-    row's share is gathered from the concatenation."""
+    ``vector`` lane): each row's share is gathered from the store's
+    concatenation of the distinct lists."""
     num_rows, width = table.shape
-    starts = np.zeros(len(nbrs.lists) + 1, dtype=np.int64)
-    np.cumsum(nbrs.lens, out=starts[1:])
-    concat = np.concatenate(nbrs.lists)
+    starts, concat = nbrs.starts, nbrs.concat
     row_ids = np.arange(num_rows, dtype=np.int64)
     if first:
         nlen = nbrs.lens[nbrs.inv]
@@ -317,25 +311,21 @@ def _charge(ctx: "JoinContext", cost: EdgeCost, name: str) -> None:
                       task_units=cost.units.astype(np.float64).tolist())
 
 
-def _edge_pass(ctx: "JoinContext", table: Array, col_of: Dict[int, int],
-               edges: List[Tuple[int, int]], first_nbrs: DistinctNeighbors,
-               cand: CandidateSet, count_only: bool, step_name: str
-               ) -> Tuple[Array, Array]:
-    """All linking-edge kernels of one step, one per edge.
-
-    ``first_nbrs`` are edge 0's lists, which the caller has already
-    fetched.  Returns ``(flat, counts)``: the per-row buffers
-    concatenated in row order plus their lengths.
+def _edge_pass(ctx: "JoinContext", table: Array,
+               edges: List[DistinctNeighbors], cand: CandidateSet,
+               count_only: bool, step_name: str) -> Tuple[Array, Array]:
+    """All linking-edge kernels of one step, one per edge, over the
+    edges' lists as the caller fetched them (edge 0 first).  Returns
+    ``(flat, counts)``: the per-row buffers concatenated in row order
+    plus their lengths.
     """
     buffers = (_vector_buffers if ctx.config.join_kernel == "vector"
                else _rows_buffers)
     width = table.shape[1]
     flat = np.empty(0, dtype=np.int64)
     counts = np.zeros(table.shape[0], dtype=np.int64)
-    for edge_idx, (u_prime, label) in enumerate(edges):
+    for edge_idx, nbrs in enumerate(edges):
         first = edge_idx == 0
-        nbrs = (first_nbrs if first else
-                _distinct_neighbors(ctx, table[:, col_of[u_prime]], label))
         counts_in = counts
         flat, counts, len_keep = buffers(table, nbrs, cand, flat, counts,
                                          first)

@@ -13,10 +13,14 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.arraytypes import Array
-from repro.gpusim.transactions import contiguous_read
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.partition import partition_by_edge_label
-from repro.storage.base import EMPTY, NeighborStore
+from repro.storage.base import (
+    Gathered,
+    NeighborStore,
+    gather_ranges,
+    nothing_gathered,
+)
 
 
 class _PerLabelBasic:
@@ -34,12 +38,6 @@ class _PerLabelBasic:
         self.ci = (np.concatenate(chunks) if chunks
                    else np.empty(0, dtype=np.int64))
 
-    def neighbors(self, v: int) -> Array:
-        lo, hi = self.offsets[v], self.offsets[v + 1]
-        if lo == hi:
-            return EMPTY
-        return self.ci[lo:hi]
-
 
 class BasicRepresentation(NeighborStore):
     """All edge-label partitions, each with a |V|-wide offset layer."""
@@ -52,19 +50,16 @@ class BasicRepresentation(NeighborStore):
         for lab, part in partition_by_edge_label(graph).items():
             self._tables[lab] = _PerLabelBasic(self._n, part.items())
 
-    def neighbors(self, v: int, label: int) -> Array:
+    def gather(self, vertices: Array, label: int) -> Gathered:
         table = self._tables.get(label)
         if table is None:
-            return EMPTY
-        return table.neighbors(v)
-
-    def locate_transactions(self, v: int, label: int) -> int:
+            return nothing_gathered(len(vertices))
         # Direct index into the per-label offset array: one transaction
         # fetches the (begin, end) pair.
-        return 0 if label not in self._tables else 1
-
-    def read_transactions(self, v: int, label: int) -> int:
-        return contiguous_read(len(self.neighbors(v, label)))
+        begin = table.offsets[vertices]
+        return gather_ranges(table.ci, begin,
+                             table.offsets[vertices + 1] - begin,
+                             np.ones(len(vertices), dtype=np.int64))
 
     def space_words(self) -> int:
         total = 0

@@ -14,10 +14,14 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.arraytypes import Array
-from repro.gpusim.transactions import contiguous_read
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.partition import partition_by_edge_label
-from repro.storage.base import EMPTY, NeighborStore
+from repro.storage.base import (
+    Gathered,
+    NeighborStore,
+    gather_ranges,
+    nothing_gathered,
+)
 
 
 class _PerLabelCompressed:
@@ -32,19 +36,6 @@ class _PerLabelCompressed:
         self.ci = (np.concatenate(chunks) if chunks
                    else np.empty(0, dtype=np.int64))
 
-    def find(self, v: int) -> int:
-        """Index of ``v`` in the vertex-id layer, or -1."""
-        pos = int(np.searchsorted(self.vertex_ids, v))
-        if pos < len(self.vertex_ids) and self.vertex_ids[pos] == v:
-            return pos
-        return -1
-
-    def neighbors(self, v: int) -> Array:
-        pos = self.find(v)
-        if pos < 0:
-            return EMPTY
-        return self.ci[self.offsets[pos]:self.offsets[pos + 1]]
-
 
 class CompressedRepresentation(NeighborStore):
     """All edge-label partitions with binary-searched vertex-id layers."""
@@ -56,23 +47,22 @@ class CompressedRepresentation(NeighborStore):
         for lab, part in partition_by_edge_label(graph).items():
             self._tables[lab] = _PerLabelCompressed(part.items())
 
-    def neighbors(self, v: int, label: int) -> Array:
+    def gather(self, vertices: Array, label: int) -> Gathered:
         table = self._tables.get(label)
         if table is None:
-            return EMPTY
-        return table.neighbors(v)
-
-    def locate_transactions(self, v: int, label: int) -> int:
-        table = self._tables.get(label)
-        if table is None:
-            return 0
+            return nothing_gathered(len(vertices))
         # Paper: ceil(log2(|V(G,l)| + 1)) + 2 transactions — the binary
-        # search probes plus the offset pair fetch.
-        n = len(table.vertex_ids)
-        return int(math.ceil(math.log2(n + 1))) + 2 if n else 1
-
-    def read_transactions(self, v: int, label: int) -> int:
-        return contiguous_read(len(self.neighbors(v, label)))
+        # search probes plus the offset pair fetch.  A table exists only
+        # for a label that carries edges, so it holds a vertex.
+        ids = table.vertex_ids
+        pos = np.minimum(np.searchsorted(ids, vertices), len(ids) - 1)
+        found = ids[pos] == vertices
+        begin = table.offsets[pos]
+        return gather_ranges(
+            table.ci, begin,
+            np.where(found, table.offsets[pos + 1] - begin, 0),
+            np.full(len(vertices), math.ceil(math.log2(len(ids) + 1)) + 2,
+                    dtype=np.int64))
 
     def space_words(self) -> int:
         total = 0

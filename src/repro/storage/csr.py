@@ -12,42 +12,35 @@ from __future__ import annotations
 import numpy as np
 
 from repro.arraytypes import Array
-from repro.gpusim.transactions import contiguous_read
-from repro.graph.labeled_graph import LabeledGraph
-from repro.storage.base import EMPTY, NeighborStore
+from repro.gpusim.transactions import contiguous_reads
+from repro.graph.labeled_graph import LabeledGraph, concat_ranges
+from repro.storage.base import Gathered, NeighborStore
 
 
 class CSRStorage(NeighborStore):
-    """Whole-graph CSR with an edge-label layer."""
+    """Whole-graph CSR with an edge-label layer (the graph's own)."""
 
     kind = "csr"
 
     def __init__(self, graph: LabeledGraph) -> None:
         self._graph = graph
-        n = graph.num_vertices
-        self._offsets = np.zeros(n + 1, dtype=np.int64)
-        for v in range(n):
-            self._offsets[v + 1] = self._offsets[v] + graph.degree(v)
 
-    def neighbors(self, v: int, label: int) -> Array:
-        arr = self._graph.neighbors_by_label(v, label)
-        if len(arr) == 0:
-            return EMPTY
-        return np.sort(arr)
-
-    def locate_transactions(self, v: int, label: int) -> int:
-        # One transaction fetches the (begin, end) offset pair.
-        return 1
-
-    def read_transactions(self, v: int, label: int) -> int:
-        # Must stream the full neighborhood *and* the parallel edge-label
-        # array, then discard non-matching entries.
-        deg = self._graph.degree(v)
-        return contiguous_read(deg) * 2
-
-    def streamed_elements(self, v: int, label: int) -> int:
-        # Every neighbor is inspected; wrong-label lanes are wasted.
-        return self._graph.degree(v)
+    def gather(self, vertices: Array, label: int) -> Gathered:
+        offsets, nbr, elab = self._graph.incidence()
+        begin = offsets[vertices]
+        degree = offsets[vertices + 1] - begin
+        at = concat_ranges(begin, degree)
+        # A row is sorted by (edge label, neighbor), so each vertex's
+        # label-l entries come out sorted.
+        keep = elab[at] == label
+        row = np.repeat(np.arange(len(vertices), dtype=np.int64), degree)
+        lens = np.bincount(row[keep], minlength=len(vertices)).astype(np.int64)
+        # One transaction fetches the (begin, end) offset pair; the warp
+        # then streams the full neighborhood *and* the parallel
+        # edge-label array and discards non-matching entries.
+        return Gathered(nbr[at[keep]], np.cumsum(lens) - lens, lens,
+                        np.ones(len(vertices), dtype=np.int64),
+                        contiguous_reads(degree) * 2, degree)
 
     def space_words(self) -> int:
         n = self._graph.num_vertices

@@ -64,7 +64,12 @@ from repro.gpusim.meter import MemoryMeter
 from repro.gpusim.transactions import contiguous_read, contiguous_reads
 from repro.graph.labeled_graph import LabeledGraph, concat_ranges
 from repro.graph.partition import EdgeLabelPartition, partition_by_edge_label
-from repro.storage.base import EMPTY, NeighborStore
+from repro.storage.base import (
+    Gathered,
+    NeighborStore,
+    gather_ranges,
+    nothing_gathered,
+)
 
 _EMPTY_SLOT = -1
 _NO_OVERFLOW = -1
@@ -246,55 +251,34 @@ class PCSRPartition:
     # Lookup (the 4-step procedure under Figure 11c)
     # ------------------------------------------------------------------
 
-    def _probe(self, v: int) -> Tuple[int, int, int]:
-        """Walk the group chain for ``v``.
-
-        Returns ``(groups_read, begin, end)`` with ``begin == end == -1``
-        if ``v`` is not in this partition.
-        """
-        gid = default_hash(v, self.num_groups)
-        reads = 0
-        while gid != _NO_OVERFLOW:
-            reads += 1
-            group = self.groups[gid]
-            for j in range(self.gpn - 1):
-                if group[j, 0] == v:
-                    begin = int(group[j, 1])
-                    if j + 1 < self.gpn - 1 and group[j + 1, 0] != _EMPTY_SLOT:
-                        end = int(group[j + 1, 1])
-                    else:
-                        end = int(group[self.gpn - 1, 1])
-                    return reads, begin, end
-            gid = int(group[self.gpn - 1, 0])
-        return reads, -1, -1
+    def gather(self, keys: Array) -> Gathered:
+        """``N(v, l)`` of every key, all chains walked at once.  Each
+        group read is one 128 B transaction when ``GPN = 16`` (one warp,
+        one transaction per group), so ``locate`` counts the groups each
+        walk read: the home group always, and a miss that walks an
+        overflow chain pays for every chained group before concluding
+        the key is absent."""
+        reads, gid, slot = self._locate(keys)
+        hit = gid >= 0
+        begin = np.zeros(len(keys), dtype=np.int64)
+        lens = np.zeros(len(keys), dtype=np.int64)
+        first, end = self._extents(gid[hit], slot[hit])
+        begin[hit] = first
+        lens[hit] = end - first
+        return gather_ranges(self._ci_buf, begin, lens, reads)
 
     def neighbors(self, v: int) -> Array:
         """``N(v, l)`` from the PCSR layout (not the source graph)."""
-        _, begin, end = self._probe(v)
-        if begin < 0:
-            return EMPTY
-        return self.ci[begin:end]
+        return self.gather(np.array([v], dtype=np.int64)).concat
 
-    def probe_transactions(self, v: int) -> int:
-        """Groups read to locate ``v`` — each is one 128 B transaction
-        when ``GPN = 16`` (one warp, one transaction per group).
-
-        Misses cost their actual probe reads: the home group is always
-        read, and a miss that walks an overflow chain pays one
-        transaction per chained group before concluding ``v`` is absent.
-        """
-        reads, _, _ = self._probe(v)
-        return reads
-
-    def _locate(self, keys: Array) -> Tuple[int, Array, Array]:
-        """Walk every key's chain at once: ``(reads, gid, slot)`` with
-        label-local ``gid`` and ``gid == slot == -1`` for keys not
-        stored; ``reads`` sums :meth:`GroupStack.locate`'s per-key
-        reads."""
+    def _locate(self, keys: Array) -> Tuple[Array, Array, Array]:
+        """Walk every key's chain at once: ``(reads, gid, slot)`` per
+        key (:meth:`GroupStack.locate`), with label-local ``gid`` and
+        ``gid == slot == -1`` for keys not stored."""
         keys = np.asarray(keys, dtype=np.int64)
         reads, gid, slot = self._stack.locate(
             np.full(len(keys), self._pos, dtype=np.int64), keys)
-        return int(reads.sum()), np.where(gid < 0, -1, gid - self._base), slot
+        return reads, np.where(gid < 0, -1, gid - self._base), slot
 
     def _extents(self, gid: Array, slot: Array) -> Tuple[Array, Array]:
         """ci extents ``[begin, end)`` of the keys at ``(gid, slot)``."""
@@ -490,7 +474,8 @@ class PCSRPartition:
         slot 0; offsets are non-decreasing in layout order and bounded
         by ``len(ci)``; every GID points at a real group (or -1); chains
         are acyclic; every key hashes (transitively) to the group chain
-        that holds it.
+        that holds it; every key's list is strictly increasing (the
+        sorted-unique lists that readers rely on).
         """
         problems: List[str] = []
         gpn = self.gpn
@@ -554,6 +539,10 @@ class PCSRPartition:
                     problems.append(
                         f"key {v} stored in group {gid}, unreachable "
                         f"from home group {home}")
+        for v, nbrs in self.items():
+            if (np.diff(nbrs) <= 0).any():
+                problems.append(f"key {v}: neighbors not strictly "
+                                f"increasing")
         return problems
 
     def load_factor(self) -> float:
@@ -618,9 +607,8 @@ class GroupStack:
         """Walk every ``(label position, key)`` pair's chain at once:
         ``(reads, gid, slot)`` per pair, with stack-wide ``gid`` and
         ``gid == slot == -1`` for keys not stored.  A hit reads the
-        groups up to the one holding its key, a miss its whole chain
-        (as :meth:`PCSRPartition._probe` counts); the step count is the
-        longest chain walked."""
+        groups up to the one holding its key, a miss its whole chain;
+        the step count is the longest chain walked."""
         capacity = self.gpn - 1
         gid = np.full(len(keys), -1, dtype=np.int64)
         slot = np.full(len(keys), -1, dtype=np.int64)
@@ -907,23 +895,11 @@ class PCSRStorage(NeighborStore):
         """The PCSR of one edge label, if any edges carry it."""
         return self._parts.get(label)
 
-    def neighbors(self, v: int, label: int) -> Array:
+    def gather(self, vertices: Array, label: int) -> Gathered:
         part = self._parts.get(label)
         if part is None:
-            return EMPTY
-        return part.neighbors(v)
-
-    def locate_transactions(self, v: int, label: int) -> int:
-        """Actual probe reads: 0 when no partition carries ``label`` (no
-        structure to read), else the groups walked — a miss inside a
-        partition still pays for every group it probed."""
-        part = self._parts.get(label)
-        if part is None:
-            return 0
-        return part.probe_transactions(v)
-
-    def read_transactions(self, v: int, label: int) -> int:
-        return contiguous_read(len(self.neighbors(v, label)))
+            return nothing_gathered(len(vertices))
+        return part.gather(vertices)
 
     def space_words(self) -> int:
         return sum(p.space_words() for p in self._parts.values())

@@ -15,6 +15,7 @@ from typing import Dict, List, Sequence, Set, Tuple
 import numpy as np
 
 from repro.graph.labeled_graph import GraphBuilder, LabeledGraph
+from repro.storage.pcsr import default_hash
 
 
 def brute_force_matches(query: LabeledGraph,
@@ -128,3 +129,25 @@ def store_digest(store) -> Dict[str, str]:
     """:func:`partition_digest` of every label of a PCSR store."""
     return {str(lab): partition_digest(part)
             for lab, part in sorted(store._parts.items())}
+
+
+def pcsr_probe(part, v: int) -> Tuple[int, int, int]:
+    """The scalar PCSR lookup (the 4-step procedure under Figure 11c),
+    the reference for the vectorized chain walk of
+    :meth:`PCSRPartition.gather`: walk ``v``'s group chain from its home
+    group, one read per group.  Returns ``(groups_read, begin, end)``,
+    with ``begin == end == -1`` if ``v`` is not stored."""
+    last = part.gpn - 1
+    gid = default_hash(v, part.num_groups)
+    reads = 0
+    while gid != -1:
+        reads += 1
+        group = part.groups[gid]
+        for j in range(last):
+            if group[j, 0] == v:
+                begin = int(group[j, 1])
+                if j + 1 < last and group[j + 1, 0] != -1:
+                    return reads, begin, int(group[j + 1, 1])
+                return reads, begin, int(group[last, 1])
+        gid = int(group[last, 0])
+    return reads, -1, -1

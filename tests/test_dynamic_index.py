@@ -23,7 +23,7 @@ from repro.graph.labeled_graph import GraphBuilder, LabeledGraph
 from repro.graph.partition import EdgeLabelPartition, partition_by_edge_label
 from repro.storage.pcsr import PCSRPartition, default_hash
 
-from oracle import store_digest
+from oracle import pcsr_probe, store_digest
 
 
 def star_partition(num_leaves, gpn=16):
@@ -124,16 +124,15 @@ class TestPCSRIncrementalOps:
         assert p.validate() == []
 
     def test_probe_transactions_counts_actual_miss_reads(self):
-        # A miss pays for every group actually probed: one read when
-        # the home group ends the chain, more when it must walk one.
+        # A probe (gather's ``locate``) pays for every group actually
+        # read, misses included: one read when the home group ends the
+        # chain, more when it must walk one.
         p = star_partition(3)
-        present_reads, gid, _ = p._locate(np.array([0]))
-        assert gid[0] >= 0
-        assert p.probe_transactions(0) == present_reads
-        # Missing vertex: cost equals the walked chain length, >= 1.
-        reads, g2, _ = p._locate(np.array([123456]))
-        assert g2[0] == -1
-        assert p.probe_transactions(123456) == reads >= 1
+        got = p.gather(np.array([0, 123456]))
+        assert got.locate.tolist() == [pcsr_probe(p, 0)[0],
+                                       pcsr_probe(p, 123456)[0]]
+        assert got.locate.min() >= 1
+        assert got.lens.tolist() == [3, 0]
 
 
 @settings(max_examples=40, deadline=None)

@@ -186,18 +186,16 @@ class TestDuplicateRemoval:
 
 
 class TestNeighborCache:
-    def test_memoization_returns_same_object(self, graph):
-        ctx = make_ctx(graph)
-        a = ctx.neighbors(0, 0)
-        b = ctx.neighbors(0, 0)
-        assert a[0] is b[0]
-        assert len(ctx.neighbor_cache) == 1
+    """There is no per-query neighbor memo: a join step fetches each
+    linking edge's lists itself, and exactly once."""
 
     @pytest.mark.parametrize("lane", ["rows", "vector"])
     def test_prealloc_step_fetches_lists_once(self, graph, lane,
                                               monkeypatch):
-        """Prealloc-Combine's capacity bounds and edge 0 read the same
-        column under the same label: one fetch serves both."""
+        """Each linking edge's lists are fetched once per step: one
+        fetch serves Prealloc-Combine's capacity bounds and edge 0, and
+        the two-step scheme's count and write passes, for one-edge and
+        two-edge steps alike."""
         calls = []
 
         def counting(ctx, vcol, label):
@@ -207,10 +205,25 @@ class TestNeighborCache:
         real = kernels._distinct_neighbors
         monkeypatch.setattr(kernels, "_distinct_neighbors", counting)
         monkeypatch.setattr(join, "_distinct_neighbors", counting)
-        ctx = make_ctx(graph, GSIConfig(join_kernel=lane))
-        step = JoinStep(vertex=1, linking_edges=((0, 0),))
-        out = execute_join_step(
-            ctx, np.arange(10, dtype=np.int64).reshape(-1, 1), [0], step,
-            CandidateSet(np.arange(graph.num_vertices, dtype=np.int64)))
-        assert len(out) > 0
-        assert calls == [0]
+        everything = CandidateSet(np.arange(graph.num_vertices,
+                                            dtype=np.int64))
+        for prealloc in (True, False):
+            for labels in ((0,), (0, 1)):
+                ctx = make_ctx(graph, GSIConfig(
+                    join_kernel=lane, use_prealloc_combine=prealloc))
+                table = np.arange(10, dtype=np.int64).reshape(-1, 1)
+                columns = [0]
+                if len(labels) == 2:
+                    table = execute_join_step(
+                        ctx, table, columns,
+                        JoinStep(vertex=1, linking_edges=((0, labels[1]),)),
+                        everything)
+                    columns = [0, 1]
+                    assert len(table) > 0
+                calls.clear()
+                step = JoinStep(vertex=2, linking_edges=tuple(
+                    (u, lab) for u, lab in zip(columns, labels)))
+                out = execute_join_step(ctx, table, columns, step,
+                                        everything)
+                assert len(out) > 0, (prealloc, labels)
+                assert sorted(calls) == sorted(labels), (prealloc, labels)

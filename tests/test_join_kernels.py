@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.core.config import GSIConfig
 from repro.core.engine import GSIEngine
 from repro.core.kernels import (
-    _distinct_neighbors,
+    DistinctNeighbors,
     _rows_buffers,
     _segment_membership,
     _shared_hit_mask,
@@ -129,16 +129,16 @@ class TestHelpers:
             pos += len(b)
 
 
-class _AdjacencyContext:
-    """Stands in for a ``JoinContext``: ``adjacency[v]`` is ``N(v, l)``
-    under every label, with unit storage charges."""
-
-    def __init__(self, adjacency):
-        self.adjacency = adjacency
-
-    def neighbors(self, v, label):
-        nbrs = np.array(sorted(self.adjacency[v]), dtype=np.int64)
-        return nbrs, 1, 1, len(nbrs)
+def _distinct_lists(adjacency, vcol):
+    """``vcol``'s distinct vertices' lists, as ``_distinct_neighbors``
+    returns them, where ``adjacency[v]`` is ``N(v, l)``; unit charges."""
+    uniq, inv = np.unique(vcol, return_inverse=True)
+    lists = [sorted(adjacency[v]) for v in uniq.tolist()]
+    lens = np.array([len(nbrs) for nbrs in lists], dtype=np.int64)
+    ones = np.ones(len(uniq), dtype=np.int64)
+    concat = np.array([v for nbrs in lists for v in nbrs], dtype=np.int64)
+    return DistinctNeighbors(inv, concat, np.cumsum(lens) - lens, lens,
+                             ones, ones, lens)
 
 
 _IDS = st.integers(0, 19)
@@ -161,8 +161,7 @@ def test_buffer_functions_agree(first, data):
                                    min_size=20, max_size=20),
                           label="adjacency")
     col = data.draw(st.integers(0, width - 1), label="bound column")
-    nbrs = _distinct_neighbors(_AdjacencyContext(adjacency), table[:, col],
-                               0)
+    nbrs = _distinct_lists(adjacency, table[:, col])
     cand = CandidateSet(np.array(sorted(data.draw(st.sets(_IDS),
                                                   label="C(u)")),
                                  dtype=np.int64))

@@ -12,7 +12,7 @@ from repro.graph.labeled_graph import LabeledGraph, triangle_query
 from repro.graph.partition import EdgeLabelPartition, partition_by_edge_label
 from repro.storage.pcsr import PCSRPartition, PCSRStorage, default_hash
 
-from oracle import brute_force_matches
+from oracle import brute_force_matches, pcsr_probe
 
 
 def build_partition(edges, n=None, gpn=16):
@@ -57,8 +57,7 @@ class TestLookup:
 
     def test_probe_cost_at_least_one(self):
         p = build_partition([(0, 1, 0)])[0]
-        assert p.probe_transactions(0) >= 1
-        assert p.probe_transactions(999) >= 1
+        assert p.gather(np.array([0, 999])).locate.tolist() == [1, 1]
 
     def test_miss_pays_actual_chain_walk(self):
         # With GPN=2 the star hub's keys chain; a missing vertex that
@@ -67,10 +66,16 @@ class TestLookup:
         edges = [(0, v, 0) for v in range(1, 20)]
         p = build_partition(edges, gpn=2)[0]
         assert p.max_chain_length() > 1
-        for v in (500, 9999, 123456):
-            reads, gid, _ = p._locate(np.array([v]))
-            assert gid[0] == -1
-            assert p.probe_transactions(v) == reads >= 1
+        last = p.gpn - 1
+        chained = [v for v in range(100, 5000)
+                   if p.groups[default_hash(v, p.num_groups), last, 0]
+                   != -1]
+        misses = np.array([500, 9999, 123456] + chained[:3])
+        got = p.gather(misses)
+        assert got.lens.tolist() == [0] * len(misses)
+        assert got.locate.tolist() == [pcsr_probe(p, v)[0]
+                                       for v in misses.tolist()]
+        assert got.locate.min() >= 1 and got.locate.max() > 1
 
     def test_non_consecutive_vertex_ids(self):
         # Partition touches only vertices 100, 500, 900.
@@ -200,7 +205,8 @@ class TestStorageFacade:
     def test_locate_transactions_zero_for_missing_label(self):
         g = LabeledGraph([0] * 3, [(0, 1, 4)])
         store = PCSRStorage(g)
-        assert store.locate_transactions(0, 99) == 0
+        got = store.gather(np.array([0, 1]), 99)
+        assert got.locate.tolist() == got.lens.tolist() == [0, 0]
 
     def test_max_chain_empty_store(self):
         g = LabeledGraph([0, 0], [])
@@ -336,7 +342,7 @@ class TestEdgeCases:
         assert len(p.ci) == 0
         assert list(p.neighbors(0)) == []
         assert list(p.neighbors(123)) == []
-        assert p.probe_transactions(0) >= 1
+        assert p.gather(np.array([0])).locate.tolist() == [1]
         assert p.load_factor() == 0.0
         assert p.validate() == []
 
@@ -346,7 +352,7 @@ class TestEdgeCases:
         assert store.space_words() == 0
         for v in range(3):
             assert list(store.neighbors(v, 0)) == []
-        assert store.locate_transactions(0, 0) == 0
+        assert store.gather(np.array([0]), 0).locate.tolist() == [0]
 
     @pytest.mark.parametrize("gpn", [2, 4, 16])
     def test_vertex_degree_exceeds_one_group_row(self, gpn):

@@ -4,10 +4,7 @@ contract under churn."""
 import numpy as np
 import pytest
 
-from repro.core.config import GSIConfig
-from repro.core.join import JoinContext
 from repro.errors import StorageError
-from repro.gpusim.device import Device
 from repro.gpusim.meter import MemoryMeter
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.partition import partition_by_edge_label
@@ -140,31 +137,20 @@ class TestApplyBulkAtomicity:
         assert part.validate() == []
 
 
-class _DuplicateStore:
-    """A stand-in store that surfaces duplicated, unsorted neighbors —
-    what a buggy or mid-churn structure could briefly produce."""
-
-    def neighbors(self, v, label):
-        return np.array([5, 3, 5, 1, 3], dtype=np.int64)
-
-    def locate_transactions(self, v, label):
-        return 1
-
-    def read_transactions(self, v, label):
-        return 1
-
-    def streamed_elements(self, v, label):
-        return 5
-
-
 class TestSortedUniqueContract:
-    def test_join_context_dedups_and_sorts(self):
-        cfg = GSIConfig()
-        graph = LabeledGraph([0, 0], [(0, 1, 0)])
-        ctx = JoinContext(graph=graph, store=_DuplicateStore(),
-                          device=Device(), config=cfg)
-        arr, _, _, _ = ctx.neighbors(0, 0)
-        assert arr.tolist() == [1, 3, 5]
+    @pytest.mark.parametrize("corrupt", ["duplicate", "descending"])
+    def test_validate_reports_unsorted_list(self, corrupt):
+        """Readers take every list as sorted-unique and repair nothing,
+        so one corrupted ``ci`` word must show in ``validate()``."""
+        part = build_partition(
+            [(0, v, 0) for v in range(1, 6)] + [(1, 2, 0)])[0]
+        assert part.validate() == []
+        _, gid, slot = part._locate(np.array([0]))
+        begin = int(part.groups[gid[0], slot[0], 1])
+        assert part.ci[begin:begin + 5].tolist() == [1, 2, 3, 4, 5]
+        part._ci_buf[begin + 2] = 2 if corrupt == "duplicate" else 0
+        assert part.validate() == [
+            "key 0: neighbors not strictly increasing"]
 
     def test_neighbors_sorted_unique_after_churn(self):
         rng = np.random.default_rng(8)

@@ -30,9 +30,9 @@ def bound_to(nbrs, num_rows=1, locate_tx=1, read_tx=None, streamed=None):
     if streamed is None:
         streamed = len(nbrs)
     return DistinctNeighbors(
-        inv=np.zeros(num_rows, dtype=np.int64), lists=[nbrs],
-        locate=arr(locate_tx), read=arr(read_tx), streamed=arr(streamed),
-        lens=arr(len(nbrs)))
+        inv=np.zeros(num_rows, dtype=np.int64), concat=nbrs, starts=arr(0),
+        lens=arr(len(nbrs)), locate=arr(locate_tx), read=arr(read_tx),
+        streamed=arr(streamed))
 
 
 def first_edge(config, row, nbrs, cand, num_rows=1, **charges):

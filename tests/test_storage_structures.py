@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.errors import StorageError
-from repro.gpusim.meter import MemoryMeter
 from repro.graph.generators import scale_free_graph
 from repro.storage import (
     BasicRepresentation,
@@ -54,20 +53,26 @@ class TestFunctionalEquivalence:
         assert len(s.neighbors(0, 10_000)) == 0
 
 
+def gather_one(store, v, label):
+    """The gather of one vertex, as ``(locate, read, streamed)``."""
+    got = store.gather(np.array([v], dtype=np.int64), label)
+    return int(got.locate[0]), int(got.read[0]), int(got.streamed[0])
+
+
 class TestCSR:
     def test_locate_is_one_transaction(self, graph):
         s = CSRStorage(graph)
-        assert s.locate_transactions(0, 0) == 1
+        assert gather_one(s, 0, 0)[0] == 1
 
     def test_read_scans_whole_neighborhood(self, graph):
         s = CSRStorage(graph)
         v = max(range(graph.num_vertices), key=graph.degree)
         expected = 2 * math.ceil(graph.degree(v) / 32)
-        assert s.read_transactions(v, 0) == expected
+        assert gather_one(s, v, 0)[1] == expected
 
     def test_streamed_is_degree(self, graph):
         s = CSRStorage(graph)
-        assert s.streamed_elements(5, 0) == graph.degree(5)
+        assert gather_one(s, 5, 0)[2] == graph.degree(5)
 
     def test_space_linear_in_edges(self, graph):
         s = CSRStorage(graph)
@@ -79,7 +84,7 @@ class TestBasicRepresentation:
     def test_locate_o1(self, graph):
         s = BasicRepresentation(graph)
         lab = graph.distinct_edge_labels()[0]
-        assert s.locate_transactions(0, lab) == 1
+        assert gather_one(s, 0, lab)[0] == 1
 
     def test_space_includes_per_label_offsets(self, graph):
         s = BasicRepresentation(graph)
@@ -92,14 +97,14 @@ class TestBasicRepresentation:
         lab = graph.distinct_edge_labels()[0]
         v = int(graph.num_vertices // 2)
         n = len(graph.neighbors_by_label(v, lab))
-        assert s.read_transactions(v, lab) == math.ceil(n / 32)
+        assert gather_one(s, v, lab)[1:] == (math.ceil(n / 32), n)
 
 
 class TestCompressedRepresentation:
     def test_locate_is_logarithmic(self, graph):
         s = CompressedRepresentation(graph)
         lab = graph.distinct_edge_labels()[0]
-        tx = s.locate_transactions(0, lab)
+        tx = gather_one(s, 0, lab)[0]
         part_sizes = [len(np.unique(np.concatenate(
             [[u, v] for u, v, l in graph.edges() if l == lab])))]
         expect = math.ceil(math.log2(part_sizes[0] + 1)) + 2
@@ -119,16 +124,15 @@ class TestTable2Ordering:
         cr = build_storage("compressed", graph)
         lab = graph.distinct_edge_labels()[0]
         hub = max(range(graph.num_vertices), key=graph.degree)
-        assert pcsr.locate_transactions(hub, lab) \
-            <= cr.locate_transactions(hub, lab)
+        assert gather_one(pcsr, hub, lab)[0] <= gather_one(cr, hub, lab)[0]
 
     def test_pcsr_read_beats_csr_on_hub(self, graph):
         pcsr = build_storage("pcsr", graph)
         csr = build_storage("csr", graph)
         lab = graph.distinct_edge_labels()[0]
         hub = max(range(graph.num_vertices), key=graph.degree)
-        assert pcsr.lookup_transactions(hub, lab) \
-            <= csr.lookup_transactions(hub, lab)
+        assert sum(gather_one(pcsr, hub, lab)[:2]) \
+            <= sum(gather_one(csr, hub, lab)[:2])
 
     def test_basic_space_blows_up_with_many_labels(self):
         # BR's O(|E| + |LE| x |V|) term is what makes it unscalable on
@@ -142,15 +146,12 @@ class TestTable2Ordering:
 
 
 class TestMeteredLookup:
-    def test_lookup_records_to_meter(self, graph):
-        s = build_storage("pcsr", graph)
-        meter = MemoryMeter()
-        lab = graph.distinct_edge_labels()[0]
-        s.lookup(0, lab, meter)
-        assert meter.gld == s.lookup_transactions(0, lab)
-        assert meter.labeled_gld("storage_locate") >= 1
-
     def test_lookup_without_meter(self, graph):
+        """The unmetered one-vertex read is ``neighbors``, derived from
+        a one-vertex gather."""
         s = build_storage("csr", graph)
-        arr = s.lookup(0, 0)
+        arr = s.neighbors(0, 0)
         assert isinstance(arr, np.ndarray)
+        assert arr.tolist() == sorted(graph.neighbors_by_label(0, 0))
+        assert arr.tolist() == s.gather(
+            np.array([0], dtype=np.int64), 0).concat.tolist()
