@@ -5,8 +5,10 @@ executor on the shm data plane, drives ~50 mixed-tenant queries through
 the NDJSON TCP front door with :class:`repro.serve.GSIClient`, checks
 the responses against a direct in-process engine, asks for a ``stats``
 snapshot (which must carry the engine's PCSR storage health, read when
-the RPC is served), then SIGTERMs the server and asserts a clean exit —
-and that no ``gsi*`` shared-memory segments leaked into ``/dev/shm``.
+the RPC is served) and the ``metrics`` text, which must agree on every
+request count, the served batches and their simulated totals, then
+SIGTERMs the server and asserts a clean exit — and that no ``gsi*``
+shared-memory segments leaked into ``/dev/shm``.
 
 Run: ``PYTHONPATH=src python scripts/serve_smoke.py``
 """
@@ -59,7 +61,7 @@ def wait_until_connectable(port: int, proc: subprocess.Popen) -> None:
     raise AssertionError("server never became connectable")
 
 
-async def drive(port: int) -> dict:
+async def drive(port: int) -> tuple:
     graph = datasets.load(DATASET)
     shapes = [random_walk_query(graph, 4, seed=70 + s)
               for s in range(NUM_SHAPES)]
@@ -73,6 +75,7 @@ async def drive(port: int) -> dict:
                          tenant=f"tenant{i % NUM_TENANTS}")
             for i in range(NUM_QUERIES)])
         stats = await client.stats()
+        text = await client.metrics()
 
     for i, response in enumerate(responses):
         assert response["status"] == "ok", \
@@ -81,7 +84,61 @@ async def drive(port: int) -> dict:
         want = expected[i % NUM_SHAPES]
         assert got == want, \
             f"query {i}: {len(got)} matches, expected {len(want)}"
-    return stats
+    return stats, text
+
+
+def exported_counters(text: str) -> dict:
+    """``{(name, sorted label items): value}`` for the counter series
+    of a Prometheus text exposition."""
+    counters = {line.split()[2] for line in text.splitlines()
+                if line.startswith("# TYPE ") and line.endswith("counter")}
+    samples = {}
+    for line in text.splitlines():
+        if line.startswith("#"):
+            continue
+        series, value = line.rsplit(" ", 1)
+        name, _, inner = series.partition("{")
+        if name in counters:
+            labels = tuple(sorted(
+                tuple(pair.split("=", 1)) for pair in
+                inner.rstrip("}").replace('"', "").split(",") if pair))
+            samples[(name, labels)] = float(value)
+    return samples
+
+
+def check_agreement(metrics: dict, text: str) -> None:
+    """The ``stats`` RPC and the ``metrics`` text report the same
+    serving counts (the server is fresh, so both start from zero)."""
+    exported = exported_counters(text)
+    outcomes = {}
+    for (name, labels), value in exported.items():
+        if name == "gsi_serve_requests_total":
+            result = dict(labels)["result"]
+            outcomes[result] = outcomes.get(result, 0) + int(value)
+    requests = metrics["requests"]
+    expected = {
+        "received": requests["received"],
+        "admitted": requests["admitted"],
+        "deduped": requests["deduped"],
+        "shed": requests["shed"],
+        "quota_rejected": requests["quota_rejected"],
+        "ok": requests["completed"] - requests["errors"],
+        "error": requests["errors"],
+    }
+    assert {k: outcomes.get(k, 0) for k in expected} == expected, \
+        f"stats {expected} != metrics text {outcomes}"
+    sizes = {int(dict(labels)["size"]): int(value)
+             for (name, labels), value in exported.items()
+             if name == "gsi_serve_batches_total"}
+    batches = metrics["batches"]
+    assert sum(sizes.values()) == batches["executed"], sizes
+    assert sum(k * n for k, n in sizes.items()) == \
+        batches["executed_queries"], sizes
+    for kind in ("gld", "gst"):
+        key = ("gsi_serve_transactions_total", (("kind", kind),))
+        assert exported[key] == metrics["transactions"][kind], kind
+    assert exported[("gsi_serve_simulated_ms_total", ())] == \
+        metrics["total_simulated_ms"]
 
 
 def main() -> int:
@@ -96,9 +153,10 @@ def main() -> int:
         stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
     try:
         wait_until_connectable(port, proc)
-        stats = asyncio.run(drive(port))
+        stats, text = asyncio.run(drive(port))
 
         metrics = stats["metrics"]
+        check_agreement(metrics, text)
         completed = metrics["requests"]["completed"]
         assert completed == NUM_QUERIES, \
             f"completed {completed}, expected {NUM_QUERIES}"

@@ -38,7 +38,7 @@ from repro.errors import BudgetExceeded, GraphError
 from repro.gpusim.constants import CLOCK_GHZ
 from repro.gpusim.device import Device
 from repro.graph.labeled_graph import LabeledGraph
-from repro.obs.trace import TraceContext, get_tracer
+from repro.obs.trace import Span, TraceContext, get_tracer
 from repro.storage.base import NeighborStore
 from repro.storage.factory import build_storage
 
@@ -166,65 +166,80 @@ class GSIEngine:
         """
         if query.num_vertices == 0:
             raise GraphError("empty query")
+        prepared = PreparedQuery(query=query, device=self._make_device())
+        with get_tracer().span("gsi.prepare",
+                               query_vertices=query.num_vertices) as span:
+            prepared.trace = span.context() if span.trace_id else None
+            self._filter_and_plan(prepared, plan_cache, span)
+            if prepared.trace is not None:
+                # the filter's simulated cost, charged inside this span
+                span.set_attribute("gld", prepared.device.meter.gld)
+                span.set_attribute("sim_ms", prepared.device.elapsed_ms)
+        return prepared
+
+    def _filter_and_plan(self, prepared: PreparedQuery,
+                         plan_cache: Optional["PlanCache"],
+                         span: Span) -> None:
+        query = prepared.query
+        tracer = get_tracer()
         # The plan cache also memoizes candidate-set shapes (host-side
         # scan results keyed by encoded signature); simulated costs are
         # charged identically either way.
         shape_cache = (getattr(plan_cache, "shapes", None)
                        if plan_cache is not None else None)
-        prepared = PreparedQuery(query=query, device=self._make_device())
-        tracer = get_tracer()
-        with tracer.span("gsi.prepare",
-                         query_vertices=query.num_vertices) as span:
-            prepared.trace = span.context() if span.trace_id else None
-            try:
-                with tracer.span("gsi.filter"):
-                    prepared.candidates = filter_candidates(
-                        query, self.signature_table, prepared.device,
-                        self.config.signature_bits,
-                        shape_cache=shape_cache)
-            except BudgetExceeded:
-                prepared.timed_out = True
-                span.set_attribute("timed_out", True)
-                return prepared
-            prepared.candidate_sizes = {
-                u: len(c) for u, c in prepared.candidates.items()}
-            prepared.filter_ms = prepared.device.elapsed_ms
+        try:
+            with tracer.span("gsi.filter"):
+                prepared.candidates = filter_candidates(
+                    query, self.signature_table, prepared.device,
+                    self.config.signature_bits,
+                    shape_cache=shape_cache)
+        except BudgetExceeded:
+            prepared.timed_out = True
+            span.set_attribute("timed_out", True)
+            return
+        prepared.candidate_sizes = {
+            u: len(c) for u, c in prepared.candidates.items()}
+        prepared.filter_ms = prepared.device.elapsed_ms
 
-            if any(len(c) == 0 for c in prepared.candidates.values()):
-                # provably no matches; nothing to plan
-                span.set_attribute("empty_candidates", True)
-                return prepared
+        if any(len(c) == 0 for c in prepared.candidates.values()):
+            # provably no matches; nothing to plan
+            span.set_attribute("empty_candidates", True)
+            return
 
-            fingerprint = None
-            if plan_cache is not None:
-                cached, fingerprint = plan_cache.lookup(query)
-                if cached is not None:
-                    prepared.plan = cached
-                    prepared.plan_cached = True
-                    span.set_attribute("plan_cached", True)
-                    if fingerprint is not None:
-                        span.set_attribute("fingerprint",
-                                           str(fingerprint)[:16])
-                    return prepared
-            with tracer.span("gsi.plan"):
-                prepared.plan = plan_join_order(
-                    query, self.graph, prepared.candidate_sizes)
-            if plan_cache is not None and fingerprint is not None:
-                plan_cache.store(
-                    fingerprint, prepared.plan,
-                    edge_labels=query.distinct_edge_labels())
-                span.set_attribute("fingerprint",
-                                   str(fingerprint)[:16])
-        return prepared
+        fingerprint = None
+        if plan_cache is not None:
+            cached, fingerprint = plan_cache.lookup(query)
+            if cached is not None:
+                prepared.plan = cached
+                prepared.plan_cached = True
+                span.set_attribute("plan_cached", True)
+                if fingerprint is not None:
+                    span.set_attribute("fingerprint", str(fingerprint)[:16])
+                return
+        with tracer.span("gsi.plan"):
+            prepared.plan = plan_join_order(
+                query, self.graph, prepared.candidate_sizes)
+        if plan_cache is not None and fingerprint is not None:
+            plan_cache.store(fingerprint, prepared.plan,
+                             edge_labels=query.distinct_edge_labels())
+            span.set_attribute("fingerprint", str(fingerprint)[:16])
 
     def execute(self, prepared: PreparedQuery) -> MatchResult:
         """Joining phase: run the prepared plan to a final result."""
         with get_tracer().span("gsi.execute", parent=prepared.trace,
                                lane=self.config.join_kernel) as span:
+            meter = prepared.device.meter
+            gld, gst = meter.gld, meter.gst
+            start_ms = prepared.device.elapsed_ms
             result = self._execute_inner(prepared)
             span.set_attribute("matches", result.num_matches)
             if result.timed_out:
                 span.set_attribute("timed_out", True)
+            if span.trace_id:
+                # the join's simulated cost, charged inside this span
+                span.set_attribute("gld", result.counters.gld - gld)
+                span.set_attribute("gst", result.counters.gst - gst)
+                span.set_attribute("sim_ms", result.elapsed_ms - start_ms)
         return result
 
     def _execute_inner(self, prepared: PreparedQuery) -> MatchResult:

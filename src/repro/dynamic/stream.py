@@ -457,6 +457,11 @@ class StreamEngine:
             report = self._apply_batch_inner(delta)
             span.set_attribute("created", report.total_created)
             span.set_attribute("destroyed", report.total_destroyed)
+            if span.trace_id:
+                # the simulated cost charged inside this span
+                span.set_attribute("commit_tx", report.commit_transactions)
+                span.set_attribute("maintain_gld", report.maintenance.gld)
+                span.set_attribute("maintain_gst", report.maintenance.gst)
         self._record_stream_metrics(report)
         return report
 

@@ -110,12 +110,6 @@ LABEL_FILTER = "filter"
 LABEL_JOIN = "join"
 """Joining phase: edge passes over the intermediate table (Alg. 3/4)."""
 
-LABEL_STORAGE_LOCATE = "storage_locate"
-"""Neighbor-store group/segment location reads."""
-
-LABEL_STORAGE_READ = "storage_read"
-"""Neighbor-store adjacency payload reads."""
-
 LABEL_PCSR_MAINTAIN = "pcsr_maintain"
 """In-place PCSR inserts/removals (dynamic maintenance)."""
 
@@ -137,8 +131,6 @@ LABEL_DELTA_SEED = "delta_seed"
 METER_LABELS = frozenset({
     LABEL_FILTER,
     LABEL_JOIN,
-    LABEL_STORAGE_LOCATE,
-    LABEL_STORAGE_READ,
     LABEL_PCSR_MAINTAIN,
     LABEL_PCSR_COMPACT,
     LABEL_PCSR_REBUILD,

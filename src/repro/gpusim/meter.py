@@ -11,11 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
-from repro.gpusim.constants import (
-    LABEL_JOIN,
-    LABEL_STORAGE_LOCATE,
-    LABEL_STORAGE_READ,
-)
+from repro.gpusim.constants import LABEL_JOIN
 
 
 @dataclass
@@ -46,10 +42,10 @@ class MeterSnapshot:
 
     @property
     def join_gld(self) -> int:
-        """GLD attributed to the join phase (Table VI / XI metric)."""
-        return (self.labeled_gld.get(LABEL_JOIN, 0)
-                + self.labeled_gld.get(LABEL_STORAGE_LOCATE, 0)
-                + self.labeled_gld.get(LABEL_STORAGE_READ, 0))
+        """GLD attributed to the join phase (Table VI / XI metric);
+        the join charges its neighbor-store reads under the same
+        label."""
+        return self.labeled_gld.get(LABEL_JOIN, 0)
 
     @property
     def transactions(self) -> int:

@@ -29,7 +29,6 @@ from repro.obs.export import (
 from repro.obs.metrics import (
     LATENCY_BUCKETS_MS,
     OBS_LABEL_KEYS,
-    SIZE_BUCKETS,
     Counter,
     Gauge,
     Histogram,
@@ -59,7 +58,7 @@ from repro.obs.trace import (
 __all__ = [
     "chrome_trace", "prometheus_text", "read_spans_ndjson",
     "validate_span_tree", "write_chrome_trace", "write_spans_ndjson",
-    "LATENCY_BUCKETS_MS", "OBS_LABEL_KEYS", "SIZE_BUCKETS", "Counter",
+    "LATENCY_BUCKETS_MS", "OBS_LABEL_KEYS", "Counter",
     "Gauge", "Histogram", "MetricsRegistry", "get_registry",
     "scoped_registry", "set_registry", "DEFAULT_RESERVOIR", "Reservoir",
     "percentile", "percentile_summary", "NullTracer", "Span",

@@ -45,6 +45,9 @@ OBS_LABEL_KIND = "kind"
 OBS_LABEL_RESULT = "result"
 """Outcome discriminator (``hit`` / ``miss``, ``ok`` / ``error``)."""
 
+OBS_LABEL_SIZE = "size"
+"""Exact size of the unit counted (a served micro-batch's queries)."""
+
 OBS_LABEL_KEYS = frozenset({
     OBS_LABEL_CACHE,
     OBS_LABEL_SHARD,
@@ -54,6 +57,7 @@ OBS_LABEL_KEYS = frozenset({
     OBS_LABEL_PHASE,
     OBS_LABEL_KIND,
     OBS_LABEL_RESULT,
+    OBS_LABEL_SIZE,
 })
 """Every label key a metric may carry.  New keys are added here, next
 to an OBS_LABEL_* constant, never inline at a call site."""
@@ -62,10 +66,6 @@ to an OBS_LABEL_* constant, never inline at a call site."""
 LATENCY_BUCKETS_MS: Tuple[float, ...] = (
     0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0,
     1000.0, 2500.0)
-
-#: default histogram buckets for sizes/counts (powers of two)
-SIZE_BUCKETS: Tuple[float, ...] = (
-    1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0)
 
 _LabelKey = Tuple[Tuple[str, str], ...]
 

@@ -149,6 +149,14 @@ class GSIClient:
             raise ProtocolError(f"stats failed: {response}")
         return response["stats"]
 
+    async def metrics(self) -> str:
+        """The server's obs registry in Prometheus text format."""
+        response = await self._request(make_request("metrics",
+                                                    next(self._ids)))
+        if response.get("status") != "ok":
+            raise ProtocolError(f"metrics failed: {response}")
+        return response["text"]
+
     async def ping(self) -> bool:
         response = await self._request(make_request("ping",
                                                     next(self._ids)))

@@ -1,238 +1,206 @@
 """SLO metrics for the serving subsystem.
 
-One :class:`ServerMetrics` instance aggregates everything an operator
-asks a long-lived server: per-tenant end-to-end latency percentiles
-(p50/p95/p99 over a bounded reservoir), live queue depth, the
-micro-batch size histogram, dedup / load-shed / quota counters, and the
-cumulative :class:`~repro.service.plan_cache.CacheStats` and
-simulated-transaction totals carried by each batch's
-:class:`~repro.service.batch.BatchReport`.  Storage health is not a
-batch aggregate: the server reads it from the engine when the ``stats``
-RPC is served.
+The process obs registry (:mod:`repro.obs.metrics`) holds every serving
+count, each recorded once:
 
-Thread safety: the server's asyncio loop records admissions and
-completions while the batch runner thread records batch reports, so
-every mutation takes the internal lock.  :meth:`to_dict` snapshots
-under the same lock and returns only JSON-serializable types (the
-``metrics`` part of the ``stats`` RPC payload).
+* ``gsi_serve_requests_total{tenant,result}`` — request outcomes:
+  ``received``, ``admitted`` (plus ``deduped`` for a dedup follower),
+  ``shed``, ``quota_rejected``, ``ok`` and ``error``;
+* ``gsi_serve_batches_total{size}`` — served micro-batches by exact
+  size, whose simulated cost adds to
+  ``gsi_serve_transactions_total{kind=gld|gst}`` and
+  ``gsi_serve_simulated_ms_total``;
+* ``gsi_serve_queue_depth{kind=current|max}`` — the queue depth and
+  its high-water mark;
+* ``gsi_serve_latency_ms{tenant}`` — the latency histogram.
+
+:class:`ServerMetrics` keeps only the per-tenant latency reservoirs
+(exact windowed p50/p95/p99, which fixed buckets cannot give) and reads
+the counts back for the ``stats`` RPC as they ran since it was created:
+registry values minus a baseline taken then, so servers run one after
+another in one process each report their own traffic.  The event loop
+writes the reservoirs and the RPC's worker thread reads them, hence
+its lock.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, List
+from collections import Counter, defaultdict
+from typing import Any, Dict, List, Tuple
 
-from repro.obs.metrics import (
-    LATENCY_BUCKETS_MS,
-    SIZE_BUCKETS,
-    get_registry,
-)
+from repro.obs.metrics import LATENCY_BUCKETS_MS, get_registry
 from repro.obs.stats import DEFAULT_RESERVOIR, Reservoir, percentile_summary
 from repro.service.batch import BatchReport, json_sanitize
-from repro.service.plan_cache import CacheStats
+from repro.service.plan_cache import PlanCache
+
+REQUESTS = "gsi_serve_requests_total"
+BATCHES = "gsi_serve_batches_total"
+TRANSACTIONS = "gsi_serve_transactions_total"
+SIMULATED_MS = "gsi_serve_simulated_ms_total"
+QUEUE_DEPTH = "gsi_serve_queue_depth"
+LATENCY_MS = "gsi_serve_latency_ms"
+
+#: the counters :meth:`ServerMetrics.to_dict` reads as deltas
+_COUNTERS = (REQUESTS, BATCHES, TRANSACTIONS, SIMULATED_MS)
+
+_LabelKey = Tuple[Tuple[str, str], ...]
 
 
-class _TenantSeries:
-    """One tenant's bounded latency reservoir plus request counters."""
+def _counter_values(snapshot: Dict[str, Any], name: str
+                    ) -> Dict[_LabelKey, float]:
+    """One counter's value per label set in a registry snapshot."""
+    metric = snapshot.get(name, {"values": []})
+    return {tuple(sorted(entry["labels"].items())): float(entry["value"])
+            for entry in metric["values"]}
 
-    __slots__ = ("_latencies", "completed", "errors", "deduped",
-                 "shed", "quota_rejected")
 
-    def __init__(self, reservoir: int) -> None:
-        self._latencies = Reservoir(reservoir)
-        self.completed = 0
-        self.errors = 0
-        self.deduped = 0
-        self.shed = 0
-        self.quota_rejected = 0
-
-    @property
-    def latencies_ms(self) -> List[float]:
-        """The current latency window (a copy, oldest first)."""
-        return self._latencies.samples()
-
-    def record_latency(self, latency_ms: float) -> None:
-        self._latencies.add(latency_ms)
-
-    def to_dict(self) -> dict:
-        return {
-            "completed": self.completed,
-            "errors": self.errors,
-            "deduped": self.deduped,
-            "shed": self.shed,
-            "quota_rejected": self.quota_rejected,
-            "latency_ms": self._latencies.summary(),
-        }
+def _outcomes(by_result: Counter) -> Dict[str, int]:
+    """The ``stats`` outcome counts from request counts by result."""
+    return {"completed": by_result["ok"] + by_result["error"],
+            "errors": by_result["error"],
+            "deduped": by_result["deduped"],
+            "shed": by_result["shed"],
+            "quota_rejected": by_result["quota_rejected"]}
 
 
 class ServerMetrics:
-    """Aggregated serving statistics, exposed via the ``stats`` RPC."""
+    """Per-tenant latency windows plus a view of the registry's
+    serving counts, exposed via the ``stats`` RPC.
 
-    #: gsilint GSI003: the asyncio loop and the batch-runner thread
-    #: both mutate these; every touch goes through self._lock
-    #: (helpers suffixed ``_unlocked`` assume the caller holds it)
-    _GUARDED_BY_LOCK = (
-        "_tenants", "received", "admitted", "completed", "errors",
-        "deduped", "shed", "quota_rejected", "batches",
-        "executed_queries", "batch_size_histogram", "cache",
-        "total_gld", "total_gst", "total_simulated_ms",
-        "queue_depth", "max_queue_depth",
-    )
+    ``plan_cache`` is the served engine's cache, whose stats the
+    ``cache`` block diffs.  The registry active at construction is the
+    one recorded into and read.
+    """
 
-    def __init__(self, reservoir: int = DEFAULT_RESERVOIR) -> None:
+    #: gsilint GSI003: the event loop adds samples while the ``stats``
+    #: RPC's worker thread reads them; every touch goes through
+    #: self._lock
+    _GUARDED_BY_LOCK = ("_tenants",)
+
+    def __init__(self, plan_cache: PlanCache,
+                 reservoir: int = DEFAULT_RESERVOIR) -> None:
         if reservoir < 2:
             raise ValueError(f"reservoir must be >= 2, got {reservoir}")
         self._lock = threading.Lock()
         self._reservoir = reservoir
-        self._tenants: Dict[str, _TenantSeries] = {}
-        # request-plane counters
-        self.received = 0
-        self.admitted = 0
-        self.completed = 0
-        self.errors = 0
-        self.deduped = 0
-        self.shed = 0
-        self.quota_rejected = 0
-        # execution-plane aggregates
-        self.batches = 0
-        self.executed_queries = 0
-        self.batch_size_histogram: Dict[int, int] = {}
-        self.cache = CacheStats()
-        self.total_gld = 0
-        self.total_gst = 0
-        self.total_simulated_ms = 0.0
-        # live gauge, set by the server as its queue moves
-        self.queue_depth = 0
-        self.max_queue_depth = 0
+        self._tenants: Dict[str, Reservoir] = {}
+        self.registry = get_registry()
+        snapshot = self.registry.snapshot()
+        self._baseline = {name: _counter_values(snapshot, name)
+                          for name in _COUNTERS}
+        self._plan_cache = plan_cache
+        self._cache_baseline = plan_cache.stats_snapshot()
+        queue = self.registry.gauge(
+            QUEUE_DEPTH, "Distinct queries queued (current, max).")
+        queue.set(0, kind="current")
+        queue.set(0, kind="max")
 
     # ------------------------------------------------------------------
 
-    def _tenant_unlocked(self, tenant: str) -> _TenantSeries:
-        series = self._tenants.get(tenant)
-        if series is None:
-            series = self._tenants[tenant] = _TenantSeries(
-                self._reservoir)
-        return series
-
-    def record_received(self, tenant: str) -> None:
-        with self._lock:
-            self.received += 1
-            self._tenant_unlocked(tenant)
-
-    @staticmethod
-    def _obs_outcome(tenant: str, result: str) -> None:
-        """Mirror one request outcome into the process obs registry
-        (outside :attr:`_lock`; the registry has its own)."""
-        get_registry().counter(
-            "gsi_serve_requests_total",
-            "Serving requests by outcome.").inc(
+    def record(self, tenant: str, result: str) -> None:
+        """Count one request outcome (see the module docstring)."""
+        self.registry.counter(
+            REQUESTS, "Serving requests by outcome.").inc(
                 1.0, tenant=tenant, result=result)
-
-    def record_admitted(self, tenant: str, deduped: bool) -> None:
-        with self._lock:
-            self.admitted += 1
-            if deduped:
-                self.deduped += 1
-                self._tenant_unlocked(tenant).deduped += 1
-        if deduped:
-            self._obs_outcome(tenant, "deduped")
-
-    def record_shed(self, tenant: str) -> None:
-        with self._lock:
-            self.shed += 1
-            self._tenant_unlocked(tenant).shed += 1
-        self._obs_outcome(tenant, "shed")
-
-    def record_quota_rejected(self, tenant: str) -> None:
-        with self._lock:
-            self.quota_rejected += 1
-            self._tenant_unlocked(tenant).quota_rejected += 1
-        self._obs_outcome(tenant, "quota_rejected")
 
     def record_completed(self, tenant: str, latency_ms: float,
                          error: bool) -> None:
+        """One request answered: its outcome, latency window and
+        latency histogram."""
         with self._lock:
-            series = self._tenant_unlocked(tenant)
-            series.completed += 1
-            series.record_latency(latency_ms)
-            self.completed += 1
-            if error:
-                self.errors += 1
-                series.errors += 1
-        self._obs_outcome(tenant, "error" if error else "ok")
-        get_registry().histogram(
-            "gsi_serve_latency_ms",
-            "End-to-end serving latency in milliseconds.",
-            buckets=LATENCY_BUCKETS_MS).observe(latency_ms,
-                                                tenant=tenant)
+            window = self._tenants.get(tenant)
+            if window is None:
+                window = self._tenants[tenant] = Reservoir(
+                    self._reservoir)
+            window.add(latency_ms)
+        self.record(tenant, "error" if error else "ok")
+        self.registry.histogram(
+            LATENCY_MS, "End-to-end serving latency in milliseconds.",
+            buckets=LATENCY_BUCKETS_MS).observe(latency_ms, tenant=tenant)
 
     def record_queue_depth(self, depth: int) -> None:
-        with self._lock:
-            self.queue_depth = depth
-            self.max_queue_depth = max(self.max_queue_depth, depth)
+        """Set the live queue depth (called from the event loop only,
+        so the high-water read-modify-write does not race)."""
+        queue = self.registry.gauge(QUEUE_DEPTH)
+        queue.set(depth, kind="current")
+        if depth > queue.value(kind="max"):
+            queue.set(depth, kind="max")
 
     def record_batch(self, report: BatchReport) -> None:
-        """Fold one executed micro-batch's report into the aggregates."""
-        with self._lock:
-            self.batches += 1
-            self.executed_queries += report.num_queries
-            size = report.num_queries
-            self.batch_size_histogram[size] = \
-                self.batch_size_histogram.get(size, 0) + 1
-            self.cache = self.cache.merge(report.cache)
-            self.total_gld += report.total_gld
-            self.total_gst += report.total_gst
-            self.total_simulated_ms += report.total_simulated_ms
-        get_registry().histogram(
-            "gsi_serve_batch_fill",
-            "Dispatched micro-batch sizes (distinct queries).",
-            buckets=SIZE_BUCKETS).observe(float(report.num_queries))
+        """Count one served micro-batch and its simulated cost."""
+        registry = self.registry
+        registry.counter(
+            BATCHES, "Served micro-batches by exact size.").inc(
+                1.0, size=report.num_queries)
+        transactions = registry.counter(
+            TRANSACTIONS, "Simulated transactions of served batches.")
+        transactions.inc(float(report.total_gld), kind="gld")
+        transactions.inc(float(report.total_gst), kind="gst")
+        registry.counter(
+            SIMULATED_MS, "Simulated ms of served batches.").inc(
+                report.total_simulated_ms)
 
     # ------------------------------------------------------------------
+
+    def _since(self, snapshot: Dict[str, Any], name: str
+               ) -> List[Tuple[Dict[str, str], float]]:
+        """``(labels, value - baseline)`` for each non-zero series."""
+        base = self._baseline[name]
+        out = []
+        for key, value in _counter_values(snapshot, name).items():
+            delta = value - base.get(key, 0.0)
+            if delta:
+                out.append((dict(key), delta))
+        return out
 
     def to_dict(self) -> dict:
         """One JSON-serializable snapshot (the ``stats`` RPC's
         ``metrics``, which the server completes with storage health)."""
+        snapshot = self.registry.snapshot()
+        totals: Counter = Counter()
+        tenants: Dict[str, Counter] = defaultdict(Counter)
+        for labels, value in self._since(snapshot, REQUESTS):
+            totals[labels["result"]] += int(value)
+            tenants[labels["tenant"]][labels["result"]] += int(value)
+        sizes = {int(labels["size"]): int(value)
+                 for labels, value in self._since(snapshot, BATCHES)}
+        executed_queries = sum(size * n for size, n in sizes.items())
+        tx = Counter({labels["kind"]: int(value) for labels, value in
+                      self._since(snapshot, TRANSACTIONS)})
+        queue = self.registry.gauge(QUEUE_DEPTH)
         with self._lock:
-            mean_batch = (self.executed_queries / self.batches
-                          if self.batches else 0.0)
-            all_latencies: List[float] = []
-            for series in self._tenants.values():
-                all_latencies.extend(series.latencies_ms)
-            return json_sanitize({
-                "requests": {
-                    "received": self.received,
-                    "admitted": self.admitted,
-                    "completed": self.completed,
-                    "errors": self.errors,
-                    "deduped": self.deduped,
-                    "shed": self.shed,
-                    "quota_rejected": self.quota_rejected,
-                },
-                "queue": {
-                    "depth": self.queue_depth,
-                    "max_depth": self.max_queue_depth,
-                },
-                "batches": {
-                    "executed": self.batches,
-                    "executed_queries": self.executed_queries,
-                    "mean_size": mean_batch,
-                    "size_histogram": {
-                        str(k): v for k, v in
-                        sorted(self.batch_size_histogram.items())},
-                },
-                "latency_ms": percentile_summary(all_latencies),
-                "tenants": {name: series.to_dict()
-                            for name, series in
-                            sorted(self._tenants.items())},
-                "cache": self.cache.to_dict(),
-                "transactions": {
-                    "gld": self.total_gld,
-                    "gst": self.total_gst,
-                    "total": self.total_gld + self.total_gst,
-                },
-                "total_simulated_ms": self.total_simulated_ms,
-            })
+            windows = {name: window.samples()
+                       for name, window in self._tenants.items()}
+        return json_sanitize({
+            "requests": {"received": totals["received"],
+                         "admitted": totals["admitted"],
+                         **_outcomes(totals)},
+            "queue": {"depth": int(queue.value(kind="current")),
+                      "max_depth": int(queue.value(kind="max"))},
+            "batches": {
+                "executed": sum(sizes.values()),
+                "executed_queries": executed_queries,
+                "mean_size": (executed_queries / sum(sizes.values())
+                              if sizes else 0.0),
+                "size_histogram": {str(size): sizes[size]
+                                   for size in sorted(sizes)},
+            },
+            "latency_ms": percentile_summary(
+                [ms for samples in windows.values() for ms in samples]),
+            "tenants": {
+                name: {**_outcomes(tenants[name]),
+                       "latency_ms": percentile_summary(
+                           windows.get(name, []))}
+                for name in sorted(set(tenants) | set(windows))},
+            "cache": self._plan_cache.stats_snapshot()
+            .diff(self._cache_baseline).to_dict(),
+            "transactions": {"gld": tx["gld"], "gst": tx["gst"],
+                             "total": tx["gld"] + tx["gst"]},
+            "total_simulated_ms": sum(
+                (value for _, value in
+                 self._since(snapshot, SIMULATED_MS)), 0.0),
+        })
 
 
 __all__ = ["ServerMetrics", "DEFAULT_RESERVOIR"]

@@ -16,12 +16,12 @@ Requests
     (optional, default ``"default"``) selects the admission quota bucket
     and the per-tenant latency series.
 ``{"op": "stats", "id": 8}``
-    Server-level metrics snapshot (see
-    :class:`~repro.serve.metrics.ServerMetrics`).
+    Server-level metrics snapshot: counts since the server was created
+    (see :class:`~repro.serve.metrics.ServerMetrics`).
 ``{"op": "metrics", "id": 10}``
-    Prometheus text exposition of the process metrics registry
-    (:func:`repro.obs.export.prometheus_text`); the response carries it
-    in ``text``.
+    Prometheus text exposition of the obs metrics registry the server
+    records into (:func:`repro.obs.export.prometheus_text`); the
+    response carries it in ``text``.
 ``{"op": "ping", "id": 9}``
     Liveness probe.
 

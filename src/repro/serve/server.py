@@ -32,12 +32,13 @@ shaped like a modern inference server:
   (``quota_rate`` tokens/s refill, ``quota_burst`` capacity) rejects
   over-quota requests with ``quota_exceeded`` and a ``retry_after_ms``
   hint before they touch the queue.
-* **SLO metrics.** A :class:`~repro.serve.metrics.ServerMetrics`
-  aggregates per-tenant p50/p95/p99 end-to-end latency, queue depth,
-  the batch-size histogram, dedup/shed/quota counters and each batch's
-  :class:`~repro.service.batch.BatchReport` (plan-cache and
-  simulated-transaction stats), served by the ``stats`` RPC together
-  with storage health read from the engine when the RPC is served.
+* **SLO metrics.** Each request outcome, served batch and queue
+  move is counted once in the process obs registry (exported by the
+  ``metrics`` op); a :class:`~repro.serve.metrics.ServerMetrics`
+  keeps the per-tenant p50/p95/p99 latency windows and reads the
+  counts since the server was created back for the ``stats`` RPC,
+  together with storage health read from the engine when the RPC is
+  served.
 
 Two front doors share one implementation: :meth:`GSIServer.submit` is
 the in-process async interface (benchmarks, tests, embedding), and
@@ -56,7 +57,6 @@ from typing import Deque, Dict, List, Optional, Tuple
 from repro.core.result import MatchResult
 from repro.graph.labeled_graph import LabeledGraph
 from repro.obs.export import prometheus_text
-from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
 from repro.serve.metrics import ServerMetrics
 from repro.serve.protocol import (
@@ -225,8 +225,7 @@ class GSIServer:
                  quota_rate: Optional[float] = None,
                  quota_burst: Optional[float] = None,
                  host: str = "127.0.0.1",
-                 port: Optional[int] = None,
-                 metrics: Optional[ServerMetrics] = None) -> None:
+                 port: Optional[int] = None) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if max_delay_ms <= 0:
@@ -249,7 +248,7 @@ class GSIServer:
         self.quota_burst = quota_burst
         self.host = host
         self.port = port
-        self.metrics = metrics if metrics is not None else ServerMetrics()
+        self.metrics = ServerMetrics(engine.plan_cache)
         self.bound_port: Optional[int] = None
 
         self._pending: Deque[_PendingQuery] = deque()
@@ -337,13 +336,13 @@ class GSIServer:
         if not self._running:
             raise RuntimeError("server is not running")
         arrival = time.monotonic()
-        self.metrics.record_received(tenant)
+        self.metrics.record(tenant, "received")
 
         bucket = self._bucket(tenant)
         if bucket is not None:
             granted, retry_after_ms = bucket.try_take()
             if not granted:
-                self.metrics.record_quota_rejected(tenant)
+                self.metrics.record(tenant, "quota_rejected")
                 return ServeOutcome(status="quota_exceeded",
                                     retry_after_ms=retry_after_ms)
 
@@ -354,7 +353,7 @@ class GSIServer:
         if leader is None:
             # A new distinct query: admission control applies.
             if len(self._pending) >= self.max_pending:
-                self.metrics.record_shed(tenant)
+                self.metrics.record(tenant, "shed")
                 return ServeOutcome(status="overloaded")
             leader = _PendingQuery(query=query, fingerprint=fingerprint,
                                    arrival=arrival)
@@ -371,7 +370,9 @@ class GSIServer:
                          fingerprint=fingerprint, tenant=tenant,
                          arrival=arrival, deduped=deduped)
         leader.waiters.append(waiter)
-        self.metrics.record_admitted(tenant, deduped=deduped)
+        self.metrics.record(tenant, "admitted")
+        if deduped:
+            self.metrics.record(tenant, "deduped")
         assert self._wakeup is not None
         self._wakeup.set()
         return await waiter.future
@@ -564,7 +565,7 @@ class GSIServer:
                                "stats": stats})
                 return
             if op == "metrics":
-                text = prometheus_text(get_registry().snapshot())
+                text = prometheus_text(self.metrics.registry.snapshot())
                 await respond({"id": request_id, "status": "ok",
                                "text": text})
                 return

@@ -49,7 +49,7 @@ from repro.core.config import GSIConfig
 from repro.core.engine import GSIEngine, PreparedQuery
 from repro.core.result import MatchResult
 from repro.graph.labeled_graph import LabeledGraph
-from repro.obs.metrics import SIZE_BUCKETS, get_registry
+from repro.obs.metrics import get_registry
 from repro.obs.stats import percentile
 from repro.obs.trace import get_tracer, shipped_spans
 from repro.service.executors import (
@@ -432,13 +432,9 @@ class BatchEngine:
 
     @staticmethod
     def _record_batch_metrics(report: BatchReport) -> None:
-        """Roll one batch's outcome into the process metrics registry."""
-        registry = get_registry()
-        registry.histogram(
-            "gsi_batch_size_queries",
-            "Queries per run_batch call.",
-            buckets=SIZE_BUCKETS).observe(float(report.num_queries))
-        lookups = registry.counter(
+        """Roll one batch's plan-cache lookups into the process
+        metrics registry."""
+        lookups = get_registry().counter(
             "gsi_cache_lookups_total",
             "Plan/shape cache lookups by outcome.")
         cache = report.cache
@@ -457,16 +453,12 @@ class BatchEngine:
 
     def _run_sharded(self, queries: Sequence[LabeledGraph],
                      executor: QueryExecutor) -> BatchReport:
-        """Serve a batch through the sharded backend, translated into
-        the ordinary :class:`BatchReport` shape (the full scatter-gather
-        breakdown rides along as :attr:`BatchReport.shard`)."""
+        """Serve a batch through the sharded backend; its items pass
+        through and the full scatter-gather breakdown rides along as
+        :attr:`BatchReport.shard`."""
         shard_report = self.sharded.run_batch(queries, executor=executor)
-        items = [BatchItem(index=item.index, result=item.result,
-                           plan_cached=item.plan_cached,
-                           host_ms=item.host_ms, error=item.error)
-                 for item in shard_report.items]
         return BatchReport(
-            items=items,
+            items=shard_report.items,
             wall_clock_ms=shard_report.wall_clock_ms,
             cache=shard_report.cache,
             executor=shard_report.executor,

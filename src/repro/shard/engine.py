@@ -55,6 +55,7 @@ from repro.gpusim.meter import merge_shard_snapshots
 from repro.graph.labeled_graph import LabeledGraph
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer, shipped_spans
+from repro.service.batch import BatchItem, BatchReport
 from repro.service.executors import (
     EngineContext,
     EngineFanout,
@@ -63,11 +64,7 @@ from repro.service.executors import (
     SerialExecutor,
     _execute_one,
 )
-from repro.service.plan_cache import (
-    CacheStats,
-    CandidateShapeCache,
-    PlanCache,
-)
+from repro.service.plan_cache import CandidateShapeCache, PlanCache
 from repro.shard.sharded_graph import ShardedGraph, ShardingInfo
 
 
@@ -182,49 +179,22 @@ class ShardQueryStats:
 
 
 @dataclass
-class ShardedItem:
-    """One query's merged outcome (submission order preserved)."""
+class ShardedItem(BatchItem):
+    """One query's merged outcome, with its per-shard breakdown."""
 
-    index: int
-    result: MatchResult
     per_shard: List[ShardQueryStats] = field(default_factory=list)
-    plan_cached: bool = False
-    host_ms: float = 0.0
-    error: Optional[str] = None
 
 
 @dataclass
-class ShardReport:
-    """Aggregate outcome of one :meth:`ShardedEngine.run_batch` call."""
+class ShardReport(BatchReport):
+    """Aggregate outcome of one :meth:`ShardedEngine.run_batch` call:
+    a :class:`~repro.service.batch.BatchReport` whose items are
+    :class:`ShardedItem` objects, plus the per-shard totals."""
 
-    items: List[ShardedItem] = field(default_factory=list)
-    wall_clock_ms: float = 0.0
-    cache: CacheStats = field(default_factory=CacheStats)
-    executor: str = ""
     #: per-shard simulated transaction totals over the whole batch
     shard_transactions: List[int] = field(default_factory=list)
     #: sharding layout / replication statistics
     info: Optional[ShardingInfo] = None
-
-    @property
-    def results(self) -> List[MatchResult]:
-        return [item.result for item in self.items]
-
-    @property
-    def num_queries(self) -> int:
-        return len(self.items)
-
-    @property
-    def errors(self) -> int:
-        return sum(1 for item in self.items if item.error is not None)
-
-    @property
-    def timeouts(self) -> int:
-        return sum(1 for item in self.items if item.result.timed_out)
-
-    @property
-    def total_matches(self) -> int:
-        return sum(item.result.num_matches for item in self.items)
 
     @property
     def max_shard_transactions(self) -> int:
@@ -498,6 +468,7 @@ class ShardedEngine:
                     items[index] = ShardedItem(
                         index=index,
                         result=MatchResult(engine=self.name),
+                        plan_cached=False, host_ms=0.0,
                         error=f"{type(exc).__name__}: {exc}")
                     continue
                 prepared_ok[index] = sp

@@ -46,12 +46,13 @@ class TestMeter:
         assert delta.gst == 2
         assert delta.labeled_gld["join"] == 6
 
-    def test_join_gld_aggregates_storage_labels(self):
+    def test_join_gld_reads_the_join_label_only(self):
         m = MemoryMeter()
         m.add_gld(3, label="join")
-        m.add_gld(2, label="storage_locate")
-        m.add_gld(5, label="storage_read")
+        m.add_gld(7, label="join")
         m.add_gld(100, label="filter")
+        m.add_gld(50, label="pcsr_maintain")
+        m.add_gld(9)
         assert m.snapshot().join_gld == 10
 
     def test_default_snapshot_empty(self):

@@ -22,7 +22,6 @@ from repro.obs.export import (
 )
 from repro.obs.metrics import (
     LATENCY_BUCKETS_MS,
-    SIZE_BUCKETS,
     MetricsRegistry,
     get_registry,
     scoped_registry,
@@ -96,7 +95,6 @@ def test_scoped_registry_isolates():
 
 def test_default_bucket_ladders_are_sorted():
     assert list(LATENCY_BUCKETS_MS) == sorted(LATENCY_BUCKETS_MS)
-    assert list(SIZE_BUCKETS) == sorted(SIZE_BUCKETS)
 
 
 # ---------------------------------------------------------------------------

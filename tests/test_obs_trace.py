@@ -7,7 +7,8 @@ process-pool executor, sharded and unsharded, under both fork and
 spawn start methods, yields ONE connected span tree whose worker
 spans carry worker pids and re-parent under the coordinator's spans;
 a traced stream batch nests each query's delta span directly under
-the batch span, with no executor hop between them.
+the batch span, with no executor hop between them; and the engine and
+stream spans carry the simulated cost charged inside them.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import multiprocessing
 import pytest
 
 from repro.core.config import GSIConfig
+from repro.core.engine import GSIEngine
 from repro.dynamic import StreamEngine, random_update_stream
 from repro.graph.generators import random_walk_query, scale_free_graph
 from repro.obs.export import validate_span_tree
@@ -290,3 +292,46 @@ class TestStreamTrace:
             under = [s["attrs"]["query_id"] for s in query_deltas
                      if s["parent_id"] == batch["span_id"]]
             assert sorted(under) == qids
+
+
+# ----------------------------------------------------------------------
+# Spans carry the simulated cost charged inside them
+# ----------------------------------------------------------------------
+
+
+class TestSpanCost:
+    def test_match_spans_sum_to_the_result(self, trace_graph,
+                                           trace_queries):
+        engine = GSIEngine(trace_graph, GSIConfig.gsi_opt())
+        for query in trace_queries:
+            results = []
+            spans = _run_traced(
+                lambda: results.append(engine.match(query)))
+            result = results[0]
+            prepare, = [s["attrs"] for s in spans
+                        if s["name"] == "gsi.prepare"]
+            execute, = [s["attrs"] for s in spans
+                        if s["name"] == "gsi.execute"]
+            assert prepare["gld"] + execute["gld"] == result.counters.gld
+            assert execute["gst"] == result.counters.gst
+            assert prepare["sim_ms"] + execute["sim_ms"] == \
+                pytest.approx(result.elapsed_ms, rel=1e-12)
+            assert prepare["sim_ms"] == result.phases.filter_ms
+            assert execute["gld"] > 0
+
+    def test_stream_batch_span_equals_its_report(self):
+        graph = scale_free_graph(40, 3, 3, 3, seed=6)
+        engine = StreamEngine(graph)
+        engine.register(random_walk_query(graph, 3, seed=1))
+        reports = []
+        spans = _run_traced(lambda: reports.extend(
+            engine.apply_batch(delta)
+            for delta in random_update_stream(graph, 3, 8, seed=4)))
+        batches = [s["attrs"] for s in spans
+                   if s["name"] == "stream.apply_batch"]
+        assert len(batches) == len(reports) == 3
+        for attrs, report in zip(batches, reports):
+            assert attrs["commit_tx"] == report.commit_transactions
+            assert attrs["maintain_gld"] == report.maintenance.gld
+            assert attrs["maintain_gst"] == report.maintenance.gst
+        assert sum(a["maintain_gld"] for a in batches) > 0

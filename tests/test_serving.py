@@ -8,6 +8,7 @@ metrics snapshot, the TCP front door, and the ``serve`` CLI flags.
 
 import asyncio
 import json
+import threading
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.core.config import GSIConfig
 from repro.core.engine import GSIEngine
 from repro.graph.generators import random_walk_query, scale_free_graph
 from repro.graph.labeled_graph import LabeledGraph
+from repro.obs.metrics import scoped_registry
 from repro.serve import (
     GSIClient,
     GSIServer,
@@ -29,7 +31,7 @@ from repro.serve import (
     query_to_wire,
     translate_result,
 )
-from repro.service import BatchEngine
+from repro.service import BatchEngine, PlanCache
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +61,39 @@ def relabeled(query: LabeledGraph) -> LabeledGraph:
 
 def run(coro):
     return asyncio.run(coro)
+
+
+def snapshot_samples(snapshot):
+    """``{(name, sorted label items): value}`` for every counter and
+    gauge series of a registry snapshot."""
+    return {(name, tuple(sorted(entry["labels"].items()))): entry["value"]
+            for name, metric in snapshot.items()
+            if metric["type"] in ("counter", "gauge")
+            for entry in metric["values"]}
+
+
+def prometheus_samples(text):
+    """The same mapping parsed back from Prometheus text (histogram
+    series skipped)."""
+    kinds = {}
+    samples = {}
+    for line in text.splitlines():
+        if line.startswith("# TYPE "):
+            _, _, name, kind = line.split()
+            kinds[name] = kind
+            continue
+        if line.startswith("#"):
+            continue
+        series, value = line.rsplit(" ", 1)
+        name, _, inner = series.partition("{")
+        if kinds.get(name) not in ("counter", "gauge"):
+            continue
+        labels = tuple(sorted(
+            (key, raw.strip('"')) for key, raw in
+            (pair.split("=", 1) for pair in inner.rstrip("}").split(",")
+             if pair)))
+        samples[(name, labels)] = float(value)
+    return samples
 
 
 # ----------------------------------------------------------------------
@@ -173,8 +208,9 @@ class TestMicroBatching:
         assert all(o.status == "ok" for o in outcomes)
         # 8 distinct queries submitted in one loop tick with a generous
         # deadline: they travel as one batch, not eight.
-        assert server.metrics.batches == 1
-        assert server.metrics.batch_size_histogram == {8: 1}
+        batches = server.metrics.to_dict()["batches"]
+        assert batches["executed"] == 1
+        assert batches["size_histogram"] == {"8": 1}
 
     def test_max_batch_splits(self, graph, queries):
         engine = make_engine(graph)
@@ -187,8 +223,9 @@ class TestMicroBatching:
             return server
 
         server = run(scenario())
-        assert server.metrics.batches >= 3  # ceil(8 / 3)
-        assert max(server.metrics.batch_size_histogram) <= 3
+        batches = server.metrics.to_dict()["batches"]
+        assert batches["executed"] >= 3  # ceil(8 / 3)
+        assert max(map(int, batches["size_histogram"])) <= 3
 
     def test_deadline_dispatches_underfull_batch(self, graph, queries):
         engine = make_engine(graph)
@@ -203,7 +240,8 @@ class TestMicroBatching:
         # One lone query far below max_batch still completes: the
         # max_delay_ms deadline dispatched its underfull batch.
         assert outcome.status == "ok"
-        assert server.metrics.batch_size_histogram == {1: 1}
+        assert server.metrics.to_dict()["batches"]["size_histogram"] == \
+            {"1": 1}
 
     def test_constructor_validation(self, graph):
         engine = make_engine(graph)
@@ -297,8 +335,9 @@ class TestInFlightDedup:
             assert "executor pool died mid-flight" in outcome.error
         # exactly once: every waiter completed, every one as an error,
         # and the failed query left the dedup window.
-        assert server.metrics.completed == num_waiters
-        assert server.metrics.errors == num_waiters
+        requests = server.metrics.to_dict()["requests"]
+        assert requests["completed"] == num_waiters
+        assert requests["errors"] == num_waiters
         assert server._inflight == {}
 
     def test_dedup_window_closes_after_execution(self, graph, queries):
@@ -316,7 +355,7 @@ class TestInFlightDedup:
         # Sequential submissions never overlap in flight: the second is
         # a fresh execution (plan-cached, but not deduped).
         assert not first.deduped and not second.deduped
-        assert server.metrics.deduped == 0
+        assert server.metrics.to_dict()["requests"]["deduped"] == 0
         assert second.plan_cached
 
 
@@ -365,7 +404,7 @@ class TestAdmission:
 
         server, shed, done = run(scenario())
         assert shed.status == "overloaded"
-        assert server.metrics.shed == 1
+        assert server.metrics.to_dict()["requests"]["shed"] == 1
         assert [o.status for o in done] == ["ok"] * 4
         assert done[-1].deduped  # the follower joined, not shed
 
@@ -388,8 +427,9 @@ class TestAdmission:
         assert c.status == "quota_exceeded"
         assert c.retry_after_ms > 0
         assert d.status == "ok"  # quotas are per tenant
-        assert server.metrics.quota_rejected == 1
-        tenants = server.metrics.to_dict()["tenants"]
+        metrics = server.metrics.to_dict()
+        assert metrics["requests"]["quota_rejected"] == 1
+        tenants = metrics["tenants"]
         assert tenants["busy"]["quota_rejected"] == 1
         assert tenants["calm"]["quota_rejected"] == 0
 
@@ -427,13 +467,33 @@ class TestMetrics:
         assert sum(metrics["batches"]["size_histogram"].values()) == \
             metrics["batches"]["executed"]
 
+    def test_sequential_servers_report_their_own_traffic(
+            self, graph, queries):
+        engine = make_engine(graph)
+
+        async def serve(batch):
+            async with GSIServer(engine, max_batch=4,
+                                 max_delay_ms=5.0) as server:
+                await asyncio.gather(
+                    *[server.submit(q, tenant="t") for q in batch])
+            return server.metrics.to_dict()
+
+        first = run(serve(queries[:3]))
+        second = run(serve(queries[3:4]))
+        assert first["requests"]["completed"] == 3
+        assert second["requests"]["received"] == 1
+        assert second["requests"]["completed"] == 1
+        assert second["batches"]["size_histogram"] == {"1": 1}
+        assert second["tenants"]["t"]["completed"] == 1
+        assert second["cache"]["lookups"] == 1
+        assert second["queue"]["max_depth"] == 1
+
     def test_reservoir_is_bounded(self):
-        metrics = ServerMetrics(reservoir=8)
+        metrics = ServerMetrics(PlanCache(), reservoir=8)
         for i in range(100):
             metrics.record_completed("t", float(i), error=False)
-        series = metrics._tenants["t"]
-        assert len(series.latencies_ms) <= 8
-        assert metrics.completed == 100
+        assert len(metrics._tenants["t"]) <= 8
+        assert metrics.to_dict()["requests"]["completed"] == 100
 
 
 # ----------------------------------------------------------------------
@@ -467,6 +527,107 @@ class TestTcp:
         assert sum(r["deduped"] for r in responses) == 2
         assert stats["metrics"]["requests"]["completed"] == 3
         assert stats["metrics"]["storage"]["kind"] == "pcsr"
+
+    def test_stats_registry_and_metrics_text_agree(self, graph,
+                                                   queries):
+        """One mixed-tenant workload with a dedup, a shed, a quota
+        rejection and an engine error: the ``stats`` RPC, the registry
+        snapshot and the ``metrics`` text report the same counts."""
+        engine = make_engine(graph)
+        release = threading.Event()
+        real_run_batch = engine.run_batch
+
+        def gated_run_batch(batch):
+            release.wait()
+            return real_run_batch(batch)
+
+        engine.run_batch = gated_run_batch
+        disconnected = LabeledGraph([0, 1, 2], [(0, 1, 0)])
+
+        async def scenario():
+            async with GSIServer(engine, max_batch=2, max_delay_ms=1.0,
+                                 max_pending=2, quota_rate=0.001,
+                                 quota_burst=2, port=0) as server:
+                async with GSIClient("127.0.0.1",
+                                     server.bound_port) as client:
+                    def send(query, tenant):
+                        return asyncio.ensure_future(
+                            client.query(query, tenant=tenant))
+
+                    try:
+                        # The first query dispatches and blocks the
+                        # runner; two distinct ones fill max_pending.
+                        sent = [send(queries[0], "a")]
+                        await asyncio.sleep(0.05)
+                        sent += [send(queries[1], "b"),
+                                 send(disconnected, "c")]
+                        await asyncio.sleep(0.05)
+                        shed = await client.query(queries[3], tenant="a")
+                        sent.append(send(queries[1], "c"))  # follower
+                        await asyncio.sleep(0.05)
+                        rejected = await client.query(queries[4],
+                                                      tenant="a")
+                    finally:
+                        release.set()
+                    done = await asyncio.gather(*sent)
+                    stats = await client.stats()
+                    text = await client.metrics()
+            return shed, rejected, done, stats, text
+
+        with scoped_registry() as registry:
+            shed, rejected, done, stats, text = run(scenario())
+            snapshot = registry.snapshot()
+        assert shed["status"] == "overloaded"
+        assert rejected["status"] == "quota_exceeded"
+        assert [r["status"] for r in done] == ["ok", "ok", "error", "ok"]
+        assert done[-1]["deduped"]
+
+        metrics = stats["metrics"]
+        assert metrics["requests"] == {
+            "received": 6, "admitted": 4, "completed": 4, "errors": 1,
+            "deduped": 1, "shed": 1, "quota_rejected": 1}
+        assert metrics["batches"]["size_histogram"] == {"1": 1, "2": 1}
+        assert metrics["queue"] == {"depth": 0, "max_depth": 2}
+        replay = GSIEngine(graph, GSIConfig.gsi_opt())
+        served = [replay.match(q) for q in queries[:2]]
+        assert metrics["transactions"]["gld"] == \
+            sum(r.counters.gld for r in served)
+        assert metrics["transactions"]["gst"] == \
+            sum(r.counters.gst for r in served)
+        assert metrics["total_simulated_ms"] == \
+            served[0].elapsed_ms + served[1].elapsed_ms
+
+        # The registry snapshot and the metrics text hold the same
+        # series, and the stats RPC reads the same counts out of them.
+        samples = snapshot_samples(snapshot)
+        assert prometheus_samples(text) == samples
+        requests = {}
+        for (name, labels), value in samples.items():
+            if name == "gsi_serve_requests_total":
+                labels = dict(labels)
+                requests[(labels["tenant"], labels["result"])] = value
+        for tenant, series in metrics["tenants"].items():
+            assert series["completed"] == (requests.get((tenant, "ok"), 0)
+                                           + requests.get((tenant, "error"),
+                                                          0))
+            for key, result in (("errors", "error"), ("deduped", "deduped"),
+                                ("shed", "shed"),
+                                ("quota_rejected", "quota_rejected")):
+                assert series[key] == requests.get((tenant, result), 0)
+        for result in ("received", "admitted"):
+            assert metrics["requests"][result] == sum(
+                value for (_, r), value in requests.items() if r == result)
+        sizes = {dict(labels)["size"]: value
+                 for (name, labels), value in samples.items()
+                 if name == "gsi_serve_batches_total"}
+        assert sizes == metrics["batches"]["size_histogram"]
+        assert metrics["batches"]["executed_queries"] == \
+            sum(int(size) * n for size, n in sizes.items())
+        for kind in ("gld", "gst"):
+            assert metrics["transactions"][kind] == \
+                samples[("gsi_serve_transactions_total", (("kind", kind),))]
+        assert metrics["total_simulated_ms"] == \
+            samples[("gsi_serve_simulated_ms_total", ())]
 
     def test_malformed_frames_answered_not_fatal(self, graph, queries):
         engine = make_engine(graph)
