@@ -12,7 +12,6 @@ from repro.core.plan import (
 from repro.core.result import MatchResult, PhaseBreakdown
 from repro.core.set_ops import CandidateSet
 from repro.core.signature import (
-    candidate_mask,
     encode_all,
     encode_rows,
     encode_vertex,
@@ -32,7 +31,6 @@ __all__ = [
     "MatchResult",
     "PhaseBreakdown",
     "CandidateSet",
-    "candidate_mask",
     "encode_all",
     "encode_rows",
     "encode_vertex",

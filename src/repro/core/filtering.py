@@ -50,25 +50,18 @@ def filter_candidates(query: LabeledGraph, table: SignatureTable,
         shape_cache.bind(table)
     for u in range(query.num_vertices):
         sig_u = encode_vertex(query, u, signature_bits)
-        cached = None
-        if shape_cache is not None:
-            key = sig_u.tobytes()
-            cached = shape_cache.lookup(key, owner=table)
-        if cached is None:
-            cost = table.scan_cost(sig_u)
-            cand = None
-        else:
-            cost, cand = cached
-        # Charge the simulated scan before doing the host-side work, so
-        # a budget-exhausted query short-circuits (BudgetExceeded from
-        # run_kernel) without paying the O(|V|) host scan it would have
-        # skipped before the memo existed.
+        key = sig_u.tobytes()
+        cached = (shape_cache.lookup(key, owner=table)
+                  if shape_cache is not None else None)
+        cost, cand = cached if cached is not None else table.scan(sig_u)
         device.meter.add_gld(cost.gld_transactions, label=LABEL_FILTER)
         device.run_kernel(cost.warp_task_cycles, name=f"filter_u{u}")
-        if cand is None:
-            cand = table.filter(sig_u)
-            if shape_cache is not None:
-                shape_cache.store(key, cost, cand, owner=table)
+        if cached is None and shape_cache is not None:
+            # Stored only once the kernel has run: a scan the budget
+            # aborts (BudgetExceeded from run_kernel) never completed
+            # on the simulated device, so it leaves no entry, and the
+            # memo holds only scans that a query paid for in full.
+            shape_cache.store(key, cost, cand, owner=table)
         candidates[u] = cand
     return candidates
 

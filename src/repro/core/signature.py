@@ -146,14 +146,3 @@ def is_candidate(sig_v: Array, sig_u: Array) -> bool:
     tail_u = sig_u[1:]
     return bool(np.all((sig_v[1:] & tail_u) == tail_u))
 
-
-def candidate_mask(table: Array, sig_u: Array) -> Array:
-    """Vectorized filter of a whole signature table against ``sig_u``.
-
-    Returns a boolean mask over data vertices; this is the functional
-    equivalent of the massively parallel scan in Section III-A.
-    """
-    label_ok = table[:, 0] == sig_u[0]
-    tail_u = sig_u[1:]
-    structure_ok = np.all((table[:, 1:] & tail_u) == tail_u, axis=1)
-    return label_ok & structure_ok

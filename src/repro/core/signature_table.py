@@ -24,7 +24,6 @@ from typing import Tuple
 import numpy as np
 
 from repro.arraytypes import Array
-from repro.core.signature import candidate_mask
 from repro.gpusim.constants import (
     CYCLES_PER_GLD,
     CYCLES_PER_OP,
@@ -72,40 +71,31 @@ class SignatureTable:
 
     # ------------------------------------------------------------------
 
-    def filter(self, sig_u: Array) -> Array:
-        """Candidate vertex ids for a query signature (functional)."""
-        return np.nonzero(candidate_mask(self.table, sig_u))[0]
-
-    def scan_cost(self, sig_u: Array) -> ScanCost:
-        """Transaction/cycle cost of one full scan for ``sig_u``.
+    def scan(self, sig_u: Array) -> Tuple[ScanCost, Array]:
+        """Filter the table for ``sig_u``: its scan cost and candidates.
 
         Every warp handles 32 consecutive vertices.  All warps read word 0
         (the label); warps containing at least one label match read the
-        remaining ``words - 1`` signature words for comparison.
+        remaining ``words - 1`` signature words for comparison.  The
+        host follows the same order: one word-0 compare gives the label
+        hits, whose warps set the cost, and then only the hits' words
+        where ``sig_u`` has bits are read.  Returns the
+        :class:`ScanCost` and the sorted candidate vertex ids.
         """
         n, w = self.num_vertices, self.words
+        hits = np.flatnonzero(self.table[:, 0] == sig_u[0])
         if n == 0:
-            return ScanCost(0, ())
-        label_hits = self.table[:, 0] == sig_u[0]
-        num_warps = math.ceil(n / WARP_SIZE)
+            return ScanCost(0, ()), hits
+        # Row-first: a warp's 32 same-word reads are strided by the
+        # signature width.
+        word_tx = 1 if self.column_first else strided_read(WARP_SIZE, w)
+        tx = np.full(math.ceil(n / WARP_SIZE), word_tx, dtype=np.int64)
+        tx[hits // WARP_SIZE] = w * word_tx
+        cycles = tx * CYCLES_PER_GLD + w * CYCLES_PER_OP
+        cost = ScanCost(int(tx.sum()), tuple(cycles.tolist()))
 
-        pad = num_warps * WARP_SIZE - n
-        hits_padded = np.pad(label_hits, (0, pad))
-        warp_has_hit = hits_padded.reshape(num_warps, WARP_SIZE).any(axis=1)
-
-        total_gld = 0
-        task_cycles = []
-        for warp in range(num_warps):
-            if self.column_first:
-                word0_tx = 1
-                tail_tx = (w - 1) if warp_has_hit[warp] else 0
-            else:
-                # Row-first: a warp's 32 same-word reads are strided by
-                # the signature width.
-                word0_tx = strided_read(WARP_SIZE, w)
-                tail_tx = ((w - 1) * strided_read(WARP_SIZE, w)
-                           if warp_has_hit[warp] else 0)
-            tx = word0_tx + tail_tx
-            total_gld += tx
-            task_cycles.append(tx * CYCLES_PER_GLD + w * CYCLES_PER_OP)
-        return ScanCost(total_gld, tuple(task_cycles))
+        # A hit passes when its row holds every bit of sig_u's tail.
+        for j in np.flatnonzero(sig_u[1:]).tolist():
+            need = sig_u[j + 1]
+            hits = hits[(self.table[hits, j + 1] & need) == need]
+        return cost, hits

@@ -372,7 +372,9 @@ class LabeledGraph:
         # --- Metadata: labels, edge map, label frequencies. -----------
         vlabels = (np.concatenate([self._vlabels, extra]) if len(extra)
                    else self._vlabels)
-        edge_map = dict(self._edge_map)
+        # ``copy()`` clones the hash table; ``dict()`` re-inserts every
+        # key once the map holds deleted slots, as a spliced one does.
+        edge_map = self._edge_map.copy()
         freq = dict(self._edge_label_freq)
         for key, lab in del_pairs.items():
             del edge_map[key]

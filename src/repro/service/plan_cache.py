@@ -111,8 +111,9 @@ class CandidateShapeCache:
     Two query vertices with the same encoded signature (same vertex
     label, same folded incident edge labels) provably produce the same
     candidate set and the same scan cost against a fixed signature
-    table, so repeated query labels can skip the O(|V|) host-side table
-    scan entirely.  This is a *host* optimization only: the engine still
+    table, so repeated query labels can skip the host-side
+    :meth:`~repro.core.signature_table.SignatureTable.scan` entirely.
+    This is a *host* optimization only: the engine still
     charges the memoized :class:`~repro.core.signature_table.ScanCost`
     to the query's simulated device, so simulated times and transaction
     totals are bit-identical with and without the memo.

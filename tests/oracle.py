@@ -10,10 +10,14 @@ on conftest module-name resolution, which used to collide with
 from __future__ import annotations
 
 import hashlib
+import math
 from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.core.signature_table import ScanCost, SignatureTable
+from repro.gpusim.constants import CYCLES_PER_GLD, CYCLES_PER_OP, WARP_SIZE
+from repro.gpusim.transactions import strided_read
 from repro.graph.labeled_graph import GraphBuilder, LabeledGraph
 from repro.storage.pcsr import default_hash
 
@@ -151,3 +155,44 @@ def pcsr_probe(part, v: int) -> Tuple[int, int, int]:
                 return reads, begin, int(group[last, 1])
         gid = int(group[last, 0])
     return reads, -1, -1
+
+
+def candidate_mask(table: np.ndarray, sig_u: np.ndarray) -> np.ndarray:
+    """Whole-table filter against ``sig_u``: a boolean mask over data
+    vertices, ANDing every tail word of every row.  The reference for
+    the candidates of :meth:`SignatureTable.scan`."""
+    label_ok = table[:, 0] == sig_u[0]
+    tail_u = sig_u[1:]
+    structure_ok = np.all((table[:, 1:] & tail_u) == tail_u, axis=1)
+    return label_ok & structure_ok
+
+
+def reference_scan_cost(table: SignatureTable,
+                        sig_u: np.ndarray) -> ScanCost:
+    """The filtering scan's cost, one warp at a time: the reference for
+    the :class:`ScanCost` of :meth:`SignatureTable.scan`.  Every warp
+    reads word 0; a warp holding a label match also reads the other
+    ``words - 1`` words, strided by the row width under row-first."""
+    n, w = table.num_vertices, table.words
+    if n == 0:
+        return ScanCost(0, ())
+    label_hits = table.table[:, 0] == sig_u[0]
+    num_warps = math.ceil(n / WARP_SIZE)
+    pad = num_warps * WARP_SIZE - n
+    hits_padded = np.pad(label_hits, (0, pad))
+    warp_has_hit = hits_padded.reshape(num_warps, WARP_SIZE).any(axis=1)
+
+    total_gld = 0
+    task_cycles = []
+    for warp in range(num_warps):
+        if table.column_first:
+            word0_tx = 1
+            tail_tx = (w - 1) if warp_has_hit[warp] else 0
+        else:
+            word0_tx = strided_read(WARP_SIZE, w)
+            tail_tx = ((w - 1) * strided_read(WARP_SIZE, w)
+                       if warp_has_hit[warp] else 0)
+        tx = word0_tx + tail_tx
+        total_gld += tx
+        task_cycles.append(tx * CYCLES_PER_GLD + w * CYCLES_PER_OP)
+    return ScanCost(total_gld, tuple(task_cycles))

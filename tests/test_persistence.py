@@ -138,4 +138,7 @@ class TestSignatureTableRoundTrip:
         q = random_walk_query(medium_graph, 4, seed=2)
         for u in range(4):
             sig = encode_vertex(q, u, 256)
-            assert np.array_equal(table.filter(sig), loaded.filter(sig))
+            cost, cand = table.scan(sig)
+            loaded_cost, loaded_cand = loaded.scan(sig)
+            assert loaded_cost == cost
+            assert np.array_equal(loaded_cand, cand)

@@ -6,8 +6,11 @@ import threading
 
 import pytest
 
+from repro.core.config import GSIConfig
 from repro.core.engine import GSIEngine
 from repro.core.plan import plan_join_order
+from repro.core.signature import encode_vertex
+from repro.gpusim.constants import CLOCK_GHZ
 from repro.graph.generators import random_walk_query, scale_free_graph
 from repro.graph.labeled_graph import LabeledGraph, path_query, triangle_query
 from repro.service import BatchEngine
@@ -340,6 +343,30 @@ class TestCandidateShapeMemo:
         assert len(cache.shapes) > 0
         cache.clear()
         assert len(cache.shapes) == 0
+
+    def test_budget_abort_leaves_no_shape(self, small_graph):
+        """A query whose budget runs out inside a filter kernel comes
+        back timed out; the scan it aborted stores no memo entry, while
+        the scan that completed before it keeps its entry."""
+        q = random_walk_query(small_graph, 4, seed=1)
+        sigs = [encode_vertex(q, u, GSIConfig().signature_bits).tobytes()
+                for u in range(2)]
+        assert sigs[0] != sigs[1]
+        kernels = GSIEngine(small_graph).prepare(q).device.kernels
+        # a budget that ends halfway through the second filter kernel
+        budget_cycles = (kernels[0].elapsed_cycles
+                         + kernels[1].elapsed_cycles / 2)
+        engine = GSIEngine(small_graph, GSIConfig(
+            budget_ms=budget_cycles / (CLOCK_GHZ * 1e6)))
+        cache = PlanCache()
+
+        result = engine.execute(engine.prepare(q, plan_cache=cache))
+
+        assert result.timed_out
+        assert len(cache.shapes) == 1
+        owner = engine.signature_table
+        assert cache.shapes.lookup(sigs[0], owner=owner) is not None
+        assert cache.shapes.lookup(sigs[1], owner=owner) is None
 
     def test_shape_capacity_validation(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.signature import (
-    candidate_mask,
     encode_all,
     encode_rows,
     encode_vertex,
@@ -17,7 +16,7 @@ from repro.core.signature import (
 from repro.graph.generators import random_walk_query, scale_free_graph
 from repro.graph.labeled_graph import LabeledGraph
 
-from oracle import brute_force_matches
+from oracle import brute_force_matches, candidate_mask
 
 
 class TestLayout:
