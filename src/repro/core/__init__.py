@@ -15,7 +15,6 @@ from repro.core.signature import (
     encode_all,
     encode_rows,
     encode_vertex,
-    is_candidate,
 )
 from repro.core.signature_table import SignatureTable
 
@@ -34,6 +33,5 @@ __all__ = [
     "encode_all",
     "encode_rows",
     "encode_vertex",
-    "is_candidate",
     "SignatureTable",
 ]

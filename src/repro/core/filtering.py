@@ -1,9 +1,10 @@
 """Filtering phase: candidate set generation (Section III-A).
 
 For each query vertex ``u`` the data-graph signature table is scanned in a
-massively parallel fashion; vertices whose signatures pass the
-:func:`~repro.core.signature.is_candidate` test form ``C(u)``.  The scan's
-memory cost depends on the table layout (see
+massively parallel fashion; vertices whose label equals ``u``'s and whose
+signature contains ``S(u)`` (:mod:`repro.core.signature`'s filtering
+rule, applied by :meth:`~repro.core.signature_table.SignatureTable.scan`)
+form ``C(u)``.  The scan's memory cost depends on the table layout (see
 :mod:`repro.core.signature_table`); its *natural load balance* — every
 thread reads a fixed-length signature — is why filtering is cheap on GPU.
 """

@@ -22,6 +22,8 @@ definition, one vertex at a time; queries are encoded through it.
 over their CSR incidence segments (pair hash, per-group count, state
 OR); every signature-table build and every maintained-row refresh goes
 through it, and tests hold it byte-equal to :func:`encode_vertex`.
+:func:`pack_tail` turns a row's pair groups into one Python int, so a
+single containment check is one integer AND.
 """
 
 from __future__ import annotations
@@ -139,10 +141,14 @@ def encode_all(graph: LabeledGraph, signature_bits: int) -> Array:
         signature_bits)
 
 
-def is_candidate(sig_v: Array, sig_u: Array) -> bool:
-    """Whether data signature ``sig_v`` passes query signature ``sig_u``."""
-    if sig_v[0] != sig_u[0]:
-        return False
-    tail_u = sig_u[1:]
-    return bool(np.all((sig_v[1:] & tail_u) == tail_u))
+def pack_tail(sig: Array) -> int:
+    """The pair-group words of ``sig`` (every word after word 0) as one
+    Python int, word ``i`` in bits ``32 (i - 1)`` to ``32 i - 1``.
 
+    Groups own disjoint bits, so with the labels compared on their own,
+    ``v`` passes ``u`` exactly when ``pack_tail(S(v)) & pack_tail(S(u))
+    == pack_tail(S(u))``: the filtering rule as one integer AND, for
+    checks of one data vertex at a time.
+    """
+    return int.from_bytes(
+        np.ascontiguousarray(sig[1:], dtype="<u4").tobytes(), "little")

@@ -37,7 +37,7 @@ from repro.dynamic.graph import CommitResult
 from repro.errors import StorageError
 from repro.gpusim.constants import LABEL_PCSR_REBUILD, LABEL_SIG_MAINTAIN
 from repro.gpusim.meter import MemoryMeter
-from repro.gpusim.transactions import contiguous_read
+from repro.gpusim.transactions import contiguous_read, contiguous_reads
 from repro.graph.labeled_graph import Edge, LabeledGraph
 from repro.graph.partition import EdgeLabelPartition
 from repro.storage.pcsr import GroupStack, PCSRPartition, PCSRStorage
@@ -104,17 +104,18 @@ class DynamicSignatureTable:
                 self._buf = buf
             inner.table = self._buf[:n]
             inner.num_vertices = n
-        verts = sorted(set(touched_vertices))
+        verts = np.unique(np.fromiter(touched_vertices, dtype=np.int64))
         rows = len(verts)
         if rows:
             inner.table[verts] = encode_rows(graph, verts, self.signature_bits)
             if self.meter is not None:
-                # Re-encoding streams each vertex's adjacency and
-                # writes one table row.
-                self.meter.add_gld(
-                    sum(max(1, contiguous_read(graph.degree(v)))
-                        for v in verts),
-                    label=LABEL_SIG_MAINTAIN)
+                # Re-encoding streams each vertex's adjacency (at least
+                # one transaction) and writes one table row.
+                offsets = graph.incidence()[0]
+                streamed = contiguous_reads(offsets[verts + 1]
+                                            - offsets[verts])
+                self.meter.add_gld(int(np.maximum(1, streamed).sum()),
+                                   label=LABEL_SIG_MAINTAIN)
                 self.meter.add_gst(rows * self._row_write_transactions())
         self.rows_updated += rows
         return rows

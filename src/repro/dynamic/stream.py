@@ -25,14 +25,22 @@ vertex, so finding them visits, per deleted pair, only the matches
 touching one of its endpoints (the smaller bucket) — the cost follows
 the batch, not the size of the live set.  The differential test suite
 checks the composition of these deltas against the brute-force oracle
-on every committed snapshot.
+on every committed snapshot, and ``tests/fuzz/test_fuzz_delta.py``
+checks every batch's created and destroyed sets against a per-seed
+reference.
 
-Per-query delta matching is pure host-side work over batch-constant
-inputs (the committed snapshot, the maintained signature table and the
-seeding context, gathered once per batch in a :class:`_BatchSeed`), and
-it runs in process: one loop over the registered queries, in
-registration order.  A query's signatures are encoded once, when it is
-registered.
+Delta matching is host-side work and runs in process.  ``register``
+encodes a query's signatures and compiles its :class:`_DeltaPlan`: for
+each query edge, the steps that extend a seed placed on it.  Each batch
+then makes one array pass over every registered query's seeds
+(:func:`_seed_pass`: the stacked query edges joined by edge label with
+the inserted edges in both orientations, labels and signature rows
+checked as arrays) and gathers the result with the other
+batch-constant inputs in a :class:`_BatchSeed`.  One loop over the
+registered queries, in registration order, extends each query's
+surviving seeds along its plan and scans its destroyed matches;
+:attr:`QueryDelta.host_ms` times that per-query work, not the batch's
+seed pass.
 
 Registration seeds the live set with one full match; a seeding match
 that exhausts ``GSIConfig.budget_ms`` or ``max_intermediate_rows``
@@ -51,7 +59,7 @@ import numpy as np
 from repro.core.config import GSIConfig
 from repro.core.engine import GSIEngine
 from repro.core.result import MatchResult
-from repro.core.signature import encode_vertex, is_candidate
+from repro.core.signature import encode_vertex, pack_tail
 from repro.dynamic.delta import GraphDelta
 from repro.dynamic.graph import CommitResult, DynamicGraph
 from repro.dynamic.index import DEFAULT_COMPACT_DEAD_RATIO, DynamicIndex
@@ -60,7 +68,7 @@ from repro.gpusim.constants import LABEL_DELTA_SEED
 from repro.gpusim.meter import MeterSnapshot
 from repro.graph.labeled_graph import LabeledGraph
 from repro.obs.metrics import get_registry
-from repro.obs.trace import get_tracer
+from repro.obs.trace import Span, get_tracer
 from repro.service.plan_cache import PlanCache
 
 Match = Tuple[int, ...]
@@ -74,6 +82,8 @@ class QueryDelta:
     created: Set[Match] = field(default_factory=set)
     destroyed: Set[Match] = field(default_factory=set)
     num_matches: int = 0  # live matches after the batch
+    #: wall time of this query's seed extension and destroyed scan (the
+    #: batch's shared seed pass is not included)
     host_ms: float = 0.0
 
     @property
@@ -127,12 +137,84 @@ class StreamBatchReport:
                 f"{self.wall_ms:.1f} ms")
 
 
+#: one extension step ``(u, anchor, label, back)`` (see :class:`_DeltaPlan`)
+_Step = Tuple[int, int, int, Tuple[Tuple[int, int], ...]]
+
+
+@dataclass(frozen=True)
+class _DeltaPlan:
+    """How delta matching seeds and extends one query, compiled once at
+    :meth:`StreamEngine.register`.
+
+    ``edges`` is the ``(m, 3)`` query-edge array ``(qa, qb, label)``;
+    ``labels`` holds the query's vertex labels and ``packed`` its
+    signatures as :func:`~repro.core.signature.pack_tail` ints.
+    ``extensions[e]`` is ``(qa, qb, steps)`` for query edge ``e``: one
+    ``(u, anchor, label, back)`` step per other query vertex, in BFS
+    order from ``(qa, qb)``.  ``anchor`` is ``u``'s first
+    already-placed neighbor and ``label`` their edge's label, so ``u``'s
+    candidates are ``N(assign[anchor], label)``; ``back`` holds the
+    ``(w, label)`` edges to ``u``'s other already-placed neighbors.
+    """
+
+    edges: np.ndarray
+    labels: Tuple[int, ...]
+    packed: Tuple[int, ...]
+    extensions: Tuple[Tuple[int, int, Tuple[_Step, ...]], ...]
+
+
+def _compile_plan(query: LabeledGraph,
+                  signatures: np.ndarray) -> _DeltaPlan:
+    edges = np.array(list(query.edges()), dtype=np.int64).reshape(-1, 3)
+    adjacency = [list(zip(query.neighbors(u).tolist(),
+                          query.incident_labels(u).tolist()))
+                 for u in range(query.num_vertices)]
+    return _DeltaPlan(
+        edges=edges,
+        labels=tuple(query.vertex_labels.tolist()),
+        packed=tuple(pack_tail(row) for row in signatures),
+        extensions=tuple((qa, qb, _extension_steps(adjacency, qa, qb))
+                         for qa, qb, _ in edges.tolist()))
+
+
+def _extension_steps(adjacency: List[List[Tuple[int, int]]], qa: int,
+                     qb: int) -> Tuple[_Step, ...]:
+    """The steps that complete a seed placed on query edge ``(qa, qb)``.
+
+    BFS order from the pair: every later vertex has an already-placed
+    neighbor to draw candidates from (registered queries are
+    connected).  The seed pair needs no check of its own: the seeding
+    edge is the only query edge between ``qa`` and ``qb``.
+    """
+    order: List[int] = []
+    seen = {qa, qb}
+    frontier = [qa, qb]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w, _ in adjacency[u]:
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        order += nxt
+        frontier = nxt
+    placed = {qa, qb}
+    steps = []
+    for u in order:
+        (anchor, label), *back = [(w, lab) for w, lab in adjacency[u]
+                                  if w in placed]
+        steps.append((u, anchor, label, tuple(back)))
+        placed.add(u)
+    return tuple(steps)
+
+
 @dataclass
 class _Registered:
     query_id: int
     query: LabeledGraph
-    #: ``S(u)`` per query vertex, encoded once at registration
-    signatures: Tuple[np.ndarray, ...]
+    #: ``S(u)`` per query vertex, ``(n, words)``, encoded at registration
+    signatures: np.ndarray
+    plan: _DeltaPlan
     initial: MatchResult
     matches: Set[Match] = field(default_factory=set)
     #: live matches by data vertex, kept in step with ``matches``; a
@@ -156,22 +238,106 @@ class _Registered:
                 self.by_vertex.setdefault(v, set()).add(m)
 
 
+@dataclass(frozen=True)
+class _SeedRows:
+    """Every registered query's edges stacked as seed rows: the left
+    side of each batch's seed join, restacked only when
+    :meth:`StreamEngine.register` or :meth:`StreamEngine.unregister`
+    changes the set.
+
+    ``rows`` holds ``(query, edge, qa, qb, label)``, where ``query``
+    indexes ``qids`` (registration order); ``ends`` holds ``qa``'s and
+    ``qb``'s vertex labels and ``sigs`` their signatures, ``(rows, 2,
+    words)``.
+    """
+
+    qids: Tuple[int, ...]
+    rows: np.ndarray
+    ends: np.ndarray
+    sigs: np.ndarray
+
+
+def _stack_seed_rows(registered: Dict[int, _Registered],
+                     words: int) -> _SeedRows:
+    rows = [np.empty((0, 5), dtype=np.int64)]
+    ends = [np.empty((0, 2), dtype=np.int64)]
+    sigs = [np.empty((0, 2, words), dtype=np.uint32)]
+    for index, reg in enumerate(registered.values()):
+        edges = reg.plan.edges
+        m = len(edges)
+        rows.append(np.column_stack((
+            np.full(m, index, dtype=np.int64),
+            np.arange(m, dtype=np.int64), edges)))
+        ends.append(reg.query.vertex_labels[edges[:, :2]])
+        sigs.append(reg.signatures[edges[:, :2]])
+    return _SeedRows(qids=tuple(registered), rows=np.concatenate(rows),
+                     ends=np.concatenate(ends), sigs=np.concatenate(sigs))
+
+
+def _seed_pass(stack: _SeedRows, inserted: np.ndarray,
+               vertex_labels: np.ndarray,
+               table: np.ndarray) -> Dict[int, List[Tuple[int, int, int]]]:
+    """Every registered query's seeds for one batch, in one array pass.
+
+    Joins the stacked rows by edge label with the inserted ``(u, v,
+    label)`` edges in both orientations ``(x, y)``.  A pair survives
+    when ``x`` and ``y`` carry ``qa``'s and ``qb``'s vertex labels and
+    their maintained table rows contain ``qa``'s and ``qb``'s
+    signatures on every word.  Returns each query id's surviving
+    ``(edge, x, y)`` seeds; a query with none is absent.
+    """
+    oriented = np.concatenate((inserted, inserted[:, [1, 0, 2]]))
+    rows = stack.rows
+    row, pick = np.nonzero(rows[:, 4, None] == oriented[:, 2])
+    x, y = oriented[pick, 0], oriented[pick, 1]
+    ok = ((vertex_labels[x] == stack.ends[row, 0])
+          & (vertex_labels[y] == stack.ends[row, 1]))
+    row, x, y = row[ok], x[ok], y[ok]
+    sig_a, sig_b = stack.sigs[row, 0], stack.sigs[row, 1]
+    ok = (((table[x] & sig_a) == sig_a).all(axis=1)
+          & ((table[y] & sig_b) == sig_b).all(axis=1))
+    seeds: Dict[int, List[Tuple[int, int, int]]] = {}
+    for (query, edge), a, b in zip(rows[row[ok], :2].tolist(),
+                                   x[ok].tolist(), y[ok].tolist()):
+        seeds.setdefault(stack.qids[query], []).append((edge, a, b))
+    return seeds
+
+
+class _PackedRows(Dict[int, int]):
+    """Signature rows as :func:`~repro.core.signature.pack_tail` ints,
+    each packed on its first read.  Lives for one batch:
+    :class:`~repro.dynamic.index.DynamicSignatureTable` rewrites rows
+    in place."""
+
+    def __init__(self, table: np.ndarray) -> None:
+        super().__init__()
+        self.table = table
+
+    def __missing__(self, v: int) -> int:
+        packed = self[v] = pack_tail(self.table[v])
+        return packed
+
+
 @dataclass
 class _BatchSeed:
     """Batch-constant inputs of per-query delta matching, computed once
-    per batch and shared by every registered query (instead of each
-    query re-deriving them): the committed snapshot and its signature
-    table, the new vertices, the inserted edges grouped by edge label,
-    the dead-pair set, and the signature rows of the touched
-    (inserted-edge endpoint) vertices — the rows every query's seed
-    check reads.  Read-only for the duration of the batch."""
+    per batch and shared by every registered query: the committed
+    snapshot, its vertex labels as a list, the new vertices, the
+    dead-pair set, every query's surviving seeds from the one
+    :func:`_seed_pass`, and the packed table rows the extensions read.
+    Read-only for the duration of the batch (apart from ``packed``
+    filling in)."""
 
     snapshot: LabeledGraph
-    table: np.ndarray
+    vertex_labels: List[int]
     new_vertices: Tuple[int, ...]
-    inserted_by_label: Dict[int, List[Tuple[int, int]]]
     dead_pairs: Set[Tuple[int, int]]
-    seed_rows: Dict[int, np.ndarray]
+    seeds: Dict[int, List[Tuple[int, int, int]]]
+    packed: _PackedRows
+
+    @property
+    def num_seeds(self) -> int:
+        return sum(len(seeds) for seeds in self.seeds.values())
 
 
 def _query_delta(seed: _BatchSeed, reg: _Registered) -> QueryDelta:
@@ -180,10 +346,13 @@ def _query_delta(seed: _BatchSeed, reg: _Registered) -> QueryDelta:
     t0 = time.perf_counter()
     with get_tracer().span("stream.query_delta",
                            query_id=reg.query_id) as span:
-        created = _delta_created(seed, reg.query, reg.signatures)
+        created = _delta_created(seed, reg)
         destroyed = _delta_destroyed(seed, reg.query, reg.by_vertex)
         span.set_attribute("created", len(created))
         span.set_attribute("destroyed", len(destroyed))
+        if span.trace_id:
+            span.set_attribute(
+                "seeds", len(seed.seeds.get(reg.query_id, ())))
     return QueryDelta(query_id=reg.query_id, created=created,
                       destroyed=destroyed,
                       host_ms=(time.perf_counter() - t0) * 1000.0)
@@ -213,128 +382,58 @@ def _delta_destroyed(seed: _BatchSeed, query: LabeledGraph,
     return destroyed
 
 
-def _delta_created(seed: _BatchSeed, query: LabeledGraph,
-                   qsigs: Tuple[np.ndarray, ...]) -> Set[Match]:
+def _delta_created(seed: _BatchSeed, reg: _Registered) -> Set[Match]:
     """Matches that exist on the new snapshot but not the old one.
 
     Every such match embeds a net-inserted edge (or, for
-    single-vertex queries, a new vertex), so partial embeddings
-    seeded on the inserted edges and extended over the new snapshot
-    enumerate them exactly.  Candidate pruning goes through the
-    incrementally maintained signature table; the seed endpoints'
-    rows come pre-loaded from the shared :class:`_BatchSeed`, and the
-    query's signatures ``qsigs`` from its registration.
+    single-vertex queries, a new vertex), so the query's seeds from
+    the batch's :func:`_seed_pass`, each extended along its edge's
+    plan over the new snapshot, enumerate them exactly.
     """
-    graph = seed.snapshot
-    if query.num_edges == 0:
+    plan = reg.plan
+    if not plan.extensions:
         # Connected queries with no edges are single vertices.
-        lab = query.vertex_label(0)
+        labels = seed.vertex_labels
         return {(v,) for v in seed.new_vertices
-                if graph.vertex_label(v) == lab}
-    if not seed.inserted_by_label:
-        return set()
-
-    table = seed.table
-    seed_rows = seed.seed_rows
-
-    def candidate(u: int, v: int) -> bool:
-        if query.vertex_label(u) != graph.vertex_label(v):
-            return False
-        row = seed_rows.get(v)
-        if row is None:
-            row = table[v]
-        return is_candidate(row, qsigs[u])
-
-    qedges = list(query.edges())
+                if labels[v] == plan.labels[0]}
     created: Set[Match] = set()
-    for qa, qb, qlab in qedges:
-        for gu, gv in seed.inserted_by_label.get(qlab, ()):
-            for x, y in ((gu, gv), (gv, gu)):
-                if candidate(qa, x) and candidate(qb, y):
-                    _extend({qa: x, qb: y}, query, graph,
-                            candidate, created)
+    assign = [0] * len(plan.labels)
+    for e, x, y in seed.seeds.get(reg.query_id, ()):
+        qa, qb, steps = plan.extensions[e]
+        assign[qa], assign[qb] = x, y
+        _extend(seed, plan, steps, 0, assign, {x, y}, created)
     return created
 
 
-def _extend(seed: Dict[int, int], query: LabeledGraph,
-            graph: LabeledGraph, candidate, out: Set[Match]) -> None:
-    """Backtracking completion of a seeded partial embedding.
+def _extend(seed: _BatchSeed, plan: _DeltaPlan, steps: Tuple[_Step, ...],
+            depth: int, assign: List[int], used: Set[int],
+            out: Set[Match]) -> None:
+    """Place ``steps[depth:]`` on top of ``assign`` and add every
+    completed embedding to ``out``.
 
-    Order is BFS from the seeded vertices, so every next query
-    vertex has an already-matched neighbor and candidates come from
-    one ``N(v, l)`` list — the "touching changed vertices" frontier
-    — never a full vertex scan.
+    A candidate for ``u`` comes from ``N(assign[anchor], label)`` and
+    must be unused, carry ``u``'s label, hold ``u``'s signature (one
+    AND of packed ints) and close every back edge with its label (one
+    edge lookup each).
     """
-    nq = query.num_vertices
-    order: List[int] = []
-    seen = set(seed)
-    frontier = list(seed)
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in query.neighbors(u):
-                w = int(w)
-                if w not in seen:
-                    seen.add(w)
-                    order.append(w)
-                    nxt.append(w)
-        frontier = nxt
-    # Connected query: BFS from any seed reaches everything.
-    assign = dict(seed)
-    used = set(seed.values())
-    if len(used) < len(seed):
-        return  # seed itself is non-injective
-
-    def consistent(u: int, v: int) -> bool:
-        for w, lab in zip(query.neighbors(u),
-                          query.incident_labels(u)):
-            w = int(w)
-            if w in assign:
-                gw = assign[w]
-                if not graph.has_edge(gw, v) or \
-                        graph.edge_label(gw, v) != int(lab):
-                    return False
-        return True
-
-    # Check the seed pair's own consistency (other query edges
-    # between the two seeded vertices, if any).
-    items = list(seed.items())
-    for u, v in items:
-        if not consistent(u, v):
-            return
-
-    def rec(i: int) -> None:
-        if i == len(order):
-            out.add(tuple(assign[u] for u in range(nq)))
-            return
-        u = order[i]
-        anchor = next(
-            (int(w) for w in query.neighbors(u) if int(w) in assign),
-            None)
-        if anchor is None:
-            return
-        anchor_lab = None
-        for w, lab in zip(query.neighbors(u),
-                          query.incident_labels(u)):
-            if int(w) == anchor:
-                anchor_lab = int(lab)
+    if depth == len(steps):
+        out.add(tuple(assign))
+        return
+    u, anchor, label, back = steps[depth]
+    want_label, want_sig = plan.labels[u], plan.packed[u]
+    graph, labels, packed = seed.snapshot, seed.vertex_labels, seed.packed
+    for v in graph.neighbors_by_label(assign[anchor], label).tolist():
+        if (v in used or labels[v] != want_label
+                or packed[v] & want_sig != want_sig):
+            continue
+        for w, lab in back:
+            if graph.get_edge_label(assign[w], v) != lab:
                 break
-        for v in graph.neighbors_by_label(assign[anchor], anchor_lab):
-            v = int(v)
-            if v in used or not candidate(u, v):
-                continue
-            if not consistent(u, v):
-                continue
+        else:
             assign[u] = v
             used.add(v)
-            rec(i + 1)
-            del assign[u]
+            _extend(seed, plan, steps, depth + 1, assign, used, out)
             used.discard(v)
-
-    rec(0)
-    # ``rec`` reaches itself through its closure: unbind it so the
-    # snapshot it captured is freed now, not at the next cyclic GC.
-    del rec
 
 
 class StreamEngine:
@@ -368,6 +467,12 @@ class StreamEngine:
             signature_table=self.index.signature_table,
             store=self.index.storage)
         self._registered: Dict[int, _Registered] = {}
+        #: the registered queries' stacked seed rows; ``None`` after
+        #: ``register``/``unregister`` until the next batch restacks
+        self._seed_rows: Optional[_SeedRows] = None
+        #: vertex labels of the committed snapshot as a list (labels
+        #: never change; each batch appends its new vertices')
+        self._vertex_labels: List[int] = graph.vertex_labels.tolist()
         # Monotonic, never reused: a stale id held after unregister can
         # only ever raise, never silently read another query's matches.
         self._next_query_id = 0
@@ -404,13 +509,14 @@ class StreamEngine:
         bits = self.config.signature_bits
         qid = self._next_query_id
         self._next_query_id += 1
+        signatures = np.stack([encode_vertex(query, u, bits)
+                               for u in range(query.num_vertices)])
         reg = _Registered(
-            query_id=qid, query=query,
-            signatures=tuple(encode_vertex(query, u, bits)
-                             for u in range(query.num_vertices)),
-            initial=result)
+            query_id=qid, query=query, signatures=signatures,
+            plan=_compile_plan(query, signatures), initial=result)
         reg.apply(result.matches, ())
         self._registered[qid] = reg
+        self._seed_rows = None
         return qid
 
     def _registered_or_raise(self, query_id: int) -> _Registered:
@@ -431,6 +537,7 @@ class StreamEngine:
         """
         self._registered_or_raise(query_id)
         del self._registered[query_id]
+        self._seed_rows = None
 
     def matches(self, query_id: int) -> Set[Match]:
         """Current live match set of a registered query.
@@ -454,7 +561,7 @@ class StreamEngine:
         """Apply one update batch end to end (see module docstring)."""
         with get_tracer().span("stream.apply_batch",
                                batch_index=self.batches_applied) as span:
-            report = self._apply_batch_inner(delta)
+            report = self._apply_batch_inner(delta, span)
             span.set_attribute("created", report.total_created)
             span.set_attribute("destroyed", report.total_destroyed)
             if span.trace_id:
@@ -484,7 +591,8 @@ class StreamEngine:
         if report.num_deleted:
             edges.inc(float(report.num_deleted), kind="delete")
 
-    def _apply_batch_inner(self, delta: GraphDelta) -> StreamBatchReport:
+    def _apply_batch_inner(self, delta: GraphDelta,
+                           span: Span) -> StreamBatchReport:
         t0 = time.perf_counter()
         old_snapshot = self.dynamic.base
         try:
@@ -534,6 +642,8 @@ class StreamEngine:
             labels_shifted=shifted,
             pcsr=self.index.storage.stats())
         seed = self._build_batch_seed(commit)
+        if span.trace_id:
+            span.set_attribute("seeds", seed.num_seeds)
         for qid, reg in self._registered.items():
             outcome = _query_delta(seed, reg)
             reg.apply(outcome.created, outcome.destroyed)
@@ -554,28 +664,33 @@ class StreamEngine:
     def _build_batch_seed(self, commit: CommitResult) -> _BatchSeed:
         """Gather the shared delta-matching inputs for one batch.
 
-        Runs once per batch, not once per registered query: the
-        label-grouped inserted edges, the dead-pair set and the touched
-        (seed endpoint) vertices' signature rows are all
-        query-independent — reading those rows is metered here (label
-        ``delta_seed``) exactly once, so seeding transactions scale
-        with the change set, not with the number of registered queries.
+        Runs once per batch, not once per registered query: one
+        :func:`_seed_pass` checks every registered query's seeds on the
+        inserted edges at once, and reading the inserted endpoints'
+        signature rows is metered here (label ``delta_seed``, one row
+        per distinct endpoint) exactly once, so seeding transactions
+        scale with the change set, not with the number of registered
+        queries.
         """
-        by_label: Dict[int, List[Tuple[int, int]]] = {}
-        endpoints: Set[int] = set()
-        for u, v, lab in commit.inserted_edges:
-            by_label.setdefault(lab, []).append((u, v))
-            endpoints.add(u)
-            endpoints.add(v)
-        dead_pairs = {(u, v) for u, v, _ in commit.deleted_edges}
-        table = self.index.signature_table.table
-        seed_rows = {v: table[v] for v in endpoints}
+        inserted = np.array(commit.inserted_edges,
+                            dtype=np.int64).reshape(-1, 3)
+        endpoints = len(np.unique(inserted[:, :2]))
         if endpoints:
             per_row = self.index.signatures.row_transactions()
-            self.index.meter.add_gld(per_row * len(endpoints),
+            self.index.meter.add_gld(per_row * endpoints,
                                      label=LABEL_DELTA_SEED)
-        return _BatchSeed(snapshot=commit.snapshot, table=table,
+        snapshot = commit.snapshot
+        labels = self._vertex_labels
+        labels += snapshot.vertex_labels[len(labels):].tolist()
+        table = self.index.signature_table.table
+        if self._seed_rows is None:
+            self._seed_rows = _stack_seed_rows(self._registered,
+                                               table.shape[1])
+        seeds = (_seed_pass(self._seed_rows, inserted,
+                            snapshot.vertex_labels, table)
+                 if len(inserted) else {})
+        return _BatchSeed(snapshot=snapshot, vertex_labels=labels,
                           new_vertices=tuple(commit.new_vertices),
-                          inserted_by_label=by_label,
-                          dead_pairs=dead_pairs, seed_rows=seed_rows)
-
+                          dead_pairs={(u, v) for u, v, _
+                                      in commit.deleted_edges},
+                          seeds=seeds, packed=_PackedRows(table))

@@ -239,6 +239,11 @@ class LabeledGraph:
         except KeyError:
             raise GraphError(f"no edge between {u} and {v}") from None
 
+    def get_edge_label(self, u: int, v: int) -> Optional[int]:
+        """Label of the edge between ``u`` and ``v``, or ``None`` when
+        there is none: one lookup, for callers testing many pairs."""
+        return self._edge_map.get((u, v) if u < v else (v, u))
+
     def edges(self) -> Iterator[Edge]:
         """Iterate ``(u, v, label)`` with ``u < v`` in insertion order."""
         for (u, v), lab in self._edge_map.items():

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.core.signature import encode_vertex
 from repro.core.signature_table import ScanCost, SignatureTable
 from repro.gpusim.constants import CYCLES_PER_GLD, CYCLES_PER_OP, WARP_SIZE
 from repro.gpusim.transactions import strided_read
@@ -155,6 +156,125 @@ def pcsr_probe(part, v: int) -> Tuple[int, int, int]:
                 return reads, begin, int(group[last, 1])
         gid = int(group[last, 0])
     return reads, -1, -1
+
+
+def is_candidate(sig_v: np.ndarray, sig_u: np.ndarray) -> bool:
+    """Whether data signature ``sig_v`` passes query signature ``sig_u``:
+    the scalar filtering rule, one row at a time.  The reference for
+    :func:`repro.core.signature.pack_tail` containment."""
+    if sig_v[0] != sig_u[0]:
+        return False
+    tail_u = sig_u[1:]
+    return bool(np.all((sig_v[1:] & tail_u) == tail_u))
+
+
+def reference_delta_created(graph: LabeledGraph, table: np.ndarray,
+                            query: LabeledGraph, signature_bits: int,
+                            inserted: Sequence[Tuple[int, int, int]],
+                            new_vertices: Sequence[int]
+                            ) -> Set[Tuple[int, ...]]:
+    """The matches a stream batch creates, by the earlier per-seed
+    backtracker: every query edge x inserted edge x orientation checked
+    with :func:`is_candidate`, and each surviving seed extended in a BFS
+    order rebuilt per seed, every candidate checked against all of its
+    already-placed neighbors.  ``graph`` is the committed snapshot and
+    ``table`` its signature rows.  The reference for the created sets
+    of :class:`~repro.dynamic.stream.StreamEngine`."""
+    if query.num_edges == 0:
+        # Connected queries with no edges are single vertices.
+        lab = query.vertex_label(0)
+        return {(v,) for v in new_vertices if graph.vertex_label(v) == lab}
+    qsigs = [encode_vertex(query, u, signature_bits)
+             for u in range(query.num_vertices)]
+
+    def candidate(u: int, v: int) -> bool:
+        if query.vertex_label(u) != graph.vertex_label(v):
+            return False
+        return is_candidate(table[v], qsigs[u])
+
+    created: Set[Tuple[int, ...]] = set()
+    for qa, qb, qlab in query.edges():
+        for gu, gv, lab in inserted:
+            if lab != qlab:
+                continue
+            for x, y in ((gu, gv), (gv, gu)):
+                if candidate(qa, x) and candidate(qb, y):
+                    _reference_extend({qa: x, qb: y}, query, graph,
+                                      candidate, created)
+    return created
+
+
+def _reference_extend(seed: Dict[int, int], query: LabeledGraph,
+                      graph: LabeledGraph,
+                      candidate: Callable[[int, int], bool],
+                      out: Set[Tuple[int, ...]]) -> None:
+    """Backtracking completion of one seeded partial embedding, in BFS
+    order from the seeded vertices."""
+    nq = query.num_vertices
+    order: List[int] = []
+    seen = set(seed)
+    frontier = list(seed)
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w in query.neighbors(u):
+                w = int(w)
+                if w not in seen:
+                    seen.add(w)
+                    order.append(w)
+                    nxt.append(w)
+        frontier = nxt
+    assign = dict(seed)
+    used = set(seed.values())
+    if len(used) < len(seed):
+        return  # seed itself is non-injective
+
+    def consistent(u: int, v: int) -> bool:
+        for w, lab in zip(query.neighbors(u),
+                          query.incident_labels(u)):
+            w = int(w)
+            if w in assign:
+                gw = assign[w]
+                if not graph.has_edge(gw, v) or \
+                        graph.edge_label(gw, v) != int(lab):
+                    return False
+        return True
+
+    # The seed pair's own consistency (other query edges between the
+    # two seeded vertices, if any).
+    for u, v in list(seed.items()):
+        if not consistent(u, v):
+            return
+
+    def rec(i: int) -> None:
+        if i == len(order):
+            out.add(tuple(assign[u] for u in range(nq)))
+            return
+        u = order[i]
+        anchor = next(
+            (int(w) for w in query.neighbors(u) if int(w) in assign),
+            None)
+        if anchor is None:
+            return
+        anchor_lab = None
+        for w, lab in zip(query.neighbors(u),
+                          query.incident_labels(u)):
+            if int(w) == anchor:
+                anchor_lab = int(lab)
+                break
+        for v in graph.neighbors_by_label(assign[anchor], anchor_lab):
+            v = int(v)
+            if v in used or not candidate(u, v):
+                continue
+            if not consistent(u, v):
+                continue
+            assign[u] = v
+            used.add(v)
+            rec(i + 1)
+            del assign[u]
+            used.discard(v)
+
+    rec(0)
 
 
 def candidate_mask(table: np.ndarray, sig_u: np.ndarray) -> np.ndarray:

@@ -293,6 +293,25 @@ class TestStreamTrace:
                      if s["parent_id"] == batch["span_id"]]
             assert sorted(under) == qids
 
+    def test_seed_counts_sum_to_the_batch_count(self):
+        """A traced batch carries its surviving-seed count, and its
+        query deltas carry their own counts, which add up to it."""
+        graph = scale_free_graph(40, 3, 2, 2, seed=6)
+        engine = StreamEngine(graph)
+        for s, k in enumerate((2, 2, 3, 4)):
+            engine.register(random_walk_query(graph, k, seed=s))
+        deltas = list(random_update_stream(graph, 4, 12, seed=4))
+        spans = _run_traced(
+            lambda: [engine.apply_batch(delta) for delta in deltas])
+        batches = [s for s in spans if s["name"] == "stream.apply_batch"]
+        for batch in batches:
+            under = [s["attrs"]["seeds"] for s in spans
+                     if s["name"] == "stream.query_delta"
+                     and s["parent_id"] == batch["span_id"]]
+            assert len(under) == 4
+            assert sum(under) == batch["attrs"]["seeds"]
+        assert any(batch["attrs"]["seeds"] for batch in batches)
+
 
 # ----------------------------------------------------------------------
 # Spans carry the simulated cost charged inside them

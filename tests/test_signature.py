@@ -9,14 +9,14 @@ from repro.core.signature import (
     encode_all,
     encode_rows,
     encode_vertex,
-    is_candidate,
     num_groups,
     num_words,
+    pack_tail,
 )
 from repro.graph.generators import random_walk_query, scale_free_graph
 from repro.graph.labeled_graph import LabeledGraph
 
-from oracle import brute_force_matches, candidate_mask
+from oracle import brute_force_matches, candidate_mask, is_candidate
 
 
 class TestLayout:
@@ -168,6 +168,55 @@ class TestCandidateRule:
         su = encode_vertex(query, 0, 512)
         sv = encode_vertex(data, 0, 512)
         assert not is_candidate(sv, su)
+
+
+class TestPackedTail:
+    def test_word_i_lands_at_bit_32_times_i_minus_1(self):
+        sig = np.array([9, 1, 0, 0x80000002], dtype=np.uint32)
+        assert pack_tail(sig) == 1 + (0x80000002 << 64)
+
+    def test_label_only_signature_packs_to_zero(self):
+        assert pack_tail(np.array([7], dtype=np.uint32)) == 0
+
+
+@st.composite
+def _signature_pair(draw):
+    """``(S(v), S(u))`` rows at 64-512 bits: labels equal, unequal or
+    containing each other's bits; tails empty, sparse (a few two-bit
+    group states) or dense; ``S(v)``'s tail often a superset of
+    ``S(u)``'s so that containment holds as often as it fails."""
+    words = num_words(draw(st.sampled_from([64, 128, 256, 512])))
+
+    def tail():
+        kind = draw(st.sampled_from(["empty", "sparse", "dense"]))
+        if kind == "empty":
+            return [0] * (words - 1)
+        if kind == "dense":
+            return draw(st.lists(st.integers(0, 0xFFFFFFFF),
+                                 min_size=words - 1, max_size=words - 1))
+        state = st.builds(lambda s, g: s << (2 * g),
+                          st.sampled_from([0b01, 0b11]), st.integers(0, 15))
+        return draw(st.lists(st.one_of(st.just(0), state),
+                             min_size=words - 1, max_size=words - 1))
+
+    label_v, label_u = draw(st.one_of(
+        st.sampled_from([(1, 1), (1, 3), (3, 1), (0, 0), (2, 6)]),
+        st.tuples(st.integers(0, 0xFFFFFFFF), st.integers(0, 0xFFFFFFFF))))
+    tail_u, tail_v = tail(), tail()
+    if draw(st.booleans()):
+        tail_v = [a | b for a, b in zip(tail_u, tail_v)]
+    return (np.array([label_v] + tail_v, dtype=np.uint32),
+            np.array([label_u] + tail_u, dtype=np.uint32))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=_signature_pair())
+def test_packed_containment_equals_is_candidate(pair):
+    sig_v, sig_u = pair
+    packed_u = pack_tail(sig_u)
+    passes = (int(sig_v[0]) == int(sig_u[0])
+              and pack_tail(sig_v) & packed_u == packed_u)
+    assert passes == is_candidate(sig_v, sig_u)
 
 
 class TestVectorizedMask:

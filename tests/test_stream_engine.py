@@ -7,6 +7,9 @@ stream, a cold GSI engine over each storage backend must agree with the
 composed sets.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.config import GSIConfig
@@ -352,12 +355,22 @@ class TestSharedBatchSeed:
     def test_seed_rows_cover_inserted_endpoints_only(self):
         graph = scale_free_graph(30, 3, 3, 3, seed=1)
         engine = StreamEngine(graph)
+        u, v, lab = next(iter(graph.edges()))
+        qid = engine.register(LabeledGraph(
+            [graph.vertex_label(u), graph.vertex_label(v)], [(0, 1, lab)]))
         report = engine.apply_batch(
-            GraphDelta.for_graph(graph).remove_edge(
-                *next(iter(graph.edges()))[:2]))
+            GraphDelta.for_graph(graph).remove_edge(u, v))
         # Delete-only batch: nothing to seed, nothing to read.
         assert engine.index.meter.labeled_gld("delta_seed") == 0
         assert report.num_deleted == 1
+        assert report.query_deltas[qid].created == set()
+        # Re-inserting the edge reads its two endpoint rows, once.
+        report = engine.apply_batch(
+            GraphDelta.for_graph(engine.graph).add_edge(u, v, lab))
+        assert engine.index.meter.labeled_gld("delta_seed") == \
+            2 * engine.index.signatures.row_transactions()
+        created = report.query_deltas[qid].created
+        assert (u, v) in created and created <= {(u, v), (v, u)}
 
     def test_shared_seed_results_match_oracle(self):
         # Sharing must not change results: several queries with
@@ -372,6 +385,27 @@ class TestSharedBatchSeed:
             for qid, q in zip(qids, queries):
                 assert engine.matches(qid) == \
                     brute_force_matches(q, engine.graph)
+
+    def test_replaced_snapshots_free_without_the_cycle_collector(self):
+        # Delta matching must build no reference cycle (such as a
+        # recursive closure) that keeps a batch's snapshot alive after
+        # the next batch replaces it.
+        graph = scale_free_graph(40, 3, 2, 2, seed=6)
+        engine = StreamEngine(graph)
+        for s, k in enumerate((2, 3, 3, 4)):
+            engine.register(random_walk_query(graph, k, seed=s))
+        deltas = list(random_update_stream(graph, 5, 12, seed=4))
+        engine.apply_batch(deltas[0])
+        created = 0
+        gc.disable()
+        try:
+            for delta in deltas[1:]:
+                previous = weakref.ref(engine.graph)
+                created += engine.apply_batch(delta).total_created
+                assert previous() is None
+        finally:
+            gc.enable()
+        assert created > 0
 
 
 class TestIncrementalCommit:
