@@ -65,8 +65,8 @@ def run_executor_comparison(num_queries: int = EXEC_QUERIES,
                             seed: int = 9):
     """Serve one identical batch under each executor; compare wall-clock.
 
-    Each arm gets a fresh :class:`BatchEngine` (so plan/shape caches
-    start cold and account identically) and a small untimed warm-up
+    Each arm gets a fresh :class:`BatchEngine` (so its plan cache
+    starts cold and accounts identically) and a small untimed warm-up
     batch first, so the process arm's one-time pool spawn, engine
     publication and worker attach are amortized the way a long-lived
     service would amortize them.  Returns ``(outcomes, table)``;
@@ -298,7 +298,7 @@ def test_executors_byte_identical_results(executor_comparison):
 
 def test_executors_identical_cache_stats(executor_comparison):
     # Preparation is serial in the parent under every executor, so
-    # plan-cache and shape-memo accounting is deterministic.
+    # plan-cache accounting is deterministic.
     serial = executor_comparison["serial"]["report"].cache
     assert executor_comparison["process"]["report"].cache == serial
 

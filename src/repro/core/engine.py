@@ -182,17 +182,11 @@ class GSIEngine:
                          span: Span) -> None:
         query = prepared.query
         tracer = get_tracer()
-        # The plan cache also memoizes candidate-set shapes (host-side
-        # scan results keyed by encoded signature); simulated costs are
-        # charged identically either way.
-        shape_cache = (getattr(plan_cache, "shapes", None)
-                       if plan_cache is not None else None)
         try:
             with tracer.span("gsi.filter"):
                 prepared.candidates = filter_candidates(
                     query, self.signature_table, prepared.device,
-                    self.config.signature_bits,
-                    shape_cache=shape_cache)
+                    self.config.signature_bits)
         except BudgetExceeded:
             prepared.timed_out = True
             span.set_attribute("timed_out", True)
@@ -279,11 +273,3 @@ class GSIEngine:
         and partial state is discarded.
         """
         return self.execute(self.prepare(query))
-
-    # ------------------------------------------------------------------
-
-    def candidate_sets(self, query: LabeledGraph) -> Dict[int, Array]:
-        """Candidate sets only, without any cost accounting (testing aid)."""
-        device = Device()
-        return filter_candidates(query, self.signature_table, device,
-                                 self.config.signature_bits)

@@ -7,11 +7,14 @@ rule, applied by :meth:`~repro.core.signature_table.SignatureTable.scan`)
 form ``C(u)``.  The scan's memory cost depends on the table layout (see
 :mod:`repro.core.signature_table`); its *natural load balance* — every
 thread reads a fixed-length signature — is why filtering is cheap on GPU.
+Every query vertex runs its own scan, and nothing memoizes candidate
+sets across vertices or queries, so a kernel's candidates and its
+charge always come from the same pass over the current table.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -22,47 +25,24 @@ from repro.gpusim.constants import LABEL_FILTER
 from repro.gpusim.device import Device
 from repro.graph.labeled_graph import LabeledGraph
 
-if TYPE_CHECKING:  # avoid a runtime core <-> service import cycle
-    from repro.service.plan_cache import CandidateShapeCache
-
 
 def filter_candidates(query: LabeledGraph, table: SignatureTable,
-                      device: Device, signature_bits: int,
-                      shape_cache: Optional[CandidateShapeCache] = None
+                      device: Device, signature_bits: int
                       ) -> Dict[int, Array]:
     """Compute ``C(u)`` for every query vertex, metering the scan.
 
     Query signatures are computed online (cheap: |V(Q)| encodings); each
-    query vertex then launches one scan kernel over the table.
+    query vertex then launches one scan kernel over the table, charged
+    from that vertex's own :meth:`~repro.core.signature_table.
+    SignatureTable.scan`.
 
-    ``shape_cache`` (a :class:`~repro.service.plan_cache.
-    CandidateShapeCache`) memoizes the *host-side* table scan per
-    encoded signature: repeated query labels reuse the candidate array
-    and scan cost instead of re-scanning.  The memoized cost is still
-    charged to ``device``, so simulated measurements are unchanged.
-
-    Returns a dict mapping query vertex id to a sorted candidate array
-    (read-only when it came from the shape cache).
+    Returns a dict mapping query vertex id to a sorted candidate array.
     """
     candidates: Dict[int, Array] = {}
-    if shape_cache is not None:
-        # Candidate ids are only meaningful against this table; a memo
-        # previously bound to a different table is dropped wholesale.
-        shape_cache.bind(table)
     for u in range(query.num_vertices):
-        sig_u = encode_vertex(query, u, signature_bits)
-        key = sig_u.tobytes()
-        cached = (shape_cache.lookup(key, owner=table)
-                  if shape_cache is not None else None)
-        cost, cand = cached if cached is not None else table.scan(sig_u)
+        cost, cand = table.scan(encode_vertex(query, u, signature_bits))
         device.meter.add_gld(cost.gld_transactions, label=LABEL_FILTER)
         device.run_kernel(cost.warp_task_cycles, name=f"filter_u{u}")
-        if cached is None and shape_cache is not None:
-            # Stored only once the kernel has run: a scan the budget
-            # aborts (BudgetExceeded from run_kernel) never completed
-            # on the simulated device, so it leaves no entry, and the
-            # memo holds only scans that a query paid for in full.
-            shape_cache.store(key, cost, cand, owner=table)
         candidates[u] = cand
     return candidates
 

@@ -618,12 +618,6 @@ class StreamEngine:
             if old_snapshot.edge_label_frequency(lab)
             != commit.snapshot.edge_label_frequency(lab)))
         invalidated = self.plan_cache.invalidate_labels(shifted)
-        # Candidate-shape memos read maintained signature-table rows;
-        # any row change can flip any candidate set, so drop them all
-        # whenever the batch touched the graph.
-        if (commit.inserted_edges or commit.deleted_edges
-                or commit.new_vertices):
-            self.plan_cache.shapes.clear()
 
         # The engine now serves the new snapshot from the same
         # (incrementally updated) artifacts.

@@ -16,7 +16,6 @@ from repro.service.executors import (
 from repro.service.fingerprint import QueryFingerprint, query_fingerprint
 from repro.service.plan_cache import (
     CacheStats,
-    CandidateShapeCache,
     PlanCache,
     remap_plan,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "BatchItem",
     "BatchReport",
     "CacheStats",
-    "CandidateShapeCache",
     "EXECUTOR_KINDS",
     "PlanCache",
     "ProcessExecutor",

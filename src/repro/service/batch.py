@@ -5,10 +5,10 @@ A :class:`BatchEngine` owns one :class:`~repro.core.engine.GSIEngine`
 :class:`~repro.service.plan_cache.PlanCache`, and runs whole batches of
 queries through the engine's ``prepare``/``execute`` path.  Batches run
 in two phases: every query is *prepared* serially in the calling
-process (filtering + planning through the shared plan cache and
-candidate-shape memo — deterministic cache accounting regardless of
-parallelism), then the prepared queries are *executed* (the joining
-phase, the heavy part) as tasks of a pluggable
+process (filtering, one signature-table scan per query vertex, and
+planning through the shared plan cache — deterministic cache
+accounting regardless of parallelism), then the prepared queries are
+*executed* (the joining phase, the heavy part) as tasks of a pluggable
 :class:`~repro.service.executors.QueryExecutor` — serial or process
 pool — and merged back in submission order.  Under a process pool the
 engine reaches the workers as shared-memory handles, published on the
@@ -362,20 +362,18 @@ class BatchEngine:
         """Serve one batch; results keep submission order.
 
         Phase 1 prepares every query serially in this process (plan
-        cache and candidate-shape memo accounting is therefore
-        deterministic — identical under every executor); phase 2 runs
-        the joining phase on ``executor``, else on the service's own.
+        cache accounting is therefore deterministic — identical under
+        every executor); phase 2 runs the joining phase on
+        ``executor``, else on the service's own.
         """
         chosen = executor if executor is not None else self.executor
-        if self.sharded is not None:
-            with get_tracer().span("batch.run", queries=len(queries),
-                                   executor=chosen.name, sharded=True):
-                report = self._run_sharded(queries, chosen)
-            self._record_batch_metrics(report)
-            return report
         with get_tracer().span("batch.run", queries=len(queries),
                                executor=chosen.name) as batch_span:
-            report = self._run_batch_inner(queries, chosen)
+            if self.sharded is not None:
+                batch_span.set_attribute("sharded", True)
+                report = self._run_sharded(queries, chosen)
+            else:
+                report = self._run_batch_inner(queries, chosen)
             batch_span.set_attribute("matches", report.total_matches)
             batch_span.set_attribute("errors", report.errors)
         self._record_batch_metrics(report)
@@ -436,19 +434,13 @@ class BatchEngine:
         metrics registry."""
         lookups = get_registry().counter(
             "gsi_cache_lookups_total",
-            "Plan/shape cache lookups by outcome.")
+            "Plan cache lookups by outcome.")
         cache = report.cache
         if cache.hits:
             lookups.inc(float(cache.hits), cache="plan", result="hit")
         plan_misses = cache.lookups - cache.hits
         if plan_misses > 0:
             lookups.inc(float(plan_misses), cache="plan",
-                        result="miss")
-        if cache.shape_hits:
-            lookups.inc(float(cache.shape_hits), cache="shape",
-                        result="hit")
-        if cache.shape_misses:
-            lookups.inc(float(cache.shape_misses), cache="shape",
                         result="miss")
 
     def _run_sharded(self, queries: Sequence[LabeledGraph],

@@ -14,7 +14,6 @@ by every worker of a :class:`~repro.service.batch.BatchEngine`.
 from __future__ import annotations
 
 import threading
-import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import (
@@ -27,9 +26,7 @@ from typing import (
     Tuple,
 )
 
-from repro.arraytypes import Array
 from repro.core.plan import JoinPlan, JoinStep
-from repro.core.signature_table import ScanCost, SignatureTable
 from repro.graph.labeled_graph import LabeledGraph
 from repro.service.fingerprint import QueryFingerprint, query_fingerprint
 
@@ -40,10 +37,11 @@ DEFAULT_CAPACITY = 128
 class CacheStats:
     """Counters accumulated by a :class:`PlanCache`.
 
-    ``shape_*`` counters track the candidate-shape memo (see
-    :class:`CandidateShapeCache`); they are reported separately and do
-    not enter :attr:`lookups` / :attr:`hit_rate`, which keep their
-    original join-plan meaning.
+    ``shape_hits`` and ``shape_misses`` are always zero: every query
+    vertex runs its own signature-table scan, and nothing memoizes
+    candidate sets.  They stay in every dump because benchmark readers
+    still derive a shape hit rate from them; they do not enter
+    :attr:`lookups` / :attr:`hit_rate`.
     """
 
     hits: int = 0
@@ -105,115 +103,6 @@ class CacheStats:
             shape_misses=self.shape_misses - earlier.shape_misses)
 
 
-class CandidateShapeCache:
-    """LRU memo of filtering-scan outcomes, keyed by signature bytes.
-
-    Two query vertices with the same encoded signature (same vertex
-    label, same folded incident edge labels) provably produce the same
-    candidate set and the same scan cost against a fixed signature
-    table, so repeated query labels can skip the host-side
-    :meth:`~repro.core.signature_table.SignatureTable.scan` entirely.
-    This is a *host* optimization only: the engine still
-    charges the memoized :class:`~repro.core.signature_table.ScanCost`
-    to the query's simulated device, so simulated times and transaction
-    totals are bit-identical with and without the memo.
-
-    Cached candidate arrays are shared across queries and therefore
-    frozen (``writeable=False``); the joining phase never mutates them.
-
-    Entries are only meaningful against the signature table that
-    produced them, in two ways: the memo is *bound* to one table object
-    (a cached plan is valid on any graph, but cached candidate ids are
-    not — :meth:`bind` clears everything when a differently-owned
-    engine starts scanning through a shared cache), and any in-place
-    mutation of the bound table invalidates every entry — owners (the
-    stream engine) must :meth:`clear` on update.
-
-    Thread safe: the owning :class:`PlanCache` passes its own lock so
-    shape and plan bookkeeping serialize together.
-    """
-
-    #: gsilint GSI003: these fields are only touched under self._lock
-    #: (helpers suffixed ``_unlocked`` assume the caller holds it)
-    _GUARDED_BY_LOCK = ("_entries", "_owner", "stats")
-
-    def __init__(self, capacity: int = 512,
-                 stats: Optional[CacheStats] = None,
-                 lock: Optional[threading.Lock] = None) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self.stats = stats if stats is not None else CacheStats()
-        self._lock = lock if lock is not None else threading.Lock()
-        self._entries: "OrderedDict[bytes, Tuple[ScanCost, Array]]" \
-            = OrderedDict()
-        self._owner: Optional["weakref.ref[SignatureTable]"] = None
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def bind(self, owner: SignatureTable) -> None:
-        """Tie the memo to the signature table it scans.
-
-        Binding to a *different* table drops every entry: candidate
-        vertex ids computed against one table are garbage against
-        another (e.g. one :class:`PlanCache` shared by engines serving
-        different graphs — a safe pattern for plans, which survive the
-        rebinding untouched).
-        """
-        with self._lock:
-            current = self._owner() if self._owner is not None else None
-            if current is not owner:
-                self._entries.clear()
-                self._owner = weakref.ref(owner)
-
-    def _owned_by_unlocked(self, owner: Optional[SignatureTable]) -> bool:
-        """Ownership check *under the caller's lock*: concurrent scans
-        through differently-owned engines may rebind between a caller's
-        ``bind`` and its lookups/stores, so every operation re-verifies
-        the binding instead of trusting the scan-start bind."""
-        if owner is None:
-            return True  # direct (single-table) use; no binding check
-        return self._owner is not None and self._owner() is owner
-
-    def lookup(self, key: bytes, owner: Optional[SignatureTable] = None
-               ) -> Optional[Tuple[ScanCost, Array]]:
-        """``(scan_cost, candidates)`` for a signature, or ``None``.
-
-        ``owner`` (the signature table being scanned) guards shared
-        caches: a hit is only served while the memo is bound to it.
-        """
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None or not self._owned_by_unlocked(owner):
-                self.stats.shape_misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.stats.shape_hits += 1
-            return entry
-
-    def store(self, key: bytes, scan_cost: ScanCost, candidates: Array,
-              owner: Optional[SignatureTable] = None) -> None:
-        candidates.setflags(write=False)  # shared across queries
-        with self._lock:
-            if not self._owned_by_unlocked(owner):
-                return  # another table rebound mid-scan; don't pollute
-            self._entries[key] = (scan_cost, candidates)
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._clear_unlocked()
-
-    def _clear_unlocked(self) -> None:
-        """Drop entries without taking the (non-reentrant) lock — for
-        owners that already hold it, e.g. :meth:`PlanCache.clear`."""
-        self._entries.clear()
-
-
 def remap_plan(plan: JoinPlan, mapping: Sequence[int]) -> JoinPlan:
     """Translate a plan through a vertex bijection.
 
@@ -242,33 +131,25 @@ class PlanCache:
     capacity:
         Maximum number of cached plans; least recently used entries are
         evicted beyond it.
-    node_budget:
-        Canonicalization budget forwarded to
-        :func:`~repro.service.fingerprint.query_fingerprint`; queries
-        exceeding it bypass the cache.
+
+    Queries whose canonicalization exceeds
+    :func:`~repro.service.fingerprint.query_fingerprint`'s node budget
+    bypass the cache (counted as ``uncacheable``).
     """
 
     #: gsilint GSI003: these fields are only touched under self._lock
     _GUARDED_BY_LOCK = ("_plans", "_plan_labels", "stats")
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY,
-                 node_budget: Optional[int] = None,
-                 shape_capacity: int = 512) -> None:
+    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._node_budget = node_budget
         self._plans: "OrderedDict[str, JoinPlan]" = OrderedDict()
         # digest -> edge labels the plan's scoring depended on, for
         # statistics-shift invalidation under dynamic graphs.
         self._plan_labels: Dict[str, FrozenSet[int]] = {}
         self._lock = threading.Lock()
         self.stats = CacheStats()
-        #: memo of per-signature candidate-set shapes (scan results);
-        #: shares this cache's stats object and lock
-        self.shapes = CandidateShapeCache(capacity=shape_capacity,
-                                          stats=self.stats,
-                                          lock=self._lock)
 
     def stats_snapshot(self) -> CacheStats:
         """A consistent copy of the counters (taken under the lock, so
@@ -281,9 +162,7 @@ class PlanCache:
             return len(self._plans)
 
     def fingerprint(self, query: LabeledGraph) -> Optional[QueryFingerprint]:
-        if self._node_budget is None:
-            return query_fingerprint(query)
-        return query_fingerprint(query, node_budget=self._node_budget)
+        return query_fingerprint(query)
 
     # ------------------------------------------------------------------
 
@@ -361,8 +240,7 @@ class PlanCache:
         return dropped
 
     def clear(self) -> None:
-        """Drop every cached plan and candidate shape (stats are kept)."""
+        """Drop every cached plan (stats are kept)."""
         with self._lock:
             self._plans.clear()
             self._plan_labels.clear()
-            self.shapes._clear_unlocked()  # shares this lock

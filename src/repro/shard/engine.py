@@ -64,7 +64,7 @@ from repro.service.executors import (
     SerialExecutor,
     _execute_one,
 )
-from repro.service.plan_cache import CandidateShapeCache, PlanCache
+from repro.service.plan_cache import PlanCache
 from repro.shard.sharded_graph import ShardedGraph, ShardingInfo
 
 
@@ -100,33 +100,6 @@ def query_center(query: LabeledGraph) -> Tuple[int, int]:
         if best_ecc < 0 or ecc < best_ecc:
             best_u, best_ecc = u, ecc
     return best_u, best_ecc
-
-
-class _ShardPlanView:
-    """Per-shard view of the shared plan cache.
-
-    Join *plans* are shared across shards (a plan is valid on any
-    graph, and the canonical fingerprint replays it), but the
-    candidate-*shape* memo must be per shard: cached candidate ids are
-    only meaningful against the shard's own signature table, and one
-    shared memo would rebind — and therefore clear — on every shard
-    switch, silently degrading every lookup to a miss.  Each view
-    delegates plan lookups/stores to the shared :class:`PlanCache` and
-    owns a private :class:`CandidateShapeCache` bound to its shard,
-    sharing the cache's lock and stats so snapshots stay consistent.
-    """
-
-    def __init__(self, plans: PlanCache) -> None:
-        self._plans = plans
-        self.shapes = CandidateShapeCache(
-            capacity=plans.shapes.capacity, stats=plans.stats,
-            lock=plans._lock)
-
-    def lookup(self, query: LabeledGraph):
-        return self._plans.lookup(query)
-
-    def store(self, fingerprint, plan, edge_labels=None) -> None:
-        self._plans.store(fingerprint, plan, edge_labels=edge_labels)
 
 
 # ----------------------------------------------------------------------
@@ -265,10 +238,6 @@ class ShardedEngine:
         self.engines = [GSIEngine(shard.graph, self.config)
                         for shard in sharded.shards]
         self.plan_cache = PlanCache(capacity=cache_capacity)
-        # Plans are shared; candidate-shape memos are per shard (see
-        # _ShardPlanView — a shared memo would clear on every switch).
-        self._plan_views = [_ShardPlanView(self.plan_cache)
-                            for _ in self.engines]
         self._fanout = EngineFanout(self.engines, self.config)
 
     @property
@@ -296,8 +265,6 @@ class ShardedEngine:
         self.close()
         self.engines = [GSIEngine(shard.graph, self.config)
                         for shard in self.sharded.shards]
-        self._plan_views = [_ShardPlanView(self.plan_cache)
-                            for _ in self.engines]
         self._fanout = EngineFanout(self.engines, self.config)
 
     def close(self) -> None:
@@ -329,9 +296,8 @@ class ShardedEngine:
                 f"query radius {radius} exceeds the sharded graph's "
                 f"halo depth {self.sharded.halo_hops}; rebuild with "
                 f"halo_hops >= {radius} for exact sharded matching")
-        per_shard = [engine.prepare(query, plan_cache=view)
-                     for engine, view in zip(self.engines,
-                                             self._plan_views)]
+        per_shard = [engine.prepare(query, plan_cache=self.plan_cache)
+                     for engine in self.engines]
         planned = [p.plan_cached for p in per_shard if p.plan is not None]
         return ShardedPrepared(
             query=query, anchor_u=anchor_u, radius=radius,
@@ -460,6 +426,7 @@ class ShardedEngine:
         payloads: List[_ShardTask] = []
         with tracer.span("shard.prepare", queries=len(queries)):
             for index, query in enumerate(queries):
+                t0 = time.perf_counter()
                 try:
                     sp = self.prepare(query)
                 except Exception as exc:  # noqa: BLE001 - one bad query
@@ -468,7 +435,8 @@ class ShardedEngine:
                     items[index] = ShardedItem(
                         index=index,
                         result=MatchResult(engine=self.name),
-                        plan_cached=False, host_ms=0.0,
+                        plan_cached=False,
+                        host_ms=(time.perf_counter() - t0) * 1000.0,
                         error=f"{type(exc).__name__}: {exc}")
                     continue
                 prepared_ok[index] = sp

@@ -155,7 +155,7 @@ class TestFilterOnly:
 
     def test_candidate_sets_helper(self, small_graph):
         q = random_walk_query(small_graph, 4, seed=2)
-        cands = GSIEngine(small_graph).candidate_sets(q)
+        cands = GSIEngine(small_graph).prepare(q).candidates
         assert set(cands) == set(range(4))
 
 

