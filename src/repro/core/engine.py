@@ -23,7 +23,8 @@ this same code path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional
+from enum import Enum
+from typing import TYPE_CHECKING, Dict, Optional, Union
 
 import numpy as np
 
@@ -43,7 +44,16 @@ from repro.storage.base import NeighborStore
 from repro.storage.factory import build_storage
 
 if TYPE_CHECKING:  # avoid a runtime core <-> service import cycle
+    from repro.service.fingerprint import QueryFingerprint
     from repro.service.plan_cache import PlanCache
+
+
+class Unfingerprinted(Enum):
+    """The default of a ``fingerprint`` argument: no caller has computed
+    the query's fingerprint, so the plan cache does (``None`` already
+    means an uncacheable query)."""
+
+    QUERY = 0
 
 
 @dataclass
@@ -150,7 +160,10 @@ class GSIEngine:
     # ------------------------------------------------------------------
 
     def prepare(self, query: LabeledGraph,
-                plan_cache: Optional["PlanCache"] = None) -> PreparedQuery:
+                plan_cache: Optional["PlanCache"] = None,
+                fingerprint: Union["QueryFingerprint", None,
+                                   Unfingerprinted] = Unfingerprinted.QUERY,
+                ) -> PreparedQuery:
         """Filtering phase plus join-order planning.
 
         ``plan_cache`` (a :class:`~repro.service.plan_cache.PlanCache`)
@@ -162,7 +175,9 @@ class GSIEngine:
         through the isomorphism — a valid join order that fresh
         planning might not pick when score ties break differently, so
         its simulated time can deviate slightly; the match set never
-        does.
+        does.  ``fingerprint`` passes the query's fingerprint when the
+        caller has computed it (``None`` for an uncacheable query), so
+        preparing one query on many engines canonicalizes it once.
         """
         if query.num_vertices == 0:
             raise GraphError("empty query")
@@ -170,7 +185,7 @@ class GSIEngine:
         with get_tracer().span("gsi.prepare",
                                query_vertices=query.num_vertices) as span:
             prepared.trace = span.context() if span.trace_id else None
-            self._filter_and_plan(prepared, plan_cache, span)
+            self._filter_and_plan(prepared, plan_cache, fingerprint, span)
             if prepared.trace is not None:
                 # the filter's simulated cost, charged inside this span
                 span.set_attribute("gld", prepared.device.meter.gld)
@@ -179,6 +194,8 @@ class GSIEngine:
 
     def _filter_and_plan(self, prepared: PreparedQuery,
                          plan_cache: Optional["PlanCache"],
+                         fingerprint: Union["QueryFingerprint", None,
+                                            Unfingerprinted],
                          span: Span) -> None:
         query = prepared.query
         tracer = get_tracer()
@@ -200,23 +217,23 @@ class GSIEngine:
             span.set_attribute("empty_candidates", True)
             return
 
-        fingerprint = None
+        fp = None
         if plan_cache is not None:
-            cached, fingerprint = plan_cache.lookup(query)
+            cached, fp = plan_cache.lookup(query, fingerprint)
             if cached is not None:
                 prepared.plan = cached
                 prepared.plan_cached = True
                 span.set_attribute("plan_cached", True)
-                if fingerprint is not None:
-                    span.set_attribute("fingerprint", str(fingerprint)[:16])
+                if fp is not None:
+                    span.set_attribute("fingerprint", str(fp)[:16])
                 return
         with tracer.span("gsi.plan"):
             prepared.plan = plan_join_order(
                 query, self.graph, prepared.candidate_sizes)
-        if plan_cache is not None and fingerprint is not None:
-            plan_cache.store(fingerprint, prepared.plan,
+        if plan_cache is not None and fp is not None:
+            plan_cache.store(fp, prepared.plan,
                              edge_labels=query.distinct_edge_labels())
-            span.set_attribute("fingerprint", str(fingerprint)[:16])
+            span.set_attribute("fingerprint", str(fp)[:16])
 
     def execute(self, prepared: PreparedQuery) -> MatchResult:
         """Joining phase: run the prepared plan to a final result."""

@@ -36,6 +36,10 @@ from repro.errors import GraphError
 
 Edge = Tuple[int, int, int]  # (u, v, edge_label) with u < v
 
+#: a spliced snapshot folds its changed pairs into a fresh base edge map
+#: once it holds more than this many
+EDGE_CHANGES_FOLD = 2048
+
 
 def concat_ranges(starts: Array, lengths: Array) -> Array:
     """Indices of the half-open ranges ``[starts[i], starts[i] +
@@ -57,7 +61,9 @@ class CSRPatchStats:
     vertex's old incidence segment in and its new segment out, so these
     numbers scale with the change set, not with ``|E|``.  (The untouched
     remainder of the arrays is shared wholesale — on a device that is a
-    buffer reuse / copy-on-write, not a stream.)
+    buffer reuse / copy-on-write, not a stream.  The host edge map is
+    shared too: the snapshot reads its parent's base map and keeps only
+    the pairs changed since that base.)
     """
 
     rows_spliced: int = 0
@@ -134,6 +140,7 @@ class LabeledGraph:
         lo, hi, elab = lo[kept], hi[kept], elab[kept]
         self._edge_map = dict(zip(zip(lo.tolist(), hi.tolist()),
                                   elab.tolist()))
+        self._edge_changes: Dict[Tuple[int, int], Optional[int]] = {}
 
         # Build the CSR-like incidence layout, each segment sorted by
         # (edge_label, neighbor) so N(v, l) is a searchsorted + slice.
@@ -165,7 +172,7 @@ class LabeledGraph:
     @property
     def num_edges(self) -> int:
         """Number of undirected edges, ``|E(G)|``."""
-        return len(self._edge_map)
+        return len(self._nbr) // 2
 
     @property
     def vertex_labels(self) -> Array:
@@ -223,9 +230,16 @@ class LabeledGraph:
         right = lo + np.searchsorted(seg, label, side="right")
         return self._nbr[left:right]
 
+    # The edge map is a base ``{(u, v): label}`` dict, shared by every
+    # snapshot spliced from it and never mutated, plus this graph's own
+    # pairs changed since that base (``None`` for a deleted pair); each
+    # lookup reads the changes first.
+
     def has_edge(self, u: int, v: int) -> bool:
         """Whether an edge exists between ``u`` and ``v``."""
         key = (u, v) if u < v else (v, u)
+        if key in self._edge_changes:
+            return self._edge_changes[key] is not None
         return key in self._edge_map
 
     def edge_label(self, u: int, v: int) -> int:
@@ -233,21 +247,29 @@ class LabeledGraph:
 
         Raises :class:`~repro.errors.GraphError` if no such edge exists.
         """
-        key = (u, v) if u < v else (v, u)
-        try:
-            return self._edge_map[key]
-        except KeyError:
-            raise GraphError(f"no edge between {u} and {v}") from None
+        label = self.get_edge_label(u, v)
+        if label is None:
+            raise GraphError(f"no edge between {u} and {v}")
+        return label
 
     def get_edge_label(self, u: int, v: int) -> Optional[int]:
         """Label of the edge between ``u`` and ``v``, or ``None`` when
-        there is none: one lookup, for callers testing many pairs."""
-        return self._edge_map.get((u, v) if u < v else (v, u))
+        there is none, for callers testing many pairs."""
+        key = (u, v) if u < v else (v, u)
+        if key in self._edge_changes:
+            return self._edge_changes[key]
+        return self._edge_map.get(key)
 
     def edges(self) -> Iterator[Edge]:
-        """Iterate ``(u, v, label)`` with ``u < v`` in insertion order."""
-        for (u, v), lab in self._edge_map.items():
-            yield (u, v, lab)
+        """Iterate ``(u, v, label)`` with ``u < v`` in insertion order:
+        a relabeled or re-inserted pair comes at its last insert."""
+        changes = self._edge_changes
+        for key, lab in self._edge_map.items():
+            if key not in changes:
+                yield (key[0], key[1], lab)
+        for key, changed in changes.items():
+            if changed is not None:
+                yield (key[0], key[1], changed)
 
     def max_degree(self) -> int:
         """Maximum degree over all vertices (``MD`` in Table III)."""
@@ -289,15 +311,21 @@ class LabeledGraph:
     @classmethod
     def _from_csr(cls, vlabels: Array, offsets: Array, nbr: Array,
                   elab: Array, edge_map: Dict[Tuple[int, int], int],
-                  edge_label_freq: Dict[int, int]) -> "LabeledGraph":
+                  edge_label_freq: Dict[int, int],
+                  edge_changes: Optional[
+                      Dict[Tuple[int, int], Optional[int]]] = None,
+                  ) -> "LabeledGraph":
         """A graph from an already valid CSR layout and its metadata,
-        skipping validation (the splice and shared-memory attach)."""
+        skipping validation (the splice and shared-memory attach).
+        ``edge_map`` is the base edge map and ``edge_changes`` the pairs
+        changed since it (none when not given)."""
         graph = object.__new__(cls)
         graph._vlabels = vlabels
         graph._offsets = offsets
         graph._nbr = nbr
         graph._elab = elab
         graph._edge_map = edge_map
+        graph._edge_changes = {} if edge_changes is None else edge_changes
         graph._edge_label_freq = edge_label_freq
         return graph
 
@@ -321,6 +349,13 @@ class LabeledGraph:
         :meth:`repro.dynamic.graph.DynamicGraph.commit` O(changes)
         instead of O(|E|).
 
+        The edge map is not copied either: the new graph shares this
+        graph's base map, which nothing mutates, and holds its own map
+        of the pairs changed since that base.  Once those pass
+        :data:`EDGE_CHANGES_FOLD`, this call folds them into a fresh
+        base with one copy.  ``edges()`` keeps the order a whole-map
+        copy would have.
+
         Raises :class:`~repro.errors.GraphError` when a deletion names a
         missing edge (or the wrong label), an insertion duplicates a
         surviving edge, or an endpoint is out of range.
@@ -336,7 +371,7 @@ class LabeledGraph:
             key = (u, v) if u < v else (v, u)
             if key in del_pairs:
                 raise GraphError(f"edge {key} deleted twice")
-            have = self._edge_map.get(key)
+            have = self.get_edge_label(*key)
             if have is None:
                 raise GraphError(f"no edge between {key[0]} and {key[1]}")
             if have != lab:
@@ -354,7 +389,7 @@ class LabeledGraph:
             key = (u, v) if u < v else (v, u)
             if key in ins_pairs:
                 raise GraphError(f"edge {key} inserted twice")
-            if key in self._edge_map and key not in del_pairs:
+            if self.has_edge(*key) and key not in del_pairs:
                 raise GraphError(
                     f"edge {key} already exists; delete it first to "
                     f"relabel")
@@ -374,21 +409,35 @@ class LabeledGraph:
         touched = np.union1d(np.concatenate((del_src, ins_src)),
                              np.arange(n_old, n, dtype=np.int64))
 
-        # --- Metadata: labels, edge map, label frequencies. -----------
+        # --- Metadata: labels, changed pairs, label frequencies. -------
         vlabels = (np.concatenate([self._vlabels, extra]) if len(extra)
                    else self._vlabels)
-        # ``copy()`` clones the hash table; ``dict()`` re-inserts every
-        # key once the map holds deleted slots, as a spliced one does.
-        edge_map = self._edge_map.copy()
+        base = self._edge_map
+        changes = self._edge_changes.copy()
         freq = dict(self._edge_label_freq)
         for key, lab in del_pairs.items():
-            del edge_map[key]
+            if key in base:
+                changes[key] = None
+            else:
+                del changes[key]
             freq[lab] -= 1
             if not freq[lab]:
                 del freq[lab]
         for key, lab in ins_pairs.items():
-            edge_map[key] = lab
+            # A re-inserted pair moves to the end, where ``edges()``
+            # yields it.
+            changes.pop(key, None)
+            changes[key] = lab
             freq[lab] = freq.get(lab, 0) + 1
+        if len(changes) > EDGE_CHANGES_FOLD:
+            # ``copy()`` clones the hash table; ``dict()`` would
+            # re-insert every key once the map holds deleted slots.
+            base = base.copy()
+            for key, changed in changes.items():
+                base.pop(key, None)
+                if changed is not None:
+                    base[key] = changed
+            changes = {}
 
         # --- Offsets: adjust touched degrees, re-prefix-sum. ----------
         deg = np.zeros(n, dtype=np.int64)
@@ -439,7 +488,7 @@ class LabeledGraph:
         elab[spliced] = seg_l
 
         patched = LabeledGraph._from_csr(vlabels, offsets, nbr, elab,
-                                         edge_map, freq)
+                                         base, freq, changes)
         stats = CSRPatchStats(rows_spliced=len(touched),
                               words_read=int(lens.sum()),
                               words_written=len(seg_n))

@@ -24,8 +24,10 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Union,
 )
 
+from repro.core.engine import Unfingerprinted
 from repro.core.plan import JoinPlan, JoinStep
 from repro.graph.labeled_graph import LabeledGraph
 from repro.service.fingerprint import QueryFingerprint, query_fingerprint
@@ -166,16 +168,22 @@ class PlanCache:
 
     # ------------------------------------------------------------------
 
-    def lookup(self, query: LabeledGraph
+    def lookup(self, query: LabeledGraph,
+               fingerprint: Union[QueryFingerprint, None,
+                                  Unfingerprinted] = Unfingerprinted.QUERY,
                ) -> Tuple[Optional[JoinPlan], Optional[QueryFingerprint]]:
         """Plan for ``query`` (renumbered onto it) if one is cached.
 
-        Returns ``(plan, fingerprint)``; ``plan`` is ``None`` on a miss
-        and ``fingerprint`` is ``None`` when the query is uncacheable.
-        Pass the fingerprint back to :meth:`store` after planning to
-        avoid recanonicalizing.
+        ``fingerprint`` is the query's fingerprint when the caller has
+        computed it (``None`` for an uncacheable query); by default it
+        is computed here.  Either way the lookup counts once, as a hit,
+        a miss or uncacheable.  Returns ``(plan, fingerprint)``;
+        ``plan`` is ``None`` on a miss and ``fingerprint`` is ``None``
+        when the query is uncacheable.  Pass the fingerprint back to
+        :meth:`store` after planning to avoid recanonicalizing.
         """
-        fp = self.fingerprint(query)
+        fp = (self.fingerprint(query)
+              if isinstance(fingerprint, Unfingerprinted) else fingerprint)
         if fp is None:
             with self._lock:
                 self.stats.uncacheable += 1

@@ -11,8 +11,9 @@ scatter-gather:
    filtering runs against every shard's signature table.  Join-order
    planning happens once: the first shard to need a plan populates the
    shared plan cache and every other shard replays it through the
-   canonical fingerprint (any join order is correct on any shard; only
-   cost accounting could differ, never matches).
+   canonical fingerprint, computed once per query for all shards (any
+   join order is correct on any shard; only cost accounting could
+   differ, never matches).
 2. **Scatter** — every (query, shard) pair becomes one task of the
    existing :class:`~repro.service.executors.QueryExecutor` layer
    (serial or process), run against the shard engines of an
@@ -296,7 +297,10 @@ class ShardedEngine:
                 f"query radius {radius} exceeds the sharded graph's "
                 f"halo depth {self.sharded.halo_hops}; rebuild with "
                 f"halo_hops >= {radius} for exact sharded matching")
-        per_shard = [engine.prepare(query, plan_cache=self.plan_cache)
+        # Canonicalize once; every shard still counts its own lookup.
+        fingerprint = self.plan_cache.fingerprint(query)
+        per_shard = [engine.prepare(query, plan_cache=self.plan_cache,
+                                    fingerprint=fingerprint)
                      for engine in self.engines]
         planned = [p.plan_cached for p in per_shard if p.plan is not None]
         return ShardedPrepared(

@@ -368,7 +368,10 @@ class PCSRPartition:
     def _commit_placement(self, targets: List[int],
                           planned_next: Dict[int, int]) -> None:
         """Write a dry run's chain links and take its groups out of the
-        empty pool (keys per group are counted by the caller)."""
+        empty pool (keys per group are counted by the caller).  A link
+        drops the stack's chain lengths."""
+        if planned_next:
+            self._stack._chain_lengths = None
         for tail, target in planned_next.items():
             self.groups[tail, self.gpn - 1, 0] = target
             self._region_start[target] = self._ci_len
@@ -600,6 +603,9 @@ class GroupStack:
                 _stacked([p._region_cap for p in ordered], ()),
                 _stacked([p._keys_per_group for p in ordered], ()))
         self.region_start, self.region_cap, self.keys_per_group = per_group
+        #: every label's longest chain once a walk has read the layer;
+        #: a chain link written since drops it
+        self._chain_lengths: Optional[Array] = None
         for pos, part in enumerate(ordered):
             part._bind(self, pos)
 
@@ -630,9 +636,25 @@ class GroupStack:
 
     def chain_lengths(self) -> Array:
         """Longest overflow chain of every label (expected <= 1 +
-        5log|V|/loglog|V|), all chains walked at once: each step follows
-        the GID column for the chains still alive, so the step count is
-        the longest chain, not the sum of all of them."""
+        5log|V|/loglog|V|), as a read-only array.
+
+        All chains are walked at once: each step follows the GID column
+        for the chains still alive, so the step count is the longest
+        chain, not the sum of all of them.  The result is kept until
+        :meth:`PCSRPartition._commit_placement` writes a chain link, so
+        the layer is walked again only after a link or on a new stack
+        (a rebuilt or new label re-stacks); in between, every call
+        returns the same array.
+        """
+        lengths = self._chain_lengths
+        if lengths is None:
+            lengths = self._walk_chains()
+            lengths.setflags(write=False)
+            self._chain_lengths = lengths
+        return lengths
+
+    def _walk_chains(self) -> Array:
+        """One walk of the GID column: every label's longest chain."""
         nxt = self.groups[:, self.gpn - 1, 0]
         longest = np.ones(len(self.parts), dtype=np.int64)
         alive = np.flatnonzero(nxt != _NO_OVERFLOW)
@@ -911,8 +933,10 @@ class PCSRStorage(NeighborStore):
     def stats(self) -> Dict[str, object]:
         """Aggregated PCSR health across partitions, plus per-label
         detail — the monitoring surface stream reports and the serve
-        ``stats`` RPC expose.  One vectorized chain walk over the
-        stacked group layer."""
+        ``stats`` RPC expose.  The chain lengths come from
+        :meth:`GroupStack.chain_lengths`: one vectorized walk over the
+        stacked group layer, taken only after a chain link or a
+        re-stack, and read back unchanged otherwise."""
         lengths = self._stack.chain_lengths().tolist()
         per_label = {part.label: part._stats(length)
                      for part, length in zip(self._stack.parts, lengths)}

@@ -52,10 +52,13 @@ Reconstruction contracts
 Attached objects are rebuilt without ever shipping Python containers:
 
 * ``LabeledGraph`` — the CSR arrays (offsets included) attach as they
-  are, and ``_edge_map`` / ``_edge_label_freq`` are re-derived
-  vectorized from them.  Insertion order of the rebuilt edge map
-  differs from the parent's, which is immaterial worker-side: joins
-  read arrays, and ``has_edge`` / ``edge_label`` are order-insensitive.
+  are, and the edge map and ``_edge_label_freq`` are re-derived
+  vectorized from them: one base map holding every live edge, with no
+  changed pairs on top (a spliced parent's shared base and changes are
+  never shipped).  Insertion order of the rebuilt edge map, and so of
+  ``edges()``, differs from the parent's, which is immaterial
+  worker-side: joins read arrays, and ``has_edge`` / ``edge_label``
+  are order-insensitive.
 * ``PCSRStorage`` — ships its :class:`~repro.storage.pcsr.GroupStack`
   (the stacked ``groups``, ``region_start`` and ``region_cap``) as one
   block each and every label's live ci prefix back to back in a fourth,

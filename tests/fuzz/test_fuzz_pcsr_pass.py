@@ -43,7 +43,7 @@ from repro.graph.partition import EdgeLabelPartition, partition_by_edge_label
 from repro.storage.pcsr import default_hash, hash_groups
 
 from fuzz_harness import PROFILES, _Shadow, generate_batch
-from oracle import partition_digest
+from oracle import partition_digest, scalar_chain_length
 
 QUICK_SEEDS = (0, 1)
 LONG_SEEDS = list(range(int(os.environ.get("GSI_FUZZ_SEEDS", "0"))))
@@ -412,6 +412,11 @@ def replay(seed: int, profile: str, gpn: int, ratio: float,
                     for lab, p in ref.parts.items()}), where
         assert ((real.rebuilds, real.compactions, real.incremental_ops)
                 == (ref.rebuilds, ref.compactions, ref.incremental_ops)), where
+        # The kept chain lengths follow every link and re-stack.
+        assert ({lab: s["max_chain_length"]
+                 for lab, s in real.stats()["per_label"].items()}
+                == {lab: scalar_chain_length(p)
+                    for lab, p in real._parts.items()}), where
     return ref.events
 
 

@@ -40,7 +40,7 @@ def reference_apply_changes(graph: LabeledGraph, inserted, deleted,
         key = (u, v) if u < v else (v, u)
         if key in del_pairs:
             raise GraphError(f"edge {key} deleted twice")
-        have = graph._edge_map.get(key)
+        have = graph.get_edge_label(*key)
         if have is None:
             raise GraphError(f"no edge between {key[0]} and {key[1]}")
         if have != lab:
@@ -58,7 +58,7 @@ def reference_apply_changes(graph: LabeledGraph, inserted, deleted,
         key = (u, v) if u < v else (v, u)
         if key in ins_pairs:
             raise GraphError(f"edge {key} inserted twice")
-        if key in graph._edge_map and key not in del_pairs:
+        if graph.has_edge(*key) and key not in del_pairs:
             raise GraphError(
                 f"edge {key} already exists; delete it first to "
                 f"relabel")
@@ -82,7 +82,8 @@ def reference_apply_changes(graph: LabeledGraph, inserted, deleted,
     # --- Metadata: labels, edge map, label frequencies. -----------
     vlabels = (np.concatenate([graph._vlabels, extra]) if len(extra)
                else graph._vlabels)
-    edge_map = dict(graph._edge_map)
+    # The whole edge map, copied in ``edges()`` order and spliced.
+    edge_map = {(u, v): lab for u, v, lab in graph.edges()}
     freq = dict(graph._edge_label_freq)
     for key, lab in del_pairs.items():
         del edge_map[key]
@@ -153,13 +154,8 @@ def reference_apply_changes(graph: LabeledGraph, inserted, deleted,
         nbr[d_lo:d_lo + (o_hi - o_lo)] = graph._nbr[o_lo:o_hi]
         elab[d_lo:d_lo + (o_hi - o_lo)] = graph._elab[o_lo:o_hi]
 
-    patched = object.__new__(LabeledGraph)
-    patched._vlabels = vlabels
-    patched._edge_map = edge_map
-    patched._offsets = offsets
-    patched._nbr = nbr
-    patched._elab = elab
-    patched._edge_label_freq = freq
+    patched = LabeledGraph._from_csr(vlabels, offsets, nbr, elab, edge_map,
+                                     freq)
     stats = CSRPatchStats(rows_spliced=len(touched),
                           words_read=words_read,
                           words_written=words_written)
@@ -179,6 +175,7 @@ def checked_apply_changes(graph, inserted, deleted, new_vertex_labels=()):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
     assert list(got.edges()) == list(want.edges())
+    assert got.num_edges == want.num_edges
     assert got._edge_label_freq == want._edge_label_freq
     assert (got is graph) == (want is graph)
     return got, got_stats
@@ -208,7 +205,7 @@ def test_fuzz_profiles_match_reference(monkeypatch, seed, profile):
                                  elabel_pool))
         dyn.commit()
     assert calls
-    assert dyn.base._edge_map == shadow.edges
+    assert {(u, v): lab for u, v, lab in dyn.base.edges()} == shadow.edges
 
 
 class TestTargetedChangeSets:
@@ -275,4 +272,4 @@ def test_invalid_change_set_raises_before_splicing(monkeypatch, message):
     monkeypatch.setattr(LabeledGraph, "_from_csr", never)
     with pytest.raises(GraphError, match=message):
         graph.apply_changes(inserted, deleted)
-    assert graph._edge_map == {(0, 1): 4}
+    assert list(graph.edges()) == [(0, 1, 4)]

@@ -136,6 +136,20 @@ def store_digest(store) -> Dict[str, str]:
             for lab, part in sorted(store._parts.items())}
 
 
+def scalar_chain_length(part) -> int:
+    """Longest overflow chain of one PCSR partition by walking every
+    group's chain one GID at a time (the reference for the vectorized
+    walk of :meth:`GroupStack.chain_lengths`)."""
+    longest = 1
+    for gid in range(part.num_groups):
+        length, cur = 1, int(part.groups[gid, part.gpn - 1, 0])
+        while cur != -1:
+            length += 1
+            cur = int(part.groups[cur, part.gpn - 1, 0])
+        longest = max(longest, length)
+    return longest
+
+
 def pcsr_probe(part, v: int) -> Tuple[int, int, int]:
     """The scalar PCSR lookup (the 4-step procedure under Figure 11c),
     the reference for the vectorized chain walk of

@@ -4,10 +4,14 @@
 from-scratch rebuild — not just equal edge sets, but identical CSR
 arrays, edge maps and label-frequency tables — on arbitrary change
 sets: random graphs, empty deltas, delete-everything, relabels,
-duplicate-edge errors, and new-vertex growth.
+duplicate-edge errors, and new-vertex growth.  A spliced snapshot
+shares its parent's base edge map; on chains of commits, every
+snapshot's edge reads must equal a whole-map copy-and-splice model.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,8 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GraphError
+from repro.graph import labeled_graph
 from repro.graph.generators import scale_free_graph
 from repro.graph.labeled_graph import GraphBuilder, LabeledGraph
+
+
+def edge_dict(graph: LabeledGraph):
+    return {(u, v): lab for u, v, lab in graph.edges()}
 
 
 def assert_identical(patched: LabeledGraph, rebuilt: LabeledGraph):
@@ -24,7 +33,8 @@ def assert_identical(patched: LabeledGraph, rebuilt: LabeledGraph):
     assert np.array_equal(patched._offsets, rebuilt._offsets)
     assert np.array_equal(patched._nbr, rebuilt._nbr)
     assert np.array_equal(patched._elab, rebuilt._elab)
-    assert patched._edge_map == rebuilt._edge_map
+    assert edge_dict(patched) == edge_dict(rebuilt)
+    assert patched.num_edges == rebuilt.num_edges
     assert patched._edge_label_freq == rebuilt._edge_label_freq
 
 
@@ -179,8 +189,88 @@ class TestPatchValidation:
         assert patched.edge_label(0, 1) == 8
 
     def test_failed_validation_leaves_graph_untouched(self, graph):
-        before = dict(graph._edge_map)
+        before = list(graph.edges())
         with pytest.raises(GraphError):
             graph.apply_changes([(1, 2, 0)], [(0, 1, 9)])
-        assert graph._edge_map == before
+        assert list(graph.edges()) == before
         assert graph.edge_label(0, 1) == 4
+
+
+def random_commit(model, num_vertices: int, rng: np.random.Generator):
+    """A random valid change set against ``model`` (deletes, relabels,
+    inserts over a small vertex range so deleted pairs come back, and
+    new vertices)."""
+    keys = list(model)
+    rng.shuffle(keys)
+    cut = int(rng.integers(0, min(len(keys), 4) + 1))
+    relabel = int(rng.integers(0, cut + 1))
+    deleted = [(u, v, model[(u, v)]) for u, v in keys[:cut]]
+    inserted = [(u, v, model[(u, v)] + 1) for u, v in keys[:relabel]]
+    taken = set(model)
+    new_labels = [0] * int(rng.integers(0, 2))
+    n = num_vertices + len(new_labels)
+    for _ in range(int(rng.integers(0, 5))):
+        u, v = sorted(int(x) for x in rng.integers(n, size=2))
+        if u != v and (u, v) not in taken:
+            taken.add((u, v))
+            inserted.append((u, v, int(rng.integers(3))))
+    return inserted, deleted, new_labels
+
+
+def assert_reads_like(graph: LabeledGraph, model) -> None:
+    """Every edge read of ``graph`` equals the dict ``model``."""
+    assert list(graph.edges()) == [(u, v, lab)
+                                   for (u, v), lab in model.items()]
+    assert graph.num_edges == len(model)
+    n = graph.num_vertices
+    for u in range(n):
+        for v in range(u + 1, n):
+            want = model.get((u, v))
+            assert graph.get_edge_label(v, u) == want
+            assert graph.has_edge(u, v) == (want is not None)
+            if want is None:
+                with pytest.raises(GraphError, match="no edge"):
+                    graph.edge_label(u, v)
+            else:
+                assert graph.edge_label(v, u) == want
+
+
+class TestSharedEdgeMap:
+    @pytest.mark.parametrize("fold", [1, 3, labeled_graph.EDGE_CHANGES_FOLD])
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 20))
+    def test_commit_chains_read_like_a_copied_map(self, fold, seed):
+        rng = np.random.default_rng(seed)
+        graph = scale_free_graph(int(rng.integers(4, 10)), 2, 2, 3,
+                                 seed=seed)
+        model = {(u, v): lab for u, v, lab in graph.edges()}
+        chain = [(graph, model)]
+        with mock.patch.object(labeled_graph, "EDGE_CHANGES_FOLD", fold):
+            for _ in range(8):
+                inserted, deleted, new_labels = random_commit(
+                    model, graph.num_vertices, rng)
+                graph, _ = graph.apply_changes(inserted, deleted,
+                                               new_labels)
+                # The whole-map copy-and-splice every snapshot stands for.
+                model = dict(model)
+                for u, v, _lab in deleted:
+                    del model[(u, v)]
+                for u, v, lab in inserted:
+                    model[(u, v)] = lab
+                chain.append((graph, model))
+                # Earlier snapshots still read as they did.
+                for snapshot, want in chain:
+                    assert_reads_like(snapshot, want)
+
+    def test_snapshots_share_the_base_map_until_a_fold(self):
+        graph = LabeledGraph([0] * 4, [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
+        one, _ = graph.apply_changes([(0, 2, 5)], [(1, 2, 1)])
+        assert one._edge_map is graph._edge_map
+        assert one._edge_changes == {(1, 2): None, (0, 2): 5}
+        with mock.patch.object(labeled_graph, "EDGE_CHANGES_FOLD", 2):
+            two, _ = one.apply_changes([(1, 3, 7)], [])
+        assert two._edge_map is not graph._edge_map
+        assert two._edge_changes == {}
+        assert list(two.edges()) == [(0, 1, 1), (2, 3, 1), (0, 2, 5),
+                                     (1, 3, 7)]
+        assert list(graph.edges()) == [(0, 1, 1), (1, 2, 1), (2, 3, 1)]

@@ -12,7 +12,7 @@ from repro.graph.labeled_graph import LabeledGraph, triangle_query
 from repro.graph.partition import EdgeLabelPartition, partition_by_edge_label
 from repro.storage.pcsr import PCSRPartition, PCSRStorage, default_hash
 
-from oracle import brute_force_matches, pcsr_probe
+from oracle import brute_force_matches, pcsr_probe, scalar_chain_length
 
 
 def build_partition(edges, n=None, gpn=16):
@@ -83,19 +83,6 @@ class TestLookup:
         assert list(p.neighbors(500)) == [100, 900]
         assert list(p.neighbors(100)) == [500]
         assert list(p.neighbors(0)) == []
-
-
-def scalar_chain_length(p):
-    """Longest overflow chain by walking every group's chain one GID at
-    a time (the reference for the vectorized walk)."""
-    longest = 1
-    for gid in range(p.num_groups):
-        length, cur = 1, int(p.groups[gid, p.gpn - 1, 0])
-        while cur != -1:
-            length += 1
-            cur = int(p.groups[cur, p.gpn - 1, 0])
-        longest = max(longest, length)
-    return longest
 
 
 class TestMaxChainLength:

@@ -17,12 +17,17 @@ from repro.dynamic.index import MIN_COMPACT_DEAD_WORDS
 from repro.gpusim.meter import MemoryMeter
 from repro.graph.generators import random_walk_query, scale_free_graph
 from repro.graph.labeled_graph import GraphBuilder
-from repro.graph.partition import EdgeLabelPartition
+from repro.graph.partition import EdgeLabelPartition, partition_by_edge_label
 from repro.service.batch import BatchEngine
 from repro.shard import ShardedEngine, ShardedGraph
-from repro.storage.pcsr import GroupStack, PCSRPartition, PCSRStorage
+from repro.storage.pcsr import (
+    GroupStack,
+    PCSRPartition,
+    PCSRStorage,
+    default_hash,
+)
 
-from oracle import brute_force_matches
+from oracle import brute_force_matches, scalar_chain_length
 
 
 NONE = np.empty((0, 2), dtype=np.int64)
@@ -64,6 +69,29 @@ class TestPartitionStats:
         assert part.dead_words() > 0
         assert part.dead_ratio() > 0.0
         assert part.stats()["dead_words"] == part.dead_words()
+
+
+class TestKeptChainLengths:
+    def test_layer_is_walked_again_only_after_a_link(self):
+        # GPN=3 holds two keys per group.  Vertex 1000's home group is
+        # full, so the first new key homed there extends its chain and
+        # the second fills the new link.
+        g = scale_free_graph(60, 3, 1, 1, seed=3)
+        part = PCSRPartition(partition_by_edge_label(g)[0], gpn=3)
+        stack = part._stack
+        lengths = stack.chain_lengths()
+        assert stack.chain_lengths() is lengths
+        assert not lengths.flags.writeable
+        home = default_hash(1000, part.num_groups)
+        linking, filling = [v for v in range(1000, 20000)
+                            if default_hash(v, part.num_groups) == home][:2]
+        grow(part, linking, 0)
+        linked = stack.chain_lengths()
+        assert linked is not lengths
+        assert part.max_chain_length() == int(lengths[0]) + 1
+        assert part.max_chain_length() == scalar_chain_length(part)
+        grow(part, filling, 0)
+        assert stack.chain_lengths() is linked
 
 
 class TestCompaction:

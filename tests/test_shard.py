@@ -23,6 +23,7 @@ from repro.graph.generators import (
 from repro.graph.labeled_graph import GraphBuilder, path_query
 from repro.obs.trace import Tracer, set_tracer
 from repro.service import BatchEngine, make_executor
+from repro.service import plan_cache as plan_cache_module
 from repro.shard import (
     HashPartitioner,
     LabelAwarePartitioner,
@@ -354,6 +355,29 @@ class TestShardedMatching:
         again = engine.run_batch(queries)
         assert first.items[0].plan_cached is False
         assert all(item.plan_cached for item in again.items)
+
+    def test_prepare_fingerprints_each_query_once(self, monkeypatch,
+                                                  data_graph, queries):
+        """Every shard that plans counts its own plan-cache lookup, but
+        the query is canonicalized once for all of them."""
+        engine = ShardedEngine(ShardedGraph(data_graph, 2, halo_hops=3))
+        canonicalized = []
+        real = plan_cache_module.query_fingerprint
+
+        def counted(query, *args, **kwargs):
+            canonicalized.append(query)
+            return real(query, *args, **kwargs)
+
+        monkeypatch.setattr(plan_cache_module, "query_fingerprint", counted)
+        planned = []
+        for query in queries:
+            before = engine.plan_cache.stats_snapshot()
+            sp = engine.prepare(query)
+            planned.append(sum(p.plan is not None for p in sp.per_shard))
+            assert (engine.plan_cache.stats_snapshot().diff(before).lookups
+                    == planned[-1])
+        assert canonicalized == list(queries)
+        assert max(planned) == 2
 
     def test_report_shape(self, data_graph, queries):
         engine = ShardedEngine(ShardedGraph(data_graph, 4, halo_hops=3))

@@ -54,7 +54,10 @@ class TestGraphRoundTrip:
             assert np.array_equal(attached._offsets, graph._offsets)
             assert np.array_equal(attached._nbr, graph._nbr)
             assert np.array_equal(attached._elab, graph._elab)
-            assert attached._edge_map == graph._edge_map
+            # Attach reorders the edges: compare the maps as dicts.
+            assert ({(u, v): lab for u, v, lab in attached.edges()}
+                    == {(u, v): lab for u, v, lab in graph.edges()})
+            assert attached.num_edges == graph.num_edges
             assert attached._edge_label_freq == graph._edge_label_freq
         finally:
             lease.release()
