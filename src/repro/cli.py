@@ -45,7 +45,7 @@ Examples::
     python -m repro.cli match --dataset watdiv --engine gsi-opt --queries 3
     python -m repro.cli shootout --dataset gowalla --queries 3
     python -m repro.cli batch --dataset gowalla --queries 8 --repeat 2
-    python -m repro.cli batch --dataset road --shards 4 --partitioner label
+    python -m repro.cli batch --dataset road --shards 4
     python -m repro.cli shard-info --dataset road --shards 8
     python -m repro.cli stream --dataset enron --batches 5 --batch-size 16
     python -m repro.cli serve --dataset gowalla --port 8471 --max-batch 16
@@ -241,7 +241,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
                       budget_ms=DEFAULT_THRESHOLD_MS,
                       max_intermediate_rows=DEFAULT_MAX_ROWS)
         sg = ShardedGraph(
-            wl.graph, args.shards, partitioner=args.partitioner,
+            wl.graph, args.shards,
             halo_hops=halo_hops_for_query_vertices(args.query_vertices))
         sharded = ShardedEngine(sg, cfg,
                                 cache_capacity=args.cache_capacity)
@@ -267,7 +267,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
     if report.shard is not None:
         info = report.shard.info
         shard_note = (f" | {info.num_shards} shards "
-                      f"({info.partitioner}, halo {info.halo_hops}, "
+                      f"(halo {info.halo_hops}, "
                       f"{info.vertex_replication:.2f}x replication), "
                       f"per-shard tx max/total = "
                       f"{report.shard.max_shard_transactions}/"
@@ -289,8 +289,7 @@ def cmd_shard_info(args: argparse.Namespace) -> int:
         return 2
     graph = datasets.load(args.dataset)
     halo = halo_hops_for_query_vertices(args.query_vertices)
-    sg = ShardedGraph(graph, args.shards, partitioner=args.partitioner,
-                      halo_hops=halo)
+    sg = ShardedGraph(graph, args.shards, halo_hops=halo)
     info = sg.info()
     rows = []
     for shard in sg.shards:
@@ -300,7 +299,7 @@ def cmd_shard_info(args: argparse.Namespace) -> int:
                      f"{total / max(1, graph.num_vertices):.2f}"])
     print(render_table(
         f"shard layout: {args.dataset} over {args.shards} shards "
-        f"({args.partitioner} partitioner, halo {halo} for "
+        f"(halo {halo} for "
         f"{args.query_vertices}-vertex queries)",
         ["shard", "owned", "halo", "|V|", "|E|", "frac of G"],
         rows,
@@ -548,10 +547,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="serve scatter-gather over this many "
                         "partitioned, halo-replicated shards instead "
                         "of one monolithic engine")
-    b.add_argument("--partitioner", default="hash",
-                   choices=["hash", "label"],
-                   help="vertex ownership: block-hash or edge-label-"
-                        "balancing assignment")
     add_trace_arg(b)
 
     si = sub.add_parser("shard-info",
@@ -560,8 +555,6 @@ def build_parser() -> argparse.ArgumentParser:
     si.add_argument("--dataset", default="gowalla",
                     choices=datasets.all_names())
     si.add_argument("--shards", type=int, default=4)
-    si.add_argument("--partitioner", default="hash",
-                    choices=["hash", "label"])
     si.add_argument("--query-vertices", type=int, default=12,
                     help="query size the halo depth must cover")
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.errors import ConfigError
+from repro.gpusim.constants import BLOCK_THREADS
 from repro.gpusim.scheduler import LoadBalanceConfig
 
 
@@ -52,7 +53,6 @@ class GSIConfig:
     use_load_balance: bool = False
     use_duplicate_removal: bool = False
     w1: int = 4096
-    w2: int = 1024
     w3: int = 256
 
     # --- resource limits ---
@@ -76,9 +76,11 @@ class GSIConfig:
                 f"got {n}")
         if not 2 <= self.gpn <= 16:
             raise ConfigError(f"gpn must be in [2, 16], got {self.gpn}")
-        if self.use_load_balance and not (self.w1 > self.w2 > self.w3 > 32):
+        if self.use_load_balance and not (
+                self.w1 > BLOCK_THREADS > self.w3 > 32):
             raise ConfigError(
-                f"need W1 > W2 > W3 > 32, got {self.w1}/{self.w2}/{self.w3}")
+                f"need W1 > W2 > W3 > 32 with W2 = {BLOCK_THREADS}, "
+                f"got {self.w1}/{self.w3}")
         if self.join_kernel not in ("rows", "vector"):
             raise ConfigError(
                 f"join_kernel must be 'rows' or 'vector', "
@@ -132,7 +134,7 @@ class GSIConfig:
         """The scheduler's LB config, or None when disabled."""
         if not self.use_load_balance:
             return None
-        return LoadBalanceConfig(w1=self.w1, w2=self.w2, w3=self.w3)
+        return LoadBalanceConfig(w1=self.w1, w3=self.w3)
 
     @property
     def storage_kind(self) -> str:

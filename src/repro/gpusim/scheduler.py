@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.gpusim.constants import (
+    BLOCK_THREADS,
     KERNEL_LAUNCH_CYCLES,
     TASK_MERGE_CYCLES,
     WARPS_PER_BLOCK,
@@ -57,12 +58,12 @@ class LoadBalanceConfig:
     """Thresholds of the 4-layer scheme, in *work units* (list elements).
 
     The paper requires ``W1 > W2 > W3 > 32`` with ``W2`` fixed to the CUDA
-    block size (1024); it tunes ``W1 = 4096`` and ``W3 = 256`` (Tables IX
-    and X).
+    block size, which layer 2 reads as
+    :data:`~repro.gpusim.constants.BLOCK_THREADS` (1024); it tunes
+    ``W1 = 4096`` and ``W3 = 256`` (Tables IX and X).
     """
 
     w1: int = 4096
-    w2: int = 1024
     w3: int = 256
     cycles_per_unit: float = 14.0
     """Conversion from work units to cycles when splitting (one element
@@ -101,7 +102,7 @@ def split_tasks_4layer(task_units: Sequence[float],
             extra_cycles += KERNEL_LAUNCH_CYCLES
             extra_cycles += (units * cfg.cycles_per_unit) / WARP_SLOTS
             continue
-        if units > cfg.w2:
+        if units > BLOCK_THREADS:
             # Layer 2: one whole block works on this task.
             per_warp = units / WARPS_PER_BLOCK
             out.extend([per_warp + merge_units] * WARPS_PER_BLOCK)

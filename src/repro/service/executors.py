@@ -44,8 +44,8 @@ engine (segment names + dtypes + shapes + an epoch): O(handle) bytes
 regardless of ``|G|``.  A worker attaches an engine the first time one
 of its tasks needs it and caches it per ``(epoch, engine)``.  The
 owning service publishes on its first process batch and unlinks the
-segments on ``close()`` (with an ``atexit`` backstop); a rebuild moves
-to a fresh epoch, and attaching a retired handle raises
+segments on ``close()`` (with an ``atexit`` backstop); every new
+engine set takes a fresh epoch, and attaching a retired handle raises
 :class:`~repro.storage.shm.StaleHandleError`.  Engines whose store is
 not a plain PCSR store rebuild it worker-side from the attached graph
 + config.  Either way a worker-side engine executes a prepared query
@@ -185,7 +185,7 @@ class SerialExecutor(QueryExecutor):
 # Engine fan-out: the one way an engine reaches a task function
 # ----------------------------------------------------------------------
 
-#: monotonic fan-out epochs (one per engine set; a rebuild takes a new one)
+#: monotonic fan-out epochs (one per engine set)
 _EPOCHS = itertools.count(1)
 
 #: per-worker-process engine cache, keyed (epoch, engine ordinal)
@@ -244,9 +244,9 @@ class EngineFanout:
     context — publishing every engine on the first process batch and
     reusing that publication afterwards — and any other executor the
     live engines.  The fan-out serves one engine set under one epoch
-    for its whole life: a service that rebuilds its engines closes
-    this fan-out and makes a new one, so a worker holding stale
-    handles fails loudly instead of serving superseded arrays.
+    for its whole life: new engines mean a new fan-out, so a worker
+    holding stale handles fails loudly instead of serving superseded
+    arrays.
     """
 
     #: gsilint GSI003: concurrent first batches race to publish

@@ -1,8 +1,9 @@
-"""Sharded graph subsystem: partitioned shards with halo replication
-plus a scatter-gather query coordinator.
+"""Sharded graph subsystem: block-hash vertex ownership, shards with
+halo replication, and a scatter-gather query coordinator.
 
-See :mod:`repro.shard.sharded_graph` for the replication/ownership
-correctness argument and :mod:`repro.shard.engine` for the coordinator.
+See :mod:`repro.shard.sharded_graph` for the ownership rule and the
+replication/ownership correctness argument, and
+:mod:`repro.shard.engine` for the coordinator.
 """
 
 from repro.shard.engine import (
@@ -13,13 +14,6 @@ from repro.shard.engine import (
     ShardReport,
     query_center,
 )
-from repro.shard.partitioner import (
-    PARTITIONER_KINDS,
-    HashPartitioner,
-    LabelAwarePartitioner,
-    Partitioner,
-    make_partitioner,
-)
 from repro.shard.sharded_graph import (
     Shard,
     ShardedGraph,
@@ -28,10 +22,6 @@ from repro.shard.sharded_graph import (
 )
 
 __all__ = [
-    "HashPartitioner",
-    "LabelAwarePartitioner",
-    "PARTITIONER_KINDS",
-    "Partitioner",
     "Shard",
     "ShardedEngine",
     "ShardedGraph",
@@ -41,6 +31,5 @@ __all__ = [
     "ShardReport",
     "ShardingInfo",
     "halo_hops_for_query_vertices",
-    "make_partitioner",
     "query_center",
 ]

@@ -182,8 +182,7 @@ class ShardReport(BatchReport):
 
     def summary_line(self) -> str:
         info = self.info
-        layout = (f"{info.num_shards} shards ({info.partitioner}, "
-                  f"halo {info.halo_hops}, "
+        layout = (f"{info.num_shards} shards (halo {info.halo_hops}, "
                   f"{info.vertex_replication:.2f}x replication)"
                   if info is not None else "unsharded")
         return (f"{self.num_queries} queries over {layout} in "
@@ -253,20 +252,6 @@ class ShardedEngine:
     # ------------------------------------------------------------------
     # The shared-memory publication + engine lifecycle
     # ------------------------------------------------------------------
-
-    def rebuild(self) -> None:
-        """Rebuild every shard engine under a fresh fan-out epoch.
-
-        The old publication is unlinked, so worker-side engines cached
-        against the previous epoch are evicted on the next task and a
-        stale handle can only re-attach the *new* publication or raise
-        :class:`~repro.storage.shm.StaleHandleError` — never silently
-        serve superseded arrays.
-        """
-        self.close()
-        self.engines = [GSIEngine(shard.graph, self.config)
-                        for shard in self.sharded.shards]
-        self._fanout = EngineFanout(self.engines, self.config)
 
     def close(self) -> None:
         """Release the shard publication (idempotent).  The engine
@@ -449,7 +434,7 @@ class ShardedEngine:
                                      sp.per_shard[s]))
 
         # Process executors get the handle-based context (published
-        # lazily, reused across batches until a rebuild); the serial
+        # lazily, reused across batches until close()); the serial
         # executor fans out over the live engines.
         ctx = self._fanout.context(chosen)
         with tracer.span("shard.scatter", tasks=len(payloads)):

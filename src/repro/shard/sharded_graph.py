@@ -4,8 +4,8 @@ A :class:`ShardedGraph` splits one data graph into ``num_shards``
 per-shard :class:`~repro.graph.labeled_graph.LabeledGraph` subgraphs.
 Each shard materializes
 
-* its **owned** vertices — the vertices a
-  :class:`~repro.shard.partitioner.Partitioner` assigned to it — and
+* its **owned** vertices — the vertices :func:`block_hash_owners`
+  assigns to it — and
 * an **h-hop halo** — every vertex within ``halo_hops`` hops of an
   owned vertex — as the subgraph *induced* on owned + halo.
 
@@ -37,16 +37,41 @@ above) and none is double-counted (only the owner reports it).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.errors import GraphError
 from repro.graph.labeled_graph import LabeledGraph
-from repro.shard.partitioner import Partitioner, make_partitioner
 
 #: default halo depth covers the repo-wide default 12-vertex queries
 DEFAULT_QUERY_VERTICES = 12
+
+#: Knuth's multiplicative hash constant (2^32 / phi)
+_HASH_MULT = 2654435761
+
+
+def block_hash_owners(num_vertices: int, num_shards: int) -> np.ndarray:
+    """Owner shard id per vertex: contiguous id blocks, one per shard,
+    dealt to shards in multiplicative-hash order of the block index.
+
+    Every shard gets one block of ``ceil(num_vertices / num_shards)``
+    ids (the last block shorter; trailing shards own nothing when the
+    blocks run out).  Keeping each block contiguous preserves the
+    id-locality that keeps h-hop halos thin on graphs whose ids carry
+    it (the mesh/road generators are row-major).  Needs
+    ``num_vertices >= 1`` and ``num_shards >= 1``.
+    """
+    block_len = -(-num_vertices // num_shards)
+    blocks = np.arange(-(-num_vertices // block_len), dtype=np.uint64)
+    hashed = (blocks * np.uint64(_HASH_MULT)) % np.uint64(2 ** 32)
+    # Deal blocks to shards in hashed order (ties break by index).
+    order = np.lexsort((blocks, hashed))
+    shard_of_block = np.empty(len(blocks), dtype=np.int64)
+    shard_of_block[order] = np.arange(len(blocks),
+                                      dtype=np.int64) % num_shards
+    return shard_of_block[np.arange(num_vertices, dtype=np.int64)
+                          // block_len]
 
 
 def halo_hops_for_query_vertices(query_vertices: int) -> int:
@@ -96,7 +121,6 @@ class ShardingInfo:
     """Aggregate sharding statistics (CLI ``shard-info``, benchmarks)."""
 
     num_shards: int
-    partitioner: str
     halo_hops: int
     num_vertices: int
     num_edges: int
@@ -128,11 +152,11 @@ class ShardedGraph:
     graph:
         The data graph ``G``.
     num_shards:
-        Shard count; must be >= 1.
+        Shard count; must be >= 1.  Vertex ownership is
+        :func:`block_hash_owners`.
     partitioner:
-        A :class:`~repro.shard.partitioner.Partitioner` instance or one
-        of the names accepted by
-        :func:`~repro.shard.partitioner.make_partitioner`.
+        Must be ``"hash"``, the one ownership rule; any other value
+        raises :class:`ValueError`.
     halo_hops:
         Replication depth ``h``: each shard includes every vertex
         within ``h`` hops of its owned set.  Queries of radius up to
@@ -142,13 +166,15 @@ class ShardedGraph:
     """
 
     def __init__(self, graph: LabeledGraph, num_shards: int,
-                 partitioner: Union[Partitioner, str] = "hash",
+                 partitioner: str = "hash",
                  halo_hops: Optional[int] = None) -> None:
         if num_shards < 1:
             raise ValueError(
                 f"num_shards must be >= 1, got {num_shards}")
-        if isinstance(partitioner, str):
-            partitioner = make_partitioner(partitioner)
+        if partitioner != "hash":
+            raise ValueError(
+                f"unknown partitioner {partitioner!r}; ownership is "
+                f"always 'hash'")
         if halo_hops is None:
             halo_hops = halo_hops_for_query_vertices(DEFAULT_QUERY_VERTICES)
         if halo_hops < 0:
@@ -158,16 +184,9 @@ class ShardedGraph:
 
         self.graph = graph
         self.num_shards = num_shards
-        self.partitioner = partitioner
         self.halo_hops = halo_hops
         #: owner shard id per global vertex
-        self.owner = partitioner.assign(graph, num_shards)
-        if (self.owner.shape != (graph.num_vertices,)
-                or self.owner.min() < 0
-                or self.owner.max() >= num_shards):
-            raise ValueError(
-                f"partitioner {partitioner.name!r} produced an invalid "
-                f"assignment")
+        self.owner = block_hash_owners(graph.num_vertices, num_shards)
 
         edge_arr = np.array([(u, v, lab) for u, v, lab in graph.edges()],
                             dtype=np.int64).reshape(-1, 3)
@@ -221,15 +240,10 @@ class ShardedGraph:
 
     # ------------------------------------------------------------------
 
-    def owner_of(self, global_vertex: int) -> int:
-        """The shard that owns ``global_vertex``."""
-        return int(self.owner[global_vertex])
-
     def info(self) -> ShardingInfo:
         """Aggregate replication / balance statistics."""
         return ShardingInfo(
             num_shards=self.num_shards,
-            partitioner=self.partitioner.name,
             halo_hops=self.halo_hops,
             num_vertices=self.graph.num_vertices,
             num_edges=self.graph.num_edges,
@@ -270,6 +284,5 @@ class ShardedGraph:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         info = self.info()
         return (f"ShardedGraph(shards={self.num_shards}, "
-                f"partitioner={self.partitioner.name!r}, "
                 f"halo={self.halo_hops}, "
                 f"replication={info.vertex_replication:.2f}x)")

@@ -8,8 +8,9 @@ named :mod:`multiprocessing.shared_memory` segments owned by the
 parent (:class:`~repro.service.executors.EngineFanout` holds the
 leases); what crosses the pipe is a compact picklable *handle* —
 segment names + dtypes + shapes + an epoch — and workers attach
-read-only by name, memoizing the attach per publication.
-Steady-state batches therefore ship O(handle) bytes instead of O(|G|).
+read-only by name, once per engine set (the executors cache attached
+engines per epoch).  Steady-state batches therefore ship O(handle)
+bytes instead of O(|G|).
 
 Layers
 ------
@@ -30,15 +31,16 @@ Attach semantics
 ----------------
 
 Workers attach with :func:`attach_graph` / :func:`attach_engine`.
-Every array attaches as a zero-copy read-only view over its segment,
-memoized per handle (LRU), so repeated batches over the same
-publication attach nothing.  Attached objects keep their
-``SharedMemory`` mappings alive via a ``_shm_refs`` attribute; on Linux
-an owner-side unlink leaves existing mappings valid, so a worker
-mid-batch is never yanked — only *new* attaches of a retired
-publication fail, raising :class:`StaleHandleError` (chained from the
-underlying ``FileNotFoundError``) instead of silently reading stale
-arrays.
+Every array attaches as a zero-copy read-only view over its segment.
+Each call attaches afresh; repeated batches over one publication attach
+nothing because the executors cache attached engines per
+``(epoch, engine)`` (:class:`~repro.service.executors.EngineContext`).
+Attached objects keep their ``SharedMemory`` mappings alive via a
+``_shm_refs`` attribute; on Linux an owner-side unlink leaves existing
+mappings valid, so a worker mid-batch is never yanked — only *new*
+attaches of a retired publication fail, raising
+:class:`StaleHandleError` (chained from the underlying
+``FileNotFoundError``) instead of silently reading stale arrays.
 
 Attach-side processes must not let the ``resource_tracker`` adopt
 segments they merely attached (a worker killed by ``os._exit`` would
@@ -80,15 +82,11 @@ import atexit
 import os
 import threading
 import uuid
-from collections import OrderedDict
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
 from typing import (
     TYPE_CHECKING,
-    Any,
-    Callable,
     Dict,
-    Hashable,
     Iterable,
     Optional,
     Sequence,
@@ -392,29 +390,12 @@ def publish_engine(engine: GSIEngine, *, epoch: int
 
 
 # ----------------------------------------------------------------------
-# Attach: worker-side reconstruction, memoized per publication
+# Attach: worker-side reconstruction
 # ----------------------------------------------------------------------
 
-_ATTACH_CACHE: "OrderedDict[object, object]" = OrderedDict()
-_ATTACH_CACHE_CAP = 8
 
-
-def _memo_attach(key: Hashable, build: Callable[[], Any]) -> Any:
-    """LRU attach memo: repeated batches over one publication attach
-    once per worker.  Eviction only drops this cache's reference —
-    attached objects keep their own mappings alive via ``_shm_refs``."""
-    hit = _ATTACH_CACHE.get(key)
-    if hit is not None:
-        _ATTACH_CACHE.move_to_end(key)
-        return hit
-    value = build()
-    _ATTACH_CACHE[key] = value
-    while len(_ATTACH_CACHE) > _ATTACH_CACHE_CAP:
-        _ATTACH_CACHE.popitem(last=False)
-    return value
-
-
-def _build_graph(handle: GraphHandle) -> LabeledGraph:
+def attach_graph(handle: GraphHandle) -> LabeledGraph:
+    """Reconstruct a read-only :class:`LabeledGraph` from shared blocks."""
     arrays, segs = zip(*(_attach_block(block) for block in (
         handle.vlabels, handle.offsets, handle.nbr, handle.elab)))
     vlabels, offsets, nbr, elab = arrays
@@ -433,24 +414,16 @@ def _build_graph(handle: GraphHandle) -> LabeledGraph:
     return graph
 
 
-def attach_graph(handle: GraphHandle) -> LabeledGraph:
-    """Reconstruct a read-only :class:`LabeledGraph` from shared blocks."""
-    return _memo_attach(handle, lambda: _build_graph(handle))
-
-
-def _build_signature(handle: SignatureHandle) -> SignatureTable:
+def attach_signature(handle: SignatureHandle) -> SignatureTable:
+    """Reconstruct a read-only :class:`SignatureTable`."""
     table, seg = _attach_block(handle.table)
     sig = SignatureTable(table, column_first=handle.column_first)
     sig._shm_refs = [seg]
     return sig
 
 
-def attach_signature(handle: SignatureHandle) -> SignatureTable:
-    """Reconstruct a read-only :class:`SignatureTable`."""
-    return _memo_attach(handle, lambda: _build_signature(handle))
-
-
-def _build_pcsr(handle: PCSRStoreHandle) -> PCSRStorage:
+def attach_pcsr(handle: PCSRStoreHandle) -> PCSRStorage:
+    """Reconstruct a read-only :class:`PCSRStorage`."""
     arrays, segs = zip(*(_attach_block(block) for block in (
         handle.groups, handle.region_start, handle.region_cap, handle.ci)))
     groups, region_start, region_cap, ci = arrays
@@ -485,11 +458,6 @@ def _build_pcsr(handle: PCSRStoreHandle) -> PCSRStorage:
     store._parts = {p.label: p for p in parts}
     store._shm_refs = list(segs)
     return store
-
-
-def attach_pcsr(handle: PCSRStoreHandle) -> PCSRStorage:
-    """Reconstruct a read-only :class:`PCSRStorage`."""
-    return _memo_attach(handle, lambda: _build_pcsr(handle))
 
 
 def attach_engine(handle: EngineArtifactsHandle,

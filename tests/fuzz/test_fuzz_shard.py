@@ -41,19 +41,17 @@ def test_fuzz_stream_against_four_shard_engine():
         if snapshot.num_edges == 0:
             continue
         single = GSIEngine(snapshot)
-        for partitioner in ("hash", "label"):
-            sharded = ShardedEngine(ShardedGraph(
-                snapshot, NUM_SHARDS, partitioner=partitioner,
-                halo_hops=2))
-            report = sharded.run_batch(queries)
-            assert report.errors == 0
-            for query, item in zip(queries, report.items):
-                want = brute_force_matches(query, snapshot)
-                assert set(item.result.matches) == want, (
-                    f"sharded ({partitioner}) diverged from oracle "
-                    f"(seed={seed}, profile={profile})")
-                assert len(item.result.matches) == len(want)
-                assert item.result.match_set() == \
-                    single.match(query).match_set()
-                checked += 1
+        sharded = ShardedEngine(ShardedGraph(snapshot, NUM_SHARDS,
+                                             halo_hops=2))
+        report = sharded.run_batch(queries)
+        assert report.errors == 0
+        for query, item in zip(queries, report.items):
+            want = brute_force_matches(query, snapshot)
+            assert set(item.result.matches) == want, (
+                f"sharded diverged from oracle "
+                f"(seed={seed}, profile={profile})")
+            assert len(item.result.matches) == len(want)
+            assert item.result.match_set() == \
+                single.match(query).match_set()
+            checked += 1
     assert checked > 0

@@ -81,8 +81,7 @@ class TestShardedCommands:
                 "--query-vertices", "4", "--executor", "serial"]
         assert main(argv) == 0
         plain = capsys.readouterr().out
-        assert main(argv + ["--shards", "3",
-                            "--partitioner", "label"]) == 0
+        assert main(argv + ["--shards", "3"]) == 0
         sharded = capsys.readouterr().out
 
         def match_column(out):
@@ -123,8 +122,12 @@ class TestShardedCommands:
         assert "must be >= 1" in err
 
     def test_bad_partitioner_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["batch", "--partitioner", "meti"])
+        # Ownership is always block-hash: the flag that chose a
+        # partitioner is gone from both sharded commands.
+        for argv in (["batch", "--partitioner", "hash"],
+                     ["shard-info", "--partitioner", "hash"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
 
     def test_bad_chunking_rejected(self):
         # Chunking is always static and the data plane always shared

@@ -4,7 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gpusim.constants import KERNEL_LAUNCH_CYCLES, WARPS_PER_BLOCK
+from repro.gpusim.constants import (
+    BLOCK_THREADS,
+    KERNEL_LAUNCH_CYCLES,
+    WARPS_PER_BLOCK,
+)
 from repro.gpusim.scheduler import (
     LoadBalanceConfig,
     makespan,
@@ -37,7 +41,7 @@ class TestMakespan:
 
 
 class TestSplit4Layer:
-    CFG = LoadBalanceConfig(w1=4096, w2=1024, w3=256)
+    CFG = LoadBalanceConfig(w1=4096, w3=256)
 
     def test_layer4_untouched(self):
         out, extra, launches = split_tasks_4layer([10, 200, 256], self.CFG)
@@ -122,4 +126,4 @@ def test_property_split_conserves_work_below_w1(units):
     out, _, _ = split_tasks_4layer(small, cfg)
     assert sum(out) >= sum(small) - 1e-6
     assert sum(out) <= sum(small) + len(out) * merge_units + 1e-6
-    assert all(u <= cfg.w2 + merge_units + 1e-9 for u in out)
+    assert all(u <= BLOCK_THREADS + merge_units + 1e-9 for u in out)

@@ -1,10 +1,10 @@
 """Tests for the sharded graph subsystem (partition + halo + gather).
 
 The load-bearing assertions are differential: across shard counts
-{1, 2, 4, 8} and both partitioners, the scatter-gather match set must be
-*identical* to the single-engine path and to the brute-force oracle —
-that is the halo-containment / anchor-ownership correctness argument
-made executable.
+{1, 2, 4, 8}, the scatter-gather match set must be *identical* to the
+single-engine path and to the brute-force oracle — that is the
+halo-containment / anchor-ownership correctness argument made
+executable.
 """
 
 from __future__ import annotations
@@ -25,20 +25,15 @@ from repro.obs.trace import Tracer, set_tracer
 from repro.service import BatchEngine, make_executor
 from repro.service import plan_cache as plan_cache_module
 from repro.shard import (
-    HashPartitioner,
-    LabelAwarePartitioner,
-    Partitioner,
     ShardedEngine,
     ShardedGraph,
     halo_hops_for_query_vertices,
-    make_partitioner,
     query_center,
 )
 
 from oracle import brute_force_matches, paper_query, tiny_paper_graph
 
 SHARD_COUNTS = (1, 2, 4, 8)
-PARTITIONERS = ("hash", "label")
 
 
 @pytest.fixture(scope="module")
@@ -58,56 +53,52 @@ def oracle_sets(data_graph, queries):
 
 
 # ----------------------------------------------------------------------
-# Partitioners
+# Ownership: contiguous id blocks dealt in hashed order
 # ----------------------------------------------------------------------
 
 
 class TestPartitioners:
-    @pytest.mark.parametrize("kind", PARTITIONERS)
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    def test_total_assignment(self, data_graph, kind, shards):
-        owner = make_partitioner(kind).assign(data_graph, shards)
+    def test_total_assignment(self, data_graph, shards):
+        owner = ShardedGraph(data_graph, shards, halo_hops=0).owner
         assert owner.shape == (data_graph.num_vertices,)
         assert owner.min() >= 0 and owner.max() < shards
 
-    @pytest.mark.parametrize("kind", PARTITIONERS)
-    def test_deterministic(self, data_graph, kind):
-        a = make_partitioner(kind).assign(data_graph, 4)
-        b = make_partitioner(kind).assign(data_graph, 4)
+    def test_deterministic(self, data_graph):
+        a = ShardedGraph(data_graph, 4, halo_hops=0).owner
+        b = ShardedGraph(data_graph, 4, halo_hops=0).owner
         assert np.array_equal(a, b)
 
     def test_hash_balanced(self, data_graph):
-        owner = HashPartitioner().assign(data_graph, 4)
+        owner = ShardedGraph(data_graph, 4, halo_hops=0).owner
         counts = np.bincount(owner, minlength=4)
         # Block-dealing guarantees near-equal counts (one block each
         # here, so within one block length of each other).
         assert counts.max() - counts.min() <= np.ceil(
             data_graph.num_vertices / 4)
 
-    def test_label_partitioner_balances_label_incidence(self):
-        # 40 vertices in a cycle, every edge labeled 0: the dominant
-        # label group is everyone, and its incidence must spread.
-        b = GraphBuilder()
-        ids = b.add_vertices([0] * 40)
-        for i in range(40):
-            b.add_edge(ids[i], ids[(i + 1) % 40], 0)
-        g = b.build()
-        owner = LabelAwarePartitioner().assign(g, 4)
-        counts = np.bincount(owner, minlength=4)
-        assert counts.max() - counts.min() <= 1
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown partitioner"):
-            make_partitioner("metis")
+    @pytest.mark.parametrize("num_vertices, shards, want", [
+        (10, 3, [0, 0, 0, 0, 2, 2, 2, 2, 1, 1]),
+        (7, 4, [0, 0, 2, 2, 1, 1, 3]),
+        # Four blocks of ceil(12 / 5) = 3 ids run out before shard 4.
+        (12, 5, [0, 0, 0, 2, 2, 2, 1, 1, 1, 3, 3, 3]),
+        (6, 6, [0, 4, 2, 5, 3, 1]),
+        # perfbench serve_zipf's layout: 4,000 vertices on 2 shards.
+        (4000, 2, (np.arange(4000) // 2000).tolist()),
+    ], ids=["10-on-3", "7-on-4", "12-on-5", "6-on-6", "4000-on-2"])
+    def test_owner_map_is_pinned(self, num_vertices, shards, want):
+        """The block-hash layout is part of every sharded benchmark's
+        baseline (perfbench's ``serve_zipf`` included), so these
+        arrays must not move."""
+        g = path_query([0] * num_vertices)
+        owner = ShardedGraph(g, shards, halo_hops=0).owner
+        assert owner.dtype == np.int64
+        assert owner.tolist() == want
 
     def test_non_positive_shards_rejected(self, data_graph):
-        for kind in PARTITIONERS:
+        for shards in (0, -1):
             with pytest.raises(ValueError, match="num_shards"):
-                make_partitioner(kind).assign(data_graph, 0)
-
-    def test_bad_blocks_per_shard_rejected(self):
-        with pytest.raises(ValueError, match="blocks_per_shard"):
-            HashPartitioner(blocks_per_shard=0)
+                ShardedGraph(data_graph, shards)
 
 
 # ----------------------------------------------------------------------
@@ -116,11 +107,9 @@ class TestPartitioners:
 
 
 class TestShardedGraph:
-    @pytest.mark.parametrize("kind", PARTITIONERS)
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    def test_structurally_valid(self, data_graph, kind, shards):
-        sg = ShardedGraph(data_graph, shards, partitioner=kind,
-                          halo_hops=2)
+    def test_structurally_valid(self, data_graph, shards):
+        sg = ShardedGraph(data_graph, shards, halo_hops=2)
         assert sg.validate() == {}
 
     def test_ownership_partitions_vertices(self, data_graph):
@@ -177,8 +166,9 @@ class TestShardedGraph:
             ShardedGraph(data_graph, 0)
         with pytest.raises(ValueError, match="halo_hops"):
             ShardedGraph(data_graph, 2, halo_hops=-1)
-        with pytest.raises(ValueError, match="unknown partitioner"):
-            ShardedGraph(data_graph, 2, partitioner="metis")
+        for kind in ("metis", "label"):
+            with pytest.raises(ValueError, match="unknown partitioner"):
+                ShardedGraph(data_graph, 2, partitioner=kind)
 
     def test_halo_bound_helper(self):
         assert halo_hops_for_query_vertices(1) == 1
@@ -223,13 +213,11 @@ class TestQueryCenter:
 
 
 class TestShardedMatching:
-    @pytest.mark.parametrize("kind", PARTITIONERS)
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     def test_identical_to_oracle_and_single_engine(
-            self, data_graph, queries, oracle_sets, kind, shards):
+            self, data_graph, queries, oracle_sets, shards):
         single = GSIEngine(data_graph)
-        sg = ShardedGraph(data_graph, shards, partitioner=kind,
-                          halo_hops=3)
+        sg = ShardedGraph(data_graph, shards, halo_hops=3)
         engine = ShardedEngine(sg)
         report = engine.run_batch(queries)
         assert report.errors == 0
@@ -251,24 +239,16 @@ class TestShardedMatching:
     def test_boundary_spanning_matches_dedup(self):
         """Matches crossing shard ownership appear exactly once.
 
-        A 2-coloring partitioner puts adjacent path vertices in
-        different shards, so every edge match crosses the boundary;
-        the halo replicates it on both sides and ownership dedup must
-        keep exactly one copy.
+        A 6-vertex path on 6 shards gives every vertex its own shard
+        (owners ``[0, 4, 2, 5, 3, 1]``), so every edge match crosses
+        the boundary; the halo replicates it on both sides and
+        ownership dedup must keep exactly one copy.
         """
-
-        class AlternatingPartitioner(Partitioner):
-            name = "alternate"
-
-            def assign(self, graph, num_shards):
-                return (np.arange(graph.num_vertices, dtype=np.int64)
-                        % num_shards)
-
         g = path_query([0, 0, 0, 0, 0, 0], [1, 1, 1, 1, 1])
         q = path_query([0, 0], [1])
         want = brute_force_matches(q, g)
-        sg = ShardedGraph(g, 2, partitioner=AlternatingPartitioner(),
-                          halo_hops=1)
+        sg = ShardedGraph(g, 6, halo_hops=1)
+        assert sg.owner.tolist() == [0, 4, 2, 5, 3, 1]
         engine = ShardedEngine(sg)
         report = engine.run_batch([q])
         item = report.items[0]
@@ -323,8 +303,7 @@ class TestShardedMatching:
         results = {}
         for shards in (1, 4, 8):
             engine = ShardedEngine(
-                ShardedGraph(g, shards, partitioner="hash",
-                             halo_hops=2))
+                ShardedGraph(g, shards, halo_hops=2))
             report = engine.run_batch(queries)
             max_tx[shards] = report.max_shard_transactions
             results[shards] = [sorted(i.result.matches)

@@ -76,7 +76,6 @@ class TestGraphRoundTrip:
         graph = scale_free_graph(30, 3, 4, 3, seed=4)
         handle, lease = shm.publish_graph(graph)
         lease.release()
-        shm._ATTACH_CACHE.clear()  # drop any memoized attachment
         with pytest.raises(StaleHandleError):
             shm.attach_graph(handle)
 
@@ -130,7 +129,6 @@ class TestEngineRoundTrip:
         finally:
             lease.release()
         assert not set(handle.names) & set(shm.owned_segment_names())
-        shm._ATTACH_CACHE.clear()  # drop the memoized attachment
         with pytest.raises(StaleHandleError):
             shm.attach_engine(handle, config)
 
@@ -259,11 +257,15 @@ class TestExecutorAttachPaths:
 
 
 # ----------------------------------------------------------------------
-# Shard epochs: rebuild invalidates worker-side handles
+# Shard epochs: new shard engines invalidate worker-side handles
 # ----------------------------------------------------------------------
 
 class TestShardEpochs:
     def test_rebuild_invalidates_stale_handles(self, segment_baseline):
+        """Closing a sharded engine and building a new one on the same
+        :class:`ShardedGraph` retires the old publication: its handle
+        raises on attach, and the new engine serves under a higher
+        epoch."""
         graph = scale_free_graph(90, 3, 4, 3, seed=21)
         queries = [random_walk_query(graph, 3, seed=s)
                    for s in range(3)]
@@ -281,11 +283,11 @@ class TestShardEpochs:
             ctx = engine._fanout.context(executor)
             stale_handle, old_epoch = ctx.handles[0], ctx.epoch
 
-            engine.rebuild()
+            engine.close()
+            engine = ShardedEngine(sharded)
             # The old publication is unlinked: a worker still holding
             # the superseded handle re-attaches and fails loudly
             # instead of silently serving retired arrays.
-            shm._ATTACH_CACHE.clear()
             with pytest.raises(StaleHandleError):
                 shm.attach_engine(stale_handle, ctx.config)
 
