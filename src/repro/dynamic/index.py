@@ -40,7 +40,7 @@ from repro.gpusim.meter import MemoryMeter
 from repro.gpusim.transactions import contiguous_read, contiguous_reads
 from repro.graph.labeled_graph import Edge, LabeledGraph
 from repro.graph.partition import EdgeLabelPartition
-from repro.storage.pcsr import GroupStack, PCSRPartition, PCSRStorage
+from repro.storage.pcsr import PCSRPartition, PCSRStorage
 
 #: rebuild a partition when keys-per-group exceeds this multiple of the
 #: one-to-one design point (1.0 keys per group at build time)
@@ -153,9 +153,9 @@ class DynamicPCSRStorage(PCSRStorage):
     # --- Update path ----------------------------------------------------
 
     def _rebuild_partition(self, partition: EdgeLabelPartition) -> None:
-        """Full Algorithm-1 rebuild of one partition, metered (the
-        caller re-stacks the group layer)."""
-        part = PCSRPartition(partition, gpn=self.gpn)
+        """Full Algorithm-1 rebuild of one partition, metered, straight
+        into its rows of the group layer."""
+        part = PCSRPartition(partition, gpn=self.gpn, stack=self._stack)
         self._parts[partition.label] = part
         self.rebuilds += 1
         # Price the rebuild: stream the old structure out and the new
@@ -191,7 +191,9 @@ class DynamicPCSRStorage(PCSRStorage):
         occupancy past :data:`DEFAULT_REBUILD_OCCUPANCY`, or whose new
         keys starve Claim 1, is left to a rebuild from ``graph``'s
         incidence of that label; a new label's partition is built from
-        it the same way, and both join the stacked group layer.
+        it the same way.  Both are built straight into their rows of the
+        stacked group layer, which shifts only the rows of the labels
+        after them (:class:`~repro.storage.pcsr.GroupStack`).
         Afterwards the dead-space policy may compact each applied label.
 
         All or nothing: a delete on a label that has no partition, or
@@ -220,7 +222,7 @@ class DynamicPCSRStorage(PCSRStorage):
         self.incremental_ops += ops
         for lab in fresh:
             part = PCSRPartition(EdgeLabelPartition.of_label(graph, lab),
-                                 gpn=self.gpn)
+                                 gpn=self.gpn, stack=self._stack)
             self._parts[lab] = part
             self.meter.add_gst(contiguous_read(part.groups.size)
                                + contiguous_read(len(part.ci)))
@@ -228,8 +230,6 @@ class DynamicPCSRStorage(PCSRStorage):
             # Left untouched by the pass; the snapshot holds the whole
             # delta.
             self._rebuild_partition(EdgeLabelPartition.of_label(graph, lab))
-        if fresh or rebuild:
-            self._stack = GroupStack(self._parts.values(), self.gpn)
         for lab in sorted(applied):
             self._maybe_compact(lab)
 

@@ -80,11 +80,13 @@ class EdgeLabelPartition:
     @classmethod
     def of_label(cls, graph: LabeledGraph,
                  label: int) -> "EdgeLabelPartition":
-        """``P(graph, label)`` alone, without splitting the other
-        labels."""
-        src, dst, elab = _incidence_entries(graph)
-        mask = elab == label
-        return cls._from_entries(label, src[mask], dst[mask])
+        """``P(graph, label)`` alone, read straight from the CSR: one
+        label compare over the incidence, then each entry's owner by a
+        search of the offsets (the other labels are never split)."""
+        offsets, nbr, elab = graph.incidence()
+        at = np.flatnonzero(elab == label)
+        return cls._from_entries(
+            label, np.searchsorted(offsets, at, side="right") - 1, nbr[at])
 
     @property
     def num_vertices(self) -> int:

@@ -44,8 +44,9 @@ engine (segment names + dtypes + shapes + an epoch): O(handle) bytes
 regardless of ``|G|``.  A worker attaches an engine the first time one
 of its tasks needs it and caches it per ``(epoch, engine)``.  The
 owning service publishes on its first process batch and unlinks the
-segments on ``close()`` (with an ``atexit`` backstop); every new
-engine set takes a fresh epoch, and attaching a retired handle raises
+segments on ``close()`` (with an ``atexit`` backstop); every
+publication takes a fresh epoch, a republication after ``close()``
+included, and attaching a retired handle raises
 :class:`~repro.storage.shm.StaleHandleError`.  Engines whose store is
 not a plain PCSR store rebuild it worker-side from the attached graph
 + config.  Either way a worker-side engine executes a prepared query
@@ -243,10 +244,11 @@ class EngineFanout:
     :meth:`context` hands a :class:`ProcessExecutor` the handle-based
     context — publishing every engine on the first process batch and
     reusing that publication afterwards — and any other executor the
-    live engines.  The fan-out serves one engine set under one epoch
-    for its whole life: new engines mean a new fan-out, so a worker
-    holding stale handles fails loudly instead of serving superseded
-    arrays.
+    live engines.  Every publication takes a fresh epoch, a
+    republication after :meth:`close` included, so a worker misses its
+    cache, attaches the live segments and evicts the retired engines;
+    a worker holding stale handles fails loudly instead of serving
+    superseded arrays.
     """
 
     #: gsilint GSI003: concurrent first batches race to publish
@@ -256,7 +258,8 @@ class EngineFanout:
                  config: GSIConfig) -> None:
         self.engines = list(engines)
         self.config = config
-        self.epoch = next(_EPOCHS)
+        #: the epoch of the current publication (0 before the first)
+        self.epoch = 0
         self._local = EngineContext(self.epoch, config, self.engines)
         self._lock = threading.Lock()
         self._shared: Optional[EngineContext] = None
@@ -267,6 +270,7 @@ class EngineFanout:
             return self._local
         with self._lock:
             if self._shared is None:
+                self.epoch = next(_EPOCHS)
                 handles = []
                 for engine in self.engines:
                     handle, lease = publish_engine(engine,

@@ -20,6 +20,11 @@ way; each label owns the rows from its group base on.  A
 label-local (the home group is ``base + hash mod num_groups``), and each
 label keeps its own ``ci`` buffer, Claim-1 empty pool and counters, so
 its layout is exactly the one Algorithm 1 builds for it alone.
+Algorithm 1 writes a label straight into its rows, so a rebuilt or new
+label touches only its own rows and shifts those of the labels after
+it; the layer grows in place, into headroom, as GPMA (Sha et al., PVLDB
+2017) grows its arrays.  Each label's longest chain is recorded by the
+build and walked again only after a chain link.
 
 **Incremental maintenance.**  The hash-group layout is exactly what makes
 PCSR dynamic-friendly: a new key goes into the first free slot of its
@@ -42,10 +47,10 @@ leaves it untouched and the caller rebuilds it — see
 
 from __future__ import annotations
 
+import math
 import weakref
 from typing import (
     Dict,
-    Iterable,
     Iterator,
     List,
     Optional,
@@ -73,6 +78,8 @@ from repro.storage.base import (
 
 _EMPTY_SLOT = -1
 _NO_OVERFLOW = -1
+#: a kept chain length not yet walked
+_UNKNOWN = -1
 
 #: multiplicative (Knuth) hash constant for spreading vertex ids
 _HASH_MULT = 2654435761
@@ -150,10 +157,11 @@ class PCSRPartition:
     """
 
     def __init__(self, partition: EdgeLabelPartition, gpn: int = 16,
-                 groups: Optional[Array] = None) -> None:
-        """Algorithm 1 for one label, built into ``groups`` (its
-        ``(num_groups, GPN, 2)`` rows of a store's stacked layer) when
-        given, else into a new array."""
+                 stack: Optional[GroupStack] = None) -> None:
+        """Algorithm 1 for one label, built straight into its rows of
+        ``stack`` (a rebuilt label's old rows are resized in place; see
+        :meth:`GroupStack._take_rows`) when given, else into a stack of
+        its own."""
         if not 2 <= gpn <= 16:
             raise StorageError(f"GPN must be in [2, 16], got {gpn}")
         self.gpn = gpn
@@ -177,7 +185,8 @@ class PCSRPartition:
         keys_per_group = np.minimum(counts, capacity)
 
         # --- Lines 5-8: resolve overflow through empty groups, taking
-        # the highest-numbered empty group first. ---
+        # the highest-numbered empty group first.  Each overflowing
+        # group heads its own chain of ceil(count / capacity) groups.
         empty = np.flatnonzero(counts == 0)
         free = len(empty)
         chain_next = np.full(self.num_groups, _NO_OVERFLOW, dtype=np.int64)
@@ -200,25 +209,28 @@ class PCSRPartition:
                 current = target
 
         # --- Lines 9-13: lay out ci in (group, slot) order and record
-        # offsets. ---
+        # offsets, into this label's rows of the stack. ---
         layout = np.argsort(gid * capacity + slot)
         laid_lengths = lengths[layout]
         ci_offsets = np.cumsum(laid_lengths) - laid_lengths
-        self._region_cap = np.bincount(
-            gid, weights=lengths, minlength=self.num_groups).astype(np.int64)
-        self._region_start = np.cumsum(self._region_cap) - self._region_cap
-        if groups is None:
-            groups = np.empty((self.num_groups, gpn, 2), dtype=np.int64)
-        groups[...] = _EMPTY_SLOT
-        self.groups = groups
+        if stack is None:
+            stack = GroupStack(gpn, rows=self.num_groups)
+        stack._take_rows(self)
+        self._region_cap[:] = np.bincount(
+            gid, weights=lengths, minlength=self.num_groups)
+        self._region_start[:] = np.cumsum(self._region_cap) \
+            - self._region_cap
+        self._keys_per_group[:] = keys_per_group
+        self.groups[...] = _EMPTY_SLOT
         self.groups[gid[layout], slot[layout], 0] = keys[layout]
         self.groups[gid[layout], slot[layout], 1] = ci_offsets
         self.groups[:, gpn - 1, 0] = chain_next
         self.groups[:, gpn - 1, 1] = self._region_start + self._region_cap
+        stack._keep_chain_length(
+            self._pos, max(1, -(-int(counts.max()) // capacity)))
         self._ci_buf = partition.nbrs[concat_ranges(
             partition.offsets[:-1][layout], laid_lengths)]
         self._ci_len = len(self._ci_buf)
-        self._keys_per_group = keys_per_group
         self._num_keys = num_keys
         #: groups with no keys and no chain membership — the reservoir
         #: Claim 1 draws from, both at build time and incrementally.
@@ -226,9 +238,6 @@ class PCSRPartition:
         #: ci words orphaned by region relocations (space overhead of
         #: in-place maintenance; a rebuild reclaims them).
         self._dead_words = 0
-        # A label built on its own is a stack of one until a store
-        # stacks it with the others.
-        GroupStack([self], gpn)
 
     def _bind(self, stack: GroupStack, pos: int) -> None:
         """Point this label's group arrays at its rows of ``stack``
@@ -369,9 +378,9 @@ class PCSRPartition:
                           planned_next: Dict[int, int]) -> None:
         """Write a dry run's chain links and take its groups out of the
         empty pool (keys per group are counted by the caller).  A link
-        drops the stack's chain lengths."""
+        drops this label's kept chain length."""
         if planned_next:
-            self._stack._chain_lengths = None
+            self._stack._keep_chain_length(self._pos, _UNKNOWN)
         for tail, target in planned_next.items():
             self.groups[tail, self.gpn - 1, 0] = target
             self._region_start[target] = self._ci_len
@@ -558,13 +567,10 @@ class PCSRPartition:
         return self.groups.size + len(self.ci)
 
 
-def _stacked(arrays: Sequence[Array], row_shape: Tuple[int, ...]) -> Array:
-    """``arrays`` back to back (a single array is used as it is)."""
-    if len(arrays) == 1:
-        return arrays[0]
-    if not arrays:
-        return np.empty((0,) + row_shape, dtype=np.int64)
-    return np.concatenate(arrays)
+def _frozen(arr: Array) -> Array:
+    """``arr``, marked read-only."""
+    arr.setflags(write=False)
+    return arr
 
 
 class GroupStack:
@@ -573,41 +579,109 @@ class GroupStack:
     ``parts[i]`` owns rows ``[base[i], base[i] + sizes[i])`` of
     ``groups`` (``(total_groups, GPN, 2)``, label-local GIDs) and of
     the stacked per-group ``region_start``, ``region_cap`` and
-    ``keys_per_group``.  Building a stack binds every part's arrays to
-    views of its rows.  ``groups`` passes the group layer the parts
-    were built into and ``per_group`` the other three already stacked
-    (an attached publication); what is not passed is concatenated from
-    the parts' current arrays.  Each part holds its stack and the stack
-    holds its parts only weakly (a store owns its partitions), so a
-    replaced stack and its arrays are freed as soon as no part uses
-    them.
+    ``keys_per_group``; each part's arrays are views of its rows.
+
+    The four arrays are the live prefix of buffers that may hold
+    headroom, and a label is built straight into its rows
+    (``PCSRPartition(partition, gpn, stack=...)``): a rebuilt label
+    resizes its own rows and a new label inserts rows at its place in
+    label order, so only the rows of the labels after it shift (one
+    overlapping copy per array, no second layer) and only their parts
+    are bound again.  When the headroom runs out the buffers grow 1.5x
+    by one copy, the only time two layers are alive.  A stack sized up
+    front (every :class:`PCSRStorage` build) or laid over filled arrays
+    (:meth:`over`, an attached publication) keeps exact-size arrays
+    until a label outgrows them.
+
+    Each label's longest chain is kept (:meth:`chain_lengths`).  Each
+    part holds its stack and the stack holds its parts only weakly (a
+    store owns its partitions).
     """
 
-    def __init__(self, parts: Iterable[PCSRPartition], gpn: int,
-                 groups: Optional[Array] = None,
-                 per_group: Optional[Tuple[Array, Array, Array]] = None
-                 ) -> None:
+    def __init__(self, gpn: int, rows: int = 0) -> None:
+        """An empty stack with room for ``rows`` groups."""
         self.gpn = gpn
-        ordered = sorted(parts, key=lambda p: p.label)
-        self.parts: List[PCSRPartition] = [
-            weakref.proxy(p) for p in ordered]
-        self.labels = np.array([p.label for p in ordered], dtype=np.int64)
-        self.sizes = np.array([p.num_groups for p in ordered],
-                              dtype=np.int64)
+        self.parts: List[PCSRPartition] = []
+        self.labels = np.empty(0, dtype=np.int64)
+        self.sizes = np.empty(0, dtype=np.int64)
+        self._buffers: Tuple[Array, ...] = (
+            np.empty((rows, gpn, 2), dtype=np.int64),
+            *(np.empty(rows, dtype=np.int64) for _ in range(3)))
+        #: every label's longest chain, ``_UNKNOWN`` until walked
+        self._chain_lengths = _frozen(np.empty(0, dtype=np.int64))
+        self._live()
+
+    @classmethod
+    def over(cls, parts: Sequence[PCSRPartition], gpn: int,
+             arrays: Tuple[Array, Array, Array, Array]) -> "GroupStack":
+        """A stack laid over filled ``(groups, region_start,
+        region_cap, keys_per_group)`` (an attached publication):
+        ``parts``, in label order, own consecutive rows, and their
+        longest chains are walked when first asked for."""
+        stack = cls(gpn)
+        stack._buffers = arrays
+        stack.parts = [weakref.proxy(p) for p in parts]
+        stack.labels = np.array([p.label for p in parts], dtype=np.int64)
+        stack.sizes = np.array([p.num_groups for p in parts],
+                               dtype=np.int64)
+        stack._chain_lengths = _frozen(
+            np.full(len(parts), _UNKNOWN, dtype=np.int64))
+        stack._live()
+        for pos, part in enumerate(parts):
+            part._bind(stack, pos)
+        return stack
+
+    def _live(self) -> None:
+        """Point ``base`` and the four stacked arrays at the live rows."""
         self.base = np.cumsum(self.sizes) - self.sizes
-        self.groups = (groups if groups is not None else
-                       _stacked([p.groups for p in ordered], (gpn, 2)))
-        if per_group is None:
-            per_group = (
-                _stacked([p._region_start for p in ordered], ()),
-                _stacked([p._region_cap for p in ordered], ()),
-                _stacked([p._keys_per_group for p in ordered], ()))
-        self.region_start, self.region_cap, self.keys_per_group = per_group
-        #: every label's longest chain once a walk has read the layer;
-        #: a chain link written since drops it
-        self._chain_lengths: Optional[Array] = None
-        for pos, part in enumerate(ordered):
-            part._bind(self, pos)
+        total = int(self.sizes.sum())
+        (self.groups, self.region_start, self.region_cap,
+         self.keys_per_group) = (buf[:total] for buf in self._buffers)
+
+    def _take_rows(self, part: PCSRPartition) -> None:
+        """Give ``part`` ``part.num_groups`` rows at its label's place
+        and bind it to them; the rows' contents are left for the
+        caller to write.  A label already stacked gives up its old
+        rows.  The rows of the labels after it shift in place, or, when
+        the buffers are too small, every row moves into buffers 1.5x
+        larger; each part whose rows moved is bound again."""
+        pos = int(np.searchsorted(self.labels, part.label))
+        if pos < len(self.labels) and self.labels[pos] == part.label:
+            self.parts[pos] = weakref.proxy(part)
+        else:
+            self.parts.insert(pos, weakref.proxy(part))
+            self.labels = np.insert(self.labels, pos, part.label)
+            self.sizes = np.insert(self.sizes, pos, 0)
+            self._chain_lengths = _frozen(
+                np.insert(self._chain_lengths, pos, _UNKNOWN))
+        start = int(self.sizes[:pos].sum())
+        old, new = int(self.sizes[pos]), part.num_groups
+        total = int(self.sizes.sum())
+        need = total - old + new
+        rows = len(self._buffers[0])
+        moved = range(pos + 1, len(self.parts))
+        if need > rows:
+            grown = tuple(np.empty((max(need, rows + rows // 2),)
+                                   + buf.shape[1:], dtype=buf.dtype)
+                          for buf in self._buffers)
+            for buf, into in zip(self._buffers, grown):
+                into[:start] = buf[:start]
+                into[start + new:need] = buf[start + old:total]
+            self._buffers = grown
+            moved = range(len(self.parts))
+        elif new != old:
+            for buf in self._buffers:
+                # A 1-D copy between overlapping ranges runs in place.
+                width = math.prod(buf.shape[1:])
+                flat = buf.reshape(-1)
+                flat[(start + new) * width:need * width] = \
+                    flat[(start + old) * width:total * width]
+        self.sizes[pos] = new
+        self._live()
+        part._bind(self, pos)
+        for p in moved:
+            if p != pos:
+                self.parts[p]._bind(self, p)
 
     def locate(self, pos: Array, keys: Array) -> Tuple[Array, Array, Array]:
         """Walk every ``(label position, key)`` pair's chain at once:
@@ -638,35 +712,48 @@ class GroupStack:
         """Longest overflow chain of every label (expected <= 1 +
         5log|V|/loglog|V|), as a read-only array.
 
-        All chains are walked at once: each step follows the GID column
-        for the chains still alive, so the step count is the longest
-        chain, not the sum of all of them.  The result is kept until
-        :meth:`PCSRPartition._commit_placement` writes a chain link, so
-        the layer is walked again only after a link or on a new stack
-        (a rebuilt or new label re-stacks); in between, every call
-        returns the same array.
+        Each label's length is kept: Algorithm 1 records it as it
+        builds the label, and only a chain link written since
+        (:meth:`PCSRPartition._commit_placement`) drops it.  The labels
+        without a kept length (after a link, or on a stack laid over an
+        attached publication) are walked at once, and the call returns
+        a new array; otherwise every call returns the same array.
         """
         lengths = self._chain_lengths
-        if lengths is None:
-            lengths = self._walk_chains()
-            lengths.setflags(write=False)
-            self._chain_lengths = lengths
+        unknown = np.flatnonzero(lengths == _UNKNOWN)
+        if unknown.size:
+            lengths = lengths.copy()
+            lengths[unknown] = self._walk_chains(unknown)
+            self._chain_lengths = lengths = _frozen(lengths)
         return lengths
 
-    def _walk_chains(self) -> Array:
-        """One walk of the GID column: every label's longest chain."""
+    def _keep_chain_length(self, pos: int, length: int) -> None:
+        """Keep ``length`` (or drop it, with ``_UNKNOWN``) as the
+        longest chain of the label at ``pos``."""
+        lengths = self._chain_lengths.copy()
+        lengths[pos] = length
+        self._chain_lengths = _frozen(lengths)
+
+    def _walk_chains(self, positions: Array) -> Array:
+        """One walk of the GID column over the rows of the labels at
+        ``positions``: each one's longest chain.  Each step follows the
+        GID column for the chains still alive, so the step count is the
+        longest chain, not the sum of all of them."""
         nxt = self.groups[:, self.gpn - 1, 0]
-        longest = np.ones(len(self.parts), dtype=np.int64)
-        alive = np.flatnonzero(nxt != _NO_OVERFLOW)
-        owner = np.searchsorted(self.base, alive, side="right") - 1
-        alive = self.base[owner] + nxt[alive]
+        base, sizes = self.base[positions], self.sizes[positions]
+        longest = np.ones(len(positions), dtype=np.int64)
+        rows = concat_ranges(base, sizes)
+        owner = np.repeat(np.arange(len(positions), dtype=np.int64), sizes)
+        more = nxt[rows] != _NO_OVERFLOW
+        owner = owner[more]
+        alive = base[owner] + nxt[rows[more]]
         steps = 1
         while alive.size:
             steps += 1
             longest[owner] = steps
             more = nxt[alive] != _NO_OVERFLOW
             owner = owner[more]
-            alive = self.base[owner] + nxt[alive[more]]
+            alive = base[owner] + nxt[alive[more]]
         return longest
 
     def apply(self, inserts: Array, deletes: Array,
@@ -901,17 +988,14 @@ class PCSRStorage(NeighborStore):
 
     def __init__(self, graph: LabeledGraph, gpn: int = 16) -> None:
         self.gpn = gpn
-        self._parts: Dict[int, PCSRPartition] = {}
-        # Every label is built straight into its rows of one layer.
+        # Every label is built straight into its rows of one layer,
+        # sized for all of them.
         partitions = sorted(partition_by_edge_label(graph).items())
-        sizes = [max(1, len(part.vertices)) for _, part in partitions]
-        groups = np.empty((sum(sizes), gpn, 2), dtype=np.int64)
-        base = 0
-        for (lab, part), size in zip(partitions, sizes):
-            self._parts[lab] = PCSRPartition(
-                part, gpn=gpn, groups=groups[base:base + size])
-            base += size
-        self._stack = GroupStack(self._parts.values(), gpn, groups=groups)
+        self._stack = GroupStack(gpn, rows=sum(
+            max(1, len(part.vertices)) for _, part in partitions))
+        self._parts: Dict[int, PCSRPartition] = {
+            lab: PCSRPartition(part, gpn=gpn, stack=self._stack)
+            for lab, part in partitions}
 
     def partition(self, label: int) -> Optional[PCSRPartition]:
         """The PCSR of one edge label, if any edges carry it."""
@@ -934,9 +1018,10 @@ class PCSRStorage(NeighborStore):
         """Aggregated PCSR health across partitions, plus per-label
         detail — the monitoring surface stream reports and the serve
         ``stats`` RPC expose.  The chain lengths come from
-        :meth:`GroupStack.chain_lengths`: one vectorized walk over the
-        stacked group layer, taken only after a chain link or a
-        re-stack, and read back unchanged otherwise."""
+        :meth:`GroupStack.chain_lengths`: kept per label from its
+        Algorithm-1 build, and walked only for a label that wrote a
+        chain link since (or for every label of an attached store, on
+        its first call)."""
         lengths = self._stack.chain_lengths().tolist()
         per_label = {part.label: part._stats(length)
                      for part, length in zip(self._stack.parts, lengths)}

@@ -62,10 +62,12 @@ Attached objects are rebuilt without ever shipping Python containers:
   worker-side: joins read arrays, and ``has_edge`` / ``edge_label``
   are order-insensitive.
 * ``PCSRStorage`` — ships its :class:`~repro.storage.pcsr.GroupStack`
-  (the stacked ``groups``, ``region_start`` and ``region_cap``) as one
-  block each and every label's live ci prefix back to back in a fourth,
-  whatever the number of edge labels; each partition is rebuilt as a
-  view of its rows and of its ci slice.  Keys per group are derived
+  (the live rows of the stacked ``groups``, ``region_start`` and
+  ``region_cap``, never a dynamic store's headroom) as one block each
+  and every label's live ci prefix back to back in a fourth, whatever
+  the number of edge labels; each partition is rebuilt as a view of its
+  rows and of its ci slice, and the attached stack walks the chains
+  the first time its health is read.  Keys per group are derived
   from the group layer (key slots fill contiguously from slot 0 — a
   ``validate()`` invariant) and each label's ``_empty_pool`` is exactly
   its zero-key groups (chain extension targets receive a key
@@ -105,7 +107,6 @@ from repro.storage.pcsr import (
     GroupStack,
     PCSRPartition,
     PCSRStorage,
-    _stacked,
 )
 
 if TYPE_CHECKING:  # runtime import stays inside attach_engine (the
@@ -366,7 +367,8 @@ def _publish_pcsr_blocks(store: PCSRStorage) -> PCSRStoreHandle:
         groups=_create_block(stack.groups),
         region_start=_create_block(stack.region_start),
         region_cap=_create_block(stack.region_cap),
-        ci=_create_block(_stacked([p.ci for p in stack.parts], ())))
+        ci=_create_block(np.concatenate(
+            [np.empty(0, dtype=np.int64)] + [p.ci for p in stack.parts])))
 
 
 def publish_engine(engine: GSIEngine, *, epoch: int
@@ -453,8 +455,8 @@ def attach_pcsr(handle: PCSRStoreHandle) -> PCSRStorage:
         word += ci_len
     store = object.__new__(PCSRStorage)
     store.gpn = handle.gpn
-    store._stack = GroupStack(parts, handle.gpn, groups=groups,
-                              per_group=(region_start, region_cap, kpg))
+    store._stack = GroupStack.over(
+        parts, handle.gpn, (groups, region_start, region_cap, kpg))
     store._parts = {p.label: p for p in parts}
     store._shm_refs = list(segs)
     return store

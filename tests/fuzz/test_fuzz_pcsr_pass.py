@@ -11,7 +11,10 @@ profile and several group sizes, after each batch, every label's
 :func:`oracle.partition_digest` (group layer, region arrays, empty-pool
 order, ci contents) and the batch's maintenance ``MeterSnapshot`` must
 equal the reference's, as must the rebuild, compaction and
-incremental-op counters.
+incremental-op counters.  The stacked layer is checked against the
+re-stack every rebuild once made: each part's arrays are views of its
+rows, and the live rows equal :func:`oracle.restack` of the reference
+partitions.
 """
 
 from __future__ import annotations
@@ -43,7 +46,13 @@ from repro.graph.partition import EdgeLabelPartition, partition_by_edge_label
 from repro.storage.pcsr import default_hash, hash_groups
 
 from fuzz_harness import PROFILES, _Shadow, generate_batch
-from oracle import partition_digest, scalar_chain_length
+from oracle import (
+    partition_digest,
+    reference_of_label,
+    restack,
+    scalar_chain_length,
+    stack_view_problems,
+)
 
 QUICK_SEEDS = (0, 1)
 LONG_SEEDS = list(range(int(os.environ.get("GSI_FUZZ_SEEDS", "0"))))
@@ -341,8 +350,7 @@ class ReferenceStore:
         self.events: Set[str] = set()
 
     def _rebuild(self, graph, lab: int) -> None:
-        part = ReferencePartition(EdgeLabelPartition.of_label(graph, lab),
-                                  self.gpn)
+        part = ReferencePartition(reference_of_label(graph, lab), self.gpn)
         self.parts[lab] = part
         self.rebuilds += 1
         self.meter.add_gld(contiguous_read(part.groups.size + len(part.ci)),
@@ -361,7 +369,7 @@ class ReferenceStore:
             part = self.parts.get(lab)
             if part is None:
                 part = ReferencePartition(
-                    EdgeLabelPartition.of_label(graph, lab), self.gpn)
+                    reference_of_label(graph, lab), self.gpn)
                 self.parts[lab] = part
                 self.meter.add_gst(contiguous_read(part.groups.size)
                                    + contiguous_read(len(part.ci)))
@@ -412,7 +420,16 @@ def replay(seed: int, profile: str, gpn: int, ratio: float,
                     for lab, p in ref.parts.items()}), where
         assert ((real.rebuilds, real.compactions, real.incremental_ops)
                 == (ref.rebuilds, ref.compactions, ref.incremental_ops)), where
-        # The kept chain lengths follow every link and re-stack.
+        # The layer is kept in place: every part reads its rows of the
+        # stack, and the live rows equal a fresh re-stack of the
+        # reference partitions.
+        assert stack_view_problems(real._stack) == [], where
+        for live, want in zip(
+                (real._stack.groups, real._stack.region_start,
+                 real._stack.region_cap, real._stack.keys_per_group),
+                restack([ref.parts[lab] for lab in sorted(ref.parts)])):
+            assert np.array_equal(live, want), where
+        # The kept chain lengths follow every link and rebuild.
         assert ({lab: s["max_chain_length"]
                  for lab, s in real.stats()["per_label"].items()}
                 == {lab: scalar_chain_length(p)

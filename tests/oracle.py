@@ -20,6 +20,7 @@ from repro.core.signature_table import ScanCost, SignatureTable
 from repro.gpusim.constants import CYCLES_PER_GLD, CYCLES_PER_OP, WARP_SIZE
 from repro.gpusim.transactions import strided_read
 from repro.graph.labeled_graph import GraphBuilder, LabeledGraph
+from repro.graph.partition import EdgeLabelPartition
 from repro.storage.pcsr import default_hash
 
 
@@ -136,6 +137,39 @@ def store_digest(store) -> Dict[str, str]:
             for lab, part in sorted(store._parts.items())}
 
 
+def restack(parts) -> Tuple[np.ndarray, ...]:
+    """The group layer re-stacked anew, as every rebuild once did:
+    ``parts``' group rows, region starts, region capacities and keys
+    per group, each concatenated in the given (label) order.  The
+    reference for the rows :class:`GroupStack` keeps in place (at
+    least one part)."""
+    return tuple(np.concatenate([getattr(p, name) for p in parts])
+                 for name in ("groups", "_region_start", "_region_cap",
+                              "_keys_per_group"))
+
+
+def stack_view_problems(stack) -> List[str]:
+    """Where a part's four arrays are not views of its stack's rows at
+    its base (empty when every part reads the stack in place)."""
+    problems = []
+    stacked = (stack.groups, stack.region_start, stack.region_cap,
+               stack.keys_per_group)
+    for pos, part in enumerate(stack.parts):
+        base, size = int(stack.base[pos]), int(stack.sizes[pos])
+        own = (part.groups, part._region_start, part._region_cap,
+               part._keys_per_group)
+        for name, mine, rows in zip(("groups", "region_start",
+                                     "region_cap", "keys_per_group"),
+                                    own, stacked):
+            at = rows[base:base + size]
+            if (mine.shape != at.shape
+                    or mine.__array_interface__["data"][0]
+                    != at.__array_interface__["data"][0]):
+                problems.append(f"label {part.label}: {name} is not a "
+                                f"view of rows {base}..{base + size}")
+    return problems
+
+
 def scalar_chain_length(part) -> int:
     """Longest overflow chain of one PCSR partition by walking every
     group's chain one GID at a time (the reference for the vectorized
@@ -170,6 +204,22 @@ def pcsr_probe(part, v: int) -> Tuple[int, int, int]:
                 return reads, begin, int(group[last, 1])
         gid = int(group[last, 0])
     return reads, -1, -1
+
+
+def reference_of_label(graph: LabeledGraph,
+                       label: int) -> EdgeLabelPartition:
+    """``P(graph, label)`` through the whole incidence, as
+    :meth:`EdgeLabelPartition.of_label` once read it: every entry's
+    source expanded, then the label's entries masked out and grouped
+    by source into the dict constructor.  The reference for
+    ``of_label``."""
+    offsets, nbr, elab = graph.incidence()
+    src = np.repeat(np.arange(graph.num_vertices, dtype=np.int64),
+                    np.diff(offsets))
+    mask = elab == label
+    src, dst = src[mask], nbr[mask]
+    return EdgeLabelPartition(label, {int(v): dst[src == v]
+                                      for v in np.unique(src).tolist()})
 
 
 def is_candidate(sig_v: np.ndarray, sig_u: np.ndarray) -> bool:

@@ -1,10 +1,13 @@
 """Tests for edge-label partitioning P(G, l)."""
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.labeled_graph import LabeledGraph
-from repro.graph.partition import partition_by_edge_label
+from repro.graph.partition import EdgeLabelPartition, partition_by_edge_label
+
+from oracle import reference_of_label
 
 
 class TestPartition:
@@ -65,3 +68,43 @@ def test_property_partitions_cover_graph_exactly(edge_list):
     # Total directed edges match.
     assert sum(p.num_directed_edges for p in parts.values()) \
         == 2 * g.num_edges
+
+
+@st.composite
+def spliced_graphs(draw):
+    """A committed snapshot: a base graph with 1-4 edge labels and
+    isolated vertices, spliced with up to 3 new vertices (with and
+    without edges), inserts and deletes.  Returns it with its label
+    count."""
+    n, new = draw(st.integers(1, 10)), draw(st.integers(0, 3))
+    labels = draw(st.integers(1, 4))
+    total = n + new
+    edges = draw(st.lists(st.tuples(
+        st.integers(0, total - 1), st.integers(0, total - 1),
+        st.integers(0, labels - 1)), max_size=40))
+    seen, base, inserted = set(), [], []
+    for u, v, lab in edges:
+        key = (min(u, v), max(u, v))
+        if u != v and key not in seen:
+            seen.add(key)
+            (base if max(u, v) < n else inserted).append((u, v, lab))
+    deleted = base[:draw(st.integers(0, len(base)))]
+    graph = LabeledGraph([0] * n, base)
+    return graph.apply_changes(inserted, deleted, [0] * new)[0], labels
+
+
+@settings(max_examples=80, deadline=None)
+@given(spliced_graphs())
+def test_property_of_label_equals_whole_incidence_read(drawn):
+    """``of_label`` reads one label straight from the CSR; it must
+    equal the whole-incidence read for every label, absent ones too."""
+    graph, labels = drawn
+    for lab in range(-1, labels + 1):
+        got = EdgeLabelPartition.of_label(graph, lab)
+        want = reference_of_label(graph, lab)
+        assert got.label == want.label == lab
+        for mine, ref in ((got.vertices, want.vertices),
+                          (got.offsets, want.offsets),
+                          (got.nbrs, want.nbrs)):
+            assert mine.dtype == ref.dtype
+            assert np.array_equal(mine, ref)

@@ -93,6 +93,55 @@ class TestKeptChainLengths:
         grow(part, filling, 0)
         assert stack.chain_lengths() is linked
 
+    def test_only_a_linked_label_is_walked(self, monkeypatch):
+        """Algorithm 1 records each label's longest chain, so neither a
+        store's first ``stats()`` nor a rebuild walks any label; a
+        chain link drops only its own label's length."""
+        walked = []
+        walk = GroupStack._walk_chains
+
+        def counted(stack, positions):
+            walked.append(stack.labels[positions].tolist())
+            return walk(stack, positions)
+
+        monkeypatch.setattr(GroupStack, "_walk_chains", counted)
+
+        def kept_lengths_exact(store):
+            assert {lab: s["max_chain_length"]
+                    for lab, s in store.stats()["per_label"].items()} \
+                == {lab: scalar_chain_length(p)
+                    for lab, p in store._parts.items()}
+
+        graph = scale_free_graph(60, 3, 1, 3, seed=3)
+        store = DynamicPCSRStorage(graph, gpn=3)
+        kept_lengths_exact(store)
+        assert walked == []
+
+        # A new key whose home chain is full links a group to it.
+        lab = 1
+        part = store.partition(lab)
+        n = graph.num_vertices
+        v = next(v for v in range(n, n + 20000)
+                 if part._place_new_keys([v])[1])
+        key = next(part.items())[0]
+        graph, _ = graph.apply_changes([(key, v, lab)], (),
+                                       [0] * (v + 1 - n))
+        store.apply_batch(graph, [(key, v, lab)], ())
+        assert store.rebuilds == 0
+        kept_lengths_exact(store)
+        assert walked == [[lab]]
+
+        # New keys past the occupancy bound rebuild label 2.
+        n = graph.num_vertices
+        fresh = store.partition(2).num_groups
+        inserted = [(n + 2 * i, n + 2 * i + 1, 2) for i in range(fresh)]
+        graph, _ = graph.apply_changes(inserted, (), [0] * (2 * fresh))
+        rebuilds = store.rebuilds
+        store.apply_batch(graph, inserted, ())
+        assert store.rebuilds == rebuilds + 1
+        kept_lengths_exact(store)
+        assert walked == [[lab]]
+
 
 class TestCompaction:
     def make_dirty(self):

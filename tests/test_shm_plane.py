@@ -19,11 +19,14 @@ import pytest
 
 from repro.core.config import GSIConfig
 from repro.core.engine import GSIEngine
+from repro.dynamic.index import DynamicPCSRStorage
 from repro.graph.generators import random_walk_query, scale_free_graph
+from repro.obs.metrics import get_registry
 from repro.service import BatchEngine, make_executor
 from repro.service.executors import START_METHOD_ENV, ProcessExecutor
 from repro.shard import ShardedEngine, ShardedGraph
 from repro.storage import shm
+from repro.storage.pcsr import PCSRStorage
 from repro.storage.shm import StaleHandleError
 
 
@@ -254,6 +257,96 @@ class TestExecutorAttachPaths:
                 [r.match_set() for r in serial.results]
             service.close()
         assert not (set(shm.owned_segment_names()) - segment_baseline)
+
+
+def _worker_engine_keys(_shared, _payload):
+    """The ``(epoch, ordinal)`` keys of a worker's attached engines."""
+    from repro.service import executors
+
+    return sorted(executors._WORKER_ENGINES)
+
+
+class TestRepublication:
+    def test_republication_takes_a_fresh_epoch(self, segment_baseline):
+        """After ``close()`` the next process batch republishes under a
+        new epoch: the worker misses its cache, attaches the live
+        segments and evicts the retired engine, and the first
+        publication's handles are stale."""
+        graph = scale_free_graph(60, 3, 4, 3, seed=20)
+        config = GSIConfig.gsi_opt()
+        queries = [random_walk_query(graph, 3, seed=s)
+                   for s in range(2)]
+        serial = BatchEngine(graph, config).run_batch(queries)
+        with ProcessExecutor(max_workers=1) as executor, \
+                BatchEngine(graph, config, executor=executor) as service:
+            service.run_batch(queries)
+            first = service._fanout.context(executor)
+            assert executor.map_tasks(_worker_engine_keys, [0]) \
+                == [[(first.epoch, 0)]]
+            service.close()
+            again = service.run_batch(queries)
+            second = service._fanout.context(executor)
+            assert second.epoch > first.epoch
+            assert executor.map_tasks(_worker_engine_keys, [0]) \
+                == [[(second.epoch, 0)]]
+            with pytest.raises(StaleHandleError):
+                shm.attach_engine(first.handles[0], first.config)
+            assert [r.match_set() for r in again.results] == \
+                [r.match_set() for r in serial.results]
+            assert [r.elapsed_ms for r in again.results] == \
+                [r.elapsed_ms for r in serial.results]
+
+
+# ----------------------------------------------------------------------
+# A dynamic store publishes its live rows only
+# ----------------------------------------------------------------------
+
+class TestDynamicStorePublication:
+    def test_in_place_rebuild_ships_only_live_rows(self, segment_baseline):
+        """After an in-place rebuild the group layer has headroom; a
+        publication ships only the live rows, as many bytes as the
+        exact-size store attached from it, and that store gathers and
+        reports health exactly like the original."""
+        graph = scale_free_graph(200, 3, 4, 3, seed=22)
+        store = DynamicPCSRStorage(graph)
+        # New keys just past the occupancy bound rebuild label 0, which
+        # outgrows the exact-size layer: it grows 1.5x.
+        part, n = store.partition(0), graph.num_vertices
+        key, fresh = next(part.items())[0], part.num_groups // 2 + 1
+        inserted = [(key, n + i, 0) for i in range(fresh)]
+        graph, _ = graph.apply_changes(inserted, (), [0] * fresh)
+        store.apply_batch(graph, inserted, ())
+        stack = store._stack
+        assert store.rebuilds == 1
+        assert len(stack._buffers[0]) > len(stack.groups)
+        live_bytes = (stack.groups.nbytes + stack.region_start.nbytes
+                      + stack.region_cap.nbytes
+                      + sum(p.ci.nbytes for p in store._parts.values()))
+
+        def published(target):
+            counter = get_registry().counter(
+                "gsi_shm_published_bytes_total")
+            before = counter.value()
+            handle = shm._publish_pcsr_blocks(target)
+            return handle, counter.value() - before
+
+        handle, shipped = published(store)
+        with shm.BlockLease(handle.names):
+            attached = shm.attach_pcsr(handle)
+            twin, twin_bytes = published(attached)
+            shm.BlockLease(twin.names).release()
+            assert shipped == twin_bytes == live_bytes
+            assert all(len(buf) == len(attached._stack.groups)
+                       for buf in attached._stack._buffers)
+            assert attached.stats() == dict(PCSRStorage.stats(store),
+                                            kind="pcsr")
+            everyone = np.arange(graph.num_vertices)
+            for lab in graph.distinct_edge_labels():
+                mine, ref = attached.gather(everyone, lab), \
+                    store.gather(everyone, lab)
+                for field in ref._fields:
+                    assert np.array_equal(getattr(mine, field),
+                                          getattr(ref, field)), field
 
 
 # ----------------------------------------------------------------------
