@@ -20,50 +20,80 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
+from repro.arraytypes import Array
 from repro.dynamic.delta import GraphDelta
 from repro.errors import GraphError
 from repro.gpusim.constants import LABEL_COMMIT_PATCH
 from repro.gpusim.meter import MemoryMeter
 from repro.gpusim.transactions import contiguous_read
-from repro.graph.labeled_graph import CSRPatchStats, Edge, LabeledGraph
+from repro.graph.labeled_graph import (
+    CSRPatchStats,
+    Edge,
+    LabeledGraph,
+    sorted_unique,
+)
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
 
+def _no_edges() -> Array:
+    return np.empty((0, 3), dtype=np.int64)
+
+
+def _edge_array(pairs: Dict[Tuple[int, int], int]) -> Array:
+    """``pairs`` as ``(u, v, label)`` rows sorted by pair."""
+    return np.array(sorted((u, v, lab) for (u, v), lab in pairs.items()),
+                    dtype=np.int64).reshape(-1, 3)
+
+
 @dataclass
 class CommitResult:
-    """Net effect of one :meth:`DynamicGraph.commit`.
+    """Net effect of one :meth:`DynamicGraph.commit`, as arrays.
 
-    ``inserted_edges`` / ``deleted_edges`` are *net* against the
-    previous snapshot: an edge deleted and re-added with the same label
-    inside the window appears in neither; a relabel appears in both
-    (delete old label, insert new).
+    ``inserted`` / ``deleted`` are ``(k, 3)`` int64 rows ``(u, v,
+    label)`` with ``u < v``, sorted by pair, *net* against the previous
+    snapshot: an edge deleted and re-added with the same label inside
+    the window appears in neither; a relabel appears in both (delete
+    old label, insert new).  ``touched`` holds, sorted, every vertex
+    whose adjacency (hence signature) changed, new vertices included.
+    Every maintenance stage reads these arrays; ``inserted_edges``,
+    ``deleted_edges`` and ``touched_vertices`` derive the tuple and set
+    forms from them.
     """
 
     snapshot: LabeledGraph
-    inserted_edges: List[Edge] = field(default_factory=list)
-    deleted_edges: List[Edge] = field(default_factory=list)
+    inserted: Array = field(default_factory=_no_edges)
+    deleted: Array = field(default_factory=_no_edges)
     new_vertices: List[int] = field(default_factory=list)
+    touched: Array = field(default_factory=lambda: _EMPTY)
     #: CSR-splice accounting for this commit (zero rows == no-op commit)
     patch_stats: CSRPatchStats = field(default_factory=CSRPatchStats)
     #: simulated transactions the commit itself cost (O(changes))
     commit_transactions: int = 0
 
     @property
+    def inserted_edges(self) -> List[Edge]:
+        return [tuple(row) for row in self.inserted.tolist()]
+
+    @property
+    def deleted_edges(self) -> List[Edge]:
+        return [tuple(row) for row in self.deleted.tolist()]
+
+    @property
     def touched_vertices(self) -> Set[int]:
         """Vertices whose adjacency (hence signature) changed."""
-        touched: Set[int] = set(self.new_vertices)
-        for u, v, _ in self.inserted_edges:
-            touched.add(u)
-            touched.add(v)
-        for u, v, _ in self.deleted_edges:
-            touched.add(u)
-            touched.add(v)
-        return touched
+        return set(self.touched.tolist())
 
 
 class DynamicGraph:
-    """Mutable graph = base snapshot + overlay of pending updates."""
+    """Mutable graph = base snapshot + overlay of pending updates.
+
+    The overlay is two maps keyed by ``(min, max)`` pair: the edges
+    added and the base edges removed, each with its label.  The
+    per-vertex view that :meth:`neighbors_by_label` and
+    ``remove_vertex`` read is built from them on the first read after a
+    mutation, so applying ops keeps only the two maps current.
+    """
 
     def __init__(self, base: LabeledGraph,
                  meter: Optional[MemoryMeter] = None) -> None:
@@ -71,12 +101,12 @@ class DynamicGraph:
         #: records commit-path transactions (labeled ``commit_patch``)
         self.meter = meter
         self._extra_labels: List[int] = []
-        # Net overlay vs. the base snapshot, keyed by (min, max) pair.
         self._added: Dict[Tuple[int, int], int] = {}
-        self._removed: Set[Tuple[int, int]] = set()
-        # Per-vertex overlay adjacency for fast reads.
-        self._adj_add: Dict[int, Dict[int, int]] = {}
-        self._adj_rem: Dict[int, Set[int]] = {}
+        self._removed: Dict[Tuple[int, int], int] = {}
+        #: ``(added, removed)`` by vertex, ``None`` until read after a
+        #: mutation (:meth:`_by_vertex`)
+        self._vertex_view: Optional[Tuple[Dict[int, Dict[int, int]],
+                                          Dict[int, Set[int]]]] = None
 
     # ------------------------------------------------------------------
     # Read API (the LabeledGraph subset engines and tests need)
@@ -123,8 +153,9 @@ class DynamicGraph:
         """``N(v, l)`` through the overlay, sorted."""
         base = (self._base.neighbors_by_label(v, label)
                 if v < self._base.num_vertices else _EMPTY)
-        removed = self._adj_rem.get(v)
-        added = self._adj_add.get(v)
+        by_added, by_removed = self._by_vertex()
+        removed = by_removed.get(v)
+        added = by_added.get(v)
         if not removed and not added:
             return base
         keep = ([int(w) for w in base if int(w) not in removed]
@@ -147,21 +178,26 @@ class DynamicGraph:
         return len(self._added) + len(self._removed) + \
             len(self._extra_labels)
 
+    def _by_vertex(self) -> Tuple[Dict[int, Dict[int, int]],
+                                  Dict[int, Set[int]]]:
+        """The overlay by vertex: ``added[v]`` maps each neighbor over
+        an added edge to its label, ``removed[v]`` holds the neighbors
+        over removed edges.  Built on the first read after a mutation."""
+        if self._vertex_view is None:
+            added: Dict[int, Dict[int, int]] = {}
+            removed: Dict[int, Set[int]] = {}
+            for (u, v), lab in self._added.items():
+                added.setdefault(u, {})[v] = lab
+                added.setdefault(v, {})[u] = lab
+            for u, v in self._removed:
+                removed.setdefault(u, set()).add(v)
+                removed.setdefault(v, set()).add(u)
+            self._vertex_view = (added, removed)
+        return self._vertex_view
+
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-
-    def _record_add(self, u: int, v: int, label: int) -> None:
-        self._adj_add.setdefault(u, {})[v] = label
-        self._adj_add.setdefault(v, {})[u] = label
-
-    def _unrecord_add(self, u: int, v: int) -> None:
-        for a, b in ((u, v), (v, u)):
-            nbrs = self._adj_add.get(a)
-            if nbrs is not None:
-                nbrs.pop(b, None)
-                if not nbrs:
-                    del self._adj_add[a]
 
     def apply(self, delta: GraphDelta) -> None:
         """Apply one update batch to the overlay, in operation order.
@@ -189,31 +225,22 @@ class DynamicGraph:
                         f"edge ({u}, {v}) already exists; remove it "
                         f"first to relabel")
                 key = (u, v) if u < v else (v, u)
-                if key in self._removed and \
-                        self._base.edge_label(*key) == lab:
+                self._vertex_view = None
+                if self._removed.get(key) == lab:
                     # Net no-op: deletion and re-insertion cancel.
-                    self._removed.discard(key)
-                    rem_u = self._adj_rem.get(key[0])
-                    rem_v = self._adj_rem.get(key[1])
-                    if rem_u:
-                        rem_u.discard(key[1])
-                    if rem_v:
-                        rem_v.discard(key[0])
+                    del self._removed[key]
                 else:
                     self._added[key] = lab
-                    self._record_add(key[0], key[1], lab)
             elif kind == "remove_edge":
                 _, u, v = op
                 if not self.has_edge(u, v):
                     raise GraphError(f"no edge between {u} and {v}")
                 key = (u, v) if u < v else (v, u)
+                self._vertex_view = None
                 if key in self._added:
                     del self._added[key]
-                    self._unrecord_add(*key)
                 else:
-                    self._removed.add(key)
-                    self._adj_rem.setdefault(key[0], set()).add(key[1])
-                    self._adj_rem.setdefault(key[1], set()).add(key[0])
+                    self._removed[key] = self._base.edge_label(*key)
             elif kind == "remove_vertex":
                 v = op[1]
                 if not 0 <= v < self.num_vertices:
@@ -233,15 +260,14 @@ class DynamicGraph:
         reads see the base snapshot."""
         self._extra_labels = []
         self._added = {}
-        self._removed = set()
-        self._adj_add = {}
-        self._adj_rem = {}
+        self._removed = {}
+        self._vertex_view = None
 
     def _incident_labels(self, v: int) -> List[int]:
         labels: Set[int] = set()
         if v < self._base.num_vertices:
             labels.update(int(x) for x in self._base.incident_labels(v))
-        added = self._adj_add.get(v)
+        added = self._by_vertex()[0].get(v)
         if added:
             labels.update(added.values())
         return sorted(labels)
@@ -254,21 +280,32 @@ class DynamicGraph:
         """Freeze the overlay into a fresh snapshot and reset it.
 
         Returns the new snapshot plus the net change set since the last
-        commit; the overlay then tracks the new snapshot.  The snapshot
-        is produced by :meth:`LabeledGraph.apply_changes` — a CSR splice
-        of the touched rows only — so a commit costs O(changes), not
-        O(|E|); an empty overlay returns the base snapshot unchanged.
-        Commit transactions are recorded into ``self.meter`` (when set)
-        under the label ``commit_patch`` and reported on the result.
-        """
-        base = self._base
-        deleted = [(u, v, base.edge_label(u, v))
-                   for (u, v) in sorted(self._removed)]
-        inserted = [(u, v, lab)
-                    for (u, v), lab in sorted(self._added.items())]
-        new_vertices = list(range(base.num_vertices, self.num_vertices))
+        commit, as arrays; the overlay then tracks the new snapshot.
+        The snapshot is produced by :meth:`LabeledGraph.apply_changes`
+        — a CSR splice of the touched rows only — so a commit costs
+        O(changes), not O(|E|); an empty overlay returns the base
+        snapshot unchanged.  Commit transactions are recorded into
+        ``self.meter`` (when set) under the label ``commit_patch`` and
+        reported on the result.
 
-        if not (inserted or deleted or self._extra_labels):
+        All or nothing: on any exception before it returns, the
+        overlay is discarded and the base snapshot stays current, so no
+        op of a failed commit leaks into the next one.
+        """
+        try:
+            result = self._splice()
+        except BaseException:
+            self.discard_pending()
+            raise
+        self._base = result.snapshot
+        self.discard_pending()
+        return result
+
+    def _splice(self) -> CommitResult:
+        base = self._base
+        inserted = _edge_array(self._added)
+        deleted = _edge_array(self._removed)
+        if not (len(inserted) or len(deleted) or self._extra_labels):
             return CommitResult(snapshot=base)
         snapshot, stats = base.apply_changes(inserted, deleted,
                                              self._extra_labels)
@@ -280,14 +317,15 @@ class DynamicGraph:
         if self.meter is not None:
             self.meter.add_gld(gld, label=LABEL_COMMIT_PATCH)
             self.meter.add_gst(gst)
-
-        self._base = snapshot
-        self.discard_pending()
-        return CommitResult(snapshot=snapshot, inserted_edges=inserted,
-                            deleted_edges=deleted,
-                            new_vertices=new_vertices,
-                            patch_stats=stats,
-                            commit_transactions=gld + gst)
+        new_vertices = np.arange(base.num_vertices, snapshot.num_vertices,
+                                 dtype=np.int64)
+        return CommitResult(
+            snapshot=snapshot, inserted=inserted, deleted=deleted,
+            new_vertices=new_vertices.tolist(),
+            touched=sorted_unique(np.concatenate(
+                (inserted[:, :2].ravel(), deleted[:, :2].ravel(),
+                 new_vertices))),
+            patch_stats=stats, commit_transactions=gld + gst)
 
 
 def full_commit_transactions(graph: LabeledGraph) -> int:

@@ -38,7 +38,12 @@ from repro.errors import StorageError
 from repro.gpusim.constants import LABEL_PCSR_REBUILD, LABEL_SIG_MAINTAIN
 from repro.gpusim.meter import MemoryMeter
 from repro.gpusim.transactions import contiguous_read, contiguous_reads
-from repro.graph.labeled_graph import Edge, LabeledGraph
+from repro.graph.labeled_graph import (
+    Edge,
+    LabeledGraph,
+    edge_rows,
+    sorted_unique,
+)
 from repro.graph.partition import EdgeLabelPartition
 from repro.storage.pcsr import PCSRPartition, PCSRStorage
 
@@ -88,7 +93,9 @@ class DynamicSignatureTable:
 
     def apply(self, graph: LabeledGraph,
               touched_vertices: Iterable[int]) -> int:
-        """Re-encode ``touched_vertices`` rows against ``graph``.
+        """Re-encode ``touched_vertices`` rows (an array, as
+        :attr:`CommitResult.touched`, or any iterable; repeats count
+        once) against ``graph``.
 
         Grows the table first when ``graph`` has new vertices.  Returns
         the number of rows written.
@@ -104,7 +111,9 @@ class DynamicSignatureTable:
                 self._buf = buf
             inner.table = self._buf[:n]
             inner.num_vertices = n
-        verts = np.unique(np.fromiter(touched_vertices, dtype=np.int64))
+        verts = sorted_unique(
+            touched_vertices if isinstance(touched_vertices, np.ndarray)
+            else np.fromiter(touched_vertices, dtype=np.int64))
         rows = len(verts)
         if rows:
             inner.table[verts] = encode_rows(graph, verts, self.signature_bits)
@@ -122,9 +131,9 @@ class DynamicSignatureTable:
 
 
 def _directed(edges: Iterable[Edge]) -> np.ndarray:
-    """``(u, v, label)`` edges as ``(key, neighbor, label)`` rows, both
-    orientations of each edge."""
-    arr = np.array(list(edges), dtype=np.int64).reshape(-1, 3)
+    """``(u, v, label)`` edges (an array, or triples) as ``(key,
+    neighbor, label)`` rows, both orientations of each edge."""
+    arr = edge_rows(edges)
     return np.concatenate((arr, arr[:, [1, 0, 2]]))
 
 
@@ -134,10 +143,14 @@ class DynamicPCSRStorage(PCSRStorage):
     The read path (``N(v, l)``, transaction accounting) is inherited
     from :class:`~repro.storage.pcsr.PCSRStorage` unchanged — a
     :class:`~repro.core.engine.GSIEngine` joins straight out of this
-    store; what this subclass adds is the update path.
+    store; what this subclass adds is the update path.  Its group layer
+    starts with the headroom one growth step leaves (1.5x the rows
+    built), so rebuilt and new labels fit in place until the layer
+    has grown by half.
     """
 
     kind = "dynamic-pcsr"
+    _grows_in_place = True
 
     def __init__(self, graph: LabeledGraph, gpn: int = 16,
                  compact_dead_ratio: float = DEFAULT_COMPACT_DEAD_RATIO,
@@ -183,7 +196,10 @@ class DynamicPCSRStorage(PCSRStorage):
         """Apply one committed batch in one maintenance pass.
 
         ``graph`` is the committed snapshot: this store with the batch
-        applied.  The batch's directed ``(key, neighbor, label)``
+        applied.  ``inserted_edges`` / ``deleted_edges`` are ``(u, v,
+        label)`` rows: the commit's ``(k, 3)`` arrays
+        (:class:`~repro.dynamic.graph.CommitResult`), or any iterables
+        of triples.  The batch's directed ``(key, neighbor, label)``
         entries for every partitioned label go through one
         :meth:`~repro.storage.pcsr.GroupStack.apply` — one chain walk
         over all touched (label, key) pairs, one merge + rewrite of the
@@ -274,9 +290,9 @@ class DynamicIndex:
         """Maintain every artifact for one committed batch: PCSR
         in one maintenance pass over every edge label, then the touched
         signature rows."""
-        self.storage.apply_batch(commit.snapshot, commit.inserted_edges,
-                                 commit.deleted_edges)
-        self.signatures.apply(commit.snapshot, commit.touched_vertices)
+        self.storage.apply_batch(commit.snapshot, commit.inserted,
+                                 commit.deleted)
+        self.signatures.apply(commit.snapshot, commit.touched)
 
     @property
     def rebuilds(self) -> int:

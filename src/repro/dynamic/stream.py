@@ -46,6 +46,16 @@ Registration seeds the live set with one full match; a seeding match
 that exhausts ``GSIConfig.budget_ms`` or ``max_intermediate_rows``
 raises :class:`~repro.errors.BudgetExceeded` and registers nothing,
 because every later delta would build on its empty, wrong base.
+
+A batch is all or nothing.  One that fails before its commit returns
+(an invalid op, or any exception inside the commit) leaves the engine
+as it was, with the overlay discarded.  One that fails after it (PCSR
+pass, rebuild, compaction, signature rows, health stats, seed pass or
+a query's delta), ``MemoryError`` and ``KeyboardInterrupt`` included,
+marks the engine failed: every later :meth:`StreamEngine.apply_batch`,
+``match``, ``register``, ``unregister``, ``matches`` and
+``initial_result`` raises :class:`~repro.errors.StreamStateError`
+naming that batch, instead of serving a mix of old and new state.
 """
 
 from __future__ import annotations
@@ -63,10 +73,10 @@ from repro.core.signature import encode_vertex, pack_tail
 from repro.dynamic.delta import GraphDelta
 from repro.dynamic.graph import CommitResult, DynamicGraph
 from repro.dynamic.index import DEFAULT_COMPACT_DEAD_RATIO, DynamicIndex
-from repro.errors import BudgetExceeded, GraphError
+from repro.errors import BudgetExceeded, GraphError, StreamStateError
 from repro.gpusim.constants import LABEL_DELTA_SEED
 from repro.gpusim.meter import MeterSnapshot
-from repro.graph.labeled_graph import LabeledGraph
+from repro.graph.labeled_graph import LabeledGraph, sorted_unique
 from repro.obs.metrics import get_registry
 from repro.obs.trace import Span, get_tracer
 from repro.service.plan_cache import PlanCache
@@ -477,6 +487,9 @@ class StreamEngine:
         # only ever raise, never silently read another query's matches.
         self._next_query_id = 0
         self.batches_applied = 0
+        #: why every call now raises, once a batch failed after its
+        #: commit; ``None`` while the engine is usable
+        self._failure: Optional[str] = None
 
     # ------------------------------------------------------------------
     # Query management
@@ -487,8 +500,15 @@ class StreamEngine:
         """The current committed snapshot."""
         return self.dynamic.base
 
+    def _check_usable(self) -> None:
+        """Raise :class:`StreamStateError` once a batch has failed after
+        its commit."""
+        if self._failure is not None:
+            raise StreamStateError(self._failure)
+
     def match(self, query: LabeledGraph) -> MatchResult:
         """Ad-hoc query against the current snapshot (plan-cached)."""
+        self._check_usable()
         prepared = self.engine.prepare(query, plan_cache=self.plan_cache)
         return self.engine.execute(prepared)
 
@@ -520,6 +540,7 @@ class StreamEngine:
         return qid
 
     def _registered_or_raise(self, query_id: int) -> _Registered:
+        self._check_usable()
         reg = self._registered.get(query_id)
         if reg is None:
             raise KeyError(
@@ -559,17 +580,41 @@ class StreamEngine:
 
     def apply_batch(self, delta: GraphDelta) -> StreamBatchReport:
         """Apply one update batch end to end (see module docstring)."""
+        self._check_usable()
+        batch = self.batches_applied
         with get_tracer().span("stream.apply_batch",
-                               batch_index=self.batches_applied) as span:
-            report = self._apply_batch_inner(delta, span)
-            span.set_attribute("created", report.total_created)
-            span.set_attribute("destroyed", report.total_destroyed)
-            if span.trace_id:
-                # the simulated cost charged inside this span
-                span.set_attribute("commit_tx", report.commit_transactions)
-                span.set_attribute("maintain_gld", report.maintenance.gld)
-                span.set_attribute("maintain_gst", report.maintenance.gst)
-        self._record_stream_metrics(report)
+                               batch_index=batch) as span:
+            t0 = time.perf_counter()
+            try:
+                self.dynamic.apply(delta)
+            except BaseException:
+                # A rejected batch changes nothing: drop the ops applied
+                # before the one that raised.
+                self.dynamic.discard_pending()
+                raise
+            # A failed commit discards the overlay itself.
+            commit = self.dynamic.commit()
+            try:
+                report = self._maintain(commit, span, t0)
+                span.set_attribute("created", report.total_created)
+                span.set_attribute("destroyed", report.total_destroyed)
+                if span.trace_id:
+                    # the simulated cost charged inside this span
+                    span.set_attribute("commit_tx",
+                                       report.commit_transactions)
+                    span.set_attribute("maintain_gld",
+                                       report.maintenance.gld)
+                    span.set_attribute("maintain_gst",
+                                       report.maintenance.gst)
+                self._record_stream_metrics(report)
+            except BaseException as exc:
+                self._failure = (
+                    f"stream batch {batch} failed after its commit "
+                    f"({exc!r}); the engine's artifacts may be only "
+                    f"partly maintained, so it serves nothing more: "
+                    f"build a new StreamEngine")
+                raise
+        self.batches_applied += 1
         return report
 
     @staticmethod
@@ -591,19 +636,12 @@ class StreamEngine:
         if report.num_deleted:
             edges.inc(float(report.num_deleted), kind="delete")
 
-    def _apply_batch_inner(self, delta: GraphDelta,
-                           span: Span) -> StreamBatchReport:
-        t0 = time.perf_counter()
-        old_snapshot = self.dynamic.base
-        try:
-            self.dynamic.apply(delta)
-        except Exception:
-            # A rejected batch changes nothing: drop the ops applied
-            # before the one that raised.
-            self.dynamic.discard_pending()
-            raise
-        commit = self.dynamic.commit()
-
+    def _maintain(self, commit: CommitResult, span: Span,
+                  t0: float) -> StreamBatchReport:
+        """Everything after the commit: artifacts, plan invalidation and
+        every registered query's delta (``t0`` started the batch)."""
+        # The engine still serves the snapshot before this batch.
+        old_snapshot = self.engine.graph
         meter_before = self.index.meter.snapshot()
         rebuilds_before = self.index.rebuilds
         compactions_before = self.index.compactions
@@ -625,8 +663,8 @@ class StreamEngine:
 
         report = StreamBatchReport(
             batch_index=self.batches_applied,
-            num_inserted=len(commit.inserted_edges),
-            num_deleted=len(commit.deleted_edges),
+            num_inserted=len(commit.inserted),
+            num_deleted=len(commit.deleted),
             num_new_vertices=len(commit.new_vertices),
             maintenance=maintenance,
             rebuilds=self.index.rebuilds - rebuilds_before,
@@ -644,7 +682,6 @@ class StreamEngine:
             outcome.num_matches = len(reg.matches)
             report.query_deltas[qid] = outcome
         report.wall_ms = (time.perf_counter() - t0) * 1000.0
-        self.batches_applied += 1
         return report
 
     def close(self) -> None:
@@ -666,9 +703,8 @@ class StreamEngine:
         scale with the change set, not with the number of registered
         queries.
         """
-        inserted = np.array(commit.inserted_edges,
-                            dtype=np.int64).reshape(-1, 3)
-        endpoints = len(np.unique(inserted[:, :2]))
+        inserted = commit.inserted
+        endpoints = len(sorted_unique(inserted[:, :2].ravel()))
         if endpoints:
             per_row = self.index.signatures.row_transactions()
             self.index.meter.add_gld(per_row * endpoints,
@@ -683,8 +719,9 @@ class StreamEngine:
         seeds = (_seed_pass(self._seed_rows, inserted,
                             snapshot.vertex_labels, table)
                  if len(inserted) else {})
+        dead = commit.deleted
         return _BatchSeed(snapshot=snapshot, vertex_labels=labels,
                           new_vertices=tuple(commit.new_vertices),
-                          dead_pairs={(u, v) for u, v, _
-                                      in commit.deleted_edges},
+                          dead_pairs=set(zip(dead[:, 0].tolist(),
+                                             dead[:, 1].tolist())),
                           seeds=seeds, packed=_PackedRows(table))

@@ -36,3 +36,9 @@ class BudgetExceeded(ReproError):
     ``StreamEngine.register``'s seeding match times out (an empty
     timed-out result must not become a continuous query's live set).
     """
+
+
+class StreamStateError(ReproError):
+    """A stream engine refused a call because an earlier update batch
+    failed after its commit: its artifacts may be only partly
+    maintained, so it serves nothing more (build a new engine)."""

@@ -26,6 +26,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -51,6 +52,37 @@ def concat_ranges(starts: Array, lengths: Array) -> Array:
         return np.empty(0, dtype=np.int64)
     skip = np.cumsum(lengths) - lengths - starts
     return np.arange(total, dtype=np.int64) - np.repeat(skip, lengths)
+
+
+def sorted_lookup(haystack: Array, codes: Array) -> Tuple[Array, Array]:
+    """Where each of ``codes`` sits in the sorted ``haystack``: its
+    insertion point, and whether it is already there."""
+    pos = np.searchsorted(haystack, codes)
+    if not len(haystack):
+        return pos, np.zeros(len(codes), dtype=bool)
+    return pos, haystack[np.minimum(pos, len(haystack) - 1)] == codes
+
+
+def sorted_unique(values: Array) -> Array:
+    """The sorted distinct values of a 1-D array: ``np.unique`` without
+    its fixed cost, which dominates on the small arrays of one update
+    batch."""
+    values = np.sort(values)
+    keep = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
+def edge_rows(edges: Iterable[Edge]) -> Array:
+    """``(u, v, label)`` triples as a ``(k, 3)`` int64 array; an int64
+    array passes through without a copy."""
+    rows = np.asarray(edges if isinstance(edges, np.ndarray)
+                      else list(edges), dtype=np.int64)
+    if rows.size == 0:
+        return rows.reshape(0, 3)
+    if rows.ndim != 2 or rows.shape[1] != 3:
+        raise GraphError("edges must be (u, v, label) triples")
+    return rows
 
 
 @dataclass(frozen=True)
@@ -98,17 +130,7 @@ class LabeledGraph:
             raise GraphError("vertex_labels must be one-dimensional")
         n = int(self._vlabels.shape[0])
 
-        if isinstance(edges, np.ndarray):
-            edge_arr = np.asarray(edges, dtype=np.int64)
-        else:
-            edge_list = list(edges)
-            edge_arr = (np.asarray(edge_list, dtype=np.int64) if edge_list
-                        else np.empty((0, 3), dtype=np.int64))
-        if edge_arr.size == 0:
-            edge_arr = edge_arr.reshape(0, 3)
-        if edge_arr.ndim != 2 or edge_arr.shape[1] != 3:
-            raise GraphError("edges must be (u, v, label) triples")
-
+        edge_arr = edge_rows(edges)
         eu, ev, elab = edge_arr[:, 0], edge_arr[:, 1], edge_arr[:, 2]
         bad = (eu < 0) | (eu >= n) | (ev < 0) | (ev >= n)
         if bad.any():
@@ -336,14 +358,16 @@ class LabeledGraph:
         """New graph = this graph plus a *net* change set, by CSR splice.
 
         ``inserted`` and ``deleted`` are ``(u, v, label)`` triples net
-        against this graph (a relabel appears in both).  Only the rows
-        of touched vertices are re-derived — filtered, merged and
-        re-sorted by ``(edge_label, neighbor)`` — in whole-batch array
-        passes: one gather of the touched rows, one pair-code filter of
-        the deleted entries and one stable-sort merge of the inserted
-        ones;
-        the untouched rows move into the new arrays with one masked
-        copy.  The simulated work and the returned
+        against this graph (a relabel appears in both): ``(k, 3)`` int64
+        arrays, as :meth:`repro.dynamic.graph.DynamicGraph.commit` passes
+        them, or any iterables of triples.  Only the rows of touched
+        vertices are re-derived, in whole-batch array passes: one gather
+        of the touched rows, one pair-code filter of the deleted entries,
+        and one merge of the inserted ones.  The kept entries are already
+        in ``(row, edge_label, neighbor)`` order, so only the inserted
+        entries are sorted, and each is inserted at its ``searchsorted``
+        position.  The untouched rows move into the new arrays with one
+        masked copy.  The simulated work and the returned
         :class:`CSRPatchStats` scale with the change set, which is what
         makes
         :meth:`repro.dynamic.graph.DynamicGraph.commit` O(changes)
@@ -356,58 +380,48 @@ class LabeledGraph:
         base with one copy.  ``edges()`` keeps the order a whole-map
         copy would have.
 
-        Raises :class:`~repro.errors.GraphError` when a deletion names a
-        missing edge (or the wrong label), an insertion duplicates a
-        surviving edge, or an endpoint is out of range.
+        Raises :class:`~repro.errors.GraphError`, before any splice
+        work, when a deletion names a missing edge (or the wrong label)
+        or repeats a pair, an insertion repeats a pair or duplicates a
+        surviving edge, or an endpoint is out of range.  The checks run
+        as batched lookups over the whole change set; only when one
+        fails does a per-edge pass (deletions first, then insertions,
+        each in input order) find the first bad change to name.
         """
         n_old = self.num_vertices
         extra = np.asarray(list(new_vertex_labels), dtype=np.int64)
         n = n_old + len(extra)
+        ins, dels = edge_rows(inserted), edge_rows(deleted)
 
         # --- Normalize + validate the change set (O(changes)). --------
-        del_pairs: Dict[Tuple[int, int], int] = {}
-        for u, v, lab in deleted:
-            u, v, lab = int(u), int(v), int(lab)
-            key = (u, v) if u < v else (v, u)
-            if key in del_pairs:
-                raise GraphError(f"edge {key} deleted twice")
-            have = self.get_edge_label(*key)
-            if have is None:
-                raise GraphError(f"no edge between {key[0]} and {key[1]}")
-            if have != lab:
-                raise GraphError(
-                    f"edge {key} carries label {have}, not {lab}")
-            del_pairs[key] = lab
-        ins_pairs: Dict[Tuple[int, int], int] = {}
-        for u, v, lab in inserted:
-            u, v, lab = int(u), int(v), int(lab)
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(
-                    f"edge ({u}, {v}) references a missing vertex")
-            if u == v:
-                raise GraphError(f"self loop at vertex {u} is not allowed")
-            key = (u, v) if u < v else (v, u)
-            if key in ins_pairs:
-                raise GraphError(f"edge {key} inserted twice")
-            if self.has_edge(*key) and key not in del_pairs:
-                raise GraphError(
-                    f"edge {key} already exists; delete it first to "
-                    f"relabel")
-            ins_pairs[key] = lab
+        d_lo, d_hi = np.minimum(dels[:, 0], dels[:, 1]), \
+            np.maximum(dels[:, 0], dels[:, 1])
+        i_lo, i_hi = np.minimum(ins[:, 0], ins[:, 1]), \
+            np.maximum(ins[:, 0], ins[:, 1])
+        del_keys = list(zip(d_lo.tolist(), d_hi.tolist()))
+        ins_keys = list(zip(i_lo.tolist(), i_hi.tolist()))
+        del_labels, ins_labels = dels[:, 2].tolist(), ins[:, 2].tolist()
+        dead = set(del_keys)
+        if (len(dead) < len(del_keys)
+                or self._labels_of(del_keys) != del_labels
+                or (len(ins) and (i_lo.min() < 0 or i_hi.max() >= n
+                                  or (i_lo == i_hi).any()))
+                or len(set(ins_keys)) < len(ins_keys)
+                or any(have is not None and key not in dead for key, have
+                       in zip(ins_keys, self._labels_of(ins_keys)))):
+            self._raise_first_bad_change(ins.tolist(), dels.tolist(), n)
 
-        if not del_pairs and not ins_pairs and not len(extra):
+        if not del_keys and not ins_keys and not len(extra):
             return self, CSRPatchStats()
 
         # --- Both orientations of every changed edge (O(changes)). ----
-        dpair = np.array(list(del_pairs), dtype=np.int64).reshape(-1, 2)
-        ipair = np.array(list(ins_pairs), dtype=np.int64).reshape(-1, 2)
-        ilab = np.array(list(ins_pairs.values()), dtype=np.int64)
-        del_src = np.concatenate((dpair[:, 0], dpair[:, 1]))
-        del_dst = np.concatenate((dpair[:, 1], dpair[:, 0]))
-        ins_src = np.concatenate((ipair[:, 0], ipair[:, 1]))
-        ins_dst = np.concatenate((ipair[:, 1], ipair[:, 0]))
-        touched = np.union1d(np.concatenate((del_src, ins_src)),
-                             np.arange(n_old, n, dtype=np.int64))
+        del_src = np.concatenate((d_lo, d_hi))
+        del_dst = np.concatenate((d_hi, d_lo))
+        ins_src = np.concatenate((i_lo, i_hi))
+        ins_dst = np.concatenate((i_hi, i_lo))
+        ins_lab = np.concatenate((ins[:, 2], ins[:, 2]))
+        touched = sorted_unique(np.concatenate(
+            (del_src, ins_src, np.arange(n_old, n, dtype=np.int64))))
 
         # --- Metadata: labels, changed pairs, label frequencies. -------
         vlabels = (np.concatenate([self._vlabels, extra]) if len(extra)
@@ -415,7 +429,7 @@ class LabeledGraph:
         base = self._edge_map
         changes = self._edge_changes.copy()
         freq = dict(self._edge_label_freq)
-        for key, lab in del_pairs.items():
+        for key, lab in zip(del_keys, del_labels):
             if key in base:
                 changes[key] = None
             else:
@@ -423,7 +437,7 @@ class LabeledGraph:
             freq[lab] -= 1
             if not freq[lab]:
                 del freq[lab]
-        for key, lab in ins_pairs.items():
+        for key, lab in zip(ins_keys, ins_labels):
             # A re-inserted pair moves to the end, where ``edges()``
             # yields it.
             changes.pop(key, None)
@@ -448,30 +462,35 @@ class LabeledGraph:
         np.cumsum(deg, out=offsets[1:])
 
         # --- Touched rows: gather, drop deleted pairs, merge inserts. -
+        # An entry's row is its position in ``touched``; the old rows
+        # are its prefix.
         old_rows = touched[touched < n_old]
         starts = self._offsets[old_rows]
         lens = self._offsets[old_rows + 1] - starts
         at = concat_ranges(starts, lens)
-        owner = np.repeat(old_rows, lens)
+        row = np.repeat(np.arange(len(old_rows), dtype=np.int64), lens)
         seg_n = self._nbr[at]
         seg_l = self._elab[at]
         if len(del_src):
             # (row, neighbor) pair codes identify entries uniquely.
-            dead = np.sort(del_src * n + del_dst)
-            code = owner * n + seg_n
-            hit = np.searchsorted(dead, code)
-            keep = dead[np.minimum(hit, len(dead) - 1)] != code
-            owner, seg_n, seg_l = owner[keep], seg_n[keep], seg_l[keep]
+            _, gone = sorted_lookup(
+                np.sort(np.searchsorted(touched, del_src) * n + del_dst),
+                row * n + seg_n)
+            row, seg_n, seg_l = row[~gone], seg_n[~gone], seg_l[~gone]
         if len(ins_src):
-            owner = np.concatenate((owner, ins_src))
-            seg_n = np.concatenate((seg_n, ins_dst))
-            seg_l = np.concatenate((seg_l, ilab, ilab))
-            # Order by (row, label, neighbor): two stable passes over
-            # (label rank, neighbor) codes, then rows.
-            _, lab_rank = np.unique(seg_l, return_inverse=True)
-            order = np.argsort(lab_rank * n + seg_n, kind="stable")
-            order = order[np.argsort(owner[order], kind="stable")]
-            seg_n, seg_l = seg_n[order], seg_l[order]
+            # The kept entries are sorted by (row, label rank, neighbor)
+            # codes; sort the inserted ones and merge them in.
+            labels = np.array(sorted(freq), dtype=np.int64)
+
+            def codes(rows: Array, labs: Array, nbrs: Array) -> Array:
+                return ((rows * len(labels) + np.searchsorted(labels, labs))
+                        * n + nbrs)
+
+            add = codes(np.searchsorted(touched, ins_src), ins_lab, ins_dst)
+            order = np.argsort(add)
+            pos, _ = sorted_lookup(codes(row, seg_l, seg_n), add[order])
+            seg_n = np.insert(seg_n, pos, ins_dst[order])
+            seg_l = np.insert(seg_l, pos, ins_lab[order])
 
         # --- Splice: one masked copy of the untouched rows. -----------
         total = int(offsets[n])
@@ -493,6 +512,46 @@ class LabeledGraph:
                               words_read=int(lens.sum()),
                               words_written=len(seg_n))
         return patched, stats
+
+    def _labels_of(self, keys: List[Tuple[int, int]]
+                   ) -> List[Optional[int]]:
+        """:meth:`get_edge_label` of every normalized pair in ``keys``."""
+        changes, base = self._edge_changes, self._edge_map
+        return [changes[key] if key in changes else base.get(key)
+                for key in keys]
+
+    def _raise_first_bad_change(self, inserted: List[List[int]],
+                                deleted: List[List[int]], n: int) -> None:
+        """Raise the :class:`~repro.errors.GraphError` of the first bad
+        change: deletions first, then insertions, each in input order
+        (``n`` counts the new vertices too)."""
+        dead: Set[Tuple[int, int]] = set()
+        for u, v, lab in deleted:
+            key = (u, v) if u < v else (v, u)
+            if key in dead:
+                raise GraphError(f"edge {key} deleted twice")
+            have = self.get_edge_label(*key)
+            if have is None:
+                raise GraphError(f"no edge between {key[0]} and {key[1]}")
+            if have != lab:
+                raise GraphError(
+                    f"edge {key} carries label {have}, not {lab}")
+            dead.add(key)
+        born: Set[Tuple[int, int]] = set()
+        for u, v, lab in inserted:
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphError(
+                    f"edge ({u}, {v}) references a missing vertex")
+            if u == v:
+                raise GraphError(f"self loop at vertex {u} is not allowed")
+            key = (u, v) if u < v else (v, u)
+            if key in born:
+                raise GraphError(f"edge {key} inserted twice")
+            if self.has_edge(*key) and key not in dead:
+                raise GraphError(
+                    f"edge {key} already exists; delete it first to "
+                    f"relabel")
+            born.add(key)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

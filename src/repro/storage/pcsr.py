@@ -67,7 +67,12 @@ from repro.errors import StorageError
 from repro.gpusim.constants import LABEL_PCSR_COMPACT, LABEL_PCSR_MAINTAIN
 from repro.gpusim.meter import MemoryMeter
 from repro.gpusim.transactions import contiguous_read, contiguous_reads
-from repro.graph.labeled_graph import LabeledGraph, concat_ranges
+from repro.graph.labeled_graph import (
+    LabeledGraph,
+    concat_ranges,
+    sorted_lookup,
+    sorted_unique,
+)
 from repro.graph.partition import EdgeLabelPartition, partition_by_edge_label
 from repro.storage.base import (
     Gathered,
@@ -109,10 +114,12 @@ def _merge_entries(entry: Array, touched: Array, span: int, held: Array,
     label position * span + key``), and ``cur`` holds the ``held``
     positions' current lists back to back, ``length`` each.
     ``inserts`` / ``deletes`` are ``(pair code, neighbor)`` rows.
-    Returns the new lists back to back in grid order and each
-    position's new length.  Read-only: raises :class:`StorageError` on
-    a delete of an absent neighbor (naming the smallest such label,
-    key, then neighbor)."""
+    The current codes are already sorted, so only the inserts are
+    sorted: their distinct codes not already present are inserted at
+    their ``searchsorted`` positions.  Returns the new lists back to
+    back in grid order and each position's new length.  Read-only:
+    raises :class:`StorageError` on a delete of an absent neighbor
+    (naming the smallest such label, key, then neighbor)."""
     M = 1 + max((int(a.max()) for a in (cur, inserts[:, 1], deletes[:, 1])
                  if len(a)), default=0)
     if held.size > (2 ** 62) // M:
@@ -121,11 +128,9 @@ def _merge_entries(entry: Array, touched: Array, span: int, held: Array,
     # current codes are already globally sorted.
     merged = np.repeat(np.flatnonzero(held), length) * M + cur
     if len(deletes):
-        rem = entry[np.searchsorted(touched, deletes[:, 0])] * M \
-            + deletes[:, 1]
-        pos = np.searchsorted(merged, rem)
-        present = (merged[np.minimum(pos, len(merged) - 1)] == rem
-                   if len(merged) else np.zeros(len(rem), dtype=bool))
+        pos, present = sorted_lookup(
+            merged, entry[np.searchsorted(touched, deletes[:, 0])] * M
+            + deletes[:, 1])
         if not present.all():
             code, nbr = deletes[~present, 0], deletes[~present, 1]
             first = int(np.lexsort((nbr, code))[0])
@@ -135,9 +140,10 @@ def _merge_entries(entry: Array, touched: Array, span: int, held: Array,
         keep[pos] = False
         merged = merged[keep]
     if len(inserts):
-        merged = np.union1d(
-            merged, entry[np.searchsorted(touched, inserts[:, 0])] * M
-            + inserts[:, 1])
+        add = sorted_unique(entry[np.searchsorted(touched, inserts[:, 0])]
+                            * M + inserts[:, 1])
+        pos, present = sorted_lookup(merged, add)
+        merged = np.insert(merged, pos[~present], add[~present])
     return (merged % M,
             np.bincount(merged // M, minlength=held.size).reshape(held.shape))
 
@@ -588,10 +594,12 @@ class GroupStack:
     label order, so only the rows of the labels after it shift (one
     overlapping copy per array, no second layer) and only their parts
     are bound again.  When the headroom runs out the buffers grow 1.5x
-    by one copy, the only time two layers are alive.  A stack sized up
-    front (every :class:`PCSRStorage` build) or laid over filled arrays
-    (:meth:`over`, an attached publication) keeps exact-size arrays
-    until a label outgrows them.
+    by one copy, the only time two layers are alive.  A
+    :class:`PCSRStorage` build sizes its stack up front: exact-size for
+    a store built once, with one growth step of headroom for a store
+    maintained in place.  A stack laid over filled arrays (:meth:`over`,
+    an attached publication) keeps exact-size arrays until a label
+    outgrows them.
 
     Each label's longest chain is kept (:meth:`chain_lengths`).  Each
     part holds its stack and the stack holds its parts only weakly (a
@@ -631,6 +639,11 @@ class GroupStack:
             part._bind(stack, pos)
         return stack
 
+    @staticmethod
+    def grown(rows: int) -> int:
+        """Rows after one growth step from ``rows``: 1.5x."""
+        return rows + rows // 2
+
     def _live(self) -> None:
         """Point ``base`` and the four stacked arrays at the live rows."""
         self.base = np.cumsum(self.sizes) - self.sizes
@@ -661,7 +674,7 @@ class GroupStack:
         rows = len(self._buffers[0])
         moved = range(pos + 1, len(self.parts))
         if need > rows:
-            grown = tuple(np.empty((max(need, rows + rows // 2),)
+            grown = tuple(np.empty((max(need, self.grown(rows)),)
                                    + buf.shape[1:], dtype=buf.dtype)
                           for buf in self._buffers)
             for buf, into in zip(self._buffers, grown):
@@ -985,14 +998,18 @@ class PCSRStorage(NeighborStore):
     their group layers in one :class:`GroupStack`."""
 
     kind = "pcsr"
+    #: whether the group layer starts with the headroom of one growth
+    #: step (:meth:`GroupStack.grown`); a store built once is exact-size
+    _grows_in_place = False
 
     def __init__(self, graph: LabeledGraph, gpn: int = 16) -> None:
         self.gpn = gpn
         # Every label is built straight into its rows of one layer,
         # sized for all of them.
         partitions = sorted(partition_by_edge_label(graph).items())
-        self._stack = GroupStack(gpn, rows=sum(
-            max(1, len(part.vertices)) for _, part in partitions))
+        rows = sum(max(1, len(part.vertices)) for _, part in partitions)
+        self._stack = GroupStack(gpn, rows=GroupStack.grown(rows)
+                                 if self._grows_in_place else rows)
         self._parts: Dict[int, PCSRPartition] = {
             lab: PCSRPartition(part, gpn=gpn, stack=self._stack)
             for lab, part in partitions}

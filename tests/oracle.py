@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import Callable, Dict, List, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.core.signature import encode_vertex
 from repro.core.signature_table import ScanCost, SignatureTable
+from repro.errors import StorageError
 from repro.gpusim.constants import CYCLES_PER_GLD, CYCLES_PER_OP, WARP_SIZE
 from repro.gpusim.transactions import strided_read
 from repro.graph.labeled_graph import GraphBuilder, LabeledGraph
@@ -380,3 +381,73 @@ def reference_scan_cost(table: SignatureTable,
         total_gld += tx
         task_cycles.append(tx * CYCLES_PER_GLD + w * CYCLES_PER_OP)
     return ScanCost(total_gld, tuple(task_cycles))
+
+
+def reference_merge_entries(entry: np.ndarray, touched: np.ndarray,
+                            span: int, held: np.ndarray,
+                            length: np.ndarray, cur: np.ndarray,
+                            inserts: np.ndarray, deletes: np.ndarray
+                            ) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`repro.storage.pcsr._merge_entries` as one ``np.union1d``
+    of the surviving current codes and the insert codes, which re-sorts
+    the whole block: the reference for the merge that sorts only the
+    inserts.  Same arguments, results and :class:`StorageError`."""
+    M = 1 + max((int(a.max()) for a in (cur, inserts[:, 1], deletes[:, 1])
+                 if len(a)), default=0)
+    if held.size > (2 ** 62) // M:
+        raise StorageError("vertex ids too large for pair codes")
+    merged = np.repeat(np.flatnonzero(held), length) * M + cur
+    if len(deletes):
+        rem = entry[np.searchsorted(touched, deletes[:, 0])] * M \
+            + deletes[:, 1]
+        pos = np.searchsorted(merged, rem)
+        present = (merged[np.minimum(pos, len(merged) - 1)] == rem
+                   if len(merged) else np.zeros(len(rem), dtype=bool))
+        if not present.all():
+            code, nbr = deletes[~present, 0], deletes[~present, 1]
+            first = int(np.lexsort((nbr, code))[0])
+            raise StorageError(f"{int(nbr[first])} is not a neighbor "
+                               f"of {int(code[first] % span)}")
+        keep = np.ones(len(merged), dtype=bool)
+        keep[pos] = False
+        merged = merged[keep]
+    if len(inserts):
+        merged = np.union1d(
+            merged, entry[np.searchsorted(touched, inserts[:, 0])] * M
+            + inserts[:, 1])
+    return (merged % M,
+            np.bincount(merged // M, minlength=held.size).reshape(held.shape))
+
+
+def reference_first_bad_change(graph: LabeledGraph, inserted, deleted,
+                               num_vertices: int) -> Optional[str]:
+    """The message of the first bad change of a change set for
+    :meth:`LabeledGraph.apply_changes`, or ``None`` when it is valid
+    (``num_vertices`` counts the new vertices too), by the per-edge
+    loop the splice once ran on every change: deletions first, then
+    insertions, each in input order."""
+    dead: Set[Tuple[int, int]] = set()
+    for u, v, lab in deleted:
+        key = (u, v) if u < v else (v, u)
+        if key in dead:
+            return f"edge {key} deleted twice"
+        have = graph.get_edge_label(*key)
+        if have is None:
+            return f"no edge between {key[0]} and {key[1]}"
+        if have != lab:
+            return f"edge {key} carries label {have}, not {lab}"
+        dead.add(key)
+    born: Set[Tuple[int, int]] = set()
+    for u, v, lab in inserted:
+        if not (0 <= u < num_vertices and 0 <= v < num_vertices):
+            return f"edge ({u}, {v}) references a missing vertex"
+        if u == v:
+            return f"self loop at vertex {u} is not allowed"
+        key = (u, v) if u < v else (v, u)
+        if key in born:
+            return f"edge {key} inserted twice"
+        if graph.has_edge(*key) and key not in dead:
+            return (f"edge {key} already exists; delete it first to "
+                    f"relabel")
+        born.add(key)
+    return None

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.dynamic import DynamicGraph, GraphDelta, random_update_stream
 from repro.errors import GraphError
@@ -195,3 +197,93 @@ class TestRandomUpdateStream:
         for delta in random_update_stream(base, 2, 4, seed=3):
             g.apply(delta)
         assert g.num_vertices > 1
+
+
+# ----------------------------------------------------------------------
+# The overlay against a plain-dict model
+# ----------------------------------------------------------------------
+
+class _Model:
+    """The overlay's meaning as plain dicts: vertex labels and a
+    ``{(u, v): label}`` edge map with ``u < v``."""
+
+    def __init__(self, graph):
+        self.labels = graph.vertex_labels.tolist()
+        self.edges = {(u, v): lab for u, v, lab in graph.edges()}
+
+    def apply(self, op) -> bool:
+        """Apply one op; ``False`` (and no change) if it is invalid."""
+        kind, *args = op
+        n = len(self.labels)
+        if kind == "add_vertex":
+            self.labels.append(args[0])
+            return True
+        if kind == "remove_vertex":
+            if not 0 <= args[0] < n:
+                return False
+            for key in [k for k in self.edges if args[0] in k]:
+                del self.edges[key]
+            return True
+        u, v = args[:2]
+        key = (min(u, v), max(u, v))
+        if kind == "remove_edge":
+            return self.edges.pop(key, None) is not None
+        if not (0 <= u < n and 0 <= v < n) or u == v or key in self.edges:
+            return False
+        self.edges[key] = args[2]
+        return True
+
+    def neighbors(self, v, label):
+        return sorted(b if a == v else a for (a, b), lab in self.edges.items()
+                      if lab == label and v in (a, b))
+
+
+def _ops(vertices):
+    vertex = st.integers(-1, vertices + 3)
+    return st.one_of(
+        st.tuples(st.just("add_edge"), vertex, vertex, st.integers(0, 2)),
+        st.tuples(st.just("remove_edge"), vertex, vertex),
+        st.tuples(st.just("add_vertex"), st.integers(0, 1)),
+        st.tuples(st.just("remove_vertex"), vertex),
+        st.tuples(st.just("read"), vertex, vertex),
+        st.tuples(st.just("commit")))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_overlay_matches_a_dict_model(data):
+    """Random edge and vertex ops, one per delta, with reads and commits
+    in between: every read through the overlay (its per-vertex view is
+    rebuilt on the first read after a mutation) equals the model, and a
+    rejected op changes nothing."""
+    base = scale_free_graph(10, 2, 2, 3, seed=data.draw(st.integers(0, 3)))
+    graph, model = DynamicGraph(base), _Model(base)
+    for op in data.draw(st.lists(_ops(base.num_vertices), min_size=20,
+                                 max_size=60)):
+        kind = op[0]
+        if kind == "commit":
+            assert sorted(graph.commit().snapshot.edges()) == \
+                sorted((u, v, lab) for (u, v), lab in model.edges.items())
+        elif kind == "read":
+            _, u, v = op
+            n = len(model.labels)
+            for w in range(n):
+                for label in range(3):
+                    assert graph.neighbors_by_label(w, label).tolist() == \
+                        model.neighbors(w, label)
+            key = (min(u, v), max(u, v))
+            assert graph.has_edge(u, v) == (key in model.edges)
+            if key in model.edges:
+                assert graph.edge_label(u, v) == model.edges[key]
+            elif 0 <= u < n and 0 <= v < n:
+                with pytest.raises(GraphError):
+                    graph.edge_label(u, v)
+        elif model.apply(op):
+            graph.apply(GraphDelta(ops=[op]))
+        else:
+            with pytest.raises(GraphError):
+                graph.apply(GraphDelta(ops=[op]))
+        assert graph.num_vertices == len(model.labels)
+        assert graph.num_edges == len(model.edges)
+        assert sorted(graph.edges()) == \
+            sorted((u, v, lab) for (u, v), lab in model.edges.items())

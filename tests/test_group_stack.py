@@ -2,10 +2,12 @@
 
 A rebuilt or new label is built straight into its rows of the
 :class:`GroupStack`: only the rows of the labels after it shift, and the
-buffers grow 1.5x only when their headroom runs out.  Checked here
-against the re-stack every rebuild once made (:func:`oracle.restack`)
-for the first, a middle and the last label, a shrinking label and new
-labels, together with the memory the in-place path saves.
+buffers grow 1.5x only when their headroom runs out.  A store maintained
+in place starts with that headroom; a store built once is exact-size.
+Checked here against the re-stack every rebuild once made
+(:func:`oracle.restack`) for the first, a middle and the last label, a
+shrinking label and new labels, together with the memory the in-place
+path saves.
 """
 
 from __future__ import annotations
@@ -135,8 +137,9 @@ def test_rebuilt_and_new_labels_touch_only_their_rows(order, gpn):
     graph = path_graph()
     streamer = Streamer(DynamicPCSRStorage(graph, gpn=gpn), graph)
     stack = streamer.store._stack
-    # Built once: exact-size buffers.
-    assert len(stack._buffers[0]) == len(stack.groups) == 4 * (PATH + 1)
+    # Built with one growth step of headroom.
+    assert len(stack.groups) == 4 * (PATH + 1)
+    assert len(stack._buffers[0]) == 246
     capacities = []
     for label, how in order:
         if how == "new":
@@ -152,8 +155,7 @@ def test_rebuilt_and_new_labels_touch_only_their_rows(order, gpn):
                 streamer.rebuild(label)
         check_one_label_changed(streamer, label, step)
         capacities.append(len(stack._buffers[0]))
-    # The first rebuild outgrew the exact-size layer and grew it 1.5x;
-    # the rest fit in the headroom, so the layer never moved again.
+    # Every rebuild fits in the headroom, so the layer never moved.
     assert capacities == [246] * len(order)
 
 
@@ -164,7 +166,7 @@ def test_rebuild_in_headroom_allocates_no_second_layer():
     labels = tuple(range(0, 16, 2))
     graph = path_graph(labels)
     streamer = Streamer(DynamicPCSRStorage(graph), graph)
-    streamer.rebuild(0)  # outgrows the exact-size layer: grows 1.5x
+    streamer.rebuild(0)
     layer = streamer.store._stack._buffers[0]
     nbytes = streamer.store._stack.groups.nbytes
     inserted = streamer.fresh_edges(6, 11)
@@ -183,10 +185,38 @@ def test_rebuild_in_headroom_allocates_no_second_layer():
 
 def test_built_once_stores_keep_exact_size_layers():
     graph = path_graph()
-    for store in (PCSRStorage(graph), DynamicPCSRStorage(graph)):
-        stack = store._stack
-        assert stack_view_problems(stack) == []
-        assert all(len(buf) == len(stack.groups) == 4 * (PATH + 1)
-                   for buf in stack._buffers)
+    store = PCSRStorage(graph)
+    stack = store._stack
+    assert stack_view_problems(stack) == []
+    assert all(len(buf) == len(stack.groups) == 4 * (PATH + 1)
+               for buf in stack._buffers)
     alone = PCSRPartition(reference_of_label(graph, 2), gpn=16)
     assert len(alone._stack._buffers[0]) == alone.num_groups
+
+
+def test_dynamic_store_builds_its_headroom_up_front():
+    """A store maintained in place starts with one growth step of
+    headroom, so the first rebuild of a stream shifts rows inside the
+    buffers instead of copying the whole layer into larger ones: its
+    peak allocation stays below the layer's size."""
+    labels = tuple(range(0, 16, 2))
+    graph = path_graph(labels)
+    streamer = Streamer(DynamicPCSRStorage(graph), graph)
+    stack = streamer.store._stack
+    assert stack_view_problems(stack) == []
+    assert all(len(buf) == 1.5 * len(stack.groups) == 1.5 * 8 * (PATH + 1)
+               for buf in stack._buffers)
+    layer = stack._buffers[0]
+    nbytes = stack.groups.nbytes
+    inserted = streamer.fresh_edges(0, 11)
+    graph, _ = streamer.graph.apply_changes(inserted, ())
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        streamer.store.apply_batch(graph, inserted, ())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert streamer.store.rebuilds == 1
+    assert peak < nbytes, (peak, nbytes)
+    assert stack._buffers[0] is layer

@@ -309,8 +309,8 @@ class TestDynamicStorePublication:
         reports health exactly like the original."""
         graph = scale_free_graph(200, 3, 4, 3, seed=22)
         store = DynamicPCSRStorage(graph)
-        # New keys just past the occupancy bound rebuild label 0, which
-        # outgrows the exact-size layer: it grows 1.5x.
+        # New keys just past the occupancy bound rebuild label 0; the
+        # layer keeps its headroom past the live rows.
         part, n = store.partition(0), graph.num_vertices
         key, fresh = next(part.items())[0], part.num_groups // 2 + 1
         inserted = [(key, n + i, 0) for i in range(fresh)]
